@@ -17,7 +17,7 @@
 use ringmesh_mesh::MeshTopology;
 use ringmesh_net::{CacheLineSize, NodeId, PacketFormat, PacketKind};
 use ringmesh_ring::{RingSpec, RingTopology};
-use ringmesh_workload::{access_region, Placement, WorkloadParams};
+use ringmesh_workload::{Placement, Region, WorkloadParams};
 
 /// Exact zero-load one-way delivery time of our wormhole ring model,
 /// from injection to last-flit delivery:
@@ -56,7 +56,7 @@ pub fn ring_zero_load_latency(
     let mut count = 0.0;
     for src in 0..p {
         let s = NodeId::new(src);
-        for t in access_region(Placement::Linear { pms: p }, s, workload.region) {
+        for t in Region::new(Placement::Linear { pms: p }, s, workload.region).iter() {
             count += 1.0;
             if t == s {
                 total += f64::from(mem_latency);
@@ -94,7 +94,7 @@ pub fn mesh_zero_load_latency(
     let mut count = 0.0;
     for src in 0..p {
         let s = NodeId::new(src);
-        for t in access_region(Placement::Grid { side }, s, workload.region) {
+        for t in Region::new(Placement::Grid { side }, s, workload.region).iter() {
             count += 1.0;
             if t == s {
                 total += f64::from(mem_latency);
@@ -143,7 +143,7 @@ pub fn ring_bisection_bound(
     let mut count = 0.0;
     for src in 0..p {
         let s = NodeId::new(src);
-        for t in access_region(Placement::Linear { pms: p }, s, workload.region) {
+        for t in Region::new(Placement::Linear { pms: p }, s, workload.region).iter() {
             count += 1.0;
             if t == s {
                 continue;

@@ -6,7 +6,7 @@ use std::str::FromStr;
 
 use ringmesh_hybrid::HybridBuilder;
 use ringmesh_mesh::MeshBuilder;
-use ringmesh_net::{BufferRegime, CacheLineSize, ConfigError, TopologyBuilder};
+use ringmesh_net::{checked_pms, BufferRegime, CacheLineSize, ConfigError, TopologyBuilder};
 use ringmesh_ring::{RingBuilder, RingSpec, SlottedBuilder};
 use ringmesh_snap::Fingerprint;
 use ringmesh_workload::{MemoryParams, MissProcess, WorkloadParams};
@@ -76,6 +76,28 @@ impl NetworkSpec {
         }
     }
 
+    /// Checks the shape: positive dimensions, and a PM count that
+    /// neither overflows nor exceeds [`ringmesh_net::MAX_PMS`] (ring
+    /// specs are checked when a [`RingSpec`] is made). Parsing and
+    /// [`SystemConfig::validate`] both go through here, so a variant
+    /// built by hand is held to what a spec string is.
+    fn check(&self) -> Result<(), ConfigError> {
+        let (side, local) = match *self {
+            NetworkSpec::Ring { .. } | NetworkSpec::SlottedRing { .. } => return Ok(()),
+            NetworkSpec::Mesh { side, .. } => (side, 1),
+            NetworkSpec::Hybrid { side, local } => (side, local),
+        };
+        if side == 0 {
+            return Err(ConfigError::ZeroMeshSide);
+        }
+        if local == 0 {
+            return Err(ConfigError::Invalid(
+                "hybrid local ring size must be positive".into(),
+            ));
+        }
+        checked_pms([side, side, local]).map(|_| ())
+    }
+
     /// Number of processing modules.
     pub fn num_pms(&self) -> u32 {
         self.builder().num_pms()
@@ -110,6 +132,16 @@ impl FromStr for NetworkSpec {
     ///   4-flit (default), 1-flit or cache-line buffers
     /// * `hybrid:4x4:4` — 4×4 global mesh of 4-PM local rings
     fn from_str(s: &str) -> Result<Self, ConfigError> {
+        let spec = Self::parse_shape(s)?;
+        spec.check()?;
+        Ok(spec)
+    }
+}
+
+impl NetworkSpec {
+    /// The syntax half of [`FromStr`]; [`check`](Self::check) then
+    /// judges the numbers.
+    fn parse_shape(s: &str) -> Result<Self, ConfigError> {
         let (head, rest) = s.split_once(':').ok_or_else(|| {
             ConfigError::Invalid(format!(
                 "topology '{s}' must be '<kind>:<shape>' \
@@ -143,9 +175,6 @@ impl FromStr for NetworkSpec {
                         )))
                     }
                 };
-                if side == 0 {
-                    return Err(ConfigError::ZeroMeshSide);
-                }
                 Ok(NetworkSpec::Mesh { side, buffers })
             }
             "hybrid" => {
@@ -165,14 +194,6 @@ impl FromStr for NetworkSpec {
                     )));
                 }
                 let local: u32 = local_s.parse().map_err(|_| bad_shape())?;
-                if side == 0 {
-                    return Err(ConfigError::ZeroMeshSide);
-                }
-                if local == 0 {
-                    return Err(ConfigError::Invalid(
-                        "hybrid local ring size must be positive".into(),
-                    ));
-                }
                 Ok(NetworkSpec::Hybrid { side, local })
             }
             _ => {
@@ -348,19 +369,7 @@ impl SystemConfig {
     ///
     /// Returns the first [`ConfigError`] found.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if let NetworkSpec::Mesh { side: 0, .. } = self.network {
-            return Err(ConfigError::ZeroMeshSide);
-        }
-        if let NetworkSpec::Hybrid { side, local } = self.network {
-            if side == 0 {
-                return Err(ConfigError::ZeroMeshSide);
-            }
-            if local == 0 {
-                return Err(ConfigError::Invalid(
-                    "hybrid local ring size must be positive".into(),
-                ));
-            }
-        }
+        self.network.check()?;
         let w = &self.workload;
         if !(w.region > 0.0 && w.region <= 1.0) {
             return Err(ConfigError::Invalid(format!(
@@ -481,6 +490,15 @@ mod tests {
             "hybrid:4x4:0",
             "hybrid:axa:4",
             "hybrid:4x4:x",
+            // PM counts that wrap u32 (65536² = 0) or overflow it.
+            "mesh:257",
+            "mesh:65536",
+            "mesh:70000",
+            "mesh:4294967295",
+            "hybrid:70000x70000:4",
+            "hybrid:16x16:257",
+            "ring:65536:65536",
+            "slotted:70000",
         ] {
             let err = s.parse::<NetworkSpec>().expect_err(s);
             // Typed errors render a message; none of these may panic.
@@ -509,6 +527,26 @@ mod tests {
             CacheLineSize::B64,
         );
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_caps_hand_built_shapes() {
+        use ringmesh_net::MAX_PMS;
+        let too_many = Err(ConfigError::TooManyPms { max: MAX_PMS });
+        for network in [
+            NetworkSpec::mesh(65_536),
+            NetworkSpec::mesh(70_000),
+            NetworkSpec::Hybrid {
+                side: 70_000,
+                local: 4,
+            },
+        ] {
+            let cfg = SystemConfig::new(network, CacheLineSize::B64);
+            assert_eq!(cfg.validate(), too_many, "{:?}", cfg.network);
+        }
+        let largest = SystemConfig::new(NetworkSpec::mesh(256), CacheLineSize::B64);
+        assert_eq!(largest.validate(), Ok(()));
+        assert_eq!(largest.network.num_pms(), MAX_PMS);
     }
 
     #[test]

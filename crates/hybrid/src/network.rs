@@ -20,7 +20,7 @@ use ringmesh_engine::{KernelPool, StallError, Watchdog};
 use ringmesh_faults::{
     ConservationError, ConservationLedger, DropReason, FaultDomain, FaultInjector,
 };
-use ringmesh_mesh::kernel::{CommitOp, FaultCtx, MeshShard, LOCAL};
+use ringmesh_mesh::kernel::{owner_coords, CommitOp, FaultCtx, MeshShard};
 use ringmesh_mesh::MeshTopology;
 use ringmesh_net::{
     Flit, Interconnect, LevelUtil, NodeId, Packet, PacketRef, PacketStore, QueueClass,
@@ -81,11 +81,12 @@ pub struct HybridNetwork {
     free: Vec<usize>,
     /// Per-cycle ring wire transfers (scratch).
     sends: Vec<RingSend>,
-    /// Mesh router state, one shard per mesh row, with the route LUT
-    /// stride widened to the PM count (destinations are PMs; the LUT
-    /// points each one at its owner router).
+    /// Mesh router state, one shard per mesh row.
     shards: Vec<MeshShard>,
-    route_lut: Vec<u8>,
+    /// `(row, col)` of the router owning each destination PM: the mesh
+    /// routes every PM to its ring's router by plain e-cube and ejects
+    /// into the bridge there.
+    owners: Vec<(u16, u16)>,
     /// Registered mesh stop/go (`router*5 + port`).
     go: Vec<bool>,
     /// Intra-cycle worker pool for the mesh compute/latch phases;
@@ -124,7 +125,8 @@ impl HybridNetwork {
     /// # Errors
     ///
     /// Returns a [`ringmesh_net::ConfigError`] when `side` or `local`
-    /// is zero.
+    /// is zero, or when `side² · local` exceeds
+    /// [`ringmesh_net::MAX_PMS`].
     pub fn new(
         side: u32,
         local: u32,
@@ -136,6 +138,7 @@ impl HybridNetwork {
             ));
         }
         let topo = MeshTopology::try_new(side)?;
+        ringmesh_net::checked_pms([side, side, local])?;
         let g2 = (side * side) as usize;
         let l = local as usize;
         let p = g2 * l;
@@ -171,29 +174,12 @@ impl HybridNetwork {
                 cfg.convoy_threshold_flits(),
             ));
         }
-        // Destination-is-a-PM route LUT: every PM routes to its owner
-        // router by plain e-cube, LOCAL at the owner (ejection into
-        // the bridge).
-        let mut route_lut = vec![0u8; g2 * p];
-        for node in 0..g2 {
-            for dst_pm in 0..p {
-                let owner = dst_pm / l;
-                route_lut[node * p + dst_pm] = if owner == node {
-                    LOCAL as u8
-                } else {
-                    topo.ecube(NodeId::new(node as u32), NodeId::new(owner as u32))
-                        .expect("distinct routers always have an e-cube direction")
-                        .port() as u8
-                };
-            }
-        }
         let shards = (0..side as usize)
             .map(|row| {
-                MeshShard::with_stride(
+                MeshShard::new(
                     row * side as usize,
                     side as usize,
                     &topo,
-                    p,
                     cfg.mesh_buffer_flits(),
                     cfg.out_queue_packets,
                 )
@@ -212,7 +198,7 @@ impl HybridNetwork {
             free: vec![buf_flits; g2 * spr],
             sends: Vec::new(),
             shards,
-            route_lut,
+            owners: owner_coords(&topo, local),
             go: vec![true; g2 * 5],
             kernel: KernelPool::serial(),
             cycle: 0,
@@ -565,10 +551,10 @@ impl Interconnect for HybridNetwork {
             };
             let topo = &self.topo;
             let go = &self.go;
-            let route_lut = &self.route_lut;
+            let owners = &self.owners;
             let store = &self.store;
             self.kernel.run_mut(&mut self.shards, |_, shard| {
-                shard.compute(now, topo, go, route_lut, store, &fc);
+                shard.compute(now, topo, go, owners, store, &fc);
             });
         }
         // Phase D — mesh commit, serial in shard order: ejections
@@ -1090,6 +1076,33 @@ mod tests {
         let delivered = run_until_delivered(&mut net, 1);
         assert_eq!(delivered[0].0, NodeId::new(5));
         assert!(net.verify_conservation().is_ok());
+    }
+
+    /// The mesh tier routes on the owner table alone: every PM must
+    /// map to the coordinates of the router its ring hangs off.
+    #[test]
+    fn every_pm_routes_to_its_ring_router() {
+        let net = HybridNetwork::new(3, 4, cfg()).unwrap();
+        assert_eq!(net.owners.len(), net.num_pms());
+        for pm in 0..36u32 {
+            let (row, col) = net.topo.coords(NodeId::new(pm / 4));
+            let owner = net.owners[pm as usize];
+            assert_eq!(
+                (u32::from(owner.0), u32::from(owner.1)),
+                (row, col),
+                "PM {pm}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_shapes_draw_typed_errors() {
+        for (side, local) in [(70_000, 4), (65_536, 1), (16, 257)] {
+            assert!(
+                HybridNetwork::new(side, local, cfg()).is_err(),
+                "{side}x{side}:{local}"
+            );
+        }
     }
 
     #[test]

@@ -48,5 +48,5 @@ pub use topology::{Direction, MeshTopology};
 /// not a stable API — everything here mirrors internal structure.
 #[doc(hidden)]
 pub mod kernel {
-    pub use crate::shard::{CommitOp, FaultCtx, MeshShard, Send, DROP, LOCAL};
+    pub use crate::shard::{owner_coords, CommitOp, FaultCtx, MeshShard, Send, DROP, LOCAL};
 }

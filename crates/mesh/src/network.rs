@@ -10,7 +10,7 @@ use ringmesh_net::{
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, Probe, TraceLoc, Tracer};
 
-use crate::shard::{CommitOp, FaultCtx, MeshShard, Send, LOCAL};
+use crate::shard::{owner_coords, CommitOp, FaultCtx, MeshShard, Send};
 use crate::topology::MeshTopology;
 use crate::MeshConfig;
 
@@ -51,9 +51,9 @@ pub struct MeshNetwork {
     /// in the compute and latch phases. The partition is fixed at
     /// construction and never depends on the thread count.
     shards: Vec<MeshShard>,
-    /// Shared fault-free e-cube table, `node * n + dst` (one flat copy
-    /// replacing the old per-router `Vec<u8>`s).
-    route_lut: Vec<u8>,
+    /// `(row, col)` of every destination node, read by the route stage
+    /// (see [`owner_coords`]).
+    owners: Vec<(u16, u16)>,
     /// Registered stop/go per router input buffer (`node*5 + port`) —
     /// the "current" half of the double-buffered cycle state, read by
     /// every shard during compute; the "next" half is each shard's
@@ -90,16 +90,6 @@ impl MeshNetwork {
     pub fn new(topo: MeshTopology, cfg: MeshConfig) -> Self {
         let n = topo.num_pms() as usize;
         let side = topo.side() as usize;
-        let mut route_lut = vec![0u8; n * n];
-        for node in 0..n {
-            for dst in 0..n {
-                route_lut[node * n + dst] =
-                    match topo.ecube(NodeId::new(node as u32), NodeId::new(dst as u32)) {
-                        Some(dir) => dir.port() as u8,
-                        None => LOCAL as u8,
-                    };
-            }
-        }
         let shards = (0..side)
             .map(|row| {
                 MeshShard::new(
@@ -117,7 +107,7 @@ impl MeshNetwork {
             cfg,
             store: PacketStore::new(),
             shards,
-            route_lut,
+            owners: owner_coords(&topo, 1),
             go: vec![true; n * 5],
             sends: Vec::new(),
             kernel: KernelPool::serial(),
@@ -318,7 +308,7 @@ impl Interconnect for MeshNetwork {
                         now,
                         &self.topo,
                         &self.go,
-                        &self.route_lut,
+                        &self.owners,
                         &self.store,
                         &fc,
                     );
@@ -369,10 +359,10 @@ impl Interconnect for MeshNetwork {
                 };
                 let topo = &self.topo;
                 let go = &self.go;
-                let route_lut = &self.route_lut;
+                let owners = &self.owners;
                 let store = &self.store;
                 self.kernel.run_mut(&mut self.shards, |_, shard| {
-                    shard.compute(now, topo, go, route_lut, store, &fc);
+                    shard.compute(now, topo, go, owners, store, &fc);
                 });
             }
             // Phase 2 — commit, serial in shard order (= ascending node

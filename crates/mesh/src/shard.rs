@@ -19,8 +19,8 @@
 //!
 //! 1. **compute** ([`MeshShard::compute`]) — runs on any thread, one
 //!    shard at a time per thread. Reads the shared previous-cycle
-//!    stop/go buffer, the packet store, the routing LUT and the fault
-//!    view; mutates *only* shard-local state; and records every
+//!    stop/go buffer, the packet store, the destination-owner table
+//!    and the fault view; mutates *only* shard-local state; and records every
 //!    shared-state effect (flit transfers onto links, packet
 //!    deliveries/drops) into shard-local [`Send`]/[`CommitOp`] buffers.
 //! 2. **commit** (serial, in `MeshNetwork::step`) — applies each
@@ -148,6 +148,22 @@ struct LinkInfo {
     link_id: u32,
 }
 
+/// `(row, col)` of the router owning each destination id, when every
+/// router of `topo` owns `per_router` consecutive ids in router order:
+/// one for the plain mesh (destinations are the routers), the local
+/// ring size for the hybrid host (destinations are PMs). The table is
+/// linear in the destination count and spares the route stage a
+/// division by the run-time mesh side per head flit.
+pub fn owner_coords(topo: &MeshTopology, per_router: u32) -> Vec<(u16, u16)> {
+    let narrow = |x: u32| u16::try_from(x).expect("MeshTopology caps the side far below u16::MAX");
+    (0..topo.num_pms())
+        .flat_map(|router| {
+            let (row, col) = topo.coords(NodeId::new(router));
+            (0..per_router).map(move |_| (narrow(row), narrow(col)))
+        })
+        .collect()
+}
+
 /// One mesh row's worth of router state in structure-of-arrays layout.
 ///
 /// Each per-port field is its own flat array with one fixed-size
@@ -163,9 +179,9 @@ pub struct MeshShard {
     lo: usize,
     /// Number of nodes (= the mesh side, one row per shard).
     len: usize,
-    /// Destination stride of the shared route LUT (the mesh node count
-    /// for the plain mesh; the PM count for the hybrid host).
-    n: usize,
+    /// The mesh row this shard covers; node `lo + l` sits at
+    /// `(row, l)`.
+    row: u32,
     inputs: Vec<[FlitFifo; 5]>,
     /// Output port assigned to the packet at the front of each input,
     /// held from head to tail.
@@ -198,9 +214,8 @@ pub struct MeshShard {
 }
 
 impl MeshShard {
-    /// Builds the shard covering nodes `lo..lo + len` of `topo`, with
-    /// the route-LUT destination stride equal to the node count (the
-    /// plain mesh case, where destinations are mesh nodes).
+    /// Builds the shard covering nodes `lo..lo + len` of `topo` — one
+    /// whole mesh row, so `len` is the mesh side.
     pub fn new(
         lo: usize,
         len: usize,
@@ -208,30 +223,6 @@ impl MeshShard {
         buffer_flits: usize,
         out_queue_packets: usize,
     ) -> Self {
-        Self::with_stride(
-            lo,
-            len,
-            topo,
-            topo.num_pms() as usize,
-            buffer_flits,
-            out_queue_packets,
-        )
-    }
-
-    /// Like [`new`](Self::new) with an explicit route-LUT destination
-    /// stride: the shared LUT is indexed `node * stride + dst`, so a
-    /// host with more destinations than mesh nodes (the hybrid network
-    /// routes per *PM*, several of which share one mesh router) passes
-    /// its destination count here.
-    pub fn with_stride(
-        lo: usize,
-        len: usize,
-        topo: &MeshTopology,
-        stride: usize,
-        buffer_flits: usize,
-        out_queue_packets: usize,
-    ) -> Self {
-        let n = stride;
         let links = (0..len)
             .map(|l| {
                 let node = NodeId::new((lo + l) as u32);
@@ -254,7 +245,7 @@ impl MeshShard {
         MeshShard {
             lo,
             len,
-            n,
+            row: topo.coords(NodeId::new(lo as u32)).0,
             inputs: (0..len)
                 .map(|_| std::array::from_fn(|_| FlitFifo::new(buffer_flits)))
                 .collect(),
@@ -328,10 +319,11 @@ impl MeshShard {
         self.active[l] = true;
     }
 
-    /// The routing decision at global node `node` for a packet to
-    /// `dst`.
+    /// The routing decision at global node `node`, sitting at
+    /// `(row, col)` `at`, for a packet whose destination is owned by
+    /// the router at `to`.
     ///
-    /// Fault-free this is plain e-cube, served from the shared LUT.
+    /// Fault-free this is plain e-cube: two coordinate compares.
     /// With faults installed the dimension order degrades gracefully:
     /// prefer the X direction, fall back to the Y direction (a YX
     /// variant) when the X-side link or neighbour is unusable, and
@@ -341,20 +333,16 @@ impl MeshShard {
     /// — the packet stalls until the link returns rather than being
     /// dropped.
     fn route(
-        n: usize,
         node: NodeId,
+        at: (u32, u32),
+        to: (u32, u32),
         topo: &MeshTopology,
         fc: &FaultCtx,
-        route_lut: &[u8],
-        dst: NodeId,
     ) -> usize {
         if fc.inj.is_none() {
-            // Fault-free e-cube is a pure function of (node, dst):
-            // served from the shared table built at construction.
-            return route_lut[node.index() * n + dst.index()] as usize;
+            return Direction::ecube(at, to).map_or(LOCAL, Direction::port);
         }
-        let (cr, cc) = topo.coords(node);
-        let (dr, dc) = topo.coords(dst);
+        let ((cr, cc), (dr, dc)) = (at, to);
         if cr == dr && cc == dc {
             return LOCAL;
         }
@@ -395,8 +383,10 @@ impl MeshShard {
     /// The parallel compute phase: steps every active node in this
     /// shard, writing shared-state effects into `sends`/`ops` and
     /// everything else into shard-local arrays. `go` is the shared
-    /// previous-cycle stop/go buffer; `store` is read-only here (all
-    /// removals are deferred to commit).
+    /// previous-cycle stop/go buffer; `owners` maps every destination
+    /// id to its owning router's coordinates (see [`owner_coords`]);
+    /// `store` is read-only here (all removals are deferred to
+    /// commit).
     ///
     /// The per-node router step is written inline against slices carved
     /// once per call (`&mut field[..len]`): the compiler can then prove
@@ -409,7 +399,7 @@ impl MeshShard {
         now: u64,
         topo: &MeshTopology,
         go: &[bool],
-        route_lut: &[u8],
+        owners: &[(u16, u16)],
         store: &PacketStore,
         fc: &FaultCtx,
     ) {
@@ -417,7 +407,7 @@ impl MeshShard {
         self.ops.clear();
         let len = self.len;
         let lo = self.lo;
-        let n = self.n;
+        let row = self.row;
         let inputs = &mut self.inputs[..len];
         let route_of = &mut self.route_of[..len];
         let conn = &mut self.conn[..len];
@@ -472,8 +462,9 @@ impl MeshShard {
                     let stale = ro[i].is_none_or(|(r, _)| r != flit.packet);
                     if stale {
                         debug_assert!(flit.is_head(), "mid-packet flit without a route");
-                        let dst = store.get(flit.packet).dst;
-                        let port = Self::route(n, node, topo, fc, route_lut, dst);
+                        let (dr, dc) = owners[store.get(flit.packet).dst.index()];
+                        let to = (u32::from(dr), u32::from(dc));
+                        let port = Self::route(node, (row, l as u32), to, topo, fc);
                         ro[i] = Some((flit.packet, port));
                     }
                 }
@@ -643,5 +634,40 @@ impl MeshShard {
         self.drain[l] = DrainState::load(r)?;
         self.assembler[l] = Assembler::load(r)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The route stage takes its own coordinates from the shard
+    /// (`row`, index within the row) and the destination's from the
+    /// owner table; for every pair that must be the decision
+    /// `MeshTopology::ecube` derives from the two node ids.
+    #[test]
+    fn route_equals_topology_ecube_for_all_pairs() {
+        let fc = FaultCtx {
+            inj: None,
+            corrupt: &[],
+            now: 0,
+        };
+        for side in 1..=8u32 {
+            let topo = MeshTopology::new(side);
+            let owners = owner_coords(&topo, 1);
+            for row in 0..side {
+                let shard = MeshShard::new((row * side) as usize, side as usize, &topo, 4, 4);
+                for l in 0..side {
+                    let node = NodeId::new(row * side + l);
+                    for dst in (0..side * side).map(NodeId::new) {
+                        let (dr, dc) = owners[dst.index()];
+                        let to = (u32::from(dr), u32::from(dc));
+                        let port = MeshShard::route(node, (shard.row, l), to, &topo, &fc);
+                        let want = topo.ecube(node, dst).map_or(LOCAL, Direction::port);
+                        assert_eq!(port, want, "side {side}: {node} -> {dst}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use ringmesh_net::{ConfigError, NodeId};
+use ringmesh_net::{checked_pms, ConfigError, NodeId};
 
 /// A link direction out of a router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,6 +52,23 @@ impl Direction {
             Direction::West => 3,
         }
     }
+
+    /// The e-cube (X-then-Y) routing decision between `(row, col)`
+    /// coordinates: the direction out of `at` toward `to`, or `None`
+    /// on arrival.
+    pub fn ecube((ar, ac): (u32, u32), (tr, tc): (u32, u32)) -> Option<Direction> {
+        if ac < tc {
+            Some(Direction::East)
+        } else if ac > tc {
+            Some(Direction::West)
+        } else if ar < tr {
+            Some(Direction::South)
+        } else if ar > tr {
+            Some(Direction::North)
+        } else {
+            None
+        }
+    }
 }
 
 impl fmt::Display for Direction {
@@ -83,15 +100,19 @@ impl MeshTopology {
         Self::try_new(side).expect("mesh side must be positive")
     }
 
-    /// Creates a `side × side` mesh, rejecting a zero side.
+    /// Creates a `side × side` mesh, rejecting a zero side and sides
+    /// whose PM count exceeds [`ringmesh_net::MAX_PMS`] (so `side²`
+    /// cannot wrap and coordinates fit `u16`).
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::ZeroMeshSide`] if `side` is zero.
+    /// Returns [`ConfigError::ZeroMeshSide`] if `side` is zero and
+    /// [`ConfigError::TooManyPms`] if it is too large.
     pub fn try_new(side: u32) -> Result<Self, ConfigError> {
         if side == 0 {
             return Err(ConfigError::ZeroMeshSide);
         }
+        checked_pms([side, side])?;
         Ok(MeshTopology { side })
     }
 
@@ -99,8 +120,10 @@ impl MeshTopology {
     ///
     /// # Errors
     ///
-    /// Returns an error if `pms` is not a perfect square.
+    /// Returns an error if `pms` is not a perfect square or exceeds
+    /// [`ringmesh_net::MAX_PMS`].
     pub fn from_pms(pms: u32) -> Result<Self, ConfigError> {
+        checked_pms([pms])?;
         let side = (pms as f64).sqrt().round() as u32;
         if side * side != pms || pms == 0 {
             return Err(ConfigError::NonSquareMesh { pms });
@@ -170,19 +193,7 @@ impl MeshTopology {
     /// destined to `dst`: the output direction, or `None` when the
     /// packet has arrived and ejects to the local PM.
     pub fn ecube(&self, cur: NodeId, dst: NodeId) -> Option<Direction> {
-        let (cr, cc) = self.coords(cur);
-        let (dr, dc) = self.coords(dst);
-        if cc < dc {
-            Some(Direction::East)
-        } else if cc > dc {
-            Some(Direction::West)
-        } else if cr < dr {
-            Some(Direction::South)
-        } else if cr > dr {
-            Some(Direction::North)
-        } else {
-            None
-        }
+        Direction::ecube(self.coords(cur), self.coords(dst))
     }
 
     /// The full e-cube path from `src` to `dst` (router-to-router hops).
@@ -209,6 +220,18 @@ mod tests {
         assert_eq!(MeshTopology::from_pms(4).unwrap().side(), 2);
         assert!(MeshTopology::from_pms(12).is_err());
         assert!(MeshTopology::from_pms(0).is_err());
+    }
+
+    #[test]
+    fn oversized_sides_draw_typed_errors() {
+        use ringmesh_net::MAX_PMS;
+        assert_eq!(MeshTopology::try_new(256).unwrap().num_pms(), MAX_PMS);
+        let too_many = Err(ConfigError::TooManyPms { max: MAX_PMS });
+        // 65536² wraps to 0 in u32; 70000² wraps to a plausible count.
+        for side in [257, 65_536, 70_000, u32::MAX] {
+            assert_eq!(MeshTopology::try_new(side), too_many, "side {side}");
+        }
+        assert_eq!(MeshTopology::from_pms(66_049), too_many);
     }
 
     #[test]

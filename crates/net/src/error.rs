@@ -37,6 +37,12 @@ pub enum ConfigError {
         /// The PM count requested.
         pms: u32,
     },
+    /// A topology whose PM count overflows `u32` or exceeds the
+    /// simulator-wide cap (`ringmesh_net::MAX_PMS`).
+    TooManyPms {
+        /// The cap that was exceeded.
+        max: u32,
+    },
     /// Any other invalid parameter.
     Invalid(String),
 }
@@ -60,6 +66,9 @@ impl fmt::Display for ConfigError {
                     f,
                     "{pms} PMs is not a perfect square; mesh networks are k x k"
                 )
+            }
+            ConfigError::TooManyPms { max } => {
+                write!(f, "topology has more than the supported {max} PMs")
             }
             ConfigError::Invalid(msg) => write!(f, "{msg}"),
         }

@@ -50,4 +50,4 @@ pub use config::{
 pub use error::ConfigError;
 pub use interconnect::{Interconnect, LevelUtil, QueueClass, UtilizationReport};
 pub use packet::{Flit, NodeId, Packet, PacketKind, PacketRef, PacketStore, TxnId};
-pub use topology::{Placement, TopologyBuilder};
+pub use topology::{checked_pms, Placement, TopologyBuilder, MAX_PMS};

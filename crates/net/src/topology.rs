@@ -18,6 +18,29 @@
 
 use crate::{CacheLineSize, ConfigError, Interconnect, PacketFormat};
 
+/// The largest system any topology may describe: 65 536 PMs (a
+/// 256×256 mesh), sixteen times the largest size the benchmark times.
+/// Every spec parser and network constructor rejects shapes beyond it
+/// with [`ConfigError::TooManyPms`], so a PM count always fits `u32`,
+/// a mesh coordinate always fits `u16`, and no input line can ask for
+/// an allocation the host cannot serve.
+pub const MAX_PMS: u32 = 65_536;
+
+/// The PM count of a topology whose size is the product of `dims`
+/// (mesh side twice, ring arities, ...).
+///
+/// # Errors
+///
+/// Returns [`ConfigError::TooManyPms`] when the product overflows or
+/// exceeds [`MAX_PMS`].
+pub fn checked_pms(dims: impl IntoIterator<Item = u32>) -> Result<u32, ConfigError> {
+    dims.into_iter()
+        .try_fold(1u32, |pms, d| {
+            pms.checked_mul(d).filter(|&pms| pms <= MAX_PMS)
+        })
+        .ok_or(ConfigError::TooManyPms { max: MAX_PMS })
+}
+
 /// How PM "closeness" is measured when building workload access
 /// regions (§2.4 of the paper). Lives here — rather than in the
 /// workload crate — because each [`TopologyBuilder`] names its own
@@ -109,6 +132,18 @@ pub trait TopologyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pm_products_are_capped_not_wrapped() {
+        assert_eq!(checked_pms([256, 256]), Ok(MAX_PMS));
+        assert_eq!(checked_pms([4, 4, 4]), Ok(64));
+        let too_many = Err(ConfigError::TooManyPms { max: MAX_PMS });
+        assert_eq!(checked_pms([257, 257]), too_many);
+        // 65536² wraps to 0 and 70000² to a plausible count in u32.
+        assert_eq!(checked_pms([65_536, 65_536]), too_many);
+        assert_eq!(checked_pms([70_000, 70_000, 4]), too_many);
+        assert_eq!(checked_pms([u32::MAX, u32::MAX]), too_many);
+    }
 
     #[test]
     fn placement_pm_counts() {

@@ -11,7 +11,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use ringmesh_net::{ConfigError, NodeId};
+use ringmesh_net::{checked_pms, ConfigError, NodeId};
 
 /// Which way a packet leaves a station on a given ring side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +42,8 @@ impl RingSpec {
     /// # Errors
     ///
     /// Returns an error if `arities` is empty, has more than 8 levels,
-    /// or contains an arity < 1 (or < 2 for non-leaf levels, which would
+    /// multiplies out to more than [`ringmesh_net::MAX_PMS`] PMs, or
+    /// contains an arity < 1 (or < 2 for non-leaf levels, which would
     /// be a degenerate ring of one station plus the parent IRI — allowed
     /// in the paper's tables only at the leaf level... in fact `2:9`
     /// style specs need non-leaf arity >= 2; we also accept 1 to permit
@@ -60,6 +61,7 @@ impl RingSpec {
         if let Some(level) = arities.iter().position(|&a| a == 0) {
             return Err(ConfigError::ZeroRingArity { level });
         }
+        checked_pms(arities.iter().copied())?;
         Ok(RingSpec { arities })
     }
 

@@ -183,6 +183,14 @@ fn malformed_topology_specs_draw_typed_errors_not_panics() {
         "MESH:3",
         "mesh:3 ",
         "hybrid:4×4:4",
+        // PM counts that wrap u32 (65536² = 0), overflow it, or only
+        // exceed the cap: a typed error, not an abort or a hang.
+        "mesh:257",
+        "mesh:65536",
+        "mesh:70000",
+        "mesh:4294967295",
+        "hybrid:70000x70000:4",
+        "ring:65536:65536",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -205,8 +213,24 @@ fn malformed_topology_specs_draw_typed_errors_not_panics() {
         let esc = s.replace('\\', "\\\\").replace('"', "\\\"");
         script.push_str(&format!("{{\"op\":\"job\",\"topology\":\"{esc}\"}}\n"));
     }
+    // The per-kind shape fields build their variant without the spec
+    // parser; the same sizes must be stopped there too.
+    let shaped = [
+        r#"{"op":"job","network":"mesh","side":65536}"#,
+        r#"{"op":"job","network":"mesh","side":70000}"#,
+        r#"{"op":"job","network":"hybrid","side":70000,"local":4}"#,
+        r#"{"op":"job","network":"ring","spec":"70000:70000"}"#,
+    ];
+    for line in shaped {
+        script.push_str(line);
+        script.push('\n');
+    }
     let lines = fuzz_session(&server, script.as_bytes(), "topology corpus");
-    assert_eq!(lines.len(), specs.len(), "one typed answer per bad spec");
+    assert_eq!(
+        lines.len(),
+        specs.len() + shaped.len(),
+        "one typed answer per bad spec"
+    );
     for l in &lines {
         assert_eq!(l.get("event").and_then(Json::as_str), Some("error"));
     }

@@ -8,7 +8,7 @@ use ringmesh_trace::{Counter, Gauge};
 
 use crate::memory::MemoryModule;
 use crate::processor::Processor;
-use crate::region::{access_region, Placement};
+use crate::region::{Placement, Region};
 use crate::retry::{OpenTxn, RetryBook};
 use crate::{MemoryParams, PacketSizer, RetryPolicy, RetryStats, WorkloadParams};
 
@@ -58,7 +58,7 @@ impl Mmrp {
         let procs = (0..p)
             .map(|i| {
                 let pm = NodeId::new(i);
-                let region = access_region(placement, pm, params.region);
+                let region = Region::new(placement, pm, params.region);
                 Processor::new(pm, &params, region, root.stream(u64::from(i)))
             })
             .collect();
@@ -108,8 +108,19 @@ impl Mmrp {
     }
 
     /// Transactions currently outstanding across all processors.
+    /// Every issued transaction ends retired or given up, so this is a
+    /// difference of counters the driver keeps anyway — the run loop
+    /// asks every cycle.
     pub fn outstanding(&self) -> u64 {
-        self.procs.iter().map(|p| u64::from(p.outstanding())).sum()
+        let open = self.stats.issued - self.stats.retired - self.retry_stats().gave_up;
+        debug_assert_eq!(
+            open,
+            self.procs
+                .iter()
+                .map(|p| u64::from(p.outstanding()))
+                .sum::<u64>()
+        );
+        open
     }
 
     /// Per-processor view (diagnostics).
@@ -326,8 +337,7 @@ impl Mmrp {
         }
         if let Some(t) = net.tracer_mut() {
             t.count(Counter::TxnsRetired, retired);
-            let outstanding: u64 = self.procs.iter().map(|p| u64::from(p.outstanding())).sum();
-            t.gauge(Gauge::OutstandingTxns, outstanding as f64);
+            t.gauge(Gauge::OutstandingTxns, self.outstanding() as f64);
         }
     }
 }

@@ -6,8 +6,8 @@
 //! processor, characterized by three attributes:
 //!
 //! * `R` — the fraction of the machine each processor's access region
-//!   covers ([`access_region`] builds the per-network "closest PM"
-//!   sets);
+//!   covers ([`Region`] is the per-network "closest PM" order,
+//!   computed on demand, never stored);
 //! * `C` — the cache miss rate (0.04 → one miss per 25 cycles);
 //! * `T` — outstanding transactions allowed before the processor
 //!   blocks (models prefetching / multithreading).
@@ -58,5 +58,5 @@ pub use driver::{Mmrp, MmrpStats};
 pub use memory::MemoryModule;
 pub use params::{HotSpot, MemoryParams, MissProcess, PacketSizer, WorkloadParams};
 pub use processor::{Processor, ProcessorStats};
-pub use region::{access_region, Placement};
+pub use region::{Placement, Region};
 pub use retry::{RetryPolicy, RetryStats};

@@ -12,7 +12,7 @@ use ringmesh_engine::SimRng;
 use ringmesh_net::{NodeId, PacketKind};
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 
-use crate::{MissProcess, WorkloadParams};
+use crate::{MissProcess, Region, WorkloadParams};
 
 /// A reference waiting to be issued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,7 @@ pub struct Processor {
     t_limit: u32,
     outstanding: u32,
     pending: Option<PendingRef>,
-    region: Vec<NodeId>,
+    region: Region,
     rng: SimRng,
     read_fraction: f64,
     stats: ProcessorStats,
@@ -61,10 +61,10 @@ impl Processor {
     pub(crate) fn new(
         pm: NodeId,
         params: &WorkloadParams,
-        region: Vec<NodeId>,
+        region: Region,
         mut rng: SimRng,
     ) -> Self {
-        debug_assert_eq!(region.first(), Some(&pm));
+        debug_assert_eq!(region.nth(0), pm);
         // Stagger the first miss uniformly over one interval so the
         // deterministic generators do not fire in lock-step (which
         // would synthesize artificial burst contention).
@@ -170,7 +170,7 @@ impl Processor {
     fn generate(&mut self, now: u64) -> PendingRef {
         let dst = match self.hot_spot {
             Some(h) if self.rng.bernoulli(h.fraction) => NodeId::new(h.node),
-            _ => self.region[self.rng.uniform_usize(self.region.len())],
+            _ => self.region.nth(self.rng.uniform_usize(self.region.len())),
         };
         let kind = if self.rng.bernoulli(self.read_fraction) {
             PacketKind::ReadReq
@@ -252,10 +252,12 @@ impl SnapshotState for Processor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Placement;
 
     fn proc(t: u32, region_size: u32) -> Processor {
         let params = WorkloadParams::paper_baseline().with_outstanding(t);
-        let region: Vec<NodeId> = (0..region_size).map(NodeId::new).collect();
+        let line = Placement::Linear { pms: region_size };
+        let region = Region::new(line, NodeId::new(0), 1.0);
         Processor::new(NodeId::new(0), &params, region, SimRng::from_seed(1))
     }
 
@@ -376,7 +378,7 @@ mod hot_spot_tests {
     #[test]
     fn hot_spot_redirects_the_configured_fraction() {
         let params = WorkloadParams::paper_baseline().with_hot_spot(3, 0.5);
-        let region: Vec<NodeId> = (0..8).map(NodeId::new).collect();
+        let region = Region::new(crate::Placement::Linear { pms: 8 }, NodeId::new(0), 1.0);
         let mut p = Processor::new(NodeId::new(0), &params, region, SimRng::from_seed(5));
         let mut hot = 0u32;
         let mut total = 0u32;

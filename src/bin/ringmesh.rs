@@ -325,6 +325,9 @@ fn build_config(args: &mut Args) -> Result<SystemConfig, String> {
     if let Some(seed) = args.take_parsed::<u64>("--seed")? {
         cfg = cfg.with_seed(seed);
     }
+    // Before anything asks the spec for its PM count: `--mesh 70000`
+    // builds its variant without going through the spec parser.
+    cfg.validate()?;
     Ok(cfg)
 }
 

@@ -12,7 +12,7 @@ use ringmesh_net::{
     BufferRegime, CacheLineSize, Interconnect, NodeId, Packet, PacketKind, QueueClass, TxnId,
 };
 use ringmesh_ring::{RingConfig, RingNetwork, RingSpec, RingTopology};
-use ringmesh_workload::{access_region, Placement};
+use ringmesh_workload::{Placement, Region};
 
 const CASES: usize = 64;
 
@@ -180,7 +180,7 @@ fn regions_well_formed() {
         let p = placement.num_pms();
         let pm = NodeId::new(rng.uniform_usize(p as usize) as u32);
         let r = 0.01 + 0.99 * rng.uniform_f64();
-        let region = access_region(placement, pm, r);
+        let region: Vec<NodeId> = Region::new(placement, pm, r).iter().collect();
         assert_eq!(region[0], pm);
         assert!(region.len() as u32 <= p);
         let mut ids: Vec<u32> = region.iter().map(|n| n.raw()).collect();
@@ -191,7 +191,7 @@ fn regions_well_formed() {
         assert_eq!(ids.len(), n, "duplicates in region");
         // Monotonicity: growing R never shrinks the region.
         if r < 0.9 {
-            let bigger = access_region(placement, pm, (r + 0.1).min(1.0));
+            let bigger = Region::new(placement, pm, (r + 0.1).min(1.0));
             assert!(bigger.len() >= region.len());
         }
     }

@@ -1,0 +1,165 @@
+//! Invariants at the sizes the benchmark times (ROADMAP 5e): the
+//! conservation identity and the stall watchdogs at 4 096 PMs, and the
+//! linear set-up cost that makes 16 384 PMs a matter of milliseconds.
+//!
+//! Per-slot conservation tracking and the per-cycle identity assert are
+//! `debug_assertions`-gated in the networks, so this file checks most
+//! under the tier-1 (debug) profile and under CI's
+//! `-C debug-assertions` release jobs.
+
+use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
+use std::cell::Cell;
+
+use ringmesh::NetworkSpec;
+use ringmesh_engine::Watchdog;
+use ringmesh_net::{CacheLineSize, Interconnect, TopologyBuilder};
+use ringmesh_workload::{MemoryParams, Mmrp, PacketSizer, Processor, Region, WorkloadParams};
+
+/// Counts the bytes each thread asks the allocator for, so a test can
+/// read what a constructor allocated — transient buffers included —
+/// whatever the tests on other threads are doing.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator;
+// the only addition is a thread-local counter that itself never
+// allocates (const-initialised `Cell`, no destructor).
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: the allocator also runs during thread teardown.
+        let _ = ALLOCATED.try_with(|a| a.set(a.get() + layout.size()));
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { SystemAlloc.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`,
+        // with this `layout`.
+        unsafe { SystemAlloc.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocated_by<T>(build: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let built = build();
+    (built, ALLOCATED.with(Cell::get) - before)
+}
+
+const CL: CacheLineSize = CacheLineSize::B64;
+
+fn network(builder: &dyn TopologyBuilder) -> Box<dyn Interconnect> {
+    builder.build(CL).expect("spec was parsed")
+}
+
+fn workload(builder: &dyn TopologyBuilder) -> Mmrp {
+    let sizer = PacketSizer {
+        format: builder.format(),
+        cache_line: CL,
+    };
+    Mmrp::new(
+        builder.placement(),
+        WorkloadParams::paper_baseline(),
+        MemoryParams::default(),
+        sizer,
+        0x5ca1e,
+    )
+}
+
+/// The `System::run_to` loop over the public layer API, so the test
+/// can audit the network afterwards: network and system watchdogs must
+/// stay clean and every injected packet must be delivered or in flight.
+fn run_checked(spec: &str, cycles: u64) {
+    let builder = spec.parse::<NetworkSpec>().expect(spec).builder();
+    let mut net = network(builder.as_ref());
+    let mut wl = workload(builder.as_ref());
+    let mut dog = Watchdog::new(2_000);
+    let (mut delivered, mut samples) = (Vec::new(), Vec::new());
+    let mut completed = 0u64;
+    for now in 0..cycles {
+        samples.clear();
+        wl.pre_cycle(net.as_mut(), now, &mut samples);
+        delivered.clear();
+        net.step(&mut delivered)
+            .unwrap_or_else(|e| panic!("{spec}: network watchdog: {e}"));
+        wl.post_cycle(net.as_mut(), &delivered, now, &mut samples);
+        completed += samples.len() as u64;
+        dog.observe(now, samples.len() as u64, wl.outstanding());
+        dog.check(now)
+            .unwrap_or_else(|e| panic!("{spec}: system watchdog: {e}"));
+    }
+    net.verify_conservation()
+        .unwrap_or_else(|e| panic!("{spec}: {e}"));
+    let (injected, done, dropped) = net.conservation_counts().expect("ledger");
+    assert_eq!(injected, done + dropped + net.in_flight(), "{spec}");
+    assert_eq!(dropped, 0, "{spec}: a fault-free run drops nothing");
+    let stats = wl.stats();
+    assert_eq!(stats.retired, completed, "{spec}");
+    assert_eq!(wl.outstanding(), stats.issued - stats.retired, "{spec}");
+    assert!(
+        completed > 0,
+        "{spec}: nothing completed in {cycles} cycles"
+    );
+}
+
+#[test]
+fn mesh_64_conserves_packets_under_a_clean_watchdog() {
+    run_checked("mesh:64", 300);
+}
+
+#[test]
+fn hybrid_16x16x16_conserves_packets_under_a_clean_watchdog() {
+    run_checked("hybrid:16x16:16", 300);
+}
+
+/// 16 384 PMs. With per-processor region tables and the P×P route
+/// table this took about 1.3 GB and ten seconds before the first
+/// cycle.
+#[test]
+fn mesh_128_constructs_and_steps() {
+    run_checked("mesh:128", 50);
+}
+
+/// What a processor holds for its access region is a few words, not a
+/// list: `Copy` rules out owning heap, the size bound rules out an
+/// inline table.
+#[test]
+fn a_processor_owns_no_region_storage() {
+    fn assert_copy<T: Copy>() {}
+    assert_copy::<Region>();
+    assert!(size_of::<Region>() <= 24, "{}", size_of::<Region>());
+    assert!(size_of::<Processor>() <= 192, "{}", size_of::<Processor>());
+}
+
+/// Set-up allocates a fixed number of bytes per PM: quadrupling the
+/// PM count must not raise the bytes allocated *per PM* (transient
+/// buffers included), for the networks and for the workload. Either
+/// quadratic table (P×P routes, P regions of P entries) at least
+/// tripled it.
+#[test]
+fn setup_heap_is_linear_in_pms() {
+    for (small, large) in [("mesh:32", "mesh:64"), ("hybrid:8x8:16", "hybrid:16x16:16")] {
+        let per_pm = |spec: &str| {
+            let builder = spec.parse::<NetworkSpec>().expect(spec).builder();
+            let pms = builder.num_pms() as f64;
+            let (_net, net_bytes) = allocated_by(|| network(builder.as_ref()));
+            let (_wl, wl_bytes) = allocated_by(|| workload(builder.as_ref()));
+            (net_bytes as f64 / pms, wl_bytes as f64 / pms)
+        };
+        let (net_small, wl_small) = per_pm(small);
+        let (net_large, wl_large) = per_pm(large);
+        assert!(
+            net_large <= 1.1 * net_small,
+            "{large}: {net_large:.0} B/PM of network against {net_small:.0} for {small}"
+        );
+        assert!(
+            wl_large <= 1.1 * wl_small,
+            "{large}: {wl_large:.0} B/PM of workload against {wl_small:.0} for {small}"
+        );
+    }
+}
