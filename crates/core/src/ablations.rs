@@ -5,15 +5,16 @@
 //!
 //! Every ablation's runs are independent simulations, so they fan out
 //! across the same worker pool as the figure sweeps (honouring
-//! `RINGMESH_THREADS` and [`crate::set_sweep_threads`]), with results
-//! collected in input order — output is identical at any thread count.
+//! `RINGMESH_THREADS`), with results collected in input order — output
+//! is identical at any thread count.
 
+use ringmesh_engine::WorkerPool;
 use ringmesh_net::CacheLineSize;
 use ringmesh_ring::RingConfig;
 use ringmesh_stats::{Series, Table};
 use ringmesh_workload::{MemoryParams, MissProcess, WorkloadParams};
 
-use crate::sweep::{default_pool, Scale};
+use crate::sweep::Scale;
 use crate::system::System;
 use crate::{NetworkSpec, SystemConfig};
 
@@ -33,7 +34,7 @@ pub fn ablation_iri_queue(scale: Scale) -> Table {
     );
     let spec: ringmesh_ring::RingSpec = "3:3:6".parse().expect("valid spec");
     let caps = vec![Some(1), Some(2), Some(4), None];
-    let runs = default_pool().map(caps, |_, cap| {
+    let runs = WorkerPool::from_env().map(caps, |_, cap| {
         let mut rc = RingConfig::new(CacheLineSize::B64);
         rc.iri_queue_packets = cap;
         // Trip the watchdog quickly so deadlocked configurations report
@@ -66,7 +67,7 @@ pub fn ablation_memory_latency(scale: Scale) -> Table {
         "Ablation: memory latency at the 36-processor, 64B cross-over point (R=1.0, T=4)",
         &["memory latency", "ring 2:3:6", "mesh 6x6", "difference"],
     );
-    let rows = default_pool().map(vec![5u32, 10, 20, 40], |_, lat| {
+    let rows = WorkerPool::from_env().map(vec![5u32, 10, 20, 40], |_, lat| {
         let mem = MemoryParams {
             latency: lat,
             occupancy: 1,
@@ -121,20 +122,21 @@ pub fn ablation_miss_process(scale: Scale) -> Vec<Series> {
             }
         }
     }
-    let results = default_pool().map(items, |_, (series_label, process, network, t_limit)| {
-        let cfg = SystemConfig::new(network, CacheLineSize::B64)
-            .with_workload(
-                WorkloadParams::paper_baseline()
-                    .with_outstanding(t_limit)
-                    .with_miss_process(process),
-            )
-            .with_sim(scale.sim);
-        let latency = System::new(cfg)
-            .and_then(System::run)
-            .ok()
-            .map(|r| r.mean_latency());
-        (series_label, t_limit, latency)
-    });
+    let results =
+        WorkerPool::from_env().map(items, |_, (series_label, process, network, t_limit)| {
+            let cfg = SystemConfig::new(network, CacheLineSize::B64)
+                .with_workload(
+                    WorkloadParams::paper_baseline()
+                        .with_outstanding(t_limit)
+                        .with_miss_process(process),
+                )
+                .with_sim(scale.sim);
+            let latency = System::new(cfg)
+                .and_then(System::run)
+                .ok()
+                .map(|r| r.mean_latency());
+            (series_label, t_limit, latency)
+        });
     // Order-preserving collection keeps each series' points contiguous.
     let mut out: Vec<Series> = Vec::new();
     for (series_label, t_limit, latency) in results {
@@ -158,7 +160,7 @@ pub fn ablation_mesh_out_queue(scale: Scale) -> Table {
         "Ablation: mesh PM injection queue depth (6x6, 64B, R=1.0, T=4)",
         &["queue depth (packets/class)", "mean latency", "throughput"],
     );
-    let runs = default_pool().map(vec![1usize, 2, 4], |_, depth| {
+    let runs = WorkerPool::from_env().map(vec![1usize, 2, 4], |_, depth| {
         let cfg = SystemConfig::new(NetworkSpec::mesh(6), CacheLineSize::B64).with_sim(scale.sim);
         // Route through the public mesh config by rebuilding manually.
         let mut mc = ringmesh_mesh::MeshConfig::new(CacheLineSize::B64);

@@ -64,9 +64,9 @@ impl NetworkSpec {
     /// The [`TopologyBuilder`] for this spec — the single point where
     /// a network description becomes a concrete topology. Everything
     /// identity- or construction-shaped (PM count, labels, spec
-    /// strings, workload placement, packet format, kernel-parallelism
-    /// support, and the network itself) comes off this builder; no
-    /// other code matches on the variants to construct a network.
+    /// strings, workload placement, packet format, and the network
+    /// itself) comes off this builder; no other code matches on the
+    /// variants to construct a network.
     pub fn builder(&self) -> Box<dyn TopologyBuilder> {
         match self.clone() {
             NetworkSpec::Ring { spec, speedup } => Box::new(RingBuilder { spec, speedup }),
@@ -512,7 +512,6 @@ mod tests {
         assert_eq!(h.num_pms(), 64);
         assert_eq!(h.label(), "hybrid 4x4 mesh of 4-PM rings");
         assert_eq!(h.to_string(), "hybrid:4x4:4");
-        assert!(h.builder().parallel_kernel());
     }
 
     #[test]

@@ -50,7 +50,6 @@
 
 pub mod ablations;
 pub mod analytic;
-pub mod benchrun;
 mod config;
 mod exit;
 pub mod figures;
@@ -60,15 +59,14 @@ pub mod topologies;
 
 pub use config::{NetworkSpec, SimParams, SystemConfig};
 pub use exit::ExitStatus;
-pub use ringmesh_engine::{
-    configured_kernel_threads, effective_kernel_threads, set_kernel_threads, AdmissionGate,
-    KernelPool, StopFlag, WorkerPool,
-};
+pub use ringmesh_engine::{AdmissionGate, StopFlag, WorkerPool};
 pub use ringmesh_faults::{ConservationError, DropCounts, FaultConfig, FaultReport};
 pub use ringmesh_snap::SnapError;
 pub use ringmesh_trace::{TraceConfig, TraceReport};
 pub use ringmesh_workload::{RetryPolicy, RetryStats};
-pub use sweep::{
-    run_points, run_points_with, run_series, run_series_with, series_of, set_sweep_threads, Scale,
-};
+pub use sweep::{run_points, run_points_with, run_series, run_series_with, series_of, Scale};
 pub use system::{run_config, FaultPlan, FaultRunReport, RunError, RunResult, RunState, System};
+
+// Inert: only the frozen `benchmark/` harness calls this.
+#[doc(hidden)]
+pub fn set_kernel_threads(_threads: usize) {}

@@ -2,12 +2,11 @@
 //! labelled series of `(system size, metric)` points.
 //!
 //! Sweep points are independent simulations — each owns its own seeded
-//! RNG and event calendar — so [`run_series`] and [`run_points`] fan
-//! them across a [`WorkerPool`] (sized by `RINGMESH_THREADS`, default:
-//! available parallelism) while collecting results in input order. The
-//! output is byte-identical to a serial run at any thread count.
+//! RNG — so [`run_series`] and [`run_points`] fan them across a
+//! [`WorkerPool`] (sized by `RINGMESH_THREADS`, default: available
+//! parallelism) while collecting results in input order. The output is
+//! byte-identical to a serial run at any thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use ringmesh_engine::WorkerPool;
@@ -63,45 +62,19 @@ impl Scale {
     }
 }
 
-/// Process-wide worker-count override for the sweep executor; 0 means
-/// "use the environment default". Unlike the `OnceLock`-cached env
-/// parse, this can be changed repeatedly within one process, which the
-/// `ringmesh bench` subcommand uses to time the same figure serially
-/// and in parallel.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the number of sweep worker threads for subsequent
-/// [`run_series`]/[`run_points`] calls; `0` restores the
-/// `RINGMESH_THREADS`/available-parallelism default.
-pub fn set_sweep_threads(threads: usize) {
-    THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
-}
-
-/// The pool [`run_series`]/[`run_points`] execute on: the
-/// [`set_sweep_threads`] override when set, else the environment
-/// default. Shared with the ablation harness so every fan-out in the
-/// crate honours the same thread settings.
-pub(crate) fn default_pool() -> WorkerPool {
-    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => WorkerPool::from_env(),
-        n => WorkerPool::new(n),
-    }
-}
-
 /// Runs every `(x, config)` point and collects `metric` of each result
 /// into a series. Points whose simulation stalls (a deadlocked
 /// saturated configuration) are skipped with a warning on stderr rather
 /// than aborting the sweep.
 ///
-/// Points execute on the default [`WorkerPool`] (see
-/// [`set_sweep_threads`]); use [`run_series_with`] to pin a pool
-/// explicitly.
+/// Points execute on [`WorkerPool::from_env`]; use
+/// [`run_series_with`] to pin a pool explicitly.
 pub fn run_series(
     label: impl Into<String>,
     points: Vec<(f64, SystemConfig)>,
     metric: impl Fn(&RunResult) -> f64,
 ) -> Series {
-    run_series_with(&default_pool(), label, points, metric)
+    run_series_with(&WorkerPool::from_env(), label, points, metric)
 }
 
 /// [`run_series`] on an explicit pool. Results are collected in input
@@ -162,7 +135,7 @@ fn run_point(label: &str, cfg: SystemConfig, x: f64) -> Option<RunResult> {
 /// need several metrics (latency *and* utilization) from one sweep.
 /// Executes on the default [`WorkerPool`] like [`run_series`].
 pub fn run_points(points: Vec<(f64, SystemConfig)>) -> Vec<(f64, RunResult)> {
-    run_points_with(&default_pool(), "sweep", points)
+    run_points_with(&WorkerPool::from_env(), "sweep", points)
 }
 
 /// [`run_points`] on an explicit pool, with `label` naming the sweep in

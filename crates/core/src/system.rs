@@ -235,29 +235,12 @@ impl System {
             sizer,
             cfg.seed,
         );
-        let mut sys = System { cfg, net, workload };
-        // Size the intra-cycle kernel from the process-wide setting
-        // (`--kernel-threads` / RINGMESH_KERNEL_THREADS, clamped under
-        // an active sweep). Purely a performance knob: stepping is
-        // byte-identical at any count, and the thread count is not part
-        // of the config fingerprint.
-        sys.net
-            .set_kernel_threads(ringmesh_engine::effective_kernel_threads());
-        Ok(sys)
+        Ok(System { cfg, net, workload })
     }
 
-    /// Re-sizes the network's intra-cycle kernel (see
-    /// [`Interconnect::set_kernel_threads`]); overrides the count
-    /// applied from the global setting at construction. Safe at any
-    /// point between steps — results are byte-identical at any count.
-    pub fn set_kernel_threads(&mut self, threads: usize) {
-        self.net.set_kernel_threads(threads);
-    }
-
-    /// The number of compute threads the network kernel currently uses.
-    pub fn kernel_threads(&self) -> usize {
-        self.net.kernel_threads()
-    }
+    // Inert: only the frozen `benchmark/` harness calls this.
+    #[doc(hidden)]
+    pub fn set_kernel_threads(&mut self, _threads: usize) {}
 
     /// Builds a system with an explicitly-tuned ring network (e.g. a
     /// finite IRI queue capacity for flow-control ablations). The
@@ -310,9 +293,15 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Stall`] if the network deadlocks.
+    /// Returns [`RunError::InvalidConfig`] if the network does not
+    /// support tracing (e.g. the slotted ring), and
+    /// [`RunError::Stall`] if the network deadlocks.
     pub fn run_traced(mut self, tcfg: TraceConfig) -> Result<(RunResult, TraceReport), RunError> {
         self.net.set_tracer(Tracer::recording(tcfg));
+        // A network without trace support drops the tracer on the floor.
+        if self.net.tracer_mut().is_none() {
+            return Err(self.unsupported("tracing"));
+        }
         let result = self.run_mut()?;
         let report = self
             .net
@@ -335,10 +324,7 @@ impl System {
     pub fn run_faulty(mut self, plan: &FaultPlan) -> Result<FaultRunReport, RunError> {
         let domain = self.net.fault_domain();
         if plan.faults.is_active() && domain.is_empty() {
-            return Err(RunError::InvalidConfig(ConfigError::Invalid(format!(
-                "network '{}' does not support fault injection",
-                self.cfg.network.label()
-            ))));
+            return Err(self.unsupported("fault injection"));
         }
         let schedule = FaultSchedule::generate(&plan.faults, domain);
         self.net
@@ -359,6 +345,14 @@ impl System {
             conservation: self.net.conservation_counts(),
             violation,
         })
+    }
+
+    /// The error for asking this network for a `feature` it lacks.
+    fn unsupported(&self, feature: &str) -> RunError {
+        RunError::InvalidConfig(ConfigError::Invalid(format!(
+            "network '{}' does not support {feature}",
+            self.cfg.network.label()
+        )))
     }
 
     fn run_mut(&mut self) -> Result<RunResult, RunError> {
@@ -571,10 +565,7 @@ pub(crate) fn run_prebuilt(
         cache_line: cfg.cache_line,
     };
     let workload = Mmrp::new(placement, cfg.workload, cfg.memory, sizer, cfg.seed);
-    let mut sys = System { cfg, net, workload };
-    sys.net
-        .set_kernel_threads(ringmesh_engine::effective_kernel_threads());
-    sys.run()
+    System { cfg, net, workload }.run()
 }
 
 #[cfg(test)]
@@ -754,6 +745,23 @@ mod tests {
         let plan = fault_plan(1_000);
         let r = System::new(cfg).unwrap().run_faulty(&plan);
         assert!(matches!(r, Err(RunError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn tracing_a_slotted_ring_rejected() {
+        let cfg = quick(
+            NetworkSpec::SlottedRing {
+                spec: "4".parse().unwrap(),
+            },
+            CacheLineSize::B32,
+        );
+        let r = System::new(cfg).unwrap().run_traced(TraceConfig::default());
+        match r {
+            Err(RunError::InvalidConfig(e)) => {
+                assert!(e.to_string().contains("does not support tracing"), "{e}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! results. Every sweep point owns its seeded RNG and the pool
 //! collects results in input order, so thread count can only change
 //! wall-clock time, never output. These tests pin that down across
-//! both network families and both override mechanisms.
+//! both network families, on explicit pools and on the default one.
 
 use ringmesh::{
-    run_points_with, run_series_with, set_sweep_threads, NetworkSpec, SimParams, System,
-    SystemConfig, WorkerPool,
+    run_points_with, run_series_with, NetworkSpec, SimParams, SystemConfig, WorkerPool,
 };
 use ringmesh_net::CacheLineSize;
 use ringmesh_ring::RingSpec;
@@ -82,143 +81,16 @@ fn mesh_results_identical_serial_vs_pooled() {
     }
 }
 
-/// The process-wide `set_sweep_threads` override (what `ringmesh
-/// bench` uses to time serial vs parallel legs in one process) must be
-/// output-neutral too. Exercised in a single test because the override
-/// is global state shared across the test binary's threads.
+/// The default entry point (pool sized from `RINGMESH_THREADS` or the
+/// host's parallelism) must be output-neutral too: whatever width it
+/// picks, it matches explicit pools of one and four workers.
 #[test]
-fn thread_override_is_output_neutral() {
-    set_sweep_threads(1);
-    let serial = ringmesh::run_series("det-env", ring_points(), |r| r.throughput);
-    set_sweep_threads(4);
-    let pooled = ringmesh::run_series("det-env", ring_points(), |r| r.throughput);
-    set_sweep_threads(0);
-    assert_eq!(series_bits(&serial), series_bits(&pooled));
-}
-
-// ---------------------------------------------------------------------
-// Intra-cycle kernel determinism: the sharded mesh kernel must be
-// bit-exact at every thread count, not just across sweep workers. The
-// tests below use the per-instance `System::set_kernel_threads` (never
-// the process-wide override, which would race with other tests in this
-// binary).
-
-/// Runs `cfg` at the given kernel thread count and returns the result
-/// fingerprint (a digest over the raw bits of every output field).
-fn kernel_fingerprint(cfg: &SystemConfig, threads: usize) -> u64 {
-    let mut sys = System::new(cfg.clone()).expect("valid config");
-    sys.set_kernel_threads(threads);
-    sys.run().expect("run completes").fingerprint()
-}
-
-#[test]
-fn mesh_kernel_bit_exact_across_thread_counts() {
-    let cfg = SystemConfig::new(NetworkSpec::mesh(7), CacheLineSize::B32).with_sim(sim());
-    let base = kernel_fingerprint(&cfg, 1);
-    for threads in [2usize, 3, 8] {
-        assert_eq!(
-            kernel_fingerprint(&cfg, threads),
-            base,
-            "mesh kernel diverged at {threads} threads"
-        );
+fn default_pool_is_output_neutral() {
+    let default = ringmesh::run_series("det-env", ring_points(), |r| r.throughput);
+    for n in [1, 4] {
+        let pinned = run_series_with(&WorkerPool::new(n), "det-env", ring_points(), |r| {
+            r.throughput
+        });
+        assert_eq!(series_bits(&default), series_bits(&pinned), "{n} workers");
     }
-}
-
-#[test]
-fn ring_kernels_unaffected_by_thread_requests() {
-    for network in [
-        NetworkSpec::ring("2:3".parse().unwrap()),
-        NetworkSpec::SlottedRing {
-            spec: "2:3".parse().unwrap(),
-        },
-    ] {
-        let cfg = SystemConfig::new(network, CacheLineSize::B32).with_sim(sim());
-        let base = kernel_fingerprint(&cfg, 1);
-        for threads in [2usize, 8] {
-            assert_eq!(kernel_fingerprint(&cfg, threads), base);
-        }
-        let mut sys = System::new(cfg).unwrap();
-        sys.set_kernel_threads(8);
-        assert_eq!(sys.kernel_threads(), 1, "ring kernels are serial");
-    }
-}
-
-/// The hybrid network runs the sharded mesh kernel between its serial
-/// ring phases: the same bit-exactness guarantee applies through the
-/// registry-built `hybrid:GxG:L` path.
-#[test]
-fn hybrid_kernel_bit_exact_across_thread_counts() {
-    let network: NetworkSpec = "hybrid:3x3:3".parse().expect("registry spec");
-    let cfg = SystemConfig::new(network, CacheLineSize::B32).with_sim(sim());
-    let base = kernel_fingerprint(&cfg, 1);
-    for threads in [2usize, 3, 8] {
-        assert_eq!(
-            kernel_fingerprint(&cfg, threads),
-            base,
-            "hybrid kernel diverged at {threads} threads"
-        );
-    }
-}
-
-/// A parallel mesh kernel must stay bit-exact under fault injection
-/// too: drops and corruption verdicts are decided from shared
-/// read-only per-cycle state, so thread count cannot reorder them.
-#[test]
-fn faulty_mesh_kernel_bit_exact_across_thread_counts() {
-    let cfg = SystemConfig::new(NetworkSpec::mesh(5), CacheLineSize::B32).with_sim(sim());
-    let plan = ringmesh::FaultPlan::new(ringmesh::FaultConfig {
-        seed: 11,
-        corrupt_prob: 0.02,
-        link_down_events: 3,
-        link_down_cycles: 150,
-        dead_nodes: 1,
-        horizon: cfg.sim.horizon(),
-    })
-    .with_check();
-    let run = |threads: usize| {
-        let mut sys = System::new(cfg.clone()).expect("valid config");
-        sys.set_kernel_threads(threads);
-        sys.run_faulty(&plan).expect("faulty run completes")
-    };
-    let base = run(1);
-    assert!(base.violation.is_none());
-    for threads in [2usize, 3, 8] {
-        let r = run(threads);
-        assert_eq!(base.result, r.result, "diverged at {threads} threads");
-        assert_eq!(base.faults, r.faults);
-        assert_eq!(base.conservation, r.conservation);
-    }
-}
-
-/// Checkpoint/resume across the sharded kernel: a checkpoint taken at
-/// one thread count must restore and continue bit-identically at
-/// another (the thread count is a pure performance knob, never part of
-/// the serialized state).
-#[test]
-fn checkpoint_crosses_kernel_thread_counts() {
-    let cfg = SystemConfig::new(NetworkSpec::mesh(4), CacheLineSize::B32).with_sim(sim());
-
-    // Uninterrupted 8-thread run: the reference.
-    let mut whole = System::new(cfg.clone()).unwrap();
-    whole.set_kernel_threads(8);
-    let mut state = whole.begin();
-    assert!(whole.run_to(&mut state, u64::MAX).unwrap());
-    let reference = whole.finish(&state).fingerprint();
-
-    // Serial run paused mid-measurement, checkpointed, restored into a
-    // fresh system running 8 kernel threads.
-    let mut first = System::new(cfg.clone()).unwrap();
-    first.set_kernel_threads(1);
-    let mut st1 = first.begin();
-    assert!(!first.run_to(&mut st1, 450).unwrap(), "paused before done");
-    let bytes = first.checkpoint(&st1).expect("checkpoint serializes");
-
-    let mut second = System::new(cfg).unwrap();
-    second.set_kernel_threads(8);
-    let mut st2 = second.begin();
-    second
-        .restore(&mut st2, &bytes)
-        .expect("checkpoint restores");
-    assert!(second.run_to(&mut st2, u64::MAX).unwrap());
-    assert_eq!(second.finish(&st2).fingerprint(), reference);
 }

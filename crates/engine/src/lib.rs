@@ -1,33 +1,22 @@
-//! Simulation substrate for the `ringmesh` interconnect simulator.
+//! Simulation support for the `ringmesh` interconnect simulator.
 //!
 //! The original study (Ravindran & Stumm, HPCA 1997) built its
-//! register-transfer-level simulator on MacDougall's `smpl` simulation
-//! library. This crate is the Rust equivalent of that substrate. It
-//! provides:
+//! register-transfer-level simulator on MacDougall's `smpl` library.
+//! The network models here are cycle-synchronous kernels with
+//! registered flow control and never touch an event calendar, so what
+//! they share is small:
 //!
-//! * [`EventCalendar`] — a deterministic discrete-event calendar with
-//!   FIFO tie-breaking, the heart of any `smpl`-style simulation.
-//! * [`Facility`] — an `smpl`-style single- or multi-server resource
-//!   with FIFO/priority queueing and utilization accounting.
 //! * [`SimRng`] — a seedable, splittable random-number source with the
 //!   variate generators the workload model needs (uniform, Bernoulli,
 //!   exponential, geometric).
-//! * [`ClockedSystem`] and [`run_cycles`] — the cycle-synchronous
-//!   execution discipline used by the flit-level network models, where
-//!   every component is evaluated once per clock with *registered*
-//!   (previous-cycle) flow-control state.
 //! * [`Watchdog`] — a progress monitor that converts a hung simulation
 //!   (e.g. an undetected wormhole deadlock) into a hard error instead of
 //!   an infinite loop.
 //! * [`WorkerPool`] — an order-preserving fork-join pool on scoped
 //!   threads, used to fan independent sweep points across cores while
 //!   keeping results byte-identical to a serial run.
-//! * [`KernelPool`] — a persistent spin-barrier pool that parallelizes
-//!   the *inside* of a simulated cycle (sharded node stepping with a
-//!   deterministic compute/commit split), byte-identical at any thread
-//!   count.
 //! * [`StopFlag`] / [`AdmissionGate`] — cooperative shutdown and
-//!   load-shedding admission control for services built on the kernel.
+//!   load-shedding admission control for services built on the simulator.
 //! * [`Lease`] / [`Backoff`] — time-bounded work claims and capped
 //!   exponential retry delays for distributed dispatch.
 //!
@@ -38,40 +27,27 @@
 //! # Example
 //!
 //! ```
-//! use ringmesh_engine::EventCalendar;
+//! use ringmesh_engine::Watchdog;
 //!
-//! let mut cal: EventCalendar<&'static str> = EventCalendar::new();
-//! cal.schedule(10, "timer-a");
-//! cal.schedule(5, "timer-b");
-//! let (t, ev) = cal.next().unwrap();
-//! assert_eq!((t, ev), (5, "timer-b"));
-//! let (t, ev) = cal.next().unwrap();
-//! assert_eq!((t, ev), (10, "timer-a"));
+//! let mut dog = Watchdog::new(100);
+//! dog.observe(0, 1, 4);
+//! // 150 idle cycles with four packets still in flight: a stall.
+//! for now in 1..=150 {
+//!     dog.observe(now, 0, 4);
+//! }
+//! assert_eq!(dog.check(150).unwrap_err().last_progress, 0);
 //! ```
 
-// `deny` rather than `forbid`: the crate is safe code except for the
-// audited lifetime-erasure in `kernel.rs`, which opts in locally.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod admission;
-mod calendar;
-mod clock;
-mod facility;
-mod kernel;
 mod lease;
 mod pool;
 mod rng;
 mod watchdog;
 
 pub use admission::{AdmissionGate, Permit, StopFlag};
-pub use calendar::EventCalendar;
-pub use clock::{run_cycles, run_cycles_traced, ClockDivider, ClockedSystem};
-pub use facility::{Facility, FacilityStats, RequestOutcome};
-pub use kernel::{
-    configured_kernel_threads, effective_kernel_threads, set_active_sweep_width,
-    set_kernel_threads, KernelPool,
-};
 pub use lease::{Backoff, Lease};
 pub use pool::{configured_threads, WorkerPool};
 pub use rng::SimRng;

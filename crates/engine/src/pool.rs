@@ -1,7 +1,7 @@
 //! A minimal order-preserving worker pool on scoped threads.
 //!
 //! Parameter sweeps simulate dozens of independent `(topology, size,
-//! load)` points; each point owns its own seeded RNG and calendar, so
+//! load)` points; each point owns its own seeded RNG, so
 //! the points can run on any thread in any order without changing a
 //! single result bit. [`WorkerPool::map`] exploits that: it fans the
 //! items of a `Vec` out across a fixed set of scoped worker threads
@@ -30,27 +30,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, OnceLock};
-
-use crate::kernel::set_active_sweep_width;
-
-/// Marks a sweep of `width` workers as active for the lifetime of the
-/// guard, so the kernel-thread oversubscription clamp (see
-/// [`crate::effective_kernel_threads`]) can account for it — including
-/// on the panic path.
-struct SweepWidthGuard;
-
-impl SweepWidthGuard {
-    fn activate(width: usize) -> Self {
-        set_active_sweep_width(width);
-        SweepWidthGuard
-    }
-}
-
-impl Drop for SweepWidthGuard {
-    fn drop(&mut self) {
-        set_active_sweep_width(0);
-    }
-}
 
 /// The number of worker threads to use by default, parsed once per
 /// process: the `RINGMESH_THREADS` environment variable if set to a
@@ -136,7 +115,6 @@ impl WorkerPool {
         let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
-        let _sweep = SweepWidthGuard::activate(workers);
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
@@ -216,7 +194,6 @@ impl WorkerPool {
         let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let cursor = AtomicUsize::new(0);
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let _sweep = SweepWidthGuard::activate(workers);
         std::thread::scope(|s| {
             let (tx, rx) = mpsc::channel::<Msg<E, R>>();
             let (f, work, cursor) = (&f, &work, &cursor);

@@ -67,28 +67,24 @@ fn gate_never_over_admits_under_contention() {
     let _ = shed;
 }
 
-/// Interleaved claim/release across threads with verification that the
-/// *sum* of successful admissions is exact: each successful entry is
-/// counted once, and capacity returned by a drop is claimable by any
-/// other thread (no "lost wakeup" analogue where freed capacity stays
-/// invisible).
+/// Interleaved claim/release across threads: capacity returned by a
+/// drop is claimable by any other thread (no "lost wakeup" analogue
+/// where freed capacity stays invisible). Whether the churners get
+/// scheduled at all before the prober is done is up to the OS, so
+/// nothing is asserted about their progress.
 #[test]
 fn released_capacity_is_always_reclaimable() {
     const LIMIT: usize = 2;
     let gate = AdmissionGate::new(LIMIT);
     let stop = AtomicBool::new(false);
-    let total = AtomicU64::new(0);
 
     std::thread::scope(|s| {
         // Churners: grab and immediately release.
         for _ in 0..6 {
-            let (gate, stop, total) = (&gate, &stop, &total);
+            let (gate, stop) = (&gate, &stop);
             s.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    if let Some(p) = gate.try_enter() {
-                        total.fetch_add(1, Ordering::Relaxed);
-                        drop(p);
-                    }
+                    drop(gate.try_enter());
                 }
             });
         }
@@ -112,7 +108,6 @@ fn released_capacity_is_always_reclaimable() {
     });
 
     assert_eq!(gate.in_flight(), 0);
-    assert!(total.load(Ordering::Relaxed) > 0);
 }
 
 /// One setter races many readers; every reader must observe the stop

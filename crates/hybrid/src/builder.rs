@@ -43,10 +43,6 @@ impl TopologyBuilder for HybridBuilder {
         PacketFormat::RING
     }
 
-    fn parallel_kernel(&self) -> bool {
-        true
-    }
-
     fn build(&self, cache_line: CacheLineSize) -> Result<Box<dyn Interconnect>, ConfigError> {
         let net = HybridNetwork::new(self.side, self.local, HybridConfig::new(cache_line))?;
         Ok(Box::new(net))
@@ -65,7 +61,6 @@ mod tests {
         assert_eq!(b.spec(), "hybrid:4x4:4");
         assert_eq!(b.placement(), Placement::RingGrid { side: 4, local: 4 });
         assert_eq!(b.format(), PacketFormat::RING);
-        assert!(b.parallel_kernel());
         assert_eq!(b.build(CacheLineSize::B64).unwrap().num_pms(), 64);
     }
 

@@ -16,7 +16,7 @@
 //! elastic mesh→ring queue → local ring entry under the credit rule →
 //! destination NIC.
 
-use ringmesh_engine::{KernelPool, StallError, Watchdog};
+use ringmesh_engine::{StallError, Watchdog};
 use ringmesh_faults::{
     ConservationError, ConservationLedger, DropReason, FaultDomain, FaultInjector,
 };
@@ -89,10 +89,6 @@ pub struct HybridNetwork {
     owners: Vec<(u16, u16)>,
     /// Registered mesh stop/go (`router*5 + port`).
     go: Vec<bool>,
-    /// Intra-cycle worker pool for the mesh compute/latch phases;
-    /// serial (inline) by default. The ring tier is inherently serial
-    /// (shared credit counters), exactly as in `ringmesh-ring`.
-    kernel: KernelPool,
     cycle: u64,
     /// Flits moved per local ring (utilization accounting).
     ring_flits: Vec<u64>,
@@ -200,7 +196,6 @@ impl HybridNetwork {
             shards,
             owners: owner_coords(&topo, local),
             go: vec![true; g2 * 5],
-            kernel: KernelPool::serial(),
             cycle: 0,
             ring_flits: vec![0; g2],
             mesh_flits: 0,
@@ -453,20 +448,6 @@ impl Interconnect for HybridNetwork {
         self.nics[pm.index()].can_accept(class)
     }
 
-    fn set_kernel_threads(&mut self, threads: usize) {
-        // The mesh tier parallelizes by shard (one mesh row each); the
-        // ring tier stays serial regardless (shared credit counters,
-        // as in `ringmesh-ring`).
-        let threads = threads.clamp(1, self.shards.len().max(1));
-        if threads != self.kernel.threads() {
-            self.kernel = KernelPool::new(threads);
-        }
-    }
-
-    fn kernel_threads(&self) -> usize {
-        self.kernel.threads()
-    }
-
     fn inject(&mut self, pm: NodeId, packet: Packet) {
         assert_eq!(packet.src, pm, "packet injected at the wrong PM");
         assert_ne!(packet.src, packet.dst, "local accesses bypass the network");
@@ -537,27 +518,19 @@ impl Interconnect for HybridNetwork {
         self.ring_tick(now, delivered, &mut pulse);
         // Phase B — bridge pumps, ring→mesh.
         pulse.moved += self.pump_bridges(now);
-        // Phase C — mesh compute, parallel across row shards. Shards
-        // read only registered previous-cycle shared state; flits the
-        // pumps just queued were pushed at `now`, which FIFO freshness
-        // keeps invisible until the next cycle, so the phase split is
-        // invisible to the mesh and the result is byte-identical at
-        // any thread count.
-        {
-            let fc = FaultCtx {
-                inj: None,
-                corrupt: &[],
-                now,
-            };
-            let topo = &self.topo;
-            let go = &self.go;
-            let owners = &self.owners;
-            let store = &self.store;
-            self.kernel.run_mut(&mut self.shards, |_, shard| {
-                shard.compute(now, topo, go, owners, store, &fc);
-            });
+        // Phase C — mesh compute, shard by shard. Shards read only
+        // registered previous-cycle shared state; flits the pumps just
+        // queued were pushed at `now`, which FIFO freshness keeps
+        // invisible until the next cycle.
+        let fc = FaultCtx {
+            inj: None,
+            corrupt: &[],
+            now,
+        };
+        for shard in &mut self.shards {
+            shard.compute(now, &self.topo, &self.go, &self.owners, &self.store, &fc);
         }
-        // Phase D — mesh commit, serial in shard order: ejections
+        // Phase D — mesh commit, in shard order: ejections
         // land in the owning bridge's elastic mesh→ring queue (or are
         // dropped at a dead bridge), then the link transfers.
         let mut nsends = 0u64;
@@ -638,11 +611,10 @@ impl Interconnect for HybridNetwork {
         if enabled {
             self.trace_cycle(now, &pulse, &delivered[mark..]);
         }
-        // Phase E — latch: mesh input buffers (parallel) and the
-        // shared stop/go gather, then the ring buffers (serial).
-        self.kernel
-            .run_mut(&mut self.shards, |_, shard| shard.latch());
-        for shard in &self.shards {
+        // Phase E — latch: mesh input buffers and the shared stop/go
+        // gather, then the ring buffers.
+        for shard in &mut self.shards {
+            shard.latch();
             let b = shard.lo() * 5;
             let out = shard.go_out();
             self.go[b..b + out.len()].copy_from_slice(out);
@@ -972,37 +944,6 @@ mod tests {
             }
         }
         assert!(net.verify_conservation().is_ok());
-    }
-
-    /// The same injection schedule must produce byte-identical
-    /// delivery streams at 1 and 4 kernel threads.
-    #[test]
-    fn kernel_threads_do_not_change_results() {
-        let c = cfg();
-        let run = |threads: usize| {
-            let mut net = HybridNetwork::new(2, 2, c.clone()).unwrap();
-            net.set_kernel_threads(threads);
-            let mut log = Vec::new();
-            let mut delivered = Vec::new();
-            for cycle in 0..4_000u64 {
-                if cycle % 7 == 0 {
-                    let src = (cycle / 7 % 8) as u32;
-                    let dst = (src + 3) % 8;
-                    if net.can_inject(NodeId::new(src), QueueClass::Request) {
-                        net.inject(
-                            NodeId::new(src),
-                            packet(&c, cycle, PacketKind::ReadReq, src, dst),
-                        );
-                    }
-                }
-                net.step(&mut delivered).unwrap();
-                for (pm, pkt) in delivered.drain(..) {
-                    log.push((cycle, pm.raw(), pkt.txn.raw()));
-                }
-            }
-            log
-        };
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

@@ -43,10 +43,6 @@ impl TopologyBuilder for MeshBuilder {
         PacketFormat::MESH
     }
 
-    fn parallel_kernel(&self) -> bool {
-        true
-    }
-
     fn build(&self, cache_line: CacheLineSize) -> Result<Box<dyn Interconnect>, ConfigError> {
         let mc = MeshConfig::new(cache_line).with_buffers(self.buffers);
         Ok(Box::new(MeshNetwork::new(
@@ -70,7 +66,6 @@ mod tests {
         assert_eq!(b.label(), "mesh 6x6 (4-flit buffers)");
         assert_eq!(b.spec(), "mesh:6");
         assert_eq!(b.placement(), Placement::Grid { side: 6 });
-        assert!(b.parallel_kernel());
         assert_eq!(b.build(CacheLineSize::B32).unwrap().num_pms(), 36);
     }
 

@@ -43,8 +43,8 @@ pub use network::MeshNetwork;
 pub use topology::{Direction, MeshTopology};
 
 /// Router-level kernels, re-exported for the hybrid ring-mesh network
-/// (`ringmesh-hybrid`), whose global mesh runs the same sharded
-/// three-phase stepping as [`MeshNetwork`]. Semver-exempt plumbing,
+/// (`ringmesh-hybrid`), whose global mesh steps the same row shards
+/// as [`MeshNetwork`]. Semver-exempt plumbing,
 /// not a stable API — everything here mirrors internal structure.
 #[doc(hidden)]
 pub mod kernel {

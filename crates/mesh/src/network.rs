@@ -1,6 +1,6 @@
 //! The 2-D mesh network simulator.
 
-use ringmesh_engine::{KernelPool, StallError, Watchdog};
+use ringmesh_engine::{StallError, Watchdog};
 use ringmesh_faults::{
     ConservationError, ConservationLedger, DropReason, FaultDomain, FaultInjector,
 };
@@ -47,9 +47,7 @@ pub struct MeshNetwork {
     cfg: MeshConfig,
     store: PacketStore,
     /// Router state in structure-of-arrays layout, one shard per mesh
-    /// row (see [`MeshShard`]); the shard is the unit of parallel work
-    /// in the compute and latch phases. The partition is fixed at
-    /// construction and never depends on the thread count.
+    /// row (see [`MeshShard`]).
     shards: Vec<MeshShard>,
     /// `(row, col)` of every destination node, read by the route stage
     /// (see [`owner_coords`]).
@@ -59,9 +57,9 @@ pub struct MeshNetwork {
     /// every shard during compute; the "next" half is each shard's
     /// `go_out`, gathered back here after the latch phase.
     go: Vec<bool>,
+    /// This cycle's link transfers in shard order, kept only while a
+    /// tracer is enabled (it reads them in [`Self::trace_cycle`]).
     sends: Vec<Send>,
-    /// Intra-cycle worker pool; serial (inline) by default.
-    kernel: KernelPool,
     cycle: u64,
     link_flits: u64,
     reset_cycle: u64,
@@ -110,7 +108,6 @@ impl MeshNetwork {
             owners: owner_coords(&topo, 1),
             go: vec![true; n * 5],
             sends: Vec::new(),
-            kernel: KernelPool::serial(),
             cycle: 0,
             link_flits: 0,
             reset_cycle: 0,
@@ -206,20 +203,6 @@ impl Interconnect for MeshNetwork {
         self.shards[sh].can_accept(l, class)
     }
 
-    fn set_kernel_threads(&mut self, threads: usize) {
-        // More threads than shards cannot help (a shard is the unit of
-        // work), so clamp — this also keeps worker counts modest for
-        // small meshes.
-        let threads = threads.clamp(1, self.shards.len().max(1));
-        if threads != self.kernel.threads() {
-            self.kernel = KernelPool::new(threads);
-        }
-    }
-
-    fn kernel_threads(&self) -> usize {
-        self.kernel.threads()
-    }
-
     fn inject(&mut self, pm: NodeId, packet: Packet) {
         assert_eq!(packet.src, pm, "packet injected at the wrong PM");
         assert_ne!(packet.src, packet.dst, "local accesses bypass the network");
@@ -283,139 +266,65 @@ impl Interconnect for MeshNetwork {
         let mut moved = 0u64;
         let mut blocked = 0u64;
         let mut nsends = 0u64;
-        if self.kernel.threads() == 1 && !enabled {
-            // Fused serial path: with one kernel thread the deferred
-            // compute→commit split only costs (buffer the effects, walk
-            // them again), so apply each shard's effects immediately
-            // after its own compute. Byte-identical to the phased path:
-            // shards still compute and commit in ascending shard order,
-            // so the delivered stream, ledger and packet-store slot
-            // reuse are unchanged; and a flit committed onto a link
-            // before a later shard's compute is pushed at cycle `now`,
-            // which FIFO freshness keeps invisible to that compute —
-            // its only observable effect, the receiving node's `active`
-            // flag and non-empty input, matches what `deliver_flit`
-            // after compute would have left (pinned by the
-            // `parallel_determinism` suite).
-            for si in 0..self.shards.len() {
-                {
-                    let fc = FaultCtx {
-                        inj: self.faults.as_ref(),
-                        corrupt: &self.corrupt,
-                        now,
-                    };
-                    self.shards[si].compute(
-                        now,
-                        &self.topo,
-                        &self.go,
-                        &self.owners,
-                        &self.store,
-                        &fc,
-                    );
-                }
-                let ops = std::mem::take(&mut self.shards[si].ops);
-                for &op in &ops {
-                    match op {
-                        CommitOp::Deliver { node, packet } => {
-                            let slot = packet.slot();
-                            let pkt = self.store.remove(packet);
-                            self.ledger.complete(slot, false);
-                            delivered.push((node, pkt));
-                        }
-                        CommitOp::Drop { packet, reason } => {
-                            let slot = packet.slot();
-                            let pkt = self.store.remove(packet);
-                            self.ledger.complete(slot, true);
-                            self.dropped.push((pkt, reason));
-                        }
-                    }
-                }
-                self.shards[si].ops = ops;
-                moved += self.shards[si].moved;
-                blocked += self.shards[si].blocked;
-                let sends = std::mem::take(&mut self.shards[si].sends);
-                for &s in &sends {
-                    self.shards[s.to_sh as usize].deliver_flit(
-                        s.to_l as usize,
-                        s.to_port as usize,
-                        s.flit,
-                        now,
-                    );
-                }
-                nsends += sends.len() as u64;
-                self.shards[si].sends = sends;
-            }
-        } else {
-            // Phase 1 — compute, in parallel across shards. Every shard
-            // reads only shared *previous-cycle* state (the registered
-            // stop/go buffer, the packet store, the fault view) and
-            // writes only its own arrays plus its `sends`/`ops` effect
-            // buffers.
+        self.sends.clear();
+        // Each shard's effects are applied right after its own compute,
+        // in ascending shard order (= ascending node order), so the
+        // delivered stream, the ledger and packet-store slot reuse are
+        // fixed by construction. A flit committed onto a link before a
+        // later shard's compute is pushed at cycle `now`, which FIFO
+        // freshness keeps invisible to that compute: every shard still
+        // sees only registered previous-cycle state (pinned against
+        // the former phased compute → commit → latch loop by
+        // `tests/golden_fingerprints.rs`).
+        for si in 0..self.shards.len() {
             {
                 let fc = FaultCtx {
                     inj: self.faults.as_ref(),
                     corrupt: &self.corrupt,
                     now,
                 };
-                let topo = &self.topo;
-                let go = &self.go;
-                let owners = &self.owners;
-                let store = &self.store;
-                self.kernel.run_mut(&mut self.shards, |_, shard| {
-                    shard.compute(now, topo, go, owners, store, &fc);
-                });
+                self.shards[si].compute(now, &self.topo, &self.go, &self.owners, &self.store, &fc);
             }
-            // Phase 2 — commit, serial in shard order (= ascending node
-            // order, the order the old serial loop produced these
-            // effects): deliveries and drops first, so packet-store
-            // slot reuse and the delivered stream stay byte-identical,
-            // then the link transfers into destination buffers.
-            self.sends.clear();
-            for si in 0..self.shards.len() {
-                for k in 0..self.shards[si].ops.len() {
-                    match self.shards[si].ops[k] {
-                        CommitOp::Deliver { node, packet } => {
-                            let slot = packet.slot();
-                            let pkt = self.store.remove(packet);
-                            self.ledger.complete(slot, false);
-                            delivered.push((node, pkt));
-                        }
-                        CommitOp::Drop { packet, reason } => {
-                            let slot = packet.slot();
-                            let pkt = self.store.remove(packet);
-                            self.ledger.complete(slot, true);
-                            self.dropped.push((pkt, reason));
-                        }
+            // Deliveries and drops first: this loop is the one writer
+            // of the packet store and the ledger.
+            let ops = std::mem::take(&mut self.shards[si].ops);
+            for &op in &ops {
+                match op {
+                    CommitOp::Deliver { node, packet } => {
+                        let slot = packet.slot();
+                        let pkt = self.store.remove(packet);
+                        self.ledger.complete(slot, false);
+                        delivered.push((node, pkt));
+                    }
+                    CommitOp::Drop { packet, reason } => {
+                        let slot = packet.slot();
+                        let pkt = self.store.remove(packet);
+                        self.ledger.complete(slot, true);
+                        self.dropped.push((pkt, reason));
                     }
                 }
-                moved += self.shards[si].moved;
-                blocked += self.shards[si].blocked;
-                // The concatenated send list is only needed for tracing
-                // (heatmap bumps and Hop events); skip the copy
-                // otherwise.
-                if enabled {
-                    self.sends.extend_from_slice(&self.shards[si].sends);
-                }
             }
-            // Link transfers, applied shard by shard. Each input FIFO
-            // has exactly one upstream router, so at most one flit
-            // arrives per FIFO per cycle and application order across
-            // source shards cannot matter. Swapping each buffer out and
-            // back (no copy) satisfies the borrow checker without
-            // concatenating.
-            for si in 0..self.shards.len() {
-                let sends = std::mem::take(&mut self.shards[si].sends);
-                for &s in &sends {
-                    self.shards[s.to_sh as usize].deliver_flit(
-                        s.to_l as usize,
-                        s.to_port as usize,
-                        s.flit,
-                        now,
-                    );
-                }
-                nsends += sends.len() as u64;
-                self.shards[si].sends = sends;
+            self.shards[si].ops = ops;
+            moved += self.shards[si].moved;
+            blocked += self.shards[si].blocked;
+            // Then the link transfers. Each input FIFO has exactly one
+            // upstream router, so at most one flit arrives per FIFO per
+            // cycle. Swapping the buffer out and back (no copy)
+            // satisfies the borrow checker.
+            let sends = std::mem::take(&mut self.shards[si].sends);
+            if enabled {
+                self.sends.extend_from_slice(&sends);
             }
+            for &s in &sends {
+                self.shards[s.to_sh as usize].deliver_flit(
+                    s.to_l as usize,
+                    s.to_port as usize,
+                    s.flit,
+                    now,
+                );
+            }
+            nsends += sends.len() as u64;
+            self.shards[si].sends = sends;
         }
         moved += nsends;
         self.link_flits += nsends;
@@ -434,12 +343,11 @@ impl Interconnect for MeshNetwork {
         if enabled {
             self.trace_cycle(now, blocked, &delivered[mark..]);
         }
-        // Phase 3 — latch, in parallel across shards: register each
-        // input buffer and publish next-cycle stop/go into the shards'
-        // `go_out` halves, then gather them into the shared buffer.
-        self.kernel
-            .run_mut(&mut self.shards, |_, shard| shard.latch());
-        for shard in &self.shards {
+        // Latch: register each input buffer and publish next-cycle
+        // stop/go into the shard's `go_out` half, then gather it into
+        // the shared buffer.
+        for shard in &mut self.shards {
+            shard.latch();
             let b = shard.lo() * 5;
             let out = shard.go_out();
             self.go[b..b + out.len()].copy_from_slice(out);

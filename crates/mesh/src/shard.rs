@@ -1,5 +1,4 @@
-//! Structure-of-arrays mesh router state, sharded one-per-row for
-//! deterministic intra-cycle parallelism.
+//! Structure-of-arrays mesh router state, one shard per mesh row.
 //!
 //! The previous layout kept a `Vec<Router>` of per-node structs; the
 //! per-cycle loop walked them pointer-chasing five FIFOs, a routing
@@ -8,33 +7,32 @@
 //! each indexed by local node and carrying that node's ports as an
 //! inline fixed-size block (`Vec<[T; 5]>`; `[T; 4]` for links). The hot
 //! stages — route, arbitrate, transfer — scan each field's array in
-//! node order with compile-time-bounded port indexing, and one shard is
-//! a natural unit of parallel work.
+//! node order with compile-time-bounded port indexing.
 //!
-//! # Two-phase protocol
+//! # Compute, commit, latch
 //!
 //! The mesh is clocked with *registered* (previous-cycle) stop/go flow
 //! control, so within one cycle every node's step reads only shared
-//! state from the previous cycle. Each cycle therefore splits into:
+//! state from the previous cycle. The owning network walks the shards
+//! in ascending order and, for each one:
 //!
-//! 1. **compute** ([`MeshShard::compute`]) — runs on any thread, one
-//!    shard at a time per thread. Reads the shared previous-cycle
-//!    stop/go buffer, the packet store, the destination-owner table
-//!    and the fault view; mutates *only* shard-local state; and records every
-//!    shared-state effect (flit transfers onto links, packet
-//!    deliveries/drops) into shard-local [`Send`]/[`CommitOp`] buffers.
-//! 2. **commit** (serial, in `MeshNetwork::step`) — applies each
-//!    shard's buffered effects in fixed shard order = ascending node
-//!    order, exactly the order the old serial loop produced them, so
-//!    the delivered stream, ledger updates, packet-store slot reuse
-//!    and every other observable byte are identical at any thread
-//!    count.
-//! 3. **latch** ([`MeshShard::latch`]) — parallel again: each shard
-//!    latches its input FIFOs and writes the *next*-cycle stop/go
-//!    signals into its own `go_out` buffer; the network then gathers
-//!    those contiguous slices into the shared `go` buffer. `go` /
-//!    `go_out` are the explicit current/next halves of the
-//!    double-buffered cycle state.
+//! 1. **compute** ([`MeshShard::compute`]) — reads the shared
+//!    previous-cycle stop/go buffer, the packet store, the
+//!    destination-owner table and the fault view; mutates *only*
+//!    shard-local state; and records every shared-state effect (flit
+//!    transfers onto links, packet deliveries/drops) into shard-local
+//!    [`Send`]/[`CommitOp`] buffers.
+//! 2. **commit** (in `MeshNetwork::step`) — applies that shard's
+//!    buffered effects, so effects land in ascending node order. The
+//!    commit loop is the one writer of the packet store and the
+//!    ledger, and the place where the hybrid network gives
+//!    [`CommitOp::Deliver`] a different meaning (into a bridge queue).
+//!
+//! After the last shard, **latch** ([`MeshShard::latch`]): each shard
+//! latches its input FIFOs and writes the *next*-cycle stop/go signals
+//! into its own `go_out` buffer, which the network copies into the
+//! shared `go` buffer. `go` / `go_out` are the explicit current/next
+//! halves of the double-buffered cycle state.
 
 use ringmesh_faults::{DropReason, FaultInjector};
 use ringmesh_net::{
@@ -55,8 +53,7 @@ pub const DROP: usize = 5;
 
 /// Per-cycle fault view handed to every shard's compute phase. With no
 /// injector installed every query answers "healthy" and routing is
-/// byte-for-byte the plain e-cube path. All queries are `&self`, so
-/// one view is shared by every compute thread.
+/// byte-for-byte the plain e-cube path.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultCtx<'a> {
     /// The installed injector, if any.
@@ -109,11 +106,10 @@ pub struct Send {
     pub flit: Flit,
 }
 
-/// A deferred shared-state effect: recorded shard-locally during the
-/// parallel compute phase, applied serially at commit in node order.
-/// Deferring the `PacketStore` removals is what keeps the store's slot
-/// freelist (and therefore every later `PacketRef`) byte-identical to
-/// the old serial loop.
+/// A deferred shared-state effect: recorded shard-locally during
+/// compute, applied at commit in node order, which fixes the order of
+/// `PacketStore` removals and so the store's slot freelist (and every
+/// later `PacketRef`).
 #[derive(Debug, Clone, Copy)]
 pub enum CommitOp {
     /// The assembler at `node` completed `packet` intact.
@@ -380,7 +376,7 @@ impl MeshShard {
         }
     }
 
-    /// The parallel compute phase: steps every active node in this
+    /// The compute phase: steps every active node in this
     /// shard, writing shared-state effects into `sends`/`ops` and
     /// everything else into shard-local arrays. `go` is the shared
     /// previous-cycle stop/go buffer; `owners` maps every destination
@@ -577,7 +573,7 @@ impl MeshShard {
         self.blocked = blocked;
     }
 
-    /// The parallel latch phase: registers every input buffer's
+    /// The latch phase: registers every input buffer's
     /// occupancy and writes next-cycle stop/go into `go_out`.
     pub fn latch(&mut self) {
         for (block, go) in self.inputs.iter_mut().zip(self.go_out.chunks_exact_mut(5)) {

@@ -102,24 +102,9 @@ pub trait Interconnect {
     /// Whether PM `pm`'s output queue for `class` can accept a packet.
     fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool;
 
-    /// Sizes the network's intra-cycle kernel to `threads` compute
-    /// threads (1 = serial; 0 is clamped to 1). Parallel stepping is
-    /// required to be byte-identical to serial at any count, so this
-    /// is purely a performance knob: it is never part of the
-    /// configuration fingerprint, and a checkpoint taken at one count
-    /// restores at any other. The default implementation ignores the
-    /// request — models whose intra-cycle dependencies make sharding
-    /// unsound (the hierarchical rings; see `crates/ring`) simply stay
-    /// serial.
-    fn set_kernel_threads(&mut self, threads: usize) {
-        let _ = threads;
-    }
-
-    /// The number of compute threads the intra-cycle kernel currently
-    /// uses (1 for serial-only models).
-    fn kernel_threads(&self) -> usize {
-        1
-    }
+    // Inert: only the frozen `benchmark/` harness calls this.
+    #[doc(hidden)]
+    fn set_kernel_threads(&mut self, _threads: usize) {}
 
     /// Hands `packet` to PM `pm`'s network interface.
     ///

@@ -116,9 +116,11 @@ pub trait TopologyBuilder {
     /// sizing packets for this network.
     fn format(&self) -> PacketFormat;
 
-    /// Whether the network's `step` supports intra-cycle kernel
-    /// parallelism (`set_kernel_threads` > 1 has an effect).
-    fn parallel_kernel(&self) -> bool;
+    // Inert: only the frozen `benchmark/` harness calls this.
+    #[doc(hidden)]
+    fn parallel_kernel(&self) -> bool {
+        false
+    }
 
     /// Builds the network.
     ///

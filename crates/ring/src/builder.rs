@@ -53,10 +53,6 @@ impl TopologyBuilder for RingBuilder {
         PacketFormat::RING
     }
 
-    fn parallel_kernel(&self) -> bool {
-        false
-    }
-
     fn build(&self, cache_line: CacheLineSize) -> Result<Box<dyn Interconnect>, ConfigError> {
         if !(1..=2).contains(&self.speedup) {
             return Err(ConfigError::Invalid(format!(
@@ -100,10 +96,6 @@ impl TopologyBuilder for SlottedBuilder {
         PacketFormat::RING
     }
 
-    fn parallel_kernel(&self) -> bool {
-        false
-    }
-
     fn build(&self, cache_line: CacheLineSize) -> Result<Box<dyn Interconnect>, ConfigError> {
         let rc = RingConfig::new(cache_line);
         Ok(Box::new(SlottedRingNetwork::new(&self.spec, rc)))
@@ -124,7 +116,6 @@ mod tests {
         assert_eq!(b.label(), "ring 2:3:4");
         assert_eq!(b.spec(), "ring:2:3:4");
         assert_eq!(b.placement(), Placement::Linear { pms: 24 });
-        assert!(!b.parallel_kernel());
         let net = b.build(CacheLineSize::B64).unwrap();
         assert_eq!(net.num_pms(), 24);
     }

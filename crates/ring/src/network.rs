@@ -471,22 +471,6 @@ impl Interconnect for RingNetwork {
         self.nics[self.nic_of_pm[pm.index()] as usize].can_accept(class)
     }
 
-    /// The hierarchical ring kernel is deliberately serial: ring-entry
-    /// credits (`ring_credits`) are read *and* decremented mid-tick as
-    /// the `side_order` sweep progresses, and an IRI's two sides share
-    /// its up/down crossing queues with unregistered (same-tick) reads,
-    /// so every station on a ring belongs to one connected dependency
-    /// component. Sharding it would change arbitration outcomes and
-    /// break byte-identity, so the request is ignored (the mesh kernel
-    /// in `crates/mesh` is the parallel one).
-    fn set_kernel_threads(&mut self, threads: usize) {
-        let _ = threads;
-    }
-
-    fn kernel_threads(&self) -> usize {
-        1
-    }
-
     fn inject(&mut self, pm: NodeId, packet: Packet) {
         assert_eq!(packet.src, pm, "packet injected at the wrong PM");
         assert_ne!(packet.src, packet.dst, "local accesses bypass the network");

@@ -336,20 +336,6 @@ impl Interconnect for SlottedRingNetwork {
         self.pm_out[pm.index()].len() < 2
     }
 
-    /// The slotted ring steps by rotating whole rings and then walking
-    /// stations in ring order against the shared slot arrays, so the
-    /// entire model is one dependency chain per ring with inter-ring
-    /// transfer coupling — serial by construction. See the trait doc:
-    /// models whose intra-cycle dependencies make sharding unsound
-    /// simply stay serial.
-    fn set_kernel_threads(&mut self, threads: usize) {
-        let _ = threads;
-    }
-
-    fn kernel_threads(&self) -> usize {
-        1
-    }
-
     fn inject(&mut self, pm: NodeId, packet: Packet) {
         assert_eq!(packet.src, pm, "packet injected at the wrong PM");
         assert_ne!(packet.src, packet.dst, "local accesses bypass the network");

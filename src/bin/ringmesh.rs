@@ -19,7 +19,6 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use ringmesh::benchrun::{self, BenchOptions};
 use ringmesh::{
     run_config, ExitStatus, FaultConfig, FaultPlan, FaultRunReport, NetworkSpec, RetryPolicy,
     RunError, SimParams, System, SystemConfig, TraceConfig,
@@ -36,7 +35,6 @@ USAGE:
     ringmesh [run] <NETWORK> [OPTIONS]
     ringmesh trace <NETWORK> [OPTIONS] [TRACE OPTIONS]
     ringmesh faults <NETWORK> [OPTIONS] [FAULT OPTIONS]
-    ringmesh bench [BENCH OPTIONS]
     ringmesh serve [SERVE OPTIONS]
     ringmesh worker --connect <ADDR> [WORKER OPTIONS]
 
@@ -51,12 +49,6 @@ seeded fault schedule (packet corruption, transient link-down
 intervals, permanent router/IRI deaths) with an end-to-end retry layer
 at the processors, and reports delivered throughput, drop accounting
 and the packet-conservation audit. Same seeds replay bit-for-bit.
-
-The `bench` subcommand records the performance baseline: kernel
-throughput (simulated cycles per wall-clock second) for each network
-model, and serial-vs-parallel sweep timings with a bit-exact output
-comparison. It prints a summary and can write the machine-readable
-baseline as JSON.
 
 The `serve` subcommand turns the simulator into a sweep-job server: it
 reads line-delimited JSON requests on stdin (or accepts concurrent TCP
@@ -121,14 +113,6 @@ OPTIONS:
     --batches <N>          measured batches               [default: 8]
     --seed <N>             RNG seed                       [default: 1380011591]
     --format <F>           text | csv                     [default: text]
-    --kernel-threads <N>   intra-cycle compute threads for the network
-                           kernel (accepted by every subcommand; results
-                           are byte-identical at any count). Precedence:
-                           this flag > RINGMESH_KERNEL_THREADS > 1.
-                           Serial models (the rings) ignore it; under a
-                           parallel sweep the count is clamped so
-                           sweep x kernel threads never oversubscribes
-                           the host                       [default: 1]
     -h, --help             print this help
 
 TRACE OPTIONS (with the `trace` subcommand):
@@ -148,20 +132,6 @@ FAULT OPTIONS (with the `faults` subcommand):
     --backoff <N>          base retry backoff, cycles         [default: 64]
     --no-retry             disable the end-to-end retry layer
     --check                conservation tracking in release builds
-
-BENCH OPTIONS (with the `bench` subcommand):
-    --quick                quick scale (default unless RINGMESH_FULL set)
-    --full                 publication scale
-    --threads <N>          parallel-leg worker threads
-                           [default: RINGMESH_THREADS or host cores]
-    --out <PATH>           write the baseline as JSON here
-    --check-against <PATH> compare kernel throughput against a committed
-                           baseline JSON; exit 1 if any kernel's
-                           single-thread cycles/s regressed by more
-                           than the tolerance, or if parallel stepping
-                           diverged across thread counts
-    --tolerance <F>        allowed fractional regression for
-                           --check-against            [default: 0.10]
 
 SERVE OPTIONS (with the `serve` subcommand):
     --listen <ADDR>        accept TCP connections on ADDR (e.g.
@@ -197,15 +167,10 @@ WORKER OPTIONS (with the `worker` subcommand):
     --threads <N>          concurrent dispatches to run [default: 1]
 
 ENVIRONMENT:
-    RINGMESH_FULL          any value but 0: figure sweeps and `bench`
-                           default to publication scale (read once per
-                           process)
+    RINGMESH_FULL          any value but 0: figure sweeps default to
+                           publication scale (read once per process)
     RINGMESH_THREADS       worker threads for parameter sweeps
                            [default: available host parallelism]
-    RINGMESH_KERNEL_THREADS
-                           intra-cycle compute threads for the network
-                           kernel, overridden by --kernel-threads
-                           [default: 1]
 ";
 
 struct Args(Vec<String>);
@@ -558,78 +523,6 @@ fn run_trace(cfg: SystemConfig, opts: TraceOpts, format: &str) -> ExitCode {
     ExitStatus::Success.into()
 }
 
-fn run_bench(mut args: Args) -> ExitCode {
-    let full = args.take_flag("--full");
-    let quick = args.take_flag("--quick");
-    let threads = match args.take_parsed::<usize>("--threads") {
-        Ok(t) => t,
-        Err(e) => return usage_error(&e),
-    };
-    let out = match args.take_value("--out") {
-        Ok(o) => o,
-        Err(e) => return usage_error(&e),
-    };
-    let check_against = match args.take_value("--check-against") {
-        Ok(c) => c,
-        Err(e) => return usage_error(&e),
-    };
-    let tolerance = match args.take_parsed::<f64>("--tolerance") {
-        Ok(t) => t.unwrap_or(0.10),
-        Err(e) => return usage_error(&e),
-    };
-    if !(0.0..1.0).contains(&tolerance) {
-        return usage_error(&format!("--tolerance must be in [0, 1), got {tolerance}"));
-    }
-    if !args.0.is_empty() {
-        return usage_error(&format!("unrecognized arguments: {:?}", args.0));
-    }
-    let defaults = BenchOptions::default();
-    let opts = BenchOptions {
-        scale: match (full, quick) {
-            (true, false) => ringmesh::Scale::full(),
-            (false, true) => ringmesh::Scale::quick(),
-            _ => defaults.scale,
-        },
-        threads: threads.unwrap_or(defaults.threads),
-    };
-    let report = benchrun::run(&opts);
-    print!("{}", report.to_text());
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitStatus::Io.into();
-        }
-        eprintln!("benchmark baseline written to {path}");
-    }
-    if let Some(path) = check_against {
-        let baseline = match std::fs::read_to_string(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: reading baseline {path}: {e}");
-                return ExitStatus::Io.into();
-            }
-        };
-        match benchrun::check_against(&report, &baseline, tolerance) {
-            Ok(summary) => {
-                eprintln!(
-                    "bench regression gate vs {path} (tolerance {:.0}%): pass",
-                    tolerance * 100.0
-                );
-                eprint!("{summary}");
-            }
-            Err(failures) => {
-                eprintln!(
-                    "error: bench regression gate vs {path} (tolerance {:.0}%) FAILED",
-                    tolerance * 100.0
-                );
-                eprint!("{failures}");
-                return ExitStatus::Usage.into();
-            }
-        }
-    }
-    ExitStatus::Success.into()
-}
-
 /// Set from the signal handler; a bridge thread relays it onto the
 /// server's stop flag (handlers must stay async-signal-safe, so the
 /// handler itself only flips this atomic).
@@ -860,17 +753,6 @@ fn main() -> ExitCode {
     if args.take_flag("--help") || args.take_flag("-h") || args.0.is_empty() {
         print!("{HELP}");
         return ExitStatus::Success.into();
-    }
-    // Global knob, honoured by every subcommand: flag beats the
-    // RINGMESH_KERNEL_THREADS environment variable beats serial.
-    match args.take_parsed::<usize>("--kernel-threads") {
-        Ok(Some(n)) => ringmesh::set_kernel_threads(n.max(1)),
-        Ok(None) => {}
-        Err(e) => return usage_error(&e),
-    }
-    if args.0.first().is_some_and(|a| a == "bench") {
-        args.0.remove(0);
-        return run_bench(args);
     }
     if args.0.first().is_some_and(|a| a == "serve") {
         args.0.remove(0);

@@ -6,7 +6,7 @@
 //! dependency.
 //!
 //! * [`ringmesh`] — the top-level simulation framework (start here).
-//! * [`ringmesh_engine`] — event calendar, clocked kernel, RNG, watchdog.
+//! * [`ringmesh_engine`] — RNG, stall watchdog, sweep worker pool.
 //! * [`ringmesh_net`] — flits, packets, buffers, wormhole primitives.
 //! * [`ringmesh_ring`] — hierarchical uni-directional ring networks.
 //! * [`ringmesh_mesh`] — 2-D bi-directional wormhole meshes.

@@ -1,0 +1,142 @@
+//! Pins the one cycle kernel to the bytes of the last commit that had
+//! two. Until 261a10e the mesh and hybrid `step` also had a phased
+//! compute → commit → latch body (kernel threads ≥ 2, or a tracer
+//! attached); it was the only second implementation the fused serial
+//! loop was ever checked against. Before it was deleted, every value
+//! below was captured on 261a10e at kernel threads 1 **and** 4, which
+//! agreed on all of them.
+//!
+//! The horizon is 2 000 cycles rather than `SimParams::quick()`'s
+//! 9 000 so the table stays near three seconds in a debug build.
+
+use ringmesh::{FaultConfig, FaultPlan, NetworkSpec, SimParams, System, SystemConfig, TraceConfig};
+use ringmesh_net::CacheLineSize;
+use ringmesh_snap::Fingerprint;
+
+/// What one network produced on 261a10e. `run` is the
+/// `RunResult::fingerprint()` of the plain, the traced and the
+/// checkpoint-resumed run alike; the rest are FNV-1a digests of bytes.
+struct Golden {
+    spec: &'static str,
+    run: u64,
+    faulty: u64,
+    /// `[debug, release]`: the conservation ledger tracks per slot
+    /// under `debug_assertions`, and a checkpoint carries the ledger.
+    checkpoint_bytes: [u64; 2],
+    chrome_json: u64,
+    heatmap_csv: u64,
+}
+
+// Captured on 261a10e (debug and release builds, kernel threads 1 and 4).
+const GOLDEN: [Golden; 5] = [
+    Golden {
+        spec: "mesh:7",
+        run: 0xd578_1c20_ff45_7552,
+        faulty: 0x10be_9b25_c33b_9400,
+        checkpoint_bytes: [0x756c_a8c1_14a8_3bdf, 0xc49d_2a5f_8f50_6563],
+        chrome_json: 0x9d2a_2017_c0e3_27d9,
+        heatmap_csv: 0xd37f_c4fd_b93b_bbf5,
+    },
+    Golden {
+        spec: "mesh:12:1flit",
+        run: 0xabcc_93c1_5816_4ed9,
+        faulty: 0x33d8_6f2c_cbbd_96fd,
+        checkpoint_bytes: [0x4578_b54c_0cde_1cfb, 0x10a0_a29b_6044_f239],
+        chrome_json: 0x6841_99dc_640d_f34e,
+        heatmap_csv: 0x82de_0a01_89a2_07ef,
+    },
+    Golden {
+        spec: "mesh:5:cl",
+        run: 0x6fe2_ecc1_069a_dff1,
+        faulty: 0x8fe1_4630_be4a_0cf8,
+        checkpoint_bytes: [0x4806_bb2b_b0a5_69da, 0x2e2a_fbc6_f1b7_52ea],
+        chrome_json: 0x3c28_cc45_fbe7_1929,
+        heatmap_csv: 0x461d_7558_2608_6d0a,
+    },
+    // The hybrid registers no heatmap: its CSV digest is FNV-1a of "".
+    Golden {
+        spec: "hybrid:3x3:4",
+        run: 0xe0ff_0042_48b5_6f62,
+        faulty: 0x4169_5b36_f10c_64e5,
+        checkpoint_bytes: [0x9c5c_06ab_ec4e_fa86, 0x77d5_679b_dc82_c011],
+        chrome_json: 0xf36c_58b9_cd2b_d0eb,
+        heatmap_csv: 0xcbf2_9ce4_8422_2325,
+    },
+    Golden {
+        spec: "hybrid:2x2:4",
+        run: 0x1592_b0c8_91dd_4c69,
+        faulty: 0xa52e_c8f4_dacc_06d5,
+        checkpoint_bytes: [0x1073_b9a8_db7e_79cd, 0x91fb_059d_5b82_85ae],
+        chrome_json: 0x80bb_92d2_23dd_4d59,
+        heatmap_csv: 0xcbf2_9ce4_8422_2325,
+    },
+];
+
+#[test]
+fn every_run_path_reproduces_the_parent_commit() {
+    let sim = SimParams {
+        warmup: 500,
+        batch_cycles: 500,
+        batches: 3,
+    };
+    for g in &GOLDEN {
+        let spec = g.spec;
+        let network: NetworkSpec = spec.parse().unwrap();
+        let cfg = SystemConfig::new(network, CacheLineSize::B32).with_sim(sim);
+        let system = || System::new(cfg.clone()).unwrap();
+
+        let run = system().run().unwrap().fingerprint();
+        assert_eq!(run, g.run, "{spec}: run");
+
+        // Corruption, link-down windows and one dead node, audited.
+        let plan = FaultPlan::new(FaultConfig {
+            seed: 21,
+            corrupt_prob: 0.02,
+            link_down_events: 3,
+            link_down_cycles: 200,
+            dead_nodes: 1,
+            horizon: sim.horizon(),
+        })
+        .with_check();
+        let report = system().run_faulty(&plan).unwrap();
+        assert_eq!(report.violation, None, "{spec}: conservation");
+        assert_eq!(report.result.fingerprint(), g.faulty, "{spec}: run_faulty");
+
+        // Checkpoint mid-measurement, restore into a fresh system. The
+        // pinned byte digest is also what proves a checkpoint written
+        // by the parent binary restores here: it is these bytes.
+        let mut first = system();
+        let mut state = first.begin();
+        assert!(!first.run_to(&mut state, sim.horizon() / 2).unwrap());
+        let bytes = first.checkpoint(&state).unwrap();
+        assert_eq!(
+            Fingerprint::of(&bytes),
+            g.checkpoint_bytes[usize::from(!cfg!(debug_assertions))],
+            "{spec}: checkpoint bytes"
+        );
+        let mut second = system();
+        let mut state = second.begin();
+        second.restore(&mut state, &bytes).unwrap();
+        assert!(second.run_to(&mut state, u64::MAX).unwrap());
+        assert_eq!(
+            second.finish(&state).fingerprint(),
+            g.run,
+            "{spec}: resumed"
+        );
+
+        // The traced run is the one whose loop body changed.
+        let (result, trace) = system().run_traced(TraceConfig::default()).unwrap();
+        assert_eq!(result.fingerprint(), g.run, "{spec}: traced");
+        assert_eq!(
+            Fingerprint::of(trace.chrome_trace_json().as_bytes()),
+            g.chrome_json,
+            "{spec}: Chrome trace"
+        );
+        let csv: String = trace.heatmaps.iter().map(|h| h.to_csv()).collect();
+        assert_eq!(
+            Fingerprint::of(csv.as_bytes()),
+            g.heatmap_csv,
+            "{spec}: heatmap CSV"
+        );
+    }
+}
