@@ -7,9 +7,9 @@
 //! mesh that sidesteps the hierarchy's root-ring bottleneck. This
 //! crate assembles that network out of the two existing kernels —
 //! local rings reuse the NIC/IRI station machines of
-//! `ringmesh-ring`, the global mesh reuses the row-sharded e-cube
-//! kernel of `ringmesh-mesh` — glued by one *bridge* station
-//! per mesh router.
+//! `ringmesh-ring`, the global mesh steps the same e-cube router
+//! kernel as `ringmesh-mesh` — glued by one *bridge* station per mesh
+//! router.
 //!
 //! * [`HybridConfig`] — buffer/queue sizing (one uniform link width
 //!   on both tiers).

@@ -20,7 +20,7 @@ use ringmesh_engine::{StallError, Watchdog};
 use ringmesh_faults::{
     ConservationError, ConservationLedger, DropReason, FaultDomain, FaultInjector,
 };
-use ringmesh_mesh::kernel::{owner_coords, CommitOp, FaultCtx, MeshShard};
+use ringmesh_mesh::kernel::{owner_coords, CommitOp, FaultCtx, MeshRouters};
 use ringmesh_mesh::MeshTopology;
 use ringmesh_net::{
     Flit, Interconnect, LevelUtil, NodeId, Packet, PacketRef, PacketStore, QueueClass,
@@ -81,14 +81,12 @@ pub struct HybridNetwork {
     free: Vec<usize>,
     /// Per-cycle ring wire transfers (scratch).
     sends: Vec<RingSend>,
-    /// Mesh router state, one shard per mesh row.
-    shards: Vec<MeshShard>,
+    /// The global mesh's router state, stop/go registers included.
+    routers: MeshRouters,
     /// `(row, col)` of the router owning each destination PM: the mesh
     /// routes every PM to its ring's router by plain e-cube and ejects
     /// into the bridge there.
     owners: Vec<(u16, u16)>,
-    /// Registered mesh stop/go (`router*5 + port`).
-    go: Vec<bool>,
     cycle: u64,
     /// Flits moved per local ring (utilization accounting).
     ring_flits: Vec<u64>,
@@ -170,17 +168,7 @@ impl HybridNetwork {
                 cfg.convoy_threshold_flits(),
             ));
         }
-        let shards = (0..side as usize)
-            .map(|row| {
-                MeshShard::new(
-                    row * side as usize,
-                    side as usize,
-                    &topo,
-                    cfg.mesh_buffer_flits(),
-                    cfg.out_queue_packets,
-                )
-            })
-            .collect();
+        let routers = MeshRouters::new(&topo, cfg.mesh_buffer_flits(), cfg.out_queue_packets);
         let horizon = cfg.watchdog_horizon;
         Ok(HybridNetwork {
             side,
@@ -193,9 +181,8 @@ impl HybridNetwork {
             station_active: vec![true; g2 * spr],
             free: vec![buf_flits; g2 * spr],
             sends: Vec::new(),
-            shards,
+            routers,
             owners: owner_coords(&topo, local),
-            go: vec![true; g2 * 5],
             cycle: 0,
             ring_flits: vec![0; g2],
             mesh_flits: 0,
@@ -234,12 +221,6 @@ impl HybridNetwork {
     /// Global station id of ring `g`'s bridge.
     fn bridge_station(&self, g: usize) -> usize {
         g * self.stations_per_ring() + self.local as usize
-    }
-
-    /// `(shard index, local node index)` of a global mesh router id.
-    fn shard_slot(&self, g: usize) -> (usize, usize) {
-        let side = self.side as usize;
-        (g / side, g % side)
     }
 
     /// Whether a live route exists from `src` to `dst`. Intra-ring
@@ -363,7 +344,6 @@ impl HybridNetwork {
     fn pump_bridges(&mut self, now: u64) -> u64 {
         let mut pumped = 0u64;
         for g in 0..self.bridges.len() {
-            let (sh, slot) = self.shard_slot(g);
             // Continuation: at most one class can be mid-packet (the
             // pump never switches classes mid-worm), and only the pump
             // pops these queues, so a non-head front identifies it.
@@ -381,7 +361,7 @@ impl HybridNetwork {
                     .into_iter()
                     .find(|&class| {
                         self.bridges[g].up_queue(class).front_ready(now).is_some()
-                            && self.shards[sh].can_accept(slot, class)
+                            && self.routers.can_accept(g, class)
                     })
             });
             if let Some(class) = class {
@@ -390,7 +370,7 @@ impl HybridNetwork {
                     .pop_ready(now)
                     .expect("front was ready");
                 if flit.is_tail {
-                    self.shards[sh].enqueue(slot, class, flit.packet);
+                    self.routers.enqueue(g, class, flit.packet);
                 }
                 pumped += 1;
             }
@@ -429,8 +409,7 @@ impl Probe for HybridNetwork {
     /// Publishes occupancy gauges: flits in mesh input buffers and
     /// live packets.
     fn probe(&self, t: &mut Tracer) {
-        let inputs: usize = self.shards.iter().map(MeshShard::occupancy).sum();
-        t.gauge(Gauge::MeshInputOccupancy, inputs as f64);
+        t.gauge(Gauge::MeshInputOccupancy, self.routers.occupancy() as f64);
         t.gauge(Gauge::InFlightPackets, self.store.live() as f64);
     }
 }
@@ -518,84 +497,66 @@ impl Interconnect for HybridNetwork {
         self.ring_tick(now, delivered, &mut pulse);
         // Phase B — bridge pumps, ring→mesh.
         pulse.moved += self.pump_bridges(now);
-        // Phase C — mesh compute, shard by shard. Shards read only
-        // registered previous-cycle shared state; flits the pumps just
-        // queued were pushed at `now`, which FIFO freshness keeps
-        // invisible until the next cycle.
+        // Phase C — the mesh routers. They read only registered
+        // previous-cycle state; packets the pumps just queued wait at
+        // the PM boundary, and flits pushed at `now` stay invisible
+        // until the next cycle.
         let fc = FaultCtx {
             inj: None,
             corrupt: &[],
             now,
         };
-        for shard in &mut self.shards {
-            shard.compute(now, &self.topo, &self.go, &self.owners, &self.store, &fc);
-        }
-        // Phase D — mesh commit, in shard order: ejections
-        // land in the owning bridge's elastic mesh→ring queue (or are
-        // dropped at a dead bridge), then the link transfers.
-        let mut nsends = 0u64;
-        for si in 0..self.shards.len() {
-            let ops = std::mem::take(&mut self.shards[si].ops);
-            for &op in &ops {
-                match op {
-                    CommitOp::Deliver { node, packet } => {
-                        let g = node.index();
-                        let dead = self.faults.as_ref().is_some_and(|f| f.node_dead(g as u32));
-                        if dead {
-                            let slot = packet.slot();
-                            let pkt = self.store.remove(packet);
-                            self.ledger.complete(slot, true);
-                            self.dropped.push((pkt, DropReason::DeadInterface));
-                        } else {
-                            let (kind, flits) = {
-                                let p = self.store.get(packet);
-                                (p.kind, p.flits)
-                            };
-                            let class = QueueClass::of(kind);
-                            // The whole worm descends at once; pushes
-                            // at `now` stay invisible until the next
-                            // cycle, and `has_complete_packet` then
-                            // lets the bridge start a loss-free ring
-                            // entry under the credit rule.
-                            for seq in 0..flits {
-                                self.bridges[g].down_queue_mut(class).push(
-                                    Flit {
-                                        packet,
-                                        seq,
-                                        is_tail: seq + 1 == flits,
-                                    },
-                                    now,
-                                );
-                            }
-                            let st = self.bridge_station(g);
-                            self.station_active[st] = true;
-                        }
-                    }
-                    CommitOp::Drop { packet, reason } => {
+        self.routers
+            .step(now, &self.owners, &self.store, &fc, false);
+        pulse.moved += self.routers.moved;
+        pulse.blocked += self.routers.blocked;
+        self.mesh_flits += self.routers.link_flits;
+        // Phase D — mesh commit, in router order: ejections land in
+        // the owning bridge's elastic mesh→ring queue (or are dropped
+        // at a dead bridge).
+        for &op in &self.routers.ops {
+            match op {
+                CommitOp::Deliver { node, packet } => {
+                    let g = node.index();
+                    let dead = self.faults.as_ref().is_some_and(|f| f.node_dead(g as u32));
+                    if dead {
                         let slot = packet.slot();
                         let pkt = self.store.remove(packet);
                         self.ledger.complete(slot, true);
-                        self.dropped.push((pkt, reason));
+                        self.dropped.push((pkt, DropReason::DeadInterface));
+                    } else {
+                        let (kind, flits) = {
+                            let p = self.store.get(packet);
+                            (p.kind, p.flits)
+                        };
+                        let class = QueueClass::of(kind);
+                        // The whole worm descends at once; pushes at
+                        // `now` stay invisible until the next cycle,
+                        // and `has_complete_packet` then lets the
+                        // bridge start a loss-free ring entry under
+                        // the credit rule.
+                        for seq in 0..flits {
+                            self.bridges[g].down_queue_mut(class).push(
+                                Flit {
+                                    packet,
+                                    seq,
+                                    is_tail: seq + 1 == flits,
+                                },
+                                now,
+                            );
+                        }
+                        let st = self.bridge_station(g);
+                        self.station_active[st] = true;
                     }
                 }
+                CommitOp::Drop { packet, reason } => {
+                    let slot = packet.slot();
+                    let pkt = self.store.remove(packet);
+                    self.ledger.complete(slot, true);
+                    self.dropped.push((pkt, reason));
+                }
             }
-            self.shards[si].ops = ops;
-            pulse.moved += self.shards[si].moved;
-            pulse.blocked += self.shards[si].blocked;
-            let sends = std::mem::take(&mut self.shards[si].sends);
-            for &s in &sends {
-                self.shards[s.to_sh as usize].deliver_flit(
-                    s.to_l as usize,
-                    s.to_port as usize,
-                    s.flit,
-                    now,
-                );
-            }
-            nsends += sends.len() as u64;
-            self.shards[si].sends = sends;
         }
-        pulse.moved += nsends;
-        self.mesh_flits += nsends;
         if !self.dropped.is_empty() {
             if enabled {
                 self.tracer
@@ -611,14 +572,9 @@ impl Interconnect for HybridNetwork {
         if enabled {
             self.trace_cycle(now, &pulse, &delivered[mark..]);
         }
-        // Phase E — latch: mesh input buffers and the shared stop/go
-        // gather, then the ring buffers.
-        for shard in &mut self.shards {
-            shard.latch();
-            let b = shard.lo() * 5;
-            let out = shard.go_out();
-            self.go[b..b + out.len()].copy_from_slice(out);
-        }
+        // Phase E — latch: the touched mesh routers' input buffers,
+        // then the ring buffers.
+        self.routers.latch();
         let spr = self.stations_per_ring();
         let l = self.local as usize;
         for st in 0..self.free.len() {
@@ -745,19 +701,7 @@ impl Interconnect for HybridNetwork {
         for bridge in &self.bridges {
             bridge.save_state(w);
         }
-        let g2 = self.bridges.len();
-        w.usize(g2);
-        for g in 0..g2 {
-            let (sh, slot) = self.shard_slot(g);
-            self.shards[sh].save_node_state(slot, w);
-        }
-        w.usize(g2);
-        for shard in &self.shards {
-            for &a in shard.active() {
-                w.bool(a);
-            }
-        }
-        self.go.save(w);
+        self.routers.save_state(w);
         self.station_active.save(w);
         self.free.save(w);
         w.u64(self.cycle);
@@ -795,29 +739,7 @@ impl Interconnect for HybridNetwork {
         for bridge in &mut self.bridges {
             bridge.restore_state(r)?;
         }
-        let g2 = self.bridges.len();
-        let n_routers = r.usize()?;
-        if n_routers != g2 {
-            return Err(mismatch("router count", n_routers, g2));
-        }
-        for g in 0..g2 {
-            let (sh, slot) = self.shard_slot(g);
-            self.shards[sh].restore_node_state(slot, r)?;
-        }
-        let n_active = r.usize()?;
-        if n_active != g2 {
-            return Err(mismatch("router count", n_active, g2));
-        }
-        for shard in &mut self.shards {
-            for a in shard.active_mut() {
-                *a = r.bool()?;
-            }
-        }
-        let go: Vec<bool> = Snapshot::load(r)?;
-        if go.len() != self.go.len() {
-            return Err(mismatch("stop/go table size", go.len(), self.go.len()));
-        }
-        self.go = go;
+        self.routers.restore_state(r)?;
         let station_active: Vec<bool> = Snapshot::load(r)?;
         if station_active.len() != self.station_active.len() {
             return Err(mismatch(

@@ -34,7 +34,7 @@
 mod builder;
 mod config;
 mod network;
-mod shard;
+mod routers;
 pub mod topology;
 
 pub use builder::MeshBuilder;
@@ -42,11 +42,11 @@ pub use config::MeshConfig;
 pub use network::MeshNetwork;
 pub use topology::{Direction, MeshTopology};
 
-/// Router-level kernels, re-exported for the hybrid ring-mesh network
-/// (`ringmesh-hybrid`), whose global mesh steps the same row shards
-/// as [`MeshNetwork`]. Semver-exempt plumbing,
-/// not a stable API — everything here mirrors internal structure.
+/// The router kernel, re-exported for the hybrid ring-mesh network
+/// (`ringmesh-hybrid`), whose global mesh steps the same
+/// `MeshRouters` as [`MeshNetwork`]. Semver-exempt plumbing, not a
+/// stable API — everything here mirrors internal structure.
 #[doc(hidden)]
 pub mod kernel {
-    pub use crate::shard::{owner_coords, CommitOp, FaultCtx, MeshShard, Send, DROP, LOCAL};
+    pub use crate::routers::{owner_coords, CommitOp, FaultCtx, MeshRouters, Send};
 }

@@ -10,7 +10,7 @@ use ringmesh_net::{
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, Probe, TraceLoc, Tracer};
 
-use crate::shard::{owner_coords, CommitOp, FaultCtx, MeshShard, Send};
+use crate::routers::{owner_coords, CommitOp, FaultCtx, MeshRouters};
 use crate::topology::MeshTopology;
 use crate::MeshConfig;
 
@@ -46,20 +46,11 @@ pub struct MeshNetwork {
     topo: MeshTopology,
     cfg: MeshConfig,
     store: PacketStore,
-    /// Router state in structure-of-arrays layout, one shard per mesh
-    /// row (see [`MeshShard`]).
-    shards: Vec<MeshShard>,
+    /// All router state, stop/go registers included.
+    routers: MeshRouters,
     /// `(row, col)` of every destination node, read by the route stage
     /// (see [`owner_coords`]).
     owners: Vec<(u16, u16)>,
-    /// Registered stop/go per router input buffer (`node*5 + port`) —
-    /// the "current" half of the double-buffered cycle state, read by
-    /// every shard during compute; the "next" half is each shard's
-    /// `go_out`, gathered back here after the latch phase.
-    go: Vec<bool>,
-    /// This cycle's link transfers in shard order, kept only while a
-    /// tracer is enabled (it reads them in [`Self::trace_cycle`]).
-    sends: Vec<Send>,
     cycle: u64,
     link_flits: u64,
     reset_cycle: u64,
@@ -86,28 +77,14 @@ pub struct MeshNetwork {
 impl MeshNetwork {
     /// Builds the network for `topo` under `cfg`.
     pub fn new(topo: MeshTopology, cfg: MeshConfig) -> Self {
-        let n = topo.num_pms() as usize;
-        let side = topo.side() as usize;
-        let shards = (0..side)
-            .map(|row| {
-                MeshShard::new(
-                    row * side,
-                    side,
-                    &topo,
-                    cfg.buffer_flits(),
-                    cfg.out_queue_packets,
-                )
-            })
-            .collect();
+        let routers = MeshRouters::new(&topo, cfg.buffer_flits(), cfg.out_queue_packets);
         let horizon = cfg.watchdog_horizon;
         MeshNetwork {
             topo,
             cfg,
             store: PacketStore::new(),
-            shards,
+            routers,
             owners: owner_coords(&topo, 1),
-            go: vec![true; n * 5],
-            sends: Vec::new(),
             cycle: 0,
             link_flits: 0,
             reset_cycle: 0,
@@ -126,13 +103,6 @@ impl MeshNetwork {
         &self.topo
     }
 
-    /// `(shard index, local node index)` of a global node id. Shards
-    /// are one mesh row each, so this is a divmod by the side.
-    fn shard_slot(&self, node: usize) -> (usize, usize) {
-        let side = self.topo.side() as usize;
-        (node / side, node % side)
-    }
-
     /// The configuration the network was built with.
     pub fn config(&self) -> &MeshConfig {
         &self.cfg
@@ -142,12 +112,12 @@ impl MeshNetwork {
     /// bumps, Hop events for sampled head flits, delivery counts and
     /// Eject events, blocked-cycle counts, and the occupancy gauges.
     /// Only called while the tracer is enabled.
-    fn trace_cycle(&mut self, now: u64, blocked: u64, newly: &[(NodeId, Packet)]) {
+    fn trace_cycle(&mut self, now: u64, newly: &[(NodeId, Packet)]) {
         self.tracer
-            .count(Counter::FlitsForwarded, self.sends.len() as u64);
-        self.tracer.count(Counter::BlockedCycles, blocked);
-        for i in 0..self.sends.len() {
-            let s = self.sends[i];
+            .count(Counter::FlitsForwarded, self.routers.link_flits);
+        self.tracer
+            .count(Counter::BlockedCycles, self.routers.blocked);
+        for s in &self.routers.sends {
             let (row, col) = self.topo.coords(NodeId::new(s.to_node));
             if let Some(id) = self.link_heat {
                 self.tracer.heatmap(id, row as usize, col as usize, 1);
@@ -183,8 +153,7 @@ impl Probe for MeshNetwork {
     /// Publishes occupancy gauges: flits in router input buffers and
     /// live packets.
     fn probe(&self, t: &mut Tracer) {
-        let inputs: usize = self.shards.iter().map(MeshShard::occupancy).sum();
-        t.gauge(Gauge::MeshInputOccupancy, inputs as f64);
+        t.gauge(Gauge::MeshInputOccupancy, self.routers.occupancy() as f64);
         t.gauge(Gauge::InFlightPackets, self.store.live() as f64);
     }
 }
@@ -199,8 +168,7 @@ impl Interconnect for MeshNetwork {
     }
 
     fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool {
-        let (sh, l) = self.shard_slot(pm.index());
-        self.shards[sh].can_accept(l, class)
+        self.routers.can_accept(pm.index(), class)
     }
 
     fn inject(&mut self, pm: NodeId, packet: Packet) {
@@ -249,8 +217,7 @@ impl Interconnect for MeshNetwork {
             }
             self.corrupt[r.slot()] = bad;
         }
-        let (sh, l) = self.shard_slot(pm.index());
-        self.shards[sh].enqueue(l, class, r);
+        self.routers.enqueue(pm.index(), class, r);
     }
 
     fn step(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> Result<(), StallError> {
@@ -263,71 +230,35 @@ impl Interconnect for MeshNetwork {
         if let Some(f) = &mut self.faults {
             f.advance(now);
         }
-        let mut moved = 0u64;
-        let mut blocked = 0u64;
-        let mut nsends = 0u64;
-        self.sends.clear();
-        // Each shard's effects are applied right after its own compute,
-        // in ascending shard order (= ascending node order), so the
-        // delivered stream, the ledger and packet-store slot reuse are
-        // fixed by construction. A flit committed onto a link before a
-        // later shard's compute is pushed at cycle `now`, which FIFO
-        // freshness keeps invisible to that compute: every shard still
-        // sees only registered previous-cycle state (pinned against
-        // the former phased compute → commit → latch loop by
-        // `tests/golden_fingerprints.rs`).
-        for si in 0..self.shards.len() {
-            {
-                let fc = FaultCtx {
-                    inj: self.faults.as_ref(),
-                    corrupt: &self.corrupt,
-                    now,
-                };
-                self.shards[si].compute(now, &self.topo, &self.go, &self.owners, &self.store, &fc);
-            }
-            // Deliveries and drops first: this loop is the one writer
-            // of the packet store and the ledger.
-            let ops = std::mem::take(&mut self.shards[si].ops);
-            for &op in &ops {
-                match op {
-                    CommitOp::Deliver { node, packet } => {
-                        let slot = packet.slot();
-                        let pkt = self.store.remove(packet);
-                        self.ledger.complete(slot, false);
-                        delivered.push((node, pkt));
-                    }
-                    CommitOp::Drop { packet, reason } => {
-                        let slot = packet.slot();
-                        let pkt = self.store.remove(packet);
-                        self.ledger.complete(slot, true);
-                        self.dropped.push((pkt, reason));
-                    }
+        let fc = FaultCtx {
+            inj: self.faults.as_ref(),
+            corrupt: &self.corrupt,
+            now,
+        };
+        // The tracer reads this cycle's link transfers in
+        // `trace_cycle`; nobody else needs them listed.
+        self.routers
+            .step(now, &self.owners, &self.store, &fc, enabled);
+        // Deliveries and drops, in node order: this loop is the one
+        // writer of the packet store and the ledger, so the delivered
+        // stream and packet-store slot reuse are fixed by construction.
+        for &op in &self.routers.ops {
+            match op {
+                CommitOp::Deliver { node, packet } => {
+                    let slot = packet.slot();
+                    let pkt = self.store.remove(packet);
+                    self.ledger.complete(slot, false);
+                    delivered.push((node, pkt));
+                }
+                CommitOp::Drop { packet, reason } => {
+                    let slot = packet.slot();
+                    let pkt = self.store.remove(packet);
+                    self.ledger.complete(slot, true);
+                    self.dropped.push((pkt, reason));
                 }
             }
-            self.shards[si].ops = ops;
-            moved += self.shards[si].moved;
-            blocked += self.shards[si].blocked;
-            // Then the link transfers. Each input FIFO has exactly one
-            // upstream router, so at most one flit arrives per FIFO per
-            // cycle. Swapping the buffer out and back (no copy)
-            // satisfies the borrow checker.
-            let sends = std::mem::take(&mut self.shards[si].sends);
-            if enabled {
-                self.sends.extend_from_slice(&sends);
-            }
-            for &s in &sends {
-                self.shards[s.to_sh as usize].deliver_flit(
-                    s.to_l as usize,
-                    s.to_port as usize,
-                    s.flit,
-                    now,
-                );
-            }
-            nsends += sends.len() as u64;
-            self.shards[si].sends = sends;
         }
-        moved += nsends;
-        self.link_flits += nsends;
+        self.link_flits += self.routers.link_flits;
         if !self.dropped.is_empty() {
             if enabled {
                 self.tracer
@@ -341,24 +272,17 @@ impl Interconnect for MeshNetwork {
             self.dropped.clear();
         }
         if enabled {
-            self.trace_cycle(now, blocked, &delivered[mark..]);
+            self.trace_cycle(now, &delivered[mark..]);
         }
-        // Latch: register each input buffer and publish next-cycle
-        // stop/go into the shard's `go_out` half, then gather it into
-        // the shared buffer.
-        for shard in &mut self.shards {
-            shard.latch();
-            let b = shard.lo() * 5;
-            let out = shard.go_out();
-            self.go[b..b + out.len()].copy_from_slice(out);
-        }
+        self.routers.latch();
         #[cfg(debug_assertions)]
         {
             let (inj, del, drp) = self.ledger.counts();
             assert_eq!(inj, del + drp + self.store.live(), "conservation identity");
         }
         self.cycle += 1;
-        self.watchdog.observe(self.cycle, moved, self.store.live());
+        self.watchdog
+            .observe(self.cycle, self.routers.moved, self.store.live());
         self.watchdog.check(self.cycle)
     }
 
@@ -459,22 +383,7 @@ impl Interconnect for MeshNetwork {
             ));
         }
         self.store.save(w);
-        // Byte-compatible with the pre-SoA `Vec<Router>` layout: node
-        // count, then each node's state in ascending node order, then
-        // the activity flags as one length-prefixed vector.
-        let n = self.num_pms();
-        w.usize(n);
-        for node in 0..n {
-            let (sh, l) = self.shard_slot(node);
-            self.shards[sh].save_node_state(l, w);
-        }
-        w.usize(n);
-        for shard in &self.shards {
-            for &a in shard.active() {
-                w.bool(a);
-            }
-        }
-        self.go.save(w);
+        self.routers.save_state(w);
         w.u64(self.cycle);
         w.u64(self.link_flits);
         w.u64(self.reset_cycle);
@@ -490,40 +399,14 @@ impl Interconnect for MeshNetwork {
                 "restoring into a network with fault injection installed is not supported".into(),
             ));
         }
-        let mismatch = |what: &str, got: usize, want: usize| {
-            SnapError::Mismatch(format!("{what}: snapshot has {got}, network has {want}"))
-        };
         self.store = PacketStore::load(r)?;
-        let n = self.num_pms();
-        let n_routers = r.usize()?;
-        if n_routers != n {
-            return Err(mismatch("router count", n_routers, n));
-        }
-        for node in 0..n {
-            let (sh, l) = self.shard_slot(node);
-            self.shards[sh].restore_node_state(l, r)?;
-        }
-        let n_active = r.usize()?;
-        if n_active != n {
-            return Err(mismatch("router count", n_active, n));
-        }
-        for shard in &mut self.shards {
-            for a in shard.active_mut() {
-                *a = r.bool()?;
-            }
-        }
-        let go: Vec<bool> = Snapshot::load(r)?;
-        if go.len() != self.go.len() {
-            return Err(mismatch("stop/go table size", go.len(), self.go.len()));
-        }
-        self.go = go;
+        self.routers.restore_state(r)?;
         self.cycle = r.u64()?;
         self.link_flits = r.u64()?;
         self.reset_cycle = r.u64()?;
         self.watchdog.restore_state(r)?;
         self.ledger.restore_state(r)?;
         self.corrupt = Snapshot::load(r)?;
-        self.sends.clear();
         self.dropped.clear();
         Ok(())
     }
@@ -861,6 +744,102 @@ mod tests {
         assert_eq!(net.in_flight(), 0);
         net.verify_conservation().unwrap();
         assert_eq!(net.faults().unwrap().report().drops.corrupted, 1);
+    }
+}
+
+/// A checkpoint is outside input: a router field the step would index
+/// with must be refused at restore, not trusted until it panics.
+#[cfg(test)]
+mod corrupt_snapshot_tests {
+    use super::*;
+    use ringmesh_net::CacheLineSize;
+
+    /// Byte offsets into an idle mesh's snapshot: the empty packet
+    /// store is three words and the router count one; an empty input
+    /// FIFO is six words (capacity, length, latched length, tails,
+    /// last push, fresh); an unset route or connection is its one
+    /// `None` tag byte.
+    const ROUTES: usize = (3 + 1) * 8 + 5 * 6 * 8;
+    const CONNS: usize = ROUTES + 5;
+    const POINTERS: usize = CONNS + 5;
+
+    /// Restores an idle `mesh:3` snapshot whose `cut` bytes at `at`
+    /// were replaced by `with`, and steps the result if it is taken.
+    fn restore_spliced(at: usize, cut: usize, with: &[u8]) -> Result<(), SnapError> {
+        let cfg = MeshConfig::new(CacheLineSize::B32);
+        let mut w = SnapWriter::new();
+        MeshNetwork::new(MeshTopology::new(3), cfg.clone())
+            .save_state(&mut w)
+            .unwrap();
+        let mut bytes = w.into_bytes();
+        bytes.splice(at..at + cut, with.iter().copied());
+        let mut net = MeshNetwork::new(MeshTopology::new(3), cfg);
+        net.restore_state(&mut SnapReader::new(&bytes))?;
+        net.step(&mut Vec::new()).unwrap();
+        Ok(())
+    }
+
+    fn some(payload: &[u64]) -> Vec<u8> {
+        let mut bytes = vec![1];
+        for word in payload {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes
+    }
+
+    /// `Some((packet 0, port))` at router 0's north input.
+    fn route(port: u64) -> Vec<u8> {
+        let mut bytes = vec![1, 0, 0, 0, 0];
+        bytes.extend_from_slice(&port.to_le_bytes());
+        bytes
+    }
+
+    fn assert_corrupt(result: Result<(), SnapError>, what: &str) {
+        match result {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unspliced_snapshot_restores() {
+        restore_spliced(ROUTES, 0, &[]).unwrap();
+        // Router 0 is the north-west corner: east is a real link.
+        restore_spliced(ROUTES, 1, &route(1)).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_route_port_is_corrupt() {
+        // 261 must not narrow to 5, the drop port.
+        for port in [6, 7, 261, u64::MAX] {
+            assert_corrupt(restore_spliced(ROUTES, 1, &route(port)), "route port");
+        }
+        // In range, but router 0 has no north or west link.
+        for port in [0, 3] {
+            assert_corrupt(restore_spliced(ROUTES, 1, &route(port)), "off the mesh");
+        }
+    }
+
+    #[test]
+    fn out_of_range_connection_is_corrupt() {
+        for input in [5, 7, 255, 261] {
+            assert_corrupt(
+                restore_spliced(CONNS, 1, &some(&[input])),
+                "connected input",
+            );
+        }
+        // In range, but input 2 holds no route to output 0.
+        assert_corrupt(restore_spliced(CONNS, 1, &some(&[2])), "holds no route");
+    }
+
+    #[test]
+    fn out_of_range_round_robin_pointer_is_corrupt() {
+        for pointer in [5u64, 7, 261, u64::MAX] {
+            assert_corrupt(
+                restore_spliced(POINTERS, 8, &pointer.to_le_bytes()),
+                "round-robin pointer",
+            );
+        }
     }
 }
 

@@ -1,0 +1,777 @@
+//! The mesh router kernel: every router of one mesh in flat arrays,
+//! stepped serially in node order.
+//!
+//! # Layout
+//!
+//! Router `l` sits at `(l / side, l % side)`; its ports are N, E, S, W
+//! = 0..4 (per [`Direction::port`]) and [`LOCAL`] = 4. Per router:
+//!
+//! * five input FIFOs in one [`FifoBank`] shared by the whole mesh
+//!   (FIFO `l·5 + port`: 16 bytes of bookkeeping and `capacity` 12-byte
+//!   flit slots each, adjacent in memory);
+//! * one 16-byte [`Crossbar`]: the output port held by the packet at
+//!   each input, the input connected to each output, and the
+//!   round-robin pointer of each output, a byte apiece;
+//! * the [`PacketRef`] behind each held route (40 bytes, written at a
+//!   head flit, read by snapshots), the two PM-side packet queues,
+//!   the injection [`DrainState`], the ejection [`Assembler`], an
+//!   `active` flag and five registered stop/go flags.
+//!
+//! Links are arithmetic, not tables: port `o` of router `l` leads to
+//! `l − side`, `l + 1`, `l + side` or `l − 1`, arrives there at input
+//! `(o + 2) & 3`, and is directed link `l·4 + o` to the fault injector.
+//!
+//! # One cycle
+//!
+//! The mesh is clocked with *registered* (previous-cycle) stop/go flow
+//! control, and a flit pushed into a FIFO at cycle `now` cannot be
+//! seen there before `now + 1`. [`MeshRouters::step`] therefore moves
+//! a granted flit straight into the neighbour's input FIFO, whatever
+//! the neighbour's place in the walk: every FIFO has exactly one
+//! upstream router, the sender gated on the stop/go latched last
+//! cycle, and the receiver cannot observe the arrival this cycle.
+//! Deliveries and drops are *not* applied in place: they are recorded
+//! as [`CommitOp`]s in node order and applied by the owning network,
+//! which stays the one writer of the packet store and the ledger (and
+//! where the hybrid gives [`CommitOp::Deliver`] its bridge meaning).
+//! [`MeshRouters::latch`] then registers the input FIFOs of every
+//! router that was stepped or received a flit and publishes their
+//! next-cycle stop/go; nobody else's occupancy changed.
+
+use ringmesh_faults::{DropReason, FaultInjector};
+use ringmesh_net::{
+    Assembler, DrainState, FifoBank, Flit, NodeId, PacketQueue, PacketRef, PacketStore, QueueClass,
+};
+use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+
+use crate::topology::{Direction, MeshTopology};
+
+/// Port index of the local PM; ports 0..4 are N/E/S/W per
+/// [`Direction::port`].
+const LOCAL: usize = 4;
+
+/// Sentinel "port" for packets with no usable route (every required
+/// direction leads to a dead router): the input sinks their flits and
+/// the packet is accounted as dropped.
+const DROP: usize = 5;
+
+/// "None" in a [`Crossbar`]'s byte-sized route and connection fields.
+const NONE: u8 = 0xFF;
+
+/// Per-cycle fault view handed to the step. With no injector installed
+/// every query answers "healthy" and routing is byte-for-byte the
+/// plain e-cube path.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultCtx<'a> {
+    /// The installed injector, if any.
+    pub inj: Option<&'a FaultInjector>,
+    /// Corruption marks by packet-store slot.
+    pub corrupt: &'a [bool],
+    /// The current network cycle.
+    pub now: u64,
+}
+
+impl FaultCtx<'_> {
+    fn router_dead(&self, router: usize) -> bool {
+        self.inj.is_some_and(|f| f.node_dead(router as u32))
+    }
+
+    /// Whether the directed link out of `router` through mesh port
+    /// `port` (fault id `router·4 + port`) is up.
+    fn link_up(&self, router: usize, port: usize) -> bool {
+        match self.inj {
+            None => true,
+            Some(f) => f.link_up((router * 4 + port) as u32, self.now),
+        }
+    }
+
+    fn is_corrupt(&self, slot: usize) -> bool {
+        self.corrupt.get(slot).copied().unwrap_or(false)
+    }
+}
+
+/// A flit transfer onto an inter-router link, recorded for the tracer
+/// (the transfer itself has already happened).
+#[derive(Debug, Clone, Copy)]
+pub struct Send {
+    /// The receiving router.
+    pub to_node: u32,
+    /// The flit on the wire.
+    pub flit: Flit,
+}
+
+/// A deferred shared-state effect: recorded during the step, applied
+/// by the owning network in node order, which fixes the order of
+/// `PacketStore` removals and so the store's slot freelist (and every
+/// later `PacketRef`).
+#[derive(Debug, Clone, Copy)]
+pub enum CommitOp {
+    /// The assembler at `node` completed `packet` intact.
+    Deliver {
+        /// The delivering node.
+        node: NodeId,
+        /// The completed packet.
+        packet: PacketRef,
+    },
+    /// `packet` fully arrived but is dropped (corrupt at ejection, or
+    /// sunk by the drop port).
+    Drop {
+        /// The dropped packet.
+        packet: PacketRef,
+        /// Why it was dropped.
+        reason: DropReason,
+    },
+}
+
+/// `(row, col)` of the router owning each destination id, when every
+/// router of `topo` owns `per_router` consecutive ids in router order:
+/// one for the plain mesh (destinations are the routers), the local
+/// ring size for the hybrid host (destinations are PMs). The table is
+/// linear in the destination count and spares the route stage a
+/// division by the run-time mesh side per head flit.
+pub fn owner_coords(topo: &MeshTopology, per_router: u32) -> Vec<(u16, u16)> {
+    let narrow = |x: u32| u16::try_from(x).expect("MeshTopology caps the side far below u16::MAX");
+    (0..topo.num_pms())
+        .flat_map(|router| {
+            let (row, col) = topo.coords(NodeId::new(router));
+            (0..per_router).map(move |_| (narrow(row), narrow(col)))
+        })
+        .collect()
+}
+
+/// A router's switching state, one byte per field and port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(align(16))]
+struct Crossbar {
+    /// Output port (or [`DROP`]) assigned to the packet at the front
+    /// of each input, held from head to tail; [`NONE`] between packets.
+    route: [u8; 5],
+    /// Input currently connected to each output, or [`NONE`].
+    conn: [u8; 5],
+    /// Round-robin arbitration pointer per output.
+    rr: [u8; 5],
+}
+
+impl Crossbar {
+    const IDLE: Crossbar = Crossbar {
+        route: [NONE; 5],
+        conn: [NONE; 5],
+        rr: [0; 5],
+    };
+}
+
+/// Round-robin arbitration for one free output: among the inputs whose
+/// bit is set in the five-bit `requests`, the first at or after
+/// `pointer` in cyclic order, with the pointer that puts it last next
+/// time; `None` when nobody asks.
+fn arbitrate(requests: u32, pointer: u8) -> Option<(u8, u8)> {
+    if requests == 0 {
+        return None;
+    }
+    let p = u32::from(pointer);
+    let rotated = (requests >> p | requests << (5 - p)) & 0x1F;
+    let mut winner = p + rotated.trailing_zeros();
+    if winner >= 5 {
+        winner -= 5;
+    }
+    let next = if winner == 4 { 0 } else { winner + 1 };
+    Some((winner as u8, next as u8))
+}
+
+/// Whether mesh port `o` of the router at `(row, col)` has a link: the
+/// mesh has no end-around connections.
+fn has_link(side: usize, (row, col): (usize, usize), o: usize) -> bool {
+    match o {
+        0 => row > 0,
+        1 => col + 1 < side,
+        2 => row + 1 < side,
+        _ => col > 0,
+    }
+}
+
+/// The router a flit leaving router `l` at `at` through mesh port `o`
+/// arrives at.
+///
+/// # Panics
+///
+/// Panics if the port leads off the mesh edge: e-cube never routes
+/// there, and east/west would otherwise alias into the next row.
+fn neighbor(l: usize, side: usize, at: (usize, usize), o: usize) -> usize {
+    assert!(
+        has_link(side, at, o),
+        "e-cube never routes off the mesh edge"
+    );
+    match o {
+        0 => l - side,
+        1 => l + 1,
+        2 => l + side,
+        _ => l - 1,
+    }
+}
+
+/// All router state of one `side × side` mesh (see the module docs for
+/// the layout), stepped by `MeshNetwork` and by the hybrid network's
+/// global tier.
+#[derive(Debug)]
+pub struct MeshRouters {
+    side: usize,
+    /// Input FIFO `router·5 + port`.
+    fifos: FifoBank,
+    xbar: Vec<Crossbar>,
+    /// The packet behind each set `Crossbar::route`; stale where the
+    /// route is [`NONE`].
+    held: Vec<[Option<PacketRef>; 5]>,
+    out_req: Vec<PacketQueue>,
+    out_resp: Vec<PacketQueue>,
+    drain: Vec<DrainState>,
+    assembler: Vec<Assembler>,
+    /// Worklist: false only while the router is provably quiescent,
+    /// letting the step skip idle routers under light load.
+    active: Vec<bool>,
+    /// Registered stop/go per input FIFO: read by upstream routers
+    /// during the step, written only by [`latch`](Self::latch).
+    go: Vec<bool>,
+    /// Routers whose FIFOs may have changed this cycle (stepped, or
+    /// received a flit); repeats are harmless.
+    touched: Vec<u32>,
+    /// Step output: this cycle's link transfers in sender order, kept
+    /// only when the step is asked to record them.
+    pub sends: Vec<Send>,
+    /// Step output: deliveries/drops, in node order.
+    pub ops: Vec<CommitOp>,
+    /// Step output: flit movements (watchdog food), link transfers
+    /// included.
+    pub moved: u64,
+    /// Step output: flits that crossed an inter-router link.
+    pub link_flits: u64,
+    /// Step output: transfer opportunities blocked on downstream stop
+    /// (tracing).
+    pub blocked: u64,
+}
+
+impl MeshRouters {
+    /// Builds the idle routers of `topo` with `buffer_flits`-deep input
+    /// FIFOs and `out_queue_packets`-deep PM queues per class.
+    pub fn new(topo: &MeshTopology, buffer_flits: usize, out_queue_packets: usize) -> Self {
+        let n = topo.num_pms() as usize;
+        let queues = || {
+            (0..n)
+                .map(|_| PacketQueue::new(out_queue_packets))
+                .collect()
+        };
+        MeshRouters {
+            side: topo.side() as usize,
+            fifos: FifoBank::new(n * 5, buffer_flits),
+            xbar: vec![Crossbar::IDLE; n],
+            held: vec![[None; 5]; n],
+            out_req: queues(),
+            out_resp: queues(),
+            drain: vec![DrainState::idle(); n],
+            assembler: vec![Assembler::new(); n],
+            active: vec![true; n],
+            go: vec![true; n * 5],
+            touched: Vec::new(),
+            sends: Vec::new(),
+            ops: Vec::new(),
+            moved: 0,
+            link_flits: 0,
+            blocked: 0,
+        }
+    }
+
+    /// Total flits across all input buffers (occupancy gauge probe).
+    pub fn occupancy(&self) -> usize {
+        (0..self.fifos.fifos()).map(|i| self.fifos.len(i)).sum()
+    }
+
+    /// Whether router `l`'s PM-side output queue of `class` has room.
+    pub fn can_accept(&self, l: usize, class: QueueClass) -> bool {
+        match class {
+            QueueClass::Request => self.out_req[l].can_accept(),
+            QueueClass::Response => self.out_resp[l].can_accept(),
+        }
+    }
+
+    /// Enqueues an outgoing packet at router `l`'s PM boundary.
+    pub fn enqueue(&mut self, l: usize, class: QueueClass, r: PacketRef) {
+        match class {
+            QueueClass::Request => self.out_req[l].push(r),
+            QueueClass::Response => self.out_resp[l].push(r),
+        }
+        self.active[l] = true;
+    }
+
+    /// The routing decision at router `l`, sitting at `(row, col)`
+    /// `at`, for a packet whose destination is owned by the router at
+    /// `to`.
+    ///
+    /// Fault-free this is plain e-cube: two coordinate compares.
+    /// With faults installed the dimension order degrades gracefully:
+    /// prefer the X direction, fall back to the Y direction (a YX
+    /// variant) when the X-side link or neighbour is unusable, and
+    /// only when every required direction leads to a *dead* router
+    /// give up with [`DROP`]. A direction whose neighbour is alive but
+    /// whose link is merely down transiently is kept as a last resort
+    /// — the packet stalls until the link returns rather than being
+    /// dropped.
+    fn route(
+        l: usize,
+        side: usize,
+        at: (usize, usize),
+        to: (usize, usize),
+        fc: &FaultCtx,
+    ) -> usize {
+        let ((cr, cc), (dr, dc)) = (at, to);
+        if fc.inj.is_none() {
+            let coords = |(r, c): (usize, usize)| (r as u32, c as u32);
+            return Direction::ecube(coords(at), coords(to)).map_or(LOCAL, Direction::port);
+        }
+        if cr == dr && cc == dc {
+            return LOCAL;
+        }
+        let x = if cc < dc {
+            Some(Direction::East)
+        } else if cc > dc {
+            Some(Direction::West)
+        } else {
+            None
+        };
+        let y = if cr < dr {
+            Some(Direction::South)
+        } else if cr > dr {
+            Some(Direction::North)
+        } else {
+            None
+        };
+        // A candidate points toward the destination, so it stays
+        // on-mesh.
+        let mut candidates = [x, y].into_iter().flatten().map(Direction::port);
+        let alive = |o: usize| !fc.router_dead(neighbor(l, side, at, o));
+        if let Some(o) = candidates.clone().find(|&o| alive(o) && fc.link_up(l, o)) {
+            return o;
+        }
+        // No fully healthy direction: wait on a transiently-down link
+        // toward a live neighbour if one exists.
+        candidates.find(|&o| alive(o)).unwrap_or(DROP)
+    }
+
+    /// Steps every active router once, in node order. Flits granted a
+    /// link move into the neighbour's FIFO at once (invisible there
+    /// until `now + 1`); deliveries and drops are recorded in `ops`
+    /// for the caller to apply, link transfers in `sends` when
+    /// `record_sends` is set; `moved`, `link_flits` and `blocked` are
+    /// this cycle's counts. `owners` maps every destination id to its
+    /// owning router's coordinates (see [`owner_coords`]); `store` is
+    /// only read.
+    pub fn step(
+        &mut self,
+        now: u64,
+        owners: &[(u16, u16)],
+        store: &PacketStore,
+        fc: &FaultCtx,
+        record_sends: bool,
+    ) {
+        self.sends.clear();
+        self.ops.clear();
+        self.touched.clear();
+        let side = self.side;
+        let fifos = &mut self.fifos;
+        let (mut moved, mut link_flits, mut blocked) = (0u64, 0u64, 0u64);
+        for row in 0..side {
+            for col in 0..side {
+                let l = row * side + col;
+                // Skip provably-idle routers; a skipped step is a no-op
+                // by construction (see the quiescence check below), so
+                // the cycle stream is identical to stepping everything.
+                // So is the step of a router that a lower-numbered
+                // neighbour woke this cycle: the flit is not visible yet.
+                if !self.active[l] {
+                    continue;
+                }
+                self.touched.push(l as u32);
+                let base = l * 5;
+                let x = &mut self.xbar[l];
+                let drain = &mut self.drain[l];
+
+                // 1. PM injection: serialize queued packets (responses
+                //    first) into the local input buffer at one flit per
+                //    cycle.
+                if !drain.is_active() {
+                    let next = if !self.out_resp[l].is_empty() {
+                        self.out_resp[l].pop()
+                    } else {
+                        self.out_req[l].pop()
+                    };
+                    if let Some(r) = next {
+                        drain.begin(r, store.get(r).flits);
+                    }
+                }
+                if drain.is_active() && fifos.space_latched(base + LOCAL) {
+                    fifos.push(base + LOCAL, drain.emit(), now);
+                    moved += 1;
+                }
+
+                // 2. Route computation for new head flits, and the
+                //    request mask of every output: bit `i` of
+                //    `requests[o]` is input `i` holding a route to `o`.
+                //    An input with a route has that packet at its front
+                //    until the tail pops (which clears the route), so
+                //    only unrouted inputs look at their FIFO.
+                let mut requests = [0u32; DROP + 1];
+                let mut routed = false;
+                for i in 0..5 {
+                    let mut port = x.route[i];
+                    if port == NONE {
+                        let Some(flit) = fifos.front_ready(base + i, now) else {
+                            continue;
+                        };
+                        debug_assert!(flit.is_head(), "mid-packet flit without a route");
+                        let (dr, dc) = owners[store.get(flit.packet).dst.index()];
+                        let to = (usize::from(dr), usize::from(dc));
+                        port = Self::route(l, side, (row, col), to, fc) as u8;
+                        x.route[i] = port;
+                        self.held[l][i] = Some(flit.packet);
+                    } else {
+                        debug_assert!(
+                            fifos
+                                .front_ready(base + i, now)
+                                .is_none_or(|flit| Some(flit.packet) == self.held[l][i]),
+                            "a held route outlived its packet"
+                        );
+                    }
+                    requests[usize::from(port)] |= 1 << i;
+                    routed = true;
+                }
+
+                // Stages 3-5 only ever act on an input holding a routed
+                // packet (`conn` can outlive a head only until its tail,
+                // which also clears the route), so a router with no
+                // routes left skips straight to the quiescence check.
+                if routed {
+                    // 3. Round-robin arbitration for free outputs.
+                    for (o, &asking) in requests[..5].iter().enumerate() {
+                        if x.conn[o] == NONE {
+                            if let Some((input, pointer)) = arbitrate(asking, x.rr[o]) {
+                                x.conn[o] = input;
+                                x.rr[o] = pointer;
+                            }
+                        }
+                    }
+
+                    // 4. Transfers: one flit per connected output, gated
+                    //    by the downstream buffer's registered stop/go;
+                    //    the local output ejects into the always-ready PM.
+                    for o in 0..5 {
+                        if x.conn[o] == NONE {
+                            continue;
+                        }
+                        let i = usize::from(x.conn[o]);
+                        if o == LOCAL {
+                            if let Some(flit) = fifos.pop_ready(base + i, now) {
+                                moved += 1;
+                                if flit.is_tail {
+                                    x.conn[o] = NONE;
+                                    x.route[i] = NONE;
+                                }
+                                if let Some(done) = self.assembler[l].push(flit) {
+                                    self.ops.push(if fc.is_corrupt(done.slot()) {
+                                        CommitOp::Drop {
+                                            packet: done,
+                                            reason: DropReason::Corrupted,
+                                        }
+                                    } else {
+                                        CommitOp::Deliver {
+                                            node: NodeId::new(l as u32),
+                                            packet: done,
+                                        }
+                                    });
+                                }
+                            }
+                            continue;
+                        }
+                        let to = neighbor(l, side, (row, col), o);
+                        let to_fifo = to * 5 + ((o + 2) & 3);
+                        if self.go[to_fifo] && fc.link_up(l, o) {
+                            if let Some(flit) = fifos.pop_ready(base + i, now) {
+                                if flit.is_tail {
+                                    x.conn[o] = NONE;
+                                    x.route[i] = NONE;
+                                }
+                                fifos.push(to_fifo, flit, now);
+                                link_flits += 1;
+                                if !self.active[to] {
+                                    self.active[to] = true;
+                                    // A later router is stepped, hence
+                                    // listed, further down this walk.
+                                    if to < l {
+                                        self.touched.push(to as u32);
+                                    }
+                                }
+                                if record_sends {
+                                    self.sends.push(Send {
+                                        to_node: to as u32,
+                                        flit,
+                                    });
+                                }
+                            }
+                        } else if fifos.front_ready(base + i, now).is_some() {
+                            blocked += 1;
+                        }
+                    }
+
+                    // 5. Sink packets routed to the drop port: no usable
+                    //    direction remained, so their flits are consumed
+                    //    in place and the packet is accounted as an
+                    //    explicit drop at the tail.
+                    let mut sinking = requests[DROP];
+                    while sinking != 0 {
+                        let i = sinking.trailing_zeros() as usize;
+                        sinking &= sinking - 1;
+                        if let Some(flit) = fifos.pop_ready(base + i, now) {
+                            moved += 1;
+                            if flit.is_tail {
+                                x.route[i] = NONE;
+                                self.ops.push(CommitOp::Drop {
+                                    packet: flit.packet,
+                                    reason: DropReason::DeadInterface,
+                                });
+                            }
+                        }
+                    }
+                }
+
+                // Deactivate when a further step is provably a no-op: no
+                // buffered flits, no packet mid-serialization, nothing
+                // queued at the PM boundary, and no arbitration state
+                // that could still drive a transfer. Routes and
+                // connections must be clear, not just the inputs —
+                // arbitration connects outputs from routes without
+                // consulting buffer occupancy, so leftover routes would
+                // change arbitration timing.
+                if !drain.is_active()
+                    && self.out_req[l].is_empty()
+                    && self.out_resp[l].is_empty()
+                    && x.route == [NONE; 5]
+                    && x.conn == [NONE; 5]
+                    && (base..base + 5).all(|i| fifos.is_empty(i))
+                {
+                    self.active[l] = false;
+                }
+            }
+        }
+        self.moved = moved + link_flits;
+        self.link_flits = link_flits;
+        self.blocked = blocked;
+    }
+
+    /// Registers the input FIFOs of every router the last
+    /// [`step`](Self::step) touched and publishes their next-cycle
+    /// stop/go. Untouched routers' occupancy is what it was at their
+    /// last latch, so their registers already hold it.
+    pub fn latch(&mut self) {
+        for &l in &self.touched {
+            let base = l as usize * 5;
+            for i in base..base + 5 {
+                self.go[i] = self.fifos.latch(i);
+            }
+        }
+    }
+
+    /// Checks router `l`'s freshly restored [`Crossbar`]: a snapshot is
+    /// outside input, and the step indexes with these bytes.
+    fn validate_crossbar(&self, l: usize) -> Result<(), SnapError> {
+        let x = &self.xbar[l];
+        let at = (l / self.side, l % self.side);
+        for (i, &port) in x.route.iter().enumerate() {
+            let o = usize::from(port);
+            if o < LOCAL && !has_link(self.side, at, o) {
+                return Err(SnapError::Corrupt(format!(
+                    "router {l} input {i}: route port {o} leads off the mesh"
+                )));
+            }
+        }
+        for (o, &input) in x.conn.iter().enumerate() {
+            if input != NONE && usize::from(x.route[usize::from(input)]) != o {
+                return Err(SnapError::Corrupt(format!(
+                    "router {l} output {o}: connected to input {input}, which holds no route to it"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Reads a port-sized field: a `usize` below `limit`, narrowed.
+fn small(r: &mut SnapReader<'_>, limit: usize, what: &str) -> Result<u8, SnapError> {
+    let v = r.usize()?;
+    if v < limit {
+        Ok(v as u8)
+    } else {
+        Err(SnapError::Corrupt(format!("mesh router {what} {v}")))
+    }
+}
+
+/// Byte-compatible with the original one-struct-per-router layout:
+/// router count; per router 5 FIFOs, 5 `Option<(PacketRef, usize)>`
+/// routes, 5 `Option<usize>` connections, 5 `usize` round-robin
+/// pointers, the two PM queues, drain, assembler; then the activity
+/// flags and the stop/go table as length-prefixed vectors.
+impl SnapshotState for MeshRouters {
+    fn save_state(&self, w: &mut SnapWriter) {
+        let n = self.xbar.len();
+        w.usize(n);
+        for l in 0..n {
+            let x = &self.xbar[l];
+            for i in l * 5..l * 5 + 5 {
+                self.fifos.save_fifo(i, w);
+            }
+            for i in 0..5 {
+                let route = (x.route[i] != NONE).then(|| {
+                    let packet = self.held[l][i].expect("a set route has its packet");
+                    (packet, usize::from(x.route[i]))
+                });
+                route.save(w);
+            }
+            for o in 0..5 {
+                (x.conn[o] != NONE)
+                    .then_some(usize::from(x.conn[o]))
+                    .save(w);
+            }
+            for o in 0..5 {
+                w.usize(usize::from(x.rr[o]));
+            }
+            self.out_req[l].save_state(w);
+            self.out_resp[l].save_state(w);
+            self.drain[l].save(w);
+            self.assembler[l].save(w);
+        }
+        self.active.save(w);
+        self.go.save(w);
+    }
+
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = self.xbar.len();
+        let sized = |what: &str, got: usize, want: usize| {
+            if got == want {
+                Ok(())
+            } else {
+                Err(SnapError::Mismatch(format!(
+                    "{what}: snapshot has {got}, network has {want}"
+                )))
+            }
+        };
+        sized("router count", r.usize()?, n)?;
+        for l in 0..n {
+            for i in l * 5..l * 5 + 5 {
+                self.fifos.restore_fifo(i, r)?;
+            }
+            let x = &mut self.xbar[l];
+            for i in 0..5 {
+                x.route[i] = NONE;
+                if r.bool()? {
+                    self.held[l][i] = Some(PacketRef::load(r)?);
+                    x.route[i] = small(r, DROP + 1, "route port")?;
+                }
+            }
+            for o in 0..5 {
+                x.conn[o] = if r.bool()? {
+                    small(r, 5, "connected input")?
+                } else {
+                    NONE
+                };
+            }
+            for o in 0..5 {
+                x.rr[o] = small(r, 5, "round-robin pointer")?;
+            }
+            self.validate_crossbar(l)?;
+            self.out_req[l].restore_state(r)?;
+            self.out_resp[l].restore_state(r)?;
+            self.drain[l] = DrainState::load(r)?;
+            self.assembler[l] = Assembler::load(r)?;
+        }
+        let active: Vec<bool> = Snapshot::load(r)?;
+        sized("router count", active.len(), n)?;
+        self.active = active;
+        let go: Vec<bool> = Snapshot::load(r)?;
+        sized("stop/go table size", go.len(), n * 5)?;
+        self.go = go;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const HEALTHY: FaultCtx<'static> = FaultCtx {
+        inj: None,
+        corrupt: &[],
+        now: 0,
+    };
+
+    /// The route stage takes its own coordinates from the walk and the
+    /// destination's from the owner table; for every pair that must be
+    /// the decision `MeshTopology::ecube` derives from the two node
+    /// ids.
+    #[test]
+    fn route_equals_topology_ecube_for_all_pairs() {
+        for side in 1..=8u32 {
+            let topo = MeshTopology::new(side);
+            let owners = owner_coords(&topo, 1);
+            let side = side as usize;
+            for l in 0..side * side {
+                let node = NodeId::new(l as u32);
+                for dst in (0..(side * side) as u32).map(NodeId::new) {
+                    let (dr, dc) = owners[dst.index()];
+                    let to = (usize::from(dr), usize::from(dc));
+                    let port = MeshRouters::route(l, side, (l / side, l % side), to, &HEALTHY);
+                    let want = topo.ecube(node, dst).map_or(LOCAL, Direction::port);
+                    assert_eq!(port, want, "side {side}: {node} -> {dst}");
+                }
+            }
+        }
+    }
+
+    /// The link arithmetic against the topology's own neighbour
+    /// function, edges included.
+    #[test]
+    fn neighbor_equals_topology_neighbor() {
+        for side in 1..=6u32 {
+            let topo = MeshTopology::new(side);
+            for l in 0..side * side {
+                let at = topo.coords(NodeId::new(l));
+                let at = (at.0 as usize, at.1 as usize);
+                for dir in Direction::ALL {
+                    let got = has_link(side as usize, at, dir.port())
+                        .then(|| neighbor(l as usize, side as usize, at, dir.port()));
+                    let want = topo.neighbor(NodeId::new(l), dir).map(NodeId::index);
+                    assert_eq!(got, want, "side {side}: {l} {dir}");
+                }
+            }
+        }
+    }
+
+    /// The request-mask pick against the probe loop it replaced, for
+    /// all 32 request masks and 5 pointers.
+    #[test]
+    fn arbitration_equals_the_probe_loop() {
+        for requests in 0..32u32 {
+            for pointer in 0..5u8 {
+                let want = (0..5)
+                    .map(|k| (pointer + k) % 5)
+                    .find(|&i| requests & (1 << i) != 0)
+                    .map(|i| (i, (i + 1) % 5));
+                assert_eq!(
+                    arbitrate(requests, pointer),
+                    want,
+                    "mask {requests:#07b} pointer {pointer}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_crossbar_is_one_sixteen_byte_block() {
+        assert_eq!(size_of::<Crossbar>(), 16);
+    }
+}

@@ -9,6 +9,8 @@
 //!   and a flit can leave a buffer only on a cycle after the one it
 //!   arrived in (realizing the paper's one-cycle routing delay per
 //!   network node).
+//! * [`FifoBank`] — many [`FlitFifo`]s of one capacity in a single
+//!   allocation, addressed by number: a mesh's router input buffers.
 //! * [`PacketQueue`] — a bounded queue of whole packets (the NIC's
 //!   input/output request and response buffers, which hold exactly one
 //!   cache-line packet each in the paper).
@@ -189,6 +191,235 @@ impl FlitFifo {
     /// Iterates over buffered flits, head first (diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = &Flit> {
         self.q.iter()
+    }
+}
+
+/// Bookkeeping of one FIFO of a [`FifoBank`].
+#[derive(Debug, Clone, Copy, Default)]
+struct BankFifo {
+    /// As [`FlitFifo`]'s `last_push` / `fresh`, kept as that pair (not
+    /// as a ready count) because a snapshot carries both.
+    last_push: u64,
+    fresh: u16,
+    /// Slot of the front flit within this FIFO's stride.
+    head: u16,
+    len: u16,
+    latched: u16,
+}
+
+/// `n` flit FIFOs of one fixed capacity in a single allocation.
+///
+/// FIFO `i` has [`FlitFifo`]'s contract, method for method — registered
+/// stop/go ([`space_latched`](Self::space_latched) reads the occupancy
+/// at the last [`latch`](Self::latch)), and a flit pushed at cycle
+/// `now` cannot leave before `now + 1` — and its snapshot
+/// ([`save_fifo`](Self::save_fifo)) is byte for byte what
+/// [`FlitFifo::save_state`] writes. What differs is the storage: flit
+/// slots sit in one `Vec` at stride `capacity`, beside 16 bytes of
+/// bookkeeping per FIFO, so a mesh router's five input buffers are
+/// adjacent memory, not five heap blocks. A mesh of a few thousand
+/// routers spends most of its footprint and most of its construction
+/// on exactly these buffers.
+///
+/// # Example
+///
+/// ```
+/// use ringmesh_net::{FifoBank, Flit, NodeId, Packet, PacketKind, PacketStore, TxnId};
+///
+/// let mut store = PacketStore::new();
+/// let r = store.insert(Packet {
+///     txn: TxnId::new(0), kind: PacketKind::ReadReq,
+///     src: NodeId::new(0), dst: NodeId::new(1), flits: 1, injected_at: 0,
+/// });
+/// let mut bank = FifoBank::new(10, 4);
+/// bank.push(7, Flit { packet: r, seq: 0, is_tail: true }, 5);
+/// assert!(bank.pop_ready(7, 5).is_none());
+/// assert!(bank.pop_ready(7, 6).is_some());
+/// assert!(bank.is_empty(7));
+/// ```
+#[derive(Debug, Clone)]
+pub struct FifoBank {
+    slots: Vec<Flit>,
+    fifos: Vec<BankFifo>,
+    cap: u16,
+}
+
+impl FifoBank {
+    /// Creates `n` empty FIFOs holding at most `cap` flits each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is zero or exceeds `u16::MAX`.
+    pub fn new(n: usize, cap: usize) -> Self {
+        assert!(cap > 0, "flit FIFO capacity must be positive");
+        let cap = u16::try_from(cap).expect("banked flit FIFO capacity fits 16 bits");
+        FifoBank {
+            slots: vec![Flit::FILLER; n * usize::from(cap)],
+            fifos: vec![BankFifo::default(); n],
+            cap,
+        }
+    }
+
+    /// Capacity of each FIFO in flits.
+    pub fn capacity(&self) -> usize {
+        usize::from(self.cap)
+    }
+
+    /// Number of FIFOs in the bank.
+    pub fn fifos(&self) -> usize {
+        self.fifos.len()
+    }
+
+    /// Current occupancy of FIFO `i` in flits.
+    pub fn len(&self, i: usize) -> usize {
+        usize::from(self.fifos[i].len)
+    }
+
+    /// Whether FIFO `i` is currently empty.
+    pub fn is_empty(&self, i: usize) -> bool {
+        self.fifos[i].len == 0
+    }
+
+    /// Registered stop/go of FIFO `i`: whether the occupancy at its
+    /// last [`latch`](Self::latch) leaves room for one more flit.
+    pub fn space_latched(&self, i: usize) -> bool {
+        self.fifos[i].latched < self.cap
+    }
+
+    /// Slot index of position `pos` (front = 0) of a FIFO whose front
+    /// is at `head`. The capacity is a run-time value, so the ring
+    /// index wraps by compare-and-subtract, not a division.
+    fn slot(&self, i: usize, head: u16, pos: u16) -> usize {
+        let cap = self.capacity();
+        let mut at = usize::from(head) + usize::from(pos);
+        if at >= cap {
+            at -= cap;
+        }
+        i * cap + at
+    }
+
+    /// Pushes a flit arriving at FIFO `i` at cycle `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the FIFO is full — the sender must gate on
+    /// [`space_latched`](Self::space_latched), so overflow is a model bug.
+    pub fn push(&mut self, i: usize, flit: Flit, now: u64) {
+        let f = self.fifos[i];
+        assert!(f.len < self.cap, "flit FIFO overflow");
+        debug_assert!(now >= f.last_push, "FIFO clock must be monotone");
+        let at = self.slot(i, f.head, f.len);
+        self.slots[at] = flit;
+        let f = &mut self.fifos[i];
+        f.len += 1;
+        if now == f.last_push {
+            f.fresh += 1;
+        } else {
+            f.last_push = now;
+            f.fresh = 1;
+        }
+    }
+
+    /// The head flit of FIFO `i`, if it arrived on an earlier cycle
+    /// than `now`.
+    pub fn front_ready(&self, i: usize, now: u64) -> Option<Flit> {
+        let f = self.fifos[i];
+        let fresh = if f.last_push == now { f.fresh } else { 0 };
+        (f.len > fresh).then(|| self.slots[self.slot(i, f.head, 0)])
+    }
+
+    /// Pops the head flit of FIFO `i` if it is ready at cycle `now`.
+    pub fn pop_ready(&mut self, i: usize, now: u64) -> Option<Flit> {
+        let flit = self.front_ready(i, now)?;
+        let f = &mut self.fifos[i];
+        f.head += 1;
+        if f.head == self.cap {
+            f.head = 0;
+        }
+        f.len -= 1;
+        Some(flit)
+    }
+
+    /// Latches FIFO `i`'s occupancy as the registered state consulted
+    /// by its upstream sender next cycle, and returns the resulting
+    /// [`space_latched`](Self::space_latched).
+    pub fn latch(&mut self, i: usize) -> bool {
+        let f = &mut self.fifos[i];
+        f.latched = f.len;
+        f.latched < self.cap
+    }
+
+    /// Buffered flits of FIFO `i`, head first.
+    fn flits(&self, i: usize) -> impl Iterator<Item = Flit> + '_ {
+        let f = self.fifos[i];
+        (0..f.len).map(move |pos| self.slots[self.slot(i, f.head, pos)])
+    }
+
+    /// Writes FIFO `i` exactly as [`FlitFifo::save_state`] would. The
+    /// count of buffered tail flits that format carries is recomputed
+    /// here; a mesh router never asks for it.
+    pub fn save_fifo(&self, i: usize, w: &mut SnapWriter) {
+        let f = self.fifos[i];
+        w.usize(self.capacity());
+        w.usize(usize::from(f.len));
+        for flit in self.flits(i) {
+            flit.save(w);
+        }
+        w.usize(usize::from(f.latched));
+        w.usize(self.flits(i).filter(|flit| flit.is_tail).count());
+        w.u64(f.last_push);
+        w.usize(usize::from(f.fresh));
+    }
+
+    /// Reads a count that must not exceed the capacity (and so fits
+    /// the 16-bit fields).
+    fn bounded(&self, r: &mut SnapReader<'_>, what: &str) -> Result<u16, SnapError> {
+        let v = r.usize()?;
+        u16::try_from(v)
+            .ok()
+            .filter(|&v| v <= self.cap)
+            .ok_or_else(|| SnapError::Corrupt(format!("flit FIFO {what} {v} over capacity")))
+    }
+
+    /// Restores FIFO `i` from [`save_fifo`](Self::save_fifo)'s or
+    /// [`FlitFifo::save_state`]'s bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Mismatch`] on a different capacity,
+    /// [`SnapError::Corrupt`] when a count exceeds the capacity or the
+    /// tail count disagrees with the buffered flits.
+    pub fn restore_fifo(&mut self, i: usize, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let cap = r.usize()?;
+        if cap != self.capacity() {
+            return Err(SnapError::Mismatch(format!(
+                "flit FIFO capacity {cap}, expected {}",
+                self.cap
+            )));
+        }
+        let len = self.bounded(r, "length")?;
+        let base = i * self.capacity();
+        let mut tails = 0;
+        for slot in &mut self.slots[base..base + usize::from(len)] {
+            *slot = Flit::load(r)?;
+            tails += usize::from(slot.is_tail);
+        }
+        let latched = self.bounded(r, "latched length")?;
+        if r.usize()? != tails {
+            return Err(SnapError::Corrupt("flit FIFO tail count".into()));
+        }
+        let last_push = r.u64()?;
+        // `fresh` may exceed the length (it goes stale once later
+        // cycles pop what it counted) but never the capacity.
+        let fresh = self.bounded(r, "fresh count")?;
+        self.fifos[i] = BankFifo {
+            last_push,
+            fresh,
+            head: 0,
+            len,
+            latched,
+        };
+        Ok(())
     }
 }
 
@@ -906,5 +1137,186 @@ mod complete_packet_tests {
         assert!(f.has_complete_packet(), "second packet still complete");
         f.pop_ready(1).unwrap();
         assert!(!f.has_complete_packet());
+    }
+}
+
+#[cfg(test)]
+mod fifo_bank_tests {
+    use super::*;
+    use crate::packet::{NodeId, Packet, PacketKind, PacketStore, TxnId};
+    use ringmesh_engine::SimRng;
+
+    fn refs(n: usize) -> Vec<PacketRef> {
+        let mut store = PacketStore::new();
+        (0..n)
+            .map(|_| {
+                store.insert(Packet {
+                    txn: TxnId::new(0),
+                    kind: PacketKind::ReadReq,
+                    src: NodeId::new(0),
+                    dst: NodeId::new(1),
+                    flits: 1,
+                    injected_at: 0,
+                })
+            })
+            .collect()
+    }
+
+    fn saved(f: &FlitFifo) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        f.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn saved_bank(b: &FifoBank, i: usize) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        b.save_fifo(i, &mut w);
+        w.into_bytes()
+    }
+
+    /// 10 000 random operations per capacity against a `FlitFifo` run
+    /// in lockstep: every answer and every snapshot byte must agree.
+    /// The bank's other FIFOs must stay empty throughout.
+    #[test]
+    fn bank_fifo_is_a_flit_fifo() {
+        let refs = refs(8);
+        for cap in [1usize, 4, 20, 36] {
+            let mut rng = SimRng::from_seed(0xf1f0 + cap as u64);
+            let mut fifo = FlitFifo::new(cap);
+            let mut bank = FifoBank::new(3, cap);
+            let (mut now, mut seq) = (0u64, 0u32);
+            for step in 0..10_000 {
+                match rng.uniform_usize(6) {
+                    0 | 1 if fifo.len() < cap => {
+                        let flit = Flit {
+                            packet: refs[rng.uniform_usize(refs.len())],
+                            seq,
+                            is_tail: rng.uniform_usize(3) == 0,
+                        };
+                        seq += 1;
+                        fifo.push(flit, now);
+                        bank.push(1, flit, now);
+                    }
+                    2 => assert_eq!(bank.pop_ready(1, now), fifo.pop_ready(now)),
+                    3 => {
+                        fifo.latch();
+                        assert_eq!(bank.latch(1), fifo.space_latched());
+                    }
+                    4 => now += 1 + rng.uniform_usize(2) as u64,
+                    _ => {}
+                }
+                assert_eq!(bank.front_ready(1, now), fifo.front_ready(now));
+                assert_eq!(bank.len(1), fifo.len());
+                assert_eq!(bank.is_empty(1), fifo.is_empty());
+                assert_eq!(bank.space_latched(1), fifo.space_latched());
+                assert_eq!(saved_bank(&bank, 1), saved(&fifo), "cap {cap} step {step}");
+                assert!(bank.is_empty(0) && bank.is_empty(2));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn bank_overflow_panics() {
+        let r = refs(1)[0];
+        let flit = Flit {
+            packet: r,
+            seq: 0,
+            is_tail: true,
+        };
+        let mut bank = FifoBank::new(2, 1);
+        bank.push(0, flit, 0);
+        bank.push(0, flit, 0);
+    }
+
+    /// A FIFO whose front has wrapped past the end of its stride saves
+    /// head first; a `FlitFifo` and another bank both accept the bytes
+    /// and carry on identically.
+    #[test]
+    fn wrapped_fifo_round_trips() {
+        let r = refs(1)[0];
+        let flit = |seq| Flit {
+            packet: r,
+            seq,
+            is_tail: seq % 3 == 2,
+        };
+        let mut bank = FifoBank::new(2, 4);
+        for seq in 0..3 {
+            bank.push(1, flit(seq), 0);
+        }
+        assert!(bank.pop_ready(1, 1).is_some() && bank.pop_ready(1, 1).is_some());
+        for seq in 3..6 {
+            bank.push(1, flit(seq), 1);
+        }
+        bank.latch(1);
+        assert_eq!(bank.len(1), 4, "front at slot 2, back wrapped to slot 1");
+        let bytes = saved_bank(&bank, 1);
+
+        let mut fifo = FlitFifo::new(4);
+        fifo.restore_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(saved(&fifo), bytes);
+        let mut copy = FifoBank::new(1, 4);
+        copy.restore_fifo(0, &mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(saved_bank(&copy, 0), bytes);
+        // Only flit 2 predates cycle 1.
+        assert_eq!(copy.pop_ready(0, 1), Some(flit(2)));
+        assert_eq!(copy.pop_ready(0, 1), None);
+        for seq in 3..6 {
+            assert_eq!(copy.pop_ready(0, 2), Some(flit(seq)));
+        }
+        assert!(!copy.space_latched(0), "latched full");
+    }
+
+    /// Front slot plus position can exceed 16 bits even though each
+    /// fits them.
+    #[test]
+    fn a_deep_fifo_wraps_without_overflow() {
+        let r = refs(1)[0];
+        let flit = |seq| Flit {
+            packet: r,
+            seq,
+            is_tail: false,
+        };
+        let cap = usize::from(u16::MAX);
+        let mut bank = FifoBank::new(1, cap);
+        for seq in 0..cap as u32 {
+            bank.push(0, flit(seq), 0);
+        }
+        for seq in 0..cap as u32 - 1 {
+            assert_eq!(bank.pop_ready(0, 1), Some(flit(seq)));
+        }
+        // Front at the last slot; refill behind it, around the end.
+        for seq in 0..cap as u32 - 1 {
+            bank.push(0, flit(cap as u32 + seq), 1);
+        }
+        assert_eq!(bank.len(0), cap);
+        for seq in cap as u32 - 1..2 * cap as u32 - 1 {
+            assert_eq!(bank.pop_ready(0, 2), Some(flit(seq)));
+        }
+        assert!(bank.is_empty(0));
+    }
+
+    #[test]
+    fn restore_rejects_counts_over_capacity() {
+        let fifo = FlitFifo::new(4);
+        let good = saved(&fifo);
+        // Layout of an empty FIFO: cap, len, latched, tails, last_push,
+        // fresh — six u64 words.
+        for (word, what) in [(1, "length"), (2, "latched"), (3, "tail"), (5, "fresh")] {
+            let mut bytes = good.clone();
+            bytes[word * 8] = 5;
+            let mut bank = FifoBank::new(1, 4);
+            match bank.restore_fifo(0, &mut SnapReader::new(&bytes)) {
+                Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        let mut bytes = good;
+        bytes[0] = 8;
+        let mut bank = FifoBank::new(1, 4);
+        assert!(matches!(
+            bank.restore_fifo(0, &mut SnapReader::new(&bytes)),
+            Err(SnapError::Mismatch(_))
+        ));
     }
 }

@@ -43,7 +43,7 @@ mod interconnect;
 mod packet;
 mod topology;
 
-pub use buffer::{Assembler, DrainState, FlitFifo, FlitPool, PacketQueue};
+pub use buffer::{Assembler, DrainState, FifoBank, FlitFifo, FlitPool, PacketQueue};
 pub use config::{
     mesh_nic_buffer_bytes, ring_nic_buffer_bytes, BufferRegime, CacheLineSize, PacketFormat,
 };

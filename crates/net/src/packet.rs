@@ -166,6 +166,16 @@ pub struct Flit {
 }
 
 impl Flit {
+    /// What an unoccupied slot of preallocated flit storage holds. It
+    /// is never read as a flit: [`PacketRef`] has no public constructor,
+    /// so storage that must be filled before any packet exists lives
+    /// in this crate.
+    pub(crate) const FILLER: Flit = Flit {
+        packet: PacketRef(0),
+        seq: 0,
+        is_tail: false,
+    };
+
     /// Whether this is the head flit (carries routing information).
     pub fn is_head(self) -> bool {
         self.seq == 0

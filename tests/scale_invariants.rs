@@ -10,27 +10,29 @@
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
-use ringmesh::NetworkSpec;
+use ringmesh::{NetworkSpec, System, SystemConfig};
 use ringmesh_engine::Watchdog;
 use ringmesh_net::{CacheLineSize, Interconnect, TopologyBuilder};
 use ringmesh_workload::{MemoryParams, Mmrp, PacketSizer, Processor, Region, WorkloadParams};
 
-/// Counts the bytes each thread asks the allocator for, so a test can
-/// read what a constructor allocated — transient buffers included —
-/// whatever the tests on other threads are doing.
+/// Counts the bytes and the blocks each thread asks the allocator for,
+/// so a test can read what a constructor allocated — transient buffers
+/// included — whatever the tests on other threads are doing.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    static BLOCKS: Cell<usize> = const { Cell::new(0) };
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator;
-// the only addition is a thread-local counter that itself never
-// allocates (const-initialised `Cell`, no destructor).
+// the only addition is two thread-local counters that themselves never
+// allocate (const-initialised `Cell`s, no destructor).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // `try_with`: the allocator also runs during thread teardown.
         let _ = ALLOCATED.try_with(|a| a.set(a.get() + layout.size()));
+        let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { SystemAlloc.alloc(layout) }
     }
@@ -162,4 +164,30 @@ fn setup_heap_is_linear_in_pms() {
             "{large}: {wl_large:.0} B/PM of workload against {wl_small:.0} for {small}"
         );
     }
+}
+
+/// What building a 4 096-PM mesh system costs, per PM: the router
+/// input buffers are one allocation for the whole mesh, so the only
+/// per-router blocks left are the two PM-side packet queues. Five
+/// separately boxed FIFOs per router made this 7.2 blocks and 1 420
+/// bytes.
+#[test]
+fn mesh_64_system_setup_is_three_blocks_a_pm() {
+    let spec: NetworkSpec = "mesh:64".parse().expect("mesh:64");
+    let cfg = SystemConfig::new(spec, CL);
+    let blocks_before = BLOCKS.with(Cell::get);
+    let (system, bytes) = allocated_by(|| System::new(cfg).expect("mesh:64"));
+    let blocks = BLOCKS.with(Cell::get) - blocks_before;
+    drop(system);
+    let pms = 4096.0;
+    assert!(
+        blocks as f64 <= 3.0 * pms,
+        "{:.2} allocations per PM",
+        blocks as f64 / pms
+    );
+    assert!(
+        bytes as f64 <= 900.0 * pms,
+        "{:.0} bytes per PM",
+        bytes as f64 / pms
+    );
 }
