@@ -32,7 +32,7 @@
 //! content key must match the dispatched one.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -41,6 +41,7 @@ use std::time::{Duration, Instant};
 
 use ringmesh::StopFlag;
 use ringmesh_engine::{Backoff, Lease};
+use ringmesh_serve::wire::{self, LineReader, LineWriter, MAX_LINE_BYTES};
 use ringmesh_serve::{RemoteEvent, RemoteOutcome, RemoteRunner, RemoteTask};
 use ringmesh_snap::{hex64, Fingerprint};
 
@@ -93,7 +94,7 @@ impl Default for FleetOptions {
 #[derive(Debug)]
 struct WorkerHandle {
     /// Write half (reads happen on the per-connection reader thread).
-    stream: TcpStream,
+    out: LineWriter<TcpStream>,
     /// Last message of any kind (heartbeats included).
     last_seen: Instant,
     /// Concurrent dispatches the worker advertised.
@@ -146,11 +147,9 @@ impl Inner {
         let Some(handle) = workers.get_mut(&worker) else {
             return false;
         };
-        let ok = writeln!(&handle.stream, "{}", msg.encode())
-            .and_then(|()| (&handle.stream).flush())
-            .is_ok();
+        let ok = handle.out.line(msg.encode()).is_ok();
         if !ok {
-            let _ = handle.stream.shutdown(Shutdown::Both);
+            let _ = handle.out.get_ref().shutdown(Shutdown::Both);
             workers.remove(&worker);
             drop(workers);
             self.publish(Msg::Died(worker));
@@ -171,7 +170,7 @@ impl Inner {
                 .collect();
             for id in &ids {
                 if let Some(h) = workers.remove(id) {
-                    let _ = h.stream.shutdown(Shutdown::Both);
+                    let _ = h.out.get_ref().shutdown(Shutdown::Both);
                 }
             }
             ids
@@ -237,9 +236,9 @@ impl Drop for FleetPool {
     fn drop(&mut self) {
         self.inner.stop.set();
         let mut workers = self.inner.workers_lock();
-        for (_, h) in workers.drain() {
-            let _ = writeln!(&h.stream, "{}", CoordMsg::Bye.encode());
-            let _ = h.stream.shutdown(Shutdown::Both);
+        for (_, mut h) in workers.drain() {
+            let _ = h.out.line(CoordMsg::Bye.encode());
+            let _ = h.out.get_ref().shutdown(Shutdown::Both);
         }
     }
 }
@@ -274,56 +273,34 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 /// Handshakes and then pumps one worker connection: registration,
 /// liveness bookkeeping, message forwarding, death reporting.
 fn serve_worker(stream: TcpStream, inner: &Arc<Inner>) -> io::Result<()> {
-    stream.set_read_timeout(Some(READ_TICK))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    wire::prepare(&stream, READ_TICK, Some(Duration::from_secs(5)))?;
+    let mut reader = LineReader::new(BufReader::new(stream.try_clone()?), MAX_LINE_BYTES);
+    let mut out = LineWriter::new(stream);
 
     // Handshake: the first line must be a `register` with our exact
     // code hash; anything else draws a typed refusal and a close.
-    let mut line = String::new();
-    let (code, threads) = loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // gave up before registering
-            Ok(_) => match WorkerMsg::decode(line.trim_end()) {
-                Some(WorkerMsg::Register { code, threads }) => break (code, threads),
-                _ => {
-                    let _ = writeln!(
-                        &stream,
-                        "{}",
-                        CoordMsg::Refused {
-                            reason: "expected register".into(),
-                            expect: code_hash(),
-                            got: 0,
-                        }
-                        .encode()
-                    );
-                    return Ok(());
-                }
-            },
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if inner.stop.is_set() {
-                    return Ok(());
-                }
+    let Some(line) = reader.next_message(|| !inner.stop.is_set())? else {
+        return Ok(()); // gave up before registering
+    };
+    let Some(WorkerMsg::Register { code, threads }) = WorkerMsg::decode(&line) else {
+        let _ = out.line(
+            CoordMsg::Refused {
+                reason: "expected register".into(),
+                expect: code_hash(),
+                got: 0,
             }
-            Err(e) => return Err(e),
-        }
+            .encode(),
+        );
+        return Ok(());
     };
     if code != code_hash() {
-        writeln!(
-            &stream,
-            "{}",
+        out.line(
             CoordMsg::Refused {
                 reason: "code-version-mismatch".into(),
                 expect: code_hash(),
                 got: code,
             }
-            .encode()
+            .encode(),
         )?;
         eprintln!(
             "ringmesh fleet: refused worker with code hash {} (want {})",
@@ -334,19 +311,17 @@ fn serve_worker(stream: TcpStream, inner: &Arc<Inner>) -> io::Result<()> {
     }
 
     let id = inner.next_worker.fetch_add(1, Ordering::SeqCst);
-    writeln!(
-        &stream,
-        "{}",
+    out.line(
         CoordMsg::Welcome {
             worker: id,
             heartbeat_ms: inner.opts.heartbeat_ms,
         }
-        .encode()
+        .encode(),
     )?;
     inner.workers_lock().insert(
         id,
         WorkerHandle {
-            stream: stream.try_clone()?,
+            out,
             last_seen: Instant::now(),
             threads: threads.max(1),
             in_flight: 0,
@@ -355,41 +330,22 @@ fn serve_worker(stream: TcpStream, inner: &Arc<Inner>) -> io::Result<()> {
     eprintln!("ringmesh fleet: worker {id} registered ({threads} threads)");
     inner.publish(Msg::Joined);
 
-    // Pump messages until EOF, error, stop, or eviction.
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let still_registered = {
-                    let mut workers = inner.workers_lock();
-                    workers.get_mut(&id).map(|h| h.last_seen = Instant::now())
-                };
-                if still_registered.is_none() {
-                    return Ok(()); // evicted; Died already published
-                }
-                match WorkerMsg::decode(line.trim_end()) {
-                    Some(WorkerMsg::Heartbeat) => {}
-                    Some(msg) => inner.publish(Msg::From(id, msg)),
-                    None => break, // broken peer; treat as death
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if inner.stop.is_set() {
-                    return Ok(());
-                }
-                if inner.workers_lock().get(&id).is_none() {
-                    return Ok(()); // evicted while idle
-                }
-            }
-            Err(_) => break,
+    // Pump messages until EOF, a broken peer (transport error, an
+    // oversized or undecodable line), stop, or eviction.
+    let registered = || !inner.stop.is_set() && inner.workers_lock().contains_key(&id);
+    while let Ok(Some(line)) = reader.next_message(registered) {
+        match inner.workers_lock().get_mut(&id) {
+            Some(h) => h.last_seen = Instant::now(),
+            None => return Ok(()), // evicted; Died already published
+        }
+        match WorkerMsg::decode(&line) {
+            Some(WorkerMsg::Heartbeat) => {}
+            Some(msg) => inner.publish(Msg::From(id, msg)),
+            None => break,
         }
     }
+    // Whoever takes the worker out of the registry reports its death,
+    // so an eviction that got here first is not reported twice.
     if inner.workers_lock().remove(&id).is_some() {
         eprintln!("ringmesh fleet: worker {id} disconnected");
         inner.publish(Msg::Died(id));

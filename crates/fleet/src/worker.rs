@@ -15,12 +15,13 @@
 //! papered over.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ringmesh::StopFlag;
+use ringmesh_serve::wire::{self, LineReader, LineWriter, MAX_LINE_BYTES};
 use ringmesh_serve::{parse_job, result_payload, run_job, JobError, ResultCache};
 use ringmesh_snap::{hex64, Fingerprint};
 
@@ -29,6 +30,10 @@ use crate::protocol::{code_hash, CoordMsg, WorkerMsg};
 /// How often a blocked coordinator-socket read wakes to poll the stop
 /// flag.
 const READ_TICK: Duration = Duration::from_millis(250);
+
+/// The write half, shared by the read loop, the heartbeat pump and the
+/// dispatch threads; the lock keeps their lines whole.
+type Writer = Arc<Mutex<LineWriter<TcpStream>>>;
 
 /// Worker tuning knobs.
 #[derive(Debug, Clone)]
@@ -74,10 +79,9 @@ pub enum WorkerExit {
 /// exit with a typed status.
 pub fn run_worker(addr: &str, opts: &WorkerOptions, stop: &StopFlag) -> io::Result<WorkerExit> {
     let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(READ_TICK))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
+    wire::prepare(&stream, READ_TICK, Some(Duration::from_secs(5)))?;
+    let mut reader = LineReader::new(BufReader::new(stream.try_clone()?), MAX_LINE_BYTES);
+    let writer: Writer = Arc::new(Mutex::new(LineWriter::new(stream)));
 
     send(
         &writer,
@@ -189,7 +193,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions, stop: &StopFlag) -> io::Resu
 /// canceled mid-run). Never panics the worker: every failure path turns
 /// into a typed `fail` message.
 fn run_dispatch(
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Writer,
     task: &str,
     key: u64,
     window: u64,
@@ -269,35 +273,21 @@ fn run_dispatch(
 }
 
 /// Writes one message line under the shared writer lock.
-fn send(writer: &Arc<Mutex<TcpStream>>, msg: &WorkerMsg) -> io::Result<()> {
-    let stream = writer.lock().expect("writer poisoned");
-    writeln!(&*stream, "{}", msg.encode())
+fn send(writer: &Writer, msg: &WorkerMsg) -> io::Result<()> {
+    writer.lock().expect("writer poisoned").line(msg.encode())
 }
 
 /// Reads one coordinator message, polling `stop` through read
-/// timeouts. `None` is EOF; an undecodable line is a transport error.
-fn read_msg<R: BufRead>(reader: &mut R, stop: &StopFlag) -> io::Result<Option<CoordMsg>> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {
-                return CoordMsg::decode(line.trim_end()).map(Some).ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad coordinator message")
-                })
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.is_set() {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
+/// timeouts. `None` is EOF or stop; an oversized or undecodable line is
+/// a transport error.
+fn read_msg<R: BufRead>(
+    reader: &mut LineReader<R>,
+    stop: &StopFlag,
+) -> io::Result<Option<CoordMsg>> {
+    let Some(line) = reader.next_message(|| !stop.is_set())? else {
+        return Ok(None);
+    };
+    CoordMsg::decode(&line)
+        .map(Some)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad coordinator message"))
 }

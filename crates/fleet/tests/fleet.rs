@@ -294,3 +294,111 @@ fn byte_divergent_duplicate_results_are_a_determinism_violation() {
     drop(liar_thread.join().expect("liar thread"));
     drop(pool);
 }
+
+#[test]
+fn a_message_that_straddles_a_read_tick_is_delivered_and_the_worker_kept() {
+    let pool = FleetPool::bind("127.0.0.1:0", test_opts()).expect("bind");
+    let (mut slow, answer) = FakeWorker::register(pool.local_addr(), code_hash(), 1);
+    assert!(matches!(answer, CoordMsg::Welcome { .. }));
+    await_workers(&pool, 1);
+
+    let (task, expected) = task_and_expected("t0");
+    let payload = expected.clone();
+    let peer = thread::spawn(move || {
+        let (dispatch, key) = slow.await_dispatch();
+        // Each line in two halves, 300 ms apart: longer than the
+        // coordinator's 250 ms read tick, so its read times out with
+        // the first half already consumed.
+        let mut send_split = |msg: WorkerMsg| {
+            let line = format!("{}\n", msg.encode());
+            let (head, tail) = line.as_bytes().split_at(line.len() / 2);
+            slow.stream.write_all(head).expect("first half");
+            thread::sleep(Duration::from_millis(300));
+            slow.stream.write_all(tail).expect("second half");
+        };
+        send_split(WorkerMsg::Window {
+            task: dispatch.clone(),
+            cycle: 200,
+            issued: 7,
+            retired: 5,
+        });
+        send_split(WorkerMsg::Done {
+            task: dispatch,
+            key,
+            hash: Fingerprint::of(payload.as_bytes()),
+            payload,
+        });
+        slow // keep the socket open until the batch settles
+    });
+
+    let mut events = Vec::new();
+    let outcomes = pool.run_tasks(vec![task], &StopFlag::new(), &mut |e| events.push(e));
+    match &outcomes[..] {
+        [RemoteOutcome::Done { payload }] => assert_eq!(payload, &expected),
+        other => panic!("the split `done` must be delivered whole, got {other:?}"),
+    }
+    assert!(
+        events.iter().any(|e| matches!(
+            e,
+            RemoteEvent::Window {
+                task: 0,
+                cycle: 200,
+                issued: 7,
+                retired: 5
+            }
+        )),
+        "the split `window` must be delivered whole: {events:?}"
+    );
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, RemoteEvent::Retry { .. })),
+        "a healthy worker must not be evicted as a broken peer: {events:?}"
+    );
+    assert_eq!(pool.live_workers(), 1, "the worker stays registered");
+    drop(peer.join().expect("peer thread"));
+    drop(pool);
+}
+
+#[test]
+fn a_line_past_the_cap_drops_the_connection_and_reports_one_death() {
+    // A heartbeat window far longer than the test: only the cap can
+    // end this connection, not the peer's silence.
+    let opts = FleetOptions {
+        heartbeat_ms: 60_000,
+        ..test_opts()
+    };
+    let pool = FleetPool::bind("127.0.0.1:0", opts).expect("bind");
+    let (mut flooder, answer) = FakeWorker::register(pool.local_addr(), code_hash(), 1);
+    assert!(matches!(answer, CoordMsg::Welcome { .. }));
+    await_workers(&pool, 1);
+
+    let peer = thread::spawn(move || {
+        flooder.await_dispatch();
+        // Never a newline. The coordinator closes on us once the cap is
+        // passed, so the tail of the flood may fail to send.
+        let chunk = vec![b'x'; 64 << 10];
+        for _ in 0..(ringmesh_serve::MAX_LINE_BYTES / chunk.len() + 2) {
+            if flooder.stream.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+        flooder
+    });
+
+    let (task, _) = task_and_expected("t0");
+    let mut events = Vec::new();
+    let outcomes = pool.run_tasks(vec![task], &StopFlag::new(), &mut |e| events.push(e));
+    assert!(
+        matches!(&outcomes[..], [RemoteOutcome::Unrun]),
+        "no worker is left to run the task: {outcomes:?}"
+    );
+    let deaths = events
+        .iter()
+        .filter(|e| matches!(e, RemoteEvent::Retry { reason, .. } if reason == "worker-death"))
+        .count();
+    assert_eq!(deaths, 1, "the death is published exactly once: {events:?}");
+    assert_eq!(pool.live_workers(), 0, "the flooding peer is dropped");
+    drop(peer.join().expect("peer thread"));
+    drop(pool);
+}

@@ -30,12 +30,18 @@
 //!   least-recently-touched entries (ties broken by key) until the
 //!   cache fits the budget. Recency comes from the log, never from
 //!   filesystem timestamps, so two hosts that served the same request
-//!   history evict the same entries in the same order.
+//!   history evict the same entries in the same order. Both forms of
+//!   the history are bounded by the number of distinct keys, not of
+//!   touches: memory holds each key's last touch only, and the log is
+//!   rewritten to one line per key whenever the lines appended since
+//!   the last rewrite exceed [`LOG_SLACK`] times the keys it would
+//!   keep — a server answering a million hits does not grow.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use ringmesh::SystemConfig;
 use ringmesh_snap::{hex64, parse_hex64, Fingerprint};
@@ -63,6 +69,16 @@ const QUARANTINE_DIR: &str = "quarantine";
 /// Name of the key-touch order log under the cache root.
 const ACCESS_LOG: &str = "access.log";
 
+/// `access.log` is rewritten once it holds this many appended lines per
+/// key it would keep (and at least [`LOG_SLACK_FLOOR`] of them).
+const LOG_SLACK: usize = 4;
+
+/// Fewest appended lines that trigger a rewrite of `access.log`. A
+/// rewrite is a temp file, a rename and a reopen (~250 µs measured);
+/// spread over 2 048 touches it is 0.1 µs on a 5 µs lookup, and a cache
+/// of a few keys still keeps its log under 40 KB.
+const LOG_SLACK_FLOOR: usize = 2048;
+
 /// A directory of content-addressed result payloads plus hit/miss,
 /// quarantine, and eviction accounting for the server's summary lines.
 #[derive(Debug)]
@@ -81,11 +97,15 @@ pub struct ResultCache {
     pub suppressed_stores: u64,
     /// Per-key quarantine counts this process lifetime.
     strikes: HashMap<u64, u32>,
-    /// Key touches in order (recency = last occurrence), mirrored to
-    /// `access.log`.
-    touches: Vec<u64>,
+    /// Each key's last touch, as its number in the sequence of touches
+    /// (mirrored, touch by touch, to `access.log`).
+    last_touch: HashMap<u64, u64>,
+    /// Touches so far.
+    touch_seq: u64,
     /// Open append handle for `access.log`.
     log: Option<File>,
+    /// Lines appended to `access.log` since it was last rewritten.
+    appended: usize,
 }
 
 impl ResultCache {
@@ -97,13 +117,7 @@ impl ResultCache {
     /// Fails if the directory cannot be created.
     pub fn open(dir: &Path) -> io::Result<ResultCache> {
         fs::create_dir_all(dir)?;
-        let touches = recency_order(&read_touch_log(dir));
-        write_touch_log(dir, &touches)?;
-        let log = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(ACCESS_LOG))?;
-        Ok(ResultCache {
+        let mut cache = ResultCache {
             dir: dir.to_path_buf(),
             hits: 0,
             misses: 0,
@@ -111,9 +125,22 @@ impl ResultCache {
             evicted: 0,
             suppressed_stores: 0,
             strikes: HashMap::new(),
-            touches,
-            log: Some(log),
-        })
+            last_touch: HashMap::new(),
+            touch_seq: 0,
+            log: None,
+            appended: 0,
+        };
+        // Anything unparseable is skipped: a torn tail after a crash is
+        // expected, not an error.
+        if let Ok(log) = File::open(dir.join(ACCESS_LOG)) {
+            for line in BufReader::new(log).lines().map_while(Result::ok) {
+                if let Some(key) = parse_hex64(&line) {
+                    cache.note_touch(key);
+                }
+            }
+        }
+        cache.compact_log()?;
+        Ok(cache)
     }
 
     /// The content key for a configuration under the current code
@@ -187,6 +214,27 @@ impl ResultCache {
         }
     }
 
+    /// [`lookup`](Self::lookup) on a cache that sessions share behind a
+    /// lock. The entry is read and verified *before* the lock is taken —
+    /// entries land by rename, so a reader needs no lock to see a whole
+    /// one — and only the touch runs under it: sessions do not queue
+    /// behind each other's file reads. Anything but a verified entry
+    /// (absent, torn, evicted meanwhile) is looked up again under the
+    /// lock, so quarantine and its counters see each bad entry once.
+    pub fn lookup_shared(cache: &Mutex<ResultCache>, dir: &Path, key: u64) -> Option<String> {
+        let verified = fs::read_to_string(ResultCache::result_path_in(dir, key))
+            .ok()
+            .and_then(|sealed| ResultCache::unseal(&sealed).map(str::to_string));
+        let mut cache = cache.lock().expect("cache lock poisoned");
+        match verified {
+            Some(payload) => {
+                cache.touch(key);
+                Some(payload)
+            }
+            None => cache.lookup(key),
+        }
+    }
+
     /// Times `key` has been quarantined this process lifetime; at
     /// [`QUARANTINE_STRIKE_LIMIT`] the slot is struck out and
     /// [`store`](Self::store) backs off.
@@ -245,10 +293,47 @@ impl ResultCache {
     /// to `access.log` (best-effort — the log is an eviction-order
     /// record, not a durability structure).
     fn touch(&mut self, key: u64) {
-        self.touches.push(key);
+        self.note_touch(key);
         if let Some(log) = &mut self.log {
-            let _ = writeln!(log, "{}", hex64(key));
+            // One `write`: the handle is unbuffered.
+            let mut line = hex64(key);
+            line.push('\n');
+            if log.write_all(line.as_bytes()).is_ok() {
+                self.appended += 1;
+            }
         }
+        if self.appended > (LOG_SLACK * self.last_touch.len()).max(LOG_SLACK_FLOOR) {
+            let _ = self.compact_log();
+        }
+    }
+
+    /// Makes `key` the most recently touched, in memory only.
+    fn note_touch(&mut self, key: u64) {
+        self.last_touch.insert(key, self.touch_seq);
+        self.touch_seq += 1;
+    }
+
+    /// Known keys, least recently touched first.
+    fn recency_order(&self) -> Vec<u64> {
+        let mut keys: Vec<(u64, u64)> = self.last_touch.iter().map(|(&k, &at)| (at, k)).collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|(_, k)| k).collect()
+    }
+
+    /// Rewrites `access.log` to one line per known key in recency order
+    /// and reopens it for appending.
+    fn compact_log(&mut self) -> io::Result<()> {
+        self.log = None; // close before rewriting
+        let mut text = String::with_capacity(self.last_touch.len() * 17);
+        for key in self.recency_order() {
+            text.push_str(&hex64(key));
+            text.push('\n');
+        }
+        let path = self.dir.join(ACCESS_LOG);
+        write_atomic(&path, text.as_bytes())?;
+        self.appended = 0;
+        self.log = Some(OpenOptions::new().append(true).open(path)?);
+        Ok(())
     }
 
     /// Evicts least-recently-touched entries (oldest first, ties broken
@@ -262,18 +347,11 @@ impl ResultCache {
     /// Propagates failures rewriting the access log; individual entry
     /// removals are best-effort.
     pub fn evict_to_budget(&mut self, budget: u64) -> io::Result<u64> {
-        let recency: HashMap<u64, usize> = self
-            .touches
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, i))
-            .collect();
-        // (rank, key, size): rank -1 (never touched) sorts first.
-        let mut entries: Vec<(i64, u64, u64)> = Vec::new();
+        // (last touch, key, size): `None` (never touched) sorts first.
+        let mut entries: Vec<(Option<u64>, u64, u64)> = Vec::new();
         let mut total = 0u64;
         for (key, size) in self.disk_entries() {
-            let rank = recency.get(&key).map_or(-1, |&i| i as i64);
-            entries.push((rank, key, size));
+            entries.push((self.last_touch.get(&key).copied(), key, size));
             total += size;
         }
         entries.sort_unstable();
@@ -289,18 +367,10 @@ impl ResultCache {
         }
         self.evicted += evicted;
         // Compact: surviving keys only, in recency order.
-        let survivors: Vec<u64> = recency_order(&self.touches)
-            .into_iter()
-            .filter(|k| self.result_path(*k).exists())
-            .collect();
-        self.log = None; // close before rewriting
-        write_touch_log(&self.dir, &survivors)?;
-        self.touches = survivors;
-        self.log = Some(
-            OpenOptions::new()
-                .append(true)
-                .open(self.dir.join(ACCESS_LOG))?,
-        );
+        let dir = &self.dir;
+        self.last_touch
+            .retain(|&k, _| ResultCache::result_path_in(dir, k).exists());
+        self.compact_log()?;
         Ok(evicted)
     }
 
@@ -357,34 +427,6 @@ fn shard_dirs(dir: &Path) -> Vec<PathBuf> {
         .collect();
     shards.sort();
     shards
-}
-
-/// Reads the raw touch sequence from `access.log`, skipping anything
-/// unparseable (a torn tail after a crash is expected, not an error).
-fn read_touch_log(dir: &Path) -> Vec<u64> {
-    let Ok(text) = fs::read_to_string(dir.join(ACCESS_LOG)) else {
-        return Vec::new();
-    };
-    text.lines().filter_map(parse_hex64).collect()
-}
-
-/// Rewrites `access.log` with exactly `touches`, one key per line.
-fn write_touch_log(dir: &Path, touches: &[u64]) -> io::Result<()> {
-    let mut text = String::with_capacity(touches.len() * 17);
-    for &k in touches {
-        text.push_str(&hex64(k));
-        text.push('\n');
-    }
-    write_atomic(&dir.join(ACCESS_LOG), text.as_bytes())
-}
-
-/// Deduplicates a touch sequence to recency order: each key once, least
-/// recently touched first.
-fn recency_order(touches: &[u64]) -> Vec<u64> {
-    let last: HashMap<u64, usize> = touches.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-    let mut keys: Vec<(usize, u64)> = last.into_iter().map(|(k, i)| (i, k)).collect();
-    keys.sort_unstable();
-    keys.into_iter().map(|(_, k)| k).collect()
 }
 
 /// Writes `bytes` to `path` through a sibling temp file + rename, so a
@@ -510,6 +552,33 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_lookup_touches_hits_and_leaves_the_rest_to_the_locked_path() {
+        let dir = tempdir("shared");
+        let cache = Mutex::new(ResultCache::open(&dir).unwrap());
+        let shared = |key| ResultCache::lookup_shared(&cache, &dir, key);
+        for key in [1u64, 2, 3] {
+            let payload = format!("{{\"k\":{key}}}");
+            cache.lock().unwrap().store(key, &payload).unwrap();
+        }
+        assert_eq!(shared(9), None, "absent");
+        assert_eq!(shared(1).as_deref(), Some("{\"k\":1}"));
+        assert_eq!(
+            cache.lock().unwrap().recency_order(),
+            vec![2, 3, 1],
+            "the hit was touched, as `lookup` touches it"
+        );
+        // A torn entry is quarantined once, by the locked path.
+        let path = cache.lock().unwrap().result_path(2);
+        fs::write(&path, "{\"k\":2}\n#fnv64=torn").unwrap();
+        assert_eq!(shared(2), None);
+        assert_eq!(shared(2), None);
+        let cache = cache.into_inner().unwrap();
+        assert_eq!((cache.quarantined, cache.strikes(2)), (1, 1));
+        assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn repeated_corruption_strikes_the_key_out_and_suppresses_stores() {
         let dir = tempdir("strikes");
         let mut cache = ResultCache::open(&dir).unwrap();
@@ -614,6 +683,77 @@ mod tests {
         assert_eq!(cache.evicted, 2);
         assert_eq!(cache.entries(), 1);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_long_hit_history_stays_bounded_by_the_keys_not_the_touches() {
+        const KEYS: u64 = 64;
+        let dir = tempdir("touch-bound");
+        let mut cache = ResultCache::open(&dir).unwrap();
+        for key in 0..KEYS {
+            cache
+                .store(key, "{\"payload\":\"xxxxxxxxxxxxxxxx\"}")
+                .unwrap();
+        }
+        // A scrambled but reproducible hit stream.
+        let mut x = 0x9e37_79b9_u64;
+        let history: Vec<u64> = (0..200_000)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 33) % KEYS
+            })
+            .collect();
+        for &key in &history {
+            assert!(cache.lookup(key).is_some());
+        }
+        assert!(cache.last_touch.len() <= KEYS as usize);
+        let log_bytes = fs::metadata(dir.join(ACCESS_LOG)).unwrap().len();
+        assert!(log_bytes < 64 << 10, "access.log is {log_bytes} bytes");
+
+        // The same recency a history of one touch per key gives: each
+        // key at its last occurrence.
+        let mut short: Vec<u64> = Vec::new();
+        for &key in history.iter().rev() {
+            if !short.contains(&key) {
+                short.insert(0, key);
+            }
+        }
+        assert_eq!(short.len(), KEYS as usize, "every key was hit");
+        let control_dir = tempdir("touch-bound-control");
+        let mut control = ResultCache::open(&control_dir).unwrap();
+        for key in 0..KEYS {
+            control
+                .store(key, "{\"payload\":\"xxxxxxxxxxxxxxxx\"}")
+                .unwrap();
+        }
+        for &key in &short {
+            assert!(control.lookup(key).is_some());
+        }
+        assert_eq!(cache.recency_order(), short);
+        assert_eq!(control.recency_order(), short);
+
+        // …and so the same eviction, also after a reopen from the log.
+        drop(cache);
+        let mut cache = ResultCache::open(&dir).unwrap();
+        assert_eq!(cache.recency_order(), short);
+        let budget = cache.entry_bytes() / 4;
+        assert_eq!(
+            cache.evict_to_budget(budget).unwrap(),
+            control.evict_to_budget(budget).unwrap()
+        );
+        for key in 0..KEYS {
+            assert_eq!(
+                cache.result_path(key).exists(),
+                short[short.len() - 16..].contains(&key),
+                "key {key}: only the 16 most recently touched survive"
+            );
+            assert_eq!(
+                cache.result_path(key).exists(),
+                control.result_path(key).exists()
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&control_dir);
     }
 
     #[test]

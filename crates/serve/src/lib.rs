@@ -63,12 +63,12 @@ pub mod json;
 mod remote;
 mod runner;
 mod server;
+pub mod wire;
 
 pub use cache::{write_atomic, ResultCache, CODE_VERSION, QUARANTINE_STRIKE_LIMIT};
 pub use jobspec::{parse_job, JobSpec};
 pub use journal::{Journal, RecoveredJob, Recovery};
 pub use remote::{RemoteEvent, RemoteOutcome, RemoteRunner, RemoteTask};
 pub use runner::{run_job, JobError, JobOutcome, WindowEvent};
-pub use server::{
-    result_payload, ServeExit, ServeOptions, Server, MAX_LINE_BYTES, MAX_PENDING_JOBS,
-};
+pub use server::{result_payload, ServeExit, ServeOptions, Server, MAX_PENDING_JOBS};
+pub use wire::MAX_LINE_BYTES;

@@ -46,7 +46,8 @@
 //!   CLI) flush checkpoints and the journal before exiting.
 
 use std::cell::RefCell;
-use std::io::{self, BufRead, BufReader, Write};
+use std::fmt::Display;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,6 +56,7 @@ use std::time::{Duration, Instant};
 
 use ringmesh::{AdmissionGate, RunResult, StopFlag, SystemConfig, WorkerPool};
 use ringmesh_snap::{hex64, Fingerprint};
+use ringmesh_stats::Histogram;
 use ringmesh_trace::TraceConfig;
 
 use crate::cache::ResultCache;
@@ -63,11 +65,7 @@ use crate::journal::{Journal, Recovery};
 use crate::json::{obj, Json};
 use crate::remote::{RemoteEvent, RemoteOutcome, RemoteRunner, RemoteTask};
 use crate::runner::{run_job, JobError, WindowEvent};
-
-/// Longest accepted request line, in bytes (1 MiB). Anything longer is
-/// discarded up to its newline and answered with a typed `error` event;
-/// the connection stays alive. Part of the documented protocol.
-pub const MAX_LINE_BYTES: usize = 1 << 20;
+use crate::wire::{self, LineRead, LineReader, LineWriter, MAX_LINE_BYTES};
 
 /// Most jobs one session may queue before `run`; further `job` requests
 /// draw a `busy` event until the queue drains. Bounds server memory
@@ -77,6 +75,35 @@ pub const MAX_PENDING_JOBS: usize = 4096;
 /// How often a blocked TCP read wakes to poll the stop flag and the
 /// idle deadline.
 const POLL_TICK: Duration = Duration::from_secs(1);
+
+/// What the `stats` event reports latencies for, in the order it lists
+/// them.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// `job` line read → `accepted` written.
+    Accept,
+    /// `run` line read → `batch` written.
+    Batch,
+    /// One [`ResultCache::lookup_shared`], lock wait included.
+    CacheLookup,
+    /// One journal operation (fsync where it has one), lock wait
+    /// included.
+    Journal,
+    /// One job simulated on the local pool.
+    Simulate,
+    /// One write to the client: an event line, or the held ones.
+    Emit,
+}
+
+/// The `stats` member of each [`Stage`], indexed by `stage as usize`.
+const STAGE_NAMES: [&str; 6] = [
+    "accept",
+    "batch",
+    "cache_lookup",
+    "journal",
+    "simulate",
+    "emit",
+];
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -174,6 +201,8 @@ struct Shared {
     /// Duplicate remote runs that disagreed byte-for-byte — a broken
     /// worker or build (drives `ExitStatus::DeterminismViolation`).
     determinism_violations: AtomicU64,
+    /// Microseconds spent per [`Stage`], every session's together.
+    latencies: Mutex<[Histogram; STAGE_NAMES.len()]>,
 }
 
 /// One queued job and what the cache already knows about it.
@@ -245,6 +274,7 @@ impl Server {
             recovered: AtomicU64::new(0),
             remote: OnceLock::new(),
             determinism_violations: AtomicU64::new(0),
+            latencies: Mutex::default(),
         });
         if let Some(recovery) = recovery {
             shared.recover(recovery)?;
@@ -270,7 +300,7 @@ impl Server {
     ///
     /// Propagates I/O errors on the transport.
     pub fn serve<R: BufRead, W: Write>(&self, input: R, out: W) -> io::Result<ServeExit> {
-        self.shared.session(input, out)
+        self.shared.session(BufReader::new(input), out)
     }
 
     /// Binds `addr` and serves connections concurrently (one thread per
@@ -306,13 +336,10 @@ impl Server {
                         None => {
                             // Shed the connection with a typed reply
                             // rather than letting it queue invisibly.
-                            let mut stream = stream;
-                            let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-                            let _ = writeln!(
-                                stream,
-                                "{}",
-                                busy_event("connections", shared.clients.limit())
-                            );
+                            let deadline = Some(Duration::from_secs(5));
+                            let _ = wire::prepare(&stream, POLL_TICK, deadline);
+                            let _ = LineWriter::new(stream)
+                                .line(busy_event("connections", shared.clients.limit()));
                         }
                     },
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -324,7 +351,7 @@ impl Server {
         });
         // All sessions have joined; make the journal durable before the
         // process (typically) exits.
-        let _ = self.shared.journal_lock().sync();
+        let _ = self.shared.journaled(|j| j.sync());
         outcome
     }
 
@@ -375,8 +402,13 @@ impl Shared {
         self.cache.lock().expect("cache lock poisoned")
     }
 
-    fn journal_lock(&self) -> MutexGuard<'_, Journal> {
-        self.journal.lock().expect("journal lock poisoned")
+    /// Runs one journal operation under the lock, timed as
+    /// [`Stage::Journal`].
+    fn journaled<T>(&self, op: impl FnOnce(&mut Journal) -> io::Result<T>) -> io::Result<T> {
+        let t0 = Instant::now();
+        let done = op(&mut self.journal.lock().expect("journal lock poisoned"));
+        self.record(Stage::Journal, t0);
+        done
     }
 
     /// Configures deadlines on an accepted socket and runs a session
@@ -385,8 +417,7 @@ impl Shared {
         // Short read timeout = the poll tick; the idle deadline is
         // enforced in the session loop so the stop flag is still
         // observed promptly under a long (or absent) deadline.
-        stream.set_read_timeout(Some(POLL_TICK))?;
-        stream.set_write_timeout(self.opts.write_deadline)?;
+        wire::prepare(&stream, POLL_TICK, self.opts.write_deadline)?;
         let reader = BufReader::new(stream.try_clone()?);
         if self.session(reader, stream)? == ServeExit::Shutdown {
             self.stop.set();
@@ -395,15 +426,30 @@ impl Shared {
     }
 
     /// One request/response session over arbitrary byte streams.
-    fn session<R: BufRead, W: Write>(&self, input: R, mut out: W) -> io::Result<ServeExit> {
+    ///
+    /// Replies the session produces without waiting in between —
+    /// `accepted`, cached `result`s, the `batch` summary — are held and
+    /// leave in one write when it is about to wait: for input (no
+    /// further request line is buffered) or for a simulation.
+    fn session<R: Read, W: Write>(&self, input: BufReader<R>, out: W) -> io::Result<ServeExit> {
         let mut reader = LineReader::new(input, MAX_LINE_BYTES);
+        let out = &mut LineWriter::new(out);
         let mut pending: Vec<Pending> = Vec::new();
         let mut next_id = 0usize;
         let mut last_activity = Instant::now();
+        // The `job` or `run` just answered, its reply held: timed once
+        // the reply is written, or is known to leave with the next one.
+        let mut answered: Option<(Stage, Instant)> = None;
         let exit = loop {
+            if !reader.has_line() {
+                self.flush(out)?;
+            }
+            if let Some((stage, since)) = answered.take() {
+                self.record(stage, since);
+            }
             if self.stop.is_set() {
-                emit(
-                    &mut out,
+                self.emit(
+                    out,
                     obj(vec![
                         ("event", Json::Str("bye".into())),
                         ("reason", Json::Str("shutdown".into())),
@@ -424,7 +470,7 @@ impl Shared {
                 LineRead::Oversized => {
                     last_activity = Instant::now();
                     self.protocol_error(
-                        &mut out,
+                        out,
                         None,
                         &format!("request line exceeds the {MAX_LINE_BYTES}-byte limit"),
                     )?;
@@ -435,7 +481,7 @@ impl Shared {
                     match String::from_utf8(bytes) {
                         Ok(s) => s,
                         Err(_) => {
-                            self.protocol_error(&mut out, None, "request line is not valid UTF-8")?;
+                            self.protocol_error(out, None, "request line is not valid UTF-8")?;
                             continue;
                         }
                     }
@@ -447,14 +493,14 @@ impl Shared {
             let req = match Json::parse(&line) {
                 Ok(v) => v,
                 Err(e) => {
-                    self.protocol_error(&mut out, None, &format!("bad request: {e}"))?;
+                    self.protocol_error(out, None, &format!("bad request: {e}"))?;
                     continue;
                 }
             };
             match req.get("op").and_then(Json::as_str) {
                 Some("job") => {
                     if pending.len() >= MAX_PENDING_JOBS {
-                        emit(&mut out, busy_event("jobs", MAX_PENDING_JOBS))?;
+                        self.emit(out, busy_event("jobs", MAX_PENDING_JOBS))?;
                         continue;
                     }
                     let default_id = format!("job-{next_id}");
@@ -462,16 +508,17 @@ impl Shared {
                         Ok(spec) => {
                             next_id += 1;
                             let key = ResultCache::key(&spec.cfg);
-                            let cached = self.cache_lock().lookup(key);
-                            emit(
-                                &mut out,
-                                obj(vec![
-                                    ("event", Json::Str("accepted".into())),
-                                    ("id", Json::Str(spec.id.clone())),
-                                    ("key", Json::Str(hex64(key))),
-                                    ("cached", Json::Bool(cached.is_some())),
-                                ]),
-                            )?;
+                            let t0 = Instant::now();
+                            let cached =
+                                ResultCache::lookup_shared(&self.cache, &self.opts.cache_dir, key);
+                            self.record(Stage::CacheLookup, t0);
+                            out.hold(obj(vec![
+                                ("event", Json::Str("accepted".into())),
+                                ("id", Json::Str(spec.id.clone())),
+                                ("key", Json::Str(hex64(key))),
+                                ("cached", Json::Bool(cached.is_some())),
+                            ]))?;
+                            answered = Some((Stage::Accept, last_activity));
                             pending.push(Pending {
                                 spec,
                                 raw: req,
@@ -479,15 +526,16 @@ impl Shared {
                                 cached,
                             });
                         }
-                        Err(e) => self.protocol_error(&mut out, req.get("id"), &e)?,
+                        Err(e) => self.protocol_error(out, req.get("id"), &e)?,
                     }
                 }
                 Some("run") => match self.batches.try_enter() {
                     Some(_permit) => {
                         let batch = std::mem::take(&mut pending);
-                        self.run_batch(batch, &mut out)?;
+                        self.run_batch(batch, out)?;
+                        answered = Some((Stage::Batch, last_activity));
                     }
-                    None => emit(&mut out, busy_event("batches", self.batches.limit()))?,
+                    None => self.emit(out, busy_event("batches", self.batches.limit()))?,
                 },
                 Some("stats") => {
                     let (hits, misses, entries, bytes, quarantined, evicted, suppressed) = {
@@ -502,43 +550,42 @@ impl Shared {
                             cache.suppressed_stores,
                         )
                     };
-                    emit(
-                        &mut out,
-                        obj(vec![
-                            ("event", Json::Str("stats".into())),
-                            ("cache_hits", Json::Num(hits as f64)),
-                            ("cache_misses", Json::Num(misses as f64)),
-                            ("cache_entries", Json::Num(entries as f64)),
-                            ("cache_bytes", Json::Num(bytes as f64)),
-                            ("quarantined", Json::Num(quarantined as f64)),
-                            ("evicted", Json::Num(evicted as f64)),
-                            ("suppressed_stores", Json::Num(suppressed as f64)),
-                            (
-                                "recovered",
-                                Json::Num(self.recovered.load(Ordering::SeqCst) as f64),
-                            ),
-                            ("pending", Json::Num(pending.len() as f64)),
-                            (
-                                "batches_in_flight",
-                                Json::Num(self.batches.in_flight() as f64),
-                            ),
-                            (
-                                "fleet_workers",
-                                Json::Num(self.remote.get().map_or(0, |r| r.live_workers()) as f64),
-                            ),
-                            (
-                                "determinism_violations",
-                                Json::Num(self.determinism_violations.load(Ordering::SeqCst) as f64),
-                            ),
-                        ]),
-                    )?;
+                    let mut members = vec![
+                        ("event", Json::Str("stats".into())),
+                        ("cache_hits", Json::Num(hits as f64)),
+                        ("cache_misses", Json::Num(misses as f64)),
+                        ("cache_entries", Json::Num(entries as f64)),
+                        ("cache_bytes", Json::Num(bytes as f64)),
+                        ("quarantined", Json::Num(quarantined as f64)),
+                        ("evicted", Json::Num(evicted as f64)),
+                        ("suppressed_stores", Json::Num(suppressed as f64)),
+                        (
+                            "recovered",
+                            Json::Num(self.recovered.load(Ordering::SeqCst) as f64),
+                        ),
+                        ("pending", Json::Num(pending.len() as f64)),
+                        (
+                            "batches_in_flight",
+                            Json::Num(self.batches.in_flight() as f64),
+                        ),
+                        (
+                            "fleet_workers",
+                            Json::Num(self.remote.get().map_or(0, |r| r.live_workers()) as f64),
+                        ),
+                        (
+                            "determinism_violations",
+                            Json::Num(self.determinism_violations.load(Ordering::SeqCst) as f64),
+                        ),
+                    ];
+                    members.extend(self.latency_members());
+                    self.emit(out, obj(members))?;
                 }
                 Some("quit") => {
-                    emit(&mut out, obj(vec![("event", Json::Str("bye".into()))]))?;
+                    self.emit(out, obj(vec![("event", Json::Str("bye".into()))]))?;
                     break ServeExit::Quit;
                 }
                 Some("shutdown") => {
-                    emit(&mut out, obj(vec![("event", Json::Str("bye".into()))]))?;
+                    self.emit(out, obj(vec![("event", Json::Str("bye".into()))]))?;
                     break ServeExit::Shutdown;
                 }
                 other => {
@@ -546,13 +593,13 @@ impl Shared {
                         Some(op) => format!("unknown op '{op}'"),
                         None => "missing 'op' field".to_string(),
                     };
-                    self.protocol_error(&mut out, None, &msg)?;
+                    self.protocol_error(out, None, &msg)?;
                 }
             }
         };
         // Session boundary: make the journal durable whatever happens
         // to the process next.
-        let _ = self.journal_lock().sync();
+        let _ = self.journaled(|j| j.sync());
         Ok(exit)
     }
 
@@ -560,12 +607,12 @@ impl Shared {
     /// CLI's `ExitStatus::Protocol` path. The session always continues.
     fn protocol_error<W: Write>(
         &self,
-        out: &mut W,
+        out: &mut LineWriter<W>,
         id: Option<&Json>,
         message: &str,
     ) -> io::Result<()> {
         self.protocol_errors.fetch_add(1, Ordering::SeqCst);
-        emit(out, error_event(id, "protocol", message))
+        self.emit(out, error_event(id, "protocol", message))
     }
 
     /// Completes journaled work a dead server left behind: re-runs each
@@ -586,7 +633,7 @@ impl Shared {
                         "ringmesh serve: dropping unreplayable journal entry {}",
                         hex64(job.key)
                     );
-                    self.journal_lock().record_done(job.key)?;
+                    self.journaled(|j| j.record_done(job.key))?;
                 }
             }
         }
@@ -615,18 +662,18 @@ impl Shared {
                 Ok(o) => {
                     let payload = result_payload(&cfg, &o.result, key);
                     self.cache_lock().store(key, &payload)?;
-                    self.journal_lock().record_done(key)?;
+                    self.journaled(|j| j.record_done(key))?;
                     self.recovered.fetch_add(1, Ordering::SeqCst);
                 }
                 Err(JobError::Interrupted) => interrupted = true, // still pending; checkpointed
                 Err(JobError::Failed(e)) => {
                     eprintln!("ringmesh serve: recovery of {} failed: {e}", hex64(key));
-                    self.journal_lock().record_done(key)?;
+                    self.journaled(|j| j.record_done(key))?;
                 }
             }
         }
         if !interrupted {
-            self.journal_lock().end_batch(recovery.batch)?;
+            self.journaled(|j| j.end_batch(recovery.batch))?;
         }
         Ok(())
     }
@@ -635,7 +682,7 @@ impl Shared {
     /// the attached fleet, streamed windows and lifecycle events,
     /// journaled crash safety, results merged in submission order,
     /// closing summary.
-    fn run_batch<W: Write>(&self, batch: Vec<Pending>, out: &mut W) -> io::Result<()> {
+    fn run_batch<W: Write>(&self, batch: Vec<Pending>, out: &mut LineWriter<W>) -> io::Result<()> {
         // Plan each job. Work items carry everything either lane needs.
         let mut plans: Vec<Plan> = Vec::with_capacity(batch.len());
         let mut work: Vec<WorkItem> = Vec::new();
@@ -680,14 +727,18 @@ impl Shared {
         let journal_batch = if journaled.is_empty() {
             None
         } else {
-            Some(self.journal_lock().begin_batch(&journaled)?)
+            Some(self.journaled(|j| j.begin_batch(&journaled))?)
         };
 
-        // Answer pure hits immediately, in submission order.
+        // Answer pure hits first, in submission order; they are on the
+        // wire before the first miss starts to simulate.
         for (p, plan) in batch.iter().zip(&plans) {
             if let Plan::Hit(payload) = plan {
-                emit_result(out, &p.spec.id, payload, true, false)?;
+                self.emit_result(out, &p.spec.id, payload, true, false)?;
             }
+        }
+        if !work.is_empty() {
+            self.flush(out)?;
         }
 
         // Simulate the rest: on the attached fleet when it has live
@@ -733,13 +784,13 @@ impl Shared {
                 Plan::Work(w) => match &outcomes[*w] {
                     Ok((payload, resumed)) => {
                         misses += 1;
-                        best_effort(emit_result(out, &p.spec.id, payload, false, *resumed));
+                        best_effort(self.emit_result(out, &p.spec.id, payload, false, *resumed));
                         let struck = {
                             let mut cache = self.cache_lock();
                             let struck = cache.struck_out(p.key).then(|| cache.strikes(p.key));
                             if let Err(e) = cache.store(p.key, payload) {
                                 drop(cache);
-                                best_effort(emit(
+                                best_effort(self.emit(
                                     out,
                                     error_event_str(
                                         &p.spec.id,
@@ -751,14 +802,14 @@ impl Shared {
                             struck
                         };
                         if let Some(strikes) = struck {
-                            best_effort(emit(out, warn_event(&p.spec.id, p.key, strikes)));
+                            best_effort(self.emit(out, warn_event(&p.spec.id, p.key, strikes)));
                         }
-                        self.journal_lock().record_done(p.key)?;
+                        self.journaled(|j| j.record_done(p.key))?;
                         fp.write_str(payload);
                     }
                     Err(JobError::Interrupted) => {
                         interrupted += 1;
-                        best_effort(emit(
+                        best_effort(self.emit(
                             out,
                             error_event_str(
                                 &p.spec.id,
@@ -770,8 +821,8 @@ impl Shared {
                     }
                     Err(JobError::Failed(e)) => {
                         errors += 1;
-                        best_effort(emit(out, error_event_str(&p.spec.id, "run", e)));
-                        self.journal_lock().record_done(p.key)?;
+                        best_effort(self.emit(out, error_event_str(&p.spec.id, "run", e)));
+                        self.journaled(|j| j.record_done(p.key))?;
                         fp.write_str(&format!("error:{e}"));
                     }
                 },
@@ -782,12 +833,12 @@ impl Shared {
                     // when the entry turns out to be stale.
                     Ok((payload, _)) => {
                         hits += 1;
-                        best_effort(emit_result(out, &p.spec.id, cached, true, false));
+                        best_effort(self.emit_result(out, &p.spec.id, cached, true, false));
                         if payload == cached {
                             verified += 1;
                         } else {
                             mismatches += 1;
-                            best_effort(emit(
+                            best_effort(self.emit(
                                 out,
                                 error_event_str(
                                     &p.spec.id,
@@ -804,7 +855,7 @@ impl Shared {
                         // Verification was cut short; the stored entry
                         // is still the answer.
                         hits += 1;
-                        best_effort(emit_result(out, &p.spec.id, cached, true, false));
+                        best_effort(self.emit_result(out, &p.spec.id, cached, true, false));
                         fp.write_str(cached);
                     }
                     Err(JobError::Failed(e)) => {
@@ -815,12 +866,12 @@ impl Shared {
                 Plan::Alias(w) => match &outcomes[*w] {
                     Ok((payload, _)) => {
                         hits += 1; // answered from this batch's own work
-                        best_effort(emit_result(out, &p.spec.id, payload, true, false));
+                        best_effort(self.emit_result(out, &p.spec.id, payload, true, false));
                         fp.write_str(payload);
                     }
                     Err(JobError::Interrupted) => {
                         interrupted += 1;
-                        best_effort(emit(
+                        best_effort(self.emit(
                             out,
                             error_event_str(
                                 &p.spec.id,
@@ -832,7 +883,7 @@ impl Shared {
                     }
                     Err(JobError::Failed(e)) => {
                         errors += 1;
-                        best_effort(emit(out, error_event_str(&p.spec.id, "run", e)));
+                        best_effort(self.emit(out, error_event_str(&p.spec.id, "run", e)));
                         fp.write_str(&format!("error:{e}"));
                     }
                 },
@@ -845,27 +896,24 @@ impl Shared {
         }
         if let Some(n) = journal_batch {
             if interrupted == 0 {
-                self.journal_lock().end_batch(n)?;
+                self.journaled(|j| j.end_batch(n))?;
             }
         }
         if let Some(budget) = self.opts.cache_budget {
             self.cache_lock().evict_to_budget(budget)?;
         }
 
-        let summary = emit(
-            out,
-            obj(vec![
-                ("event", Json::Str("batch".into())),
-                ("jobs", Json::Num(batch.len() as f64)),
-                ("cache_hits", Json::Num(hits as f64)),
-                ("cache_misses", Json::Num(misses as f64)),
-                ("verified", Json::Num(verified as f64)),
-                ("mismatches", Json::Num(mismatches as f64)),
-                ("errors", Json::Num(errors as f64)),
-                ("interrupted", Json::Num(interrupted as f64)),
-                ("fingerprint", Json::Str(hex64(fp.finish()))),
-            ]),
-        );
+        let summary = out.hold(obj(vec![
+            ("event", Json::Str("batch".into())),
+            ("jobs", Json::Num(batch.len() as f64)),
+            ("cache_hits", Json::Num(hits as f64)),
+            ("cache_misses", Json::Num(misses as f64)),
+            ("verified", Json::Num(verified as f64)),
+            ("mismatches", Json::Num(mismatches as f64)),
+            ("errors", Json::Num(errors as f64)),
+            ("interrupted", Json::Num(interrupted as f64)),
+            ("fingerprint", Json::Str(hex64(fp.finish()))),
+        ]));
         match write_err {
             Some(e) => Err(e),
             None => summary,
@@ -875,7 +923,7 @@ impl Shared {
     /// Runs work items on the local [`WorkerPool`], streaming `window`
     /// events as workers progress. Returns one terminal outcome per
     /// item; results and errors are emitted later, in submission order.
-    fn run_local<W: Write>(&self, work: &[WorkItem], out: &mut W) -> Vec<WorkOutcome> {
+    fn run_local<W: Write>(&self, work: &[WorkItem], out: &mut LineWriter<W>) -> Vec<WorkOutcome> {
         let window = self.opts.window_cycles;
         let checkpoint_every = self.opts.checkpoint_every;
         let cache_dir = &self.opts.cache_dir;
@@ -885,6 +933,7 @@ impl Shared {
             work.to_vec(),
             |_, item: WorkItem, progress| {
                 let ckpt = ResultCache::checkpoint_path_in(cache_dir, item.key);
+                let t0 = Instant::now();
                 let outcome = run_job(
                     &item.cfg,
                     window,
@@ -892,14 +941,16 @@ impl Shared {
                     Some(&ckpt),
                     Some(stop),
                     progress,
-                )?;
+                );
+                self.record(Stage::Simulate, t0);
+                let outcome = outcome?;
                 Ok((
                     result_payload(&item.cfg, &outcome.result, item.key),
                     outcome.resumed,
                 ))
             },
             |i, w: WindowEvent| {
-                let _ = emit(&mut **sink.borrow_mut(), window_event(&work[i].id, &w));
+                let _ = self.emit(&mut sink.borrow_mut(), window_event(&work[i].id, &w));
             },
             |_, _: &WorkOutcome| {},
         )
@@ -921,7 +972,7 @@ impl Shared {
         &self,
         runner: &dyn RemoteRunner,
         work: &[WorkItem],
-        out: &mut W,
+        out: &mut LineWriter<W>,
     ) -> io::Result<Vec<WorkOutcome>> {
         let tasks: Vec<RemoteTask> = work
             .iter()
@@ -943,9 +994,8 @@ impl Shared {
                         lease_ms,
                     } => {
                         let item = &work[task];
-                        if let Err(e) = self
-                            .journal_lock()
-                            .record_lease(item.key, worker, attempt, lease_ms)
+                        if let Err(e) =
+                            self.journaled(|j| j.record_lease(item.key, worker, attempt, lease_ms))
                         {
                             journal_err.get_or_insert(e);
                         }
@@ -988,7 +1038,7 @@ impl Shared {
                         ("worker", Json::Num(worker as f64)),
                     ]),
                 };
-                let _ = emit(out, line);
+                let _ = self.emit(out, line);
             };
             runner.run_tasks(tasks, &self.stop, &mut events)
         };
@@ -1022,7 +1072,7 @@ impl Shared {
             });
         }
         if !fallback.is_empty() {
-            let _ = emit(
+            let _ = self.emit(
                 out,
                 obj(vec![
                     ("event", Json::Str("fallback".into())),
@@ -1045,110 +1095,87 @@ impl Shared {
             .collect())
     }
 
+    /// Adds the time since `since` to the histogram of `stage`.
+    fn record(&self, stage: Stage, since: Instant) {
+        let us = since.elapsed().as_secs_f64() * 1e6;
+        self.latencies.lock().expect("latency lock poisoned")[stage as usize].record(us);
+    }
+
+    /// One `{p50, p90, p99, count}` member per [`Stage`], microseconds.
+    fn latency_members(&self) -> Vec<(&'static str, Json)> {
+        let latencies = self.latencies.lock().expect("latency lock poisoned");
+        let summary = |h: &Histogram| {
+            let q = |q| Json::Num(h.quantile(q).unwrap_or(0.0));
+            obj(vec![
+                ("p50", q(0.5)),
+                ("p90", q(0.9)),
+                ("p99", q(0.99)),
+                ("count", Json::Num(h.len() as f64)),
+            ])
+        };
+        STAGE_NAMES
+            .iter()
+            .zip(latencies.iter())
+            .map(|(name, h)| (*name, summary(h)))
+            .collect()
+    }
+
+    /// Writes one event line now, behind whatever is held (see
+    /// [`wire`]: whole lines, one write).
+    fn emit<W: Write>(&self, out: &mut LineWriter<W>, event: impl Display) -> io::Result<()> {
+        let t0 = Instant::now();
+        let written = out.line(event);
+        self.record(Stage::Emit, t0);
+        written
+    }
+
+    /// Writes out the held replies, if there are any.
+    fn flush<W: Write>(&self, out: &mut LineWriter<W>) -> io::Result<()> {
+        if !out.holds_lines() {
+            return Ok(());
+        }
+        let t0 = Instant::now();
+        let written = out.flush();
+        self.record(Stage::Emit, t0);
+        written
+    }
+
+    /// Writes a `result` event with the payload embedded under
+    /// `"data"`. The payload is spliced in verbatim — it is already
+    /// serialized JSON and must stay byte-identical between cached and
+    /// fresh emission. A cached result is held (more of them, or the
+    /// `batch` summary, follow at once); a computed one is written now.
+    fn emit_result<W: Write>(
+        &self,
+        out: &mut LineWriter<W>,
+        id: &str,
+        payload: &str,
+        cached: bool,
+        resumed: bool,
+    ) -> io::Result<()> {
+        let head = obj(vec![
+            ("event", Json::Str("result".into())),
+            ("id", Json::Str(id.to_string())),
+            ("cached", Json::Bool(cached)),
+            ("resumed", Json::Bool(resumed)),
+        ])
+        .to_string();
+        // head is "{...}"; replace the closing brace with ,"data":payload}.
+        let head = &head[..head.len() - 1];
+        let event = format_args!("{head},\"data\":{payload}}}");
+        if cached {
+            out.hold(event)
+        } else {
+            self.emit(out, event)
+        }
+    }
+
     /// Deterministic verification sampling: stable in the key, so the
     /// same job is either always or never re-checked at a given
     /// fraction.
     fn selected_for_verify(&self, key: u64) -> bool {
         let f = self.opts.verify_fraction.clamp(0.0, 1.0);
         (key % 10_000) < (f * 10_000.0) as u64
-    }
-}
-
-/// What one bounded line read produced.
-enum LineRead {
-    /// A complete line (newline stripped), at most the cap in bytes.
-    Line(Vec<u8>),
-    /// A line longer than the cap; the excess was discarded through its
-    /// newline.
-    Oversized,
-    /// The transport reported a read timeout (poll tick); the partial
-    /// line, if any, stays buffered.
-    TimedOut,
-    /// End of input (a final unterminated line is returned first).
-    Eof,
-}
-
-/// A line reader with a hard byte cap and timeout transparency: reads
-/// never allocate beyond the cap no matter what the peer sends, and a
-/// socket read timeout surfaces as [`LineRead::TimedOut`] without
-/// losing buffered partial input.
-struct LineReader<R> {
-    inner: R,
-    scratch: Vec<u8>,
-    /// Inside an oversized line, discarding until its newline.
-    discarding: bool,
-    max: usize,
-}
-
-impl<R: BufRead> LineReader<R> {
-    fn new(inner: R, max: usize) -> Self {
-        LineReader {
-            inner,
-            scratch: Vec::new(),
-            discarding: false,
-            max,
-        }
-    }
-
-    fn next_line(&mut self) -> io::Result<LineRead> {
-        loop {
-            let buf = match self.inner.fill_buf() {
-                Ok(buf) => buf,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    return Ok(LineRead::TimedOut);
-                }
-                Err(e) => return Err(e),
-            };
-            if buf.is_empty() {
-                // EOF: flush any final unterminated line first.
-                if self.discarding {
-                    self.discarding = false;
-                    return Ok(LineRead::Oversized);
-                }
-                if self.scratch.is_empty() {
-                    return Ok(LineRead::Eof);
-                }
-                return Ok(LineRead::Line(std::mem::take(&mut self.scratch)));
-            }
-            let newline = buf.iter().position(|&b| b == b'\n');
-            if self.discarding {
-                let n = newline.map_or(buf.len(), |p| p + 1);
-                self.inner.consume(n);
-                if newline.is_some() {
-                    self.discarding = false;
-                    return Ok(LineRead::Oversized);
-                }
-                continue;
-            }
-            match newline {
-                Some(p) => {
-                    self.scratch.extend_from_slice(&buf[..p]);
-                    self.inner.consume(p + 1);
-                    if self.scratch.len() > self.max {
-                        self.scratch.clear();
-                        return Ok(LineRead::Oversized);
-                    }
-                    return Ok(LineRead::Line(std::mem::take(&mut self.scratch)));
-                }
-                None => {
-                    let n = buf.len();
-                    self.scratch.extend_from_slice(buf);
-                    self.inner.consume(n);
-                    if self.scratch.len() > self.max {
-                        // Too long already; drop it and skip to newline.
-                        self.scratch.clear();
-                        self.discarding = true;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1207,33 +1234,6 @@ pub fn result_payload(cfg: &SystemConfig, r: &RunResult, key: u64) -> String {
     members.push(("retired", Json::Num(r.workload.retired as f64)));
     members.push(("fingerprint", Json::Str(hex64(r.fingerprint()))));
     obj(members).to_string()
-}
-
-fn emit<W: Write>(out: &mut W, event: Json) -> io::Result<()> {
-    writeln!(out, "{event}")?;
-    out.flush()
-}
-
-/// Writes a `result` event with the payload embedded under `"data"`.
-/// The payload is spliced in verbatim — it is already serialized JSON
-/// and must stay byte-identical between cached and fresh emission.
-fn emit_result<W: Write>(
-    out: &mut W,
-    id: &str,
-    payload: &str,
-    cached: bool,
-    resumed: bool,
-) -> io::Result<()> {
-    let head = obj(vec![
-        ("event", Json::Str("result".into())),
-        ("id", Json::Str(id.to_string())),
-        ("cached", Json::Bool(cached)),
-        ("resumed", Json::Bool(resumed)),
-    ])
-    .to_string();
-    // head is "{...}"; replace the closing brace with ,"data":payload}.
-    writeln!(out, "{},\"data\":{}}}", &head[..head.len() - 1], payload)?;
-    out.flush()
 }
 
 /// Windowed-progress event for one job, identical whichever lane

@@ -427,3 +427,191 @@ fn results_carry_percentiles_and_fingerprint() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn stats_report_latency_summaries_and_accept_is_fast_over_loopback() {
+    use std::io::{BufRead, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
+
+    use ringmesh_serve::wire;
+
+    let dir = tempdir("latency");
+    let server = Server::new(opts(&dir)).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let job = r#"{"op":"job","id":"m","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
+
+    let stats_line = std::thread::scope(|s| {
+        s.spawn(|| {
+            let (stream, _) = listener.accept().unwrap();
+            wire::prepare(
+                &stream,
+                Duration::from_secs(1),
+                Some(Duration::from_secs(5)),
+            )
+            .unwrap();
+            let reader = BufReader::new(stream.try_clone().unwrap());
+            assert_eq!(server.serve(reader, stream).unwrap(), ServeExit::Quit);
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut stream = stream;
+        let mut exchange = |request: &str, last: &str| {
+            stream.write_all(request.as_bytes()).unwrap();
+            let mut line = String::new();
+            loop {
+                line.clear();
+                assert!(reader.read_line(&mut line).unwrap() > 0, "server hung up");
+                if line.contains(last) {
+                    return line;
+                }
+            }
+        };
+        // One real batch so every stage has something to report, then
+        // 200 job -> accepted ping-pongs against the now-cached key.
+        exchange(
+            &format!("{job}\n{{\"op\":\"run\"}}\n"),
+            "\"event\":\"batch\"",
+        );
+        for i in 0..200 {
+            exchange(&format!("{job}\n"), "\"event\":\"accepted\"");
+            if i % 50 == 49 {
+                exchange("{\"op\":\"run\"}\n", "\"event\":\"batch\"");
+            }
+        }
+        let stats = exchange("{\"op\":\"stats\"}\n", "\"event\":\"stats\"");
+        exchange("{\"op\":\"quit\"}\n", "\"event\":\"bye\"");
+        stats
+    });
+
+    let stats = Json::parse(stats_line.trim_end()).unwrap();
+    // The members that were there before keep their places in front.
+    let Json::Obj(members) = &stats else {
+        panic!("stats is an object")
+    };
+    let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "event",
+            "cache_hits",
+            "cache_misses",
+            "cache_entries",
+            "cache_bytes",
+            "quarantined",
+            "evicted",
+            "suppressed_stores",
+            "recovered",
+            "pending",
+            "batches_in_flight",
+            "fleet_workers",
+            "determinism_violations",
+            "accept",
+            "batch",
+            "cache_lookup",
+            "journal",
+            "simulate",
+            "emit",
+        ]
+    );
+    let field = |stage: &str, f: &str| {
+        stats
+            .get(stage)
+            .and_then(|s| s.get(f))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("stats.{stage}.{f} missing: {stats_line}"))
+    };
+    for stage in [
+        "accept",
+        "batch",
+        "cache_lookup",
+        "journal",
+        "simulate",
+        "emit",
+    ] {
+        assert!(field(stage, "count") >= 1.0, "{stage}: {stats_line}");
+        assert!(field(stage, "p50") <= field(stage, "p90"), "{stage}");
+        assert!(field(stage, "p90") <= field(stage, "p99"), "{stage}");
+    }
+    assert_eq!(field("accept", "count"), 201.0);
+    assert_eq!(field("batch", "count"), 5.0);
+    assert_eq!(field("simulate", "count"), 1.0);
+    assert!(
+        field("accept", "p99") < 5_000.0,
+        "accept p99 {} us over 200 loopback pings",
+        field("accept", "p99")
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_burst_is_answered_in_one_write_and_nothing_waits_behind_a_simulation() {
+    /// Keeps each `write` the session makes apart.
+    #[derive(Default)]
+    struct Writes(Vec<String>);
+
+    impl std::io::Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(String::from_utf8(buf.to_vec()).unwrap());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let dir = tempdir("burst");
+    let server = Server::new(opts(&dir)).unwrap();
+    // The whole script is buffered at once, as a client's burst is:
+    // a cold batch of three, then the same batch again, now cached.
+    let script = format!("{}{BATCH}", BATCH.replace("{\"op\":\"quit\"}\n", ""));
+    let mut out = Writes::default();
+    server
+        .serve(BufReader::new(script.as_bytes()), &mut out)
+        .unwrap();
+    let writes = out.0;
+    let kinds = |write: &str| -> Vec<String> {
+        write
+            .lines()
+            .map(|l| {
+                let event = Json::parse(l).unwrap();
+                event.get("event").and_then(Json::as_str).unwrap().into()
+            })
+            .collect()
+    };
+    for w in &writes {
+        assert!(w.ends_with('\n'), "an event is never cut: {w:?}");
+    }
+    // The three `accepted` leave together, before the simulations start…
+    assert_eq!(kinds(&writes[0]), ["accepted"; 3]);
+    // …every streamed event and computed result is a write of its own…
+    let last = writes.len() - 1;
+    for w in &writes[1..last] {
+        let kinds = kinds(w);
+        assert_eq!(kinds.len(), 1, "{w:?}");
+        assert!(kinds[0] == "window" || kinds[0] == "result", "{w:?}");
+    }
+    assert_eq!(
+        writes[1..last]
+            .iter()
+            .filter(|w| w.contains("\"event\":\"result\""))
+            .count(),
+        3
+    );
+    // …and the first batch's summary, the cached batch and `bye` —
+    // produced without waiting for anything — are one write.
+    assert_eq!(
+        kinds(&writes[last]),
+        [
+            "batch", "accepted", "accepted", "accepted", "result", "result", "result", "batch",
+            "bye"
+        ]
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
