@@ -293,15 +293,9 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::InvalidConfig`] if the network does not
-    /// support tracing (e.g. the slotted ring), and
-    /// [`RunError::Stall`] if the network deadlocks.
+    /// Returns [`RunError::Stall`] if the network deadlocks.
     pub fn run_traced(mut self, tcfg: TraceConfig) -> Result<(RunResult, TraceReport), RunError> {
         self.net.set_tracer(Tracer::recording(tcfg));
-        // A network without trace support drops the tracer on the floor.
-        if self.net.tracer_mut().is_none() {
-            return Err(self.unsupported("tracing"));
-        }
         let result = self.run_mut()?;
         let report = self
             .net
@@ -324,7 +318,10 @@ impl System {
     pub fn run_faulty(mut self, plan: &FaultPlan) -> Result<FaultRunReport, RunError> {
         let domain = self.net.fault_domain();
         if plan.faults.is_active() && domain.is_empty() {
-            return Err(self.unsupported("fault injection"));
+            return Err(RunError::InvalidConfig(ConfigError::Invalid(format!(
+                "network '{}' does not support fault injection",
+                self.cfg.network.label()
+            ))));
         }
         let schedule = FaultSchedule::generate(&plan.faults, domain);
         self.net
@@ -345,14 +342,6 @@ impl System {
             conservation: self.net.conservation_counts(),
             violation,
         })
-    }
-
-    /// The error for asking this network for a `feature` it lacks.
-    fn unsupported(&self, feature: &str) -> RunError {
-        RunError::InvalidConfig(ConfigError::Invalid(format!(
-            "network '{}' does not support {feature}",
-            self.cfg.network.label()
-        )))
     }
 
     fn run_mut(&mut self) -> Result<RunResult, RunError> {
@@ -453,11 +442,11 @@ impl System {
         self.workload.stats()
     }
 
-    /// Installs a tracer on the network; networks without trace support
-    /// drop it. Streaming servers attach custom [`ringmesh_trace`]
-    /// sinks this way and drain them between [`run_to`](Self::run_to)
-    /// pauses ([`run_traced`](Self::run_traced) is the whole-run
-    /// convenience form).
+    /// Installs a tracer on the network. Streaming servers attach
+    /// custom [`ringmesh_trace`] sinks this way and drain them between
+    /// [`run_to`](Self::run_to) pauses
+    /// ([`run_traced`](Self::run_traced) is the whole-run convenience
+    /// form).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.net.set_tracer(tracer);
     }
@@ -745,23 +734,6 @@ mod tests {
         let plan = fault_plan(1_000);
         let r = System::new(cfg).unwrap().run_faulty(&plan);
         assert!(matches!(r, Err(RunError::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn tracing_a_slotted_ring_rejected() {
-        let cfg = quick(
-            NetworkSpec::SlottedRing {
-                spec: "4".parse().unwrap(),
-            },
-            CacheLineSize::B32,
-        );
-        let r = System::new(cfg).unwrap().run_traced(TraceConfig::default());
-        match r {
-            Err(RunError::InvalidConfig(e)) => {
-                assert!(e.to_string().contains("does not support tracing"), "{e}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
     }
 
     #[test]

@@ -16,26 +16,23 @@
 //! elastic mesh→ring queue → local ring entry under the credit rule →
 //! destination NIC.
 
-use ringmesh_engine::{StallError, Watchdog};
-use ringmesh_faults::{
-    ConservationError, ConservationLedger, DropReason, FaultDomain, FaultInjector,
-};
+use ringmesh_faults::{DropReason, FaultDomain};
 use ringmesh_mesh::kernel::{owner_coords, CommitOp, FaultCtx, MeshRouters};
 use ringmesh_mesh::MeshTopology;
 use ringmesh_net::{
-    Flit, Interconnect, LevelUtil, NodeId, Packet, PacketRef, PacketStore, QueueClass,
-    UtilizationReport,
+    Flit, LevelUtil, NetCore, NodeId, Packet, PacketRef, QueueClass, UtilizationReport,
 };
-use ringmesh_ring::kernel::{Iri, Nic, Send as RingSend, StepPulse, LOWER};
+use ringmesh_ring::kernel::{Iri, Nic, Send as RingSend, StepPulse, Tick, LOWER};
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
-use ringmesh_trace::{Counter, EventKind, Gauge, Probe, TraceLoc, Tracer};
+use ringmesh_trace::{Counter, Gauge};
 
 use crate::HybridConfig;
 
 /// A flit-level, cycle-accurate hybrid Ring-Mesh network.
 ///
-/// Implements [`Interconnect`]; drive it with the `ringmesh-workload`
-/// crate or directly as in the example below.
+/// Implements [`ringmesh_net::Interconnect`] (as every
+/// [`ringmesh_net::Kernel`] does); drive it with the
+/// `ringmesh-workload` crate or directly as in the example below.
 ///
 /// # Example
 ///
@@ -67,7 +64,10 @@ pub struct HybridNetwork {
     local: u32,
     cfg: HybridConfig,
     topo: MeshTopology,
-    store: PacketStore,
+    /// The fault domain is the bridges (nodes) and the ring links (as
+    /// in the hierarchical ring, `station*2 + side`); corruption marks
+    /// are checked once, at the destination NIC's reassembly.
+    core: NetCore,
     /// One NIC per PM, in PM order.
     nics: Vec<Nic>,
     /// One bridge per mesh router, in router order. Only the bridge's
@@ -87,7 +87,6 @@ pub struct HybridNetwork {
     /// routes every PM to its ring's router by plain e-cube and ejects
     /// into the bridge there.
     owners: Vec<(u16, u16)>,
-    cycle: u64,
     /// Flits moved per local ring (utilization accounting).
     ring_flits: Vec<u64>,
     /// Flits moved on mesh links.
@@ -96,19 +95,6 @@ pub struct HybridNetwork {
     /// credits: ring entry requires at least two remaining).
     ring_credits: Vec<i64>,
     reset_cycle: u64,
-    watchdog: Watchdog,
-    /// Observability sink; disabled (free) unless installed via
-    /// [`Interconnect::set_tracer`].
-    tracer: Tracer,
-    /// Fault source; absent in fault-free runs. The hybrid's fault
-    /// domain is the bridges (nodes) and the ring links (as in the
-    /// hierarchical ring, `station*2 + side`).
-    faults: Option<FaultInjector>,
-    ledger: ConservationLedger,
-    /// Corruption marks by packet-store slot, rolled at injection and
-    /// checked once, at the destination NIC's reassembly.
-    corrupt: Vec<bool>,
-    dropped: Vec<(Packet, DropReason)>,
     /// Packets sunk at dead bridges, pending drop accounting.
     sunk: Vec<PacketRef>,
 }
@@ -169,13 +155,12 @@ impl HybridNetwork {
             ));
         }
         let routers = MeshRouters::new(&topo, cfg.mesh_buffer_flits(), cfg.out_queue_packets);
-        let horizon = cfg.watchdog_horizon;
         Ok(HybridNetwork {
             side,
             local,
+            core: NetCore::new(cfg.watchdog_horizon),
             cfg,
             topo,
-            store: PacketStore::new(),
             nics,
             bridges,
             station_active: vec![true; g2 * spr],
@@ -183,17 +168,10 @@ impl HybridNetwork {
             sends: Vec::new(),
             routers,
             owners: owner_coords(&topo, local),
-            cycle: 0,
             ring_flits: vec![0; g2],
             mesh_flits: 0,
             ring_credits: vec![(spr * buf_flits) as i64; g2],
             reset_cycle: 0,
-            watchdog: Watchdog::new(horizon),
-            tracer: Tracer::off(),
-            faults: None,
-            ledger: ConservationLedger::new(cfg!(debug_assertions)),
-            corrupt: Vec::new(),
-            dropped: Vec::new(),
             sunk: Vec::new(),
         })
     }
@@ -223,24 +201,6 @@ impl HybridNetwork {
         g * self.stations_per_ring() + self.local as usize
     }
 
-    /// Whether a live route exists from `src` to `dst`. Intra-ring
-    /// traffic never touches a bridge's crossing queues; cross-ring
-    /// traffic must cross both endpoint bridges, and a dead bridge —
-    /// like a dead IRI in the hierarchical ring — accepts no *new*
-    /// crossing traffic while already-queued worms keep draining
-    /// (lazy fail-stop).
-    fn path_alive(&self, src: NodeId, dst: NodeId) -> bool {
-        let Some(f) = self.faults.as_ref() else {
-            return true;
-        };
-        if !f.any_nodes_dead() {
-            return true;
-        }
-        let gs = src.raw() / self.local;
-        let gd = dst.raw() / self.local;
-        gs == gd || (!f.node_dead(gs) && !f.node_dead(gd))
-    }
-
     /// Serial tick of every active ring station: the NICs and the
     /// bridges' LOWER crossbar sides, in ascending station order, then
     /// dead-bridge sink retirement and the wire-transfer commit.
@@ -253,6 +213,15 @@ impl HybridNetwork {
         let spr = self.stations_per_ring();
         let l = self.local as usize;
         self.sends.clear();
+        let mut t = Tick {
+            now,
+            credits: &mut self.ring_credits,
+            core: &mut self.core,
+            sends: &mut self.sends,
+            delivered,
+            sunk: &mut self.sunk,
+            pulse,
+        };
         for st in 0..self.station_active.len() {
             if !self.station_active[st] {
                 continue;
@@ -261,58 +230,26 @@ impl HybridNetwork {
             let s = st % spr;
             let dst_st = g * spr + (s + 1) % spr;
             let free_out = self.free[dst_st];
-            let link_up = self
-                .faults
-                .as_ref()
-                .is_none_or(|f| f.link_up(st as u32 * 2, now));
-            if s < l {
-                let nic = g * l + s;
-                self.nics[nic].step(
-                    now,
-                    link_up,
-                    free_out,
-                    &mut self.ring_credits,
-                    &self.corrupt,
-                    &mut self.ledger,
-                    &mut self.store,
-                    &mut self.sends,
-                    delivered,
-                    &mut self.dropped,
-                    pulse,
-                );
-                if self.nics[nic].quiescent() {
-                    self.station_active[st] = false;
-                }
+            let faults = t.core.faults();
+            let link_up = faults.is_none_or(|f| f.link_up(st as u32 * 2, now));
+            let quiescent = if s < l {
+                let nic = &mut self.nics[g * l + s];
+                nic.step(&mut t, link_up, free_out);
+                nic.quiescent()
             } else {
-                let dead = self.faults.as_ref().is_some_and(|f| f.node_dead(g as u32));
-                self.bridges[g].step_side(
-                    LOWER,
-                    now,
-                    link_up,
-                    dead,
-                    free_out,
-                    &mut self.ring_credits,
-                    &self.store,
-                    &mut self.sends,
-                    &mut self.sunk,
-                    pulse,
-                );
-                if self.bridges[g].quiescent() {
-                    self.station_active[st] = false;
-                }
+                let dead = faults.is_some_and(|f| f.node_dead(g as u32));
+                let bridge = &mut self.bridges[g];
+                bridge.step_side(LOWER, &mut t, link_up, dead, free_out);
+                bridge.quiescent()
+            };
+            if quiescent {
+                self.station_active[st] = false;
             }
         }
         // Retire packets sunk at dead bridges: their flits were
         // consumed in place, so only the bookkeeping remains.
-        if !self.sunk.is_empty() {
-            for i in 0..self.sunk.len() {
-                let r = self.sunk[i];
-                let slot = r.slot();
-                let pkt = self.store.remove(r);
-                self.ledger.complete(slot, true);
-                self.dropped.push((pkt, DropReason::DeadInterface));
-            }
-            self.sunk.clear();
+        for r in self.sunk.drain(..) {
+            self.core.drop_packet(r, DropReason::DeadInterface);
         }
         // Commit the ring wire transfers decided this tick.
         for i in 0..self.sends.len() {
@@ -377,119 +314,34 @@ impl HybridNetwork {
         }
         pumped
     }
-
-    /// Tracing for one stepped cycle (only called while enabled).
-    fn trace_cycle(&mut self, now: u64, pulse: &StepPulse, newly: &[(NodeId, Packet)]) {
-        self.tracer.count(Counter::FlitsForwarded, pulse.moved);
-        self.tracer.count(Counter::BlockedCycles, pulse.blocked);
-        self.tracer.count(Counter::IriCrossings, pulse.crossed);
-        if !newly.is_empty() {
-            self.tracer
-                .count(Counter::PacketsDelivered, newly.len() as u64);
-            for (pm, pkt) in newly {
-                self.tracer.event(
-                    pkt.txn.raw(),
-                    now,
-                    TraceLoc::Pm {
-                        pm: pm.index() as u32,
-                    },
-                    EventKind::Eject,
-                );
-            }
-        }
-        // Split-borrow dance: probe reads &self while writing the
-        // tracer, so temporarily take the tracer out.
-        let mut t = std::mem::take(&mut self.tracer);
-        self.probe(&mut t);
-        self.tracer = t;
-    }
 }
 
-impl Probe for HybridNetwork {
-    /// Publishes occupancy gauges: flits in mesh input buffers and
-    /// live packets.
-    fn probe(&self, t: &mut Tracer) {
-        t.gauge(Gauge::MeshInputOccupancy, self.routers.occupancy() as f64);
-        t.gauge(Gauge::InFlightPackets, self.store.live() as f64);
+impl ringmesh_net::Kernel for HybridNetwork {
+    fn core(&self) -> &NetCore {
+        &self.core
     }
-}
 
-impl Interconnect for HybridNetwork {
+    fn core_mut(&mut self) -> &mut NetCore {
+        &mut self.core
+    }
+
     fn num_pms(&self) -> usize {
         self.nics.len()
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool {
         self.nics[pm.index()].can_accept(class)
     }
 
-    fn inject(&mut self, pm: NodeId, packet: Packet) {
-        assert_eq!(packet.src, pm, "packet injected at the wrong PM");
-        assert_ne!(packet.src, packet.dst, "local accesses bypass the network");
-        assert!(
-            packet.dst.index() < self.num_pms(),
-            "destination {} out of range",
-            packet.dst
-        );
-        let class = QueueClass::of(packet.kind);
-        if !self.path_alive(pm, packet.dst) {
-            // Fail fast at injection when a dead bridge cuts the only
-            // route: the packet could never be delivered.
-            if let Some(f) = &mut self.faults {
-                f.record_drop(DropReason::Unreachable);
-            }
-            self.ledger.refuse();
-            if self.tracer.is_enabled() {
-                self.tracer.count(Counter::PacketsDropped, 1);
-            }
-            return;
-        }
-        if self.tracer.is_enabled() {
-            self.tracer.count(Counter::PacketsInjected, 1);
-            self.tracer.event(
-                packet.txn.raw(),
-                self.cycle,
-                TraceLoc::Pm {
-                    pm: pm.index() as u32,
-                },
-                EventKind::Inject {
-                    src: packet.src.index() as u32,
-                    dst: packet.dst.index() as u32,
-                    flits: packet.flits,
-                },
-            );
-        }
-        let r = self.store.insert(packet);
-        self.ledger.inject(r.slot());
-        if let Some(f) = &mut self.faults {
-            // Roll the corruption coin now; slots are reused, so the
-            // mark must be (re)written on every insert.
-            let bad = f.roll_corrupt();
-            if self.corrupt.len() <= r.slot() {
-                self.corrupt.resize(r.slot() + 1, false);
-            }
-            self.corrupt[r.slot()] = bad;
-        }
-        self.nics[pm.index()].enqueue(class, r);
+    fn enqueue(&mut self, pm: NodeId, class: QueueClass, packet: PacketRef) {
+        self.nics[pm.index()].enqueue(class, packet);
         let spr = self.stations_per_ring();
         let st = (pm.index() / self.local as usize) * spr + pm.index() % self.local as usize;
         self.station_active[st] = true;
     }
 
-    fn step(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> Result<(), StallError> {
-        let now = self.cycle;
-        let enabled = self.tracer.is_enabled();
-        let mark = delivered.len();
-        if enabled {
-            self.tracer.cycle(now);
-        }
-        if let Some(f) = &mut self.faults {
-            f.advance(now);
-        }
+    fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64 {
+        let now = self.core.cycle();
         let mut pulse = StepPulse::default();
         // Phase A — the ring tier, serial in station order (NIC steps
         // eject/forward/inject; bridge LOWER crossbars classify and
@@ -507,7 +359,7 @@ impl Interconnect for HybridNetwork {
             now,
         };
         self.routers
-            .step(now, &self.owners, &self.store, &fc, false);
+            .step(now, &self.owners, self.core.store(), &fc, false);
         pulse.moved += self.routers.moved;
         pulse.blocked += self.routers.blocked;
         self.mesh_flits += self.routers.link_flits;
@@ -518,15 +370,12 @@ impl Interconnect for HybridNetwork {
             match op {
                 CommitOp::Deliver { node, packet } => {
                     let g = node.index();
-                    let dead = self.faults.as_ref().is_some_and(|f| f.node_dead(g as u32));
+                    let dead = self.core.faults().is_some_and(|f| f.node_dead(g as u32));
                     if dead {
-                        let slot = packet.slot();
-                        let pkt = self.store.remove(packet);
-                        self.ledger.complete(slot, true);
-                        self.dropped.push((pkt, DropReason::DeadInterface));
+                        self.core.drop_packet(packet, DropReason::DeadInterface);
                     } else {
                         let (kind, flits) = {
-                            let p = self.store.get(packet);
+                            let p = self.core.store().get(packet);
                             (p.kind, p.flits)
                         };
                         let class = QueueClass::of(kind);
@@ -549,28 +398,16 @@ impl Interconnect for HybridNetwork {
                         self.station_active[st] = true;
                     }
                 }
-                CommitOp::Drop { packet, reason } => {
-                    let slot = packet.slot();
-                    let pkt = self.store.remove(packet);
-                    self.ledger.complete(slot, true);
-                    self.dropped.push((pkt, reason));
-                }
+                CommitOp::Drop { packet, reason } => self.core.drop_packet(packet, reason),
             }
         }
-        if !self.dropped.is_empty() {
-            if enabled {
-                self.tracer
-                    .count(Counter::PacketsDropped, self.dropped.len() as u64);
-            }
-            if let Some(f) = &mut self.faults {
-                for &(_, reason) in &self.dropped {
-                    f.record_drop(reason);
-                }
-            }
-            self.dropped.clear();
-        }
-        if enabled {
-            self.trace_cycle(now, &pulse, &delivered[mark..]);
+        if self.core.tracing() {
+            let occupancy = self.routers.occupancy() as f64;
+            let tracer = self.core.tracer();
+            tracer.count(Counter::FlitsForwarded, pulse.moved);
+            tracer.count(Counter::BlockedCycles, pulse.blocked);
+            tracer.count(Counter::IriCrossings, pulse.crossed);
+            tracer.gauge(Gauge::MeshInputOccupancy, occupancy);
         }
         // Phase E — latch: the touched mesh routers' input buffers,
         // then the ring buffers.
@@ -586,23 +423,11 @@ impl Interconnect for HybridNetwork {
                 self.bridges[g].latch().0
             };
         }
-        #[cfg(debug_assertions)]
-        {
-            let (inj, del, drp) = self.ledger.counts();
-            assert_eq!(inj, del + drp + self.store.live(), "conservation identity");
-        }
-        self.cycle += 1;
-        self.watchdog
-            .observe(self.cycle, pulse.moved, self.store.live());
-        self.watchdog.check(self.cycle)
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.store.live()
+        pulse.moved
     }
 
     fn utilization(&self) -> UtilizationReport {
-        let cycles = self.cycle - self.reset_cycle;
+        let cycles = self.core.cycle() - self.reset_cycle;
         if cycles == 0 {
             return UtilizationReport::default();
         }
@@ -628,27 +453,66 @@ impl Interconnect for HybridNetwork {
     fn reset_counters(&mut self) {
         self.ring_flits.iter_mut().for_each(|c| *c = 0);
         self.mesh_flits = 0;
-        self.reset_cycle = self.cycle;
+        self.reset_cycle = self.core.cycle();
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        if self.tracer.is_enabled() {
-            Some(&mut self.tracer)
-        } else {
-            None
+    fn save_kernel(&self, w: &mut SnapWriter) {
+        w.usize(self.nics.len());
+        for nic in &self.nics {
+            nic.save_state(w);
         }
+        w.usize(self.bridges.len());
+        for bridge in &self.bridges {
+            bridge.save_state(w);
+        }
+        self.routers.save_state(w);
+        self.station_active.save(w);
+        self.free.save(w);
+        w.u64(self.core.cycle());
+        self.ring_flits.save(w);
+        self.ring_credits.save(w);
+        w.u64(self.mesh_flits);
+        w.u64(self.reset_cycle);
     }
 
-    fn take_tracer(&mut self) -> Option<Tracer> {
-        if self.tracer.is_enabled() {
-            Some(std::mem::take(&mut self.tracer))
-        } else {
-            None
+    fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
+        r.len_exact(self.nics.len(), "NIC count")?;
+        for nic in &mut self.nics {
+            nic.restore_state(r)?;
         }
+        r.len_exact(self.bridges.len(), "bridge count")?;
+        for bridge in &mut self.bridges {
+            bridge.restore_state(r)?;
+        }
+        self.routers.restore_state(r)?;
+        self.station_active = r.vec_exact(self.station_active.len(), "station count")?;
+        self.free = r.vec_exact(self.free.len(), "free table size")?;
+        let cycle = r.u64()?;
+        self.ring_flits = r.vec_exact(self.ring_flits.len(), "ring count")?;
+        self.ring_credits = r.vec_exact(self.ring_credits.len(), "ring-credit table size")?;
+        self.mesh_flits = r.u64()?;
+        self.reset_cycle = r.u64()?;
+        self.sends.clear();
+        self.sunk.clear();
+        Ok(cycle)
+    }
+
+    /// Whether a live route exists from `src` to `dst`. Intra-ring
+    /// traffic never touches a bridge's crossing queues; cross-ring
+    /// traffic must cross both endpoint bridges, and a dead bridge —
+    /// like a dead IRI in the hierarchical ring — accepts no *new*
+    /// crossing traffic while already-queued worms keep draining
+    /// (lazy fail-stop).
+    fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
+        let Some(f) = self.core.faults() else {
+            return true;
+        };
+        if !f.any_nodes_dead() {
+            return true;
+        }
+        let gs = src.raw() / self.local;
+        let gd = dst.raw() / self.local;
+        gs == gd || (!f.node_dead(gs) && !f.node_dead(gd))
     }
 
     fn fault_domain(&self) -> FaultDomain {
@@ -662,118 +526,13 @@ impl Interconnect for HybridNetwork {
             nodes: self.bridges.len() as u32,
         }
     }
-
-    fn set_faults(&mut self, injector: FaultInjector, check: bool) {
-        self.faults = Some(injector);
-        if check && !self.ledger.tracking() {
-            self.ledger.set_tracking(true);
-        }
-    }
-
-    fn faults(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
-    }
-
-    fn take_faults(&mut self) -> Option<FaultInjector> {
-        self.faults.take()
-    }
-
-    fn verify_conservation(&self) -> Result<(), ConservationError> {
-        self.ledger.verify(self.store.live())
-    }
-
-    fn conservation_counts(&self) -> Option<(u64, u64, u64)> {
-        Some(self.ledger.counts())
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        if self.faults.is_some() {
-            return Err(SnapError::Mismatch(
-                "checkpointing with fault injection installed is not supported".into(),
-            ));
-        }
-        self.store.save(w);
-        w.usize(self.nics.len());
-        for nic in &self.nics {
-            nic.save_state(w);
-        }
-        w.usize(self.bridges.len());
-        for bridge in &self.bridges {
-            bridge.save_state(w);
-        }
-        self.routers.save_state(w);
-        self.station_active.save(w);
-        self.free.save(w);
-        w.u64(self.cycle);
-        self.ring_flits.save(w);
-        self.ring_credits.save(w);
-        w.u64(self.mesh_flits);
-        w.u64(self.reset_cycle);
-        self.watchdog.save_state(w);
-        self.ledger.save_state(w);
-        self.corrupt.save(w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if self.faults.is_some() {
-            return Err(SnapError::Mismatch(
-                "restoring into a network with fault injection installed is not supported".into(),
-            ));
-        }
-        let mismatch = |what: &str, got: usize, want: usize| {
-            SnapError::Mismatch(format!("{what}: snapshot has {got}, network has {want}"))
-        };
-        self.store = PacketStore::load(r)?;
-        let n_nics = r.usize()?;
-        if n_nics != self.nics.len() {
-            return Err(mismatch("NIC count", n_nics, self.nics.len()));
-        }
-        for nic in &mut self.nics {
-            nic.restore_state(r)?;
-        }
-        let n_bridges = r.usize()?;
-        if n_bridges != self.bridges.len() {
-            return Err(mismatch("bridge count", n_bridges, self.bridges.len()));
-        }
-        for bridge in &mut self.bridges {
-            bridge.restore_state(r)?;
-        }
-        self.routers.restore_state(r)?;
-        let station_active: Vec<bool> = Snapshot::load(r)?;
-        if station_active.len() != self.station_active.len() {
-            return Err(mismatch(
-                "station count",
-                station_active.len(),
-                self.station_active.len(),
-            ));
-        }
-        self.station_active = station_active;
-        let free: Vec<usize> = Snapshot::load(r)?;
-        if free.len() != self.free.len() {
-            return Err(mismatch("free table size", free.len(), self.free.len()));
-        }
-        self.free = free;
-        self.cycle = r.u64()?;
-        self.ring_flits = Snapshot::load(r)?;
-        self.ring_credits = Snapshot::load(r)?;
-        self.mesh_flits = r.u64()?;
-        self.reset_cycle = r.u64()?;
-        self.watchdog.restore_state(r)?;
-        self.ledger.restore_state(r)?;
-        self.corrupt = Snapshot::load(r)?;
-        self.sends.clear();
-        self.dropped.clear();
-        self.sunk.clear();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ringmesh_faults::{FaultEvent, FaultKind, FaultSchedule};
-    use ringmesh_net::{CacheLineSize, PacketKind, TxnId};
+    use ringmesh_faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule};
+    use ringmesh_net::{CacheLineSize, Interconnect, PacketKind, TxnId};
 
     fn cfg() -> HybridConfig {
         HybridConfig::new(CacheLineSize::B32)
@@ -908,6 +667,23 @@ mod tests {
         net.save_state(&mut w1).unwrap();
         copy.save_state(&mut w2).unwrap();
         assert_eq!(w1.into_bytes(), w2.into_bytes());
+    }
+
+    /// A checkpoint is outside input: a table the tick indexes by ring
+    /// must come back at this network's size or not at all (a short
+    /// `ring_credits` used to restore and panic at the next step).
+    #[test]
+    fn short_credit_table_is_a_mismatch_not_a_later_panic() {
+        let mut net = HybridNetwork::new(2, 2, cfg()).unwrap();
+        net.ring_credits.pop();
+        let mut w = SnapWriter::new();
+        net.save_state(&mut w).unwrap();
+        let bytes = w.into_bytes();
+        let mut fresh = HybridNetwork::new(2, 2, cfg()).unwrap();
+        match fresh.restore_state(&mut SnapReader::new(&bytes)) {
+            Err(SnapError::Mismatch(msg)) => assert!(msg.contains("ring-credit table"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

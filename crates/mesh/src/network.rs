@@ -1,14 +1,9 @@
 //! The 2-D mesh network simulator.
 
-use ringmesh_engine::{StallError, Watchdog};
-use ringmesh_faults::{
-    ConservationError, ConservationLedger, DropReason, FaultDomain, FaultInjector,
-};
-use ringmesh_net::{
-    Interconnect, LevelUtil, NodeId, Packet, PacketStore, QueueClass, UtilizationReport,
-};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
-use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, Probe, TraceLoc, Tracer};
+use ringmesh_faults::{FaultDomain, FaultInjector};
+use ringmesh_net::{LevelUtil, NetCore, NodeId, Packet, PacketRef, QueueClass, UtilizationReport};
+use ringmesh_snap::{SnapError, SnapReader, SnapWriter, SnapshotState};
+use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, TraceLoc};
 
 use crate::routers::{owner_coords, CommitOp, FaultCtx, MeshRouters};
 use crate::topology::MeshTopology;
@@ -16,8 +11,9 @@ use crate::MeshConfig;
 
 /// A flit-level, cycle-accurate 2-D bi-directional wormhole mesh.
 ///
-/// Implements [`Interconnect`]; drive it with the `ringmesh-workload`
-/// crate or directly as in the example below.
+/// Implements [`ringmesh_net::Interconnect`] (as every
+/// [`ringmesh_net::Kernel`] does); drive it with the
+/// `ringmesh-workload` crate or directly as in the example below.
 ///
 /// # Example
 ///
@@ -45,56 +41,33 @@ use crate::MeshConfig;
 pub struct MeshNetwork {
     topo: MeshTopology,
     cfg: MeshConfig,
-    store: PacketStore,
+    core: NetCore,
     /// All router state, stop/go registers included.
     routers: MeshRouters,
     /// `(row, col)` of every destination node, read by the route stage
     /// (see [`owner_coords`]).
     owners: Vec<(u16, u16)>,
-    cycle: u64,
     link_flits: u64,
     reset_cycle: u64,
-    watchdog: Watchdog,
-    /// Observability sink; disabled (free) unless installed via
-    /// [`Interconnect::set_tracer`].
-    tracer: Tracer,
     /// Link-utilization heatmap handle (rows × cols = the mesh grid;
     /// each cell counts flits arriving at that router), registered when
     /// a recording tracer is installed.
     link_heat: Option<HeatmapId>,
-    /// Fault source; absent in fault-free runs, in which case every
-    /// fault query answers "healthy" and behaviour is unchanged.
-    faults: Option<FaultInjector>,
-    /// Packet-conservation ledger (per-slot tracking on under
-    /// `debug_assertions` or the release `--check` pass).
-    ledger: ConservationLedger,
-    /// Corruption marks by packet-store slot, rolled at injection.
-    corrupt: Vec<bool>,
-    /// Per-cycle scratch list of dropped packets.
-    dropped: Vec<(Packet, DropReason)>,
 }
 
 impl MeshNetwork {
     /// Builds the network for `topo` under `cfg`.
     pub fn new(topo: MeshTopology, cfg: MeshConfig) -> Self {
         let routers = MeshRouters::new(&topo, cfg.buffer_flits(), cfg.out_queue_packets);
-        let horizon = cfg.watchdog_horizon;
         MeshNetwork {
             topo,
+            core: NetCore::new(cfg.watchdog_horizon),
             cfg,
-            store: PacketStore::new(),
             routers,
             owners: owner_coords(&topo, 1),
-            cycle: 0,
             link_flits: 0,
             reset_cycle: 0,
-            watchdog: Watchdog::new(horizon),
-            tracer: Tracer::off(),
             link_heat: None,
-            faults: None,
-            ledger: ConservationLedger::new(cfg!(debug_assertions)),
-            corrupt: Vec::new(),
-            dropped: Vec::new(),
         }
     }
 
@@ -109,189 +82,83 @@ impl MeshNetwork {
     }
 
     /// Tracing for one stepped cycle: link-transfer counts and heatmap
-    /// bumps, Hop events for sampled head flits, delivery counts and
-    /// Eject events, blocked-cycle counts, and the occupancy gauges.
-    /// Only called while the tracer is enabled.
-    fn trace_cycle(&mut self, now: u64, newly: &[(NodeId, Packet)]) {
-        self.tracer
-            .count(Counter::FlitsForwarded, self.routers.link_flits);
-        self.tracer
-            .count(Counter::BlockedCycles, self.routers.blocked);
+    /// bumps, Hop events for sampled head flits, blocked-cycle counts
+    /// and the input-occupancy gauge. Only called while the tracer is
+    /// enabled.
+    fn trace_cycle(&mut self, now: u64) {
+        let tracer = self.core.tracer();
+        tracer.count(Counter::FlitsForwarded, self.routers.link_flits);
+        tracer.count(Counter::BlockedCycles, self.routers.blocked);
+        tracer.gauge(Gauge::MeshInputOccupancy, self.routers.occupancy() as f64);
         for s in &self.routers.sends {
             let (row, col) = self.topo.coords(NodeId::new(s.to_node));
             if let Some(id) = self.link_heat {
-                self.tracer.heatmap(id, row as usize, col as usize, 1);
+                self.core
+                    .tracer()
+                    .heatmap(id, row as usize, col as usize, 1);
             }
             if s.flit.is_head() {
-                let txn = self.store.get(s.flit.packet).txn.raw();
-                self.tracer
+                let txn = self.core.store().get(s.flit.packet).txn.raw();
+                self.core
+                    .tracer()
                     .event(txn, now, TraceLoc::MeshNode { row, col }, EventKind::Hop);
             }
         }
-        if !newly.is_empty() {
-            self.tracer
-                .count(Counter::PacketsDelivered, newly.len() as u64);
-            for (pm, pkt) in newly {
-                let (row, col) = self.topo.coords(*pm);
-                self.tracer.event(
-                    pkt.txn.raw(),
-                    now,
-                    TraceLoc::MeshNode { row, col },
-                    EventKind::Eject,
-                );
-            }
-        }
-        // Split-borrow dance: probe reads &self while writing the
-        // tracer, so temporarily take the tracer out.
-        let mut t = std::mem::take(&mut self.tracer);
-        self.probe(&mut t);
-        self.tracer = t;
     }
 }
 
-impl Probe for MeshNetwork {
-    /// Publishes occupancy gauges: flits in router input buffers and
-    /// live packets.
-    fn probe(&self, t: &mut Tracer) {
-        t.gauge(Gauge::MeshInputOccupancy, self.routers.occupancy() as f64);
-        t.gauge(Gauge::InFlightPackets, self.store.live() as f64);
+impl ringmesh_net::Kernel for MeshNetwork {
+    fn core(&self) -> &NetCore {
+        &self.core
     }
-}
 
-impl Interconnect for MeshNetwork {
+    fn core_mut(&mut self) -> &mut NetCore {
+        &mut self.core
+    }
+
     fn num_pms(&self) -> usize {
         self.topo.num_pms() as usize
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool {
         self.routers.can_accept(pm.index(), class)
     }
 
-    fn inject(&mut self, pm: NodeId, packet: Packet) {
-        assert_eq!(packet.src, pm, "packet injected at the wrong PM");
-        assert_ne!(packet.src, packet.dst, "local accesses bypass the network");
-        assert!(
-            packet.dst.index() < self.num_pms(),
-            "destination {} out of range",
-            packet.dst
-        );
-        let class = QueueClass::of(packet.kind);
-        if let Some(f) = &mut self.faults {
-            // Fail fast at injection when the source or destination
-            // router is dead: the packet could never be delivered.
-            if f.node_dead(pm.raw()) || f.node_dead(packet.dst.raw()) {
-                f.record_drop(DropReason::Unreachable);
-                self.ledger.refuse();
-                if self.tracer.is_enabled() {
-                    self.tracer.count(Counter::PacketsDropped, 1);
-                }
-                return;
-            }
-        }
-        if self.tracer.is_enabled() {
-            let (row, col) = self.topo.coords(pm);
-            self.tracer.count(Counter::PacketsInjected, 1);
-            self.tracer.event(
-                packet.txn.raw(),
-                self.cycle,
-                TraceLoc::MeshNode { row, col },
-                EventKind::Inject {
-                    src: packet.src.index() as u32,
-                    dst: packet.dst.index() as u32,
-                    flits: packet.flits,
-                },
-            );
-        }
-        let r = self.store.insert(packet);
-        self.ledger.inject(r.slot());
-        if let Some(f) = &mut self.faults {
-            // Roll the corruption coin now; slots are reused, so the
-            // mark must be (re)written on every insert.
-            let bad = f.roll_corrupt();
-            if self.corrupt.len() <= r.slot() {
-                self.corrupt.resize(r.slot() + 1, false);
-            }
-            self.corrupt[r.slot()] = bad;
-        }
-        self.routers.enqueue(pm.index(), class, r);
+    fn enqueue(&mut self, pm: NodeId, class: QueueClass, packet: PacketRef) {
+        self.routers.enqueue(pm.index(), class, packet);
     }
 
-    fn step(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> Result<(), StallError> {
-        let now = self.cycle;
-        let enabled = self.tracer.is_enabled();
-        let mark = delivered.len();
-        if enabled {
-            self.tracer.cycle(now);
-        }
-        if let Some(f) = &mut self.faults {
-            f.advance(now);
-        }
+    fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64 {
+        let now = self.core.cycle();
+        let tracing = self.core.tracing();
         let fc = FaultCtx {
-            inj: self.faults.as_ref(),
-            corrupt: &self.corrupt,
+            inj: self.core.faults(),
+            corrupt: self.core.corrupt(),
             now,
         };
         // The tracer reads this cycle's link transfers in
         // `trace_cycle`; nobody else needs them listed.
         self.routers
-            .step(now, &self.owners, &self.store, &fc, enabled);
+            .step(now, &self.owners, self.core.store(), &fc, tracing);
         // Deliveries and drops, in node order: this loop is the one
         // writer of the packet store and the ledger, so the delivered
         // stream and packet-store slot reuse are fixed by construction.
         for &op in &self.routers.ops {
             match op {
-                CommitOp::Deliver { node, packet } => {
-                    let slot = packet.slot();
-                    let pkt = self.store.remove(packet);
-                    self.ledger.complete(slot, false);
-                    delivered.push((node, pkt));
-                }
-                CommitOp::Drop { packet, reason } => {
-                    let slot = packet.slot();
-                    let pkt = self.store.remove(packet);
-                    self.ledger.complete(slot, true);
-                    self.dropped.push((pkt, reason));
-                }
+                CommitOp::Deliver { node, packet } => self.core.deliver(packet, node, delivered),
+                CommitOp::Drop { packet, reason } => self.core.drop_packet(packet, reason),
             }
         }
         self.link_flits += self.routers.link_flits;
-        if !self.dropped.is_empty() {
-            if enabled {
-                self.tracer
-                    .count(Counter::PacketsDropped, self.dropped.len() as u64);
-            }
-            if let Some(f) = &mut self.faults {
-                for &(_, reason) in &self.dropped {
-                    f.record_drop(reason);
-                }
-            }
-            self.dropped.clear();
-        }
-        if enabled {
-            self.trace_cycle(now, &delivered[mark..]);
+        if tracing {
+            self.trace_cycle(now);
         }
         self.routers.latch();
-        #[cfg(debug_assertions)]
-        {
-            let (inj, del, drp) = self.ledger.counts();
-            assert_eq!(inj, del + drp + self.store.live(), "conservation identity");
-        }
-        self.cycle += 1;
-        self.watchdog
-            .observe(self.cycle, self.routers.moved, self.store.live());
-        self.watchdog.check(self.cycle)
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.store.live()
+        self.routers.moved
     }
 
     fn utilization(&self) -> UtilizationReport {
-        let cycles = self.cycle - self.reset_cycle;
+        let cycles = self.core.cycle() - self.reset_cycle;
         if cycles == 0 || self.topo.num_links() == 0 {
             return UtilizationReport::default();
         }
@@ -307,37 +174,33 @@ impl Interconnect for MeshNetwork {
 
     fn reset_counters(&mut self) {
         self.link_flits = 0;
-        self.reset_cycle = self.cycle;
+        self.reset_cycle = self.core.cycle();
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-        if self.tracer.is_enabled() {
-            let side = self.topo.side() as usize;
-            self.link_heat = self.tracer.add_heatmap(Heatmap::new(
-                "flits arriving per mesh router",
-                "row",
-                "col",
-                side,
-                side,
-            ));
-        }
+    fn save_kernel(&self, w: &mut SnapWriter) {
+        self.routers.save_state(w);
+        w.u64(self.core.cycle());
+        w.u64(self.link_flits);
+        w.u64(self.reset_cycle);
     }
 
-    fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        if self.tracer.is_enabled() {
-            Some(&mut self.tracer)
-        } else {
-            None
-        }
+    fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
+        self.routers.restore_state(r)?;
+        let cycle = r.u64()?;
+        self.link_flits = r.u64()?;
+        self.reset_cycle = r.u64()?;
+        Ok(cycle)
     }
 
-    fn take_tracer(&mut self) -> Option<Tracer> {
-        if self.tracer.is_enabled() {
-            Some(std::mem::take(&mut self.tracer))
-        } else {
-            None
-        }
+    /// Fail fast at injection when the source or destination router is
+    /// dead: the packet could never be delivered.
+    fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
+        let dead = |f: &FaultInjector| f.node_dead(src.raw()) || f.node_dead(dst.raw());
+        !self.core.faults().is_some_and(dead)
+    }
+
+    fn pm_alive(&self, pm: NodeId) -> bool {
+        self.core.faults().is_none_or(|f| !f.node_dead(pm.raw()))
     }
 
     fn fault_domain(&self) -> FaultDomain {
@@ -349,73 +212,27 @@ impl Interconnect for MeshNetwork {
         }
     }
 
-    fn set_faults(&mut self, injector: FaultInjector, check: bool) {
-        self.faults = Some(injector);
-        if check && !self.ledger.tracking() {
-            self.ledger.set_tracking(true);
-        }
+    fn trace_loc(&self, pm: NodeId) -> TraceLoc {
+        let (row, col) = self.topo.coords(pm);
+        TraceLoc::MeshNode { row, col }
     }
 
-    fn faults(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
-    }
-
-    fn take_faults(&mut self) -> Option<FaultInjector> {
-        self.faults.take()
-    }
-
-    fn pm_alive(&self, pm: NodeId) -> bool {
-        self.faults.as_ref().is_none_or(|f| !f.node_dead(pm.raw()))
-    }
-
-    fn verify_conservation(&self) -> Result<(), ConservationError> {
-        self.ledger.verify(self.store.live())
-    }
-
-    fn conservation_counts(&self) -> Option<(u64, u64, u64)> {
-        Some(self.ledger.counts())
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        if self.faults.is_some() {
-            return Err(SnapError::Mismatch(
-                "checkpointing with fault injection installed is not supported".into(),
-            ));
-        }
-        self.store.save(w);
-        self.routers.save_state(w);
-        w.u64(self.cycle);
-        w.u64(self.link_flits);
-        w.u64(self.reset_cycle);
-        self.watchdog.save_state(w);
-        self.ledger.save_state(w);
-        self.corrupt.save(w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if self.faults.is_some() {
-            return Err(SnapError::Mismatch(
-                "restoring into a network with fault injection installed is not supported".into(),
-            ));
-        }
-        self.store = PacketStore::load(r)?;
-        self.routers.restore_state(r)?;
-        self.cycle = r.u64()?;
-        self.link_flits = r.u64()?;
-        self.reset_cycle = r.u64()?;
-        self.watchdog.restore_state(r)?;
-        self.ledger.restore_state(r)?;
-        self.corrupt = Snapshot::load(r)?;
-        self.dropped.clear();
-        Ok(())
+    fn on_tracer_installed(&mut self) {
+        let side = self.topo.side() as usize;
+        self.link_heat = self.core.tracer().add_heatmap(Heatmap::new(
+            "flits arriving per mesh router",
+            "row",
+            "col",
+            side,
+            side,
+        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ringmesh_net::{BufferRegime, CacheLineSize, PacketKind, TxnId};
+    use ringmesh_net::{BufferRegime, CacheLineSize, Interconnect, PacketKind, TxnId};
 
     fn packet(cfg: &MeshConfig, txn: u64, kind: PacketKind, src: u32, dst: u32) -> Packet {
         Packet {
@@ -752,7 +569,7 @@ mod tests {
 #[cfg(test)]
 mod corrupt_snapshot_tests {
     use super::*;
-    use ringmesh_net::CacheLineSize;
+    use ringmesh_net::{CacheLineSize, Interconnect};
 
     /// Byte offsets into an idle mesh's snapshot: the empty packet
     /// store is three words and the router count one; an empty input
@@ -846,7 +663,7 @@ mod corrupt_snapshot_tests {
 #[cfg(test)]
 mod arbitration_tests {
     use super::*;
-    use ringmesh_net::{CacheLineSize, PacketKind, TxnId};
+    use ringmesh_net::{CacheLineSize, Interconnect, PacketKind, TxnId};
 
     /// Two single-source flows contending for one output column must
     /// share it near-evenly (round-robin arbitration, §2.2).

@@ -651,16 +651,7 @@ impl SnapshotState for MeshRouters {
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = self.xbar.len();
-        let sized = |what: &str, got: usize, want: usize| {
-            if got == want {
-                Ok(())
-            } else {
-                Err(SnapError::Mismatch(format!(
-                    "{what}: snapshot has {got}, network has {want}"
-                )))
-            }
-        };
-        sized("router count", r.usize()?, n)?;
+        r.len_exact(n, "router count")?;
         for l in 0..n {
             for i in l * 5..l * 5 + 5 {
                 self.fifos.restore_fifo(i, r)?;
@@ -689,12 +680,8 @@ impl SnapshotState for MeshRouters {
             self.drain[l] = DrainState::load(r)?;
             self.assembler[l] = Assembler::load(r)?;
         }
-        let active: Vec<bool> = Snapshot::load(r)?;
-        sized("router count", active.len(), n)?;
-        self.active = active;
-        let go: Vec<bool> = Snapshot::load(r)?;
-        sized("stop/go table size", go.len(), n * 5)?;
-        self.go = go;
+        self.active = r.vec_exact(n, "router count")?;
+        self.go = r.vec_exact(n * 5, "stop/go table size")?;
         Ok(())
     }
 }

@@ -20,6 +20,9 @@
 //!   control discipline baked in.
 //! * [`Interconnect`] — the trait through which the workload drives
 //!   either network interchangeably.
+//! * [`NetCore`], [`Kernel`] — the packet accounting, clock, tracer,
+//!   fault and checkpoint plumbing every network model shares, and the
+//!   small trait a model implements to get `Interconnect` from it.
 //!
 //! # Example
 //!
@@ -40,6 +43,7 @@ mod buffer;
 mod config;
 mod error;
 mod interconnect;
+mod netcore;
 mod packet;
 mod topology;
 
@@ -49,5 +53,6 @@ pub use config::{
 };
 pub use error::ConfigError;
 pub use interconnect::{Interconnect, LevelUtil, QueueClass, UtilizationReport};
+pub use netcore::{Kernel, NetCore};
 pub use packet::{Flit, NodeId, Packet, PacketKind, PacketRef, PacketStore, TxnId};
 pub use topology::{checked_pms, Placement, TopologyBuilder, MAX_PMS};

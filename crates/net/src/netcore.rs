@@ -1,0 +1,455 @@
+//! [`NetCore`], the accounting every network model shares, and
+//! [`Kernel`], what is left for a topology to implement.
+
+use ringmesh_engine::{StallError, Watchdog};
+use ringmesh_faults::{
+    ConservationError, ConservationLedger, DropReason, FaultDomain, FaultInjector,
+};
+use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_trace::{Counter, EventKind, Gauge, TraceLoc, Tracer};
+
+use crate::interconnect::{Interconnect, QueueClass, UtilizationReport};
+use crate::packet::{NodeId, Packet, PacketRef, PacketStore};
+
+/// The state and bookkeeping common to every network model.
+///
+/// The source paper compares rings with meshes on one cycle-by-cycle
+/// simulator with one count of injected, delivered and in-flight
+/// packets. Here that count lives in `NetCore`: the packet store, the
+/// clock, the stall watchdog, the tracer, the fault injector, the
+/// conservation ledger and the corruption marks. A network is a
+/// `Kernel` — its buffers, its stepping order and a `NetCore` field —
+/// and drives the core through five operations:
+///
+/// 1. **admit**: [`Interconnect::inject`] checks the packet's range and
+///    reachability, [`NetCore::admit`] books it (or refuses it) and the
+///    kernel only queues the resulting [`PacketRef`];
+/// 2. **deliver** or **drop** a `PacketRef` ([`NetCore::deliver`],
+///    [`NetCore::drop_packet`]) — the only two writers of the store and
+///    the ledger once a packet is in;
+/// 3. **begin and end a cycle** around [`Kernel::advance`]
+///    ([`Interconnect::step`]);
+/// 4. the tracer, fault and conservation accessors of [`Interconnect`];
+/// 5. **save and restore**: the store ahead of the kernel's section of
+///    a checkpoint, the watchdog, ledger and corruption marks behind it.
+///
+/// [`Interconnect`] is implemented once, for every `Kernel`.
+///
+/// # Orders that results depend on
+///
+/// * Admission draws [`FaultInjector::roll_corrupt`] from the fault
+///   RNG, so its sequence is fixed: a refusal records the drop, books
+///   the refusal, then counts it in the trace; an acceptance traces,
+///   inserts into the store, books the injection, rolls the corruption
+///   coin and only then queues.
+/// * The store reuses slots in removal order and slots are checkpoint
+///   bytes, so a kernel must call `deliver`/`drop_packet` in a fixed
+///   order of its own (ring: NIC ejections in station order during the
+///   tick, dead-IRI sinks after it; mesh: commit operations in router
+///   order).
+/// * The clock travels in the kernel's section of a checkpoint, where
+///   each network has always written it, which is why
+///   [`Kernel::save_kernel`] writes it and [`Kernel::restore_kernel`]
+///   returns it.
+#[derive(Debug)]
+pub struct NetCore {
+    store: PacketStore,
+    /// Completed [`Interconnect::step`]s.
+    cycle: u64,
+    watchdog: Watchdog,
+    /// Observability sink; disabled (free) unless installed via
+    /// [`Interconnect::set_tracer`].
+    tracer: Tracer,
+    /// Fault source; absent in fault-free runs, in which case every
+    /// fault query answers "healthy" and behaviour is unchanged.
+    faults: Option<FaultInjector>,
+    /// Packet-conservation ledger (per-slot tracking on under
+    /// `debug_assertions` or the release `--check` pass).
+    ledger: ConservationLedger,
+    /// Corruption marks by packet-store slot, rolled at admission.
+    corrupt: Vec<bool>,
+    /// Why each packet dropped this cycle was dropped; reported to the
+    /// tracer and the injector when the cycle ends.
+    dropped: Vec<DropReason>,
+}
+
+impl NetCore {
+    /// An empty core at cycle 0 whose watchdog trips after
+    /// `watchdog_horizon` cycles without flit movement.
+    pub fn new(watchdog_horizon: u64) -> Self {
+        NetCore {
+            store: PacketStore::new(),
+            cycle: 0,
+            watchdog: Watchdog::new(watchdog_horizon),
+            tracer: Tracer::off(),
+            faults: None,
+            ledger: ConservationLedger::new(cfg!(debug_assertions)),
+            corrupt: Vec::new(),
+            dropped: Vec::new(),
+        }
+    }
+
+    /// The current cycle (number of completed steps).
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// The packets in flight.
+    pub fn store(&self) -> &PacketStore {
+        &self.store
+    }
+
+    /// The installed fault injector, if any.
+    pub fn faults(&self) -> Option<&FaultInjector> {
+        self.faults.as_ref()
+    }
+
+    /// Corruption marks by packet-store slot; slots past the end are
+    /// clean.
+    pub fn corrupt(&self) -> &[bool] {
+        &self.corrupt
+    }
+
+    /// Whether a tracer is listening. Kernels guard their per-flit
+    /// trace blocks with this, so an untraced run pays one branch.
+    pub fn tracing(&self) -> bool {
+        self.tracer.is_enabled()
+    }
+
+    /// The tracer, for a kernel's own counters, gauges, heatmap bumps
+    /// and hop events.
+    pub fn tracer(&mut self) -> &mut Tracer {
+        &mut self.tracer
+    }
+
+    /// Books `packet`, injected at trace location `at`, and returns the
+    /// reference the kernel queues — or refuses it, when no live route
+    /// leads to its destination, and returns `None`: it could never be
+    /// delivered, so it is dropped before it occupies anything.
+    pub fn admit(&mut self, packet: Packet, reachable: bool, at: TraceLoc) -> Option<PacketRef> {
+        if !reachable {
+            if let Some(f) = &mut self.faults {
+                f.record_drop(DropReason::Unreachable);
+            }
+            self.ledger.refuse();
+            self.tracer.count(Counter::PacketsDropped, 1);
+            return None;
+        }
+        if self.tracer.is_enabled() {
+            self.tracer.count(Counter::PacketsInjected, 1);
+            self.tracer.event(
+                packet.txn.raw(),
+                self.cycle,
+                at,
+                EventKind::Inject {
+                    src: packet.src.index() as u32,
+                    dst: packet.dst.index() as u32,
+                    flits: packet.flits,
+                },
+            );
+        }
+        let r = self.store.insert(packet);
+        self.ledger.inject(r.slot());
+        if let Some(f) = &mut self.faults {
+            // Roll the corruption coin now; slots are reused, so the
+            // mark must be (re)written on every insert.
+            let bad = f.roll_corrupt();
+            if self.corrupt.len() <= r.slot() {
+                self.corrupt.resize(r.slot() + 1, false);
+            }
+            self.corrupt[r.slot()] = bad;
+        }
+        Some(r)
+    }
+
+    /// Retires `r`, fully arrived and intact, as delivered at `to`.
+    pub fn deliver(&mut self, r: PacketRef, to: NodeId, delivered: &mut Vec<(NodeId, Packet)>) {
+        let packet = self.store.remove(r);
+        self.ledger.complete(r.slot(), false);
+        delivered.push((to, packet));
+    }
+
+    /// Retires `r` as explicitly dropped for `reason`.
+    pub fn drop_packet(&mut self, r: PacketRef, reason: DropReason) {
+        self.store.remove(r);
+        self.ledger.complete(r.slot(), true);
+        self.dropped.push(reason);
+    }
+
+    /// Announces the cycle to the tracer and applies the fault events
+    /// due in it.
+    fn begin_cycle(&mut self) {
+        self.tracer.cycle(self.cycle);
+        if let Some(f) = &mut self.faults {
+            f.advance(self.cycle);
+        }
+    }
+
+    /// Closes a cycle in which `moved` flits moved and `delivered`
+    /// packets arrived: reports the cycle's drops, counts and gauges
+    /// the packet population, advances the clock and feeds the
+    /// watchdog.
+    fn end_cycle(&mut self, moved: u64, delivered: u64) -> Result<(), StallError> {
+        if !self.dropped.is_empty() {
+            self.tracer
+                .count(Counter::PacketsDropped, self.dropped.len() as u64);
+            if let Some(f) = &mut self.faults {
+                for &reason in &self.dropped {
+                    f.record_drop(reason);
+                }
+            }
+            self.dropped.clear();
+        }
+        if self.tracer.is_enabled() {
+            self.tracer.count(Counter::PacketsDelivered, delivered);
+            self.tracer
+                .gauge(Gauge::InFlightPackets, self.store.live() as f64);
+        }
+        debug_assert!(self.balanced(), "conservation identity");
+        self.cycle += 1;
+        self.watchdog.observe(self.cycle, moved, self.store.live());
+        self.watchdog.check(self.cycle)
+    }
+
+    /// Whether every packet ever admitted is delivered, dropped or in
+    /// the store.
+    fn balanced(&self) -> bool {
+        let (injected, delivered, dropped) = self.ledger.counts();
+        injected == delivered + dropped + self.store.live()
+    }
+
+    /// A checkpoint neither carries nor restores an injector's RNG and
+    /// schedule position.
+    fn refuse_with_faults(&self, doing: &str) -> Result<(), SnapError> {
+        match self.faults {
+            None => Ok(()),
+            Some(_) => Err(SnapError::Mismatch(format!(
+                "{doing} fault injection installed is not supported"
+            ))),
+        }
+    }
+}
+
+/// One network model under a [`NetCore`]: its buffers, how a packet
+/// enters them and how they advance one cycle. Every `Kernel` is an
+/// [`Interconnect`] through the one blanket implementation below;
+/// drivers import `Interconnect`, and only a network's own module names
+/// this trait (the two share method names on purpose, so importing
+/// both makes calls ambiguous).
+pub trait Kernel {
+    /// The network's core.
+    fn core(&self) -> &NetCore;
+
+    /// The network's core, mutably.
+    fn core_mut(&mut self) -> &mut NetCore;
+
+    /// Number of processing modules attached to the network.
+    fn num_pms(&self) -> usize;
+
+    /// Whether PM `pm`'s output queue for `class` can accept a packet.
+    fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool;
+
+    /// Queues an admitted packet at PM `pm`'s network interface.
+    fn enqueue(&mut self, pm: NodeId, class: QueueClass, packet: PacketRef);
+
+    /// Advances every component one cycle ([`NetCore::cycle`], not yet
+    /// incremented, is the cycle being stepped), retiring packets
+    /// through [`NetCore::deliver`] and [`NetCore::drop_packet`], and
+    /// returns how many flits moved — the watchdog's evidence of
+    /// progress.
+    fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64;
+
+    /// Utilization accumulated since the last
+    /// [`reset_counters`](Kernel::reset_counters).
+    fn utilization(&self) -> UtilizationReport;
+
+    /// Clears the utilization counters.
+    fn reset_counters(&mut self);
+
+    /// Writes the kernel's section of a checkpoint — the clock
+    /// included — between the core's packet store and the core's tail.
+    fn save_kernel(&self, w: &mut SnapWriter);
+
+    /// Reads back what [`save_kernel`](Kernel::save_kernel) wrote and
+    /// returns the restored clock.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapError`] on truncated or corrupt input, or a
+    /// section that does not fit this network's shape.
+    fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError>;
+
+    /// Whether a live route leads from `src` to `dst`; only a fault
+    /// injector can cut one.
+    fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
+        let _ = (src, dst);
+        true
+    }
+
+    /// Whether PM `pm` is still alive.
+    fn pm_alive(&self, pm: NodeId) -> bool {
+        let _ = pm;
+        true
+    }
+
+    /// The links and nodes a fault injector may target; empty for a
+    /// network that models no faults, which then never holds an
+    /// injector.
+    fn fault_domain(&self) -> FaultDomain {
+        FaultDomain::default()
+    }
+
+    /// Where PM `pm`'s inject and eject events are drawn in a trace.
+    fn trace_loc(&self, pm: NodeId) -> TraceLoc {
+        TraceLoc::Pm {
+            pm: pm.index() as u32,
+        }
+    }
+
+    /// Called once a listening tracer is installed, for a kernel to
+    /// register its heatmaps.
+    fn on_tracer_installed(&mut self) {}
+}
+
+impl<K: Kernel> Interconnect for K {
+    fn num_pms(&self) -> usize {
+        Kernel::num_pms(self)
+    }
+
+    fn cycle(&self) -> u64 {
+        self.core().cycle
+    }
+
+    fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool {
+        Kernel::can_inject(self, pm, class)
+    }
+
+    fn inject(&mut self, pm: NodeId, packet: Packet) {
+        assert_eq!(packet.src, pm, "packet injected at the wrong PM");
+        assert_ne!(packet.src, packet.dst, "local accesses bypass the network");
+        assert!(
+            packet.dst.index() < Kernel::num_pms(self),
+            "destination {} out of range",
+            packet.dst
+        );
+        let (reachable, at) = (self.reachable(pm, packet.dst), self.trace_loc(pm));
+        if let Some(r) = self.core_mut().admit(packet, reachable, at) {
+            self.enqueue(pm, QueueClass::of(packet.kind), r);
+        }
+    }
+
+    fn step(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> Result<(), StallError> {
+        let mark = delivered.len();
+        self.core_mut().begin_cycle();
+        let moved = self.advance(delivered);
+        let newly = &delivered[mark..];
+        if self.core().tracing() {
+            let now = self.core().cycle;
+            for (pm, packet) in newly {
+                let at = self.trace_loc(*pm);
+                let tracer = &mut self.core_mut().tracer;
+                tracer.event(packet.txn.raw(), now, at, EventKind::Eject);
+            }
+        }
+        self.core_mut().end_cycle(moved, newly.len() as u64)
+    }
+
+    fn in_flight(&self) -> u64 {
+        self.core().store.live()
+    }
+
+    fn utilization(&self) -> UtilizationReport {
+        Kernel::utilization(self)
+    }
+
+    fn reset_counters(&mut self) {
+        Kernel::reset_counters(self);
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.core_mut().tracer = tracer;
+        if self.core().tracing() {
+            self.on_tracer_installed();
+        }
+    }
+
+    fn tracer_mut(&mut self) -> Option<&mut Tracer> {
+        let tracer = &mut self.core_mut().tracer;
+        tracer.is_enabled().then_some(tracer)
+    }
+
+    fn take_tracer(&mut self) -> Option<Tracer> {
+        self.tracer_mut().map(std::mem::take)
+    }
+
+    fn fault_domain(&self) -> FaultDomain {
+        Kernel::fault_domain(self)
+    }
+
+    fn set_faults(&mut self, injector: FaultInjector, check: bool) {
+        if Kernel::fault_domain(self).is_empty() {
+            return;
+        }
+        let core = self.core_mut();
+        core.faults = Some(injector);
+        if check && !core.ledger.tracking() {
+            core.ledger.set_tracking(true);
+        }
+    }
+
+    fn faults(&self) -> Option<&FaultInjector> {
+        self.core().faults()
+    }
+
+    fn take_faults(&mut self) -> Option<FaultInjector> {
+        self.core_mut().faults.take()
+    }
+
+    fn pm_alive(&self, pm: NodeId) -> bool {
+        Kernel::pm_alive(self, pm)
+    }
+
+    fn verify_conservation(&self) -> Result<(), ConservationError> {
+        let core = self.core();
+        core.ledger.verify(core.store.live())
+    }
+
+    fn conservation_counts(&self) -> Option<(u64, u64, u64)> {
+        Some(self.core().ledger.counts())
+    }
+
+    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        let core = self.core();
+        core.refuse_with_faults("checkpointing with")?;
+        core.store.save(w);
+        self.save_kernel(w);
+        core.watchdog.save_state(w);
+        core.ledger.save_state(w);
+        core.corrupt.save(w);
+        Ok(())
+    }
+
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.core()
+            .refuse_with_faults("restoring into a network with")?;
+        self.core_mut().store = PacketStore::load(r)?;
+        let cycle = self.restore_kernel(r)?;
+        let core = self.core_mut();
+        core.cycle = cycle;
+        core.watchdog.restore_state(r)?;
+        core.ledger.restore_state(r)?;
+        core.corrupt = Snapshot::load(r)?;
+        core.dropped.clear();
+        // A checkpoint is outside input: one whose ledger does not
+        // account for its own packet store was not written by this
+        // network, and the next step's identity assert would say so by
+        // panicking.
+        if core.balanced() {
+            Ok(())
+        } else {
+            Err(SnapError::Corrupt(
+                "ledger and packet store disagree on the packets in flight".into(),
+            ))
+        }
+    }
+}

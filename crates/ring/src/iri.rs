@@ -7,10 +7,10 @@
 //! queues. Switching on the two sides is independent, and continuing
 //! ring traffic has priority over ring-changing traffic.
 
-use ringmesh_net::{FlitFifo, PacketRef, PacketStore, QueueClass};
+use ringmesh_net::{FlitFifo, PacketStore, QueueClass};
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 
-use crate::station::{ClassQueues, Disposition, LinkOwner, Send, SideRef, StepPulse, TransitRoute};
+use crate::station::{ClassQueues, Disposition, LinkOwner, Send, SideRef, Tick, TransitRoute};
 
 /// Side index of the child (lower) ring.
 pub const LOWER: usize = 0;
@@ -129,7 +129,7 @@ impl Iri {
     ///
     /// `free_out` is the downstream station's registered free-slot
     /// count; every link transfer needs one free slot per flit.
-    /// `credits` tracks each ring's total free transit slots: a flit
+    /// `t.credits` tracks each ring's total free transit slots: a flit
     /// may *enter* this side's ring from a crossing queue only while at
     /// least two such slots remain (the credit rule, as at the NICs).
     /// Down (parent→child) queues are elastic, so a descending worm
@@ -143,22 +143,17 @@ impl Iri {
     /// fail-stop IRI: packets already forwarding, queued or draining
     /// keep moving (lazy fail-stop), but a packet newly classified as
     /// *crossing* here has nowhere to go — its flits are sunk in place
-    /// and its [`PacketRef`] reported through `sunk` for the network to
+    /// and its packet reported through `t.sunk` for the network to
     /// retire as an explicit drop.
-    #[allow(clippy::too_many_arguments)]
     pub fn step_side(
         &mut self,
         side: usize,
-        now: u64,
+        t: &mut Tick<'_>,
         link_up: bool,
         dead: bool,
         free_out: usize,
-        credits: &mut [i64],
-        store: &PacketStore,
-        sends: &mut Vec<Send>,
-        sunk: &mut Vec<PacketRef>,
-        pulse: &mut StepPulse,
     ) {
+        let (now, store) = (t.now, t.core.store());
         let this_ring = self.rings[side] as usize;
         // A downed output link advertises no room: forwarding and cross
         // injection onto the ring stall in place, losing nothing.
@@ -191,11 +186,11 @@ impl Iri {
         // tail for the network to drop-account.
         if self.transit[side].sinking() {
             if let Some(flit) = self.bufs[side].pop_ready(now) {
-                credits[this_ring] += 1; // the flit left this ring
-                pulse.moved += 1;
+                t.credits[this_ring] += 1; // the flit left this ring
+                t.pulse.moved += 1;
                 if flit.is_tail {
                     self.transit[side].clear();
-                    sunk.push(flit.packet);
+                    t.sunk.push(flit.packet);
                 }
             }
         }
@@ -213,17 +208,17 @@ impl Iri {
                 };
                 if q.space_latched() {
                     let flit = self.bufs[side].pop_ready(now).expect("front was ready");
-                    credits[this_ring] += 1; // the flit left this ring
+                    t.credits[this_ring] += 1; // the flit left this ring
                     if flit.is_head() {
-                        pulse.crossed += 1;
+                        t.pulse.crossed += 1;
                     }
                     if flit.is_tail {
                         self.transit[side].clear();
                     }
                     q.push(flit, now);
-                    pulse.moved += 1;
+                    t.pulse.moved += 1;
                 } else {
-                    pulse.blocked += 1;
+                    t.pulse.blocked += 1;
                 }
             }
         }
@@ -241,10 +236,10 @@ impl Iri {
                             self.owner[side] = LinkOwner::Idle;
                             self.transit[side].clear();
                         }
-                        sends.push(Send { to, flit, ring });
+                        t.sends.push(Send { to, flit, ring });
                     }
                 } else if self.bufs[side].front_ready(now).is_some() {
-                    pulse.blocked += 1;
+                    t.pulse.blocked += 1;
                 }
             }
             LinkOwner::Cross(class) => {
@@ -264,10 +259,10 @@ impl Iri {
                         if flit.is_tail {
                             self.owner[side] = LinkOwner::Idle;
                         }
-                        sends.push(Send { to, flit, ring });
+                        t.sends.push(Send { to, flit, ring });
                     }
                 } else {
-                    pulse.blocked += 1;
+                    t.pulse.blocked += 1;
                 }
             }
             LinkOwner::Idle => {
@@ -289,10 +284,10 @@ impl Iri {
                         } else {
                             self.owner[side] = LinkOwner::Transit;
                         }
-                        sends.push(Send { to, flit, ring });
+                        t.sends.push(Send { to, flit, ring });
                     }
                 } else if let Some(class) =
-                    self.next_cross_injection(side, now, free_out, credits[this_ring], store)
+                    self.next_cross_injection(side, now, free_out, t.credits[this_ring], store)
                 {
                     let q = if side == LOWER {
                         self.down.get_mut(class)
@@ -301,11 +296,11 @@ impl Iri {
                     };
                     let flit = q.pop_ready(now).expect("front checked");
                     debug_assert!(flit.is_head(), "cross queue must start at a head flit");
-                    credits[this_ring] -= i64::from(store.get(flit.packet).flits);
+                    t.credits[this_ring] -= i64::from(store.get(flit.packet).flits);
                     if !flit.is_tail {
                         self.owner[side] = LinkOwner::Cross(class);
                     }
-                    sends.push(Send { to, flit, ring });
+                    t.sends.push(Send { to, flit, ring });
                 } else if transit_ready && go_transit {
                     // Backlogged but nothing can cross yet: let transit
                     // continue rather than idle the link.
@@ -315,9 +310,9 @@ impl Iri {
                     } else {
                         self.owner[side] = LinkOwner::Transit;
                     }
-                    sends.push(Send { to, flit, ring });
+                    t.sends.push(Send { to, flit, ring });
                 } else if transit_ready {
-                    pulse.blocked += 1;
+                    t.pulse.blocked += 1;
                 }
             }
         }
@@ -362,21 +357,6 @@ impl Iri {
             }
         }
         None
-    }
-
-    pub(crate) fn debug_state(&self) -> String {
-        format!(
-            "bufs=({},{}) up=(r{} s{}) down=(r{} s{}) owner={:?} transit=({:?},{:?})",
-            self.bufs[0].len(),
-            self.bufs[1].len(),
-            self.up.get(QueueClass::Request).len(),
-            self.up.get(QueueClass::Response).len(),
-            self.down.get(QueueClass::Request).len(),
-            self.down.get(QueueClass::Response).len(),
-            self.owner,
-            self.transit[0].packet().map(|p| p.slot()),
-            self.transit[1].packet().map(|p| p.slot()),
-        )
     }
 
     /// Latches all buffers; returns the free-slot counts for (lower,

@@ -56,5 +56,5 @@ pub use topology::{RingAction, RingSpec, RingTopology, RouteTable, StationKind};
 pub mod kernel {
     pub use crate::iri::{Iri, LOWER, UPPER};
     pub use crate::nic::Nic;
-    pub use crate::station::{Send, SideRef, StepPulse};
+    pub use crate::station::{Send, SideRef, StepPulse, Tick};
 }

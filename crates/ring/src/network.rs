@@ -1,18 +1,13 @@
 //! The hierarchical ring network simulator.
 
-use ringmesh_engine::{StallError, Watchdog};
-use ringmesh_faults::{
-    ConservationError, ConservationLedger, DropReason, FaultDomain, FaultInjector,
-};
-use ringmesh_net::{
-    Interconnect, LevelUtil, NodeId, Packet, PacketRef, PacketStore, QueueClass, UtilizationReport,
-};
+use ringmesh_faults::{DropReason, FaultDomain, FaultInjector};
+use ringmesh_net::{LevelUtil, NetCore, NodeId, Packet, PacketRef, QueueClass, UtilizationReport};
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
-use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, Probe, TraceLoc, Tracer};
+use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, TraceLoc};
 
 use crate::iri::{Iri, LOWER, UPPER};
 use crate::nic::Nic;
-use crate::station::{Send, StepPulse};
+use crate::station::{Send, StepPulse, Tick};
 use crate::topology::{RingAction, RingSpec, RingTopology, StationKind};
 use crate::RingConfig;
 
@@ -25,8 +20,9 @@ enum Slot {
 
 /// A flit-level, cycle-accurate hierarchical ring network.
 ///
-/// Implements [`Interconnect`]; drive it with the `ringmesh-workload`
-/// crate or directly as in the example below.
+/// Implements [`ringmesh_net::Interconnect`] (as every
+/// [`ringmesh_net::Kernel`] does); drive it with the
+/// `ringmesh-workload` crate or directly as in the example below.
 ///
 /// # Example
 ///
@@ -54,7 +50,7 @@ enum Slot {
 pub struct RingNetwork {
     topo: RingTopology,
     cfg: RingConfig,
-    store: PacketStore,
+    core: NetCore,
     slots: Vec<Slot>,
     nics: Vec<Nic>,
     iris: Vec<Iri>,
@@ -80,10 +76,6 @@ pub struct RingNetwork {
     /// credits: ring entry requires at least two remaining).
     ring_credits: Vec<i64>,
     reset_tick: u64,
-    watchdog: Watchdog,
-    /// Observability sink; disabled (free) unless installed via
-    /// [`Interconnect::set_tracer`].
-    tracer: Tracer,
     /// Link-utilization heatmap handle (rows = rings, cols = member
     /// position on the ring), registered when a recording tracer is
     /// installed.
@@ -91,16 +83,6 @@ pub struct RingNetwork {
     /// Member position of each station side within its ring
     /// (`[station][side]`), for heatmap columns.
     member_idx: Vec<[usize; 2]>,
-    /// Fault source; absent in fault-free runs, in which case every
-    /// fault query answers "healthy" and behaviour is unchanged.
-    faults: Option<FaultInjector>,
-    /// Packet-conservation ledger (per-slot tracking on under
-    /// `debug_assertions` or the release `--check` pass).
-    ledger: ConservationLedger,
-    /// Corruption marks by packet-store slot, rolled at injection.
-    corrupt: Vec<bool>,
-    /// Per-cycle scratch list of dropped packets.
-    dropped: Vec<(Packet, DropReason)>,
     /// Per-tick scratch: packets sunk at dead IRIs, pending removal.
     sunk: Vec<PacketRef>,
 }
@@ -170,11 +152,10 @@ impl RingNetwork {
                 member_idx[st as usize][side as usize] = m;
             }
         }
-        let horizon = cfg.watchdog_horizon;
         RingNetwork {
             topo,
+            core: NetCore::new(cfg.watchdog_horizon),
             cfg,
-            store: PacketStore::new(),
             slots,
             nics,
             iris,
@@ -189,14 +170,8 @@ impl RingNetwork {
             ring_flits: vec![0; num_rings],
             ring_credits,
             reset_tick: 0,
-            watchdog: Watchdog::new(horizon),
-            tracer: Tracer::off(),
             link_heat: None,
             member_idx,
-            faults: None,
-            ledger: ConservationLedger::new(cfg!(debug_assertions)),
-            corrupt: Vec::new(),
-            dropped: Vec::new(),
             sunk: Vec::new(),
         }
     }
@@ -209,30 +184,6 @@ impl RingNetwork {
     /// The configuration the network was built with.
     pub fn config(&self) -> &RingConfig {
         &self.cfg
-    }
-
-    /// Dumps per-station buffer occupancies and link-owner states for
-    /// deadlock debugging. Not part of the stable API.
-    #[doc(hidden)]
-    pub fn debug_dump(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        for (i, nic) in self.nics.iter().enumerate() {
-            if !nic.ring_buf().is_empty() || !nic.debug_idle() {
-                writeln!(
-                    s,
-                    "nic{i} pm={} buf={} {}",
-                    nic.pm(),
-                    nic.ring_buf().len(),
-                    nic.debug_state()
-                )
-                .ok();
-            }
-        }
-        for (i, iri) in self.iris.iter().enumerate() {
-            writeln!(s, "iri{i} {}", iri.debug_state()).ok();
-        }
-        s
     }
 
     /// Clock multiplier of ring `ring` (2 for a double-speed global
@@ -253,43 +204,6 @@ impl RingNetwork {
         }
     }
 
-    /// Whether a live route exists from `src`'s NIC to `dst`. Ring
-    /// routing is deterministic, so this walks the unique route and
-    /// fails at the first dead IRI the packet would have to cross;
-    /// forwarding *through* a dead IRI is still allowed (lazy
-    /// fail-stop: the crossbar keeps switching, only the crossing
-    /// queues are gone).
-    fn path_alive(&self, src: NodeId, dst: NodeId) -> bool {
-        let Some(f) = self.faults.as_ref() else {
-            return true;
-        };
-        if !f.any_nodes_dead() {
-            return true;
-        }
-        let mut pos = self.topo.next_of(self.topo.nic_of(src), 0);
-        let bound = self.topo.num_stations() * 2 + 4;
-        for _ in 0..bound {
-            let (st, side) = pos;
-            match self.topo.action(st, side, dst) {
-                RingAction::Eject => return true,
-                RingAction::Forward => pos = self.topo.next_of(st, side),
-                RingAction::Up => {
-                    if self.iri_dead(f, st) {
-                        return false;
-                    }
-                    pos = self.topo.next_of(st, 1);
-                }
-                RingAction::Down => {
-                    if self.iri_dead(f, st) {
-                        return false;
-                    }
-                    pos = self.topo.next_of(st, 0);
-                }
-            }
-        }
-        unreachable!("routing walk did not terminate");
-    }
-
     fn run_tick(&mut self, delivered: &mut Vec<(NodeId, Packet)>, pulse: &mut StepPulse) {
         let now = self.tick;
         let cycle_now = now / self.ticks_per_cycle;
@@ -298,6 +212,15 @@ impl RingNetwork {
         // (global-ring) sides also run on odd ticks.
         let all_active = now.is_multiple_of(self.ticks_per_cycle);
         self.sends.clear();
+        let mut t = Tick {
+            now,
+            credits: &mut self.ring_credits,
+            core: &mut self.core,
+            sends: &mut self.sends,
+            delivered,
+            sunk: &mut self.sunk,
+            pulse,
+        };
         for i in 0..self.side_order.len() {
             let (st, side, fast) = self.side_order[i];
             if !(all_active || fast) {
@@ -312,60 +235,29 @@ impl RingNetwork {
             let free_out = self.free[self.free_idx[st as usize][side as usize]];
             // Fault view for this side: the output link `station*2 +
             // side`, and (for IRIs) whether the interface is dead.
-            let link_up = self
-                .faults
-                .as_ref()
-                .is_none_or(|f| f.link_up(st * 2 + side as u32, cycle_now));
-            match self.slots[st as usize] {
+            let faults = t.core.faults();
+            let link_up = faults.is_none_or(|f| f.link_up(st * 2 + side as u32, cycle_now));
+            let quiescent = match self.slots[st as usize] {
                 Slot::Nic(n) => {
-                    self.nics[n as usize].step(
-                        now,
-                        link_up,
-                        free_out,
-                        &mut self.ring_credits,
-                        &self.corrupt,
-                        &mut self.ledger,
-                        &mut self.store,
-                        &mut self.sends,
-                        delivered,
-                        &mut self.dropped,
-                        pulse,
-                    );
-                    if self.nics[n as usize].quiescent() {
-                        self.station_active[st as usize] = false;
-                    }
+                    let nic = &mut self.nics[n as usize];
+                    nic.step(&mut t, link_up, free_out);
+                    nic.quiescent()
                 }
                 Slot::Iri(x) => {
-                    let dead = self.faults.as_ref().is_some_and(|f| f.node_dead(x));
-                    self.iris[x as usize].step_side(
-                        side as usize,
-                        now,
-                        link_up,
-                        dead,
-                        free_out,
-                        &mut self.ring_credits,
-                        &self.store,
-                        &mut self.sends,
-                        &mut self.sunk,
-                        pulse,
-                    );
-                    if self.iris[x as usize].quiescent() {
-                        self.station_active[st as usize] = false;
-                    }
+                    let dead = faults.is_some_and(|f| f.node_dead(x));
+                    let iri = &mut self.iris[x as usize];
+                    iri.step_side(side as usize, &mut t, link_up, dead, free_out);
+                    iri.quiescent()
                 }
+            };
+            if quiescent {
+                self.station_active[st as usize] = false;
             }
         }
         // Retire packets sunk at dead IRIs this tick: their flits were
         // consumed in place, so only the bookkeeping remains.
-        if !self.sunk.is_empty() {
-            for i in 0..self.sunk.len() {
-                let r = self.sunk[i];
-                let slot = r.slot();
-                let pkt = self.store.remove(r);
-                self.ledger.complete(slot, true);
-                self.dropped.push((pkt, DropReason::DeadInterface));
-            }
-            self.sunk.clear();
+        for r in self.sunk.drain(..) {
+            self.core.drop_packet(r, DropReason::DeadInterface);
         }
         // Commit the wire transfers decided this tick.
         for i in 0..self.sends.len() {
@@ -381,7 +273,7 @@ impl RingNetwork {
             self.ring_flits[s.ring as usize] += 1;
         }
         pulse.moved += self.sends.len() as u64;
-        if self.tracer.is_enabled() {
+        if self.core.tracing() {
             self.trace_sends(now);
         }
         // Latch registered flow-control state for the next tick.
@@ -407,18 +299,18 @@ impl RingNetwork {
     /// Only called while the tracer is enabled.
     fn trace_sends(&mut self, now: u64) {
         let cycle = now / self.ticks_per_cycle;
-        self.tracer
-            .count(Counter::FlitsForwarded, self.sends.len() as u64);
+        let n = self.sends.len() as u64;
+        self.core.tracer().count(Counter::FlitsForwarded, n);
         for i in 0..self.sends.len() {
             let s = self.sends[i];
             let (st, side) = s.to;
             if let Some(id) = self.link_heat {
                 let col = self.member_idx[st as usize][side as usize];
-                self.tracer.heatmap(id, s.ring as usize, col, 1);
+                self.core.tracer().heatmap(id, s.ring as usize, col, 1);
             }
             if s.flit.is_head() {
-                let txn = self.store.get(s.flit.packet).txn.raw();
-                self.tracer.event(
+                let txn = self.core.store().get(s.flit.packet).txn.raw();
+                self.core.tracer().event(
                     txn,
                     cycle,
                     TraceLoc::RingStation {
@@ -458,132 +350,44 @@ impl RingNetwork {
     }
 }
 
-impl Interconnect for RingNetwork {
-    fn num_pms(&self) -> usize {
-        self.topo.num_pms() as usize
+impl ringmesh_net::Kernel for RingNetwork {
+    fn core(&self) -> &NetCore {
+        &self.core
     }
 
-    fn cycle(&self) -> u64 {
-        self.tick / self.ticks_per_cycle
+    fn core_mut(&mut self) -> &mut NetCore {
+        &mut self.core
+    }
+
+    fn num_pms(&self) -> usize {
+        self.topo.num_pms() as usize
     }
 
     fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool {
         self.nics[self.nic_of_pm[pm.index()] as usize].can_accept(class)
     }
 
-    fn inject(&mut self, pm: NodeId, packet: Packet) {
-        assert_eq!(packet.src, pm, "packet injected at the wrong PM");
-        assert_ne!(packet.src, packet.dst, "local accesses bypass the network");
-        assert!(
-            packet.dst.index() < self.num_pms(),
-            "destination {} out of range",
-            packet.dst
-        );
-        let class = QueueClass::of(packet.kind);
-        if !self.path_alive(pm, packet.dst) {
-            // Fail fast at injection when a dead IRI cuts the only
-            // route: the packet could never be delivered.
-            if let Some(f) = &mut self.faults {
-                f.record_drop(DropReason::Unreachable);
-            }
-            self.ledger.refuse();
-            if self.tracer.is_enabled() {
-                self.tracer.count(Counter::PacketsDropped, 1);
-            }
-            return;
-        }
-        if self.tracer.is_enabled() {
-            self.tracer.count(Counter::PacketsInjected, 1);
-            self.tracer.event(
-                packet.txn.raw(),
-                self.cycle(),
-                TraceLoc::Pm {
-                    pm: pm.index() as u32,
-                },
-                EventKind::Inject {
-                    src: packet.src.index() as u32,
-                    dst: packet.dst.index() as u32,
-                    flits: packet.flits,
-                },
-            );
-        }
-        let r = self.store.insert(packet);
-        self.ledger.inject(r.slot());
-        if let Some(f) = &mut self.faults {
-            // Roll the corruption coin now; slots are reused, so the
-            // mark must be (re)written on every insert.
-            let bad = f.roll_corrupt();
-            if self.corrupt.len() <= r.slot() {
-                self.corrupt.resize(r.slot() + 1, false);
-            }
-            self.corrupt[r.slot()] = bad;
-        }
-        self.nics[self.nic_of_pm[pm.index()] as usize].enqueue(class, r);
+    fn enqueue(&mut self, pm: NodeId, class: QueueClass, packet: PacketRef) {
+        self.nics[self.nic_of_pm[pm.index()] as usize].enqueue(class, packet);
         self.station_active[self.topo.nic_of(pm) as usize] = true;
     }
 
-    fn step(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> Result<(), StallError> {
-        let enabled = self.tracer.is_enabled();
-        let mark = delivered.len();
-        let cycle0 = self.cycle();
-        if enabled {
-            self.tracer.cycle(cycle0);
-        }
+    fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64 {
         let mut pulse = StepPulse::default();
-        if let Some(f) = &mut self.faults {
-            f.advance(cycle0);
-        }
         for _ in 0..self.ticks_per_cycle {
             self.run_tick(delivered, &mut pulse);
         }
-        if !self.dropped.is_empty() {
-            if enabled {
-                self.tracer
-                    .count(Counter::PacketsDropped, self.dropped.len() as u64);
-            }
-            if let Some(f) = &mut self.faults {
-                for &(_, reason) in &self.dropped {
-                    f.record_drop(reason);
-                }
-            }
-            self.dropped.clear();
+        if self.core.tracing() {
+            let nic_flits: usize = self.nics.iter().map(|n| n.ring_buf().len()).sum();
+            let iri_flits: usize = self.iris.iter().map(|i| i.occupancy()).sum();
+            let queued: usize = self.iris.iter().map(|i| i.queue_flits()).sum();
+            let tracer = self.core.tracer();
+            tracer.count(Counter::BlockedCycles, pulse.blocked);
+            tracer.count(Counter::IriCrossings, pulse.crossed);
+            tracer.gauge(Gauge::RingBufferOccupancy, (nic_flits + iri_flits) as f64);
+            tracer.gauge(Gauge::IriQueueOccupancy, queued as f64);
         }
-        if enabled {
-            self.tracer.count(Counter::BlockedCycles, pulse.blocked);
-            self.tracer.count(Counter::IriCrossings, pulse.crossed);
-            let newly = &delivered[mark..];
-            if !newly.is_empty() {
-                self.tracer
-                    .count(Counter::PacketsDelivered, newly.len() as u64);
-                for (pm, pkt) in newly {
-                    self.tracer.event(
-                        pkt.txn.raw(),
-                        cycle0,
-                        TraceLoc::Pm {
-                            pm: pm.index() as u32,
-                        },
-                        EventKind::Eject,
-                    );
-                }
-            }
-            // Split-borrow dance: probe reads &self while writing the
-            // tracer, so temporarily take the tracer out.
-            let mut t = std::mem::take(&mut self.tracer);
-            self.probe(&mut t);
-            self.tracer = t;
-        }
-        #[cfg(debug_assertions)]
-        {
-            let (inj, del, drp) = self.ledger.counts();
-            assert_eq!(inj, del + drp + self.store.live(), "conservation identity");
-        }
-        let cycle = self.cycle();
-        self.watchdog.observe(cycle, pulse.moved, self.store.live());
-        self.watchdog.check(cycle)
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.store.live()
+        pulse.moved
     }
 
     fn utilization(&self) -> UtilizationReport {
@@ -618,82 +422,7 @@ impl Interconnect for RingNetwork {
         self.reset_tick = self.tick;
     }
 
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-        if self.tracer.is_enabled() {
-            let rows = self.topo.num_rings();
-            let cols = self
-                .topo
-                .rings()
-                .map(|(_, r)| r.members.len())
-                .max()
-                .unwrap_or(0);
-            self.link_heat = self.tracer.add_heatmap(Heatmap::new(
-                "flits forwarded per ring link",
-                "ring",
-                "member",
-                rows,
-                cols,
-            ));
-        }
-    }
-
-    fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        if self.tracer.is_enabled() {
-            Some(&mut self.tracer)
-        } else {
-            None
-        }
-    }
-
-    fn take_tracer(&mut self) -> Option<Tracer> {
-        if self.tracer.is_enabled() {
-            Some(std::mem::take(&mut self.tracer))
-        } else {
-            None
-        }
-    }
-
-    fn fault_domain(&self) -> FaultDomain {
-        FaultDomain {
-            // Directed ring link out of `station*2 + side`; NIC
-            // stations use side 0 only, so side-1 events at a NIC are
-            // addressable no-ops.
-            links: self.topo.num_stations() as u32 * 2,
-            nodes: self.iris.len() as u32,
-        }
-    }
-
-    fn set_faults(&mut self, injector: FaultInjector, check: bool) {
-        self.faults = Some(injector);
-        if check && !self.ledger.tracking() {
-            self.ledger.set_tracking(true);
-        }
-    }
-
-    fn faults(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
-    }
-
-    fn take_faults(&mut self) -> Option<FaultInjector> {
-        self.faults.take()
-    }
-
-    fn verify_conservation(&self) -> Result<(), ConservationError> {
-        self.ledger.verify(self.store.live())
-    }
-
-    fn conservation_counts(&self) -> Option<(u64, u64, u64)> {
-        Some(self.ledger.counts())
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        if self.faults.is_some() {
-            return Err(SnapError::Mismatch(
-                "checkpointing with fault injection installed is not supported".into(),
-            ));
-        }
-        self.store.save(w);
+    fn save_kernel(&self, w: &mut SnapWriter) {
         w.usize(self.nics.len());
         for nic in &self.nics {
             nic.save_state(w);
@@ -708,102 +437,98 @@ impl Interconnect for RingNetwork {
         self.ring_flits.save(w);
         self.ring_credits.save(w);
         w.u64(self.reset_tick);
-        self.watchdog.save_state(w);
-        self.ledger.save_state(w);
-        self.corrupt.save(w);
-        Ok(())
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if self.faults.is_some() {
-            return Err(SnapError::Mismatch(
-                "restoring into a network with fault injection installed is not supported".into(),
-            ));
-        }
-        let mismatch = |what: &str, got: usize, want: usize| {
-            SnapError::Mismatch(format!("{what}: snapshot has {got}, network has {want}"))
-        };
-        self.store = PacketStore::load(r)?;
-        let n_nics = r.usize()?;
-        if n_nics != self.nics.len() {
-            return Err(mismatch("NIC count", n_nics, self.nics.len()));
-        }
+    fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
+        r.len_exact(self.nics.len(), "NIC count")?;
         for nic in &mut self.nics {
             nic.restore_state(r)?;
         }
-        let n_iris = r.usize()?;
-        if n_iris != self.iris.len() {
-            return Err(mismatch("IRI count", n_iris, self.iris.len()));
-        }
+        r.len_exact(self.iris.len(), "IRI count")?;
         for iri in &mut self.iris {
             iri.restore_state(r)?;
         }
-        let station_active: Vec<bool> = Snapshot::load(r)?;
-        if station_active.len() != self.station_active.len() {
-            return Err(mismatch(
-                "station count",
-                station_active.len(),
-                self.station_active.len(),
-            ));
-        }
-        self.station_active = station_active;
-        let free: Vec<usize> = Snapshot::load(r)?;
-        if free.len() != self.free.len() {
-            return Err(mismatch(
-                "free-slot table size",
-                free.len(),
-                self.free.len(),
-            ));
-        }
-        self.free = free;
+        self.station_active = r.vec_exact(self.station_active.len(), "station count")?;
+        self.free = r.vec_exact(self.free.len(), "free-slot table size")?;
         self.tick = r.u64()?;
-        let ring_flits: Vec<u64> = Snapshot::load(r)?;
-        if ring_flits.len() != self.ring_flits.len() {
-            return Err(mismatch(
-                "ring count",
-                ring_flits.len(),
-                self.ring_flits.len(),
-            ));
-        }
-        self.ring_flits = ring_flits;
-        let ring_credits: Vec<i64> = Snapshot::load(r)?;
-        if ring_credits.len() != self.ring_credits.len() {
-            return Err(mismatch(
-                "ring-credit table size",
-                ring_credits.len(),
-                self.ring_credits.len(),
-            ));
-        }
-        self.ring_credits = ring_credits;
+        self.ring_flits = r.vec_exact(self.ring_flits.len(), "ring count")?;
+        self.ring_credits = r.vec_exact(self.ring_credits.len(), "ring-credit table size")?;
         self.reset_tick = r.u64()?;
-        self.watchdog.restore_state(r)?;
-        self.ledger.restore_state(r)?;
-        self.corrupt = Snapshot::load(r)?;
         // Per-cycle scratch is always empty between steps.
         self.sends.clear();
-        self.dropped.clear();
         self.sunk.clear();
-        Ok(())
+        Ok(self.tick / self.ticks_per_cycle)
     }
-}
 
-impl Probe for RingNetwork {
-    /// Publishes occupancy gauges: flits sitting in station transit
-    /// buffers, flits queued at IRIs, and live packets.
-    fn probe(&self, t: &mut Tracer) {
-        let nic_flits: usize = self.nics.iter().map(|n| n.ring_buf().len()).sum();
-        let iri_flits: usize = self.iris.iter().map(|i| i.occupancy()).sum();
-        let queued: usize = self.iris.iter().map(|i| i.queue_flits()).sum();
-        t.gauge(Gauge::RingBufferOccupancy, (nic_flits + iri_flits) as f64);
-        t.gauge(Gauge::IriQueueOccupancy, queued as f64);
-        t.gauge(Gauge::InFlightPackets, self.store.live() as f64);
+    /// Whether a live route exists from `src`'s NIC to `dst`. Ring
+    /// routing is deterministic, so this walks the unique route and
+    /// fails at the first dead IRI the packet would have to cross;
+    /// forwarding *through* a dead IRI is still allowed (lazy
+    /// fail-stop: the crossbar keeps switching, only the crossing
+    /// queues are gone).
+    fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
+        let Some(f) = self.core.faults() else {
+            return true;
+        };
+        if !f.any_nodes_dead() {
+            return true;
+        }
+        let mut pos = self.topo.next_of(self.topo.nic_of(src), 0);
+        let bound = self.topo.num_stations() * 2 + 4;
+        for _ in 0..bound {
+            let (st, side) = pos;
+            match self.topo.action(st, side, dst) {
+                RingAction::Eject => return true,
+                RingAction::Forward => pos = self.topo.next_of(st, side),
+                RingAction::Up => {
+                    if self.iri_dead(f, st) {
+                        return false;
+                    }
+                    pos = self.topo.next_of(st, 1);
+                }
+                RingAction::Down => {
+                    if self.iri_dead(f, st) {
+                        return false;
+                    }
+                    pos = self.topo.next_of(st, 0);
+                }
+            }
+        }
+        unreachable!("routing walk did not terminate");
+    }
+
+    fn fault_domain(&self) -> FaultDomain {
+        FaultDomain {
+            // Directed ring link out of `station*2 + side`; NIC
+            // stations use side 0 only, so side-1 events at a NIC are
+            // addressable no-ops.
+            links: self.topo.num_stations() as u32 * 2,
+            nodes: self.iris.len() as u32,
+        }
+    }
+
+    fn on_tracer_installed(&mut self) {
+        let rows = self.topo.num_rings();
+        let cols = self
+            .topo
+            .rings()
+            .map(|(_, r)| r.members.len())
+            .max()
+            .unwrap_or(0);
+        self.link_heat = self.core.tracer().add_heatmap(Heatmap::new(
+            "flits forwarded per ring link",
+            "ring",
+            "member",
+            rows,
+            cols,
+        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ringmesh_net::{CacheLineSize, PacketKind, TxnId};
+    use ringmesh_net::{CacheLineSize, Interconnect, PacketKind, TxnId};
 
     fn packet(cfg: &RingConfig, txn: u64, kind: PacketKind, src: u32, dst: u32) -> Packet {
         Packet {

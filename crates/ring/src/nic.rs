@@ -7,14 +7,13 @@
 //! output link gives priority to transit traffic; among local packets
 //! responses beat requests.
 
-use ringmesh_faults::{ConservationLedger, DropReason};
+use ringmesh_faults::DropReason;
 use ringmesh_net::{
-    Assembler, DrainState, FlitFifo, NodeId, Packet, PacketQueue, PacketRef, PacketStore,
-    QueueClass,
+    Assembler, DrainState, FlitFifo, NodeId, PacketQueue, PacketRef, PacketStore, QueueClass,
 };
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 
-use crate::station::{ClassQueues, Disposition, LinkOwner, Send, SideRef, StepPulse, TransitRoute};
+use crate::station::{ClassQueues, Disposition, LinkOwner, Send, SideRef, Tick, TransitRoute};
 
 /// Per-NIC simulation state.
 #[derive(Debug)]
@@ -56,11 +55,6 @@ impl Nic {
         }
     }
 
-    /// The processing module this NIC serves.
-    pub fn pm(&self) -> NodeId {
-        self.pm
-    }
-
     /// The transit (bypass) buffer, for the network's send-commit loop.
     pub fn ring_buf_mut(&mut self) -> &mut FlitFifo {
         &mut self.ring_buf
@@ -83,36 +77,22 @@ impl Nic {
 
     /// One clock of the NIC. `free_out` is the downstream station's
     /// registered free-slot count; every link transfer needs one free
-    /// slot per flit. `credits` tracks each ring's total free transit
+    /// slot per flit. `t.credits` tracks each ring's total free transit
     /// slots: a flit may *enter* the ring (from the PM) only while at
     /// least two such slots remain, so one free slot always circulates,
     /// forwarding always progresses, and every packet monotonically
     /// reaches its exit station — the credit rule that keeps the
     /// uni-directional rings deadlock-free (DESIGN.md, "Model fidelity
     /// notes"). Emits at most one flit on the output link (into
-    /// `sends`) and at most one flit onto the ejection path.
+    /// `t.sends`) and at most one flit onto the ejection path.
     ///
     /// `link_up` gates the output link only: while the downstream link
     /// is transiently down no flit leaves the station, but the ejection
     /// path keeps draining (it is a separate wire in Figure 3).
-    /// `corrupt` marks packet-store slots whose payload was corrupted
-    /// in flight; such packets are dropped at reassembly instead of
-    /// delivered.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step(
-        &mut self,
-        now: u64,
-        link_up: bool,
-        free_out: usize,
-        credits: &mut [i64],
-        corrupt: &[bool],
-        ledger: &mut ConservationLedger,
-        store: &mut PacketStore,
-        sends: &mut Vec<Send>,
-        delivered: &mut Vec<(NodeId, Packet)>,
-        dropped: &mut Vec<(Packet, DropReason)>,
-        pulse: &mut StepPulse,
-    ) {
+    /// A packet whose payload the core marked as corrupted in flight
+    /// is dropped at reassembly instead of delivered.
+    pub fn step(&mut self, t: &mut Tick<'_>, link_up: bool, free_out: usize) {
+        let now = t.now;
         let ring = self.ring as usize;
         // A downed output link advertises no room: transit forwarding
         // and new injections stall in place, losing nothing.
@@ -123,7 +103,7 @@ impl Nic {
         if let Some(flit) = self.ring_buf.front_ready(now) {
             if self.transit.packet() != Some(flit.packet) {
                 debug_assert!(flit.is_head(), "mid-packet flit without a route");
-                let eject = store.get(flit.packet).dst == self.pm;
+                let eject = t.core.store().get(flit.packet).dst == self.pm;
                 let disposition = if eject {
                     Disposition::Cross
                 } else {
@@ -138,20 +118,16 @@ impl Nic {
         // separate paths), so it can proceed while the PM injects.
         if self.transit.crossing() {
             if let Some(flit) = self.ring_buf.pop_ready(now) {
-                credits[ring] += 1; // the flit left the ring
-                pulse.moved += 1;
+                t.credits[ring] += 1; // the flit left the ring
+                t.pulse.moved += 1;
                 if flit.is_tail {
                     self.transit.clear();
                 }
                 if let Some(done) = self.assembler.push(flit) {
-                    let slot = done.slot();
-                    let pkt = store.remove(done);
-                    if corrupt.get(slot).copied().unwrap_or(false) {
-                        ledger.complete(slot, true);
-                        dropped.push((pkt, DropReason::Corrupted));
+                    if t.core.corrupt().get(done.slot()) == Some(&true) {
+                        t.core.drop_packet(done, DropReason::Corrupted);
                     } else {
-                        ledger.complete(slot, false);
-                        delivered.push((self.pm, pkt));
+                        t.core.deliver(done, self.pm, t.delivered);
                     }
                 }
             }
@@ -168,14 +144,14 @@ impl Nic {
                             self.owner = LinkOwner::Idle;
                             self.transit.clear();
                         }
-                        sends.push(Send {
+                        t.sends.push(Send {
                             to: self.downstream,
                             flit,
                             ring: self.ring,
                         });
                     }
                 } else if self.ring_buf.front_ready(now).is_some() {
-                    pulse.blocked += 1;
+                    t.pulse.blocked += 1;
                 }
             }
             LinkOwner::Cross(_) => {
@@ -191,13 +167,13 @@ impl Nic {
                     if flit.is_tail {
                         self.owner = LinkOwner::Idle;
                     }
-                    sends.push(Send {
+                    t.sends.push(Send {
                         to: self.downstream,
                         flit,
                         ring: self.ring,
                     });
                 } else {
-                    pulse.blocked += 1;
+                    t.pulse.blocked += 1;
                 }
             }
             LinkOwner::Idle => {
@@ -210,24 +186,26 @@ impl Nic {
                         } else {
                             self.owner = LinkOwner::Transit;
                         }
-                        sends.push(Send {
+                        t.sends.push(Send {
                             to: self.downstream,
                             flit,
                             ring: self.ring,
                         });
                     } else {
-                        pulse.blocked += 1;
+                        t.pulse.blocked += 1;
                     }
-                } else if let Some(class) = self.next_injection(free_out, credits[ring], store) {
+                } else if let Some(class) =
+                    self.next_injection(free_out, t.credits[ring], t.core.store())
+                {
                     let r = self.out.get_mut(class).pop().expect("front checked");
-                    let flits = store.get(r).flits;
-                    credits[ring] -= i64::from(flits);
+                    let flits = t.core.store().get(r).flits;
+                    t.credits[ring] -= i64::from(flits);
                     self.drain.begin(r, flits);
                     let flit = self.drain.emit();
                     if !flit.is_tail {
                         self.owner = LinkOwner::Cross(class);
                     }
-                    sends.push(Send {
+                    t.sends.push(Send {
                         to: self.downstream,
                         flit,
                         ring: self.ring,
@@ -272,23 +250,6 @@ impl Nic {
             && self.transit.packet().is_none()
             && self.out.get(QueueClass::Request).is_empty()
             && self.out.get(QueueClass::Response).is_empty()
-    }
-
-    pub(crate) fn debug_idle(&self) -> bool {
-        matches!(self.owner, LinkOwner::Idle)
-            && self.out.get(QueueClass::Request).is_empty()
-            && self.out.get(QueueClass::Response).is_empty()
-    }
-
-    pub(crate) fn debug_state(&self) -> String {
-        format!(
-            "owner={:?} outq=(r{} s{}) drain={} transit=({:?})",
-            self.owner,
-            self.out.get(QueueClass::Request).len(),
-            self.out.get(QueueClass::Response).len(),
-            self.drain.is_active(),
-            self.transit.packet().map(|p| p.slot()),
-        )
     }
 
     /// Latches the ring buffer's registered occupancy; returns the new

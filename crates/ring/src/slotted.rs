@@ -17,12 +17,12 @@
 
 use std::collections::VecDeque;
 
-use ringmesh_engine::{StallError, Watchdog};
 use ringmesh_net::{
-    DrainState, Flit, FlitPool, Interconnect, LevelUtil, NodeId, Packet, PacketRef, PacketStore,
+    DrainState, Flit, FlitPool, LevelUtil, NetCore, NodeId, Packet, PacketRef, PacketStore,
     QueueClass, UtilizationReport,
 };
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_trace::Counter;
 
 use crate::topology::{RingAction, RingSpec, RingTopology, RouteTable, StationKind};
 use crate::RingConfig;
@@ -155,7 +155,10 @@ impl SnapshotState for Outbox {
 ///
 /// Shares [`RingSpec`]/[`RingTopology`] and [`RingConfig`] with the
 /// wormhole model ([`RingNetwork`](crate::RingNetwork)); only the
-/// switching discipline differs. Implements [`Interconnect`].
+/// switching discipline differs. Implements
+/// [`ringmesh_net::Interconnect`] (as every [`ringmesh_net::Kernel`]
+/// does): it is traced and audited by the shared [`NetCore`], but it
+/// models no faults, and registers no heatmap and emits no hop events.
 ///
 /// # Example
 ///
@@ -186,7 +189,7 @@ pub struct SlottedRingNetwork {
     /// once at construction so the per-cycle station loop neither
     /// clones member lists nor chases the topology.
     service_order: Vec<(u32, u32, u32, u8)>,
-    store: PacketStore,
+    core: NetCore,
     /// One slot vector per ring, indexed by member position; `slots[r][i]`
     /// is the slot that station `members[i]` examines this cycle.
     slots: Vec<Vec<Option<Flit>>>,
@@ -199,10 +202,8 @@ pub struct SlottedRingNetwork {
     assemblers: Vec<SlotAssembler>,
     /// Shared reassembly-buffer pool; see [`Self::pool_stats`].
     pool: FlitPool,
-    cycle: u64,
     ring_flits: Vec<u64>,
     reset_cycle: u64,
-    watchdog: Watchdog,
 }
 
 impl SlottedRingNetwork {
@@ -225,23 +226,20 @@ impl SlottedRingNetwork {
         let routes = topo.route_table();
         let n_st = topo.num_stations();
         let pms = topo.num_pms() as usize;
-        let horizon = cfg.watchdog_horizon;
         let num_rings = topo.num_rings();
         SlottedRingNetwork {
             topo,
             routes,
             service_order,
-            store: PacketStore::new(),
+            core: NetCore::new(cfg.watchdog_horizon),
             slots,
             pm_out: (0..pms).map(|_| Outbox::default()).collect(),
             iri_up: (0..n_st).map(|_| Outbox::default()).collect(),
             iri_down: (0..n_st).map(|_| Outbox::default()).collect(),
             assemblers: (0..pms).map(|_| SlotAssembler::default()).collect(),
             pool: FlitPool::new(),
-            cycle: 0,
             ring_flits: vec![0; num_rings],
             reset_cycle: 0,
-            watchdog: Watchdog::new(horizon),
         }
     }
 
@@ -265,7 +263,6 @@ impl SlottedRingNetwork {
     /// One station's interaction with the slot currently at its
     /// position on ring `rid`: drain it if addressed here, else leave
     /// it; fill an empty slot from the local outbox.
-    #[allow(clippy::too_many_arguments)]
     fn service_slot(
         &mut self,
         rid: u32,
@@ -277,7 +274,7 @@ impl SlottedRingNetwork {
     ) {
         // Drain: does the occupying flit leave the ring here?
         if let Some(flit) = self.slots[rid as usize][pos] {
-            let dst = self.store.get(flit.packet).dst;
+            let dst = self.core.store().get(flit.packet).dst;
             match self.routes.action(st, side, dst) {
                 RingAction::Eject => {
                     let pm = match self.topo.station(st) {
@@ -287,8 +284,7 @@ impl SlottedRingNetwork {
                     self.slots[rid as usize][pos] = None;
                     *moved += 1;
                     if let Some(done) = self.assemblers[pm.index()].push(flit, &mut self.pool) {
-                        let pkt = self.store.remove(done);
-                        delivered.push((pm, pkt));
+                        self.core.deliver(done, pm, delivered);
                     }
                 }
                 RingAction::Up => {
@@ -313,7 +309,7 @@ impl SlottedRingNetwork {
                 (StationKind::Iri { .. }, 0) => &mut self.iri_down[st as usize],
                 (StationKind::Iri { .. }, _) => &mut self.iri_up[st as usize],
             };
-            if let Some(flit) = outbox.next_flit(&self.store) {
+            if let Some(flit) = outbox.next_flit(self.core.store()) {
                 self.slots[rid as usize][pos] = Some(flit);
                 *moved += 1;
             }
@@ -321,13 +317,17 @@ impl SlottedRingNetwork {
     }
 }
 
-impl Interconnect for SlottedRingNetwork {
-    fn num_pms(&self) -> usize {
-        self.topo.num_pms() as usize
+impl ringmesh_net::Kernel for SlottedRingNetwork {
+    fn core(&self) -> &NetCore {
+        &self.core
     }
 
-    fn cycle(&self) -> u64 {
-        self.cycle
+    fn core_mut(&mut self) -> &mut NetCore {
+        &mut self.core
+    }
+
+    fn num_pms(&self) -> usize {
+        self.topo.num_pms() as usize
     }
 
     fn can_inject(&self, pm: NodeId, _class: QueueClass) -> bool {
@@ -336,15 +336,11 @@ impl Interconnect for SlottedRingNetwork {
         self.pm_out[pm.index()].len() < 2
     }
 
-    fn inject(&mut self, pm: NodeId, packet: Packet) {
-        assert_eq!(packet.src, pm, "packet injected at the wrong PM");
-        assert_ne!(packet.src, packet.dst, "local accesses bypass the network");
-        let class = QueueClass::of(packet.kind);
-        let r = self.store.insert(packet);
-        self.pm_out[pm.index()].enqueue(class, r);
+    fn enqueue(&mut self, pm: NodeId, class: QueueClass, packet: PacketRef) {
+        self.pm_out[pm.index()].enqueue(class, packet);
     }
 
-    fn step(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> Result<(), StallError> {
+    fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64 {
         let mut moved = 0u64;
         // 1. Rotate every ring by one position (slots advance); one
         //    occupancy pass feeds both progress and utilization counts.
@@ -361,17 +357,12 @@ impl Interconnect for SlottedRingNetwork {
             let (rid, pos, st, side) = self.service_order[i];
             self.service_slot(rid, pos as usize, st, side, delivered, &mut moved);
         }
-        self.cycle += 1;
-        self.watchdog.observe(self.cycle, moved, self.store.live());
-        self.watchdog.check(self.cycle)
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.store.live()
+        self.core.tracer().count(Counter::FlitsForwarded, moved);
+        moved
     }
 
     fn utilization(&self) -> UtilizationReport {
-        let cycles = self.cycle - self.reset_cycle;
+        let cycles = self.core.cycle() - self.reset_cycle;
         if cycles == 0 {
             return UtilizationReport::default();
         }
@@ -396,11 +387,10 @@ impl Interconnect for SlottedRingNetwork {
 
     fn reset_counters(&mut self) {
         self.ring_flits.iter_mut().for_each(|c| *c = 0);
-        self.reset_cycle = self.cycle;
+        self.reset_cycle = self.core.cycle();
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        self.store.save(w);
+    fn save_kernel(&self, w: &mut SnapWriter) {
         self.slots.save(w);
         for group in [&self.pm_out, &self.iri_up, &self.iri_down] {
             w.usize(group.len());
@@ -413,73 +403,42 @@ impl Interconnect for SlottedRingNetwork {
             asm.save_state(w);
         }
         self.pool.save_state(w);
-        w.u64(self.cycle);
+        w.u64(self.core.cycle());
         self.ring_flits.save(w);
         w.u64(self.reset_cycle);
-        self.watchdog.save_state(w);
-        Ok(())
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let mismatch = |what: &str, got: usize, want: usize| {
-            SnapError::Mismatch(format!("{what}: snapshot has {got}, network has {want}"))
-        };
-        self.store = PacketStore::load(r)?;
-        let slots: Vec<Vec<Option<Flit>>> = Snapshot::load(r)?;
-        if slots.len() != self.slots.len() {
-            return Err(mismatch("ring count", slots.len(), self.slots.len()));
+    fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
+        r.len_exact(self.slots.len(), "ring count")?;
+        for (i, ring) in self.slots.iter_mut().enumerate() {
+            *ring = r.vec_exact(ring.len(), &format!("ring {i} slot count"))?;
         }
-        for (i, (got, want)) in slots.iter().zip(&self.slots).enumerate() {
-            if got.len() != want.len() {
-                return Err(mismatch(
-                    &format!("ring {i} slot count"),
-                    got.len(),
-                    want.len(),
-                ));
-            }
-        }
-        self.slots = slots;
         for (label, group) in [
-            ("PM outbox", &mut self.pm_out),
-            ("IRI up outbox", &mut self.iri_up),
-            ("IRI down outbox", &mut self.iri_down),
+            ("PM outbox count", &mut self.pm_out),
+            ("IRI up outbox count", &mut self.iri_up),
+            ("IRI down outbox count", &mut self.iri_down),
         ] {
-            let n = r.usize()?;
-            if n != group.len() {
-                return Err(mismatch(&format!("{label} count"), n, group.len()));
-            }
+            r.len_exact(group.len(), label)?;
             for outbox in group.iter_mut() {
                 outbox.restore_state(r)?;
             }
         }
-        let n_asm = r.usize()?;
-        if n_asm != self.assemblers.len() {
-            return Err(mismatch("assembler count", n_asm, self.assemblers.len()));
-        }
+        r.len_exact(self.assemblers.len(), "assembler count")?;
         for asm in &mut self.assemblers {
             asm.restore_state(r)?;
         }
         self.pool.restore_state(r)?;
-        self.cycle = r.u64()?;
-        let ring_flits: Vec<u64> = Snapshot::load(r)?;
-        if ring_flits.len() != self.ring_flits.len() {
-            return Err(mismatch(
-                "ring count",
-                ring_flits.len(),
-                self.ring_flits.len(),
-            ));
-        }
-        self.ring_flits = ring_flits;
+        let cycle = r.u64()?;
+        self.ring_flits = r.vec_exact(self.ring_flits.len(), "ring count")?;
         self.reset_cycle = r.u64()?;
-        self.watchdog.restore_state(r)?;
-        Ok(())
+        Ok(cycle)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ringmesh_net::{CacheLineSize, PacketKind, TxnId};
+    use ringmesh_net::{CacheLineSize, Interconnect, PacketKind, TxnId};
 
     fn packet(cfg: &RingConfig, txn: u64, kind: PacketKind, src: u32, dst: u32) -> Packet {
         Packet {
@@ -507,6 +466,14 @@ mod tests {
         assert_eq!(out[0].0, NodeId::new(2));
         // 3 flits over 2 hops in a non-blocking pipeline.
         assert!(cycles <= 8, "cycles={cycles}");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn destination_beyond_the_last_pm_is_refused_at_injection() {
+        let cfg = RingConfig::new(CacheLineSize::B32);
+        let mut net = SlottedRingNetwork::new(&RingSpec::single(4), cfg.clone());
+        net.inject(NodeId::new(0), packet(&cfg, 1, PacketKind::ReadReq, 0, 4));
     }
 
     #[test]
@@ -551,16 +518,14 @@ mod tests {
 
     #[test]
     fn reassembly_pool_recycles_and_drains() {
-        // Drive the all-pairs flow with a conservation ledger at the
-        // boundary: when the ledger balances, the reassembly pool must
-        // hold zero outstanding buffers, and steady-state traffic must
-        // be served by recycling rather than fresh allocation.
-        use ringmesh_faults::ConservationLedger;
+        // Drive the all-pairs flow: when the network's ledger balances
+        // with nothing in flight, the reassembly pool must hold zero
+        // outstanding buffers, and steady-state traffic must be served
+        // by recycling rather than fresh allocation.
         let cfg = RingConfig::new(CacheLineSize::B64);
         let spec: RingSpec = "2:2:3".parse().unwrap();
         let p = spec.num_pms();
         let mut net = SlottedRingNetwork::new(&spec, cfg.clone());
-        let mut ledger = ConservationLedger::new(false);
         let mut out = Vec::new();
         let mut txn = 0;
         for s in 0..p {
@@ -574,7 +539,6 @@ mod tests {
                         NodeId::new(s),
                         packet(&cfg, txn, PacketKind::WriteReq, s, d),
                     );
-                    ledger.inject(0);
                 }
             }
         }
@@ -584,10 +548,8 @@ mod tests {
                 break;
             }
         }
-        for _ in 0..out.len() {
-            ledger.complete(0, false);
-        }
-        ledger.verify(net.in_flight()).unwrap();
+        net.verify_conservation().unwrap();
+        assert_eq!(net.conservation_counts(), Some((txn, txn, 0)));
         let (allocated, recycled, outstanding) = net.pool_stats();
         assert_eq!(outstanding, 0, "drained network leaked pool buffers");
         assert!(

@@ -1,6 +1,6 @@
 //! Small shared pieces of ring station state.
 
-use ringmesh_net::{Flit, PacketRef, QueueClass};
+use ringmesh_net::{Flit, NetCore, NodeId, Packet, PacketRef, QueueClass};
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 
 /// `(station index, ring side)` — mirrors
@@ -34,6 +34,32 @@ pub struct StepPulse {
     /// Packets (counted at their head flit) that entered an IRI
     /// crossing queue, i.e. began changing rings.
     pub crossed: u64,
+}
+
+/// What the stations stepped in one tick share: the clock, the ring
+/// entry credits, the network core and the tick's outputs.
+#[derive(Debug)]
+pub struct Tick<'a> {
+    /// The kernel tick being stepped.
+    pub now: u64,
+    /// Free transit flit slots per ring: a flit may *enter* a ring
+    /// only while at least two remain (see [`Nic::step`]).
+    ///
+    /// [`Nic::step`]: crate::nic::Nic::step
+    pub credits: &'a mut [i64],
+    /// The owning network's core: the packet store the stations read
+    /// routes and lengths from, and where an ejecting NIC retires its
+    /// packet as delivered, or as dropped when it is marked corrupt.
+    pub core: &'a mut NetCore,
+    /// Link transfers decided this tick.
+    pub sends: &'a mut Vec<Send>,
+    /// Packets delivered this cycle.
+    pub delivered: &'a mut Vec<(NodeId, Packet)>,
+    /// Packets whose tail was sunk at a dead IRI this tick, for the
+    /// network to retire once every station has stepped.
+    pub sunk: &'a mut Vec<PacketRef>,
+    /// Flit-movement counts of the cycle.
+    pub pulse: &'a mut StepPulse,
 }
 
 /// Who currently owns an output link. Wormhole switching holds the link

@@ -219,6 +219,36 @@ impl<'a> SnapReader<'a> {
         let b = self.bytes()?;
         String::from_utf8(b.to_vec()).map_err(|_| SnapError::Corrupt("non-UTF-8 string".into()))
     }
+
+    /// Reads a length prefix that must equal `want`: the size of a
+    /// table the restoring instance rebuilt from its configuration,
+    /// which a snapshot may fill but never resize.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapError::Mismatch`] naming `what` when the snapshot
+    /// holds a different length.
+    pub fn len_exact(&mut self, want: usize, what: &str) -> Result<(), SnapError> {
+        let got = self.usize()?;
+        if got == want {
+            Ok(())
+        } else {
+            Err(SnapError::Mismatch(format!(
+                "{what}: snapshot has {got}, this instance has {want}"
+            )))
+        }
+    }
+
+    /// Reads a `Vec<T>` as [`Snapshot`] writes one, of exactly `want`
+    /// entries; the length is checked before any entry is decoded.
+    ///
+    /// # Errors
+    ///
+    /// As [`len_exact`](Self::len_exact), and any entry's decode error.
+    pub fn vec_exact<T: Snapshot>(&mut self, want: usize, what: &str) -> Result<Vec<T>, SnapError> {
+        self.len_exact(want, what)?;
+        (0..want).map(|_| T::load(self)).collect()
+    }
 }
 
 /// Writes the versioned container header with a free-form `kind` label
@@ -552,6 +582,26 @@ mod tests {
         assert_eq!(Option::<String>::load(&mut r).unwrap(), o);
         assert_eq!(Option::<u32>::load(&mut r).unwrap(), None);
         assert_eq!(<[i64; 3]>::load(&mut r).unwrap(), arr);
+    }
+
+    #[test]
+    fn exact_length_reads_refuse_any_other_length() {
+        let mut w = SnapWriter::new();
+        vec![7i64, 8, 9].save(&mut w);
+        let bytes = w.into_bytes();
+        let read = |want| SnapReader::new(&bytes).vec_exact::<i64>(want, "credit table");
+        assert_eq!(read(3).unwrap(), vec![7, 8, 9]);
+        for want in [2, 4] {
+            match read(want) {
+                Err(SnapError::Mismatch(msg)) => {
+                    assert!(msg.contains("credit table: snapshot has 3"), "{msg}");
+                }
+                other => panic!("{want}: {other:?}"),
+            }
+        }
+        // The right length over too few bytes is still a short read.
+        let mut r = SnapReader::new(&bytes[..bytes.len() - 1]);
+        assert_eq!(r.vec_exact::<i64>(3, "credit table"), Err(SnapError::Eof));
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //! `count`/`gauge`/`event`; every method starts with an inlined
 //! enabled-check, so an un-traced simulation pays a predictable
 //! never-taken branch at worst — hot loops guard a whole block with
-//! [`Tracer::is_enabled`] and pay nothing per flit. Components that
-//! publish periodic state implement [`Probe`].
+//! [`Tracer::is_enabled`] and pay nothing per flit.
 //!
 //! # Example
 //!
@@ -59,5 +58,5 @@ pub use heatmap::{Heatmap, HeatmapId};
 pub use metric::{Counter, Gauge};
 pub use recorder::{Recorder, TraceConfig};
 pub use report::{CounterReport, GaugeReport, TraceReport};
-pub use sink::{NopSink, Probe, TraceSink};
+pub use sink::{NopSink, TraceSink};
 pub use tracer::Tracer;

@@ -1,9 +1,8 @@
-//! The sink and probe abstractions.
+//! The sink abstraction.
 
 use crate::event::FlitEvent;
 use crate::heatmap::HeatmapId;
 use crate::metric::{Counter, Gauge};
-use crate::tracer::Tracer;
 
 /// Receives trace emissions.
 ///
@@ -46,18 +45,6 @@ pub trait TraceSink: std::fmt::Debug {
 pub struct NopSink;
 
 impl TraceSink for NopSink {}
-
-/// Implemented by simulation components that can deposit their current
-/// state into a tracer on demand.
-///
-/// Networks and workloads implement this to publish gauges (buffer
-/// occupancies, in-flight counts); the owner calls [`Probe::probe`]
-/// once per cycle while tracing is enabled, and never when it is off,
-/// so un-traced runs pay nothing.
-pub trait Probe {
-    /// Deposit current readings into `t`.
-    fn probe(&self, t: &mut Tracer);
-}
 
 #[cfg(test)]
 mod tests {

@@ -42,7 +42,9 @@ The `trace` subcommand runs the same simulation with the observability
 subsystem recording: it prints per-counter and per-gauge batch
 summaries and link-utilization heatmaps, and can export the sampled
 flit-event stream as Chrome trace-event JSON (open in Perfetto or
-chrome://tracing).
+chrome://tracing). Every network traces, the slotted ring included
+(packet and flit counters, in-flight gauge and inject/eject events; it
+has no link heatmap and no per-hop events).
 
 The `faults` subcommand runs the simulation under a deterministic,
 seeded fault schedule (packet corruption, transient link-down

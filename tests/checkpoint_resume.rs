@@ -121,17 +121,23 @@ fn checkpoint_rejects_wrong_config() {
 
 #[test]
 fn truncated_checkpoint_is_an_error_not_a_panic() {
-    let cfg = quick(NetworkSpec::ring("6".parse().unwrap()));
-    let mut sys = System::new(cfg.clone()).unwrap();
-    let mut state = sys.begin();
-    assert!(!sys.run_to(&mut state, 600).unwrap());
-    let bytes = sys.checkpoint(&state).unwrap();
-    for cut in [0, 10, bytes.len() / 2, bytes.len() - 1] {
-        let mut fresh = System::new(cfg.clone()).unwrap();
-        let mut fstate = fresh.begin();
-        assert!(
-            fresh.restore(&mut fstate, &bytes[..cut]).is_err(),
-            "truncation at {cut} must fail"
-        );
+    for network in snapshot_networks() {
+        let cfg = quick(network);
+        let label = cfg.network.label();
+        let mut sys = System::new(cfg.clone()).unwrap();
+        let mut state = sys.begin();
+        assert!(!sys.run_to(&mut state, 600).unwrap());
+        let bytes = sys.checkpoint(&state).unwrap();
+        // Every seventh prefix, so the cuts fall at every offset inside
+        // an eight-byte word and inside every section, and the longest.
+        for cut in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
+            let mut fresh = System::new(cfg.clone()).unwrap();
+            let mut fstate = fresh.begin();
+            assert!(
+                fresh.restore(&mut fstate, &bytes[..cut]).is_err(),
+                "{label}: truncation at {cut} of {} must fail",
+                bytes.len()
+            );
+        }
     }
 }

@@ -119,6 +119,15 @@ fn hybrid_16x16x16_conserves_packets_under_a_clean_watchdog() {
     run_checked("hybrid:16x16:16", 300);
 }
 
+/// The ring family at 64 PMs: the wormhole ring at its deepest, four
+/// levels, and the slotted ring, which kept no ledger until `NetCore`
+/// audited it like everyone else.
+#[test]
+fn rings_conserve_packets_under_a_clean_watchdog() {
+    run_checked("ring:2:2:4:4", 600);
+    run_checked("slotted:4:4:4", 600);
+}
+
 /// 16 384 PMs. With per-processor region tables and the P×P route
 /// table this took about 1.3 GB and ten seconds before the first
 /// cycle.

@@ -5,6 +5,7 @@
 
 use ringmesh::{NetworkSpec, SimParams, System, SystemConfig, TraceConfig, TraceReport};
 use ringmesh_net::CacheLineSize;
+use ringmesh_trace::EventKind;
 
 fn quick_sim() -> SimParams {
     SimParams {
@@ -153,4 +154,34 @@ fn event_sampling_interval_filters_transactions() {
         report.events.iter().all(|e| e.txn % 8 == 0),
         "unsampled txn leaked into the event stream"
     );
+}
+
+/// The slotted ring has no tracing code of its own: `NetCore` counts
+/// and times its packets as it does everyone's.
+#[test]
+fn slotted_ring_trace_accounts_for_every_packet() {
+    let network = NetworkSpec::SlottedRing {
+        spec: "2:3".parse().unwrap(),
+    };
+    let cfg = SystemConfig::new(network.clone(), CacheLineSize::B32).with_sim(quick_sim());
+    let plain = System::new(cfg).unwrap().run().unwrap();
+    let (traced, report) = traced_run(network, TraceConfig::default());
+    assert_eq!(plain.fingerprint(), traced.fingerprint());
+
+    // Every transaction is sampled and no event was evicted, so a
+    // packet still in flight at the end is an Inject event that never
+    // got its Eject.
+    assert_eq!(report.events_dropped, 0);
+    let events = |want: fn(&EventKind) -> bool| {
+        report.events.iter().filter(|e| want(&e.kind)).count() as u64
+    };
+    let in_flight = events(|k| matches!(k, EventKind::Inject { .. }))
+        - events(|k| matches!(k, EventKind::Eject));
+    let injected = counter_total(&report, "packets_injected");
+    let delivered = counter_total(&report, "packets_delivered");
+    assert!(delivered > 0 && in_flight > 0, "{delivered} + {in_flight}");
+    assert_eq!(injected, delivered + in_flight);
+    assert_eq!(counter_total(&report, "packets_dropped"), 0);
+    assert!(counter_total(&report, "flits_forwarded") > delivered);
+    assert!(report.heatmaps.is_empty(), "it registers no heatmap");
 }
