@@ -10,7 +10,7 @@
 
 use ringmesh_engine::WorkerPool;
 use ringmesh_net::CacheLineSize;
-use ringmesh_ring::RingConfig;
+use ringmesh_ring::{RingConfig, RingNetwork};
 use ringmesh_stats::{Series, Table};
 use ringmesh_workload::{MemoryParams, MissProcess, WorkloadParams};
 
@@ -42,7 +42,11 @@ pub fn ablation_iri_queue(scale: Scale) -> Table {
         rc.watchdog_horizon = 2_000;
         let cfg = SystemConfig::new(NetworkSpec::ring(spec.clone()), CacheLineSize::B64)
             .with_sim(scale.sim);
-        (cap, System::with_ring_config(cfg, rc).and_then(System::run))
+        let net = RingNetwork::new(&spec, rc);
+        (
+            cap,
+            System::with_network(cfg, Box::new(net)).and_then(System::run),
+        )
     });
     for (cap, run) in runs {
         let label = cap.map_or("elastic".to_string(), |c| c.to_string());
@@ -166,7 +170,10 @@ pub fn ablation_mesh_out_queue(scale: Scale) -> Table {
         let mut mc = ringmesh_mesh::MeshConfig::new(CacheLineSize::B64);
         mc.out_queue_packets = depth;
         let net = ringmesh_mesh::MeshNetwork::new(ringmesh_mesh::MeshTopology::new(6), mc);
-        (depth, crate::system::run_prebuilt(Box::new(net), cfg))
+        (
+            depth,
+            System::with_network(cfg, Box::new(net)).and_then(System::run),
+        )
     });
     for (depth, r) in runs {
         match r {

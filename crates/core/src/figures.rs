@@ -1,6 +1,7 @@
 //! Canned experiment definitions: one function per table/figure of the
-//! paper. Each returns labelled series groups that the benchmark
-//! harness prints; smoke tests run them at [`Scale::quick`].
+//! paper, and [`EXPERIMENTS`], the registry `ringmesh figure <NAME>`
+//! runs them from. Each figure function returns labelled series groups
+//! that its registry row prints; CI runs every row at [`Scale::quick`].
 //!
 //! The figure numbering follows the paper:
 //!
@@ -33,8 +34,9 @@ use ringmesh_ring::RingSpec;
 use ringmesh_stats::{Series, Table};
 use ringmesh_workload::WorkloadParams;
 
+use crate::ablations;
 use crate::sweep::{run_points, run_series, series_of, Scale};
-use crate::system::RunResult;
+use crate::system::{run_config, RunResult};
 use crate::topologies::{best_spec, mesh_size_ladder, ring_size_ladder, single_ring_max, table2};
 use crate::{NetworkSpec, SystemConfig};
 
@@ -42,6 +44,96 @@ use crate::{NetworkSpec, SystemConfig};
 pub type Group = (String, Vec<Series>);
 /// All panels of one figure.
 pub type FigureData = Vec<Group>;
+
+/// One runnable experiment: a table or figure of the paper, or one of
+/// the studies beyond it.
+pub struct Experiment {
+    /// What `ringmesh figure <NAME>` calls it.
+    pub name: &'static str,
+    /// One-line description (a figure prints it as its heading).
+    pub title: &'static str,
+    /// Runs the experiment at the given scale and prints its tables.
+    pub run: fn(Scale),
+}
+
+/// A registry row whose `run` prints a figure function's panels under
+/// the row's title; `f.0`/`f.1` picks one half of a two-figure sweep.
+macro_rules! figure {
+    ($name:literal, $title:literal, $f:ident $(. $half:tt)?) => {
+        Experiment {
+            name: $name,
+            title: $title,
+            run: |scale| print_figure($title, &$f(scale)$(.$half)?),
+        }
+    };
+}
+
+/// Every experiment, in DESIGN §4 order; `ringmesh figure all` runs
+/// them top to bottom.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table1",
+        title: "Table 1: NIC buffer memory requirements",
+        run: |_| println!("{}", table1()),
+    },
+    Experiment {
+        name: "table2",
+        title: "Table 2: optimal hierarchical ring topology",
+        run: |_| println!("{}", table2_overview()),
+    },
+    figure!("fig06", "Figure 6: single-ring latency", fig06),
+    figure!("fig07", "Figure 7: 2-level ring latency", fig07_08.0),
+    figure!("fig08", "Figure 8: 2-level ring utilization", fig07_08.1),
+    figure!("fig09", "Figure 9: 3-level ring latency", fig09_10.0),
+    figure!(
+        "fig10",
+        "Figure 10: 3-level global ring utilization",
+        fig09_10.1
+    ),
+    figure!("fig11", "Figure 11: benefit of hierarchy depth", fig11),
+    figure!("fig12", "Figure 12: mesh latency", fig12_13.0),
+    figure!("fig13", "Figure 13: mesh utilization", fig12_13.1),
+    figure!("fig14", "Figure 14: ring vs mesh, 4-flit buffers", fig14),
+    figure!("fig15", "Figure 15: ring vs mesh, cl-sized buffers", fig15),
+    figure!("fig16", "Figure 16: ring vs mesh, 1-flit buffers", fig16),
+    figure!("fig17", "Figure 17: ring vs mesh with locality", fig17),
+    figure!("fig18", "Figure 18: locality, cl-sized mesh buffers", fig18),
+    figure!(
+        "fig19",
+        "Figure 19: double-speed global ring latency",
+        fig19_20.0
+    ),
+    figure!(
+        "fig20",
+        "Figure 20: double-speed global ring utilization",
+        fig19_20.1
+    ),
+    figure!(
+        "fig21",
+        "Figure 21: mesh vs double-speed-global rings",
+        fig21
+    ),
+    figure!(
+        "crossover",
+        "Crossover study: ring vs slotted vs mesh vs hybrid",
+        fig_crossover
+    ),
+    Experiment {
+        name: "ablations",
+        title: "Ablation studies on the model's design decisions",
+        run: print_ablations,
+    },
+    Experiment {
+        name: "slotted",
+        title: "Extension: wormhole vs slotted hierarchical rings",
+        run: ext_slotted,
+    },
+    Experiment {
+        name: "hotspot",
+        title: "Extension: hot-spot sensitivity",
+        run: ext_hotspot,
+    },
+];
 
 const SEED: u64 = 0x1997_0201; // HPCA, February 1997
 
@@ -709,11 +801,107 @@ pub fn fig_crossover(scale: Scale) -> FigureData {
     ]
 }
 
+/// Ablation studies on the reproduction's design decisions (see
+/// DESIGN.md "Model fidelity notes").
+fn print_ablations(scale: Scale) {
+    println!("{}", ablations::ablation_iri_queue(scale));
+    println!("{}", ablations::ablation_memory_latency(scale));
+    println!("{}", ablations::ablation_mesh_out_queue(scale));
+    let t = Table::from_series(
+        "Ablation: miss-interval process (latency vs T)",
+        "T",
+        &ablations::ablation_miss_process(scale),
+    );
+    println!("{t}");
+}
+
+/// Extension: wormhole vs slotted ring switching (the comparison of the
+/// authors' companion paper, IEICE Trans. 1996 — reference [21] —
+/// finding slotted rings perform somewhat better).
+fn ext_slotted(scale: Scale) {
+    let mut series = Vec::new();
+    for cl in [CacheLineSize::B32, CacheLineSize::B128] {
+        for slotted in [false, true] {
+            let name = if slotted { "slotted" } else { "wormhole" };
+            let mut s = Series::new(format!("{cl} {name}"));
+            for spec_str in ["2:6", "3:6", "2:3:6", "3:3:6", "2:3:3:6"] {
+                let spec: RingSpec = spec_str.parse().expect("valid");
+                let p = spec.num_pms();
+                if p > scale.max_pms.max(60) {
+                    continue;
+                }
+                let network = if slotted {
+                    NetworkSpec::SlottedRing { spec }
+                } else {
+                    NetworkSpec::ring(spec)
+                };
+                let cfg = SystemConfig::new(network, cl)
+                    .with_workload(WorkloadParams::paper_baseline())
+                    .with_sim(scale.sim);
+                match run_config(cfg) {
+                    Ok(r) => s.push(f64::from(p), r.mean_latency()),
+                    Err(e) => eprintln!("warning: {spec_str} {name}: {e}"),
+                }
+            }
+            series.push(s);
+        }
+    }
+    println!(
+        "{}",
+        Table::from_series(
+            "Extension: wormhole vs slotted hierarchical rings (R=1.0, C=0.04, T=4)",
+            "nodes",
+            &series
+        )
+    );
+}
+
+/// Extension: hot-spot traffic (not in the paper). A fraction of every
+/// processor's misses targets one PM — a lock or shared work queue —
+/// which stresses the two topologies very differently: the mesh
+/// serializes at the hot node's links, while the ring's hot local ring
+/// congests its whole subtree.
+fn ext_hotspot(scale: Scale) {
+    let cl = CacheLineSize::B64;
+    let mut series = Vec::new();
+    for (label, network) in [
+        (
+            "ring 2:3:6",
+            NetworkSpec::ring("2:3:6".parse().expect("valid")),
+        ),
+        ("mesh 6x6", NetworkSpec::mesh(6)),
+    ] {
+        let mut s = Series::new(label);
+        for hot in [0.0, 0.05, 0.1, 0.2, 0.4] {
+            let mut w = WorkloadParams::paper_baseline();
+            if hot > 0.0 {
+                w = w.with_hot_spot(0, hot);
+            }
+            let cfg = SystemConfig::new(network.clone(), cl)
+                .with_workload(w)
+                .with_sim(scale.sim);
+            match run_config(cfg) {
+                Ok(r) => s.push(hot, r.mean_latency()),
+                Err(e) => eprintln!("warning: {label} hot={hot}: {e}"),
+            }
+        }
+        series.push(s);
+    }
+    println!(
+        "{}",
+        Table::from_series(
+            "Extension: hot-spot sensitivity, 36 PMs, 64B lines (R=1.0, C=0.04, T=4)",
+            "hot-spot fraction",
+            &series
+        )
+    );
+}
+
 /// Prints a figure's groups as aligned tables, with cross-over points
 /// for Ring/Mesh comparison groups. If the `RINGMESH_CSV_DIR`
 /// environment variable names a directory, each group is also written
 /// there as a CSV file (for plotting).
-pub fn print_figure(name: &str, data: &FigureData) {
+fn print_figure(name: &str, data: &FigureData) {
     println!("==== {name} ====");
     for (i, (title, series)) in data.iter().enumerate() {
         let table = Table::from_series(title.clone(), "nodes", series);
@@ -805,6 +993,20 @@ mod tests {
             .map(|(_, v)| v.into_iter().map(|(p, _)| p).collect())
             .collect();
         assert!(sizes.windows(2).all(|w| w[0] == w[1]), "{sizes:?}");
+    }
+
+    #[test]
+    fn registry_names_are_unique_and_in_design_order() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        assert_eq!(names.len(), 22);
+        assert_eq!(&names[..3], ["table1", "table2", "fig06"]);
+        assert_eq!(
+            &names[17..],
+            ["fig21", "crossover", "ablations", "slotted", "hotspot"]
+        );
+        for (i, n) in names.iter().enumerate() {
+            assert!(!names[..i].contains(n), "{n} is registered twice");
+        }
     }
 
     #[test]

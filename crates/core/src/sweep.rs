@@ -19,8 +19,8 @@ use crate::SystemConfig;
 ///
 /// `Full` regenerates the paper's figures at publication quality;
 /// `Quick` shrinks run lengths and sweep ranges so the entire harness
-/// finishes in minutes (used by smoke tests and the default `cargo
-/// bench` invocation — set `RINGMESH_FULL=1` for full scale).
+/// finishes in seconds (what `ringmesh figure` runs at unless
+/// `RINGMESH_FULL=1` asks for full scale).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Batch-means run lengths for every simulation point.
@@ -41,7 +41,7 @@ impl Scale {
         }
     }
 
-    /// Fast scale for smoke tests and default benches.
+    /// Fast scale for smoke tests and the default `ringmesh figure` run.
     pub fn quick() -> Self {
         Scale {
             sim: crate::SimParams::quick(),

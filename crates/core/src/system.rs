@@ -6,15 +6,14 @@ use std::fmt;
 use ringmesh_engine::{StallError, Watchdog};
 use ringmesh_faults::{ConservationError, FaultConfig, FaultInjector, FaultReport, FaultSchedule};
 use ringmesh_net::{ConfigError, Interconnect, NodeId, Packet, UtilizationReport};
-use ringmesh_ring::{RingConfig, RingNetwork};
 use ringmesh_snap::{
     read_header, write_header, Fingerprint, SnapError, SnapReader, SnapWriter, SnapshotState,
 };
 use ringmesh_stats::{BatchMeans, Histogram, Summary};
 use ringmesh_trace::{TraceConfig, TraceReport, Tracer};
-use ringmesh_workload::{Mmrp, MmrpStats, PacketSizer, Placement, RetryPolicy, RetryStats};
+use ringmesh_workload::{Mmrp, MmrpStats, PacketSizer, RetryPolicy, RetryStats};
 
-use crate::config::{NetworkSpec, SystemConfig};
+use crate::config::SystemConfig;
 
 /// Failure modes of a simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,8 +221,31 @@ impl System {
         // The topology registry is the only place a NetworkSpec becomes
         // a network: construction, placement and packet format all come
         // off the same builder.
+        let net = cfg.network.builder().build(cfg.cache_line)?;
+        System::with_network(cfg, net)
+    }
+
+    // Inert: only the frozen `benchmark/` harness calls this.
+    #[doc(hidden)]
+    pub fn set_kernel_threads(&mut self, _threads: usize) {}
+
+    /// Builds a system around a hand-built network (for ablations that
+    /// tune network internals beyond what [`crate::NetworkSpec`]
+    /// exposes). The placement and packet format are derived from
+    /// `cfg.network`, which must describe the same network shape as
+    /// `net`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::InvalidConfig`] if `net` does not have
+    /// `cfg.network`'s PM count.
+    pub fn with_network(cfg: SystemConfig, net: Box<dyn Interconnect>) -> Result<System, RunError> {
         let builder = cfg.network.builder();
-        let net = builder.build(cfg.cache_line)?;
+        if net.num_pms() != builder.num_pms() as usize {
+            return Err(RunError::InvalidConfig(
+                "hand-built network size does not match the config".into(),
+            ));
+        }
         let sizer = PacketSizer {
             format: builder.format(),
             cache_line: cfg.cache_line,
@@ -236,46 +258,6 @@ impl System {
             cfg.seed,
         );
         Ok(System { cfg, net, workload })
-    }
-
-    // Inert: only the frozen `benchmark/` harness calls this.
-    #[doc(hidden)]
-    pub fn set_kernel_threads(&mut self, _threads: usize) {}
-
-    /// Builds a system with an explicitly-tuned ring network (e.g. a
-    /// finite IRI queue capacity for flow-control ablations). The
-    /// `cfg.network` must be a `Ring` variant supplying the topology;
-    /// the cache line of `ring_cfg` overrides `cfg.cache_line`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::InvalidConfig`] if `cfg.network` is not a
-    /// ring.
-    pub fn with_ring_config(cfg: SystemConfig, ring_cfg: RingConfig) -> Result<System, RunError> {
-        let NetworkSpec::Ring { spec, .. } = &cfg.network else {
-            return Err(RunError::InvalidConfig(
-                "with_ring_config requires a ring network spec".into(),
-            ));
-        };
-        let net = RingNetwork::new(spec, ring_cfg.clone());
-        let sizer = PacketSizer {
-            format: ring_cfg.format,
-            cache_line: ring_cfg.cache_line,
-        };
-        let workload = Mmrp::new(
-            Placement::Linear {
-                pms: spec.num_pms(),
-            },
-            cfg.workload,
-            cfg.memory,
-            sizer,
-            cfg.seed,
-        );
-        Ok(System {
-            cfg,
-            net: Box::new(net),
-            workload,
-        })
     }
 
     /// Runs the full batch-means measurement and reports the results.
@@ -533,34 +515,10 @@ pub fn run_config(cfg: SystemConfig) -> Result<RunResult, RunError> {
     System::new(cfg)?.run()
 }
 
-/// Runs a pre-built network under `cfg`'s workload and measurement
-/// plan (for ablations that tune network internals beyond what
-/// [`NetworkSpec`] exposes). The placement and packet format are
-/// derived from `cfg.network`, which must describe the same network
-/// shape as `net`.
-pub(crate) fn run_prebuilt(
-    net: Box<dyn Interconnect>,
-    cfg: SystemConfig,
-) -> Result<RunResult, RunError> {
-    let builder = cfg.network.builder();
-    let (placement, format) = (builder.placement(), builder.format());
-    if net.num_pms() != cfg.network.num_pms() as usize {
-        return Err(RunError::InvalidConfig(
-            "prebuilt network size does not match the config".into(),
-        ));
-    }
-    let sizer = PacketSizer {
-        format,
-        cache_line: cfg.cache_line,
-    };
-    let workload = Mmrp::new(placement, cfg.workload, cfg.memory, sizer, cfg.seed);
-    System { cfg, net, workload }.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimParams;
+    use crate::config::{NetworkSpec, SimParams};
     use ringmesh_net::CacheLineSize;
     use ringmesh_workload::WorkloadParams;
 

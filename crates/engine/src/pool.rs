@@ -9,9 +9,8 @@
 //! input order*, so the output is byte-identical to a serial loop.
 //!
 //! The pool is hand-rolled on [`std::thread::scope`] — the workspace
-//! vendors its only external crate (`criterion`) and takes no new
-//! dependencies. A pool of one thread (or a single-item input) runs
-//! inline on the caller's thread with zero synchronization.
+//! takes no external crates. A pool of one thread (or a single-item
+//! input) runs inline on the caller's thread with zero synchronization.
 //!
 //! The default worker count comes from the `RINGMESH_THREADS`
 //! environment variable, read once per process (see

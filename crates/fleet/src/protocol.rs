@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn coordinator_messages_round_trip() {
-        let spec = Json::parse(r#"{"op":"job","network":"mesh","side":3}"#).unwrap();
+        let spec = Json::parse(r#"{"op":"job","topology":"mesh:3"}"#).unwrap();
         let msgs = [
             CoordMsg::Welcome {
                 worker: 2,

@@ -26,7 +26,7 @@ use ringmesh_snap::Fingerprint;
 
 /// A small real job (mesh 3×3, two short batches) used wherever a
 /// dispatch must actually simulate.
-const JOB: &str = r#"{"op":"job","id":"t0","network":"mesh","side":3,"warmup":400,"batch_cycles":400,"batches":2,"cache_line":32}"#;
+const JOB: &str = r#"{"op":"job","id":"t0","topology":"mesh:3","warmup":400,"batch_cycles":400,"batches":2,"cache_line":32}"#;
 
 /// Quick-reacting options so death/backoff paths run in test time.
 fn test_opts() -> FleetOptions {

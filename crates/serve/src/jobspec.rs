@@ -1,15 +1,16 @@
 //! Translating job objects from the wire into [`SystemConfig`]s.
 //!
-//! A job is a flat JSON object; every field beyond the network shape is
-//! optional and defaults to the paper-baseline configuration. Example:
+//! A job is a flat JSON object; every field beyond the `topology` spec
+//! string is optional and defaults to the paper-baseline configuration.
+//! Example:
 //!
 //! ```json
-//! {"op":"job","id":"r24","network":"ring","spec":"2:3:4",
+//! {"op":"job","id":"r24","topology":"ring:2:3:4",
 //!  "cache_line":128,"miss_rate":0.1,"seed":7,"scale":"quick"}
 //! ```
 
 use ringmesh::{NetworkSpec, SimParams, SystemConfig};
-use ringmesh_net::{BufferRegime, CacheLineSize};
+use ringmesh_net::CacheLineSize;
 use ringmesh_workload::{HotSpot, MissProcess};
 
 use crate::json::Json;
@@ -108,71 +109,14 @@ pub fn parse_job(v: &Json, default_id: &str) -> Result<JobSpec, String> {
     Ok(JobSpec { id, cfg })
 }
 
+/// The network is named by its registry spec string ("ring:2:3:4",
+/// "mesh:12:cl", "hybrid:4x4:4", ...) and by nothing else.
 fn parse_network(v: &Json) -> Result<NetworkSpec, String> {
-    // A 'topology' field carries the complete registry spec string
-    // ("ring:2:3:4", "mesh:12:cl", "hybrid:4x4:4", ...) and replaces
-    // the per-kind shape fields below.
-    if let Some(j) = v.get("topology") {
-        let spec = j.as_str().ok_or("field 'topology' must be a string")?;
-        if v.get("network").is_some() {
-            return Err("give either 'topology' or 'network', not both".into());
-        }
-        return spec.parse().map_err(|e| format!("bad topology spec: {e}"));
-    }
-    let kind = v
-        .get("network")
+    v.get("topology")
         .and_then(Json::as_str)
-        .ok_or("field 'network' must be \"ring\", \"slotted\", \"mesh\" or \"hybrid\"")?;
-    match kind {
-        "ring" | "slotted" => {
-            let spec = v
-                .get("spec")
-                .and_then(Json::as_str)
-                .ok_or("ring networks need a 'spec' string like \"2:3:4\"")?
-                .parse()
-                .map_err(|e| format!("bad ring spec: {e}"))?;
-            if kind == "slotted" {
-                if v.get("speedup").is_some() {
-                    return Err("'speedup' does not apply to slotted rings".into());
-                }
-                Ok(NetworkSpec::SlottedRing { spec })
-            } else {
-                let speedup = match v.get("speedup") {
-                    Some(j) => u32_field(j, "speedup")?,
-                    None => 1,
-                };
-                Ok(NetworkSpec::Ring { spec, speedup })
-            }
-        }
-        "mesh" => {
-            let side = v
-                .get("side")
-                .ok_or_else(|| "mesh networks need a 'side' length".to_string())
-                .and_then(|j| u32_field(j, "side"))?;
-            let buffers = match v.get("buffers") {
-                Some(j) => match j.as_str() {
-                    Some("1") => BufferRegime::OneFlit,
-                    Some("4") => BufferRegime::FourFlit,
-                    Some("line") => BufferRegime::CacheLine,
-                    _ => return Err("field 'buffers' must be \"1\", \"4\" or \"line\"".into()),
-                },
-                None => BufferRegime::FourFlit,
-            };
-            Ok(NetworkSpec::Mesh { side, buffers })
-        }
-        "hybrid" => {
-            let side = v
-                .get("side")
-                .ok_or_else(|| "hybrid networks need a 'side' length".to_string())
-                .and_then(|j| u32_field(j, "side"))?;
-            let local = v
-                .get("local")
-                .ok_or_else(|| "hybrid networks need a 'local' ring size".to_string())
-                .and_then(|j| u32_field(j, "local"))?;
-            Ok(NetworkSpec::Hybrid { side, local })
-        }
-        other => Err(format!("unknown network kind '{other}'")),
-    }
+        .ok_or("field 'topology' must be a spec string like \"ring:2:3:4\"")?
+        .parse()
+        .map_err(|e| format!("bad topology spec: {e}"))
 }
 
 fn f64_field(j: &Json, name: &str) -> Result<f64, String> {
@@ -200,7 +144,7 @@ mod tests {
 
     #[test]
     fn minimal_ring_job_uses_paper_defaults() {
-        let job = parse(r#"{"network":"ring","spec":"2:3:4"}"#).unwrap();
+        let job = parse(r#"{"topology":"ring:2:3:4"}"#).unwrap();
         assert_eq!(job.id, "job-0");
         assert_eq!(job.cfg.network.label(), "ring 2:3:4");
         assert_eq!(job.cfg.cache_line, CacheLineSize::B128);
@@ -213,7 +157,7 @@ mod tests {
     #[test]
     fn every_field_lands_in_the_config() {
         let job = parse(
-            r#"{"id":"m5","network":"mesh","side":5,"buffers":"line","cache_line":32,
+            r#"{"id":"m5","topology":"mesh:5:cl","cache_line":32,
                 "region":0.5,"miss_rate":0.2,"outstanding":8,"read_fraction":0.6,
                 "miss_process":"geo","hot_node":3,"hot_fraction":0.1,
                 "mem_latency":12,"mem_occupancy":5,
@@ -246,15 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn slotted_and_sped_up_rings() {
-        let s = parse(r#"{"network":"slotted","spec":"2:2:3"}"#).unwrap();
-        assert_eq!(s.cfg.network.label(), "slotted ring 2:2:3");
-        let f = parse(r#"{"network":"ring","spec":"2:4","speedup":2}"#).unwrap();
-        assert_eq!(f.cfg.network.label(), "ring 2:4 (2x global)");
-        assert!(parse(r#"{"network":"slotted","spec":"2:4","speedup":2}"#).is_err());
-    }
-
-    #[test]
     fn topology_field_reaches_every_registered_network() {
         for (text, label) in [
             (r#"{"topology":"ring:2:3:4"}"#, "ring 2:3:4"),
@@ -272,15 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_kind_takes_side_and_local() {
-        let job = parse(r#"{"network":"hybrid","side":2,"local":8}"#).unwrap();
-        assert_eq!(job.cfg.network.num_pms(), 32);
-        assert!(parse(r#"{"network":"hybrid","side":2}"#)
-            .unwrap_err()
-            .contains("'local'"));
-    }
-
-    #[test]
     fn malformed_topology_fields_draw_errors_not_panics() {
         for (text, needle) in [
             (r#"{"topology":"torus:4"}"#, "topology"),
@@ -288,10 +214,6 @@ mod tests {
             (r#"{"topology":"hybrid:4x4:0"}"#, "positive"),
             (r#"{"topology":"mesh:0"}"#, "mesh"),
             (r#"{"topology":42}"#, "string"),
-            (
-                r#"{"topology":"mesh:3","network":"mesh","side":3}"#,
-                "not both",
-            ),
         ] {
             let err = parse(text).unwrap_err();
             assert!(err.contains(needle), "{text} -> {err}");
@@ -300,7 +222,7 @@ mod tests {
 
     #[test]
     fn scale_presets_then_overrides() {
-        let job = parse(r#"{"network":"mesh","side":3,"scale":"quick","batches":2}"#).unwrap();
+        let job = parse(r#"{"topology":"mesh:3","scale":"quick","batches":2}"#).unwrap();
         assert_eq!(job.cfg.sim.warmup, SimParams::quick().warmup);
         assert_eq!(job.cfg.sim.batches, 2);
     }
@@ -308,21 +230,25 @@ mod tests {
     #[test]
     fn bad_jobs_name_the_offending_field() {
         for (text, needle) in [
-            (r#"{"spec":"2:3:4"}"#, "'network'"),
-            (r#"{"network":"torus"}"#, "torus"),
-            (r#"{"network":"ring"}"#, "'spec'"),
-            (r#"{"network":"ring","spec":"0:9"}"#, "ring spec"),
-            (r#"{"network":"mesh"}"#, "'side'"),
-            (r#"{"network":"mesh","side":3,"cache_line":48}"#, "48"),
-            (r#"{"network":"mesh","side":3,"hot_node":1}"#, "together"),
-            (
-                r#"{"network":"mesh","side":3,"miss_rate":2.0}"#,
-                "miss rate",
-            ),
-            (r#"{"network":"mesh","side":3,"batches":0}"#, "batch"),
+            (r#"{"cache_line":64}"#, "'topology'"),
+            (r#"{"topology":"ring:0:9"}"#, "topology spec"),
+            (r#"{"topology":"mesh:3","cache_line":48}"#, "48"),
+            (r#"{"topology":"mesh:3","hot_node":1}"#, "together"),
+            (r#"{"topology":"mesh:3","miss_rate":2.0}"#, "miss rate"),
+            (r#"{"topology":"mesh:3","batches":0}"#, "batch"),
         ] {
             let err = parse(text).unwrap_err();
             assert!(err.contains(needle), "{text} -> {err}");
         }
+    }
+
+    #[test]
+    fn only_the_topology_field_names_a_network() {
+        let old_form = r#""network":"mesh","side":3"#;
+        let err = parse(&format!("{{{old_form}}}")).unwrap_err();
+        assert!(err.contains("'topology'"), "{err}");
+        // Unknown members are ignored, these like any other.
+        let job = parse(&format!(r#"{{"topology":"mesh:4",{old_form}}}"#)).unwrap();
+        assert_eq!(job.cfg.network.label(), "mesh 4x4 (4-flit buffers)");
     }
 }

@@ -8,7 +8,7 @@
 //! batch appends `end`. Record shapes:
 //!
 //! ```text
-//! {"rec":"job","batch":3,"key":"ab…ef","spec":{"op":"job","network":"mesh",…}}
+//! {"rec":"job","batch":3,"key":"ab…ef","spec":{"op":"job","topology":"mesh:5",…}}
 //! {"rec":"done","key":"ab…ef"}
 //! {"rec":"end","batch":3}
 //! ```

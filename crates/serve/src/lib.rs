@@ -43,7 +43,7 @@
 //!
 //! ```text
 //! $ printf '%s\n' \
-//!     '{"op":"job","id":"r24","network":"ring","spec":"2:3:4","scale":"quick"}' \
+//!     '{"op":"job","id":"r24","topology":"ring:2:3:4","scale":"quick"}' \
 //!     '{"op":"run"}' '{"op":"quit"}' | ringmesh serve
 //! {"event":"accepted","id":"r24","key":"...","cached":false}
 //! {"event":"window","id":"r24","cycle":1000,"issued":...,"retired":...}
@@ -59,11 +59,14 @@
 mod cache;
 mod jobspec;
 mod journal;
-pub mod json;
 mod remote;
 mod runner;
 mod server;
 pub mod wire;
+
+/// The protocol's JSON value, parser and writer. The module lives in the
+/// `ringmesh-snap` leaf, where the trace exporter can reach it too.
+pub use ringmesh_snap::json;
 
 pub use cache::{write_atomic, ResultCache, CODE_VERSION, QUARANTINE_STRIKE_LIMIT};
 pub use jobspec::{parse_job, JobSpec};

@@ -75,7 +75,7 @@ impl Rng {
     }
 }
 
-const VALID_JOB: &str = r#"{"op":"job","id":"ok","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
+const VALID_JOB: &str = r#"{"op":"job","id":"ok","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
 
 #[test]
 fn garbage_truncated_and_duplicated_lines_never_panic_or_wedge() {
@@ -87,7 +87,7 @@ fn garbage_truncated_and_duplicated_lines_never_panic_or_wedge() {
         VALID_JOB,
         r#"{"op":"run"}"#,
         r#"{"op":"stats"}"#,
-        r#"{"op":"job","network":"ring","spec":"2:4"}"#,
+        r#"{"op":"job","topology":"ring:2:4"}"#,
         r#"{"event":"result","data":{}}"#,
         "[1,[2,[3,[4]]]]",
     ];
@@ -213,13 +213,12 @@ fn malformed_topology_specs_draw_typed_errors_not_panics() {
         let esc = s.replace('\\', "\\\\").replace('"', "\\\"");
         script.push_str(&format!("{{\"op\":\"job\",\"topology\":\"{esc}\"}}\n"));
     }
-    // The per-kind shape fields build their variant without the spec
-    // parser; the same sizes must be stopped there too.
+    // The oversize shapes again, as whole request lines.
     let shaped = [
-        r#"{"op":"job","network":"mesh","side":65536}"#,
-        r#"{"op":"job","network":"mesh","side":70000}"#,
-        r#"{"op":"job","network":"hybrid","side":70000,"local":4}"#,
-        r#"{"op":"job","network":"ring","spec":"70000:70000"}"#,
+        r#"{"op":"job","topology":"mesh:65536"}"#,
+        r#"{"op":"job","topology":"mesh:70000"}"#,
+        r#"{"op":"job","topology":"hybrid:70000x70000:4"}"#,
+        r#"{"op":"job","topology":"ring:70000:70000"}"#,
     ];
     for line in shaped {
         script.push_str(line);
@@ -258,7 +257,7 @@ fn deep_nesting_and_pathological_json_are_rejected_typed() {
     script.push('\n');
     script.push_str("1e999999\n");
     script.push_str("\"\\u0000\\uDEAD\"\n");
-    script.push_str("{\"op\":\"job\",\"network\":1e308,\"side\":-0}\n");
+    script.push_str("{\"op\":\"job\",\"topology\":1e308,\"cache_line\":-0}\n");
     let lines = fuzz_session(&server, script.as_bytes(), "pathological json");
     for l in &lines {
         assert_eq!(l.get("event").and_then(Json::as_str), Some("error"));

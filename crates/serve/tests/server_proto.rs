@@ -51,11 +51,11 @@ fn events<'a>(lines: &'a [Json], kind: &str) -> Vec<&'a Json> {
 }
 
 const BATCH: &str = concat!(
-    r#"{"op":"job","id":"ring","network":"ring","spec":"2:4","warmup":800,"batch_cycles":800,"batches":3,"cache_line":32}"#,
+    r#"{"op":"job","id":"ring","topology":"ring:2:4","warmup":800,"batch_cycles":800,"batches":3,"cache_line":32}"#,
     "\n",
-    r#"{"op":"job","id":"slotted","network":"slotted","spec":"2:2:3","warmup":800,"batch_cycles":800,"batches":3,"cache_line":32}"#,
+    r#"{"op":"job","id":"slotted","topology":"slotted:2:2:3","warmup":800,"batch_cycles":800,"batches":3,"cache_line":32}"#,
     "\n",
-    r#"{"op":"job","id":"mesh","network":"mesh","side":3,"warmup":800,"batch_cycles":800,"batches":3,"cache_line":32}"#,
+    r#"{"op":"job","id":"mesh","topology":"mesh:3","warmup":800,"batch_cycles":800,"batches":3,"cache_line":32}"#,
     "\n",
     r#"{"op":"run"}"#,
     "\n",
@@ -160,7 +160,7 @@ fn verify_cache_detects_a_corrupted_entry() {
         ..opts(&dir)
     })
     .unwrap();
-    let job = r#"{"op":"job","id":"m","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
+    let job = r#"{"op":"job","id":"m","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
     let script = format!("{job}\n{{\"op\":\"run\"}}\n{{\"op\":\"quit\"}}\n");
     session(&server, &script);
 
@@ -200,9 +200,9 @@ fn duplicate_jobs_in_one_batch_simulate_once() {
     let dir = tempdir("dedup");
     let server = Server::new(opts(&dir)).unwrap();
     let script = concat!(
-        r#"{"op":"job","id":"a","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#,
+        r#"{"op":"job","id":"a","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#,
         "\n",
-        r#"{"op":"job","id":"b","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#,
+        r#"{"op":"job","id":"b","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#,
         "\n",
         r#"{"op":"run"}"#,
         "\n",
@@ -226,7 +226,7 @@ fn protocol_errors_are_reported_not_fatal() {
         "this is not json\n",
         r#"{"op":"warp"}"#,
         "\n",
-        r#"{"op":"job","id":"bad","network":"torus"}"#,
+        r#"{"op":"job","id":"bad","topology":"torus:4"}"#,
         "\n",
         r#"{"op":"stats"}"#,
         "\n",
@@ -265,7 +265,7 @@ fn oversized_lines_draw_a_typed_error_and_the_session_survives() {
 fn corrupt_footer_entries_are_quarantined_and_recomputed() {
     let dir = tempdir("quarantine");
     let server = Server::new(opts(&dir)).unwrap();
-    let job = r#"{"op":"job","id":"m","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
+    let job = r#"{"op":"job","id":"m","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
     let script = format!("{job}\n{{\"op\":\"run\"}}\n{{\"op\":\"quit\"}}\n");
     let first = session(&server, &script);
     let data_first = result_data(&first, "m");
@@ -317,7 +317,7 @@ fn saturated_batch_gate_sheds_with_a_typed_busy_event() {
     })
     .unwrap();
     let guard = server.hold_batch_slot().expect("slot free");
-    let job = r#"{"op":"job","id":"m","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
+    let job = r#"{"op":"job","id":"m","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
     let script = format!("{job}\n{{\"op\":\"run\"}}\n{{\"op\":\"quit\"}}\n");
     let lines = session(&server, &script);
     let busy = events(&lines, "busy");
@@ -355,7 +355,7 @@ fn journaled_jobs_from_a_dead_server_recover_at_startup() {
     use ringmesh_serve::Journal;
 
     let dir = tempdir("recover");
-    let job = r#"{"op":"job","id":"m","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
+    let job = r#"{"op":"job","id":"m","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
     let spec = ringmesh_serve::parse_job(&Json::parse(job).unwrap(), "m").unwrap();
     let key = ResultCache::key(&spec.cfg);
 
@@ -392,7 +392,7 @@ fn results_carry_percentiles_and_fingerprint() {
     let dir = tempdir("payload");
     let server = Server::new(opts(&dir)).unwrap();
     let script = concat!(
-        r#"{"op":"job","id":"r","network":"ring","spec":"6","warmup":800,"batch_cycles":800,"batches":3,"cache_line":32}"#,
+        r#"{"op":"job","id":"r","topology":"ring:6","warmup":800,"batch_cycles":800,"batches":3,"cache_line":32}"#,
         "\n",
         r#"{"op":"run"}"#,
         "\n",
@@ -440,7 +440,7 @@ fn stats_report_latency_summaries_and_accept_is_fast_over_loopback() {
     let server = Server::new(opts(&dir)).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let job = r#"{"op":"job","id":"m","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
+    let job = r#"{"op":"job","id":"m","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
 
     let stats_line = std::thread::scope(|s| {
         s.spawn(|| {

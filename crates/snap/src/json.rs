@@ -1,8 +1,10 @@
 //! A minimal JSON value type with a parser and a deterministic writer.
 //!
-//! The serve protocol is line-delimited JSON and the workspace takes no
-//! external dependencies, so this module hand-rolls the little JSON the
-//! server needs. Two properties matter more than generality:
+//! The serve protocol is line-delimited JSON, the trace exporter writes
+//! Chrome trace-event JSON, and the workspace takes no external
+//! dependencies, so this module hand-rolls the little JSON they need
+//! (it lives in this leaf crate so both can reach it). Two properties
+//! matter more than generality:
 //!
 //! - **Deterministic output.** Object members keep insertion order and
 //!   floats render via Rust's shortest-round-trip formatter, so equal
@@ -100,7 +102,7 @@ impl fmt::Display for Json {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) => write_num(f, *n),
-            Json::Str(s) => write_str(f, s),
+            Json::Str(s) => Quoted(s).fmt(f),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -117,7 +119,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_str(f, k)?;
+                    Quoted(k).fmt(f)?;
                     f.write_str(":")?;
                     write!(f, "{v}")?;
                 }
@@ -140,20 +142,27 @@ fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
     }
 }
 
-fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Displays a string as a JSON string literal, quotes and escapes
+/// included: what [`Json::Str`] writes, for code that formats JSON text
+/// directly.
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("\"")?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => write!(f, "{c}")?,
+            }
         }
+        f.write_str("\"")
     }
-    f.write_str("\"")
 }
 
 struct Parser<'a> {

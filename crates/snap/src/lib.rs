@@ -19,6 +19,10 @@
 //! The container format is versioned with a magic header
 //! ([`write_header`]/[`read_header`]) so stale checkpoint files are
 //! rejected instead of misinterpreted.
+//!
+//! As the workspace's dependency-free leaf it also holds [`json`], the
+//! one JSON value, parser and deterministic writer the serve protocol
+//! and the Chrome-trace exporter share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +30,8 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+
+pub mod json;
 
 /// Magic bytes opening every snapshot container.
 pub const MAGIC: &[u8; 6] = b"RMSNAP";

@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use ringmesh_snap::json::Quoted;
 use ringmesh_stats::{Summary, Table};
 
 use crate::event::{EventKind, FlitEvent, TraceLoc};
@@ -153,8 +154,8 @@ impl TraceReport {
         ));
         for (loc, tid) in &tids {
             parts.push(format!(
-                r#"{{"ph":"M","pid":{PID_LOCS},"tid":{tid},"name":"thread_name","args":{{"name":"{}"}}}}"#,
-                json_escape(&loc.to_string())
+                r#"{{"ph":"M","pid":{PID_LOCS},"tid":{tid},"name":"thread_name","args":{{"name":{}}}}}"#,
+                Quoted(&loc.to_string())
             ));
         }
 
@@ -166,10 +167,10 @@ impl TraceReport {
                     // is keyed by (cat, id, name) — use the txn for all.
                     let name = format!("txn{} pm{src}->pm{dst} ({flits} flits)", ev.txn);
                     parts.push(format!(
-                        r#"{{"ph":"b","cat":"packet","id":{},"pid":{PID_PACKETS},"tid":1,"ts":{},"name":"{}"}}"#,
+                        r#"{{"ph":"b","cat":"packet","id":{},"pid":{PID_PACKETS},"tid":1,"ts":{},"name":{}}}"#,
                         ev.txn,
                         ev.cycle,
-                        json_escape(&name)
+                        Quoted(&name)
                     ));
                     parts.push(slice(
                         PID_LOCS,
@@ -206,25 +207,9 @@ impl TraceReport {
 /// A 1-cycle complete ("X") slice on a location track.
 fn slice(pid: u32, tid: u32, ts: u64, name: &str) -> String {
     format!(
-        r#"{{"ph":"X","pid":{pid},"tid":{tid},"ts":{ts},"dur":1,"name":"{}"}}"#,
-        json_escape(name)
+        r#"{{"ph":"X","pid":{pid},"tid":{tid},"ts":{ts},"dur":1,"name":{}}}"#,
+        Quoted(name)
     )
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -232,6 +217,7 @@ mod tests {
     use super::*;
     use crate::recorder::{Recorder, TraceConfig};
     use crate::sink::TraceSink;
+    use ringmesh_snap::json::Json;
 
     fn sample_report() -> TraceReport {
         let mut r = Recorder::new(TraceConfig {
@@ -307,138 +293,11 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json() {
         let json = sample_report().chrome_trace_json();
-        minijson::parse(&json).expect("export must be syntactically valid JSON");
+        Json::parse(&json).expect("export must be syntactically valid JSON");
     }
 
     #[test]
     fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
-    }
-
-    /// A tiny recursive-descent JSON syntax checker, test-only: the
-    /// exporter hand-writes JSON (no serde available offline), so we
-    /// verify well-formedness the hard way.
-    mod minijson {
-        pub fn parse(s: &str) -> Result<(), String> {
-            let b = s.as_bytes();
-            let mut i = 0;
-            value(b, &mut i)?;
-            skip_ws(b, &mut i);
-            if i != b.len() {
-                return Err(format!("trailing bytes at {i}"));
-            }
-            Ok(())
-        }
-
-        fn skip_ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-                *i += 1;
-            }
-        }
-
-        fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b'{') => object(b, i),
-                Some(b'[') => array(b, i),
-                Some(b'"') => string(b, i),
-                Some(b't') => lit(b, i, b"true"),
-                Some(b'f') => lit(b, i, b"false"),
-                Some(b'n') => lit(b, i, b"null"),
-                Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-                other => Err(format!("unexpected {other:?} at {i}")),
-            }
-        }
-
-        fn lit(b: &[u8], i: &mut usize, word: &[u8]) -> Result<(), String> {
-            if b[*i..].starts_with(word) {
-                *i += word.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at {i}"))
-            }
-        }
-
-        fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-            let start = *i;
-            if b.get(*i) == Some(&b'-') {
-                *i += 1;
-            }
-            while *i < b.len()
-                && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-            {
-                *i += 1;
-            }
-            if *i == start {
-                Err(format!("empty number at {start}"))
-            } else {
-                Ok(())
-            }
-        }
-
-        fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1; // opening quote
-            while *i < b.len() {
-                match b[*i] {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    b'\\' => *i += 2,
-                    0x00..=0x1f => return Err(format!("raw control byte in string at {i}")),
-                    _ => *i += 1,
-                }
-            }
-            Err("unterminated string".into())
-        }
-
-        fn object(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                string(b, i)?;
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected ':' at {i}"));
-                }
-                *i += 1;
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("expected ',' or '}}', got {other:?} at {i}")),
-                }
-            }
-        }
-
-        fn array(b: &[u8], i: &mut usize) -> Result<(), String> {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("expected ',' or ']', got {other:?} at {i}")),
-                }
-            }
-        }
+        assert_eq!(Quoted("a\"b\\c\nd").to_string(), r#""a\"b\\c\nd""#);
     }
 }

@@ -2,10 +2,10 @@
 //! print its metrics, without writing any Rust.
 //!
 //! ```text
-//! ringmesh --ring 2:3:4 --cache-line 128B --r 0.2 --t 4
-//! ringmesh --mesh 6 --buffers 1flit --cache-line 64B --format csv
-//! ringmesh --slotted-ring 3:3:6 --cache-line 64B
+//! ringmesh --topology ring:2:3:4 --cache-line 128B --r 0.2 --t 4
+//! ringmesh --topology mesh:6:1flit --cache-line 64B --format csv
 //! ringmesh run --topology hybrid:4x4:4 --cache-line 64B
+//! ringmesh figure all
 //! ringmesh serve --cache .ringmesh-cache --verify-cache 0.1
 //! ```
 //!
@@ -17,14 +17,15 @@ use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use ringmesh::figures::EXPERIMENTS;
 use ringmesh::{
     run_config, ExitStatus, FaultConfig, FaultPlan, FaultRunReport, NetworkSpec, RetryPolicy,
-    RunError, SimParams, System, SystemConfig, TraceConfig,
+    RunError, Scale, SimParams, System, SystemConfig, TraceConfig,
 };
 use ringmesh_fleet::{run_worker, FleetOptions, FleetPool, WorkerExit, WorkerOptions};
-use ringmesh_net::{BufferRegime, CacheLineSize};
+use ringmesh_net::CacheLineSize;
 use ringmesh_serve::{ServeExit, ServeOptions, Server};
 use ringmesh_workload::{MemoryParams, MissProcess, WorkloadParams};
 
@@ -35,6 +36,7 @@ USAGE:
     ringmesh [run] <NETWORK> [OPTIONS]
     ringmesh trace <NETWORK> [OPTIONS] [TRACE OPTIONS]
     ringmesh faults <NETWORK> [OPTIONS] [FAULT OPTIONS]
+    ringmesh figure <FIGURE>...
     ringmesh serve [SERVE OPTIONS]
     ringmesh worker --connect <ADDR> [WORKER OPTIONS]
 
@@ -51,6 +53,13 @@ seeded fault schedule (packet corruption, transient link-down
 intervals, permanent router/IRI deaths) with an end-to-end retry layer
 at the processors, and reports delivered throughput, drop accounting
 and the packet-conservation audit. Same seeds replay bit-for-bit.
+
+The `figure` subcommand regenerates the paper's tables and figures and
+the studies beyond them, by name, printing the series each one plots.
+Runs are quick-scale smoke sweeps unless RINGMESH_FULL is set; sweep
+points fan out over RINGMESH_THREADS workers with identical output at
+any thread count, and RINGMESH_CSV_DIR additionally writes every panel
+of a figure as CSV.
 
 The `serve` subcommand turns the simulator into a sweep-job server: it
 reads line-delimited JSON requests on stdin (or accepts concurrent TCP
@@ -92,19 +101,21 @@ Exit status: 0 success, 1 usage/config error, 2 simulation stall,
 6 interrupted by a graceful shutdown request, 7 determinism
 violation (byte-divergent duplicate results in a worker fleet).
 
-NETWORK (exactly one):
-    --topology <SPEC>      any registered topology by its spec string:
-                           ring:2:3:4 | ring2x:2:3:4 | slotted:2:3:4 |
-                           mesh:12[:1flit|:4flit|:cl] | hybrid:4x4:4
-                           (a 4x4 global mesh of 4-PM local rings)
-    --ring <SPEC>          hierarchical ring, e.g. --ring 2:3:4
-    --slotted-ring <SPEC>  slotted (non-blocking) hierarchical ring
-    --mesh <SIDE>          square bi-directional mesh, e.g. --mesh 6
+NETWORK (required):
+    --topology <SPEC>      a registered topology by its spec string:
+                           ring:2:3:4    hierarchical ring
+                           ring2x:2:3:4  the same, global ring at 2x
+                           slotted:2:3:4 slotted (non-blocking) ring
+                           mesh:12[:1flit|:4flit|:cl]  square mesh and
+                                         its buffers [default: 4flit]
+                           hybrid:4x4:4  a 4x4 global mesh of 4-PM
+                                         local rings
+
+FIGURE (one or more, or `all` for every one in this order):
+{EXPERIMENTS}
 
 OPTIONS:
     --cache-line <SZ>      16B | 32B | 64B | 128B        [default: 64B]
-    --buffers <B>          mesh buffers: 1flit|4flit|cl  [default: 4flit]
-    --double-global        clock the ring's global ring at 2x
     --r <R>                locality region fraction (0,1] [default: 1.0]
     --c <C>                cache miss rate (0,1]          [default: 0.04]
     --t <T>                outstanding transaction limit  [default: 4]
@@ -173,7 +184,17 @@ ENVIRONMENT:
                            publication scale (read once per process)
     RINGMESH_THREADS       worker threads for parameter sweeps
                            [default: available host parallelism]
+    RINGMESH_CSV_DIR       directory `figure` also writes CSVs to
 ";
+
+/// The registry's `name  title` rows: the FIGURE section of `--help`
+/// and the list an unknown `figure` name draws.
+fn experiment_list() -> String {
+    EXPERIMENTS
+        .iter()
+        .map(|e| format!("    {:<22} {}\n", e.name, e.title))
+        .collect()
+}
 
 struct Args(Vec<String>);
 
@@ -212,43 +233,19 @@ impl Args {
             None => Ok(None),
         }
     }
+
+    /// Whatever no `take_*` call claimed is an argument nobody knows.
+    fn finish(&self) -> Result<(), String> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("unrecognized arguments: {:?}", self.0))
+        }
+    }
 }
 
 fn build_config(args: &mut Args) -> Result<SystemConfig, String> {
-    let topology: Option<NetworkSpec> = args.take_parsed("--topology")?;
-    let ring: Option<String> = args.take_value("--ring")?;
-    let slotted: Option<String> = args.take_value("--slotted-ring")?;
-    let mesh: Option<u32> = args.take_parsed("--mesh")?;
-    let buffers = match args.take_value("--buffers")?.as_deref() {
-        None | Some("4flit") => BufferRegime::FourFlit,
-        Some("1flit") => BufferRegime::OneFlit,
-        Some("cl") => BufferRegime::CacheLine,
-        Some(other) => return Err(format!("unknown buffer regime {other:?}")),
-    };
-    let double = args.take_flag("--double-global");
-    let network = match (topology, ring, slotted, mesh) {
-        // `--topology` carries the complete registry spec string;
-        // mixing it with the shape-specific legacy flags is ambiguous.
-        (Some(spec), None, None, None) => {
-            if double {
-                return Err(
-                    "--double-global conflicts with --topology (use e.g. ring2x:2:3:4)".into(),
-                );
-            }
-            spec
-        }
-        (None, Some(spec), None, None) => NetworkSpec::Ring {
-            spec: spec.parse()?,
-            speedup: if double { 2 } else { 1 },
-        },
-        (None, None, Some(spec), None) => NetworkSpec::SlottedRing {
-            spec: spec.parse()?,
-        },
-        (None, None, None, Some(side)) => NetworkSpec::Mesh { side, buffers },
-        _ => {
-            return Err("specify exactly one of --topology, --ring, --slotted-ring, --mesh".into())
-        }
-    };
+    let network = args.take_parsed::<NetworkSpec>("--topology")?;
     let cache_line: CacheLineSize = args
         .take_value("--cache-line")?
         .as_deref()
@@ -285,15 +282,20 @@ fn build_config(args: &mut Args) -> Result<SystemConfig, String> {
         batch_cycles: args.take_parsed::<u64>("--batch")?.unwrap_or(4_000).max(1),
         batches: args.take_parsed::<usize>("--batches")?.unwrap_or(8).max(1),
     };
+    let seed = args.take_parsed::<u64>("--seed")?;
+    // Leftovers are reported before a missing `--topology`, so a flag
+    // nobody knows is named as that instead of as "no network".
+    args.finish()?;
+    let network = network.ok_or(
+        "--topology <SPEC> is required, e.g. ring:2:3:4 | mesh:12 | hybrid:4x4:4 (see --help)",
+    )?;
     let mut cfg = SystemConfig::new(network, cache_line)
         .with_workload(workload)
         .with_sim(sim);
     cfg.memory = memory;
-    if let Some(seed) = args.take_parsed::<u64>("--seed")? {
+    if let Some(seed) = seed {
         cfg = cfg.with_seed(seed);
     }
-    // Before anything asks the spec for its PM count: `--mesh 70000`
-    // builds its variant without going through the spec parser.
     cfg.validate()?;
     Ok(cfg)
 }
@@ -525,6 +527,42 @@ fn run_trace(cfg: SystemConfig, opts: TraceOpts, format: &str) -> ExitCode {
     ExitStatus::Success.into()
 }
 
+/// `ringmesh figure <NAME>...`: runs the named rows of the experiment
+/// registry in the order given (`all` is every row in registry order).
+/// Every name is checked before anything runs.
+fn run_figures(args: Args) -> ExitCode {
+    let bad_name = |what: String| {
+        usage_error(&format!(
+            "{what}; give `all` or any of\n{}",
+            experiment_list()
+        ))
+    };
+    let mut picked = Vec::new();
+    for name in &args.0 {
+        match EXPERIMENTS.iter().find(|e| e.name == name) {
+            Some(e) => picked.push(e),
+            None if name == "all" => picked.extend(EXPERIMENTS),
+            None => return bad_name(format!("unknown experiment {name:?}")),
+        }
+    }
+    if picked.is_empty() {
+        return bad_name("figure requires an experiment name".into());
+    }
+    let scale = Scale::from_env();
+    for e in picked {
+        let t0 = Instant::now();
+        println!(
+            "ringmesh experiment {} at {} scale (RINGMESH_FULL=1 for publication scale)",
+            e.name,
+            if scale.quick { "quick" } else { "full" }
+        );
+        println!();
+        (e.run)(scale);
+        println!("[{} completed in {:.1?}]", e.name, t0.elapsed());
+    }
+    ExitStatus::Success.into()
+}
+
 /// Set from the signal handler; a bridge thread relays it onto the
 /// server's stop flag (handlers must stay async-signal-safe, so the
 /// handler itself only flips this atomic).
@@ -622,9 +660,7 @@ fn run_serve(mut args: Args) -> ExitCode {
             args.take_parsed::<u64>("--write-deadline")?,
             defaults.write_deadline,
         );
-        if !args.0.is_empty() {
-            return Err(format!("unrecognized arguments: {:?}", args.0));
-        }
+        args.finish()?;
         // Fleet progress windows track the serve-side window length so
         // remote and local jobs stream comparable events.
         if let Some((_, fleet_opts)) = fleet.as_mut() {
@@ -716,9 +752,7 @@ fn run_worker_cmd(mut args: Args) -> ExitCode {
             .take_value("--connect")?
             .ok_or_else(|| "worker requires --connect <host:port>".to_string())?;
         let threads = args.take_parsed::<u32>("--threads")?.unwrap_or(1).max(1);
-        if !args.0.is_empty() {
-            return Err(format!("unrecognized arguments: {:?}", args.0));
-        }
+        args.finish()?;
         Ok((connect, WorkerOptions { threads }))
     })();
     let (connect, opts) = match parsed {
@@ -753,8 +787,12 @@ fn run_worker_cmd(mut args: Args) -> ExitCode {
 fn main() -> ExitCode {
     let mut args = Args(std::env::args().skip(1).collect());
     if args.take_flag("--help") || args.take_flag("-h") || args.0.is_empty() {
-        print!("{HELP}");
+        print!("{}", HELP.replace("{EXPERIMENTS}\n", &experiment_list()));
         return ExitStatus::Success.into();
+    }
+    if args.0.first().is_some_and(|a| a == "figure") {
+        args.0.remove(0);
+        return run_figures(args);
     }
     if args.0.first().is_some_and(|a| a == "serve") {
         args.0.remove(0);
@@ -772,7 +810,9 @@ fn main() -> ExitCode {
         args.0.remove(0);
     }
     let format = match args.take_value("--format") {
-        Ok(f) => f.unwrap_or_else(|| "text".into()),
+        Ok(None) => "text".to_string(),
+        Ok(Some(f)) if f == "text" || f == "csv" => f,
+        Ok(Some(f)) => return usage_error(&format!("--format must be text or csv, got {f:?}")),
         Err(e) => return usage_error(&e),
     };
     let trace_opts = if tracing {
@@ -795,9 +835,6 @@ fn main() -> ExitCode {
         Ok(cfg) => cfg,
         Err(e) => return usage_error(&e),
     };
-    if !args.0.is_empty() {
-        return usage_error(&format!("unrecognized arguments: {:?}", args.0));
-    }
     if let Some(opts) = trace_opts {
         return run_trace(cfg, opts, &format);
     }

@@ -34,10 +34,10 @@ fn tempdir(tag: &str) -> PathBuf {
 
 /// A job big enough (~360k cycles ≈ seconds of wall clock) that killing
 /// the server a few progress windows in is reliably mid-run.
-const BIG_JOB: &str = r#"{"op":"job","id":"big","network":"mesh","side":5,"warmup":40000,"batch_cycles":40000,"batches":8,"cache_line":32,"seed":3}"#;
+const BIG_JOB: &str = r#"{"op":"job","id":"big","topology":"mesh:5","warmup":40000,"batch_cycles":40000,"batches":8,"cache_line":32,"seed":3}"#;
 
 /// A small job for the multi-client smoke (~2.4k cycles).
-const SMALL_JOB: &str = r#"{"op":"job","id":"small","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
+const SMALL_JOB: &str = r#"{"op":"job","id":"small","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#;
 
 struct Serve {
     child: Child,
@@ -286,7 +286,7 @@ fn four_concurrent_clients_get_consistent_answers() {
                     // Two jobs per client: one shared across all
                     // clients, one distinct per client (distinct seed).
                     let own = format!(
-                        r#"{{"op":"job","id":"own","network":"ring","spec":"2:4","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32,"seed":{}}}"#,
+                        r#"{{"op":"job","id":"own","topology":"ring:2:4","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32,"seed":{}}}"#,
                         100 + i
                     );
                     let lines = run_session(

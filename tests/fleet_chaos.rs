@@ -38,7 +38,7 @@ fn jobs() -> Vec<String> {
     (0..4)
         .map(|i| {
             format!(
-                r#"{{"op":"job","id":"j{i}","network":"mesh","side":4,"warmup":10000,"batch_cycles":10000,"batches":4,"cache_line":32,"seed":{}}}"#,
+                r#"{{"op":"job","id":"j{i}","topology":"mesh:4","warmup":10000,"batch_cycles":10000,"batches":4,"cache_line":32,"seed":{}}}"#,
                 40 + i
             )
         })

@@ -1,6 +1,6 @@
 //! Fast sanity checks of the paper's qualitative claims. These use
-//! reduced run lengths; the full quantitative reproduction lives in the
-//! bench harness (`cargo bench`) and EXPERIMENTS.md.
+//! reduced run lengths; the full quantitative reproduction is
+//! `RINGMESH_FULL=1 ringmesh figure all` and EXPERIMENTS.md.
 
 use ringmesh::{run_config, NetworkSpec, SimParams, SystemConfig};
 use ringmesh_net::{BufferRegime, CacheLineSize};

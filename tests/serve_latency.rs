@@ -36,13 +36,13 @@ fn tempdir(tag: &str) -> PathBuf {
 /// A small job (~1.8k cycles); `seed` makes it a distinct cache key.
 fn small_job(id: &str, seed: u64) -> String {
     format!(
-        r#"{{"op":"job","id":"{id}","network":"mesh","side":3,"warmup":600,"batch_cycles":600,"batches":2,"cache_line":32,"seed":{seed}}}"#
+        r#"{{"op":"job","id":"{id}","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32,"seed":{seed}}}"#
     )
 }
 
 /// A job long enough (~100k cycles, 25 progress windows) that its
 /// first `window` and its `result` are far apart on any host.
-const LONG_JOB: &str = r#"{"op":"job","id":"long","network":"mesh","side":4,"warmup":20000,"batch_cycles":20000,"batches":4,"cache_line":32,"seed":5}"#;
+const LONG_JOB: &str = r#"{"op":"job","id":"long","topology":"mesh:4","warmup":20000,"batch_cycles":20000,"batches":4,"cache_line":32,"seed":5}"#;
 
 const RUN: &str = r#"{"op":"run"}"#;
 
