@@ -4,7 +4,7 @@ use ringmesh_net::{
     CacheLineSize, ConfigError, Interconnect, PacketFormat, Placement, TopologyBuilder,
 };
 
-use crate::{HybridConfig, HybridNetwork};
+use crate::HybridNetwork;
 
 /// Builds the hybrid Ring-Mesh network ([`HybridNetwork`]): a
 /// `side × side` global mesh of `local`-PM rings. Spec syntax:
@@ -44,7 +44,7 @@ impl TopologyBuilder for HybridBuilder {
     }
 
     fn build(&self, cache_line: CacheLineSize) -> Result<Box<dyn Interconnect>, ConfigError> {
-        let net = HybridNetwork::new(self.side, self.local, HybridConfig::new(cache_line))?;
+        let net = HybridNetwork::new(self.side, self.local, cache_line)?;
         Ok(Box::new(net))
     }
 }

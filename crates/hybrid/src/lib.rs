@@ -6,13 +6,13 @@
 //! cheap, low-latency neighbourhood traffic, joined by a global 2-D
 //! mesh that sidesteps the hierarchy's root-ring bottleneck. This
 //! crate assembles that network out of the two existing kernels —
-//! local rings reuse the NIC/IRI station machines of
-//! `ringmesh-ring`, the global mesh steps the same e-cube router
-//! kernel as `ringmesh-mesh` — glued by one *bridge* station per mesh
-//! router.
+//! the local rings are a `RingTier` of `ringmesh-ring`, the same
+//! NIC/IRI stations its hierarchical ring steps, and the global mesh
+//! steps the same e-cube router kernel as `ringmesh-mesh` — glued by
+//! one *bridge* station per mesh router. Both tiers are sized by the
+//! cache line alone, the rings exactly as `RingConfig::new` sizes the
+//! hierarchical ring's.
 //!
-//! * [`HybridConfig`] — buffer/queue sizing (one uniform link width
-//!   on both tiers).
 //! * [`HybridNetwork`] — the cycle-accurate simulator; implements
 //!   [`ringmesh_net::Interconnect`].
 //! * [`HybridBuilder`] — the [`ringmesh_net::TopologyBuilder`] for
@@ -34,9 +34,7 @@
 #![warn(missing_docs)]
 
 mod builder;
-mod config;
 mod network;
 
 pub use builder::HybridBuilder;
-pub use config::HybridConfig;
 pub use network::HybridNetwork;

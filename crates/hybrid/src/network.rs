@@ -20,13 +20,66 @@ use ringmesh_faults::{DropReason, FaultDomain};
 use ringmesh_mesh::kernel::{owner_coords, CommitOp, FaultCtx, MeshRouters};
 use ringmesh_mesh::MeshTopology;
 use ringmesh_net::{
-    Flit, LevelUtil, NetCore, NodeId, Packet, PacketRef, QueueClass, UtilizationReport,
+    CacheLineSize, ConfigError, Flit, LevelUtil, NetCore, NodeId, Packet, PacketRef, QueueClass,
+    UtilizationReport,
 };
-use ringmesh_ring::kernel::{Iri, Nic, Send as RingSend, StepPulse, Tick, LOWER};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_ring::kernel::{RingTier, StationMap, StepPulse};
+use ringmesh_ring::topology::SideRef;
+use ringmesh_ring::{RingConfig, StationKind};
+use ringmesh_snap::{SnapError, SnapReader, SnapWriter, SnapshotState};
 use ringmesh_trace::{Counter, Gauge};
 
-use crate::HybridConfig;
+/// Mesh router input buffer depth, in cache-line worms: one, the
+/// cache-line regime of the plain mesh under the ring's wider channel.
+/// Both tiers use [`ringmesh_net::PacketFormat::RING`], so a packet has
+/// the same flit count on a local ring and on the global mesh and the
+/// bridge never re-segments worms.
+const MESH_BUFFER_PACKETS: usize = 1;
+
+/// Bridge ring→mesh queue depth per class, in cache-line worms: two,
+/// as an IRI's up queue. Its mesh→ring queue is elastic, as an IRI's
+/// down queue is, so a worm never stalls in the mesh on ring entry.
+const BRIDGE_QUEUE_PACKETS: usize = 2;
+
+/// The local rings as a station map: `rings` rings of `local + 1`
+/// stations. Station `g·(L+1) + s` is PM `g·L + s`'s NIC for `s < L`
+/// and ring `g`'s bridge for `s = L`: an IRI whose subtree is the
+/// ring's PMs, so the stock crossbar classifies exactly the cross-ring
+/// packets as crossing, and whose lower side alone is on a ring.
+struct LocalRings {
+    rings: u32,
+    local: u32,
+}
+
+impl StationMap for LocalRings {
+    fn num_stations(&self) -> usize {
+        (self.rings * (self.local + 1)) as usize
+    }
+
+    fn num_rings(&self) -> usize {
+        self.rings as usize
+    }
+
+    fn station(&self, st: u32) -> StationKind {
+        let (g, s) = (st / (self.local + 1), st % (self.local + 1));
+        if s < self.local {
+            StationKind::Nic {
+                pm: NodeId::new(g * self.local + s),
+            }
+        } else {
+            StationKind::Iri {
+                subtree: (g * self.local, (g + 1) * self.local),
+            }
+        }
+    }
+
+    fn link(&self, st: u32, side: u8) -> Option<(u32, SideRef)> {
+        // Station s feeds station s+1; the bridge wraps back to 0.
+        let spr = self.local + 1;
+        let (g, s) = (st / spr, st % spr);
+        (side == 0).then_some((g, (g * spr + (s + 1) % spr, 0)))
+    }
+}
 
 /// A flit-level, cycle-accurate hybrid Ring-Mesh network.
 ///
@@ -37,17 +90,17 @@ use crate::HybridConfig;
 /// # Example
 ///
 /// ```
-/// use ringmesh_net::{CacheLineSize, Interconnect, NodeId, Packet, PacketKind, TxnId};
-/// use ringmesh_hybrid::{HybridConfig, HybridNetwork};
+/// use ringmesh_net::{CacheLineSize, Interconnect, NodeId, Packet, PacketFormat, PacketKind, TxnId};
+/// use ringmesh_hybrid::HybridNetwork;
 ///
 /// // 2x2 global mesh, 2-PM local rings: 8 PMs.
-/// let cfg = HybridConfig::new(CacheLineSize::B32);
-/// let mut net = HybridNetwork::new(2, 2, cfg.clone()).unwrap();
+/// let cl = CacheLineSize::B32;
+/// let mut net = HybridNetwork::new(2, 2, cl).unwrap();
 /// let kind = PacketKind::ReadReq;
 /// net.inject(NodeId::new(0), Packet {
 ///     txn: TxnId::new(1), kind,
 ///     src: NodeId::new(0), dst: NodeId::new(7),
-///     flits: cfg.format.flits(kind, cfg.cache_line),
+///     flits: PacketFormat::RING.flits(kind, cl),
 ///     injected_at: 0,
 /// });
 /// let mut delivered = Vec::new();
@@ -58,215 +111,63 @@ use crate::HybridConfig;
 /// ```
 #[derive(Debug)]
 pub struct HybridNetwork {
-    /// Global mesh side (`G`).
-    side: u32,
     /// PMs per local ring (`L`).
     local: u32,
-    cfg: HybridConfig,
     topo: MeshTopology,
     /// The fault domain is the bridges (nodes) and the ring links (as
     /// in the hierarchical ring, `station*2 + side`); corruption marks
     /// are checked once, at the destination NIC's reassembly.
     core: NetCore,
-    /// One NIC per PM, in PM order.
-    nics: Vec<Nic>,
-    /// One bridge per mesh router, in router order. Only the bridge's
-    /// `LOWER` side is clocked — its crossbar joins the local ring to
-    /// the pump/descent queues instead of a parent ring.
-    bridges: Vec<Iri>,
-    /// Active-station worklist over all `G²·(L+1)` ring stations
-    /// (station `g·(L+1)+s`; `s == L` is the bridge).
-    station_active: Vec<bool>,
-    /// Registered free-slot count of each station's transit buffer.
-    free: Vec<usize>,
-    /// Per-cycle ring wire transfers (scratch).
-    sends: Vec<RingSend>,
+    /// The local rings: `G²·(L+1)` stations, one bridge per ring.
+    tier: RingTier,
     /// The global mesh's router state, stop/go registers included.
     routers: MeshRouters,
     /// `(row, col)` of the router owning each destination PM: the mesh
     /// routes every PM to its ring's router by plain e-cube and ejects
     /// into the bridge there.
     owners: Vec<(u16, u16)>,
-    /// Flits moved per local ring (utilization accounting).
-    ring_flits: Vec<u64>,
     /// Flits moved on mesh links.
     mesh_flits: u64,
-    /// Free transit flit slots per local ring (the deadlock-avoidance
-    /// credits: ring entry requires at least two remaining).
-    ring_credits: Vec<i64>,
-    reset_cycle: u64,
-    /// Packets sunk at dead bridges, pending drop accounting.
-    sunk: Vec<PacketRef>,
 }
 
 impl HybridNetwork {
-    /// Builds a `side × side` global mesh of `local`-PM rings.
+    /// Builds a `side × side` global mesh of `local`-PM rings for
+    /// `cache_line`. The rings are sized as the hierarchical ring's
+    /// ([`RingConfig::new`]) with [`BRIDGE_QUEUE_PACKETS`]-deep bridge
+    /// up queues; each mesh router input holds
+    /// [`MESH_BUFFER_PACKETS`] cache-line worm.
     ///
     /// # Errors
     ///
-    /// Returns a [`ringmesh_net::ConfigError`] when `side` or `local`
-    /// is zero, or when `side² · local` exceeds
-    /// [`ringmesh_net::MAX_PMS`].
-    pub fn new(
-        side: u32,
-        local: u32,
-        cfg: HybridConfig,
-    ) -> Result<Self, ringmesh_net::ConfigError> {
+    /// Returns a [`ConfigError`] when `side` or `local` is zero, or
+    /// when `side² · local` exceeds [`ringmesh_net::MAX_PMS`].
+    pub fn new(side: u32, local: u32, cache_line: CacheLineSize) -> Result<Self, ConfigError> {
         if local == 0 {
-            return Err(ringmesh_net::ConfigError::Invalid(
+            return Err(ConfigError::Invalid(
                 "hybrid local ring size must be positive".into(),
             ));
         }
         let topo = MeshTopology::try_new(side)?;
         ringmesh_net::checked_pms([side, side, local])?;
-        let g2 = (side * side) as usize;
-        let l = local as usize;
-        let p = g2 * l;
-        let spr = l + 1; // stations per ring
-        let buf_flits = cfg.ring_buffer_flits();
-        let mut nics = Vec::with_capacity(p);
-        let mut bridges = Vec::with_capacity(g2);
-        for g in 0..g2 {
-            let base = (g * spr) as u32;
-            for s in 0..l {
-                // Station s feeds station s+1; the bridge (station L)
-                // wraps back to station 0.
-                let next = base + (s as u32 + 1) % spr as u32;
-                nics.push(Nic::new(
-                    NodeId::new((g * l + s) as u32),
-                    g as u32,
-                    (next, 0),
-                    buf_flits,
-                    cfg.out_queue_packets,
-                ));
-            }
-            // The bridge's subtree is its ring's PM interval, so the
-            // stock IRI crossbar classifies exactly the cross-ring
-            // packets as "crossing" on its LOWER side. Both ring slots
-            // name the local ring; the UPPER side is never clocked.
-            bridges.push(Iri::new(
-                ((g * l) as u32, ((g + 1) * l) as u32),
-                [g as u32, g as u32],
-                [(base, 0), (base, 1)],
-                buf_flits,
-                cfg.bridge_queue_flits(),
-                cfg.bridge_down_queue_flits(),
-                cfg.convoy_threshold_flits(),
-            ));
-        }
-        let routers = MeshRouters::new(&topo, cfg.mesh_buffer_flits(), cfg.out_queue_packets);
+        let cfg = RingConfig {
+            iri_queue_packets: Some(BRIDGE_QUEUE_PACKETS),
+            ..RingConfig::new(cache_line)
+        };
+        let rings = LocalRings {
+            rings: side * side,
+            local,
+        };
+        let mesh_buffer_flits =
+            MESH_BUFFER_PACKETS * cfg.format.cl_packet_flits(cache_line) as usize;
         Ok(HybridNetwork {
-            side,
             local,
             core: NetCore::new(cfg.watchdog_horizon),
-            cfg,
-            topo,
-            nics,
-            bridges,
-            station_active: vec![true; g2 * spr],
-            free: vec![buf_flits; g2 * spr],
-            sends: Vec::new(),
-            routers,
+            tier: RingTier::new(&rings, &cfg),
+            routers: MeshRouters::new(&topo, mesh_buffer_flits, cfg.out_queue_packets),
             owners: owner_coords(&topo, local),
-            ring_flits: vec![0; g2],
+            topo,
             mesh_flits: 0,
-            ring_credits: vec![(spr * buf_flits) as i64; g2],
-            reset_cycle: 0,
-            sunk: Vec::new(),
         })
-    }
-
-    /// Global mesh side length.
-    pub fn mesh_side(&self) -> u32 {
-        self.side
-    }
-
-    /// PMs per local ring.
-    pub fn ring_size(&self) -> u32 {
-        self.local
-    }
-
-    /// The configuration the network was built with.
-    pub fn config(&self) -> &HybridConfig {
-        &self.cfg
-    }
-
-    /// Stations per local ring (`L + 1`: the NICs plus the bridge).
-    fn stations_per_ring(&self) -> usize {
-        self.local as usize + 1
-    }
-
-    /// Global station id of ring `g`'s bridge.
-    fn bridge_station(&self, g: usize) -> usize {
-        g * self.stations_per_ring() + self.local as usize
-    }
-
-    /// Serial tick of every active ring station: the NICs and the
-    /// bridges' LOWER crossbar sides, in ascending station order, then
-    /// dead-bridge sink retirement and the wire-transfer commit.
-    fn ring_tick(
-        &mut self,
-        now: u64,
-        delivered: &mut Vec<(NodeId, Packet)>,
-        pulse: &mut StepPulse,
-    ) {
-        let spr = self.stations_per_ring();
-        let l = self.local as usize;
-        self.sends.clear();
-        let mut t = Tick {
-            now,
-            credits: &mut self.ring_credits,
-            core: &mut self.core,
-            sends: &mut self.sends,
-            delivered,
-            sunk: &mut self.sunk,
-            pulse,
-        };
-        for st in 0..self.station_active.len() {
-            if !self.station_active[st] {
-                continue;
-            }
-            let g = st / spr;
-            let s = st % spr;
-            let dst_st = g * spr + (s + 1) % spr;
-            let free_out = self.free[dst_st];
-            let faults = t.core.faults();
-            let link_up = faults.is_none_or(|f| f.link_up(st as u32 * 2, now));
-            let quiescent = if s < l {
-                let nic = &mut self.nics[g * l + s];
-                nic.step(&mut t, link_up, free_out);
-                nic.quiescent()
-            } else {
-                let dead = faults.is_some_and(|f| f.node_dead(g as u32));
-                let bridge = &mut self.bridges[g];
-                bridge.step_side(LOWER, &mut t, link_up, dead, free_out);
-                bridge.quiescent()
-            };
-            if quiescent {
-                self.station_active[st] = false;
-            }
-        }
-        // Retire packets sunk at dead bridges: their flits were
-        // consumed in place, so only the bookkeeping remains.
-        for r in self.sunk.drain(..) {
-            self.core.drop_packet(r, DropReason::DeadInterface);
-        }
-        // Commit the ring wire transfers decided this tick.
-        for i in 0..self.sends.len() {
-            let snd = self.sends[i];
-            let (st, _side) = snd.to;
-            let st = st as usize;
-            let s = st % spr;
-            if s < l {
-                let g = st / spr;
-                self.nics[g * l + s].ring_buf_mut().push(snd.flit, now);
-            } else {
-                self.bridges[st / spr].buf_mut(LOWER).push(snd.flit, now);
-            }
-            self.station_active[st] = true;
-            self.ring_flits[snd.ring as usize] += 1;
-        }
-        pulse.moved += self.sends.len() as u64;
     }
 
     /// Serial bridge pumps: each bridge moves at most one flit per
@@ -280,13 +181,14 @@ impl HybridNetwork {
     /// (lazy fail-stop, as at dead IRIs).
     fn pump_bridges(&mut self, now: u64) -> u64 {
         let mut pumped = 0u64;
-        for g in 0..self.bridges.len() {
+        for g in 0..self.topo.num_pms() as usize {
+            let bridge = self.tier.iri(g);
             // Continuation: at most one class can be mid-packet (the
             // pump never switches classes mid-worm), and only the pump
             // pops these queues, so a non-head front identifies it.
             let mut cont = None;
             for class in [QueueClass::Response, QueueClass::Request] {
-                if let Some(flit) = self.bridges[g].up_queue(class).front_ready(now) {
+                if let Some(flit) = bridge.up_queue(class).front_ready(now) {
                     if !flit.is_head() {
                         cont = Some(class);
                         break;
@@ -297,12 +199,14 @@ impl HybridNetwork {
                 [QueueClass::Response, QueueClass::Request]
                     .into_iter()
                     .find(|&class| {
-                        self.bridges[g].up_queue(class).front_ready(now).is_some()
+                        bridge.up_queue(class).front_ready(now).is_some()
                             && self.routers.can_accept(g, class)
                     })
             });
             if let Some(class) = class {
-                let flit = self.bridges[g]
+                let flit = self
+                    .tier
+                    .iri_mut(g)
                     .up_queue_mut(class)
                     .pop_ready(now)
                     .expect("front was ready");
@@ -326,27 +230,25 @@ impl ringmesh_net::Kernel for HybridNetwork {
     }
 
     fn num_pms(&self) -> usize {
-        self.nics.len()
+        self.owners.len()
     }
 
     fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool {
-        self.nics[pm.index()].can_accept(class)
+        self.tier.can_inject(pm, class)
     }
 
     fn enqueue(&mut self, pm: NodeId, class: QueueClass, packet: PacketRef) {
-        self.nics[pm.index()].enqueue(class, packet);
-        let spr = self.stations_per_ring();
-        let st = (pm.index() / self.local as usize) * spr + pm.index() % self.local as usize;
-        self.station_active[st] = true;
+        let st = pm.raw() + pm.raw() / self.local;
+        self.tier.enqueue(pm, st, class, packet);
     }
 
     fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64 {
         let now = self.core.cycle();
         let mut pulse = StepPulse::default();
-        // Phase A — the ring tier, serial in station order (NIC steps
-        // eject/forward/inject; bridge LOWER crossbars classify and
-        // queue crossing worms), then ring send commit.
-        self.ring_tick(now, delivered, &mut pulse);
+        // Phase A — the ring tier (NIC steps eject/forward/inject;
+        // bridge LOWER crossbars classify and queue crossing worms),
+        // then its send commit.
+        self.tier.tick(&mut self.core, delivered, &mut pulse);
         // Phase B — bridge pumps, ring→mesh.
         pulse.moved += self.pump_bridges(now);
         // Phase C — the mesh routers. They read only registered
@@ -369,34 +271,30 @@ impl ringmesh_net::Kernel for HybridNetwork {
         for &op in &self.routers.ops {
             match op {
                 CommitOp::Deliver { node, packet } => {
-                    let g = node.index();
-                    let dead = self.core.faults().is_some_and(|f| f.node_dead(g as u32));
-                    if dead {
+                    let g = node.raw();
+                    if self.core.faults().is_some_and(|f| f.node_dead(g)) {
                         self.core.drop_packet(packet, DropReason::DeadInterface);
-                    } else {
-                        let (kind, flits) = {
-                            let p = self.core.store().get(packet);
-                            (p.kind, p.flits)
-                        };
-                        let class = QueueClass::of(kind);
-                        // The whole worm descends at once; pushes at
-                        // `now` stay invisible until the next cycle,
-                        // and `has_complete_packet` then lets the
-                        // bridge start a loss-free ring entry under
-                        // the credit rule.
-                        for seq in 0..flits {
-                            self.bridges[g].down_queue_mut(class).push(
-                                Flit {
-                                    packet,
-                                    seq,
-                                    is_tail: seq + 1 == flits,
-                                },
-                                now,
-                            );
-                        }
-                        let st = self.bridge_station(g);
-                        self.station_active[st] = true;
+                        continue;
                     }
+                    let p = self.core.store().get(packet);
+                    let (class, flits) = (QueueClass::of(p.kind), p.flits);
+                    // The whole worm descends at once; pushes at `now`
+                    // stay invisible until the next cycle, and
+                    // `has_complete_packet` then lets the bridge start a
+                    // loss-free ring entry under the credit rule.
+                    let down = self.tier.iri_mut(g as usize).down_queue_mut(class);
+                    for seq in 0..flits {
+                        let is_tail = seq + 1 == flits;
+                        down.push(
+                            Flit {
+                                packet,
+                                seq,
+                                is_tail,
+                            },
+                            now,
+                        );
+                    }
+                    self.tier.wake(g * (self.local + 1) + self.local);
                 }
                 CommitOp::Drop { packet, reason } => self.core.drop_packet(packet, reason),
             }
@@ -410,29 +308,19 @@ impl ringmesh_net::Kernel for HybridNetwork {
             tracer.gauge(Gauge::MeshInputOccupancy, occupancy);
         }
         // Phase E — latch: the touched mesh routers' input buffers,
-        // then the ring buffers.
+        // then the ring tier.
         self.routers.latch();
-        let spr = self.stations_per_ring();
-        let l = self.local as usize;
-        for st in 0..self.free.len() {
-            let g = st / spr;
-            let s = st % spr;
-            self.free[st] = if s < l {
-                self.nics[g * l + s].latch()
-            } else {
-                self.bridges[g].latch().0
-            };
-        }
+        self.tier.latch();
         pulse.moved
     }
 
     fn utilization(&self) -> UtilizationReport {
-        let cycles = self.core.cycle() - self.reset_cycle;
+        let cycles = self.tier.cycles_since_reset();
         if cycles == 0 {
             return UtilizationReport::default();
         }
-        let ring_busy: u64 = self.ring_flits.iter().sum();
-        let ring_cap = self.station_active.len() as u64 * cycles;
+        let ring_busy: u64 = self.tier.ring_flits().iter().sum();
+        let ring_cap = self.tier.num_stations() as u64 * cycles;
         let mesh_cap = self.topo.num_links() as u64 * cycles;
         let overall = (ring_busy + self.mesh_flits) as f64 / (ring_cap + mesh_cap).max(1) as f64;
         UtilizationReport {
@@ -451,50 +339,21 @@ impl ringmesh_net::Kernel for HybridNetwork {
     }
 
     fn reset_counters(&mut self) {
-        self.ring_flits.iter_mut().for_each(|c| *c = 0);
+        self.tier.reset_counters();
         self.mesh_flits = 0;
-        self.reset_cycle = self.core.cycle();
     }
 
     fn save_kernel(&self, w: &mut SnapWriter) {
-        w.usize(self.nics.len());
-        for nic in &self.nics {
-            nic.save_state(w);
-        }
-        w.usize(self.bridges.len());
-        for bridge in &self.bridges {
-            bridge.save_state(w);
-        }
+        self.tier.save(w);
         self.routers.save_state(w);
-        self.station_active.save(w);
-        self.free.save(w);
-        w.u64(self.core.cycle());
-        self.ring_flits.save(w);
-        self.ring_credits.save(w);
         w.u64(self.mesh_flits);
-        w.u64(self.reset_cycle);
     }
 
     fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-        r.len_exact(self.nics.len(), "NIC count")?;
-        for nic in &mut self.nics {
-            nic.restore_state(r)?;
-        }
-        r.len_exact(self.bridges.len(), "bridge count")?;
-        for bridge in &mut self.bridges {
-            bridge.restore_state(r)?;
-        }
+        self.tier.restore(r)?;
         self.routers.restore_state(r)?;
-        self.station_active = r.vec_exact(self.station_active.len(), "station count")?;
-        self.free = r.vec_exact(self.free.len(), "free table size")?;
-        let cycle = r.u64()?;
-        self.ring_flits = r.vec_exact(self.ring_flits.len(), "ring count")?;
-        self.ring_credits = r.vec_exact(self.ring_credits.len(), "ring-credit table size")?;
         self.mesh_flits = r.u64()?;
-        self.reset_cycle = r.u64()?;
-        self.sends.clear();
-        self.sunk.clear();
-        Ok(cycle)
+        Ok(self.tier.cycle())
     }
 
     /// Whether a live route exists from `src` to `dst`. Intra-ring
@@ -516,15 +375,10 @@ impl ringmesh_net::Kernel for HybridNetwork {
     }
 
     fn fault_domain(&self) -> FaultDomain {
-        FaultDomain {
-            // Directed ring link out of `station*2 + side`; every
-            // station uses side 0 only, so side-1 events are
-            // addressable no-ops (as at NICs in the hierarchical
-            // ring).
-            links: self.station_active.len() as u32 * 2,
-            // The bridges fail-stop; mesh routers and NICs do not.
-            nodes: self.bridges.len() as u32,
-        }
+        // Ring links `station*2 + side` (every station's side 1 is an
+        // addressable no-op) and the bridges, which fail-stop; mesh
+        // routers and NICs do not.
+        self.tier.fault_domain()
     }
 }
 
@@ -532,19 +386,20 @@ impl ringmesh_net::Kernel for HybridNetwork {
 mod tests {
     use super::*;
     use ringmesh_faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule};
-    use ringmesh_net::{CacheLineSize, Interconnect, PacketKind, TxnId};
+    use ringmesh_net::{Interconnect, PacketFormat, PacketKind, TxnId};
+    use ringmesh_snap::Snapshot;
 
-    fn cfg() -> HybridConfig {
-        HybridConfig::new(CacheLineSize::B32)
+    fn cfg() -> CacheLineSize {
+        CacheLineSize::B32
     }
 
-    fn packet(cfg: &HybridConfig, txn: u64, kind: PacketKind, src: u32, dst: u32) -> Packet {
+    fn packet(cl: &CacheLineSize, txn: u64, kind: PacketKind, src: u32, dst: u32) -> Packet {
         Packet {
             txn: TxnId::new(txn),
             kind,
             src: NodeId::new(src),
             dst: NodeId::new(dst),
-            flits: cfg.format.flits(kind, cfg.cache_line),
+            flits: PacketFormat::RING.flits(kind, *cl),
             injected_at: 0,
         }
     }
@@ -563,7 +418,7 @@ mod tests {
     #[test]
     fn intra_ring_delivery_never_touches_the_mesh() {
         let c = cfg();
-        let mut net = HybridNetwork::new(2, 4, c.clone()).unwrap();
+        let mut net = HybridNetwork::new(2, 4, c).unwrap();
         net.inject(NodeId::new(0), packet(&c, 1, PacketKind::ReadReq, 0, 3));
         let delivered = run_until_delivered(&mut net, 1);
         assert_eq!(delivered[0].0, NodeId::new(3));
@@ -573,7 +428,7 @@ mod tests {
     #[test]
     fn cross_ring_delivery_uses_the_mesh() {
         let c = cfg();
-        let mut net = HybridNetwork::new(3, 2, c.clone()).unwrap();
+        let mut net = HybridNetwork::new(3, 2, c).unwrap();
         // PM 1 (ring 0) to PM 17 (ring 8): corner-to-corner.
         net.inject(NodeId::new(1), packet(&c, 1, PacketKind::WriteReq, 1, 17));
         let delivered = run_until_delivered(&mut net, 1);
@@ -585,7 +440,7 @@ mod tests {
     #[test]
     fn responses_flow_back_across_rings() {
         let c = cfg();
-        let mut net = HybridNetwork::new(2, 3, c.clone()).unwrap();
+        let mut net = HybridNetwork::new(2, 3, c).unwrap();
         net.inject(NodeId::new(2), packet(&c, 1, PacketKind::ReadReq, 2, 10));
         let delivered = run_until_delivered(&mut net, 1);
         assert_eq!(delivered[0].0, NodeId::new(10));
@@ -598,7 +453,7 @@ mod tests {
     #[test]
     fn every_pair_is_reachable() {
         let c = cfg();
-        let mut net = HybridNetwork::new(2, 2, c.clone()).unwrap();
+        let mut net = HybridNetwork::new(2, 2, c).unwrap();
         let mut txn = 0u64;
         for src in 0..8u32 {
             for dst in 0..8u32 {
@@ -630,7 +485,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_mid_flight() {
         let c = cfg();
-        let mut net = HybridNetwork::new(2, 2, c.clone()).unwrap();
+        let mut net = HybridNetwork::new(2, 2, c).unwrap();
         let mut delivered = Vec::new();
         for t in 0..6u64 {
             let src = (t % 8) as u32;
@@ -646,7 +501,7 @@ mod tests {
         let mut w = SnapWriter::new();
         net.save_state(&mut w).unwrap();
         let bytes = w.into_bytes();
-        let mut copy = HybridNetwork::new(2, 2, c.clone()).unwrap();
+        let mut copy = HybridNetwork::new(2, 2, c).unwrap();
         let mut r = SnapReader::new(&bytes);
         copy.restore_state(&mut r).unwrap();
         // Both must now evolve identically.
@@ -674,11 +529,25 @@ mod tests {
     /// `ring_credits` used to restore and panic at the next step).
     #[test]
     fn short_credit_table_is_a_mismatch_not_a_later_panic() {
-        let mut net = HybridNetwork::new(2, 2, cfg()).unwrap();
-        net.ring_credits.pop();
+        let net = HybridNetwork::new(2, 2, cfg()).unwrap();
         let mut w = SnapWriter::new();
         net.save_state(&mut w).unwrap();
-        let bytes = w.into_bytes();
+        // A fresh 2x2:2 has four rings of three stations, each with the
+        // credits of three empty transit buffers; cut that table to
+        // three rings.
+        let credits = 3 * RingConfig::new(cfg()).ring_buffer_flits() as i64;
+        let table = |rings: usize| {
+            let mut w = SnapWriter::new();
+            vec![credits; rings].save(&mut w);
+            w.into_bytes()
+        };
+        let (full, short) = (table(4), table(3));
+        let mut bytes = w.into_bytes();
+        let at = bytes
+            .windows(full.len())
+            .position(|b| b == full)
+            .expect("the credit table is in the checkpoint");
+        bytes.splice(at..at + full.len(), short);
         let mut fresh = HybridNetwork::new(2, 2, cfg()).unwrap();
         match fresh.restore_state(&mut SnapReader::new(&bytes)) {
             Err(SnapError::Mismatch(msg)) => assert!(msg.contains("ring-credit table"), "{msg}"),
@@ -689,7 +558,7 @@ mod tests {
     #[test]
     fn dead_bridge_refuses_new_cross_ring_traffic() {
         let c = cfg();
-        let mut net = HybridNetwork::new(2, 2, c.clone()).unwrap();
+        let mut net = HybridNetwork::new(2, 2, c).unwrap();
         let schedule = FaultSchedule::from_events(
             7,
             0.0,
@@ -747,7 +616,7 @@ mod tests {
     #[test]
     fn utilization_reports_both_tiers() {
         let c = cfg();
-        let mut net = HybridNetwork::new(2, 2, c.clone()).unwrap();
+        let mut net = HybridNetwork::new(2, 2, c).unwrap();
         net.inject(NodeId::new(0), packet(&c, 1, PacketKind::ReadReq, 0, 6));
         run_until_delivered(&mut net, 1);
         let report = net.utilization();

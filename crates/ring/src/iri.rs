@@ -10,14 +10,17 @@
 use ringmesh_net::{FlitFifo, PacketStore, QueueClass};
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 
-use crate::station::{ClassQueues, Disposition, LinkOwner, Send, SideRef, Tick, TransitRoute};
+use crate::station::{ClassQueues, Disposition, LinkOwner, Send, Tick, TransitRoute};
+use crate::topology::SideRef;
 
 /// Side index of the child (lower) ring.
-pub const LOWER: usize = 0;
+pub(crate) const LOWER: usize = 0;
 /// Side index of the parent (upper) ring.
-pub const UPPER: usize = 1;
+pub(crate) const UPPER: usize = 1;
 
-/// Per-IRI simulation state.
+/// Per-IRI simulation state. The hybrid network's bridge is one whose
+/// upper side is on no ring: its pump drains the up queues into a mesh
+/// router and its mesh commit fills the down queues.
 #[derive(Debug)]
 pub struct Iri {
     subtree: (u32, u32),
@@ -25,10 +28,10 @@ pub struct Iri {
     rings: [u32; 2],
     downstream: [SideRef; 2],
     bufs: [FlitFifo; 2],
-    /// Lower→upper crossing queues (request/response).
-    up: ClassQueues<FlitFifo>,
-    /// Upper→lower crossing queues (request/response).
-    down: ClassQueues<FlitFifo>,
+    /// Crossing queues (request/response) by the side the worms left:
+    /// `cross[LOWER]` the up queues, `cross[UPPER]` the down queues.
+    /// Side `s`'s output link drains `cross[s ^ 1]`.
+    cross: [ClassQueues<FlitFifo>; 2],
     owner: [LinkOwner; 2],
     transit: [TransitRoute; 2],
 }
@@ -39,7 +42,7 @@ impl Iri {
     /// `downstream` name the `[LOWER, UPPER]` ring ids and downstream
     /// station sides; the remaining arguments size the transit buffers
     /// and crossing queues.
-    pub fn new(
+    pub(crate) fn new(
         subtree: (u32, u32),
         rings: [u32; 2],
         downstream: [SideRef; 2],
@@ -48,29 +51,31 @@ impl Iri {
         down_queue_flits: usize,
         convoy_threshold: usize,
     ) -> Self {
+        let queues = |flits| ClassQueues::new(FlitFifo::new(flits), FlitFifo::new(flits));
         Iri {
             subtree,
             convoy_threshold,
             rings,
             downstream,
             bufs: [FlitFifo::new(ring_buf_flits), FlitFifo::new(ring_buf_flits)],
-            up: ClassQueues::new(FlitFifo::new(up_queue_flits), FlitFifo::new(up_queue_flits)),
-            down: ClassQueues::new(
-                FlitFifo::new(down_queue_flits),
-                FlitFifo::new(down_queue_flits),
-            ),
+            cross: [queues(up_queue_flits), queues(down_queue_flits)],
             owner: [LinkOwner::Idle, LinkOwner::Idle],
             transit: [TransitRoute::default(), TransitRoute::default()],
         }
     }
 
-    /// The transit buffer of `side`, for the network's send-commit
-    /// loop (flits arriving on the input link are pushed here).
-    pub fn buf_mut(&mut self, side: usize) -> &mut FlitFifo {
+    /// The ring `side` sits on.
+    pub(crate) fn ring(&self, side: usize) -> u32 {
+        self.rings[side]
+    }
+
+    /// The transit buffer of `side`: the tier's send commit pushes
+    /// flits arriving on the input link here.
+    pub(crate) fn buf_mut(&mut self, side: usize) -> &mut FlitFifo {
         &mut self.bufs[side]
     }
 
-    #[cfg(debug_assertions)]
+    /// Read access to the transit buffer of `side`.
     pub(crate) fn buf(&self, side: usize) -> &FlitFifo {
         &self.bufs[side]
     }
@@ -78,42 +83,41 @@ impl Iri {
     /// The lower→upper crossing queue of `class`. The hybrid network's
     /// bridge pump drains these into the global mesh.
     pub fn up_queue(&self, class: QueueClass) -> &FlitFifo {
-        self.up.get(class)
+        self.cross[LOWER].get(class)
     }
 
     /// Mutable form of [`up_queue`](Self::up_queue).
     pub fn up_queue_mut(&mut self, class: QueueClass) -> &mut FlitFifo {
-        self.up.get_mut(class)
+        self.cross[LOWER].get_mut(class)
     }
 
     /// The upper→lower crossing queue of `class`. The hybrid network
-    /// commits mesh arrivals here; [`step_side`](Self::step_side) on
-    /// the `LOWER` side drains them onto the local ring under the
-    /// credit rule.
+    /// commits mesh arrivals here and wakes the bridge; its lower
+    /// side's step drains them onto the local ring under the credit
+    /// rule.
     pub fn down_queue_mut(&mut self, class: QueueClass) -> &mut FlitFifo {
-        self.down.get_mut(class)
+        self.cross[UPPER].get_mut(class)
     }
 
-    /// Total flits in the two transit buffers (occupancy gauge probe).
-    pub fn occupancy(&self) -> usize {
-        self.bufs[LOWER].len() + self.bufs[UPPER].len()
+    /// Flits in the crossing queues that left side `side`.
+    fn crossed_flits(&self, side: usize) -> usize {
+        let qs = &self.cross[side];
+        qs.get(QueueClass::Request).len() + qs.get(QueueClass::Response).len()
     }
 
     /// Total flits in the four crossing queues (occupancy gauge probe).
-    pub fn queue_flits(&self) -> usize {
-        self.up.get(QueueClass::Request).len()
-            + self.up.get(QueueClass::Response).len()
-            + self.down.get(QueueClass::Request).len()
-            + self.down.get(QueueClass::Response).len()
+    pub(crate) fn queue_flits(&self) -> usize {
+        self.crossed_flits(LOWER) + self.crossed_flits(UPPER)
     }
 
     /// True when a step of either crossbar side is provably a no-op:
     /// both transit buffers and all four crossing queues are empty, no
     /// worm holds an output link, and no route decision is latched.
     /// Such an IRI can be skipped until a flit arrives on a buffer or
-    /// queue (which always goes through the network's send commit).
-    pub fn quiescent(&self) -> bool {
-        self.occupancy() == 0
+    /// queue (which always goes through the tier's send commit, or is
+    /// followed by a `RingTier::wake`).
+    pub(crate) fn quiescent(&self) -> bool {
+        self.bufs.iter().all(FlitFifo::is_empty)
             && self.queue_flits() == 0
             && self.owner.iter().all(|o| matches!(o, LinkOwner::Idle))
             && self.transit.iter().all(|t| t.packet().is_none())
@@ -127,11 +131,11 @@ impl Iri {
     /// target is the up queue and the crossing source the down queue;
     /// on the upper side the reverse.
     ///
-    /// `free_out` is the downstream station's registered free-slot
-    /// count; every link transfer needs one free slot per flit.
-    /// `t.credits` tracks each ring's total free transit slots: a flit
-    /// may *enter* this side's ring from a crossing queue only while at
-    /// least two such slots remain (the credit rule, as at the NICs).
+    /// Every link transfer needs one of the downstream station's
+    /// registered free slots per flit. `t.credits` tracks each ring's
+    /// total free transit slots: a flit may *enter* this side's ring
+    /// from a crossing queue only while at least two such slots remain
+    /// (the credit rule, as at the NICs).
     /// Down (parent→child) queues are elastic, so a descending worm
     /// never stalls in its parent ring's transit buffer waiting on a
     /// full queue; together with the credit rule this keeps the
@@ -143,21 +147,14 @@ impl Iri {
     /// fail-stop IRI: packets already forwarding, queued or draining
     /// keep moving (lazy fail-stop), but a packet newly classified as
     /// *crossing* here has nowhere to go — its flits are sunk in place
-    /// and its packet reported through `t.sunk` for the network to
+    /// and its packet reported through `t.sunk` for the tier to
     /// retire as an explicit drop.
-    pub fn step_side(
-        &mut self,
-        side: usize,
-        t: &mut Tick<'_>,
-        link_up: bool,
-        dead: bool,
-        free_out: usize,
-    ) {
+    pub(crate) fn step_side(&mut self, side: usize, t: &mut Tick<'_>, link_up: bool, dead: bool) {
         let (now, store) = (t.now, t.core.store());
         let this_ring = self.rings[side] as usize;
         // A downed output link advertises no room: forwarding and cross
         // injection onto the ring stall in place, losing nothing.
-        let free_out = if link_up { free_out } else { 0 };
+        let free_out = t.free_at(self.downstream[side], link_up);
         let go_transit = free_out >= 1;
         // Classify the packet at the front of this side's transit buffer.
         if let Some(flit) = self.bufs[side].front_ready(now) {
@@ -183,7 +180,7 @@ impl Iri {
         // Sink path: a crossing-bound worm met a dead IRI. Its flits
         // are consumed in place (restoring ring credits so the loss
         // does not leak capacity) and the packet is reported at its
-        // tail for the network to drop-account.
+        // tail for the tier to drop-account.
         if self.transit[side].sinking() {
             if let Some(flit) = self.bufs[side].pop_ready(now) {
                 t.credits[this_ring] += 1; // the flit left this ring
@@ -201,11 +198,7 @@ impl Iri {
         if self.transit[side].crossing() {
             if let Some(flit) = self.bufs[side].front_ready(now) {
                 let class = QueueClass::of(store.get(flit.packet).kind);
-                let q = if side == LOWER {
-                    self.up.get_mut(class)
-                } else {
-                    self.down.get_mut(class)
-                };
+                let q = self.cross[side].get_mut(class);
                 if q.space_latched() {
                     let flit = self.bufs[side].pop_ready(now).expect("front was ready");
                     t.credits[this_ring] += 1; // the flit left this ring
@@ -250,12 +243,7 @@ impl Iri {
                 // the reserved downstream space keeps the pause
                 // loss-free.
                 if link_up {
-                    let q = if side == LOWER {
-                        self.down.get_mut(class)
-                    } else {
-                        self.up.get_mut(class)
-                    };
-                    if let Some(flit) = q.pop_ready(now) {
+                    if let Some(flit) = self.cross[side ^ 1].get_mut(class).pop_ready(now) {
                         if flit.is_tail {
                             self.owner[side] = LinkOwner::Idle;
                         }
@@ -273,7 +261,7 @@ impl Iri {
                 // this recreates the backpressure a finite buffer would
                 // exert (upstream transit stalls), pacing the sources
                 // and preventing unbounded convoys.
-                let backlogged = self.cross_backlogged(side);
+                let backlogged = self.crossed_flits(side ^ 1) > self.convoy_threshold;
                 let transit_ready =
                     self.transit[side].forwarding() && self.bufs[side].front_ready(now).is_some();
                 if transit_ready && !backlogged {
@@ -289,11 +277,7 @@ impl Iri {
                 } else if let Some(class) =
                     self.next_cross_injection(side, now, free_out, t.credits[this_ring], store)
                 {
-                    let q = if side == LOWER {
-                        self.down.get_mut(class)
-                    } else {
-                        self.up.get_mut(class)
-                    };
+                    let q = self.cross[side ^ 1].get_mut(class);
                     let flit = q.pop_ready(now).expect("front checked");
                     debug_assert!(flit.is_head(), "cross queue must start at a head flit");
                     t.credits[this_ring] -= i64::from(store.get(flit.packet).flits);
@@ -318,15 +302,6 @@ impl Iri {
         }
     }
 
-    /// Whether the queues feeding `side`'s output link hold more than
-    /// `convoy_threshold` flits — beyond anything the paper's
-    /// one-packet IRI buffers could absorb, i.e. a forming convoy.
-    fn cross_backlogged(&self, side: usize) -> bool {
-        let qs = if side == LOWER { &self.down } else { &self.up };
-        qs.get(QueueClass::Response).len() + qs.get(QueueClass::Request).len()
-            > self.convoy_threshold
-    }
-
     /// Which crossing class can start on `side`'s output link: responses
     /// beat requests. A class is ready when (a) its queue's front flit
     /// has satisfied the one-cycle switch delay, (b) the *whole* front
@@ -343,9 +318,8 @@ impl Iri {
         credits: i64,
         store: &PacketStore,
     ) -> Option<QueueClass> {
-        let qs = if side == LOWER { &self.down } else { &self.up };
         for class in [QueueClass::Response, QueueClass::Request] {
-            let q = qs.get(class);
+            let q = self.cross[side ^ 1].get(class);
             if let Some(flit) = q.front_ready(now) {
                 if !q.has_complete_packet() {
                     continue;
@@ -361,11 +335,11 @@ impl Iri {
 
     /// Latches all buffers; returns the free-slot counts for (lower,
     /// upper) transit buffers advertised to the upstream neighbours.
-    pub fn latch(&mut self) -> (usize, usize) {
+    pub(crate) fn latch(&mut self) -> (usize, usize) {
         self.bufs[LOWER].latch();
         self.bufs[UPPER].latch();
-        self.up.each_mut(FlitFifo::latch);
-        self.down.each_mut(FlitFifo::latch);
+        self.cross[LOWER].each_mut(FlitFifo::latch);
+        self.cross[UPPER].each_mut(FlitFifo::latch);
         (
             self.bufs[LOWER].free_latched(),
             self.bufs[UPPER].free_latched(),
@@ -377,8 +351,8 @@ impl SnapshotState for Iri {
     fn save_state(&self, w: &mut SnapWriter) {
         self.bufs[LOWER].save_state(w);
         self.bufs[UPPER].save_state(w);
-        self.up.save_state(w);
-        self.down.save_state(w);
+        self.cross[LOWER].save_state(w);
+        self.cross[UPPER].save_state(w);
         self.owner.save(w);
         self.transit.save(w);
     }
@@ -386,8 +360,8 @@ impl SnapshotState for Iri {
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.bufs[LOWER].restore_state(r)?;
         self.bufs[UPPER].restore_state(r)?;
-        self.up.restore_state(r)?;
-        self.down.restore_state(r)?;
+        self.cross[LOWER].restore_state(r)?;
+        self.cross[UPPER].restore_state(r)?;
         self.owner = Snapshot::load(r)?;
         self.transit = Snapshot::load(r)?;
         Ok(())

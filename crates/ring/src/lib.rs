@@ -39,6 +39,7 @@ mod network;
 mod nic;
 mod slotted;
 mod station;
+mod tier;
 pub mod topology;
 
 pub use builder::{RingBuilder, SlottedBuilder};
@@ -47,14 +48,15 @@ pub use network::RingNetwork;
 pub use slotted::SlottedRingNetwork;
 pub use topology::{RingAction, RingSpec, RingTopology, RouteTable, StationKind};
 
-/// Station-level kernels, re-exported for the hybrid ring-mesh network
-/// (`ringmesh-hybrid`), which assembles its local rings from the same
-/// NIC/IRI state machines this crate's own network uses. Semver-exempt
-/// plumbing, not a stable API — everything here mirrors internal
-/// structure.
+/// The ring tier, re-exported for the hybrid ring-mesh network
+/// (`ringmesh-hybrid`), whose local rings are the same NIC/IRI stations
+/// this crate's own network steps: a [`StationMap`](kernel::StationMap)
+/// of its own, one [`RingTier`](kernel::RingTier), and the IRI's
+/// crossing queues for its bridge pumps. Semver-exempt plumbing, not a
+/// stable API — everything here mirrors internal structure.
 #[doc(hidden)]
 pub mod kernel {
-    pub use crate::iri::{Iri, LOWER, UPPER};
-    pub use crate::nic::Nic;
-    pub use crate::station::{Send, SideRef, StepPulse, Tick};
+    pub use crate::iri::Iri;
+    pub use crate::station::StepPulse;
+    pub use crate::tier::{RingTier, StationMap};
 }

@@ -1,22 +1,14 @@
 //! The hierarchical ring network simulator.
 
-use ringmesh_faults::{DropReason, FaultDomain, FaultInjector};
+use ringmesh_faults::FaultDomain;
 use ringmesh_net::{LevelUtil, NetCore, NodeId, Packet, PacketRef, QueueClass, UtilizationReport};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{SnapError, SnapReader, SnapWriter};
 use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, TraceLoc};
 
-use crate::iri::{Iri, LOWER, UPPER};
-use crate::nic::Nic;
-use crate::station::{Send, StepPulse, Tick};
-use crate::topology::{RingAction, RingSpec, RingTopology, StationKind};
+use crate::station::StepPulse;
+use crate::tier::RingTier;
+use crate::topology::{RingAction, RingSpec, RingTopology};
 use crate::RingConfig;
-
-/// Which concrete component a station id maps to.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Nic(u32),
-    Iri(u32),
-}
 
 /// A flit-level, cycle-accurate hierarchical ring network.
 ///
@@ -49,130 +41,25 @@ enum Slot {
 #[derive(Debug)]
 pub struct RingNetwork {
     topo: RingTopology,
-    cfg: RingConfig,
     core: NetCore,
-    slots: Vec<Slot>,
-    nics: Vec<Nic>,
-    iris: Vec<Iri>,
-    nic_of_pm: Vec<u32>,
-    /// Iteration order: every station side, with its fast-domain flag.
-    side_order: Vec<(u32, u8, bool)>,
-    /// Active-station worklist: `station_active[st]` is false only
-    /// while station `st` is provably quiescent (`Nic::quiescent` /
-    /// `Iri::quiescent`), letting the tick loop skip idle stations
-    /// under light load. Set true again by any arriving flit or local
-    /// injection.
-    station_active: Vec<bool>,
-    /// Registered downstream free-slot count per station side
-    /// (`station*2 + side`).
-    free: Vec<usize>,
-    /// Index into `free` of each side's downstream buffer.
-    free_idx: Vec<[usize; 2]>,
-    sends: Vec<Send>,
-    tick: u64,
-    ticks_per_cycle: u64,
-    ring_flits: Vec<u64>,
-    /// Free transit flit slots per ring (the deadlock-avoidance
-    /// credits: ring entry requires at least two remaining).
-    ring_credits: Vec<i64>,
-    reset_tick: u64,
-    /// Link-utilization heatmap handle (rows = rings, cols = member
-    /// position on the ring), registered when a recording tracer is
-    /// installed.
-    link_heat: Option<HeatmapId>,
-    /// Member position of each station side within its ring
-    /// (`[station][side]`), for heatmap columns.
-    member_idx: Vec<[usize; 2]>,
-    /// Per-tick scratch: packets sunk at dead IRIs, pending removal.
-    sunk: Vec<PacketRef>,
+    /// The stations, stepped once per tick (twice per cycle on a
+    /// double-speed global ring).
+    tier: RingTier,
+    /// Link-utilization heatmap (rows = rings, cols = member position
+    /// on the ring) and each station side's column (`[station][side]`),
+    /// built when a recording tracer is installed.
+    link_heat: Option<(HeatmapId, Vec<[usize; 2]>)>,
 }
 
 impl RingNetwork {
     /// Builds the network for `spec` under `cfg`.
     pub fn new(spec: &RingSpec, cfg: RingConfig) -> Self {
         let topo = RingTopology::new(spec);
-        let n_st = topo.num_stations();
-        let mut slots = Vec::with_capacity(n_st);
-        let mut nics = Vec::new();
-        let mut iris = Vec::new();
-        let mut nic_of_pm = vec![0u32; topo.num_pms() as usize];
-        let buf_flits = cfg.ring_buffer_flits();
-        let up_q_flits = cfg.iri_queue_flits();
-        let down_q_flits = cfg.iri_down_queue_flits();
-        for st in 0..n_st as u32 {
-            match topo.station(st) {
-                StationKind::Nic { pm } => {
-                    nic_of_pm[pm.index()] = nics.len() as u32;
-                    slots.push(Slot::Nic(nics.len() as u32));
-                    nics.push(Nic::new(
-                        pm,
-                        topo.ring_of(st, 0),
-                        topo.next_of(st, 0),
-                        buf_flits,
-                        cfg.out_queue_packets,
-                    ));
-                }
-                StationKind::Iri { subtree } => {
-                    slots.push(Slot::Iri(iris.len() as u32));
-                    iris.push(Iri::new(
-                        subtree,
-                        [topo.ring_of(st, 0), topo.ring_of(st, 1)],
-                        [topo.next_of(st, 0), topo.next_of(st, 1)],
-                        buf_flits,
-                        up_q_flits,
-                        down_q_flits,
-                        cfg.convoy_threshold_packets
-                            .saturating_mul(cfg.format.cl_packet_flits(cfg.cache_line) as usize),
-                    ));
-                }
-            }
-        }
-        let fast_ring = |ring: u32| cfg.global_ring_speedup == 2 && ring == 0;
-        let mut side_order = Vec::new();
-        let mut free_idx = vec![[0usize; 2]; n_st];
-        for st in 0..n_st as u32 {
-            let sides: &[u8] = match topo.station(st) {
-                StationKind::Nic { .. } => &[0],
-                StationKind::Iri { .. } => &[0, 1],
-            };
-            for &side in sides {
-                side_order.push((st, side, fast_ring(topo.ring_of(st, side))));
-                let (dst, dside) = topo.next_of(st, side);
-                free_idx[st as usize][side as usize] = dst as usize * 2 + dside as usize;
-            }
-        }
-        let ticks_per_cycle = if cfg.global_ring_speedup == 2 { 2 } else { 1 };
-        let num_rings = topo.num_rings();
-        let ring_credits: Vec<i64> = (0..num_rings as u32)
-            .map(|r| (topo.ring(r).members.len() * buf_flits) as i64)
-            .collect();
-        let mut member_idx = vec![[0usize; 2]; n_st];
-        for (_rid, ring) in topo.rings() {
-            for (m, &(st, side)) in ring.members.iter().enumerate() {
-                member_idx[st as usize][side as usize] = m;
-            }
-        }
         RingNetwork {
+            tier: RingTier::new(&topo, &cfg),
             topo,
             core: NetCore::new(cfg.watchdog_horizon),
-            cfg,
-            slots,
-            nics,
-            iris,
-            nic_of_pm,
-            side_order,
-            station_active: vec![true; n_st],
-            free: vec![buf_flits; n_st * 2],
-            free_idx,
-            sends: Vec::new(),
-            tick: 0,
-            ticks_per_cycle,
-            ring_flits: vec![0; num_rings],
-            ring_credits,
-            reset_tick: 0,
             link_heat: None,
-            member_idx,
-            sunk: Vec::new(),
         }
     }
 
@@ -181,132 +68,20 @@ impl RingNetwork {
         &self.topo
     }
 
-    /// The configuration the network was built with.
-    pub fn config(&self) -> &RingConfig {
-        &self.cfg
-    }
-
-    /// Clock multiplier of ring `ring` (2 for a double-speed global
-    /// ring, else 1).
-    fn ring_speed(&self, ring: u32) -> u64 {
-        if self.cfg.global_ring_speedup == 2 && ring == 0 {
-            2
-        } else {
-            1
-        }
-    }
-
-    /// Whether station `st` is a dead IRI.
-    fn iri_dead(&self, f: &FaultInjector, st: u32) -> bool {
-        match self.slots[st as usize] {
-            Slot::Iri(x) => f.node_dead(x),
-            Slot::Nic(_) => false,
-        }
-    }
-
-    fn run_tick(&mut self, delivered: &mut Vec<(NodeId, Packet)>, pulse: &mut StepPulse) {
-        let now = self.tick;
-        let cycle_now = now / self.ticks_per_cycle;
-        // With a double-speed global ring the kernel ticks twice per
-        // cycle: every station runs on even ticks; only the fast
-        // (global-ring) sides also run on odd ticks.
-        let all_active = now.is_multiple_of(self.ticks_per_cycle);
-        self.sends.clear();
-        let mut t = Tick {
-            now,
-            credits: &mut self.ring_credits,
-            core: &mut self.core,
-            sends: &mut self.sends,
-            delivered,
-            sunk: &mut self.sunk,
-            pulse,
-        };
-        for i in 0..self.side_order.len() {
-            let (st, side, fast) = self.side_order[i];
-            if !(all_active || fast) {
-                continue;
-            }
-            // Skip provably-idle stations; a skipped step is a no-op by
-            // construction (see `Nic::quiescent`/`Iri::quiescent`), so
-            // the tick stream is identical to stepping everything.
-            if !self.station_active[st as usize] {
-                continue;
-            }
-            let free_out = self.free[self.free_idx[st as usize][side as usize]];
-            // Fault view for this side: the output link `station*2 +
-            // side`, and (for IRIs) whether the interface is dead.
-            let faults = t.core.faults();
-            let link_up = faults.is_none_or(|f| f.link_up(st * 2 + side as u32, cycle_now));
-            let quiescent = match self.slots[st as usize] {
-                Slot::Nic(n) => {
-                    let nic = &mut self.nics[n as usize];
-                    nic.step(&mut t, link_up, free_out);
-                    nic.quiescent()
-                }
-                Slot::Iri(x) => {
-                    let dead = faults.is_some_and(|f| f.node_dead(x));
-                    let iri = &mut self.iris[x as usize];
-                    iri.step_side(side as usize, &mut t, link_up, dead, free_out);
-                    iri.quiescent()
-                }
-            };
-            if quiescent {
-                self.station_active[st as usize] = false;
-            }
-        }
-        // Retire packets sunk at dead IRIs this tick: their flits were
-        // consumed in place, so only the bookkeeping remains.
-        for r in self.sunk.drain(..) {
-            self.core.drop_packet(r, DropReason::DeadInterface);
-        }
-        // Commit the wire transfers decided this tick.
-        for i in 0..self.sends.len() {
-            let s = self.sends[i];
+    /// Tracing for the wire transfers the tier committed this tick: one
+    /// heatmap bump per link transfer, one Hop event per sampled head
+    /// flit. Only called while the tracer is enabled.
+    fn trace_sends(&mut self) {
+        let cycle = self.tier.cycle();
+        let sends = self.tier.sends();
+        self.core
+            .tracer()
+            .count(Counter::FlitsForwarded, sends.len() as u64);
+        for s in sends {
             let (st, side) = s.to;
-            match self.slots[st as usize] {
-                Slot::Nic(n) => self.nics[n as usize].ring_buf_mut().push(s.flit, now),
-                Slot::Iri(x) => self.iris[x as usize]
-                    .buf_mut(side as usize)
-                    .push(s.flit, now),
-            }
-            self.station_active[st as usize] = true;
-            self.ring_flits[s.ring as usize] += 1;
-        }
-        pulse.moved += self.sends.len() as u64;
-        if self.core.tracing() {
-            self.trace_sends(now);
-        }
-        // Latch registered flow-control state for the next tick.
-        for st in 0..self.slots.len() {
-            match self.slots[st] {
-                Slot::Nic(n) => {
-                    self.free[st * 2] = self.nics[n as usize].latch();
-                }
-                Slot::Iri(x) => {
-                    let (lo, up) = self.iris[x as usize].latch();
-                    self.free[st * 2 + LOWER] = lo;
-                    self.free[st * 2 + UPPER] = up;
-                }
-            }
-        }
-        self.tick += 1;
-        #[cfg(debug_assertions)]
-        self.check_credit_invariant();
-    }
-
-    /// Tracing for the wire transfers committed this tick: one heatmap
-    /// bump per link transfer, one Hop event per sampled head flit.
-    /// Only called while the tracer is enabled.
-    fn trace_sends(&mut self, now: u64) {
-        let cycle = now / self.ticks_per_cycle;
-        let n = self.sends.len() as u64;
-        self.core.tracer().count(Counter::FlitsForwarded, n);
-        for i in 0..self.sends.len() {
-            let s = self.sends[i];
-            let (st, side) = s.to;
-            if let Some(id) = self.link_heat {
-                let col = self.member_idx[st as usize][side as usize];
-                self.core.tracer().heatmap(id, s.ring as usize, col, 1);
+            if let Some((id, cols)) = &self.link_heat {
+                let col = cols[st as usize][side as usize];
+                self.core.tracer().heatmap(*id, s.ring as usize, col, 1);
             }
             if s.flit.is_head() {
                 let txn = self.core.store().get(s.flit.packet).txn.raw();
@@ -320,32 +95,6 @@ impl RingNetwork {
                     EventKind::Hop,
                 );
             }
-        }
-    }
-
-    /// Debug-only: the credit counters must equal each ring's actual
-    /// free transit-buffer slots.
-    #[cfg(debug_assertions)]
-    fn check_credit_invariant(&self) {
-        for (rid, ring) in self.topo.rings() {
-            let mut occupied = 0usize;
-            for &(st, side) in &ring.members {
-                occupied += match self.slots[st as usize] {
-                    Slot::Nic(n) => self.nics[n as usize].ring_buf().len(),
-                    Slot::Iri(x) => self.iris[x as usize].buf(side as usize).len(),
-                };
-            }
-            // Credits equal capacity minus occupancy minus slots still
-            // reserved by in-progress entries, so they are bounded by
-            // the actual free count and must never hit zero.
-            let cap = ring.members.len() * self.cfg.ring_buffer_flits();
-            let free = cap as i64 - occupied as i64;
-            let c = self.ring_credits[rid as usize];
-            assert!(
-                c >= 1 && c <= free,
-                "ring {rid} credit corruption at tick {}: credits={c} free={free}",
-                self.tick
-            );
         }
     }
 }
@@ -364,45 +113,49 @@ impl ringmesh_net::Kernel for RingNetwork {
     }
 
     fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool {
-        self.nics[self.nic_of_pm[pm.index()] as usize].can_accept(class)
+        self.tier.can_inject(pm, class)
     }
 
     fn enqueue(&mut self, pm: NodeId, class: QueueClass, packet: PacketRef) {
-        self.nics[self.nic_of_pm[pm.index()] as usize].enqueue(class, packet);
-        self.station_active[self.topo.nic_of(pm) as usize] = true;
+        self.tier.enqueue(pm, self.topo.nic_of(pm), class, packet);
     }
 
     fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64 {
         let mut pulse = StepPulse::default();
-        for _ in 0..self.ticks_per_cycle {
-            self.run_tick(delivered, &mut pulse);
+        for _ in 0..self.tier.ticks_per_cycle() {
+            self.tier.tick(&mut self.core, delivered, &mut pulse);
+            if self.core.tracing() {
+                self.trace_sends();
+            }
+            self.tier.latch();
         }
         if self.core.tracing() {
-            let nic_flits: usize = self.nics.iter().map(|n| n.ring_buf().len()).sum();
-            let iri_flits: usize = self.iris.iter().map(|i| i.occupancy()).sum();
-            let queued: usize = self.iris.iter().map(|i| i.queue_flits()).sum();
+            let (transit, queued) = self.tier.occupancy();
             let tracer = self.core.tracer();
             tracer.count(Counter::BlockedCycles, pulse.blocked);
             tracer.count(Counter::IriCrossings, pulse.crossed);
-            tracer.gauge(Gauge::RingBufferOccupancy, (nic_flits + iri_flits) as f64);
+            tracer.gauge(Gauge::RingBufferOccupancy, transit as f64);
             tracer.gauge(Gauge::IriQueueOccupancy, queued as f64);
         }
         pulse.moved
     }
 
     fn utilization(&self) -> UtilizationReport {
-        let cycles = (self.tick - self.reset_tick) / self.ticks_per_cycle;
+        let tpc = self.tier.ticks_per_cycle();
+        let cycles = self.tier.cycles_since_reset();
         if cycles == 0 {
             return UtilizationReport::default();
         }
-        // Aggregate busy link-cycles and capacity per hierarchy depth.
+        // Aggregate busy link-cycles and capacity per hierarchy depth;
+        // the double-speed global ring is clocked `tpc` times a cycle.
         let levels = self.topo.levels();
         let mut busy = vec![0u64; levels];
         let mut cap = vec![0u64; levels];
         for (rid, ring) in self.topo.rings() {
             let d = ring.depth as usize;
-            busy[d] += self.ring_flits[rid as usize];
-            cap[d] += ring.members.len() as u64 * cycles * self.ring_speed(rid);
+            let speed = if rid == 0 { tpc } else { 1 };
+            busy[d] += self.tier.ring_flits()[rid as usize];
+            cap[d] += ring.members.len() as u64 * cycles * speed;
         }
         let mut report = UtilizationReport {
             overall: busy.iter().sum::<u64>() as f64 / cap.iter().sum::<u64>().max(1) as f64,
@@ -418,46 +171,16 @@ impl ringmesh_net::Kernel for RingNetwork {
     }
 
     fn reset_counters(&mut self) {
-        self.ring_flits.iter_mut().for_each(|c| *c = 0);
-        self.reset_tick = self.tick;
+        self.tier.reset_counters();
     }
 
     fn save_kernel(&self, w: &mut SnapWriter) {
-        w.usize(self.nics.len());
-        for nic in &self.nics {
-            nic.save_state(w);
-        }
-        w.usize(self.iris.len());
-        for iri in &self.iris {
-            iri.save_state(w);
-        }
-        self.station_active.save(w);
-        self.free.save(w);
-        w.u64(self.tick);
-        self.ring_flits.save(w);
-        self.ring_credits.save(w);
-        w.u64(self.reset_tick);
+        self.tier.save(w);
     }
 
     fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-        r.len_exact(self.nics.len(), "NIC count")?;
-        for nic in &mut self.nics {
-            nic.restore_state(r)?;
-        }
-        r.len_exact(self.iris.len(), "IRI count")?;
-        for iri in &mut self.iris {
-            iri.restore_state(r)?;
-        }
-        self.station_active = r.vec_exact(self.station_active.len(), "station count")?;
-        self.free = r.vec_exact(self.free.len(), "free-slot table size")?;
-        self.tick = r.u64()?;
-        self.ring_flits = r.vec_exact(self.ring_flits.len(), "ring count")?;
-        self.ring_credits = r.vec_exact(self.ring_credits.len(), "ring-credit table size")?;
-        self.reset_tick = r.u64()?;
-        // Per-cycle scratch is always empty between steps.
-        self.sends.clear();
-        self.sunk.clear();
-        Ok(self.tick / self.ticks_per_cycle)
+        self.tier.restore(r)?;
+        Ok(self.tier.cycle())
     }
 
     /// Whether a live route exists from `src`'s NIC to `dst`. Ring
@@ -470,58 +193,35 @@ impl ringmesh_net::Kernel for RingNetwork {
         let Some(f) = self.core.faults() else {
             return true;
         };
-        if !f.any_nodes_dead() {
-            return true;
-        }
-        let mut pos = self.topo.next_of(self.topo.nic_of(src), 0);
-        let bound = self.topo.num_stations() * 2 + 4;
-        for _ in 0..bound {
-            let (st, side) = pos;
-            match self.topo.action(st, side, dst) {
-                RingAction::Eject => return true,
-                RingAction::Forward => pos = self.topo.next_of(st, side),
-                RingAction::Up => {
-                    if self.iri_dead(f, st) {
-                        return false;
-                    }
-                    pos = self.topo.next_of(st, 1);
-                }
-                RingAction::Down => {
-                    if self.iri_dead(f, st) {
-                        return false;
-                    }
-                    pos = self.topo.next_of(st, 0);
-                }
-            }
-        }
-        unreachable!("routing walk did not terminate");
+        !f.any_nodes_dead()
+            || self.topo.route(src, dst).all(|(st, action)| {
+                matches!(action, RingAction::Forward | RingAction::Eject)
+                    || !self.tier.iri_dead(f, st)
+            })
     }
 
     fn fault_domain(&self) -> FaultDomain {
-        FaultDomain {
-            // Directed ring link out of `station*2 + side`; NIC
-            // stations use side 0 only, so side-1 events at a NIC are
-            // addressable no-ops.
-            links: self.topo.num_stations() as u32 * 2,
-            nodes: self.iris.len() as u32,
-        }
+        self.tier.fault_domain()
     }
 
     fn on_tracer_installed(&mut self) {
-        let rows = self.topo.num_rings();
-        let cols = self
-            .topo
-            .rings()
-            .map(|(_, r)| r.members.len())
-            .max()
-            .unwrap_or(0);
-        self.link_heat = self.core.tracer().add_heatmap(Heatmap::new(
+        let mut member_idx = vec![[0usize; 2]; self.topo.num_stations()];
+        let mut cols = 0;
+        for (_rid, ring) in self.topo.rings() {
+            for (m, &(st, side)) in ring.members.iter().enumerate() {
+                member_idx[st as usize][side as usize] = m;
+            }
+            cols = cols.max(ring.members.len());
+        }
+        let heatmap = Heatmap::new(
             "flits forwarded per ring link",
             "ring",
             "member",
-            rows,
+            self.topo.num_rings(),
             cols,
-        ));
+        );
+        let id = self.core.tracer().add_heatmap(heatmap);
+        self.link_heat = id.map(|id| (id, member_idx));
     }
 }
 
@@ -751,7 +451,7 @@ mod tests {
         assert_eq!(seen.len(), before, "duplicate deliveries");
     }
 
-    use ringmesh_faults::{FaultEvent, FaultKind, FaultSchedule};
+    use ringmesh_faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule};
 
     fn install(net: &mut RingNetwork, events: Vec<FaultEvent>, corrupt: f64) {
         let schedule = FaultSchedule::from_events(7, corrupt, events);

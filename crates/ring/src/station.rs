@@ -3,20 +3,18 @@
 use ringmesh_net::{Flit, NetCore, NodeId, Packet, PacketRef, QueueClass};
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 
-/// `(station index, ring side)` — mirrors
-/// [`topology::SideRef`](crate::topology::SideRef).
-pub type SideRef = (u32, u8);
+use crate::topology::SideRef;
 
 /// A flit transfer decided this cycle, applied after all stations have
 /// stepped (so everyone sees consistent registered state).
 #[derive(Debug, Clone, Copy)]
-pub struct Send {
+pub(crate) struct Send {
     /// Receiving station side (its transit buffer).
-    pub to: SideRef,
+    pub(crate) to: SideRef,
     /// The flit on the wire.
-    pub flit: Flit,
+    pub(crate) flit: Flit,
     /// Ring carrying the transfer (for utilization accounting).
-    pub ring: u32,
+    pub(crate) ring: u32,
 }
 
 /// Flit-movement counts accumulated while stations step one tick: the
@@ -36,30 +34,46 @@ pub struct StepPulse {
     pub crossed: u64,
 }
 
-/// What the stations stepped in one tick share: the clock, the ring
-/// entry credits, the network core and the tick's outputs.
+/// What the stations stepped in one tick share: the clock, the
+/// registered free slots, the ring entry credits, the network core and
+/// the tick's outputs.
 #[derive(Debug)]
-pub struct Tick<'a> {
+pub(crate) struct Tick<'a> {
     /// The kernel tick being stepped.
-    pub now: u64,
+    pub(crate) now: u64,
+    /// Registered free-slot count of every station side's transit
+    /// buffer (`station*2 + side`), latched at the end of the last tick.
+    pub(crate) free: &'a [usize],
     /// Free transit flit slots per ring: a flit may *enter* a ring
     /// only while at least two remain (see [`Nic::step`]).
     ///
     /// [`Nic::step`]: crate::nic::Nic::step
-    pub credits: &'a mut [i64],
+    pub(crate) credits: &'a mut [i64],
     /// The owning network's core: the packet store the stations read
     /// routes and lengths from, and where an ejecting NIC retires its
     /// packet as delivered, or as dropped when it is marked corrupt.
-    pub core: &'a mut NetCore,
+    pub(crate) core: &'a mut NetCore,
     /// Link transfers decided this tick.
-    pub sends: &'a mut Vec<Send>,
+    pub(crate) sends: &'a mut Vec<Send>,
     /// Packets delivered this cycle.
-    pub delivered: &'a mut Vec<(NodeId, Packet)>,
+    pub(crate) delivered: &'a mut Vec<(NodeId, Packet)>,
     /// Packets whose tail was sunk at a dead IRI this tick, for the
-    /// network to retire once every station has stepped.
-    pub sunk: &'a mut Vec<PacketRef>,
+    /// tier to retire once every station has stepped.
+    pub(crate) sunk: &'a mut Vec<PacketRef>,
     /// Flit-movement counts of the cycle.
-    pub pulse: &'a mut StepPulse,
+    pub(crate) pulse: &'a mut StepPulse,
+}
+
+impl Tick<'_> {
+    /// The registered free slots of station side `to`'s transit buffer
+    /// as seen over a link that is `up`: a downed link advertises none.
+    pub(crate) fn free_at(&self, (st, side): SideRef, up: bool) -> usize {
+        if up {
+            self.free[st as usize * 2 + side as usize]
+        } else {
+            0
+        }
+    }
 }
 
 /// Who currently owns an output link. Wormhole switching holds the link

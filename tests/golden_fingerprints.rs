@@ -16,7 +16,8 @@
 //! 9 000 so the table stays near three seconds in a debug build.
 
 use ringmesh::{
-    FaultConfig, FaultPlan, NetworkSpec, RunError, SimParams, System, SystemConfig, TraceConfig,
+    FaultConfig, FaultPlan, NetworkSpec, RunError, SimParams, SnapError, System, SystemConfig,
+    TraceConfig,
 };
 use ringmesh_net::CacheLineSize;
 use ringmesh_snap::Fingerprint;
@@ -65,11 +66,19 @@ const GOLDEN: [Golden; 9] = [
         heatmap_csv: 0x461d_7558_2608_6d0a,
     },
     // The hybrid registers no heatmap: its CSV digest is FNV-1a of "".
+    // Its `checkpoint_bytes` were re-pinned by PR 22, which put its
+    // local rings on the ring crate's `RingTier`: the station tables,
+    // clock and reset tick now come first, in the hierarchical ring's
+    // order and with its two-sided free-slot table, then the mesh
+    // routers and the mesh flit count (261a10e's:
+    // [0x9c5c_06ab_ec4e_fa86, 0x77d5_679b_dc82_c011] and
+    // [0x1073_b9a8_db7e_79cd, 0x91fb_059d_5b82_85ae]). Everything
+    // else in both rows is 261a10e's.
     Golden {
         spec: "hybrid:3x3:4",
         run: 0xe0ff_0042_48b5_6f62,
         faulty: Some(0x4169_5b36_f10c_64e5),
-        checkpoint_bytes: [0x9c5c_06ab_ec4e_fa86, 0x77d5_679b_dc82_c011],
+        checkpoint_bytes: [0x32c1_280f_4c03_47b7, 0x3ed0_8713_9a0a_0134],
         chrome_json: 0xf36c_58b9_cd2b_d0eb,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
     },
@@ -77,7 +86,7 @@ const GOLDEN: [Golden; 9] = [
         spec: "hybrid:2x2:4",
         run: 0x1592_b0c8_91dd_4c69,
         faulty: Some(0xa52e_c8f4_dacc_06d5),
-        checkpoint_bytes: [0x1073_b9a8_db7e_79cd, 0x91fb_059d_5b82_85ae],
+        checkpoint_bytes: [0xdc2e_cc0d_48d3_7ccf, 0x42c1_e388_40ec_2e70],
         chrome_json: 0x80bb_92d2_23dd_4d59,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
     },
@@ -195,5 +204,30 @@ fn every_run_path_reproduces_the_parent_commit() {
             g.heatmap_csv,
             "{spec}: heatmap CSV"
         );
+    }
+}
+
+/// A hybrid checkpoint in the layout before PR 22 (`fixtures/`: cycle
+/// 1 200 of `hybrid:2x2:2`, seed 41, written by a debug build of
+/// f38ca94, which restored it). It must not restore now — the reader
+/// meets the mesh routers' section where the ring tier's station
+/// worklist is — and it must say so with an error, because `run_job`
+/// turns a restore error into a fresh start and has nothing to catch a
+/// panic with.
+#[test]
+fn a_hybrid_checkpoint_from_before_the_ring_tier_is_an_error() {
+    let cfg = SystemConfig::new("hybrid:2x2:2".parse().unwrap(), CacheLineSize::B32)
+        .with_sim(SimParams {
+            warmup: 800,
+            batch_cycles: 800,
+            batches: 4,
+        })
+        .with_seed(41);
+    let mut system = System::new(cfg).unwrap();
+    let mut state = system.begin();
+    let bytes = include_bytes!("fixtures/hybrid-2x2-2-pr20.ckpt");
+    match system.restore(&mut state, bytes) {
+        Err(SnapError::Mismatch(msg)) => assert!(msg.contains("station count"), "{msg}"),
+        other => panic!("{other:?}"),
     }
 }

@@ -53,6 +53,16 @@ fn allocated_by<T>(build: impl FnOnce() -> T) -> (T, usize) {
     (built, ALLOCATED.with(Cell::get) - before)
 }
 
+/// Blocks and bytes `System::new` allocates for `spec`.
+fn system_setup(spec: &str) -> (usize, usize) {
+    let cfg = SystemConfig::new(spec.parse().expect(spec), CL);
+    let blocks_before = BLOCKS.with(Cell::get);
+    let (system, bytes) = allocated_by(|| System::new(cfg).expect(spec));
+    let blocks = BLOCKS.with(Cell::get) - blocks_before;
+    drop(system);
+    (blocks, bytes)
+}
+
 const CL: CacheLineSize = CacheLineSize::B64;
 
 fn network(builder: &dyn TopologyBuilder) -> Box<dyn Interconnect> {
@@ -182,12 +192,7 @@ fn setup_heap_is_linear_in_pms() {
 /// bytes.
 #[test]
 fn mesh_64_system_setup_is_three_blocks_a_pm() {
-    let spec: NetworkSpec = "mesh:64".parse().expect("mesh:64");
-    let cfg = SystemConfig::new(spec, CL);
-    let blocks_before = BLOCKS.with(Cell::get);
-    let (system, bytes) = allocated_by(|| System::new(cfg).expect("mesh:64"));
-    let blocks = BLOCKS.with(Cell::get) - blocks_before;
-    drop(system);
+    let (blocks, bytes) = system_setup("mesh:64");
     let pms = 4096.0;
     assert!(
         blocks as f64 <= 3.0 * pms,
@@ -198,5 +203,45 @@ fn mesh_64_system_setup_is_three_blocks_a_pm() {
         bytes as f64 <= 900.0 * pms,
         "{:.0} bytes per PM",
         bytes as f64 / pms
+    );
+}
+
+/// What building the benchmark's `sweep_mixed` ring and hybrid systems
+/// allocates, summed over its ten specs, may not exceed what it was
+/// before both kernels shared one ring tier: the literals were read on
+/// f38ca94, where the debug profile tier-1 uses and release agree. A
+/// sub-millisecond `setup_s` is too noisy to guard this; the allocator
+/// is not.
+#[test]
+fn ring_and_hybrid_setup_allocates_no_more_than_before_the_ring_tier() {
+    // The ring and hybrid rows of
+    // `benchmark/src/inputs.rs::SWEEP_TOPOLOGIES`.
+    const SPECS: [&str; 10] = [
+        "ring:2:2:4",
+        "ring:2:3:6",
+        "ring:2:2:4:4",
+        "ring:2:2:5:5",
+        "ring:2:3:4:6",
+        "hybrid:2x2:4",
+        "hybrid:3x3:4",
+        "hybrid:4x4:4",
+        "hybrid:5x5:4",
+        "hybrid:6x6:4",
+    ];
+    const PARENT_BLOCKS: usize = 4_016;
+    const PARENT_BYTES: usize = 1_293_748;
+    let (mut blocks, mut bytes) = (0, 0);
+    for spec in SPECS {
+        let (b, n) = system_setup(spec);
+        blocks += b;
+        bytes += n;
+    }
+    assert!(
+        blocks <= PARENT_BLOCKS,
+        "{blocks} blocks against {PARENT_BLOCKS}"
+    );
+    assert!(
+        bytes <= PARENT_BYTES,
+        "{bytes} bytes against {PARENT_BYTES}"
     );
 }
