@@ -18,9 +18,6 @@
 //!   a time, enforcing wormhole contiguity.
 //! * [`Assembler`] — reassembles arriving flit trains into packets at
 //!   the ejection port.
-//! * [`FlitPool`] — a freelist of flit-train buffers so per-packet
-//!   staging storage is recycled instead of re-allocated every packet
-//!   in the simulation hot loop.
 
 use std::collections::VecDeque;
 
@@ -593,102 +590,6 @@ impl Assembler {
     }
 }
 
-/// A freelist of flit-train staging buffers.
-///
-/// Components that stage a packet's flits while it is mid-assembly or
-/// mid-reorder (e.g. the slotted-ring per-packet reassembly records)
-/// would otherwise allocate a fresh `Vec<Flit>` per packet — millions
-/// of short-lived heap allocations over a sweep. A `FlitPool` hands
-/// out cleared buffers from a freelist ([`checkout`](Self::checkout))
-/// and takes them back when the packet completes
-/// ([`recycle`](Self::recycle)), so steady-state traffic allocates
-/// nothing: after warm-up every train reuses a previously-freed buffer.
-///
-/// The pool also keeps conservation-style accounting — buffers checked
-/// out must come back, exactly like packets injected into a network
-/// must be delivered or dropped. [`outstanding`](Self::outstanding)
-/// counts live trains and [`leak_check`](Self::leak_check) asserts the
-/// drain invariant, mirroring `ConservationLedger::verify`.
-///
-/// # Example
-///
-/// ```
-/// use ringmesh_net::FlitPool;
-///
-/// let mut pool = FlitPool::new();
-/// let train = pool.checkout(); // fresh allocation
-/// pool.recycle(train);
-/// let again = pool.checkout(); // reuses the freed buffer
-/// assert_eq!(pool.allocated(), 1);
-/// assert_eq!(pool.recycled(), 1);
-/// pool.recycle(again);
-/// assert!(pool.leak_check().is_ok());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FlitPool {
-    free: Vec<Vec<Flit>>,
-    allocated: u64,
-    recycled: u64,
-    outstanding: usize,
-}
-
-impl FlitPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        FlitPool::default()
-    }
-
-    /// Hands out an empty flit-train buffer: a recycled one when the
-    /// freelist has any, else a fresh allocation.
-    pub fn checkout(&mut self) -> Vec<Flit> {
-        self.outstanding += 1;
-        match self.free.pop() {
-            Some(buf) => {
-                self.recycled += 1;
-                buf
-            }
-            None => {
-                self.allocated += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    /// Returns a train buffer to the freelist (cleared, capacity kept).
-    pub fn recycle(&mut self, mut buf: Vec<Flit>) {
-        debug_assert!(self.outstanding > 0, "recycle without checkout");
-        self.outstanding = self.outstanding.saturating_sub(1);
-        buf.clear();
-        self.free.push(buf);
-    }
-
-    /// Number of buffers currently checked out (live flit trains).
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
-    }
-
-    /// Number of fresh heap allocations the pool has made.
-    pub fn allocated(&self) -> u64 {
-        self.allocated
-    }
-
-    /// Number of checkouts served from the freelist (allocation-free).
-    pub fn recycled(&self) -> u64 {
-        self.recycled
-    }
-
-    /// The drain invariant: with no packets in flight, every train
-    /// buffer must be back in the freelist. Returns the number of
-    /// leaked (still-outstanding) buffers on failure.
-    pub fn leak_check(&self) -> Result<(), usize> {
-        if self.outstanding == 0 {
-            Ok(())
-        } else {
-            Err(self.outstanding)
-        }
-    }
-}
-
 impl SnapshotState for FlitFifo {
     fn save_state(&self, w: &mut SnapWriter) {
         w.usize(self.cap);
@@ -770,27 +671,6 @@ impl Snapshot for Assembler {
         Ok(Assembler {
             current: Option::load(r)?,
         })
-    }
-}
-
-impl SnapshotState for FlitPool {
-    fn save_state(&self, w: &mut SnapWriter) {
-        // Freelist buffers are interchangeable empty storage: only the
-        // counters and the freelist size are state; capacities are a
-        // warm-up detail a resumed run re-earns.
-        w.usize(self.free.len());
-        w.u64(self.allocated);
-        w.u64(self.recycled);
-        w.usize(self.outstanding);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let free = r.usize()?;
-        self.free = (0..free).map(|_| Vec::new()).collect();
-        self.allocated = r.u64()?;
-        self.recycled = r.u64()?;
-        self.outstanding = r.usize()?;
-        Ok(())
     }
 }
 
@@ -949,109 +829,6 @@ mod tests {
         let mut a = Assembler::new();
         a.push(a1);
         a.push(b1);
-    }
-}
-
-#[cfg(test)]
-mod flit_pool_tests {
-    use super::*;
-    use crate::packet::{NodeId, Packet, PacketKind, PacketStore, TxnId};
-    use ringmesh_faults::ConservationLedger;
-
-    #[test]
-    fn recycles_instead_of_reallocating() {
-        let mut pool = FlitPool::new();
-        let a = pool.checkout();
-        let b = pool.checkout();
-        assert_eq!(pool.allocated(), 2);
-        assert_eq!(pool.outstanding(), 2);
-        pool.recycle(a);
-        pool.recycle(b);
-        // Steady state: every further checkout is allocation-free.
-        for _ in 0..100 {
-            let t = pool.checkout();
-            pool.recycle(t);
-        }
-        assert_eq!(pool.allocated(), 2);
-        assert_eq!(pool.recycled(), 100);
-        assert!(pool.leak_check().is_ok());
-    }
-
-    #[test]
-    fn recycled_buffers_come_back_empty_with_capacity() {
-        let mut store = PacketStore::new();
-        let r = store.insert(Packet {
-            txn: TxnId::new(0),
-            kind: PacketKind::ReadResp,
-            src: NodeId::new(0),
-            dst: NodeId::new(1),
-            flits: 3,
-            injected_at: 0,
-        });
-        let mut pool = FlitPool::new();
-        let mut train = pool.checkout();
-        for seq in 0..3 {
-            train.push(Flit {
-                packet: r,
-                seq,
-                is_tail: seq == 2,
-            });
-        }
-        pool.recycle(train);
-        let reused = pool.checkout();
-        assert!(reused.is_empty(), "recycled train must be cleared");
-        assert!(reused.capacity() >= 3, "recycled train keeps its storage");
-        pool.recycle(reused);
-    }
-
-    #[test]
-    fn leak_check_reports_outstanding_trains() {
-        let mut pool = FlitPool::new();
-        let held = pool.checkout();
-        assert_eq!(pool.leak_check(), Err(1));
-        pool.recycle(held);
-        assert_eq!(pool.leak_check(), Ok(()));
-    }
-
-    /// The pool's checkout/recycle accounting mirrors the packet
-    /// conservation ledger: one train per tracked packet, and the two
-    /// drain invariants (ledger `verify`, pool `leak_check`) hold or
-    /// fail together.
-    #[test]
-    fn pool_accounting_tracks_conservation_ledger() {
-        let mut store = PacketStore::new();
-        let mut ledger = ConservationLedger::new(true);
-        let mut pool = FlitPool::new();
-        let mut trains = Vec::new();
-        for i in 0..8u64 {
-            let r = store.insert(Packet {
-                txn: TxnId::new(i),
-                kind: PacketKind::ReadReq,
-                src: NodeId::new(0),
-                dst: NodeId::new(1),
-                flits: 4,
-                injected_at: 0,
-            });
-            ledger.inject(r.slot());
-            trains.push((r, pool.checkout()));
-        }
-        assert_eq!(pool.outstanding() as u64, store.live());
-        // Mid-flight: both invariants must fail in the same way.
-        assert!(ledger.verify(0).is_err());
-        assert!(pool.leak_check().is_err());
-        // Complete every packet; its train goes back to the pool.
-        for (r, train) in trains {
-            let slot = r.slot();
-            store.remove(r);
-            ledger.complete(slot, false);
-            pool.recycle(train);
-        }
-        assert_eq!(store.live(), 0);
-        ledger.verify(store.live()).expect("ledger must balance");
-        pool.leak_check().expect("no trains may leak");
-        let (inj, del, drp) = ledger.counts();
-        assert_eq!((inj, del, drp), (8, 8, 0));
-        assert_eq!(pool.recycled() + pool.allocated(), inj);
     }
 }
 

@@ -47,7 +47,7 @@ mod netcore;
 mod packet;
 mod topology;
 
-pub use buffer::{Assembler, DrainState, FifoBank, FlitFifo, FlitPool, PacketQueue};
+pub use buffer::{Assembler, DrainState, FifoBank, FlitFifo, PacketQueue};
 pub use config::{
     mesh_nic_buffer_bytes, ring_nic_buffer_bytes, BufferRegime, CacheLineSize, PacketFormat,
 };

@@ -46,7 +46,7 @@ pub use builder::{RingBuilder, SlottedBuilder};
 pub use config::RingConfig;
 pub use network::RingNetwork;
 pub use slotted::SlottedRingNetwork;
-pub use topology::{RingAction, RingSpec, RingTopology, RouteTable, StationKind};
+pub use topology::{RingAction, RingSpec, RingTopology, StationKind};
 
 /// The ring tier, re-exported for the hybrid ring-mesh network
 /// (`ringmesh-hybrid`), whose local rings are the same NIC/IRI stations

@@ -18,67 +18,53 @@
 use std::collections::VecDeque;
 
 use ringmesh_net::{
-    DrainState, Flit, FlitPool, LevelUtil, NetCore, NodeId, Packet, PacketRef, PacketStore,
-    QueueClass, UtilizationReport,
+    DrainState, Flit, LevelUtil, NetCore, NodeId, Packet, PacketRef, PacketStore, QueueClass,
+    UtilizationReport,
 };
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use ringmesh_trace::Counter;
 
-use crate::topology::{RingAction, RingSpec, RingTopology, RouteTable, StationKind};
+use crate::topology::{RingAction, RingSpec, RingTopology, StationKind};
 use crate::RingConfig;
 
 /// Reassembles per-packet flit streams that may interleave with other
-/// packets (slotted rings do not enforce wormhole contiguity).
-///
-/// Flit trains are staged in buffers checked out of a shared
-/// [`FlitPool`], so steady-state reassembly allocates nothing: each
-/// completed packet returns its buffer for the next one.
+/// packets (slotted rings do not enforce wormhole contiguity). A
+/// packet's flits arrive in order, so counting them is enough.
 #[derive(Debug, Default)]
 struct SlotAssembler {
-    /// `(packet, staged flits)` for packets mid-assembly. Small and
+    /// `(packet, flits arrived)` for packets mid-assembly. Small and
     /// scanned linearly: a PM rarely assembles more than a handful of
     /// packets at once.
-    partial: Vec<(PacketRef, Vec<Flit>)>,
+    partial: Vec<(PacketRef, u32)>,
 }
 
 impl SlotAssembler {
     /// Accepts a flit; returns the packet when its tail completes it.
-    /// Train buffers come from `pool` and are recycled on completion.
-    fn push(&mut self, flit: Flit, pool: &mut FlitPool) -> Option<PacketRef> {
-        match self.partial.iter_mut().find(|(r, _)| *r == flit.packet) {
-            Some((_, train)) => {
-                debug_assert_eq!(train.len() as u32, flit.seq, "out-of-order slotted flit");
-                train.push(flit);
+    fn push(&mut self, flit: Flit) -> Option<PacketRef> {
+        match self.partial.iter().position(|&(r, _)| r == flit.packet) {
+            Some(i) => {
+                debug_assert_eq!(self.partial[i].1, flit.seq, "out-of-order slotted flit");
+                if flit.is_tail {
+                    self.partial.swap_remove(i);
+                } else {
+                    self.partial[i].1 += 1;
+                }
             }
             None => {
                 debug_assert!(flit.is_head(), "mid-packet flit without assembly state");
-                if flit.is_tail {
-                    // Single-flit packet: complete without staging.
-                    return Some(flit.packet);
+                if !flit.is_tail {
+                    self.partial.push((flit.packet, 1));
                 }
-                let mut train = pool.checkout();
-                train.push(flit);
-                self.partial.push((flit.packet, train));
             }
         }
-        if flit.is_tail {
-            let idx = self
-                .partial
-                .iter()
-                .position(|(r, _)| *r == flit.packet)
-                .expect("just updated");
-            let (_, train) = self.partial.swap_remove(idx);
-            pool.recycle(train);
-            Some(flit.packet)
-        } else {
-            None
-        }
+        flit.is_tail.then_some(flit.packet)
     }
 }
 
-/// Per-station outgoing state: ring-changing flits pass straight
-/// through (`crossing`), while locally-originated packets queue per
-/// class and serialize one flit at a time into passing empty slots.
+/// One station side's outgoing state: flits crossing onto this side's
+/// ring pass straight through (`crossing`), while locally-originated
+/// packets queue per class and serialize one flit at a time into
+/// passing empty slots.
 #[derive(Debug, Default)]
 struct Outbox {
     crossing: VecDeque<Flit>,
@@ -95,14 +81,10 @@ impl Outbox {
         }
     }
 
-    /// Accepts a flit crossing rings; crossings re-serialize through
-    /// the outbox in arrival order, preserving per-packet order.
-    fn drain_continue(&mut self, flit: Flit) {
-        self.crossing.push_back(flit);
-    }
-
     /// The next flit to inject, if any: ring-changing traffic first
     /// (the IRI priority rule), then local responses, then requests.
+    /// Crossings re-serialize in arrival order, preserving per-packet
+    /// order.
     fn next_flit(&mut self, store: &PacketStore) -> Option<Flit> {
         if let Some(flit) = self.crossing.pop_front() {
             return Some(flit);
@@ -114,41 +96,46 @@ impl Outbox {
         Some(self.drain.emit())
     }
 
+    /// Local packets held, of either class: queued plus the one being
+    /// sent.
     fn len(&self) -> usize {
         self.resp.len() + self.req.len() + usize::from(self.drain.is_active())
     }
 }
 
-impl SnapshotState for SlotAssembler {
-    fn save_state(&self, w: &mut SnapWriter) {
+impl Snapshot for SlotAssembler {
+    fn save(&self, w: &mut SnapWriter) {
         self.partial.save(w);
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        // Trains are rebuilt from the snapshot rather than checked out
-        // of the pool: the pool's outstanding counter (restored
-        // separately) already accounts for them, and completion recycles
-        // them back as usual.
-        self.partial = Snapshot::load(r)?;
-        Ok(())
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(SlotAssembler {
+            partial: Snapshot::load(r)?,
+        })
     }
 }
 
-impl SnapshotState for Outbox {
-    fn save_state(&self, w: &mut SnapWriter) {
+impl Snapshot for Outbox {
+    fn save(&self, w: &mut SnapWriter) {
         self.crossing.save(w);
         self.resp.save(w);
         self.req.save(w);
         self.drain.save(w);
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.crossing = Snapshot::load(r)?;
-        self.resp = Snapshot::load(r)?;
-        self.req = Snapshot::load(r)?;
-        self.drain = DrainState::load(r)?;
-        Ok(())
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Outbox {
+            crossing: Snapshot::load(r)?,
+            resp: Snapshot::load(r)?,
+            req: Snapshot::load(r)?,
+            drain: Snapshot::load(r)?,
+        })
     }
+}
+
+/// Index of station `st`'s `side` in the per-side outbox table.
+fn side_index(st: u32, side: u8) -> usize {
+    st as usize * 2 + usize::from(side)
 }
 
 /// A hierarchical ring network with slotted (non-blocking) switching.
@@ -182,26 +169,15 @@ impl SnapshotState for Outbox {
 #[derive(Debug)]
 pub struct SlottedRingNetwork {
     topo: RingTopology,
-    /// Flat routing-decision table; replaces per-flit `topo.action`
-    /// recomputation on the slot-service path.
-    routes: RouteTable,
-    /// `(ring, position, station, side)` service schedule, flattened
-    /// once at construction so the per-cycle station loop neither
-    /// clones member lists nor chases the topology.
-    service_order: Vec<(u32, u32, u32, u8)>,
     core: NetCore,
     /// One slot vector per ring, indexed by member position; `slots[r][i]`
-    /// is the slot that station `members[i]` examines this cycle.
+    /// is the slot that station side `members[i]` examines this cycle.
     slots: Vec<Vec<Option<Flit>>>,
-    /// PM outboxes (indexed by PM) and IRI up/down outboxes (indexed by
-    /// station id): slotted crossings queue in elastic outboxes on the
-    /// target ring's side.
-    pm_out: Vec<Outbox>,
-    iri_up: Vec<Outbox>,
-    iri_down: Vec<Outbox>,
+    /// One outbox per station side, at [`side_index`]: a NIC's PM
+    /// queues at its side 0, and a flit leaving the ring at one side of
+    /// an IRI queues at the IRI's other side.
+    outboxes: Vec<Outbox>,
     assemblers: Vec<SlotAssembler>,
-    /// Shared reassembly-buffer pool; see [`Self::pool_stats`].
-    pool: FlitPool,
     ring_flits: Vec<u64>,
     reset_cycle: u64,
 }
@@ -213,107 +189,27 @@ impl SlottedRingNetwork {
     /// supported in this extension).
     pub fn new(spec: &RingSpec, cfg: RingConfig) -> Self {
         let topo = RingTopology::new(spec);
-        let slots: Vec<Vec<Option<Flit>>> = topo
-            .rings()
-            .map(|(_, r)| vec![None; r.members.len()])
-            .collect();
-        let mut service_order = Vec::new();
-        for (rid, info) in topo.rings() {
-            for (pos, &(st, side)) in info.members.iter().enumerate() {
-                service_order.push((rid, pos as u32, st, side));
-            }
-        }
-        let routes = topo.route_table();
-        let n_st = topo.num_stations();
-        let pms = topo.num_pms() as usize;
-        let num_rings = topo.num_rings();
         SlottedRingNetwork {
-            topo,
-            routes,
-            service_order,
+            slots: topo
+                .rings()
+                .map(|(_, r)| vec![None; r.members.len()])
+                .collect(),
+            outboxes: (0..topo.num_stations() * 2)
+                .map(|_| Outbox::default())
+                .collect(),
+            assemblers: (0..topo.num_pms())
+                .map(|_| SlotAssembler::default())
+                .collect(),
+            ring_flits: vec![0; topo.num_rings()],
             core: NetCore::new(cfg.watchdog_horizon),
-            slots,
-            pm_out: (0..pms).map(|_| Outbox::default()).collect(),
-            iri_up: (0..n_st).map(|_| Outbox::default()).collect(),
-            iri_down: (0..n_st).map(|_| Outbox::default()).collect(),
-            assemblers: (0..pms).map(|_| SlotAssembler::default()).collect(),
-            pool: FlitPool::new(),
-            ring_flits: vec![0; num_rings],
             reset_cycle: 0,
+            topo,
         }
     }
 
     /// The expanded topology.
     pub fn topology(&self) -> &RingTopology {
         &self.topo
-    }
-
-    /// `(fresh allocations, recycled checkouts, outstanding buffers)`
-    /// of the reassembly flit pool. After a full drain `outstanding`
-    /// is 0; in steady state `recycled` dominates `allocated`, which is
-    /// the zero-allocation property the pool exists to provide.
-    pub fn pool_stats(&self) -> (u64, u64, usize) {
-        (
-            self.pool.allocated(),
-            self.pool.recycled(),
-            self.pool.outstanding(),
-        )
-    }
-
-    /// One station's interaction with the slot currently at its
-    /// position on ring `rid`: drain it if addressed here, else leave
-    /// it; fill an empty slot from the local outbox.
-    fn service_slot(
-        &mut self,
-        rid: u32,
-        pos: usize,
-        st: u32,
-        side: u8,
-        delivered: &mut Vec<(NodeId, Packet)>,
-        moved: &mut u64,
-    ) {
-        // Drain: does the occupying flit leave the ring here?
-        if let Some(flit) = self.slots[rid as usize][pos] {
-            let dst = self.core.store().get(flit.packet).dst;
-            match self.routes.action(st, side, dst) {
-                RingAction::Eject => {
-                    let pm = match self.topo.station(st) {
-                        StationKind::Nic { pm } => pm,
-                        StationKind::Iri { .. } => unreachable!("eject at IRI"),
-                    };
-                    self.slots[rid as usize][pos] = None;
-                    *moved += 1;
-                    if let Some(done) = self.assemblers[pm.index()].push(flit, &mut self.pool) {
-                        self.core.deliver(done, pm, delivered);
-                    }
-                }
-                RingAction::Up => {
-                    self.slots[rid as usize][pos] = None;
-                    self.iri_up[st as usize].drain_continue(flit);
-                    *moved += 1;
-                }
-                RingAction::Down => {
-                    self.slots[rid as usize][pos] = None;
-                    self.iri_down[st as usize].drain_continue(flit);
-                    *moved += 1;
-                }
-                RingAction::Forward => {}
-            }
-        }
-        // Fill: an empty slot takes the next outgoing flit (the PM's
-        // outbox at NICs; the down outbox on an IRI's lower side, the
-        // up outbox on its upper side).
-        if self.slots[rid as usize][pos].is_none() {
-            let outbox = match (self.topo.station(st), side) {
-                (StationKind::Nic { pm }, _) => &mut self.pm_out[pm.index()],
-                (StationKind::Iri { .. }, 0) => &mut self.iri_down[st as usize],
-                (StationKind::Iri { .. }, _) => &mut self.iri_up[st as usize],
-            };
-            if let Some(flit) = outbox.next_flit(self.core.store()) {
-                self.slots[rid as usize][pos] = Some(flit);
-                *moved += 1;
-            }
-        }
     }
 }
 
@@ -331,31 +227,62 @@ impl ringmesh_net::Kernel for SlottedRingNetwork {
     }
 
     fn can_inject(&self, pm: NodeId, _class: QueueClass) -> bool {
-        // Slotted NIC outboxes are elastic but we keep the paper's
-        // one-packet pacing per class at the PM boundary.
-        self.pm_out[pm.index()].len() < 2
+        // The outbox is elastic, but the PM may hand it a packet of
+        // either class only while it holds fewer than two local packets
+        // in all (queued responses and requests plus the one being
+        // sent).
+        self.outboxes[side_index(self.topo.nic_of(pm), 0)].len() < 2
     }
 
     fn enqueue(&mut self, pm: NodeId, class: QueueClass, packet: PacketRef) {
-        self.pm_out[pm.index()].enqueue(class, packet);
+        self.outboxes[side_index(self.topo.nic_of(pm), 0)].enqueue(class, packet);
     }
 
     fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64 {
         let mut moved = 0u64;
         // 1. Rotate every ring by one position (slots advance); one
         //    occupancy pass feeds both progress and utilization counts.
-        for r in 0..self.slots.len() {
-            self.slots[r].rotate_right(1);
-            let occupied = self.slots[r].iter().flatten().count() as u64;
+        for (slots, flits) in self.slots.iter_mut().zip(&mut self.ring_flits) {
+            slots.rotate_right(1);
+            let occupied = slots.iter().flatten().count() as u64;
             moved += occupied;
-            self.ring_flits[r] += occupied;
+            *flits += occupied;
         }
-        // 2. Every station services the slot now at its position, in
-        //    the service order flattened at construction (no per-cycle
-        //    member-list clones).
-        for i in 0..self.service_order.len() {
-            let (rid, pos, st, side) = self.service_order[i];
-            self.service_slot(rid, pos as usize, st, side, delivered, &mut moved);
+        // 2. Every station side, ring by ring in member order, services
+        //    the slot now at its position: drain it if the flit leaves
+        //    the ring here, then fill it if it is empty.
+        for (rid, ring) in self.topo.rings() {
+            let slots = &mut self.slots[rid as usize];
+            for (slot, &(st, side)) in slots.iter_mut().zip(&ring.members) {
+                if let Some(flit) = *slot {
+                    let dst = self.core.store().get(flit.packet).dst;
+                    match self.topo.action(st, side, dst) {
+                        RingAction::Forward => {}
+                        RingAction::Eject => {
+                            let StationKind::Nic { pm } = self.topo.station(st) else {
+                                unreachable!("eject at IRI")
+                            };
+                            *slot = None;
+                            moved += 1;
+                            if let Some(done) = self.assemblers[pm.index()].push(flit) {
+                                self.core.deliver(done, pm, delivered);
+                            }
+                        }
+                        // A crossing re-enters at the IRI's other side.
+                        RingAction::Up | RingAction::Down => {
+                            *slot = None;
+                            moved += 1;
+                            self.outboxes[side_index(st, side) ^ 1]
+                                .crossing
+                                .push_back(flit);
+                        }
+                    }
+                }
+                if slot.is_none() {
+                    *slot = self.outboxes[side_index(st, side)].next_flit(self.core.store());
+                    moved += u64::from(slot.is_some());
+                }
+            }
         }
         self.core.tracer().count(Counter::FlitsForwarded, moved);
         moved
@@ -392,17 +319,8 @@ impl ringmesh_net::Kernel for SlottedRingNetwork {
 
     fn save_kernel(&self, w: &mut SnapWriter) {
         self.slots.save(w);
-        for group in [&self.pm_out, &self.iri_up, &self.iri_down] {
-            w.usize(group.len());
-            for outbox in group {
-                outbox.save_state(w);
-            }
-        }
-        w.usize(self.assemblers.len());
-        for asm in &self.assemblers {
-            asm.save_state(w);
-        }
-        self.pool.save_state(w);
+        self.outboxes.save(w);
+        self.assemblers.save(w);
         w.u64(self.core.cycle());
         self.ring_flits.save(w);
         w.u64(self.reset_cycle);
@@ -413,21 +331,8 @@ impl ringmesh_net::Kernel for SlottedRingNetwork {
         for (i, ring) in self.slots.iter_mut().enumerate() {
             *ring = r.vec_exact(ring.len(), &format!("ring {i} slot count"))?;
         }
-        for (label, group) in [
-            ("PM outbox count", &mut self.pm_out),
-            ("IRI up outbox count", &mut self.iri_up),
-            ("IRI down outbox count", &mut self.iri_down),
-        ] {
-            r.len_exact(group.len(), label)?;
-            for outbox in group.iter_mut() {
-                outbox.restore_state(r)?;
-            }
-        }
-        r.len_exact(self.assemblers.len(), "assembler count")?;
-        for asm in &mut self.assemblers {
-            asm.restore_state(r)?;
-        }
-        self.pool.restore_state(r)?;
+        self.outboxes = r.vec_exact(self.outboxes.len(), "station side count")?;
+        self.assemblers = r.vec_exact(self.assemblers.len(), "assembler count")?;
         let cycle = r.u64()?;
         self.ring_flits = r.vec_exact(self.ring_flits.len(), "ring count")?;
         self.reset_cycle = r.u64()?;
@@ -517,11 +422,9 @@ mod tests {
     }
 
     #[test]
-    fn reassembly_pool_recycles_and_drains() {
+    fn drained_network_holds_no_partial_packets() {
         // Drive the all-pairs flow: when the network's ledger balances
-        // with nothing in flight, the reassembly pool must hold zero
-        // outstanding buffers, and steady-state traffic must be served
-        // by recycling rather than fresh allocation.
+        // with nothing in flight, no PM may still hold an assembly open.
         let cfg = RingConfig::new(CacheLineSize::B64);
         let spec: RingSpec = "2:2:3".parse().unwrap();
         let p = spec.num_pms();
@@ -550,16 +453,9 @@ mod tests {
         }
         net.verify_conservation().unwrap();
         assert_eq!(net.conservation_counts(), Some((txn, txn, 0)));
-        let (allocated, recycled, outstanding) = net.pool_stats();
-        assert_eq!(outstanding, 0, "drained network leaked pool buffers");
         assert!(
-            recycled > allocated,
-            "pool should recycle in steady state (allocated={allocated} recycled={recycled})"
-        );
-        assert_eq!(
-            allocated + recycled,
-            txn,
-            "one checkout per multi-flit packet"
+            net.assemblers.iter().all(|a| a.partial.is_empty()),
+            "drained network left an assembly open"
         );
     }
 

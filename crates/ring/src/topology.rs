@@ -338,29 +338,6 @@ impl RingTopology {
         }
     }
 
-    /// Precomputes [`action`](Self::action) for every `(station, side,
-    /// destination)` triple as a flat indexed table. The per-flit
-    /// routing decision in the simulation hot loop becomes a single
-    /// array load instead of a station-kind match plus interval test.
-    pub fn route_table(&self) -> RouteTable {
-        let pms = self.num_pms() as usize;
-        let stations = self.num_stations();
-        let mut actions = vec![RingAction::Forward; stations * 2 * pms];
-        for st in 0..stations as u32 {
-            let sides: &[u8] = match self.station(st) {
-                StationKind::Nic { .. } => &[0],
-                StationKind::Iri { .. } => &[0, 1],
-            };
-            for &side in sides {
-                for dst in 0..pms as u32 {
-                    actions[(st as usize * 2 + side as usize) * pms + dst as usize] =
-                        self.action(st, side, NodeId::new(dst));
-                }
-            }
-        }
-        RouteTable { actions, pms }
-    }
-
     /// The unique route from `src` to `dst`: every station a packet
     /// reaches after leaving `src`'s NIC, with what it does there,
     /// ending with `dst`'s NIC and [`RingAction::Eject`].
@@ -456,29 +433,6 @@ impl StationMap for RingTopology {
     fn link(&self, st: u32, side: u8) -> Option<(u32, SideRef)> {
         let (st, side) = (st as usize, side as usize);
         self.ring_of[st][side].zip(self.next[st][side])
-    }
-}
-
-/// Precomputed routing actions for every `(station, side, destination)`
-/// triple of a [`RingTopology`], built once with
-/// [`RingTopology::route_table`] and consulted with a single indexed
-/// load per flit.
-#[derive(Debug, Clone)]
-pub struct RouteTable {
-    /// `actions[(st * 2 + side) * pms + dst]`; sides a station does not
-    /// have are filled with `Forward` and never queried.
-    actions: Vec<RingAction>,
-    pms: usize,
-}
-
-impl RouteTable {
-    /// The routing decision for a packet destined to `dst` observed at
-    /// station `st` on ring side `side`. Equivalent to
-    /// [`RingTopology::action`] on the topology this table was built
-    /// from.
-    #[inline]
-    pub fn action(&self, st: u32, side: u8, dst: NodeId) -> RingAction {
-        self.actions[(st as usize * 2 + side as usize) * self.pms + dst.index()]
     }
 }
 
@@ -621,30 +575,6 @@ mod tests {
         // Parent-ring side: descend into subtree, else continue.
         assert_eq!(t.action(iri, 1, NodeId::new(1)), RingAction::Down);
         assert_eq!(t.action(iri, 1, NodeId::new(4)), RingAction::Forward);
-    }
-
-    #[test]
-    fn route_table_matches_action_exhaustively() {
-        for spec in ["4", "2:3", "2:3:4", "2:2:3"] {
-            let t = topo(spec);
-            let table = t.route_table();
-            for st in 0..t.num_stations() as u32 {
-                let sides: &[u8] = match t.station(st) {
-                    StationKind::Nic { .. } => &[0],
-                    StationKind::Iri { .. } => &[0, 1],
-                };
-                for &side in sides {
-                    for dst in 0..t.num_pms() {
-                        let d = NodeId::new(dst);
-                        assert_eq!(
-                            table.action(st, side, d),
-                            t.action(st, side, d),
-                            "{spec}: st={st} side={side} dst={dst}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -127,7 +127,8 @@ const GOLDEN: [Golden; 9] = [
         spec: "slotted:2:3:4",
         run: 0x69a1_0c35_1bab_f6bd,
         faulty: None,
-        checkpoint_bytes: [0x86ed_3b07_8342_d29f, 0xa7cf_64f7_4220_1530],
+        // One outbox per station side since cbc79d5 ([0x86ed_3b07_8342_d29f, 0xa7cf_64f7_4220_1530]).
+        checkpoint_bytes: [0x8cb9_9d73_ea1a_028c, 0x321e_8dd0_fa63_3ae7],
         chrome_json: 0x2f2d_cc27_6724_7826,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
     },
@@ -228,6 +229,30 @@ fn a_hybrid_checkpoint_from_before_the_ring_tier_is_an_error() {
     let bytes = include_bytes!("fixtures/hybrid-2x2-2-pr20.ckpt");
     match system.restore(&mut state, bytes) {
         Err(SnapError::Mismatch(msg)) => assert!(msg.contains("station count"), "{msg}"),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// A slotted-ring checkpoint in the layout before its outboxes became
+/// one per station side (`fixtures/`: cycle 1 200 of `slotted:2:3:4`,
+/// seed 41, written by a debug build of cbc79d5, which restored it). It
+/// held three outbox tables (per PM, IRI up, IRI down) and staged flit
+/// trains behind a buffer pool; the reader meets the PM outbox count
+/// where the station-side count is, and must say so with an error.
+#[test]
+fn a_slotted_checkpoint_from_before_the_side_outboxes_is_an_error() {
+    let cfg = SystemConfig::new("slotted:2:3:4".parse().unwrap(), CacheLineSize::B32)
+        .with_sim(SimParams {
+            warmup: 800,
+            batch_cycles: 800,
+            batches: 4,
+        })
+        .with_seed(41);
+    let mut system = System::new(cfg).unwrap();
+    let mut state = system.begin();
+    let bytes = include_bytes!("fixtures/slotted-2-3-4-cbc79d5.ckpt");
+    match system.restore(&mut state, bytes) {
+        Err(SnapError::Mismatch(msg)) => assert!(msg.contains("station side count"), "{msg}"),
         other => panic!("{other:?}"),
     }
 }

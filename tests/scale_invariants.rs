@@ -206,42 +206,67 @@ fn mesh_64_system_setup_is_three_blocks_a_pm() {
     );
 }
 
-/// What building the benchmark's `sweep_mixed` ring and hybrid systems
-/// allocates, summed over its ten specs, may not exceed what it was
-/// before both kernels shared one ring tier: the literals were read on
-/// f38ca94, where the debug profile tier-1 uses and release agree. A
+/// What building the benchmark's `sweep_mixed` ring-family systems
+/// allocates, summed per family over its specs, may not exceed what it
+/// was before that family's last reshaping. Each row is checked on its
+/// own, so slack on one family cannot hide growth on another. A
 /// sub-millisecond `setup_s` is too noisy to guard this; the allocator
 /// is not.
 #[test]
-fn ring_and_hybrid_setup_allocates_no_more_than_before_the_ring_tier() {
-    // The ring and hybrid rows of
-    // `benchmark/src/inputs.rs::SWEEP_TOPOLOGIES`.
-    const SPECS: [&str; 10] = [
-        "ring:2:2:4",
-        "ring:2:3:6",
-        "ring:2:2:4:4",
-        "ring:2:2:5:5",
-        "ring:2:3:4:6",
-        "hybrid:2x2:4",
-        "hybrid:3x3:4",
-        "hybrid:4x4:4",
-        "hybrid:5x5:4",
-        "hybrid:6x6:4",
+fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping() {
+    // Rows of `benchmark/src/inputs.rs::SWEEP_TOPOLOGIES`, with the
+    // blocks and bytes `System::new` allocated for them on the parent
+    // commit named. The debug profile tier-1 uses and release agree on
+    // both: the ledger tracks per slot only under `debug_assertions`,
+    // and it allocates nothing before the first packet.
+    const ROWS: [(&[&str], usize, usize); 2] = [
+        // f38ca94, before the ring and the hybrid shared one ring tier.
+        (
+            &[
+                "ring:2:2:4",
+                "ring:2:3:6",
+                "ring:2:2:4:4",
+                "ring:2:2:5:5",
+                "ring:2:3:4:6",
+                "hybrid:2x2:4",
+                "hybrid:3x3:4",
+                "hybrid:4x4:4",
+                "hybrid:5x5:4",
+                "hybrid:6x6:4",
+            ],
+            4_016,
+            1_293_748,
+        ),
+        // cbc79d5, with a stations × 2 × PMs route table and three
+        // outbox tables.
+        (
+            &[
+                "slotted:2:2:4",
+                "slotted:2:3:6",
+                "slotted:2:2:4:4",
+                "slotted:2:2:5:5",
+                "slotted:2:3:4:6",
+            ],
+            493,
+            461_160,
+        ),
     ];
-    const PARENT_BLOCKS: usize = 4_016;
-    const PARENT_BYTES: usize = 1_293_748;
-    let (mut blocks, mut bytes) = (0, 0);
-    for spec in SPECS {
-        let (b, n) = system_setup(spec);
-        blocks += b;
-        bytes += n;
+    for (specs, parent_blocks, parent_bytes) in ROWS {
+        let (mut blocks, mut bytes) = (0, 0);
+        for spec in specs {
+            let (b, n) = system_setup(spec);
+            blocks += b;
+            bytes += n;
+        }
+        assert!(
+            blocks <= parent_blocks,
+            "{}: {blocks} blocks against {parent_blocks}",
+            specs[0]
+        );
+        assert!(
+            bytes <= parent_bytes,
+            "{}: {bytes} bytes against {parent_bytes}",
+            specs[0]
+        );
     }
-    assert!(
-        blocks <= PARENT_BLOCKS,
-        "{blocks} blocks against {PARENT_BLOCKS}"
-    );
-    assert!(
-        bytes <= PARENT_BYTES,
-        "{bytes} bytes against {PARENT_BYTES}"
-    );
 }
