@@ -424,15 +424,6 @@ impl System {
         self.workload.stats()
     }
 
-    /// Installs a tracer on the network. Streaming servers attach
-    /// custom [`ringmesh_trace`] sinks this way and drain them between
-    /// [`run_to`](Self::run_to) pauses
-    /// ([`run_traced`](Self::run_traced) is the whole-run convenience
-    /// form).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.net.set_tracer(tracer);
-    }
-
     /// Serializes the full mutable simulation state — network, workload
     /// and measurement loop — between cycles. A [`System`] freshly
     /// built from the same [`SystemConfig`] can

@@ -17,8 +17,8 @@
 //!   eject) with bounded memory (ring buffer plus transaction
 //!   sampling), exportable as Chrome-trace JSON loadable in Perfetto.
 //!
-//! The emit side is [`Tracer`]: a registry of [`TraceSink`]s that
-//! defaults to empty. Instrumented code holds a `Tracer` and calls
+//! The emit side is [`Tracer`]: a [`Recorder`] or nothing, and nothing
+//! by default. Instrumented code holds a `Tracer` and calls
 //! `count`/`gauge`/`event`; every method starts with an inlined
 //! enabled-check, so an un-traced simulation pays a predictable
 //! never-taken branch at worst — hot loops guard a whole block with
@@ -50,7 +50,6 @@ mod heatmap;
 mod metric;
 mod recorder;
 mod report;
-mod sink;
 mod tracer;
 
 pub use event::{EventKind, FlitEvent, TraceLoc};
@@ -58,5 +57,4 @@ pub use heatmap::{Heatmap, HeatmapId};
 pub use metric::{Counter, Gauge};
 pub use recorder::{Recorder, TraceConfig};
 pub use report::{CounterReport, GaugeReport, TraceReport};
-pub use sink::{NopSink, TraceSink};
 pub use tracer::Tracer;

@@ -1,5 +1,6 @@
-//! The standard in-memory sink: windowed metrics, heatmaps and a
-//! bounded flit-event buffer, finalized into a [`TraceReport`].
+//! The in-memory recorder behind a [`crate::Tracer`]: windowed metrics,
+//! heatmaps and a bounded flit-event buffer, finalized into a
+//! [`TraceReport`].
 
 use std::collections::VecDeque;
 
@@ -7,7 +8,6 @@ use crate::event::{EventKind, FlitEvent};
 use crate::heatmap::{Heatmap, HeatmapId};
 use crate::metric::{Counter, Gauge};
 use crate::report::{CounterReport, GaugeReport, TraceReport};
-use crate::sink::TraceSink;
 
 /// Knobs for a recording tracer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,9 +68,8 @@ struct GaugeCell {
     windows: Vec<f64>,
 }
 
-/// Collects everything the tracer emits. Implements [`TraceSink`]; the
-/// registry drives it like any other sink, but it is also the only sink
-/// the tracer knows how to turn into a [`TraceReport`].
+/// Collects everything the tracer emits, and turns it into a
+/// [`TraceReport`].
 #[derive(Debug, Clone)]
 pub struct Recorder {
     cfg: TraceConfig,
@@ -191,10 +190,9 @@ impl Recorder {
             events_dropped: self.events_dropped,
         }
     }
-}
 
-impl TraceSink for Recorder {
-    fn on_cycle(&mut self, cycle: u64) {
+    /// A new simulation cycle is beginning.
+    pub(crate) fn on_cycle(&mut self, cycle: u64) {
         if self.first_cycle.is_none() {
             self.first_cycle = Some(cycle);
         }
@@ -210,13 +208,15 @@ impl TraceSink for Recorder {
         }
     }
 
-    fn on_count(&mut self, c: Counter, n: u64) {
+    /// `n` more occurrences of counter `c`.
+    pub(crate) fn on_count(&mut self, c: Counter, n: u64) {
         let cell = &mut self.counters[c as usize];
         cell.total += n;
         cell.in_window += n;
     }
 
-    fn on_gauge(&mut self, g: Gauge, value: f64) {
+    /// An instantaneous reading of gauge `g`.
+    pub(crate) fn on_gauge(&mut self, g: Gauge, value: f64) {
         let cell = &mut self.gauges[g as usize];
         cell.sum += value;
         cell.samples += 1;
@@ -224,11 +224,13 @@ impl TraceSink for Recorder {
         cell.in_window_samples += 1;
     }
 
-    fn on_heatmap(&mut self, id: HeatmapId, row: usize, col: usize, n: u64) {
+    /// `n` more events in cell (row, col) of heatmap `id`.
+    pub(crate) fn on_heatmap(&mut self, id: HeatmapId, row: usize, col: usize, n: u64) {
         self.heatmaps[id.0].bump(row, col, n);
     }
 
-    fn on_event(&mut self, ev: FlitEvent) {
+    /// A flit-lifecycle event for a sampled transaction.
+    pub(crate) fn on_event(&mut self, ev: FlitEvent) {
         debug_assert!(
             matches!(
                 ev.kind,

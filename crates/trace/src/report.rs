@@ -216,7 +216,6 @@ fn slice(pid: u32, tid: u32, ts: u64, name: &str) -> String {
 mod tests {
     use super::*;
     use crate::recorder::{Recorder, TraceConfig};
-    use crate::sink::TraceSink;
     use ringmesh_snap::json::Json;
 
     fn sample_report() -> TraceReport {

@@ -5,26 +5,23 @@ use crate::heatmap::{Heatmap, HeatmapId};
 use crate::metric::{Counter, Gauge};
 use crate::recorder::{Recorder, TraceConfig};
 use crate::report::TraceReport;
-use crate::sink::TraceSink;
 
 /// The emit-side handle instrumented code holds.
 ///
-/// A `Tracer` is a small registry of sinks. The default,
-/// [`Tracer::off`], has no sinks at all: every emit method starts with
-/// an inlined `is_enabled` check, so un-traced simulations pay one
-/// predictable branch per *call site that is reached*, and call sites
-/// guarded by an outer `is_enabled()` pay nothing. A recording tracer
-/// ([`Tracer::recording`]) owns a [`Recorder`] that can later be
-/// finalized into a [`TraceReport`]; additional custom sinks can be
-/// attached alongside it and receive the same emissions.
+/// A `Tracer` either owns a [`Recorder`] or is off. The default,
+/// [`Tracer::off`], has none: every emit method starts with an inlined
+/// check of that, so un-traced simulations pay one predictable branch
+/// per *call site that is reached*, and call sites guarded by an outer
+/// `is_enabled()` pay nothing. A recording tracer
+/// ([`Tracer::recording`]) can later be finalized into a
+/// [`TraceReport`].
 #[derive(Debug, Default)]
 pub struct Tracer {
     recorder: Option<Box<Recorder>>,
-    sinks: Vec<Box<dyn TraceSink>>,
 }
 
 impl Tracer {
-    /// A disabled tracer: no sinks, every emit a no-op.
+    /// A disabled tracer: every emit a no-op.
     pub fn off() -> Tracer {
         Tracer::default()
     }
@@ -33,27 +30,18 @@ impl Tracer {
     pub fn recording(cfg: TraceConfig) -> Tracer {
         Tracer {
             recorder: Some(Box::new(Recorder::new(cfg))),
-            sinks: Vec::new(),
         }
     }
 
-    /// Attaches an extra sink; it receives every emission alongside the
-    /// recorder (if any). Attaching a sink enables the tracer.
-    pub fn attach(&mut self, sink: Box<dyn TraceSink>) {
-        self.sinks.push(sink);
-    }
-
-    /// Whether any sink is listening. Emit sites with per-flit loops
+    /// Whether a recorder is listening. Emit sites with per-flit loops
     /// should check this once and skip the whole block when false.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.recorder.is_some() || !self.sinks.is_empty()
+        self.recorder.is_some()
     }
 
     /// Registers a heatmap with the recorder and returns its handle,
-    /// or `None` when no recorder is listening (custom sinks receive
-    /// bumps by id regardless; ids are assigned by the recorder, so a
-    /// recorder is required to use heatmaps).
+    /// or `None` when the tracer is off.
     pub fn add_heatmap(&mut self, map: Heatmap) -> Option<HeatmapId> {
         self.recorder.as_mut().map(|r| r.add_heatmap(map))
     }
@@ -63,91 +51,58 @@ impl Tracer {
     /// building events entirely.
     #[inline]
     pub fn samples_txn(&self, txn: u64) -> bool {
-        match &self.recorder {
-            Some(r) => r.samples_txn(txn),
-            None => !self.sinks.is_empty(),
-        }
+        self.recorder.as_ref().is_some_and(|r| r.samples_txn(txn))
     }
 
     /// Announces the start of a simulation cycle (drives window
     /// rollover in the recorder).
     #[inline]
     pub fn cycle(&mut self, cycle: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         if let Some(r) = &mut self.recorder {
             r.on_cycle(cycle);
-        }
-        for s in &mut self.sinks {
-            s.on_cycle(cycle);
         }
     }
 
     /// Adds `n` occurrences to counter `c`.
     #[inline]
     pub fn count(&mut self, c: Counter, n: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         if let Some(r) = &mut self.recorder {
             r.on_count(c, n);
-        }
-        for s in &mut self.sinks {
-            s.on_count(c, n);
         }
     }
 
     /// Records an instantaneous reading of gauge `g`.
     #[inline]
     pub fn gauge(&mut self, g: Gauge, value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
         if let Some(r) = &mut self.recorder {
             r.on_gauge(g, value);
-        }
-        for s in &mut self.sinks {
-            s.on_gauge(g, value);
         }
     }
 
     /// Adds `n` events to cell (row, col) of heatmap `id`.
     #[inline]
     pub fn heatmap(&mut self, id: HeatmapId, row: usize, col: usize, n: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         if let Some(r) = &mut self.recorder {
             r.on_heatmap(id, row, col, n);
-        }
-        for s in &mut self.sinks {
-            s.on_heatmap(id, row, col, n);
         }
     }
 
     /// Records a lifecycle event if its transaction is sampled.
     #[inline]
     pub fn event(&mut self, txn: u64, cycle: u64, at: TraceLoc, kind: EventKind) {
-        if !self.samples_txn(txn) {
-            return;
-        }
-        let ev = FlitEvent {
-            txn,
-            cycle,
-            at,
-            kind,
-        };
         if let Some(r) = &mut self.recorder {
-            r.on_event(ev);
-        }
-        for s in &mut self.sinks {
-            s.on_event(ev);
+            if r.samples_txn(txn) {
+                r.on_event(FlitEvent {
+                    txn,
+                    cycle,
+                    at,
+                    kind,
+                });
+            }
         }
     }
 
-    /// Finalizes the recorder (if any) into a report. Custom sinks are
-    /// dropped; they are expected to have streamed their output.
+    /// Finalizes the recorder (if any) into a report.
     pub fn finish(self) -> Option<TraceReport> {
         self.recorder.map(|r| r.finish())
     }
@@ -156,8 +111,6 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     #[test]
     fn off_tracer_is_disabled_and_reports_nothing() {
@@ -193,36 +146,6 @@ mod tests {
         let rep = t.finish().unwrap();
         assert_eq!(rep.events.len(), 2);
         assert!(rep.events.iter().all(|e| e.txn % 2 == 0));
-    }
-
-    #[derive(Debug)]
-    struct CountingSink(Rc<Cell<u64>>);
-    impl TraceSink for CountingSink {
-        fn on_count(&mut self, _c: Counter, n: u64) {
-            self.0.set(self.0.get() + n);
-        }
-    }
-
-    #[test]
-    fn attached_sinks_see_emissions_alongside_recorder() {
-        let seen = Rc::new(Cell::new(0));
-        let mut t = Tracer::recording(TraceConfig::default());
-        t.attach(Box::new(CountingSink(seen.clone())));
-        t.count(Counter::FlitsForwarded, 7);
-        assert_eq!(seen.get(), 7);
-        let rep = t.finish().unwrap();
-        assert_eq!(rep.counters[Counter::FlitsForwarded as usize].total, 7);
-    }
-
-    #[test]
-    fn custom_sink_alone_enables_tracer_but_yields_no_report() {
-        let seen = Rc::new(Cell::new(0));
-        let mut t = Tracer::off();
-        t.attach(Box::new(CountingSink(seen.clone())));
-        assert!(t.is_enabled());
-        t.count(Counter::FlitsForwarded, 1);
-        assert_eq!(seen.get(), 1);
-        assert!(t.finish().is_none());
     }
 
     #[test]
