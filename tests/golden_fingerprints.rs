@@ -12,6 +12,11 @@
 //! traced nor audited there, so its row says which digests are older
 //! than the core and which are not.
 //!
+//! The `report_text` column is younger than every row: it was captured
+//! for all of them on 1130071, before the ring tier's transit buffers
+//! moved into one bank, to pin the blocked-cycle and IRI-crossing
+//! counters and the occupancy gauges that nothing else pinned.
+//!
 //! The horizon is 2 000 cycles rather than `SimParams::quick()`'s
 //! 9 000 so the table stays near three seconds in a debug build.
 
@@ -36,6 +41,10 @@ struct Golden {
     checkpoint_bytes: [u64; 2],
     chrome_json: u64,
     heatmap_csv: u64,
+    /// The traced run's `TraceReport::to_text()`: its counter and gauge
+    /// tables (blocked cycles, IRI crossings, buffer occupancy), ASCII
+    /// heatmaps and event footer.
+    report_text: u64,
 }
 
 const GOLDEN: [Golden; 9] = [
@@ -48,6 +57,7 @@ const GOLDEN: [Golden; 9] = [
         checkpoint_bytes: [0x756c_a8c1_14a8_3bdf, 0xc49d_2a5f_8f50_6563],
         chrome_json: 0x9d2a_2017_c0e3_27d9,
         heatmap_csv: 0xd37f_c4fd_b93b_bbf5,
+        report_text: 0xb4b6_639f_df79_2669,
     },
     Golden {
         spec: "mesh:12:1flit",
@@ -56,6 +66,7 @@ const GOLDEN: [Golden; 9] = [
         checkpoint_bytes: [0x4578_b54c_0cde_1cfb, 0x10a0_a29b_6044_f239],
         chrome_json: 0x6841_99dc_640d_f34e,
         heatmap_csv: 0x82de_0a01_89a2_07ef,
+        report_text: 0x912a_bbab_d99c_f39f,
     },
     Golden {
         spec: "mesh:5:cl",
@@ -64,6 +75,7 @@ const GOLDEN: [Golden; 9] = [
         checkpoint_bytes: [0x4806_bb2b_b0a5_69da, 0x2e2a_fbc6_f1b7_52ea],
         chrome_json: 0x3c28_cc45_fbe7_1929,
         heatmap_csv: 0x461d_7558_2608_6d0a,
+        report_text: 0xfaaa_51b1_36a6_c5e5,
     },
     // The hybrid registers no heatmap: its CSV digest is FNV-1a of "".
     // Its `checkpoint_bytes` were re-pinned by PR 22, which put its
@@ -81,6 +93,7 @@ const GOLDEN: [Golden; 9] = [
         checkpoint_bytes: [0x32c1_280f_4c03_47b7, 0x3ed0_8713_9a0a_0134],
         chrome_json: 0xf36c_58b9_cd2b_d0eb,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
+        report_text: 0xb012_1cd5_1c68_7762,
     },
     Golden {
         spec: "hybrid:2x2:4",
@@ -89,6 +102,7 @@ const GOLDEN: [Golden; 9] = [
         checkpoint_bytes: [0xdc2e_cc0d_48d3_7ccf, 0x42c1_e388_40ec_2e70],
         chrome_json: 0x80bb_92d2_23dd_4d59,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
+        report_text: 0x406a_612f_e2a4_f4d7,
     },
     // Captured on 5e8e78f (debug and release builds).
     Golden {
@@ -98,6 +112,7 @@ const GOLDEN: [Golden; 9] = [
         checkpoint_bytes: [0x4167_eb83_99e3_d62c, 0x85e2_b7e0_1e8d_14e0],
         chrome_json: 0x1343_f44b_b790_82a7,
         heatmap_csv: 0xc2c4_6fd8_5f2b_ff8f,
+        report_text: 0x073d_96f2_0dc4_6cdf,
     },
     // The double-speed global ring: two kernel ticks per cycle.
     Golden {
@@ -107,6 +122,7 @@ const GOLDEN: [Golden; 9] = [
         checkpoint_bytes: [0xf9a4_c89c_b41c_509f, 0x9fb4_30bd_3cbf_48e1],
         chrome_json: 0x7ce4_61f6_a5dc_88ce,
         heatmap_csv: 0x9a67_c06b_67c6_b7d9,
+        report_text: 0x668a_ce05_a816_acb6,
     },
     // Four levels.
     Golden {
@@ -116,6 +132,7 @@ const GOLDEN: [Golden; 9] = [
         checkpoint_bytes: [0x8d0c_9a5e_7147_7648, 0xbe18_88ac_7634_4962],
         chrome_json: 0x6bbb_40b5_2258_aac7,
         heatmap_csv: 0x0d56_c750_99fb_fb10,
+        report_text: 0x3f80_c51a_20d5_8e89,
     },
     // `run` (plain and resumed) is 5e8e78f's. The other three are not:
     // there the slotted ring refused a tracer, and its checkpoint
@@ -131,6 +148,7 @@ const GOLDEN: [Golden; 9] = [
         checkpoint_bytes: [0x8cb9_9d73_ea1a_028c, 0x321e_8dd0_fa63_3ae7],
         chrome_json: 0x2f2d_cc27_6724_7826,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
+        report_text: 0xfc19_5347_5850_e5bd,
     },
 ];
 
@@ -204,6 +222,11 @@ fn every_run_path_reproduces_the_parent_commit() {
             Fingerprint::of(csv.as_bytes()),
             g.heatmap_csv,
             "{spec}: heatmap CSV"
+        );
+        assert_eq!(
+            Fingerprint::of(trace.to_text().as_bytes()),
+            g.report_text,
+            "{spec}: report text"
         );
     }
 }
