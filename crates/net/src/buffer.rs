@@ -283,6 +283,13 @@ impl FifoBank {
         self.fifos[i].latched < self.cap
     }
 
+    /// Registered free-slot count of FIFO `i`: capacity minus the
+    /// occupancy at its last [`latch`](Self::latch), as
+    /// [`FlitFifo::free_latched`].
+    pub fn free_latched(&self, i: usize) -> usize {
+        usize::from(self.cap - self.fifos[i].latched)
+    }
+
     /// Slot index of position `pos` (front = 0) of a FIFO whose front
     /// is at `head`. The capacity is a run-time value, so the ring
     /// index wraps by compare-and-subtract, not a division.
@@ -344,6 +351,13 @@ impl FifoBank {
         let f = &mut self.fifos[i];
         f.latched = f.len;
         f.latched < self.cap
+    }
+
+    /// [`latch`](Self::latch)es every FIFO of the bank.
+    pub fn latch_all(&mut self) {
+        for f in &mut self.fifos {
+            f.latched = f.len;
+        }
     }
 
     /// Buffered flits of FIFO `i`, head first.
@@ -980,12 +994,17 @@ mod fifo_bank_tests {
                         assert_eq!(bank.latch(1), fifo.space_latched());
                     }
                     4 => now += 1 + rng.uniform_usize(2) as u64,
+                    5 => {
+                        fifo.latch();
+                        bank.latch_all();
+                    }
                     _ => {}
                 }
                 assert_eq!(bank.front_ready(1, now), fifo.front_ready(now));
                 assert_eq!(bank.len(1), fifo.len());
                 assert_eq!(bank.is_empty(1), fifo.is_empty());
                 assert_eq!(bank.space_latched(1), fifo.space_latched());
+                assert_eq!(bank.free_latched(1), fifo.free_latched());
                 assert_eq!(saved_bank(&bank, 1), saved(&fifo), "cap {cap} step {step}");
                 assert!(bank.is_empty(0) && bank.is_empty(2));
             }

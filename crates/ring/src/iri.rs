@@ -7,7 +7,7 @@
 //! queues. Switching on the two sides is independent, and continuing
 //! ring traffic has priority over ring-changing traffic.
 
-use ringmesh_net::{FlitFifo, PacketStore, QueueClass};
+use ringmesh_net::{FifoBank, FlitFifo, PacketStore, QueueClass};
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 
 use crate::station::{ClassQueues, Disposition, LinkOwner, Send, Tick, TransitRoute};
@@ -18,16 +18,17 @@ pub(crate) const LOWER: usize = 0;
 /// Side index of the parent (upper) ring.
 pub(crate) const UPPER: usize = 1;
 
-/// Per-IRI simulation state. The hybrid network's bridge is one whose
-/// upper side is on no ring: its pump drains the up queues into a mesh
-/// router and its mesh commit fills the down queues.
+/// Per-IRI simulation state. The transit buffer of side `s` is FIFO
+/// `fifo + s` of the tier's bank. The hybrid network's bridge is one
+/// whose upper side is on no ring: its pump drains the up queues into a
+/// mesh router and its mesh commit fills the down queues.
 #[derive(Debug)]
 pub struct Iri {
     subtree: (u32, u32),
     convoy_threshold: usize,
     rings: [u32; 2],
     downstream: [SideRef; 2],
-    bufs: [FlitFifo; 2],
+    fifo: usize,
     /// Crossing queues (request/response) by the side the worms left:
     /// `cross[LOWER]` the up queues, `cross[UPPER]` the down queues.
     /// Side `s`'s output link drains `cross[s ^ 1]`.
@@ -40,13 +41,13 @@ impl Iri {
     /// Builds an IRI joining the child ring covering PM interval
     /// `subtree` (half-open) to its parent ring. `rings` and
     /// `downstream` name the `[LOWER, UPPER]` ring ids and downstream
-    /// station sides; the remaining arguments size the transit buffers
-    /// and crossing queues.
+    /// station sides, `fifo` its lower transit buffer in the tier's
+    /// bank; the remaining arguments size the crossing queues.
     pub(crate) fn new(
         subtree: (u32, u32),
         rings: [u32; 2],
         downstream: [SideRef; 2],
-        ring_buf_flits: usize,
+        fifo: usize,
         up_queue_flits: usize,
         down_queue_flits: usize,
         convoy_threshold: usize,
@@ -57,7 +58,7 @@ impl Iri {
             convoy_threshold,
             rings,
             downstream,
-            bufs: [FlitFifo::new(ring_buf_flits), FlitFifo::new(ring_buf_flits)],
+            fifo,
             cross: [queues(up_queue_flits), queues(down_queue_flits)],
             owner: [LinkOwner::Idle, LinkOwner::Idle],
             transit: [TransitRoute::default(), TransitRoute::default()],
@@ -67,17 +68,6 @@ impl Iri {
     /// The ring `side` sits on.
     pub(crate) fn ring(&self, side: usize) -> u32 {
         self.rings[side]
-    }
-
-    /// The transit buffer of `side`: the tier's send commit pushes
-    /// flits arriving on the input link here.
-    pub(crate) fn buf_mut(&mut self, side: usize) -> &mut FlitFifo {
-        &mut self.bufs[side]
-    }
-
-    /// Read access to the transit buffer of `side`.
-    pub(crate) fn buf(&self, side: usize) -> &FlitFifo {
-        &self.bufs[side]
     }
 
     /// The lower→upper crossing queue of `class`. The hybrid network's
@@ -116,8 +106,9 @@ impl Iri {
     /// Such an IRI can be skipped until a flit arrives on a buffer or
     /// queue (which always goes through the tier's send commit, or is
     /// followed by a `RingTier::wake`).
-    pub(crate) fn quiescent(&self) -> bool {
-        self.bufs.iter().all(FlitFifo::is_empty)
+    pub(crate) fn quiescent(&self, bufs: &FifoBank) -> bool {
+        bufs.is_empty(self.fifo)
+            && bufs.is_empty(self.fifo + 1)
             && self.queue_flits() == 0
             && self.owner.iter().all(|o| matches!(o, LinkOwner::Idle))
             && self.transit.iter().all(|t| t.packet().is_none())
@@ -150,14 +141,18 @@ impl Iri {
     /// and its packet reported through `t.sunk` for the tier to
     /// retire as an explicit drop.
     pub(crate) fn step_side(&mut self, side: usize, t: &mut Tick<'_>, link_up: bool, dead: bool) {
-        let (now, store) = (t.now, t.core.store());
+        let (now, store, buf) = (t.now, t.core.store(), self.fifo + side);
         let this_ring = self.rings[side] as usize;
         // A downed output link advertises no room: forwarding and cross
         // injection onto the ring stall in place, losing nothing.
         let free_out = t.free_at(self.downstream[side], link_up);
         let go_transit = free_out >= 1;
         // Classify the packet at the front of this side's transit buffer.
-        if let Some(flit) = self.bufs[side].front_ready(now) {
+        // The paths below pop it only under exclusive dispositions (the
+        // sink and crossing paths under theirs, the output link only while
+        // forwarding), so this one read serves them all.
+        let front = t.bufs.front_ready(buf, now);
+        if let Some(flit) = front {
             if self.transit[side].packet() != Some(flit.packet) {
                 debug_assert!(flit.is_head(), "mid-packet flit without a route");
                 let dst = store.get(flit.packet).dst.raw();
@@ -182,7 +177,7 @@ impl Iri {
         // does not leak capacity) and the packet is reported at its
         // tail for the tier to drop-account.
         if self.transit[side].sinking() {
-            if let Some(flit) = self.bufs[side].pop_ready(now) {
+            if let Some(flit) = t.bufs.pop_ready(buf, now) {
                 t.credits[this_ring] += 1; // the flit left this ring
                 t.pulse.moved += 1;
                 if flit.is_tail {
@@ -196,11 +191,11 @@ impl Iri {
         // buffer into the up (lower side) or down (upper side) queue,
         // gated by the queue's registered occupancy.
         if self.transit[side].crossing() {
-            if let Some(flit) = self.bufs[side].front_ready(now) {
+            if let Some(flit) = front {
                 let class = QueueClass::of(store.get(flit.packet).kind);
                 let q = self.cross[side].get_mut(class);
                 if q.space_latched() {
-                    let flit = self.bufs[side].pop_ready(now).expect("front was ready");
+                    let flit = t.bufs.pop_ready(buf, now).expect("front was ready");
                     t.credits[this_ring] += 1; // the flit left this ring
                     if flit.is_head() {
                         t.pulse.crossed += 1;
@@ -223,7 +218,7 @@ impl Iri {
         match self.owner[side] {
             LinkOwner::Transit => {
                 if go_transit {
-                    if let Some(flit) = self.bufs[side].pop_ready(now) {
+                    if let Some(flit) = t.bufs.pop_ready(buf, now) {
                         debug_assert_eq!(Some(flit.packet), self.transit[side].packet());
                         if flit.is_tail {
                             self.owner[side] = LinkOwner::Idle;
@@ -231,7 +226,7 @@ impl Iri {
                         }
                         t.sends.push(Send { to, flit, ring });
                     }
-                } else if self.bufs[side].front_ready(now).is_some() {
+                } else if front.is_some() {
                     t.pulse.blocked += 1;
                 }
             }
@@ -262,11 +257,10 @@ impl Iri {
                 // exert (upstream transit stalls), pacing the sources
                 // and preventing unbounded convoys.
                 let backlogged = self.crossed_flits(side ^ 1) > self.convoy_threshold;
-                let transit_ready =
-                    self.transit[side].forwarding() && self.bufs[side].front_ready(now).is_some();
+                let transit_ready = self.transit[side].forwarding() && front.is_some();
                 if transit_ready && !backlogged {
                     if go_transit {
-                        let flit = self.bufs[side].pop_ready(now).expect("front was ready");
+                        let flit = t.bufs.pop_ready(buf, now).expect("front was ready");
                         if flit.is_tail {
                             self.transit[side].clear();
                         } else {
@@ -288,7 +282,7 @@ impl Iri {
                 } else if transit_ready && go_transit {
                     // Backlogged but nothing can cross yet: let transit
                     // continue rather than idle the link.
-                    let flit = self.bufs[side].pop_ready(now).expect("front was ready");
+                    let flit = t.bufs.pop_ready(buf, now).expect("front was ready");
                     if flit.is_tail {
                         self.transit[side].clear();
                     } else {
@@ -333,33 +327,32 @@ impl Iri {
         None
     }
 
-    /// Latches all buffers; returns the free-slot counts for (lower,
-    /// upper) transit buffers advertised to the upstream neighbours.
-    pub(crate) fn latch(&mut self) -> (usize, usize) {
-        self.bufs[LOWER].latch();
-        self.bufs[UPPER].latch();
+    /// Latches the four crossing queues (the transit buffers latch
+    /// with the tier's bank).
+    pub(crate) fn latch(&mut self) {
         self.cross[LOWER].each_mut(FlitFifo::latch);
         self.cross[UPPER].each_mut(FlitFifo::latch);
-        (
-            self.bufs[LOWER].free_latched(),
-            self.bufs[UPPER].free_latched(),
-        )
     }
-}
 
-impl SnapshotState for Iri {
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.bufs[LOWER].save_state(w);
-        self.bufs[UPPER].save_state(w);
+    /// Writes both transit buffers (from `bufs`, in [`FlitFifo`]'s
+    /// bytes), the crossing queues, the link owners and the routes.
+    pub(crate) fn save(&self, bufs: &FifoBank, w: &mut SnapWriter) {
+        bufs.save_fifo(self.fifo, w);
+        bufs.save_fifo(self.fifo + 1, w);
         self.cross[LOWER].save_state(w);
         self.cross[UPPER].save_state(w);
         self.owner.save(w);
         self.transit.save(w);
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.bufs[LOWER].restore_state(r)?;
-        self.bufs[UPPER].restore_state(r)?;
+    /// Reads back what [`save`](Self::save) wrote.
+    pub(crate) fn restore(
+        &mut self,
+        bufs: &mut FifoBank,
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapError> {
+        bufs.restore_fifo(self.fifo, r)?;
+        bufs.restore_fifo(self.fifo + 1, r)?;
         self.cross[LOWER].restore_state(r)?;
         self.cross[UPPER].restore_state(r)?;
         self.owner = Snapshot::load(r)?;

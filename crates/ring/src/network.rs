@@ -53,6 +53,16 @@ pub struct RingNetwork {
 
 impl RingNetwork {
     /// Builds the network for `spec` under `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transit buffer,
+    /// [`cfg.ring_buffer_flits()`](RingConfig::ring_buffer_flits) flits
+    /// (the public `ring_buffer_packets` times a cache-line packet's
+    /// length), is empty or longer than `u16::MAX` flits: the ring
+    /// tier keeps every transit buffer in one [`FifoBank`].
+    ///
+    /// [`FifoBank`]: ringmesh_net::FifoBank
     pub fn new(spec: &RingSpec, cfg: RingConfig) -> Self {
         let topo = RingTopology::new(spec);
         RingNetwork {

@@ -9,20 +9,22 @@
 
 use ringmesh_faults::DropReason;
 use ringmesh_net::{
-    Assembler, DrainState, FlitFifo, NodeId, PacketQueue, PacketRef, PacketStore, QueueClass,
+    Assembler, DrainState, FifoBank, NodeId, PacketQueue, PacketRef, PacketStore, QueueClass,
 };
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 
 use crate::station::{ClassQueues, Disposition, LinkOwner, Send, Tick, TransitRoute};
 use crate::topology::SideRef;
 
-/// Per-NIC simulation state.
+/// Per-NIC simulation state. Its transit (bypass) buffer is FIFO
+/// `fifo` of the tier's bank, where the tier's send commit pushes the
+/// flits arriving on the input link.
 #[derive(Debug)]
 pub(crate) struct Nic {
     pm: NodeId,
     ring: u32,
     downstream: SideRef,
-    ring_buf: FlitFifo,
+    fifo: usize,
     out: ClassQueues<PacketQueue>,
     drain: DrainState,
     owner: LinkOwner,
@@ -31,20 +33,21 @@ pub(crate) struct Nic {
 }
 
 impl Nic {
-    /// Builds the NIC attaching `pm` to ring `ring`, with its output
-    /// link feeding the `downstream` station side.
+    /// Builds the NIC attaching `pm` to ring `ring`, with its transit
+    /// buffer at `fifo` in the tier's bank and its output link feeding
+    /// the `downstream` station side.
     pub(crate) fn new(
         pm: NodeId,
         ring: u32,
         downstream: SideRef,
-        ring_buf_flits: usize,
+        fifo: usize,
         out_queue_packets: usize,
     ) -> Self {
         Nic {
             pm,
             ring,
             downstream,
-            ring_buf: FlitFifo::new(ring_buf_flits),
+            fifo,
             out: ClassQueues::new(
                 PacketQueue::new(out_queue_packets),
                 PacketQueue::new(out_queue_packets),
@@ -59,17 +62,6 @@ impl Nic {
     /// The ring this NIC sits on.
     pub(crate) fn ring(&self) -> u32 {
         self.ring
-    }
-
-    /// The transit (bypass) buffer: the tier's send commit pushes
-    /// arriving flits here.
-    pub(crate) fn buf_mut(&mut self) -> &mut FlitFifo {
-        &mut self.ring_buf
-    }
-
-    /// Read access to the transit buffer.
-    pub(crate) fn buf(&self) -> &FlitFifo {
-        &self.ring_buf
     }
 
     /// Whether the PM-side output queue for `class` can accept a packet.
@@ -99,15 +91,18 @@ impl Nic {
     /// A packet whose payload the core marked as corrupted in flight
     /// is dropped at reassembly instead of delivered.
     pub(crate) fn step(&mut self, t: &mut Tick<'_>, link_up: bool) {
-        let (now, to, ring) = (t.now, self.downstream, self.ring);
+        let (now, to, ring, buf) = (t.now, self.downstream, self.ring, self.fifo);
         let this_ring = ring as usize;
         // A downed output link advertises no room: transit forwarding
         // and new injections stall in place, losing nothing.
         let free_out = t.free_at(to, link_up);
         let go_transit = free_out >= 1;
         // Classify the packet at the front of the ring buffer (decided
-        // once, at its head flit).
-        if let Some(flit) = self.ring_buf.front_ready(now) {
+        // once, at its head flit). The ejection path pops it only while
+        // crossing and the output link only while forwarding, so this
+        // one read serves both.
+        let front = t.bufs.front_ready(buf, now);
+        if let Some(flit) = front {
             if self.transit.packet() != Some(flit.packet) {
                 debug_assert!(flit.is_head(), "mid-packet flit without a route");
                 let eject = t.core.store().get(flit.packet).dst == self.pm;
@@ -124,7 +119,7 @@ impl Nic {
         // PM. This is independent of the output link (Figure 3 shows
         // separate paths), so it can proceed while the PM injects.
         if self.transit.crossing() {
-            if let Some(flit) = self.ring_buf.pop_ready(now) {
+            if let Some(flit) = t.bufs.pop_ready(buf, now) {
                 t.credits[this_ring] += 1; // the flit left the ring
                 t.pulse.moved += 1;
                 if flit.is_tail {
@@ -145,7 +140,7 @@ impl Nic {
         match self.owner {
             LinkOwner::Transit => {
                 if go_transit {
-                    if let Some(flit) = self.ring_buf.pop_ready(now) {
+                    if let Some(flit) = t.bufs.pop_ready(buf, now) {
                         debug_assert_eq!(Some(flit.packet), self.transit.packet());
                         if flit.is_tail {
                             self.owner = LinkOwner::Idle;
@@ -153,7 +148,7 @@ impl Nic {
                         }
                         t.sends.push(Send { to, flit, ring });
                     }
-                } else if self.ring_buf.front_ready(now).is_some() {
+                } else if front.is_some() {
                     t.pulse.blocked += 1;
                 }
             }
@@ -176,10 +171,10 @@ impl Nic {
                 }
             }
             LinkOwner::Idle => {
-                if self.transit.forwarding() && self.ring_buf.front_ready(now).is_some() {
+                if self.transit.forwarding() && front.is_some() {
                     // Transit traffic has priority on the output link.
                     if go_transit {
-                        let flit = self.ring_buf.pop_ready(now).expect("front was ready");
+                        let flit = t.bufs.pop_ready(buf, now).expect("front was ready");
                         if flit.is_tail {
                             self.transit.clear();
                         } else {
@@ -234,8 +229,8 @@ impl Nic {
     /// the NIC active even when everything else is idle — injection
     /// eligibility depends on downstream free space and ring credits,
     /// both of which change without touching this station.
-    pub(crate) fn quiescent(&self) -> bool {
-        self.ring_buf.is_empty()
+    pub(crate) fn quiescent(&self, bufs: &FifoBank) -> bool {
+        bufs.is_empty(self.fifo)
             && matches!(self.owner, LinkOwner::Idle)
             && !self.drain.is_active()
             && self.transit.packet().is_none()
@@ -243,17 +238,13 @@ impl Nic {
             && self.out.get(QueueClass::Response).is_empty()
     }
 
-    /// Latches the ring buffer's registered occupancy; returns the new
-    /// free-slot count advertised to the upstream neighbour.
-    pub(crate) fn latch(&mut self) -> usize {
-        self.ring_buf.latch();
-        self.ring_buf.free_latched()
-    }
-}
-
-impl SnapshotState for Nic {
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.ring_buf.save_state(w);
+    /// Writes the transit buffer (from `bufs`, in [`FlitFifo`]'s
+    /// bytes), the PM queues, the injection drain, the link owner, the
+    /// route and the reassembly state.
+    ///
+    /// [`FlitFifo`]: ringmesh_net::FlitFifo
+    pub(crate) fn save(&self, bufs: &FifoBank, w: &mut SnapWriter) {
+        bufs.save_fifo(self.fifo, w);
         self.out.save_state(w);
         self.drain.save(w);
         self.owner.save(w);
@@ -261,8 +252,13 @@ impl SnapshotState for Nic {
         self.assembler.save(w);
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.ring_buf.restore_state(r)?;
+    /// Reads back what [`save`](Self::save) wrote.
+    pub(crate) fn restore(
+        &mut self,
+        bufs: &mut FifoBank,
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapError> {
+        bufs.restore_fifo(self.fifo, r)?;
         self.out.restore_state(r)?;
         self.drain = DrainState::load(r)?;
         self.owner = LinkOwner::load(r)?;

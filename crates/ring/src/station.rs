@@ -1,6 +1,6 @@
 //! Small shared pieces of ring station state.
 
-use ringmesh_net::{Flit, NetCore, NodeId, Packet, PacketRef, QueueClass};
+use ringmesh_net::{FifoBank, Flit, NetCore, NodeId, Packet, PacketRef, QueueClass};
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 
 use crate::topology::SideRef;
@@ -34,16 +34,17 @@ pub struct StepPulse {
     pub crossed: u64,
 }
 
-/// What the stations stepped in one tick share: the clock, the
-/// registered free slots, the ring entry credits, the network core and
-/// the tick's outputs.
+/// What the stations stepped in one tick share: the clock, the transit
+/// buffers, the ring entry credits, the network core and the tick's
+/// outputs.
 #[derive(Debug)]
 pub(crate) struct Tick<'a> {
     /// The kernel tick being stepped.
     pub(crate) now: u64,
-    /// Registered free-slot count of every station side's transit
-    /// buffer (`station*2 + side`), latched at the end of the last tick.
-    pub(crate) free: &'a [usize],
+    /// Every station side's transit buffer, FIFO `station*2 + side`.
+    /// A station pops its own; what upstream stations may send reads
+    /// the occupancy latched at the end of the last tick.
+    pub(crate) bufs: &'a mut FifoBank,
     /// Free transit flit slots per ring: a flit may *enter* a ring
     /// only while at least two remain (see [`Nic::step`]).
     ///
@@ -69,7 +70,7 @@ impl Tick<'_> {
     /// as seen over a link that is `up`: a downed link advertises none.
     pub(crate) fn free_at(&self, (st, side): SideRef, up: bool) -> usize {
         if up {
-            self.free[st as usize * 2 + side as usize]
+            self.bufs.free_latched(st as usize * 2 + side as usize)
         } else {
             0
         }

@@ -3,8 +3,8 @@
 //! local rings alike.
 
 use ringmesh_faults::{DropReason, FaultDomain, FaultInjector};
-use ringmesh_net::{NetCore, NodeId, Packet, PacketRef, QueueClass};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_net::{FifoBank, NetCore, NodeId, Packet, PacketRef, QueueClass};
+use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::iri::Iri;
 use crate::nic::Nic;
@@ -50,8 +50,8 @@ impl Slot {
     }
 }
 
-/// The stations of a set of rings and everything they share: the
-/// active-station worklist, the registered free-slot counts, per-ring
+/// The stations of a set of rings and everything they share: every
+/// side's transit buffer, the active-station worklist, per-ring
 /// credits and flit counts, the tick counter (and the tick the flit
 /// counts were last reset at) and the per-tick scratch. Where a side
 /// sends and which ring it is on, each station holds itself.
@@ -69,15 +69,16 @@ pub struct RingTier {
     nics: Vec<Nic>,
     /// IRIs in station order; an IRI's index is its fault node id.
     iris: Vec<Iri>,
-    /// Active-station worklist: `station_active[st]` is false only
-    /// while station `st` is provably quiescent (`Nic::quiescent` /
-    /// `Iri::quiescent`), letting the tick skip idle stations under
-    /// light load. Set true again by any arriving flit or by
-    /// [`wake`](RingTier::wake).
-    station_active: Vec<bool>,
-    /// Registered free-slot count of every station side's transit
-    /// buffer (`station*2 + side`).
-    free: Vec<usize>,
+    /// The transit buffer of every station side, FIFO `station*2 +
+    /// side` (a side on no ring keeps an empty one). Its latched
+    /// occupancy is the stop/go its upstream neighbour reads.
+    bufs: FifoBank,
+    /// Active-station worklist, a bitset of 64 stations per word: bit
+    /// `st` is clear only while station `st` is provably quiescent
+    /// (`Nic::quiescent` / `Iri::quiescent`), letting the tick skip
+    /// idle stations under light load. Set again by any arriving flit
+    /// or by [`wake`](RingTier::wake).
+    station_active: Vec<u64>,
     /// Flits moved per ring (utilization accounting).
     ring_flits: Vec<u64>,
     /// Free transit flit slots per ring (the deadlock-avoidance
@@ -99,8 +100,11 @@ impl RingTier {
     ///
     /// # Panics
     ///
-    /// Panics if `map` lists NICs out of PM order, or a station's lower
-    /// side is on no ring.
+    /// Panics if `map` lists NICs out of PM order, if a station's lower
+    /// side is on no ring, or if a transit buffer of
+    /// [`cfg.ring_buffer_flits()`](RingConfig::ring_buffer_flits) flits
+    /// is empty or longer than `u16::MAX` flits (they share one
+    /// [`FifoBank`]).
     pub fn new(map: &impl StationMap, cfg: &RingConfig) -> Self {
         let n_st = map.num_stations();
         let buf_flits = cfg.ring_buffer_flits();
@@ -115,8 +119,8 @@ impl RingTier {
             slots: Vec::with_capacity(n_st),
             nics: Vec::with_capacity(pms),
             iris: Vec::with_capacity(n_st - pms),
-            station_active: vec![true; n_st],
-            free: vec![buf_flits; n_st * 2],
+            bufs: FifoBank::new(n_st * 2, buf_flits),
+            station_active: vec![0; n_st.div_ceil(64)],
             ring_flits: vec![0; map.num_rings()],
             ring_credits: vec![0; map.num_rings()],
             tick: 0,
@@ -132,8 +136,9 @@ impl RingTier {
                 StationKind::Nic { pm } => {
                     assert_eq!(pm.index(), tier.nics.len(), "NICs come in PM order");
                     let (ring, next) = lower;
+                    let fifo = st as usize * 2;
                     tier.nics
-                        .push(Nic::new(pm, ring, next, buf_flits, cfg.out_queue_packets));
+                        .push(Nic::new(pm, ring, next, fifo, cfg.out_queue_packets));
                     Slot::Nic(pm.raw())
                 }
                 StationKind::Iri { subtree } => {
@@ -143,7 +148,7 @@ impl RingTier {
                         subtree,
                         [lower.0, ring],
                         [lower.1, next],
-                        buf_flits,
+                        st as usize * 2,
                         cfg.iri_queue_flits(),
                         cfg.iri_down_queue_flits(),
                         convoy,
@@ -159,6 +164,7 @@ impl RingTier {
             };
             tier.ring_credits[lower.0 as usize] += buf_flits as i64;
             tier.slots.push(slot);
+            tier.wake(st);
         }
         tier
     }
@@ -210,7 +216,7 @@ impl RingTier {
 
     /// Puts station `st` back on the worklist.
     pub fn wake(&mut self, st: u32) {
-        self.station_active[st as usize] = true;
+        self.station_active[st as usize / 64] |= 1 << (st % 64);
     }
 
     /// Whether PM `pm`'s NIC queue for `class` can accept a packet.
@@ -225,6 +231,11 @@ impl RingTier {
         self.wake(st);
     }
 
+    /// Whether station `st` is on the worklist.
+    fn active(&self, st: usize) -> bool {
+        self.station_active[st / 64] & (1 << (st % 64)) != 0
+    }
+
     /// Whether station `st` is a dead IRI.
     pub(crate) fn iri_dead(&self, f: &FaultInjector, st: u32) -> bool {
         match self.slots[st as usize] {
@@ -236,10 +247,9 @@ impl RingTier {
     /// Flits in the transit buffers and in the IRI crossing queues
     /// (the occupancy gauges).
     pub(crate) fn occupancy(&self) -> (usize, usize) {
-        let transit = self.nics.iter().map(|n| n.buf().len());
-        let iri = self.iris.iter().map(|i| i.buf(0).len() + i.buf(1).len());
+        let transit = (0..self.bufs.fifos()).map(|i| self.bufs.len(i)).sum();
         let queued = self.iris.iter().map(Iri::queue_flits).sum();
-        (transit.chain(iri).sum(), queued)
+        (transit, queued)
     }
 
     /// The link transfers the last [`tick`](Self::tick) committed.
@@ -260,10 +270,13 @@ impl RingTier {
         let now = self.tick;
         let cycle_now = now / self.ticks_per_cycle;
         let all_active = now.is_multiple_of(self.ticks_per_cycle);
+        // Only a faulty run asks, per side, whether its output link is
+        // up and its interface alive.
+        let faulty = core.faults().is_some();
         self.sends.clear();
         let mut t = Tick {
             now,
-            free: &self.free,
+            bufs: &mut self.bufs,
             credits: &mut self.ring_credits,
             core,
             sends: &mut self.sends,
@@ -271,42 +284,44 @@ impl RingTier {
             sunk: &mut self.sunk,
             pulse,
         };
-        for st in 0..self.slots.len() {
-            let slot = self.slots[st];
-            for side in 0..slot.sides() {
-                // Skip provably-idle stations; a skipped step is a
-                // no-op by construction (see `Nic::quiescent` /
-                // `Iri::quiescent`), so the tick stream is identical to
-                // stepping everything.
-                if !self.station_active[st] {
-                    break;
-                }
-                // Fault view for this side: the output link `station*2
-                // + side`, and (for IRIs) whether the interface is dead.
-                let faults = t.core.faults();
-                let link = st as u32 * 2 + side as u32;
-                let link_up = faults.is_none_or(|f| f.link_up(link, cycle_now));
-                let quiescent = match slot {
-                    Slot::Nic(n) => {
-                        let nic = &mut self.nics[n as usize];
-                        if !(all_active || nic.ring() == 0) {
-                            continue;
+        // Skip provably-idle stations; a skipped step is a no-op by
+        // construction (see `Nic::quiescent` / `Iri::quiescent`), so
+        // the tick stream is identical to stepping everything. Only a
+        // step clears a bit and only the send commit below sets one,
+        // so each word can be walked from a copy, in station order.
+        for (w, word) in self.station_active.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let st = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let slot = self.slots[st];
+                for side in 0..slot.sides() {
+                    let link = st as u32 * 2 + side as u32;
+                    let link_up = !faulty
+                        || t.core.faults().is_none_or(|f| f.link_up(link, cycle_now));
+                    let quiescent = match slot {
+                        Slot::Nic(n) => {
+                            let nic = &mut self.nics[n as usize];
+                            if !(all_active || nic.ring() == 0) {
+                                continue;
+                            }
+                            nic.step(&mut t, link_up);
+                            nic.quiescent(t.bufs)
                         }
-                        nic.step(&mut t, link_up);
-                        nic.quiescent()
-                    }
-                    Slot::Iri { x, .. } => {
-                        let iri = &mut self.iris[x as usize];
-                        if !(all_active || iri.ring(side) == 0) {
-                            continue;
+                        Slot::Iri { x, .. } => {
+                            let iri = &mut self.iris[x as usize];
+                            if !(all_active || iri.ring(side) == 0) {
+                                continue;
+                            }
+                            let dead = faulty && t.core.faults().is_some_and(|f| f.node_dead(x));
+                            iri.step_side(side, &mut t, link_up, dead);
+                            iri.quiescent(t.bufs)
                         }
-                        let dead = faults.is_some_and(|f| f.node_dead(x));
-                        iri.step_side(side, &mut t, link_up, dead);
-                        iri.quiescent()
+                    };
+                    if quiescent {
+                        *word &= !(1 << (st % 64));
+                        break;
                     }
-                };
-                if quiescent {
-                    self.station_active[st] = false;
                 }
             }
         }
@@ -321,28 +336,19 @@ impl RingTier {
             ring,
         } in &self.sends
         {
-            match self.slots[st as usize] {
-                Slot::Nic(n) => self.nics[n as usize].buf_mut().push(flit, now),
-                Slot::Iri { x, .. } => self.iris[x as usize].buf_mut(side as usize).push(flit, now),
-            }
-            self.station_active[st as usize] = true;
+            self.bufs.push(st as usize * 2 + side as usize, flit, now);
+            self.station_active[st as usize / 64] |= 1 << (st % 64);
             self.ring_flits[ring as usize] += 1;
         }
         pulse.moved += self.sends.len() as u64;
     }
 
-    /// Latches every station's registered flow-control state for the
-    /// next tick and ends this one.
+    /// Latches every transit buffer and crossing queue's registered
+    /// flow-control state for the next tick and ends this one.
     pub fn latch(&mut self) {
-        for (st, slot) in self.slots.iter().enumerate() {
-            match *slot {
-                Slot::Nic(n) => self.free[st * 2] = self.nics[n as usize].latch(),
-                Slot::Iri { x, .. } => {
-                    let (lo, up) = self.iris[x as usize].latch();
-                    self.free[st * 2] = lo;
-                    self.free[st * 2 + 1] = up;
-                }
-            }
+        self.bufs.latch_all();
+        for iri in &mut self.iris {
+            iri.latch();
         }
         self.tick += 1;
         #[cfg(debug_assertions)]
@@ -354,16 +360,14 @@ impl RingTier {
     #[cfg(debug_assertions)]
     fn check_credit_invariant(&self) {
         let mut free = vec![0i64; self.ring_credits.len()];
-        for &slot in &self.slots {
+        for (st, &slot) in self.slots.iter().enumerate() {
             for side in 0..slot.sides() {
-                let (ring, buf) = match slot {
-                    Slot::Nic(n) => (self.nics[n as usize].ring(), self.nics[n as usize].buf()),
-                    Slot::Iri { x, .. } => {
-                        let iri = &self.iris[x as usize];
-                        (iri.ring(side), iri.buf(side))
-                    }
+                let ring = match slot {
+                    Slot::Nic(n) => self.nics[n as usize].ring(),
+                    Slot::Iri { x, .. } => self.iris[x as usize].ring(side),
                 };
-                free[ring as usize] += (buf.capacity() - buf.len()) as i64;
+                let len = self.bufs.len(st * 2 + side);
+                free[ring as usize] += (self.bufs.capacity() - len) as i64;
             }
         }
         // Credits equal capacity minus occupancy minus slots still
@@ -378,19 +382,22 @@ impl RingTier {
         }
     }
 
-    /// Writes the stations, the worklist, the latched free counts, the
-    /// tick, the per-ring flit counts and credits, the reset tick.
+    /// Writes the stations, the worklist (a `Vec<bool>`), the latched
+    /// free counts, the tick, the per-ring flit counts and credits, the
+    /// reset tick.
     pub fn save(&self, w: &mut SnapWriter) {
         w.usize(self.nics.len());
         for nic in &self.nics {
-            nic.save_state(w);
+            nic.save(&self.bufs, w);
         }
         w.usize(self.iris.len());
         for iri in &self.iris {
-            iri.save_state(w);
+            iri.save(&self.bufs, w);
         }
-        self.station_active.save(w);
-        self.free.save(w);
+        let active: Vec<bool> = (0..self.slots.len()).map(|st| self.active(st)).collect();
+        active.save(w);
+        let free: Vec<usize> = (0..self.bufs.fifos()).map(|i| self.bufs.free_latched(i)).collect();
+        free.save(w);
         w.u64(self.tick);
         self.ring_flits.save(w);
         self.ring_credits.save(w);
@@ -406,14 +413,23 @@ impl RingTier {
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.len_exact(self.nics.len(), "NIC count")?;
         for nic in &mut self.nics {
-            nic.restore_state(r)?;
+            nic.restore(&mut self.bufs, r)?;
         }
         r.len_exact(self.iris.len(), "IRI count")?;
         for iri in &mut self.iris {
-            iri.restore_state(r)?;
+            iri.restore(&mut self.bufs, r)?;
         }
-        self.station_active = r.vec_exact(self.station_active.len(), "station count")?;
-        self.free = r.vec_exact(self.free.len(), "free-slot table size")?;
+        let active: Vec<bool> = r.vec_exact(self.slots.len(), "station count")?;
+        self.station_active.fill(0);
+        for (st, _) in active.iter().enumerate().filter(|(_, &a)| a) {
+            self.wake(st as u32);
+        }
+        let free: Vec<usize> = r.vec_exact(self.bufs.fifos(), "free-slot table size")?;
+        if (0..free.len()).any(|i| free[i] != self.bufs.free_latched(i)) {
+            return Err(SnapError::Corrupt(
+                "free-slot table disagrees with the transit buffers".into(),
+            ));
+        }
         self.tick = r.u64()?;
         self.ring_flits = r.vec_exact(self.ring_flits.len(), "ring count")?;
         self.ring_credits = r.vec_exact(self.ring_credits.len(), "ring-credit table size")?;

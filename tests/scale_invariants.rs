@@ -215,12 +215,16 @@ fn mesh_64_system_setup_is_three_blocks_a_pm() {
 #[test]
 fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping() {
     // Rows of `benchmark/src/inputs.rs::SWEEP_TOPOLOGIES`, with the
-    // blocks and bytes `System::new` allocated for them on the parent
-    // commit named. The debug profile tier-1 uses and release agree on
-    // both: the ledger tracks per slot only under `debug_assertions`,
-    // and it allocates nothing before the first packet.
+    // blocks and bytes `System::new` allocated for them at the point
+    // named. The debug profile tier-1 uses and release agree on both:
+    // the ledger tracks per slot only under `debug_assertions`, and it
+    // allocates nothing before the first packet.
     const ROWS: [(&[&str], usize, usize); 2] = [
-        // f38ca94, before the ring and the hybrid shared one ring tier.
+        // With every transit buffer in the ring tier's one `FifoBank`: a
+        // heap block fewer per NIC and two fewer per IRI than the
+        // separate buffers (3 945 blocks, 1 077 316 bytes), the bytes up
+        // by the bank's slots for each NIC's unclocked upper side (f38ca94,
+        // before the ring tier: 4 016 / 1 293 748).
         (
             &[
                 "ring:2:2:4",
@@ -234,8 +238,8 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
                 "hybrid:5x5:4",
                 "hybrid:6x6:4",
             ],
-            4_016,
-            1_293_748,
+            2_867,
+            1_106_396,
         ),
         // cbc79d5, with a stations × 2 × PMs route table and three
         // outbox tables.
