@@ -49,6 +49,8 @@
 
 mod driver;
 mod memory;
+#[cfg(test)]
+mod oracle;
 mod params;
 mod processor;
 mod region;
