@@ -59,8 +59,9 @@ impl MemoryModule {
     }
 
     /// Accepts a remote request delivered by the network at `now`; the
-    /// response becomes ready after the access latency.
-    pub(crate) fn accept(&mut self, req: &Packet, now: u64) {
+    /// response becomes ready after the access latency, at the cycle
+    /// returned.
+    pub(crate) fn accept(&mut self, req: &Packet, now: u64) -> u64 {
         debug_assert_eq!(req.dst, self.pm, "request delivered to wrong memory");
         debug_assert!(req.kind.is_request());
         let ready = self.next_start(now) + u64::from(self.params.latency);
@@ -76,14 +77,27 @@ impl MemoryModule {
             injected_at: req.injected_at,
         };
         self.pending.push_back((ready, resp));
+        ready
     }
 
     /// Accepts a local access at `now` whose measured issue instant is
     /// `issued_at`; it completes after the access latency without
-    /// touching the network.
-    pub(crate) fn accept_local(&mut self, now: u64, issued_at: u64) {
+    /// touching the network, at the cycle returned.
+    pub(crate) fn accept_local(&mut self, now: u64, issued_at: u64) -> u64 {
         let ready = self.next_start(now) + u64::from(self.params.latency);
         self.local.push_back((ready, issued_at));
+        ready
+    }
+
+    /// The earliest ready time of a queued response or local access;
+    /// `None` when both queues are empty.
+    pub(crate) fn next_ready(&self) -> Option<u64> {
+        let response = self.pending.front().map(|&(ready, _)| ready);
+        let local = self.local.front().map(|&(ready, _)| ready);
+        match (response, local) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Injects ready responses into the network while the NIC response
@@ -137,6 +151,30 @@ impl SnapshotState for MemoryModule {
         self.local = Snapshot::load(r)?;
         self.last_start = Snapshot::load(r)?;
         self.served = r.u64()?;
+        Ok(())
+    }
+}
+
+impl MemoryModule {
+    /// Checks a restored module of a machine of `pms` PMs: every queued
+    /// response leaves this PM for another PM of the machine, and both
+    /// queues are in ready order, as service starts are.
+    pub(crate) fn validate(&self, pms: usize) -> Result<(), SnapError> {
+        let pm = self.pm;
+        let corrupt = |what: String| Err(SnapError::Corrupt(format!("memory {pm}: {what}")));
+        for (_, resp) in &self.pending {
+            if resp.src != pm || resp.dst == pm || resp.dst.index() >= pms {
+                return corrupt(format!("response {} -> {}", resp.src, resp.dst));
+            }
+            if resp.kind.is_request() {
+                return corrupt(format!("queued response of kind {:?}", resp.kind));
+            }
+        }
+        if !self.pending.iter().map(|&(ready, _)| ready).is_sorted()
+            || !self.local.iter().map(|&(ready, _)| ready).is_sorted()
+        {
+            return corrupt("ready times out of order".into());
+        }
         Ok(())
     }
 }
