@@ -171,9 +171,8 @@ pub struct FaultRunReport {
     pub faults: FaultReport,
     /// End-to-end layer counters (zero when retry was disabled).
     pub retry: RetryStats,
-    /// `(injected, delivered, dropped)` ledger totals, when the network
-    /// keeps a conservation ledger.
-    pub conservation: Option<(u64, u64, u64)>,
+    /// `(injected, delivered, dropped)` conservation-ledger totals.
+    pub conservation: (u64, u64, u64),
     /// A detected conservation violation — always `None` unless the
     /// simulator itself is buggy; surfaced so harnesses can fail loudly
     /// instead of publishing corrupt numbers.
@@ -644,7 +643,7 @@ mod tests {
         assert!(r.violation.is_none(), "{:?}", r.violation);
         assert!(r.faults.nodes_killed == 1);
         assert!(r.result.workload.retired > 0, "traffic still flows");
-        let (injected, delivered, dropped) = r.conservation.unwrap();
+        let (injected, delivered, dropped) = r.conservation;
         assert!(injected >= delivered + dropped);
         assert_eq!(r.faults.drops.total(), dropped);
     }
@@ -656,7 +655,7 @@ mod tests {
         let r = System::new(cfg).unwrap().run_faulty(&plan).unwrap();
         assert!(r.violation.is_none(), "{:?}", r.violation);
         assert!(r.result.workload.retired > 0, "traffic still flows");
-        let (injected, delivered, dropped) = r.conservation.unwrap();
+        let (injected, delivered, dropped) = r.conservation;
         assert!(injected >= delivered + dropped);
     }
 

@@ -83,8 +83,7 @@ impl StationMap for LocalRings {
 
 /// A flit-level, cycle-accurate hybrid Ring-Mesh network.
 ///
-/// Implements [`ringmesh_net::Interconnect`] (as every
-/// [`ringmesh_net::Kernel`] does); drive it with the
+/// Implements [`ringmesh_net::Interconnect`]; drive it with the
 /// `ringmesh-workload` crate or directly as in the example below.
 ///
 /// # Example
@@ -220,7 +219,7 @@ impl HybridNetwork {
     }
 }
 
-impl ringmesh_net::Kernel for HybridNetwork {
+impl ringmesh_net::Interconnect for HybridNetwork {
     fn core(&self) -> &NetCore {
         &self.core
     }
@@ -574,7 +573,7 @@ mod tests {
         net.inject(NodeId::new(0), packet(&c, 1, PacketKind::ReadReq, 0, 7));
         assert_eq!(net.in_flight(), 0);
         // A refusal books as injected-and-dropped atomically.
-        assert_eq!(net.conservation_counts().unwrap(), (1, 0, 1));
+        assert_eq!(net.conservation_counts(), (1, 0, 1));
         // Intra-ring traffic on the same ring still flows.
         net.inject(NodeId::new(0), packet(&c, 2, PacketKind::ReadReq, 0, 1));
         let delivered = run_until_delivered(&mut net, 1);

@@ -11,8 +11,7 @@ use crate::MeshConfig;
 
 /// A flit-level, cycle-accurate 2-D bi-directional wormhole mesh.
 ///
-/// Implements [`ringmesh_net::Interconnect`] (as every
-/// [`ringmesh_net::Kernel`] does); drive it with the
+/// Implements [`ringmesh_net::Interconnect`]; drive it with the
 /// `ringmesh-workload` crate or directly as in the example below.
 ///
 /// # Example
@@ -107,7 +106,7 @@ impl MeshNetwork {
     }
 }
 
-impl ringmesh_net::Kernel for MeshNetwork {
+impl ringmesh_net::Interconnect for MeshNetwork {
     fn core(&self) -> &NetCore {
         &self.core
     }

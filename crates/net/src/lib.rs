@@ -18,11 +18,12 @@
 //!   FIFO buffers from which every NIC and inter-ring interface is
 //!   assembled, with the registered (previous-cycle) stop/go flow
 //!   control discipline baked in.
-//! * [`Interconnect`] — the trait through which the workload drives
-//!   either network interchangeably.
-//! * [`NetCore`], [`Kernel`] — the packet accounting, clock, tracer,
-//!   fault and checkpoint plumbing every network model shares, and the
-//!   small trait a model implements to get `Interconnect` from it.
+//! * [`Interconnect`], [`NetCore`] — the one trait through which the
+//!   workload drives every network interchangeably, and the packet
+//!   accounting, clock, tracer, fault and checkpoint plumbing it is
+//!   provided over: a model supplies its buffers and stepping, the
+//!   trait supplies admission, the cycle, the accessors and the
+//!   checkpoint frame.
 //!
 //! # Example
 //!
@@ -52,7 +53,7 @@ pub use config::{
     mesh_nic_buffer_bytes, ring_nic_buffer_bytes, BufferRegime, CacheLineSize, PacketFormat,
 };
 pub use error::ConfigError;
-pub use interconnect::{Interconnect, LevelUtil, QueueClass, UtilizationReport};
-pub use netcore::{Kernel, NetCore};
+pub use interconnect::{LevelUtil, QueueClass, UtilizationReport};
+pub use netcore::{Interconnect, NetCore};
 pub use packet::{Flit, NodeId, Packet, PacketKind, PacketRef, PacketStore, TxnId};
 pub use topology::{checked_pms, Placement, TopologyBuilder, MAX_PMS};

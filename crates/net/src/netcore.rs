@@ -1,5 +1,5 @@
 //! [`NetCore`], the accounting every network model shares, and
-//! [`Kernel`], what is left for a topology to implement.
+//! [`Interconnect`], the one trait every network implements over it.
 
 use ringmesh_engine::{StallError, Watchdog};
 use ringmesh_faults::{
@@ -8,7 +8,7 @@ use ringmesh_faults::{
 use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 use ringmesh_trace::{Counter, EventKind, Gauge, TraceLoc, Tracer};
 
-use crate::interconnect::{Interconnect, QueueClass, UtilizationReport};
+use crate::interconnect::{QueueClass, UtilizationReport};
 use crate::packet::{NodeId, Packet, PacketRef, PacketStore};
 
 /// The state and bookkeeping common to every network model.
@@ -17,9 +17,9 @@ use crate::packet::{NodeId, Packet, PacketRef, PacketStore};
 /// simulator with one count of injected, delivered and in-flight
 /// packets. Here that count lives in `NetCore`: the packet store, the
 /// clock, the stall watchdog, the tracer, the fault injector, the
-/// conservation ledger and the corruption marks. A network is a
-/// `Kernel` — its buffers, its stepping order and a `NetCore` field —
-/// and drives the core through five operations:
+/// conservation ledger and the corruption marks. A network is an
+/// [`Interconnect`] — its buffers, its stepping order and a `NetCore`
+/// field — and drives the core through five operations:
 ///
 /// 1. **admit**: [`Interconnect::inject`] checks the packet's range and
 ///    reachability, [`NetCore::admit`] books it (or refuses it) and the
@@ -27,13 +27,11 @@ use crate::packet::{NodeId, Packet, PacketRef, PacketStore};
 /// 2. **deliver** or **drop** a `PacketRef` ([`NetCore::deliver`],
 ///    [`NetCore::drop_packet`]) — the only two writers of the store and
 ///    the ledger once a packet is in;
-/// 3. **begin and end a cycle** around [`Kernel::advance`]
+/// 3. **begin and end a cycle** around [`Interconnect::advance`]
 ///    ([`Interconnect::step`]);
 /// 4. the tracer, fault and conservation accessors of [`Interconnect`];
 /// 5. **save and restore**: the store ahead of the kernel's section of
 ///    a checkpoint, the watchdog, ledger and corruption marks behind it.
-///
-/// [`Interconnect`] is implemented once, for every `Kernel`.
 ///
 /// # Orders that results depend on
 ///
@@ -49,8 +47,8 @@ use crate::packet::{NodeId, Packet, PacketRef, PacketStore};
 ///   order).
 /// * The clock travels in the kernel's section of a checkpoint, where
 ///   each network has always written it, which is why
-///   [`Kernel::save_kernel`] writes it and [`Kernel::restore_kernel`]
-///   returns it.
+///   [`Interconnect::save_kernel`] writes it and
+///   [`Interconnect::restore_kernel`] returns it.
 #[derive(Debug)]
 pub struct NetCore {
     store: PacketStore,
@@ -230,13 +228,26 @@ impl NetCore {
     }
 }
 
-/// One network model under a [`NetCore`]: its buffers, how a packet
-/// enters them and how they advance one cycle. Every `Kernel` is an
-/// [`Interconnect`] through the one blanket implementation below;
-/// drivers import `Interconnect`, and only a network's own module names
-/// this trait (the two share method names on purpose, so importing
-/// both makes calls ambiguous).
-pub trait Kernel {
+/// A flit-level interconnection network connecting `P` processing
+/// modules, advanced one clock cycle at a time: the one trait through
+/// which the workload drives every network model.
+///
+/// Injection is two-step: the driver checks [`can_inject`] (the PM's NIC
+/// output queue for the packet's class has room) and then calls
+/// [`inject`]. Each [`step`] advances every network component one cycle
+/// and appends fully-delivered packets to `delivered`.
+///
+/// A network implements the required methods — its [`NetCore`], its
+/// buffers, how an admitted packet enters them, how they advance one
+/// cycle, its utilization and its section of a checkpoint — and may
+/// override five hooks (`reachable`, `pm_alive`, `fault_domain`,
+/// `trace_loc`, `on_tracer_installed`). Every other operation is
+/// provided once, here, over the core.
+///
+/// [`can_inject`]: Interconnect::can_inject
+/// [`inject`]: Interconnect::inject
+/// [`step`]: Interconnect::step
+pub trait Interconnect {
     /// The network's core.
     fn core(&self) -> &NetCore;
 
@@ -249,29 +260,31 @@ pub trait Kernel {
     /// Whether PM `pm`'s output queue for `class` can accept a packet.
     fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool;
 
-    /// Queues an admitted packet at PM `pm`'s network interface.
+    /// Queues a packet [`inject`](Interconnect::inject) admitted at PM
+    /// `pm`'s network interface.
     fn enqueue(&mut self, pm: NodeId, class: QueueClass, packet: PacketRef);
 
     /// Advances every component one cycle ([`NetCore::cycle`], not yet
     /// incremented, is the cycle being stepped), retiring packets
     /// through [`NetCore::deliver`] and [`NetCore::drop_packet`], and
     /// returns how many flits moved — the watchdog's evidence of
-    /// progress.
+    /// progress. Drivers call [`step`](Interconnect::step) instead.
     fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64;
 
     /// Utilization accumulated since the last
-    /// [`reset_counters`](Kernel::reset_counters).
+    /// [`reset_counters`](Interconnect::reset_counters).
     fn utilization(&self) -> UtilizationReport;
 
-    /// Clears the utilization counters.
+    /// Clears utilization counters (called at the end of the warm-up
+    /// phase so statistics exclude initialization bias).
     fn reset_counters(&mut self);
 
-    /// Writes the kernel's section of a checkpoint — the clock
+    /// Writes the network's own section of a checkpoint — the clock
     /// included — between the core's packet store and the core's tail.
     fn save_kernel(&self, w: &mut SnapWriter);
 
-    /// Reads back what [`save_kernel`](Kernel::save_kernel) wrote and
-    /// returns the restored clock.
+    /// Reads back what [`save_kernel`](Interconnect::save_kernel) wrote
+    /// and returns the restored clock.
     ///
     /// # Errors
     ///
@@ -286,13 +299,14 @@ pub trait Kernel {
         true
     }
 
-    /// Whether PM `pm` is still alive.
+    /// Whether PM `pm` is still alive. Workloads stop issuing from (and
+    /// retrying toward) dead PMs.
     fn pm_alive(&self, pm: NodeId) -> bool {
         let _ = pm;
         true
     }
 
-    /// The links and nodes a fault injector may target; empty for a
+    /// The links and nodes a [`FaultInjector`] may target; empty for a
     /// network that models no faults, which then never holds an
     /// injector.
     fn fault_domain(&self) -> FaultDomain {
@@ -306,29 +320,34 @@ pub trait Kernel {
         }
     }
 
-    /// Called once a listening tracer is installed, for a kernel to
+    /// Called once a listening tracer is installed, for a network to
     /// register its heatmaps.
     fn on_tracer_installed(&mut self) {}
-}
 
-impl<K: Kernel> Interconnect for K {
-    fn num_pms(&self) -> usize {
-        Kernel::num_pms(self)
-    }
-
+    /// Current simulation cycle (number of completed
+    /// [`step`](Interconnect::step)s).
     fn cycle(&self) -> u64 {
         self.core().cycle
     }
 
-    fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool {
-        Kernel::can_inject(self, pm, class)
-    }
+    // Inert: only the frozen `benchmark/` harness calls this.
+    #[doc(hidden)]
+    fn set_kernel_threads(&mut self, _threads: usize) {}
 
+    /// Hands `packet` to PM `pm`'s network interface: admits it to the
+    /// core (or refuses it as unreachable) and
+    /// [`enqueue`](Interconnect::enqueue)s what was admitted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the corresponding output queue is full (callers gate on
+    /// [`can_inject`](Interconnect::can_inject)) or if source/destination
+    /// are out of range.
     fn inject(&mut self, pm: NodeId, packet: Packet) {
         assert_eq!(packet.src, pm, "packet injected at the wrong PM");
         assert_ne!(packet.src, packet.dst, "local accesses bypass the network");
         assert!(
-            packet.dst.index() < Kernel::num_pms(self),
+            packet.dst.index() < self.num_pms(),
             "destination {} out of range",
             packet.dst
         );
@@ -338,6 +357,15 @@ impl<K: Kernel> Interconnect for K {
         }
     }
 
+    /// Advances the network one clock cycle. Packets whose tail flit
+    /// reached their destination PM this cycle are appended to
+    /// `delivered` as `(destination, packet)` pairs.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`StallError`] if the network watchdog detects a
+    /// deadlock (no flit movement for its horizon while packets are in
+    /// flight).
     fn step(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> Result<(), StallError> {
         let mark = delivered.len();
         self.core_mut().begin_cycle();
@@ -354,18 +382,15 @@ impl<K: Kernel> Interconnect for K {
         self.core_mut().end_cycle(moved, newly.len() as u64)
     }
 
+    /// Number of packets currently inside the network (injected but not
+    /// yet delivered or dropped).
     fn in_flight(&self) -> u64 {
         self.core().store.live()
     }
 
-    fn utilization(&self) -> UtilizationReport {
-        Kernel::utilization(self)
-    }
-
-    fn reset_counters(&mut self) {
-        Kernel::reset_counters(self);
-    }
-
+    /// Installs `tracer` as the network's observability sink; the
+    /// network announces each cycle to it and emits counters, gauges,
+    /// heatmap bumps and flit-lifecycle events (see `ringmesh-trace`).
     fn set_tracer(&mut self, tracer: Tracer) {
         self.core_mut().tracer = tracer;
         if self.core().tracing() {
@@ -373,21 +398,27 @@ impl<K: Kernel> Interconnect for K {
         }
     }
 
+    /// The installed tracer, if one is listening. Lets co-operating
+    /// components (e.g. the workload driver) emit their own counters
+    /// into the same trace.
     fn tracer_mut(&mut self) -> Option<&mut Tracer> {
         let tracer = &mut self.core_mut().tracer;
         tracer.is_enabled().then_some(tracer)
     }
 
+    /// Removes and returns the listening tracer, if any, so its
+    /// recording can be finalized into a report.
     fn take_tracer(&mut self) -> Option<Tracer> {
         self.tracer_mut().map(std::mem::take)
     }
 
-    fn fault_domain(&self) -> FaultDomain {
-        Kernel::fault_domain(self)
-    }
-
+    /// Installs `injector` as the network's fault source; `check`
+    /// additionally enables exact per-packet conservation tracking even
+    /// in release builds. A network with an empty
+    /// [`fault_domain`](Interconnect::fault_domain) runs fault-free and
+    /// drops the injector.
     fn set_faults(&mut self, injector: FaultInjector, check: bool) {
-        if Kernel::fault_domain(self).is_empty() {
+        if self.fault_domain().is_empty() {
             return;
         }
         let core = self.core_mut();
@@ -397,27 +428,40 @@ impl<K: Kernel> Interconnect for K {
         }
     }
 
+    /// The installed fault injector, if any.
     fn faults(&self) -> Option<&FaultInjector> {
         self.core().faults()
     }
 
+    /// Removes and returns the installed fault injector so its drop
+    /// accounting can be reported.
     fn take_faults(&mut self) -> Option<FaultInjector> {
         self.core_mut().faults.take()
     }
 
-    fn pm_alive(&self, pm: NodeId) -> bool {
-        Kernel::pm_alive(self, pm)
-    }
-
+    /// Audits packet conservation: every packet injected must be
+    /// delivered, explicitly dropped, or still in flight.
     fn verify_conservation(&self) -> Result<(), ConservationError> {
         let core = self.core();
         core.ledger.verify(core.store.live())
     }
 
-    fn conservation_counts(&self) -> Option<(u64, u64, u64)> {
-        Some(self.core().ledger.counts())
+    /// `(injected, delivered, dropped)` conservation-ledger counters.
+    fn conservation_counts(&self) -> (u64, u64, u64) {
+        self.core().ledger.counts()
     }
 
+    /// Serializes the network's mutable state (in-flight packets,
+    /// buffer contents, per-station switching state, cycle counters)
+    /// into `w` for a deterministic checkpoint. Immutable structure —
+    /// topology, routing tables, capacities — is *not* written; a
+    /// resume rebuilds it from configuration and pours this state back
+    /// in via [`restore_state`](Interconnect::restore_state).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapError::Mismatch`] while a fault injector is
+    /// installed: a checkpoint does not carry its RNG and schedule.
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         let core = self.core();
         core.refuse_with_faults("checkpointing with")?;
@@ -429,6 +473,17 @@ impl<K: Kernel> Interconnect for K {
         Ok(())
     }
 
+    /// Restores mutable state previously written by
+    /// [`save_state`](Interconnect::save_state) into a freshly
+    /// constructed network of the *same* configuration. After a
+    /// successful restore the network continues bit-identically to the
+    /// one that was checkpointed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapError`] on truncated/corrupt input, a
+    /// configuration mismatch (different topology, buffer depths...) or
+    /// an installed fault injector.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.core()
             .refuse_with_faults("restoring into a network with")?;

@@ -12,8 +12,7 @@ use crate::RingConfig;
 
 /// A flit-level, cycle-accurate hierarchical ring network.
 ///
-/// Implements [`ringmesh_net::Interconnect`] (as every
-/// [`ringmesh_net::Kernel`] does); drive it with the
+/// Implements [`ringmesh_net::Interconnect`]; drive it with the
 /// `ringmesh-workload` crate or directly as in the example below.
 ///
 /// # Example
@@ -109,7 +108,7 @@ impl RingNetwork {
     }
 }
 
-impl ringmesh_net::Kernel for RingNetwork {
+impl ringmesh_net::Interconnect for RingNetwork {
     fn core(&self) -> &NetCore {
         &self.core
     }

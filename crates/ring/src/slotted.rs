@@ -143,9 +143,9 @@ fn side_index(st: u32, side: u8) -> usize {
 /// Shares [`RingSpec`]/[`RingTopology`] and [`RingConfig`] with the
 /// wormhole model ([`RingNetwork`](crate::RingNetwork)); only the
 /// switching discipline differs. Implements
-/// [`ringmesh_net::Interconnect`] (as every [`ringmesh_net::Kernel`]
-/// does): it is traced and audited by the shared [`NetCore`], but it
-/// models no faults, and registers no heatmap and emits no hop events.
+/// [`ringmesh_net::Interconnect`]: it is traced and audited by the
+/// shared [`NetCore`], but it models no faults, and registers no
+/// heatmap and emits no hop events.
 ///
 /// # Example
 ///
@@ -213,7 +213,7 @@ impl SlottedRingNetwork {
     }
 }
 
-impl ringmesh_net::Kernel for SlottedRingNetwork {
+impl ringmesh_net::Interconnect for SlottedRingNetwork {
     fn core(&self) -> &NetCore {
         &self.core
     }
@@ -452,7 +452,7 @@ mod tests {
             }
         }
         net.verify_conservation().unwrap();
-        assert_eq!(net.conservation_counts(), Some((txn, txn, 0)));
+        assert_eq!(net.conservation_counts(), (txn, txn, 0));
         assert!(
             net.assemblers.iter().all(|a| a.partial.is_empty()),
             "drained network left an assembly open"

@@ -297,8 +297,8 @@ impl RingTier {
                 let slot = self.slots[st];
                 for side in 0..slot.sides() {
                     let link = st as u32 * 2 + side as u32;
-                    let link_up = !faulty
-                        || t.core.faults().is_none_or(|f| f.link_up(link, cycle_now));
+                    let link_up =
+                        !faulty || t.core.faults().is_none_or(|f| f.link_up(link, cycle_now));
                     let quiescent = match slot {
                         Slot::Nic(n) => {
                             let nic = &mut self.nics[n as usize];
@@ -396,7 +396,9 @@ impl RingTier {
         }
         let active: Vec<bool> = (0..self.slots.len()).map(|st| self.active(st)).collect();
         active.save(w);
-        let free: Vec<usize> = (0..self.bufs.fifos()).map(|i| self.bufs.free_latched(i)).collect();
+        let free: Vec<usize> = (0..self.bufs.fifos())
+            .map(|i| self.bufs.free_latched(i))
+            .collect();
         free.save(w);
         w.u64(self.tick);
         self.ring_flits.save(w);

@@ -543,43 +543,111 @@ impl SnapshotState for Mmrp {
 mod tests {
     use super::*;
     use crate::processor::PendingRef;
-    use ringmesh_engine::StallError;
-    use ringmesh_net::{CacheLineSize, PacketFormat, UtilizationReport};
+    use ringmesh_faults::{
+        DropReason, FaultDomain, FaultEvent, FaultInjector, FaultKind, FaultSchedule,
+    };
+    use ringmesh_net::{CacheLineSize, NetCore, PacketFormat, PacketRef, UtilizationReport};
+    use std::collections::VecDeque;
 
-    /// A zero-latency loopback "network": packets are delivered to
-    /// their destination on the next step. Lets us test the driver's
-    /// bookkeeping without a real interconnect.
+    /// A loopback "network" over a [`NetCore`]: every packet reaches
+    /// its destination `delay` cycles after it was injected (in the
+    /// same step by default), so the driver is tested through the
+    /// admission, ledger and watchdog that real networks run. The
+    /// fault knobs, all off by default, exercise the retry layer end to
+    /// end: dropping the first N requests, blackholing requests to one
+    /// PM, and fail-stopping a PM through a real [`FaultInjector`].
     struct Loopback {
+        core: NetCore,
         pms: usize,
-        queue: Vec<(NodeId, Packet)>,
-        cycle: u64,
+        /// Packets in flight with the cycle each arrives, in that order.
+        wire: VecDeque<(u64, PacketRef)>,
+        delay: u64,
+        drop_first: u32,
+        dropped: u32,
+        blackhole: Option<NodeId>,
+    }
+
+    impl Loopback {
+        fn new(pms: usize) -> Self {
+            Loopback {
+                core: NetCore::new(1_000),
+                pms,
+                wire: VecDeque::new(),
+                delay: 0,
+                drop_first: 0,
+                dropped: 0,
+                blackhole: None,
+            }
+        }
+
+        /// Fail-stops `pm` before the first cycle.
+        fn kill(&mut self, pm: NodeId) {
+            let death = FaultEvent {
+                at: 0,
+                kind: FaultKind::NodeDead { node: pm.raw() },
+            };
+            let schedule = FaultSchedule::from_events(1, 0.0, vec![death]);
+            let mut injector = FaultInjector::new(&schedule, self.fault_domain());
+            injector.advance(0);
+            self.set_faults(injector, true);
+        }
     }
 
     impl Interconnect for Loopback {
+        fn core(&self) -> &NetCore {
+            &self.core
+        }
+        fn core_mut(&mut self) -> &mut NetCore {
+            &mut self.core
+        }
         fn num_pms(&self) -> usize {
             self.pms
-        }
-        fn cycle(&self) -> u64 {
-            self.cycle
         }
         fn can_inject(&self, _pm: NodeId, _class: QueueClass) -> bool {
             true
         }
-        fn inject(&mut self, _pm: NodeId, packet: Packet) {
-            self.queue.push((packet.dst, packet));
+        fn enqueue(&mut self, _pm: NodeId, _class: QueueClass, packet: PacketRef) {
+            self.wire
+                .push_back((self.core.cycle() + self.delay, packet));
         }
-        fn step(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> Result<(), StallError> {
-            delivered.append(&mut self.queue);
-            self.cycle += 1;
-            Ok(())
-        }
-        fn in_flight(&self) -> u64 {
-            self.queue.len() as u64
+        fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64 {
+            let moved = self.wire.len() as u64;
+            while let Some(&(at, r)) = self.wire.front() {
+                if at > self.core.cycle() {
+                    break;
+                }
+                self.wire.pop_front();
+                let p = *self.core.store().get(r);
+                if p.kind.is_request()
+                    && (self.dropped < self.drop_first || self.blackhole == Some(p.dst))
+                {
+                    self.dropped += 1;
+                    self.core.drop_packet(r, DropReason::DeadInterface);
+                } else {
+                    self.core.deliver(r, p.dst, delivered);
+                }
+            }
+            moved
         }
         fn utilization(&self) -> UtilizationReport {
             UtilizationReport::default()
         }
         fn reset_counters(&mut self) {}
+        fn save_kernel(&self, _w: &mut SnapWriter) {
+            unreachable!("the loopback is never checkpointed")
+        }
+        fn restore_kernel(&mut self, _r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
+            unreachable!("the loopback is never checkpointed")
+        }
+        fn pm_alive(&self, pm: NodeId) -> bool {
+            self.core.faults().is_none_or(|f| !f.node_dead(pm.raw()))
+        }
+        fn fault_domain(&self) -> FaultDomain {
+            FaultDomain {
+                links: 0,
+                nodes: self.pms as u32,
+            }
+        }
     }
 
     fn mmrp(pms: u32, t: u32, r: f64) -> Mmrp {
@@ -600,81 +668,6 @@ mod tests {
         )
     }
 
-    /// A loopback with fault knobs: fixed delivery delay, dropping the
-    /// first N requests, blackholing requests to one PM, or reporting a
-    /// PM as fail-stopped. Exercises the retry layer end to end.
-    struct FaultyLoopback {
-        pms: usize,
-        queue: Vec<(u64, NodeId, Packet)>,
-        cycle: u64,
-        delay: u64,
-        drop_first: u32,
-        dropped: u32,
-        blackhole: Option<NodeId>,
-        dead: Option<NodeId>,
-    }
-
-    impl FaultyLoopback {
-        fn new(pms: usize) -> Self {
-            FaultyLoopback {
-                pms,
-                queue: Vec::new(),
-                cycle: 0,
-                delay: 0,
-                drop_first: 0,
-                dropped: 0,
-                blackhole: None,
-                dead: None,
-            }
-        }
-    }
-
-    impl Interconnect for FaultyLoopback {
-        fn num_pms(&self) -> usize {
-            self.pms
-        }
-        fn cycle(&self) -> u64 {
-            self.cycle
-        }
-        fn can_inject(&self, _pm: NodeId, _class: QueueClass) -> bool {
-            true
-        }
-        fn inject(&mut self, _pm: NodeId, packet: Packet) {
-            if packet.kind.is_request()
-                && (self.dropped < self.drop_first || self.blackhole == Some(packet.dst))
-            {
-                self.dropped += 1;
-                return;
-            }
-            self.queue
-                .push((self.cycle + self.delay, packet.dst, packet));
-        }
-        fn step(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> Result<(), StallError> {
-            let now = self.cycle;
-            let mut i = 0;
-            while i < self.queue.len() {
-                if self.queue[i].0 <= now {
-                    let (_, dst, pkt) = self.queue.swap_remove(i);
-                    delivered.push((dst, pkt));
-                } else {
-                    i += 1;
-                }
-            }
-            self.cycle += 1;
-            Ok(())
-        }
-        fn in_flight(&self) -> u64 {
-            self.queue.len() as u64
-        }
-        fn pm_alive(&self, pm: NodeId) -> bool {
-            self.dead != Some(pm)
-        }
-        fn utilization(&self) -> UtilizationReport {
-            UtilizationReport::default()
-        }
-        fn reset_counters(&mut self) {}
-    }
-
     fn run(wl: &mut Mmrp, net: &mut dyn Interconnect, cycles: u64) -> Vec<(u64, f64)> {
         let mut samples = Vec::new();
         let mut delivered = Vec::new();
@@ -686,16 +679,13 @@ mod tests {
             let after = net.cycle();
             wl.post_cycle(net, &delivered, after, &mut samples);
         }
+        net.verify_conservation().unwrap();
         samples
     }
 
     #[test]
     fn transactions_complete_with_expected_latency() {
-        let mut net = Loopback {
-            pms: 4,
-            queue: Vec::new(),
-            cycle: 0,
-        };
+        let mut net = Loopback::new(4);
         let mut wl = mmrp(4, 4, 1.0);
         let samples = run(&mut wl, &mut net, 500);
         assert!(!samples.is_empty());
@@ -709,11 +699,7 @@ mod tests {
 
     #[test]
     fn issue_rate_matches_miss_rate() {
-        let mut net = Loopback {
-            pms: 8,
-            queue: Vec::new(),
-            cycle: 0,
-        };
+        let mut net = Loopback::new(8);
         let mut wl = mmrp(8, 4, 1.0);
         run(&mut wl, &mut net, 2_500);
         // 8 processors * 2500 cycles * C=0.04 = 800 expected issues;
@@ -724,11 +710,7 @@ mod tests {
 
     #[test]
     fn conservation_on_loopback() {
-        let mut net = Loopback {
-            pms: 6,
-            queue: Vec::new(),
-            cycle: 0,
-        };
+        let mut net = Loopback::new(6);
         let mut wl = mmrp(6, 2, 0.5);
         run(&mut wl, &mut net, 1_000);
         let s = wl.stats();
@@ -744,11 +726,7 @@ mod tests {
     fn local_accesses_counted_separately() {
         // R small on a big machine still includes the local PM, so some
         // local traffic must appear.
-        let mut net = Loopback {
-            pms: 16,
-            queue: Vec::new(),
-            cycle: 0,
-        };
+        let mut net = Loopback::new(16);
         let mut wl = mmrp(16, 4, 0.2);
         run(&mut wl, &mut net, 2_000);
         let s = wl.stats();
@@ -758,7 +736,7 @@ mod tests {
 
     #[test]
     fn dropped_requests_are_retried_to_completion() {
-        let mut net = FaultyLoopback::new(4);
+        let mut net = Loopback::new(4);
         net.drop_first = 5;
         let mut wl = mmrp(4, 4, 1.0).with_retry(RetryPolicy {
             timeout: 30,
@@ -779,7 +757,7 @@ mod tests {
 
     #[test]
     fn blackholed_destination_exhausts_attempts_without_leaking_slots() {
-        let mut net = FaultyLoopback::new(4);
+        let mut net = Loopback::new(4);
         net.blackhole = Some(NodeId::new(1));
         let mut wl = mmrp(4, 2, 1.0).with_retry(RetryPolicy {
             timeout: 20,
@@ -799,8 +777,8 @@ mod tests {
 
     #[test]
     fn dead_destination_fails_fast() {
-        let mut net = FaultyLoopback::new(4);
-        net.dead = Some(NodeId::new(1));
+        let mut net = Loopback::new(4);
+        net.kill(NodeId::new(1));
         let mut wl = mmrp(4, 2, 1.0).with_retry(RetryPolicy::default());
         run(&mut wl, &mut net, 1_000);
         let (s, r) = (wl.stats(), wl.retry_stats());
@@ -812,7 +790,7 @@ mod tests {
 
     #[test]
     fn late_responses_are_stale_not_double_retired() {
-        let mut net = FaultyLoopback::new(4);
+        let mut net = Loopback::new(4);
         net.delay = 50; // longer than the timeout: every response is late
         let mut wl = mmrp(4, 2, 1.0).with_retry(RetryPolicy {
             timeout: 20,
@@ -833,16 +811,10 @@ mod tests {
     fn retry_disabled_runs_are_unchanged() {
         // The retry book is opt-in; with it absent the driver must
         // behave byte-identically to the pre-retry code path.
-        let mut plain = Loopback {
-            pms: 4,
-            queue: Vec::new(),
-            cycle: 0,
-        };
         let mut wl_plain = mmrp(4, 4, 1.0);
-        let a = run(&mut wl_plain, &mut plain, 500);
-        let mut faulty = FaultyLoopback::new(4);
+        let a = run(&mut wl_plain, &mut Loopback::new(4), 500);
         let mut wl_retry = mmrp(4, 4, 1.0).with_retry(RetryPolicy::default());
-        let b = run(&mut wl_retry, &mut faulty, 500);
+        let b = run(&mut wl_retry, &mut Loopback::new(4), 500);
         assert_eq!(a, b, "fault-free run must not depend on the retry layer");
         assert_eq!(wl_plain.stats(), wl_retry.stats());
         assert_eq!(wl_retry.retry_stats(), RetryStats::default());
@@ -850,11 +822,7 @@ mod tests {
 
     #[test]
     fn samples_carry_completion_timestamps() {
-        let mut net = Loopback {
-            pms: 4,
-            queue: Vec::new(),
-            cycle: 0,
-        };
+        let mut net = Loopback::new(4);
         let mut wl = mmrp(4, 4, 1.0);
         let samples = run(&mut wl, &mut net, 300);
         assert!(
@@ -962,7 +930,7 @@ mod tests {
     /// A T = 1 workload run on a slow network until a processor has
     /// parked and a memory holds a response.
     fn loaded() -> Mmrp {
-        let mut net = FaultyLoopback::new(4);
+        let mut net = Loopback::new(4);
         net.delay = 30;
         let mut wl = mmrp(4, 1, 1.0);
         loop {

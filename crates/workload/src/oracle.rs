@@ -9,22 +9,26 @@
 //! case the driver under test is replaced by a fresh one restored from
 //! its own checkpoint, so the restore path is stepped as well.
 //!
-//! The fake network has bounded per-PM, per-class injection queues that
-//! drain one packet every few cycles, so NIC refusals happen, plus the fault
-//! knobs the retry layer answers to: dropped requests, a blackholed PM,
-//! a delivery delay and PMs that fail-stop through a real
+//! The fake network runs over a [`NetCore`], so its admission, ledger
+//! and watchdog are the real ones, and both twins' conservation is
+//! audited at the end. It has bounded per-PM, per-class injection queues
+//! that drain one packet every few cycles, so NIC refusals happen, plus
+//! the fault knobs the retry layer answers to: dropped requests, a
+//! blackholed PM, a delivery delay and PMs that fail-stop through a real
 //! [`FaultInjector`].
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-use ringmesh_engine::{SimRng, StallError};
-use ringmesh_faults::{FaultDomain, FaultEvent, FaultInjector, FaultKind, FaultSchedule};
-use ringmesh_net::{
-    CacheLineSize, Interconnect, NodeId, Packet, PacketFormat, PacketKind, QueueClass, TxnId,
-    UtilizationReport,
+use ringmesh_engine::SimRng;
+use ringmesh_faults::{
+    DropReason, FaultDomain, FaultEvent, FaultInjector, FaultKind, FaultSchedule,
 };
-use ringmesh_snap::{SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_net::{
+    CacheLineSize, Interconnect, NetCore, NodeId, Packet, PacketFormat, PacketKind, PacketRef,
+    QueueClass, TxnId, UtilizationReport,
+};
+use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
 
 use crate::processor::PendingRef;
 use crate::retry::{OpenTxn, RetryBook};
@@ -393,17 +397,18 @@ fn class_index(class: QueueClass) -> usize {
 /// A network whose NICs can refuse: each PM has a queue of `cap`
 /// packets per class and drains one packet every `period` cycles
 /// (responses first) onto a wire that delivers after `delay` cycles.
+/// It runs over a [`NetCore`], so the requests it drops and the
+/// packets to or from a dead PM leave through [`NetCore::drop_packet`].
 struct Fake {
-    cycle: u64,
+    core: NetCore,
     cap: usize,
     period: u64,
-    queues: Vec<[VecDeque<Packet>; 2]>,
-    wire: VecDeque<(u64, Packet)>,
+    queues: Vec<[VecDeque<PacketRef>; 2]>,
+    wire: VecDeque<(u64, PacketRef)>,
     delay: u64,
     drop_first: u32,
     dropped: u32,
     blackhole: Option<NodeId>,
-    faults: Option<FaultInjector>,
     /// Every injection, in order, as `(txn, src, dst, kind, injected_at)`.
     log: Vec<(u64, u32, u32, PacketKind, u64)>,
     refusals: Cell<u64>,
@@ -412,7 +417,7 @@ struct Fake {
 impl Fake {
     fn new(pms: u32, cap: usize) -> Self {
         Fake {
-            cycle: 0,
+            core: NetCore::new(1_000),
             cap,
             period: 3,
             queues: (0..pms).map(|_| Default::default()).collect(),
@@ -421,7 +426,6 @@ impl Fake {
             drop_first: 0,
             dropped: 0,
             blackhole: None,
-            faults: None,
             log: Vec::new(),
             refusals: Cell::new(0),
         }
@@ -436,26 +440,22 @@ impl Fake {
                 kind: FaultKind::NodeDead { node },
             })
             .collect();
-        let domain = FaultDomain {
-            links: 0,
-            nodes: self.queues.len() as u32,
-        };
         let schedule = FaultSchedule::from_events(1, 0.0, events);
-        self.faults = Some(FaultInjector::new(&schedule, domain));
+        let injector = FaultInjector::new(&schedule, self.fault_domain());
+        self.set_faults(injector, true);
         self
-    }
-
-    fn dead(&self, pm: NodeId) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.node_dead(pm.raw()))
     }
 }
 
 impl Interconnect for Fake {
+    fn core(&self) -> &NetCore {
+        &self.core
+    }
+    fn core_mut(&mut self) -> &mut NetCore {
+        &mut self.core
+    }
     fn num_pms(&self) -> usize {
         self.queues.len()
-    }
-    fn cycle(&self) -> u64 {
-        self.cycle
     }
     fn can_inject(&self, pm: NodeId, class: QueueClass) -> bool {
         let room = self.queues[pm.index()][class_index(class)].len() < self.cap;
@@ -464,59 +464,66 @@ impl Interconnect for Fake {
         }
         room
     }
-    fn inject(&mut self, pm: NodeId, p: Packet) {
-        assert_eq!(p.src, pm, "packet injected at the wrong PM");
-        assert_ne!(p.src, p.dst, "local accesses bypass the network");
-        let queue = &mut self.queues[pm.index()][class_index(QueueClass::of(p.kind))];
+    fn enqueue(&mut self, pm: NodeId, class: QueueClass, r: PacketRef) {
+        let queue = &mut self.queues[pm.index()][class_index(class)];
         assert!(queue.len() < self.cap, "inject into a full queue at {pm}");
-        queue.push_back(p);
+        queue.push_back(r);
+        let p = self.core.store().get(r);
         let entry = (p.txn.raw(), p.src.raw(), p.dst.raw(), p.kind, p.injected_at);
         self.log.push(entry);
     }
-    fn step(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> Result<(), StallError> {
-        let now = self.cycle;
-        if let Some(f) = &mut self.faults {
-            f.advance(now);
-        }
+    fn advance(&mut self, delivered: &mut Vec<(NodeId, Packet)>) -> u64 {
+        let now = self.core.cycle();
+        let mut moved = self.wire.len() as u64;
         for pm in 0..self.queues.len() {
             if !(now + pm as u64).is_multiple_of(self.period) {
                 continue;
             }
             let [resp, req] = &mut self.queues[pm];
-            let Some(p) = resp.pop_front().or_else(|| req.pop_front()) else {
+            let Some(r) = resp.pop_front().or_else(|| req.pop_front()) else {
                 continue;
             };
+            moved += 1;
+            let p = *self.core.store().get(r);
             let doomed = p.kind.is_request()
                 && (self.dropped < self.drop_first || self.blackhole == Some(p.dst));
             if doomed {
                 self.dropped += 1;
-            } else if !self.dead(p.src) && !self.dead(p.dst) {
-                self.wire.push_back((now + self.delay, p));
+            }
+            if doomed || !self.pm_alive(p.src) || !self.pm_alive(p.dst) {
+                self.core.drop_packet(r, DropReason::DeadInterface);
+            } else {
+                self.wire.push_back((now + self.delay, r));
             }
         }
-        while let Some(&(at, p)) = self.wire.front() {
+        while let Some(&(at, r)) = self.wire.front() {
             if at > now {
                 break;
             }
             self.wire.pop_front();
-            delivered.push((p.dst, p));
+            let dst = self.core.store().get(r).dst;
+            self.core.deliver(r, dst, delivered);
         }
-        self.cycle += 1;
-        Ok(())
-    }
-    fn in_flight(&self) -> u64 {
-        let queued: usize = self.queues.iter().map(|q| q[0].len() + q[1].len()).sum();
-        (queued + self.wire.len()) as u64
+        moved
     }
     fn utilization(&self) -> UtilizationReport {
         UtilizationReport::default()
     }
     fn reset_counters(&mut self) {}
-    fn faults(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
+    fn save_kernel(&self, _w: &mut SnapWriter) {
+        unreachable!("the oracle never checkpoints its network")
+    }
+    fn restore_kernel(&mut self, _r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
+        unreachable!("the oracle never checkpoints its network")
     }
     fn pm_alive(&self, pm: NodeId) -> bool {
-        !self.dead(pm)
+        self.core.faults().is_none_or(|f| !f.node_dead(pm.raw()))
+    }
+    fn fault_domain(&self) -> FaultDomain {
+        FaultDomain {
+            links: 0,
+            nodes: self.queues.len() as u32,
+        }
     }
 }
 
@@ -612,6 +619,10 @@ fn lockstep(case: &Case) -> Seen {
                 dut = resumed;
             }
         }
+    }
+    for net in [&dut_net, &ref_net] {
+        net.verify_conservation()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
     seen.refusals = ref_net.refusals.get();
     seen.blocked = reference.procs.iter().map(|p| p.stats.blocked_cycles).sum();

@@ -112,8 +112,15 @@ impl RetryBook {
     }
 
     /// Checks a restored book of a machine of `pms` PMs: every open or
-    /// backing-off transaction runs between two of its PMs.
+    /// backing-off transaction runs between two of its PMs, and the
+    /// deadlines are in due order, as the front-only check needs.
     pub(crate) fn validate(&self, pms: usize) -> Result<(), SnapError> {
+        let later = self.deadlines.iter().skip(1);
+        if self.deadlines.iter().zip(later).any(|(a, b)| b.0 < a.0) {
+            return Err(SnapError::Corrupt(
+                "retry deadlines out of due order".into(),
+            ));
+        }
         let mut entries = self
             .open
             .values()
@@ -270,5 +277,24 @@ mod tests {
         };
         book.retry_at.push((10, stray));
         assert!(matches!(book.validate(4), Err(SnapError::Corrupt(_))));
+    }
+
+    #[test]
+    fn validate_rejects_deadlines_out_of_due_order() {
+        let entry = OpenTxn {
+            pm: NodeId::new(0),
+            dst: NodeId::new(1),
+            kind: PacketKind::ReadReq,
+            flits: 1,
+            issued_at: 0,
+            attempt: 1,
+        };
+        let mut book = RetryBook::new(RetryPolicy::default());
+        book.track(1, entry, 5);
+        book.track(2, entry, 5);
+        assert!(book.validate(2).is_ok(), "equal deadlines are in order");
+        // A timeout due before the front would sit unseen behind it.
+        book.deadlines.push_back((4, 3, 1));
+        assert!(matches!(book.validate(2), Err(SnapError::Corrupt(_))));
     }
 }

@@ -396,20 +396,16 @@ fn print_fault_report(report: &FaultRunReport, retry_enabled: bool) {
     } else {
         println!("retry       : disabled");
     }
-    match report.conservation {
-        Some((injected, delivered, dropped)) => {
-            let in_flight = injected - delivered - dropped;
-            let verdict = if report.violation.is_none() {
-                "ok"
-            } else {
-                "VIOLATED"
-            };
-            println!(
-                "conservation: {injected} injected = {delivered} delivered + {dropped} dropped + {in_flight} in flight — {verdict}"
-            );
-        }
-        None => println!("conservation: no ledger (network without fault support)"),
-    }
+    let (injected, delivered, dropped) = report.conservation;
+    let in_flight = injected - delivered - dropped;
+    let verdict = if report.violation.is_none() {
+        "ok"
+    } else {
+        "VIOLATED"
+    };
+    println!(
+        "conservation: {injected} injected = {delivered} delivered + {dropped} dropped + {in_flight} in flight — {verdict}"
+    );
 }
 
 fn run_faults(cfg: SystemConfig, opts: FaultOpts, format: &str) -> ExitCode {

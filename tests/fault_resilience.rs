@@ -63,9 +63,7 @@ fn check_case(network: NetworkSpec, faults: FaultConfig, seed: u64) {
                 "{label} faults={faults:?}: {:?}",
                 report.violation
             );
-            let (injected, delivered, dropped) = report
-                .conservation
-                .unwrap_or_else(|| panic!("{label}: --check must force a ledger"));
+            let (injected, delivered, dropped) = report.conservation;
             assert!(
                 injected >= delivered + dropped,
                 "{label}: {injected} < {delivered} + {dropped}"

@@ -109,7 +109,7 @@ fn run_checked(spec: &str, cycles: u64) {
     }
     net.verify_conservation()
         .unwrap_or_else(|e| panic!("{spec}: {e}"));
-    let (injected, done, dropped) = net.conservation_counts().expect("ledger");
+    let (injected, done, dropped) = net.conservation_counts();
     assert_eq!(injected, done + dropped + net.in_flight(), "{spec}");
     assert_eq!(dropped, 0, "{spec}: a fault-free run drops nothing");
     let stats = wl.stats();
