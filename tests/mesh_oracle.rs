@@ -348,6 +348,14 @@ fn kernel_matches_the_reference_router_four_flit_buffers() {
     sweep(BufferRegime::FourFlit);
 }
 
+/// The benchmark's shape: `mesh:16` with 4-flit buffers, saturated,
+/// where worms span several routers and most inputs are blocked.
+#[test]
+fn kernel_matches_the_reference_router_at_the_benchmark_shape() {
+    let (delivered, _) = lockstep(16, BufferRegime::FourFlit, 1.0, 1_000, None);
+    assert!(delivered > 0, "mesh:16 saturated");
+}
+
 #[test]
 fn kernel_matches_the_reference_router_cache_line_buffers() {
     sweep(BufferRegime::CacheLine);
