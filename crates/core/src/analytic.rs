@@ -77,6 +77,12 @@ pub fn ring_zero_load_latency(
 /// mesh model is `hops + flits` cycles (one cycle through the local
 /// injection buffer, one per link, one ejection, `flits − 1`
 /// serialization, minus one stamp-convention overlap).
+///
+/// A mesh access region lists the local PM, then the others by
+/// ascending distance, and a pair's cost depends on its distance
+/// alone. So each source counts its PMs by distance and adds the
+/// region's terms in the region's order — the sum a walk of every
+/// region would make, bit for bit, without walking them.
 pub fn mesh_zero_load_latency(
     side: u32,
     cl: CacheLineSize,
@@ -90,18 +96,32 @@ pub fn mesh_zero_load_latency(
     let flits = |kind: PacketKind| f64::from(fmt.flits(kind, cl));
     let ser = fr * (flits(PacketKind::ReadReq) + flits(PacketKind::ReadResp))
         + (1.0 - fr) * (flits(PacketKind::WriteReq) + flits(PacketKind::WriteResp));
+    let mem = f64::from(mem_latency);
+    // PMs at each Manhattan distance from the source: 0 ..= 2(side − 1).
+    let mut at = vec![0u32; 2 * side as usize - 1];
     let mut total = 0.0;
     let mut count = 0.0;
     for src in 0..p {
         let s = NodeId::new(src);
-        for t in Region::new(Placement::Grid { side }, s, workload.region).iter() {
-            count += 1.0;
-            if t == s {
-                total += f64::from(mem_latency);
-                continue;
+        let (row, col) = topo.coords(s);
+        at.fill(0);
+        for r in 0..side {
+            for c in 0..side {
+                at[(r.abs_diff(row) + c.abs_diff(col)) as usize] += 1;
             }
-            let hops = 2.0 * f64::from(topo.manhattan(s, t));
-            total += hops + ser + f64::from(mem_latency);
+        }
+        let mut left = Region::new(Placement::Grid { side }, s, workload.region).len() as u32;
+        for (d, &n) in (0u32..).zip(&at) {
+            let term = if d == 0 {
+                mem
+            } else {
+                2.0 * f64::from(d) + ser + mem
+            };
+            for _ in 0..n.min(left) {
+                count += 1.0;
+                total += term;
+            }
+            left -= n.min(left);
         }
     }
     total / count
@@ -277,6 +297,45 @@ mod tests {
         // 2x2 mesh, 32B lines, uniform: remote pairs at distance 1 or 2.
         let m = mesh_zero_load_latency(2, CacheLineSize::B32, &wl(1.0), 10);
         assert!(m > 10.0 && m < 60.0, "{m}");
+    }
+
+    /// The distance count adds what a walk of every access region adds,
+    /// in the same order: equal to the last bit, clipped regions
+    /// included.
+    #[test]
+    fn mesh_zero_load_equals_the_region_walk() {
+        let walk = |side: u32, cl, workload: &WorkloadParams, mem: u32| {
+            let topo = MeshTopology::new(side);
+            let fmt = PacketFormat::MESH;
+            let fr = workload.read_fraction;
+            let flits = |kind: PacketKind| f64::from(fmt.flits(kind, cl));
+            let ser = fr * (flits(PacketKind::ReadReq) + flits(PacketKind::ReadResp))
+                + (1.0 - fr) * (flits(PacketKind::WriteReq) + flits(PacketKind::WriteResp));
+            let (mut total, mut count) = (0.0, 0.0);
+            for src in 0..side * side {
+                let s = NodeId::new(src);
+                for t in Region::new(Placement::Grid { side }, s, workload.region).iter() {
+                    count += 1.0;
+                    total += if t == s {
+                        f64::from(mem)
+                    } else {
+                        2.0 * f64::from(topo.manhattan(s, t)) + ser + f64::from(mem)
+                    };
+                }
+            }
+            total / count
+        };
+        for side in [1, 2, 3, 5, 8, 16] {
+            for r in [0.05, 0.3, 0.77, 1.0] {
+                for cl in [CacheLineSize::B32, CacheLineSize::B128] {
+                    let (got, want) = (
+                        mesh_zero_load_latency(side, cl, &wl(r), 10),
+                        walk(side, cl, &wl(r), 10),
+                    );
+                    assert_eq!(got.to_bits(), want.to_bits(), "side {side} R {r} {cl}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -259,8 +259,11 @@ impl ringmesh_net::Interconnect for HybridNetwork {
             corrupt: &[],
             now,
         };
+        // The routers' room is the bridges' (their PM-side queues hold
+        // bridge traffic), so it is not the PMs' to report.
+        let traced = self.core.tracing();
         self.routers
-            .step(now, &self.owners, self.core.store(), &fc, false);
+            .step(now, &self.owners, self.core.store(), &fc, traced);
         pulse.moved += self.routers.moved;
         pulse.blocked += self.routers.blocked;
         self.mesh_flits += self.routers.link_flits;
@@ -412,6 +415,24 @@ mod tests {
             }
         }
         panic!("no delivery after 50k cycles");
+    }
+
+    /// The room contract: a local ring's NIC names its PM when it takes
+    /// the packet, and the bridge's mesh queues, which hold bridge
+    /// traffic, name nobody on the way.
+    #[test]
+    fn a_local_nic_pop_reports_room_and_the_bridge_does_not() {
+        let c = cfg();
+        let mut net = HybridNetwork::new(2, 2, c).unwrap();
+        net.inject(NodeId::new(1), packet(&c, 1, PacketKind::ReadResp, 1, 6));
+        let mut delivered = Vec::new();
+        net.step(&mut delivered).unwrap();
+        assert_eq!(net.room(), [NodeId::new(1)]);
+        while delivered.is_empty() {
+            net.step(&mut delivered).unwrap();
+            assert!(net.room().is_empty(), "cycle {}", net.cycle());
+        }
+        assert!(net.mesh_flits > 0, "the packet crossed the mesh");
     }
 
     #[test]

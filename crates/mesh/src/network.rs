@@ -135,10 +135,13 @@ impl ringmesh_net::Interconnect for MeshNetwork {
             corrupt: self.core.corrupt(),
             now,
         };
-        // The tracer reads this cycle's link transfers in
-        // `trace_cycle`; nobody else needs them listed.
+        // The tracer reads this cycle's link transfers and blocked
+        // count in `trace_cycle`; nobody else needs them.
         self.routers
             .step(now, &self.owners, self.core.store(), &fc, tracing);
+        for &pm in &self.routers.room {
+            self.core.room_at(pm);
+        }
         // Deliveries and drops, in node order: this loop is the one
         // writer of the packet store and the ledger, so the delivered
         // stream and packet-store slot reuse are fixed by construction.
@@ -253,6 +256,28 @@ mod tests {
             }
         }
         panic!("no delivery within {max} cycles");
+    }
+
+    /// The room contract: the step that starts draining PM 2's queued
+    /// packet names PM 2 — once, though the drain takes several cycles
+    /// — and then PM 2 again for the second packet.
+    #[test]
+    fn a_drain_start_reports_room_at_its_pm() {
+        let cfg = MeshConfig::new(CacheLineSize::B32);
+        let mut net = MeshNetwork::new(MeshTopology::new(2), cfg.clone());
+        net.inject(NodeId::new(2), packet(&cfg, 1, PacketKind::ReadResp, 2, 1));
+        net.inject(NodeId::new(2), packet(&cfg, 2, PacketKind::WriteReq, 2, 1));
+        let flits = cfg.format.flits(PacketKind::ReadResp, cfg.cache_line);
+        let mut out = Vec::new();
+        let mut named = Vec::new();
+        for cycle in 0..2 * u64::from(flits) {
+            net.step(&mut out).unwrap();
+            if !net.room().is_empty() {
+                assert_eq!(net.room(), [NodeId::new(2)]);
+                named.push(cycle);
+            }
+        }
+        assert_eq!(named, [0, u64::from(flits)]);
     }
 
     #[test]

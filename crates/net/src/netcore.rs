@@ -31,7 +31,20 @@ use crate::packet::{NodeId, Packet, PacketRef, PacketStore};
 ///    ([`Interconnect::step`]);
 /// 4. the tracer, fault and conservation accessors of [`Interconnect`];
 /// 5. **save and restore**: the store ahead of the kernel's section of
-///    a checkpoint, the watchdog, ledger and corruption marks behind it.
+///    a checkpoint, the watchdog, ledger and corruption marks behind it;
+/// 6. **report room**: a kernel that takes a packet off a PM's
+///    injection queue names the PM with [`NetCore::room_at`], and the
+///    driver reads the cycle's list through [`Interconnect::room`].
+///
+/// # The room contract
+///
+/// Between two steps only the driver's own injections change what
+/// [`Interconnect::can_inject`] answers, and they only take room away.
+/// So a PM refused at one cycle stays refused until a step frees a slot
+/// of its queues, and every step that does must name the PM in
+/// [`Interconnect::room`]. A driver may then park a refused PM until
+/// its name comes up instead of asking again every cycle. Naming a PM
+/// whose queues are still full is allowed; missing one is a bug.
 ///
 /// # Orders that results depend on
 ///
@@ -59,8 +72,9 @@ pub struct NetCore {
     /// [`Interconnect::set_tracer`].
     tracer: Tracer,
     /// Fault source; absent in fault-free runs, in which case every
-    /// fault query answers "healthy" and behaviour is unchanged.
-    faults: Option<FaultInjector>,
+    /// fault query answers "healthy" and behaviour is unchanged. Boxed,
+    /// so a fault-free network carries a pointer, not the injector.
+    faults: Option<Box<FaultInjector>>,
     /// Packet-conservation ledger (per-slot tracking on under
     /// `debug_assertions` or the release `--check` pass).
     ledger: ConservationLedger,
@@ -69,6 +83,9 @@ pub struct NetCore {
     /// Why each packet dropped this cycle was dropped; reported to the
     /// tracer and the injector when the cycle ends.
     dropped: Vec<DropReason>,
+    /// PMs whose injection queues lost a packet this cycle, in the
+    /// order the kernel took them (repeats allowed).
+    room: Vec<NodeId>,
 }
 
 impl NetCore {
@@ -84,6 +101,7 @@ impl NetCore {
             ledger: ConservationLedger::new(cfg!(debug_assertions)),
             corrupt: Vec::new(),
             dropped: Vec::new(),
+            room: Vec::new(),
         }
     }
 
@@ -99,7 +117,7 @@ impl NetCore {
 
     /// The installed fault injector, if any.
     pub fn faults(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
+        self.faults.as_deref()
     }
 
     /// Corruption marks by packet-store slot; slots past the end are
@@ -174,9 +192,17 @@ impl NetCore {
         self.dropped.push(reason);
     }
 
+    /// Reports that a packet left PM `pm`'s injection queues this
+    /// cycle, so [`Interconnect::can_inject`] may answer yes again (see
+    /// the room contract above).
+    pub fn room_at(&mut self, pm: NodeId) {
+        self.room.push(pm);
+    }
+
     /// Announces the cycle to the tracer and applies the fault events
     /// due in it.
     fn begin_cycle(&mut self) {
+        self.room.clear();
         self.tracer.cycle(self.cycle);
         if let Some(f) = &mut self.faults {
             f.advance(self.cycle);
@@ -382,6 +408,14 @@ pub trait Interconnect {
         self.core_mut().end_cycle(moved, newly.len() as u64)
     }
 
+    /// The PMs whose [`can_inject`](Interconnect::can_inject) may have
+    /// turned true in the last [`step`](Interconnect::step), in no
+    /// promised order and possibly repeated: every PM a step took a
+    /// packet from is here (the room contract of [`NetCore`]).
+    fn room(&self) -> &[NodeId] {
+        &self.core().room
+    }
+
     /// Number of packets currently inside the network (injected but not
     /// yet delivered or dropped).
     fn in_flight(&self) -> u64 {
@@ -422,7 +456,7 @@ pub trait Interconnect {
             return;
         }
         let core = self.core_mut();
-        core.faults = Some(injector);
+        core.faults = Some(Box::new(injector));
         if check && !core.ledger.tracking() {
             core.ledger.set_tracking(true);
         }
@@ -436,7 +470,7 @@ pub trait Interconnect {
     /// Removes and returns the installed fault injector so its drop
     /// accounting can be reported.
     fn take_faults(&mut self) -> Option<FaultInjector> {
-        self.core_mut().faults.take()
+        self.core_mut().faults.take().map(|f| *f)
     }
 
     /// Audits packet conservation: every packet injected must be
@@ -495,6 +529,7 @@ pub trait Interconnect {
         core.ledger.restore_state(r)?;
         core.corrupt = Snapshot::load(r)?;
         core.dropped.clear();
+        core.room.clear();
         // A checkpoint is outside input: one whose ledger does not
         // account for its own packet store was not written by this
         // network, and the next step's identity assert would say so by

@@ -146,6 +146,11 @@ pub struct Packet {
 pub struct PacketRef(u32);
 
 impl PacketRef {
+    /// A handle that names no packet, for storage a kernel must fill
+    /// before it holds one (a route register between worms). Looking it
+    /// up in a [`PacketStore`] panics.
+    pub const PLACEHOLDER: PacketRef = PacketRef(u32::MAX);
+
     /// The slab slot index.
     pub fn slot(self) -> usize {
         self.0 as usize

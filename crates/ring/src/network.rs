@@ -264,6 +264,22 @@ mod tests {
         );
     }
 
+    /// The room contract: the step whose NIC takes the packet off PM
+    /// 1's queue names PM 1, and the next step, which takes nothing,
+    /// names nobody.
+    #[test]
+    fn a_nic_pop_reports_room_at_its_pm() {
+        let cfg = RingConfig::new(CacheLineSize::B32);
+        let mut net = RingNetwork::new(&RingSpec::single(4), cfg.clone());
+        net.inject(NodeId::new(1), packet(&cfg, 1, PacketKind::ReadResp, 1, 3));
+        assert!(net.room().is_empty());
+        let mut out = Vec::new();
+        net.step(&mut out).unwrap();
+        assert_eq!(net.room(), [NodeId::new(1)]);
+        net.step(&mut out).unwrap();
+        assert!(net.room().is_empty());
+    }
+
     #[test]
     fn single_flit_packet_takes_hop_count_cycles() {
         let cfg = RingConfig::new(CacheLineSize::B32);

@@ -188,6 +188,7 @@ impl Nic {
                     self.next_injection(free_out, t.credits[this_ring], t.core.store())
                 {
                     let r = self.out.get_mut(class).pop().expect("front checked");
+                    t.core.room_at(self.pm);
                     let flits = t.core.store().get(r).flits;
                     t.credits[this_ring] -= i64::from(flits);
                     self.drain.begin(r, flits);

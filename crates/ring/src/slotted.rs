@@ -279,8 +279,18 @@ impl ringmesh_net::Interconnect for SlottedRingNetwork {
                     }
                 }
                 if slot.is_none() {
-                    *slot = self.outboxes[side_index(st, side)].next_flit(self.core.store());
+                    let outbox = &mut self.outboxes[side_index(st, side)];
+                    let held = outbox.len();
+                    *slot = outbox.next_flit(self.core.store());
                     moved += u64::from(slot.is_some());
+                    // The tail of a local packet left: its PM may hand
+                    // the outbox another.
+                    if outbox.len() < held {
+                        let StationKind::Nic { pm } = self.topo.station(st) else {
+                            unreachable!("only a NIC's outbox holds local packets")
+                        };
+                        self.core.room_at(pm);
+                    }
                 }
             }
         }
@@ -354,6 +364,27 @@ mod tests {
             flits: cfg.format.flits(kind, cfg.cache_line),
             injected_at: 0,
         }
+    }
+
+    /// The room contract: a slotted outbox counts the packet it is
+    /// sending, so PM 0 gains room only on the step its tail leaves.
+    #[test]
+    fn a_drain_end_reports_room_at_its_pm() {
+        let cfg = RingConfig::new(CacheLineSize::B32);
+        let mut net = SlottedRingNetwork::new(&RingSpec::single(4), cfg.clone());
+        net.inject(NodeId::new(0), packet(&cfg, 1, PacketKind::ReadResp, 0, 2));
+        net.inject(NodeId::new(0), packet(&cfg, 2, PacketKind::ReadReq, 0, 3));
+        assert!(!net.can_inject(NodeId::new(0), QueueClass::Request));
+        let mut out = Vec::new();
+        let flits = cfg.format.flits(PacketKind::ReadResp, cfg.cache_line);
+        for _ in 1..flits {
+            net.step(&mut out).unwrap();
+            assert!(net.room().is_empty());
+            assert!(!net.can_inject(NodeId::new(0), QueueClass::Request));
+        }
+        net.step(&mut out).unwrap();
+        assert_eq!(net.room(), [NodeId::new(0)]);
+        assert!(net.can_inject(NodeId::new(0), QueueClass::Request));
     }
 
     #[test]

@@ -35,7 +35,11 @@ pub struct MmrpStats {
 /// module and per processor, the cycle it next has work; each phase
 /// scans its half in PM order and skips every entry still in the
 /// future. A processor at its `T` limit parks (its entry goes idle)
-/// until a retirement wakes it.
+/// until a retirement wakes it. A processor or a memory whose NIC
+/// refuses it parks too, until the network names its PM in
+/// [`Interconnect::room`] (or, for a processor, a retirement or a PM
+/// death wakes it): by the room contract its NIC would have refused it
+/// on every cycle in between.
 #[derive(Debug)]
 pub struct Mmrp {
     procs: Vec<Processor>,
@@ -44,6 +48,9 @@ pub struct Mmrp {
     /// visited, or [`IDLE`]. Empty until the first `pre_cycle` after
     /// `new` or `restore_state` builds it.
     due: Vec<u64>,
+    /// Memories whose ready response their NIC refused, a bit per PM,
+    /// built with `due`: parked until the network reports room there.
+    mem_parked: Vec<u64>,
     /// The next cycle to run: one past the last `pre_cycle`.
     next: u64,
     /// Fail-stopped nodes the fault injector reported by then.
@@ -63,6 +70,21 @@ pub struct Mmrp {
 fn retire(procs: &mut [Processor], due: &mut [u64], i: usize, wake: u64) {
     if procs[i].retire(wake) {
         due[procs.len() + i] = wake;
+    }
+}
+
+/// Whether bit `i` of the bitset `bits` is set.
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// Sets bit `i` of the bitset `bits` to `on`.
+fn set_bit(bits: &mut [u64], i: usize, on: bool) {
+    let (word, mask) = (&mut bits[i / 64], 1 << (i % 64));
+    if on {
+        *word |= mask;
+    } else {
+        *word &= !mask;
     }
 }
 
@@ -105,6 +127,7 @@ impl Mmrp {
             procs,
             mems,
             due: Vec::new(),
+            mem_parked: Vec::new(),
             next: 0,
             deaths: 0,
             issue,
@@ -182,12 +205,16 @@ impl Mmrp {
             }
         });
         self.due.extend(procs);
+        self.mem_parked.clear();
+        self.mem_parked.resize(self.mems.len().div_ceil(64), 0);
         self.deaths = deaths(net);
     }
 
     /// Halts the processors of PMs that fail-stopped since the last
     /// cycle. Asked of the fault injector once a cycle; the PMs are
-    /// scanned only when its count of dead nodes has moved.
+    /// scanned only when its count of dead nodes has moved. A death
+    /// wakes every processor parked on its NIC for this cycle: its
+    /// destination may be the PM that died.
     fn bury(&mut self, net: &dyn Interconnect, now: u64) {
         let deaths = deaths(net);
         if deaths == self.deaths {
@@ -196,6 +223,10 @@ impl Mmrp {
         self.deaths = deaths;
         let p = self.procs.len();
         for (proc, due) in self.procs.iter_mut().zip(&mut self.due[p..]) {
+            if proc.on_nic(&self.issue) {
+                proc.wake(now);
+                *due = now;
+            }
             // Idle and not parked: halted already.
             let halted = *due == IDLE && !proc.parked();
             if !halted && !net.pm_alive(proc.pm()) {
@@ -237,21 +268,33 @@ impl Mmrp {
                 self.stats.local_retired += 1;
                 samples.push((now, (now - issued_at) as f64));
             }
-            self.mems[i].inject_ready(net, now);
-            self.due[i] = self.mems[i].next_ready().map_or(IDLE, |r| r.max(now + 1));
+            // A refused memory parks: only its local accesses are due
+            // until the network reports room at its PM.
+            let m = &mut self.mems[i];
+            let parked = m.inject_ready(net, now);
+            set_bit(&mut self.mem_parked, i, parked);
+            let next = if parked {
+                m.next_local_ready()
+            } else {
+                m.next_ready()
+            };
+            self.due[i] = next.map_or(IDLE, |r| r.max(now + 1));
         }
         // Retries compete with fresh issues for injection slots; give
         // them priority so starved transactions make progress.
         self.process_retries(net, now);
-        let mut blocked = 0u64;
         let mut from = 0;
         while let Some(i) = first_due(&self.due[p..], from, now) {
             from = i + 1;
-            self.due[p + i] = self.issue(net, i, now, &mut blocked);
+            self.due[p + i] = self.issue(net, i, now);
         }
         if let Some(t) = net.tracer_mut() {
+            // Every processor parked on its NIC would have been refused
+            // again this cycle.
+            let issue = &self.issue;
+            let blocked = self.procs.iter().filter(|p| p.on_nic(issue)).count();
             t.count(Counter::TxnsIssued, self.stats.issued - before.issued);
-            t.count(Counter::IssueBlocked, blocked);
+            t.count(Counter::IssueBlocked, blocked as u64);
             t.count(Counter::TxnsRetired, self.stats.retired - before.retired);
             t.count(
                 Counter::TxnsLocalRetired,
@@ -264,8 +307,8 @@ impl Mmrp {
     }
 
     /// Visits processor `i`, due at `now`, and returns the cycle it is
-    /// next due; a NIC refusal counts in `blocked`.
-    fn issue(&mut self, net: &mut dyn Interconnect, i: usize, now: u64, blocked: &mut u64) -> u64 {
+    /// next due: [`IDLE`] when it parks, at `T` or on its NIC.
+    fn issue(&mut self, net: &mut dyn Interconnect, i: usize, now: u64) -> u64 {
         let issue = &self.issue;
         let proc = &mut self.procs[i];
         let Some(want) = proc.visit(now, issue) else {
@@ -321,9 +364,8 @@ impl Mmrp {
             self.stats.issued += 1;
             proc.issued(now, issue)
         } else {
-            proc.refused();
-            *blocked += 1;
-            now + 1
+            proc.refused(now);
+            IDLE
         }
     }
 
@@ -401,10 +443,12 @@ impl Mmrp {
     }
 
     /// Delivery phase, run after `net.step`: requests go to the home
-    /// memory, responses retire transactions and record latency.
-    /// `net` is only consulted for its tracer (retirement counters and
-    /// the outstanding-transactions gauge). A memory or processor that
-    /// gains work here is next due at the next cycle at the earliest.
+    /// memory, responses retire transactions and record latency, and
+    /// the memories and processors parked on a NIC the step gave room
+    /// wake. `net` is otherwise only consulted for its tracer
+    /// (retirement counters and the outstanding-transactions gauge). A
+    /// memory or processor that gains work here is next due at the next
+    /// cycle at the earliest.
     pub fn post_cycle(
         &mut self,
         net: &mut dyn Interconnect,
@@ -417,8 +461,12 @@ impl Mmrp {
             let i = dst.index();
             if pkt.kind.is_request() {
                 let ready = self.mems[i].accept(pkt, now).max(self.next);
+                // A parked memory's new response queues behind the
+                // refused one.
                 if let Some(due) = self.due.get_mut(i) {
-                    *due = (*due).min(ready);
+                    if !bit(&self.mem_parked, i) {
+                        *due = (*due).min(ready);
+                    }
                 }
             } else {
                 if let Some(book) = self.retry.as_mut() {
@@ -436,9 +484,54 @@ impl Mmrp {
                 samples.push((now, (now - pkt.injected_at) as f64));
             }
         }
+        self.wake_on_room(net);
         if let Some(t) = net.tracer_mut() {
             t.count(Counter::TxnsRetired, retired);
             t.gauge(Gauge::OutstandingTxns, self.outstanding() as f64);
+        }
+        #[cfg(debug_assertions)]
+        self.audit_parked(net);
+    }
+
+    /// Wakes, for the next cycle, the memories and processors parked on
+    /// the NICs of the PMs the last step named in
+    /// [`Interconnect::room`].
+    fn wake_on_room(&mut self, net: &dyn Interconnect) {
+        if self.due.is_empty() {
+            return;
+        }
+        let p = self.procs.len();
+        for &pm in net.room() {
+            let i = pm.index();
+            if bit(&self.mem_parked, i) {
+                set_bit(&mut self.mem_parked, i, false);
+                self.due[i] = self.due[i].min(self.next);
+            }
+            let proc = &mut self.procs[i];
+            if proc.on_nic(&self.issue) {
+                proc.wake(self.next);
+                self.due[p + i] = self.next;
+            }
+        }
+    }
+
+    /// Debug-only check of the room contract: a memory or processor
+    /// still parked on its NIC after the wake-ups must still be refused
+    /// by it — else the network gave room it did not report, and the
+    /// driver would sleep through it.
+    #[cfg(debug_assertions)]
+    fn audit_parked(&self, net: &dyn Interconnect) {
+        if self.due.is_empty() {
+            return;
+        }
+        for (i, proc) in self.procs.iter().enumerate() {
+            let pm = proc.pm();
+            let memory = bit(&self.mem_parked, i) && net.can_inject(pm, QueueClass::Response);
+            let processor = proc.on_nic(&self.issue) && net.can_inject(pm, QueueClass::Request);
+            assert!(
+                !memory && !processor,
+                "{pm}: parked on a NIC with room the network did not report"
+            );
         }
     }
 }
@@ -552,13 +645,17 @@ mod tests {
     /// A loopback "network" over a [`NetCore`]: every packet reaches
     /// its destination `delay` cycles after it was injected (in the
     /// same step by default), so the driver is tested through the
-    /// admission, ledger and watchdog that real networks run. The
+    /// admission, ledger, watchdog and room reports that real networks
+    /// run. A PM may have `window` packets on the wire (unbounded by
+    /// default); one leaving the wire reports room at its source. The
     /// fault knobs, all off by default, exercise the retry layer end to
     /// end: dropping the first N requests, blackholing requests to one
     /// PM, and fail-stopping a PM through a real [`FaultInjector`].
     struct Loopback {
         core: NetCore,
-        pms: usize,
+        /// Packets on the wire per source PM.
+        sent: Vec<usize>,
+        window: usize,
         /// Packets in flight with the cycle each arrives, in that order.
         wire: VecDeque<(u64, PacketRef)>,
         delay: u64,
@@ -571,7 +668,8 @@ mod tests {
         fn new(pms: usize) -> Self {
             Loopback {
                 core: NetCore::new(1_000),
-                pms,
+                sent: vec![0; pms],
+                window: usize::MAX,
                 wire: VecDeque::new(),
                 delay: 0,
                 drop_first: 0,
@@ -601,12 +699,13 @@ mod tests {
             &mut self.core
         }
         fn num_pms(&self) -> usize {
-            self.pms
+            self.sent.len()
         }
-        fn can_inject(&self, _pm: NodeId, _class: QueueClass) -> bool {
-            true
+        fn can_inject(&self, pm: NodeId, _class: QueueClass) -> bool {
+            self.sent[pm.index()] < self.window
         }
-        fn enqueue(&mut self, _pm: NodeId, _class: QueueClass, packet: PacketRef) {
+        fn enqueue(&mut self, pm: NodeId, _class: QueueClass, packet: PacketRef) {
+            self.sent[pm.index()] += 1;
             self.wire
                 .push_back((self.core.cycle() + self.delay, packet));
         }
@@ -618,6 +717,8 @@ mod tests {
                 }
                 self.wire.pop_front();
                 let p = *self.core.store().get(r);
+                self.sent[p.src.index()] -= 1;
+                self.core.room_at(p.src);
                 if p.kind.is_request()
                     && (self.dropped < self.drop_first || self.blackhole == Some(p.dst))
                 {
@@ -645,7 +746,7 @@ mod tests {
         fn fault_domain(&self) -> FaultDomain {
             FaultDomain {
                 links: 0,
-                nodes: self.pms as u32,
+                nodes: self.sent.len() as u32,
             }
         }
     }
@@ -695,6 +796,29 @@ mod tests {
         for &(_, lat) in &samples {
             assert!((5.0..=9.0).contains(&lat), "latency {lat}");
         }
+    }
+
+    /// One packet on the wire per PM, 30 cycles long: processors and
+    /// memories are refused, park, and wake on the room the wire
+    /// reports, so the machine keeps going at the wire's pace.
+    #[test]
+    fn a_narrow_nic_parks_and_wakes_on_room() {
+        let mut net = Loopback::new(4);
+        net.window = 1;
+        net.delay = 30;
+        let mut wl = mmrp(4, 4, 1.0);
+        let samples = run(&mut wl, &mut net, 2_000);
+        let blocked: u64 = (0..4)
+            .map(|pm| wl.processor_stats(NodeId::new(pm)).blocked_cycles)
+            .sum();
+        assert!(blocked > 2_000, "blocked cycles {blocked}");
+        // A PM sends at most one packet per 31 cycles, requests and
+        // responses alike: the wire, not the 60 remote misses per PM
+        // asked for, sets the pace.
+        let remote = samples.iter().filter(|&&(_, lat)| lat > 5.0).count();
+        assert!((100..=4 * 2_000 / 62).contains(&remote), "remote {remote}");
+        let s = wl.stats();
+        assert_eq!(wl.outstanding(), s.issued - s.retired);
     }
 
     #[test]

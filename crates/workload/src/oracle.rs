@@ -398,7 +398,9 @@ fn class_index(class: QueueClass) -> usize {
 /// packets per class and drains one packet every `period` cycles
 /// (responses first) onto a wire that delivers after `delay` cycles.
 /// It runs over a [`NetCore`], so the requests it drops and the
-/// packets to or from a dead PM leave through [`NetCore::drop_packet`].
+/// packets to or from a dead PM leave through [`NetCore::drop_packet`],
+/// and each drained packet reports room at its PM through
+/// [`NetCore::room_at`] — which only the driver under test reads.
 struct Fake {
     core: NetCore,
     cap: usize,
@@ -483,6 +485,7 @@ impl Interconnect for Fake {
             let Some(r) = resp.pop_front().or_else(|| req.pop_front()) else {
                 continue;
             };
+            self.core.room_at(NodeId::new(pm as u32));
             moved += 1;
             let p = *self.core.store().get(r);
             let doomed = p.kind.is_request()
