@@ -5,10 +5,8 @@ use std::fmt;
 
 use ringmesh_engine::{StallError, Watchdog};
 use ringmesh_faults::{ConservationError, FaultConfig, FaultInjector, FaultReport, FaultSchedule};
-use ringmesh_net::{ConfigError, Interconnect, NodeId, Packet, UtilizationReport};
-use ringmesh_snap::{
-    read_header, write_header, Fingerprint, SnapError, SnapReader, SnapWriter, SnapshotState,
-};
+use ringmesh_net::{snap_network, ConfigError, Interconnect, NodeId, Packet, UtilizationReport};
+use ringmesh_snap::{header, Codec, Fingerprint, Snap, SnapError, SnapReader, SnapWriter};
 use ringmesh_stats::{BatchMeans, Histogram, Summary};
 use ringmesh_trace::{TraceConfig, TraceReport, Tracer};
 use ringmesh_workload::{Mmrp, MmrpStats, PacketSizer, RetryPolicy, RetryStats};
@@ -433,17 +431,9 @@ impl System {
     ///
     /// Returns [`SnapError::Mismatch`] for networks that do not support
     /// snapshots or have a fault injector installed.
-    pub fn checkpoint(&self, state: &RunState) -> Result<Vec<u8>, SnapError> {
+    pub fn checkpoint(&mut self, state: &RunState) -> Result<Vec<u8>, SnapError> {
         let mut w = SnapWriter::new();
-        write_header(&mut w, "checkpoint");
-        w.u64(self.cfg.fingerprint());
-        w.u64(self.net.cycle());
-        self.net.save_state(&mut w)?;
-        self.workload.save_state(&mut w);
-        state.latency.save_state(&mut w);
-        state.histogram.save_state(&mut w);
-        state.dog.save_state(&mut w);
-        w.u64(state.prev_activity);
+        self.snap(&mut state.clone(), &mut w)?;
         Ok(w.into_bytes())
     }
 
@@ -458,42 +448,53 @@ impl System {
     /// Returns [`SnapError`] on truncated, corrupt or mismatched bytes;
     /// `self` may be partially restored and must be discarded then.
     pub fn restore(&mut self, state: &mut RunState, bytes: &[u8]) -> Result<(), SnapError> {
-        let mut r = SnapReader::new(bytes);
-        read_header(&mut r, "checkpoint")?;
-        let fp = r.u64()?;
-        if fp != self.cfg.fingerprint() {
-            return Err(SnapError::Mismatch(format!(
-                "checkpoint is for config {:016x}, this system is {:016x}",
-                fp,
-                self.cfg.fingerprint()
-            )));
-        }
-        let cycle = r.u64()?;
-        self.net.restore_state(&mut r)?;
+        self.snap(state, &mut SnapReader::new(bytes))
+    }
+
+    /// The checkpoint container: the header, the config fingerprint,
+    /// the cycle, the network, the workload and `state`. Every packet
+    /// a restore puts in flight must be one the workload could have
+    /// sent on this machine.
+    fn snap<C: Codec>(&mut self, state: &mut RunState, c: &mut C) -> Result<(), SnapError> {
+        header(c, "checkpoint")?;
+        c.exact(self.cfg.fingerprint(), "config fingerprint")?;
+        let mut cycle = self.net.cycle();
+        cycle.snap(c)?;
+        snap_network(&mut *self.net, c)?;
         if self.net.cycle() != cycle {
             return Err(SnapError::Corrupt(format!(
                 "network restored to cycle {}, checkpoint header says {cycle}",
                 self.net.cycle()
             )));
         }
-        self.workload.restore_state(&mut r)?;
-        state.latency.restore_state(&mut r)?;
-        state.histogram.restore_state(&mut r)?;
-        state.dog.restore_state(&mut r)?;
-        state.prev_activity = r.u64()?;
-        Ok(())
+        if c.reading() {
+            let format = self.cfg.network.builder().format();
+            let store = self.net.core().store();
+            store.validate_packets(self.net.num_pms(), format, self.cfg.cache_line)?;
+        }
+        self.workload.snap(c)?;
+        state.snap(c)
     }
 }
 
 /// Resumable state of the measurement loop — everything
 /// [`System::run_to`] tracks outside the network and workload. Created
 /// by [`System::begin`], serialized inside [`System::checkpoint`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RunState {
     latency: BatchMeans,
     histogram: Histogram,
     dog: Watchdog,
     prev_activity: u64,
+}
+
+impl Snap for RunState {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.latency.snap(c)?;
+        self.histogram.snap(c)?;
+        self.dog.snap(c)?;
+        self.prev_activity.snap(c)
+    }
 }
 
 /// Builds and runs `cfg` in one call.

@@ -8,7 +8,7 @@
 //! seeded through splitmix64 — the standard seeding recipe — so the
 //! simulator carries no external RNG dependency.
 
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 /// Mixes a 64-bit value through the `splitmix64` finalizer; used to
 /// derive well-separated child seeds from `(seed, stream-id)` pairs and
@@ -139,30 +139,21 @@ impl SimRng {
     }
 }
 
-impl Snapshot for SimRng {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.seed);
-        for &s in &self.state {
-            w.u64(s);
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let seed = r.u64()?;
-        let mut state = [0u64; 4];
-        for s in &mut state {
-            *s = r.u64()?;
-        }
-        if state == [0; 4] {
+impl Snap for SimRng {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.seed.snap(c)?;
+        self.state.snap(c)?;
+        if self.state == [0; 4] {
             return Err(SnapError::Corrupt("all-zero xoshiro state".into()));
         }
-        Ok(SimRng { seed, state })
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ringmesh_snap::{SnapReader, SnapWriter};
 
     #[test]
     fn snapshot_resumes_mid_stream() {
@@ -171,9 +162,10 @@ mod tests {
             rng.next_u64();
         }
         let mut w = SnapWriter::new();
-        rng.save(&mut w);
+        rng.snap(&mut w).unwrap();
         let bytes = w.into_bytes();
-        let mut restored = SimRng::load(&mut SnapReader::new(&bytes)).unwrap();
+        let mut restored = SimRng::from_seed(0);
+        restored.snap(&mut SnapReader::new(&bytes)).unwrap();
         for _ in 0..32 {
             assert_eq!(rng.next_u64(), restored.next_u64());
         }

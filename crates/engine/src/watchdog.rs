@@ -9,7 +9,7 @@
 use std::error::Error;
 use std::fmt;
 
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::SimTime;
 
@@ -109,24 +109,11 @@ impl Watchdog {
     }
 }
 
-impl SnapshotState for Watchdog {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.horizon);
-        w.u64(self.last_progress);
-        w.u64(self.in_flight);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let horizon = r.u64()?;
-        if horizon != self.horizon {
-            return Err(SnapError::Mismatch(format!(
-                "watchdog horizon {horizon}, expected {}",
-                self.horizon
-            )));
-        }
-        self.last_progress = r.u64()?;
-        self.in_flight = r.u64()?;
-        Ok(())
+impl Snap for Watchdog {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        c.exact(self.horizon, "watchdog horizon")?;
+        self.last_progress.snap(c)?;
+        self.in_flight.snap(c)
     }
 }
 

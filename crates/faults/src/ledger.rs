@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 /// A violated conservation invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,41 +149,21 @@ impl ConservationLedger {
     }
 }
 
-impl SnapshotState for ConservationLedger {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.injected);
-        w.u64(self.delivered);
-        w.u64(self.dropped);
-        w.bool(self.track);
+impl Snap for ConservationLedger {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.injected.snap(c)?;
+        self.delivered.snap(c)?;
+        self.dropped.snap(c)?;
+        self.track.snap(c)?;
         // The live set iterates in hash order; sort so equal ledgers
         // always produce byte-identical snapshots.
         let mut live: Vec<usize> = self.live.iter().copied().collect();
         live.sort_unstable();
-        w.usize(live.len());
-        for slot in live {
-            w.usize(slot);
+        live.snap(c)?;
+        if c.reading() {
+            self.live = live.into_iter().collect();
         }
-        match &self.violation {
-            None => w.bool(false),
-            Some(v) => {
-                w.bool(true);
-                w.str(v);
-            }
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.injected = r.u64()?;
-        self.delivered = r.u64()?;
-        self.dropped = r.u64()?;
-        self.track = r.bool()?;
-        let n = r.usize()?;
-        self.live = HashSet::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            self.live.insert(r.usize()?);
-        }
-        self.violation = if r.bool()? { Some(r.str()?) } else { None };
-        Ok(())
+        self.violation.snap(c)
     }
 }
 

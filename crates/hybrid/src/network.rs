@@ -26,7 +26,7 @@ use ringmesh_net::{
 use ringmesh_ring::kernel::{RingTier, StationMap, StepPulse};
 use ringmesh_ring::topology::SideRef;
 use ringmesh_ring::{RingConfig, StationKind};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 use ringmesh_trace::{Counter, Gauge};
 
 /// Mesh router input buffer depth, in cache-line worms: one, the
@@ -345,19 +345,6 @@ impl ringmesh_net::Interconnect for HybridNetwork {
         self.mesh_flits = 0;
     }
 
-    fn save_kernel(&self, w: &mut SnapWriter) {
-        self.tier.save(w);
-        self.routers.save_state(w);
-        w.u64(self.mesh_flits);
-    }
-
-    fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-        self.tier.restore(r)?;
-        self.routers.restore_state(r)?;
-        self.mesh_flits = r.u64()?;
-        Ok(self.tier.cycle())
-    }
-
     /// Whether a live route exists from `src` to `dst`. Intra-ring
     /// traffic never touches a bridge's crossing queues; cross-ring
     /// traffic must cross both endpoint bridges, and a dead bridge —
@@ -384,12 +371,24 @@ impl ringmesh_net::Interconnect for HybridNetwork {
     }
 }
 
+/// The local rings, the mesh routers, the mesh flit count; the clock
+/// is the rings' tick count.
+impl Snap for HybridNetwork {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.tier.snap(c)?;
+        self.routers.snap(c)?;
+        self.mesh_flits.snap(c)?;
+        *self.core.clock_mut() = self.tier.cycle();
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ringmesh_faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule};
-    use ringmesh_net::{Interconnect, PacketFormat, PacketKind, TxnId};
-    use ringmesh_snap::Snapshot;
+    use ringmesh_net::{snap_network, Interconnect, PacketFormat, PacketKind, TxnId};
+    use ringmesh_snap::{SnapReader, SnapWriter};
 
     fn cfg() -> CacheLineSize {
         CacheLineSize::B32
@@ -519,11 +518,11 @@ mod tests {
             net.step(&mut delivered).unwrap();
         }
         let mut w = SnapWriter::new();
-        net.save_state(&mut w).unwrap();
+        snap_network(&mut net, &mut w).unwrap();
         let bytes = w.into_bytes();
         let mut copy = HybridNetwork::new(2, 2, c).unwrap();
         let mut r = SnapReader::new(&bytes);
-        copy.restore_state(&mut r).unwrap();
+        snap_network(&mut copy, &mut r).unwrap();
         // Both must now evolve identically.
         let mut d1 = Vec::new();
         let mut d2 = Vec::new();
@@ -539,8 +538,8 @@ mod tests {
         assert_eq!(key(&d1), key(&d2));
         let mut w1 = SnapWriter::new();
         let mut w2 = SnapWriter::new();
-        net.save_state(&mut w1).unwrap();
-        copy.save_state(&mut w2).unwrap();
+        snap_network(&mut net, &mut w1).unwrap();
+        snap_network(&mut copy, &mut w2).unwrap();
         assert_eq!(w1.into_bytes(), w2.into_bytes());
     }
 
@@ -549,16 +548,16 @@ mod tests {
     /// `ring_credits` used to restore and panic at the next step).
     #[test]
     fn short_credit_table_is_a_mismatch_not_a_later_panic() {
-        let net = HybridNetwork::new(2, 2, cfg()).unwrap();
+        let mut net = HybridNetwork::new(2, 2, cfg()).unwrap();
         let mut w = SnapWriter::new();
-        net.save_state(&mut w).unwrap();
+        snap_network(&mut net, &mut w).unwrap();
         // A fresh 2x2:2 has four rings of three stations, each with the
         // credits of three empty transit buffers; cut that table to
         // three rings.
         let credits = 3 * RingConfig::new(cfg()).ring_buffer_flits() as i64;
         let table = |rings: usize| {
             let mut w = SnapWriter::new();
-            vec![credits; rings].save(&mut w);
+            vec![credits; rings].snap(&mut w).unwrap();
             w.into_bytes()
         };
         let (full, short) = (table(4), table(3));
@@ -569,7 +568,7 @@ mod tests {
             .expect("the credit table is in the checkpoint");
         bytes.splice(at..at + full.len(), short);
         let mut fresh = HybridNetwork::new(2, 2, cfg()).unwrap();
-        match fresh.restore_state(&mut SnapReader::new(&bytes)) {
+        match snap_network(&mut fresh, &mut SnapReader::new(&bytes)) {
             Err(SnapError::Mismatch(msg)) => assert!(msg.contains("ring-credit table"), "{msg}"),
             other => panic!("{other:?}"),
         }

@@ -2,7 +2,7 @@
 
 use ringmesh_faults::{FaultDomain, FaultInjector};
 use ringmesh_net::{LevelUtil, NetCore, NodeId, Packet, PacketRef, QueueClass, UtilizationReport};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, TraceLoc};
 
 use crate::routers::{owner_coords, CommitOp, FaultCtx, MeshRouters};
@@ -179,21 +179,6 @@ impl ringmesh_net::Interconnect for MeshNetwork {
         self.reset_cycle = self.core.cycle();
     }
 
-    fn save_kernel(&self, w: &mut SnapWriter) {
-        self.routers.save_state(w);
-        w.u64(self.core.cycle());
-        w.u64(self.link_flits);
-        w.u64(self.reset_cycle);
-    }
-
-    fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-        self.routers.restore_state(r)?;
-        let cycle = r.u64()?;
-        self.link_flits = r.u64()?;
-        self.reset_cycle = r.u64()?;
-        Ok(cycle)
-    }
-
     /// Fail fast at injection when the source or destination router is
     /// dead: the packet could never be delivered.
     fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
@@ -228,6 +213,16 @@ impl ringmesh_net::Interconnect for MeshNetwork {
             side,
             side,
         ));
+    }
+}
+
+/// The routers, the clock, the link flit count, the reset cycle.
+impl Snap for MeshNetwork {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.routers.snap(c)?;
+        self.core.clock_mut().snap(c)?;
+        self.link_flits.snap(c)?;
+        self.reset_cycle.snap(c)
     }
 }
 
@@ -593,7 +588,8 @@ mod tests {
 #[cfg(test)]
 mod corrupt_snapshot_tests {
     use super::*;
-    use ringmesh_net::{CacheLineSize, Interconnect};
+    use ringmesh_net::{snap_network, CacheLineSize, Interconnect};
+    use ringmesh_snap::{SnapReader, SnapWriter};
 
     /// Byte offsets into an idle mesh's snapshot: the empty packet
     /// store is three words and the router count one; an empty input
@@ -609,13 +605,15 @@ mod corrupt_snapshot_tests {
     fn restore_spliced(at: usize, cut: usize, with: &[u8]) -> Result<(), SnapError> {
         let cfg = MeshConfig::new(CacheLineSize::B32);
         let mut w = SnapWriter::new();
-        MeshNetwork::new(MeshTopology::new(3), cfg.clone())
-            .save_state(&mut w)
-            .unwrap();
+        snap_network(
+            &mut MeshNetwork::new(MeshTopology::new(3), cfg.clone()),
+            &mut w,
+        )
+        .unwrap();
         let mut bytes = w.into_bytes();
         bytes.splice(at..at + cut, with.iter().copied());
         let mut net = MeshNetwork::new(MeshTopology::new(3), cfg);
-        net.restore_state(&mut SnapReader::new(&bytes))?;
+        snap_network(&mut net, &mut SnapReader::new(&bytes))?;
         net.step(&mut Vec::new()).unwrap();
         Ok(())
     }

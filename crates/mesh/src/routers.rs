@@ -55,7 +55,7 @@ use ringmesh_faults::{DropReason, FaultInjector};
 use ringmesh_net::{
     Assembler, DrainState, FifoBank, Flit, NodeId, PacketQueue, PacketRef, PacketStore, QueueClass,
 };
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::topology::{Direction, MeshTopology};
 
@@ -717,16 +717,9 @@ impl MeshRouters {
     }
 }
 
-/// The port mask whose bit `i` is `set[i]`.
-fn mask_of(set: &[bool]) -> u8 {
-    (0..set.len())
-        .filter(|&i| set[i])
-        .fold(0, |m, i| m | bit(i))
-}
-
-/// Reads a port-sized field: a `usize` below `limit`, narrowed.
-fn small(r: &mut SnapReader<'_>, limit: usize, what: &str) -> Result<u8, SnapError> {
-    let v = r.usize()?;
+/// A port-sized field, written as a `usize`, narrowed when below
+/// `limit`.
+fn small(v: usize, limit: usize, what: &str) -> Result<u8, SnapError> {
     if v < limit {
         Ok(v as u8)
     } else {
@@ -742,85 +735,64 @@ fn small(r: &mut SnapReader<'_>, limit: usize, what: &str) -> Result<u8, SnapErr
 /// and the other flags are not written: restore recounts them, and
 /// refuses a stop/go table that disagrees with the latched FIFOs or an
 /// idle router with work to do.
-impl SnapshotState for MeshRouters {
-    fn save_state(&self, w: &mut SnapWriter) {
+impl Snap for MeshRouters {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         let n = self.xbar.len();
-        w.usize(n);
-        for l in 0..n {
-            let x = &self.xbar[l];
-            for i in l * 5..l * 5 + 5 {
-                self.fifos.save_fifo(i, w);
-            }
-            for i in 0..5 {
-                let route =
-                    (x.route[i] != NONE).then(|| (self.held[l][i], usize::from(x.route[i])));
-                route.save(w);
-            }
-            for o in 0..5 {
-                (x.conn[o] != NONE)
-                    .then_some(usize::from(x.conn[o]))
-                    .save(w);
-            }
-            for o in 0..5 {
-                w.usize(usize::from(x.rr[o]));
-            }
-            self.out_req[l].save_state(w);
-            self.out_resp[l].save_state(w);
-            self.drain[l].save(w);
-            self.assembler[l].save(w);
-        }
-        let active: Vec<bool> = self.xbar.iter().map(|x| x.flags & ACTIVE != 0).collect();
-        active.save(w);
-        let go = self
-            .xbar
-            .iter()
-            .flat_map(|x| (0..5).map(|i| x.go & bit(i) != 0));
-        go.collect::<Vec<bool>>().save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = self.xbar.len();
-        r.len_exact(n, "router count")?;
+        c.exact(n, "router count")?;
         for l in 0..n {
             for i in l * 5..l * 5 + 5 {
-                self.fifos.restore_fifo(i, r)?;
+                self.fifos.snap_fifo(i, c)?;
             }
             let x = &mut self.xbar[l];
             for i in 0..5 {
-                x.route[i] = NONE;
-                if r.bool()? {
-                    self.held[l][i] = PacketRef::load(r)?;
-                    x.route[i] = small(r, DROP + 1, "route port")?;
-                }
-            }
-            for o in 0..5 {
-                x.conn[o] = if r.bool()? {
-                    small(r, 5, "connected input")?
-                } else {
-                    NONE
+                let held = &mut self.held[l][i];
+                let mut route = (x.route[i] != NONE).then(|| (*held, usize::from(x.route[i])));
+                route.snap(c)?;
+                x.route[i] = match route {
+                    None => NONE,
+                    Some((packet, port)) => {
+                        *held = packet;
+                        small(port, DROP + 1, "route port")?
+                    }
                 };
             }
             for o in 0..5 {
-                x.rr[o] = small(r, 5, "round-robin pointer")?;
+                let mut input = (x.conn[o] != NONE).then_some(usize::from(x.conn[o]));
+                input.snap(c)?;
+                x.conn[o] = match input {
+                    None => NONE,
+                    Some(i) => small(i, 5, "connected input")?,
+                };
             }
-            self.validate_crossbar(l)?;
-            self.out_req[l].restore_state(r)?;
-            self.out_resp[l].restore_state(r)?;
-            self.drain[l] = DrainState::load(r)?;
-            self.assembler[l] = Assembler::load(r)?;
+            for o in 0..5 {
+                let mut pointer = usize::from(x.rr[o]);
+                pointer.snap(c)?;
+                x.rr[o] = small(pointer, 5, "round-robin pointer")?;
+            }
+            if c.reading() {
+                self.validate_crossbar(l)?;
+            }
+            self.out_req[l].snap(c)?;
+            self.out_resp[l].snap(c)?;
+            self.drain[l].snap(c)?;
+            self.assembler[l].snap(c)?;
         }
-        let active: Vec<bool> = r.vec_exact(n, "router count")?;
-        let go: Vec<bool> = r.vec_exact(n * 5, "stop/go table size")?;
-        for l in 0..n {
-            let flags = if active[l] { ACTIVE } else { 0 };
-            self.xbar[l].flags = flags;
-            let x = self.recount(l);
-            if x.go != mask_of(&go[l * 5..l * 5 + 5]) {
-                return Err(SnapError::Corrupt(format!(
-                    "router {l}: stop/go table disagrees with the latched input buffers"
-                )));
+        let mut active: Vec<bool> = self.xbar.iter().map(|x| x.flags & ACTIVE != 0).collect();
+        c.fixed(&mut active, "router count")?;
+        c.exact(n * 5, "stop/go table size")?;
+        for (l, active) in active.into_iter().enumerate() {
+            // The block a writer holds already equals its recount (the
+            // debug latch audit's invariant); a reader rebuilds it.
+            let x = if c.reading() {
+                self.xbar[l].flags = if active { ACTIVE } else { 0 };
+                self.recount(l)
+            } else {
+                self.xbar[l]
+            };
+            for i in 0..5 {
+                c.check(x.go & bit(i) != 0, "stop/go of a latched input buffer")?;
             }
-            if flags == 0 && !x.quiescent() {
+            if !active && !x.quiescent() {
                 return Err(SnapError::Corrupt(format!(
                     "router {l} is off the worklist with work to do"
                 )));
@@ -912,6 +884,5 @@ mod tests {
     fn ports_walks_the_set_bits_lowest_first() {
         assert_eq!(ports(0).count(), 0);
         assert_eq!(ports(0b1_0110).collect::<Vec<_>>(), [1, 2, 4]);
-        assert_eq!(mask_of(&[true, false, true, false, false]), 0b101);
     }
 }

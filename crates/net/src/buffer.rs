@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::packet::{Flit, PacketRef};
 
@@ -209,14 +209,12 @@ struct BankFifo {
 /// FIFO `i` has [`FlitFifo`]'s contract, method for method — registered
 /// stop/go ([`space_latched`](Self::space_latched) reads the occupancy
 /// at the last [`latch`](Self::latch)), and a flit pushed at cycle
-/// `now` cannot leave before `now + 1` — and its snapshot
-/// ([`save_fifo`](Self::save_fifo)) is byte for byte what
-/// [`FlitFifo::save_state`] writes. What differs is the storage: flit
-/// slots sit in one `Vec` at stride `capacity`, beside 16 bytes of
-/// bookkeeping per FIFO, so a mesh router's five input buffers are
-/// adjacent memory, not five heap blocks. A mesh of a few thousand
-/// routers spends most of its footprint and most of its construction
-/// on exactly these buffers.
+/// `now` cannot leave before `now + 1` — and its snapshot bytes. What
+/// differs is the storage: flit slots sit in one `Vec` at stride
+/// `capacity`, beside 16 bytes of bookkeeping per FIFO, so a mesh
+/// router's five input buffers are adjacent memory, not five heap
+/// blocks. A mesh of a few thousand routers spends most of its
+/// footprint and most of its construction on exactly these buffers.
 ///
 /// # Example
 ///
@@ -251,7 +249,7 @@ impl FifoBank {
         assert!(cap > 0, "flit FIFO capacity must be positive");
         let cap = u16::try_from(cap).expect("banked flit FIFO capacity fits 16 bits");
         FifoBank {
-            slots: vec![Flit::FILLER; n * usize::from(cap)],
+            slots: vec![Flit::default(); n * usize::from(cap)],
             fifos: vec![BankFifo::default(); n],
             cap,
         }
@@ -360,77 +358,56 @@ impl FifoBank {
         }
     }
 
-    /// Buffered flits of FIFO `i`, head first.
-    fn flits(&self, i: usize) -> impl Iterator<Item = Flit> + '_ {
-        let f = self.fifos[i];
-        (0..f.len).map(move |pos| self.slots[self.slot(i, f.head, pos)])
-    }
-
-    /// Writes FIFO `i` exactly as [`FlitFifo::save_state`] would. The
-    /// count of buffered tail flits that format carries is recomputed
-    /// here; a mesh router never asks for it.
-    pub fn save_fifo(&self, i: usize, w: &mut SnapWriter) {
-        let f = self.fifos[i];
-        w.usize(self.capacity());
-        w.usize(usize::from(f.len));
-        for flit in self.flits(i) {
-            flit.save(w);
-        }
-        w.usize(usize::from(f.latched));
-        w.usize(self.flits(i).filter(|flit| flit.is_tail).count());
-        w.u64(f.last_push);
-        w.usize(usize::from(f.fresh));
-    }
-
-    /// Reads a count that must not exceed the capacity (and so fits
-    /// the 16-bit fields).
-    fn bounded(&self, r: &mut SnapReader<'_>, what: &str) -> Result<u16, SnapError> {
-        let v = r.usize()?;
-        u16::try_from(v)
-            .ok()
-            .filter(|&v| v <= self.cap)
-            .ok_or_else(|| SnapError::Corrupt(format!("flit FIFO {what} {v} over capacity")))
-    }
-
-    /// Restores FIFO `i` from [`save_fifo`](Self::save_fifo)'s or
-    /// [`FlitFifo::save_state`]'s bytes.
+    /// Snapshots FIFO `i`: its capacity, its flits head first, the
+    /// latched length, the tail count (recounted), the last push cycle
+    /// and the fresh count.
     ///
     /// # Errors
     ///
     /// [`SnapError::Mismatch`] on a different capacity,
     /// [`SnapError::Corrupt`] when a count exceeds the capacity or the
     /// tail count disagrees with the buffered flits.
-    pub fn restore_fifo(&mut self, i: usize, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let cap = r.usize()?;
-        if cap != self.capacity() {
-            return Err(SnapError::Mismatch(format!(
-                "flit FIFO capacity {cap}, expected {}",
-                self.cap
-            )));
-        }
-        let len = self.bounded(r, "length")?;
-        let base = i * self.capacity();
+    pub fn snap_fifo<C: Codec>(&mut self, i: usize, c: &mut C) -> Result<(), SnapError> {
+        c.exact(self.capacity(), "flit FIFO capacity")?;
+        let BankFifo {
+            mut last_push,
+            fresh,
+            head,
+            len,
+            latched,
+        } = self.fifos[i];
+        let len = self.snap_count(c, len, "length")?;
         let mut tails = 0;
-        for slot in &mut self.slots[base..base + usize::from(len)] {
-            *slot = Flit::load(r)?;
-            tails += usize::from(slot.is_tail);
+        for pos in 0..len {
+            let at = self.slot(i, head, pos);
+            self.slots[at].snap(c)?;
+            tails += usize::from(self.slots[at].is_tail);
         }
-        let latched = self.bounded(r, "latched length")?;
-        if r.usize()? != tails {
-            return Err(SnapError::Corrupt("flit FIFO tail count".into()));
-        }
-        let last_push = r.u64()?;
+        let latched = self.snap_count(c, latched, "latched length")?;
+        c.check(tails, "flit FIFO tail count")?;
+        last_push.snap(c)?;
         // `fresh` may exceed the length (it goes stale once later
         // cycles pop what it counted) but never the capacity.
-        let fresh = self.bounded(r, "fresh count")?;
+        let fresh = self.snap_count(c, fresh, "fresh count")?;
         self.fifos[i] = BankFifo {
             last_push,
             fresh,
-            head: 0,
+            head,
             len,
             latched,
         };
         Ok(())
+    }
+
+    /// A count kept in 16 bits and written as a `usize`, which must
+    /// not exceed the capacity.
+    fn snap_count<C: Codec>(&self, c: &mut C, v: u16, what: &str) -> Result<u16, SnapError> {
+        let mut n = usize::from(v);
+        n.snap(c)?;
+        u16::try_from(n)
+            .ok()
+            .filter(|&n| n <= self.cap)
+            .ok_or_else(|| SnapError::Corrupt(format!("flit FIFO {what} {n} over capacity")))
     }
 }
 
@@ -604,60 +581,32 @@ impl Assembler {
     }
 }
 
-impl SnapshotState for FlitFifo {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.cap);
-        self.q.save(w);
-        w.usize(self.latched_len);
-        w.usize(self.tails);
-        w.u64(self.last_push);
-        w.usize(self.fresh);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let cap = r.usize()?;
-        if cap != self.cap {
-            return Err(SnapError::Mismatch(format!(
-                "flit FIFO capacity {cap}, expected {}",
-                self.cap
-            )));
-        }
-        self.q = VecDeque::load(r)?;
-        self.latched_len = r.usize()?;
-        self.tails = r.usize()?;
-        self.last_push = r.u64()?;
-        self.fresh = r.usize()?;
-        if self.q.len() > self.cap || self.latched_len > self.cap {
-            return Err(SnapError::Corrupt("flit FIFO over capacity".into()));
-        }
+/// The capacity, the flits head first, the latched length, the tail
+/// count (recounted), the last push cycle and the fresh count.
+impl Snap for FlitFifo {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        c.exact(self.cap, "flit FIFO capacity")?;
+        self.q.snap(c)?;
+        self.latched_len.snap(c)?;
+        self.tails = self.q.iter().filter(|f| f.is_tail).count();
+        c.check(self.tails, "flit FIFO tail count")?;
+        self.last_push.snap(c)?;
+        self.fresh.snap(c)?;
         // `fresh` goes stale once later cycles pop the flits it counted
         // (it is only consulted while `last_push` equals the current
         // cycle), so it may legitimately exceed the queue length — but
         // never the capacity, which bounds one cycle's pushes.
-        if self.fresh > self.cap {
-            return Err(SnapError::Corrupt(
-                "flit FIFO fresh count over capacity".into(),
-            ));
+        if self.q.len().max(self.latched_len).max(self.fresh) > self.cap {
+            return Err(SnapError::Corrupt("flit FIFO over capacity".into()));
         }
         Ok(())
     }
 }
 
-impl SnapshotState for PacketQueue {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.cap);
-        self.q.save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let cap = r.usize()?;
-        if cap != self.cap {
-            return Err(SnapError::Mismatch(format!(
-                "packet queue capacity {cap}, expected {}",
-                self.cap
-            )));
-        }
-        self.q = VecDeque::load(r)?;
+impl Snap for PacketQueue {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        c.exact(self.cap, "packet queue capacity")?;
+        self.q.snap(c)?;
         if self.q.len() > self.cap {
             return Err(SnapError::Corrupt("packet queue over capacity".into()));
         }
@@ -665,26 +614,15 @@ impl SnapshotState for PacketQueue {
     }
 }
 
-impl Snapshot for DrainState {
-    fn save(&self, w: &mut SnapWriter) {
-        self.current.map(|(r, s, t)| (r, (s, t))).save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let current = Option::<(PacketRef, (u32, u32))>::load(r)?;
-        Ok(DrainState {
-            current: current.map(|(p, (s, t))| (p, s, t)),
-        })
+impl Snap for DrainState {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.current.snap(c)
     }
 }
 
-impl Snapshot for Assembler {
-    fn save(&self, w: &mut SnapWriter) {
-        self.current.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Assembler {
-            current: Option::load(r)?,
-        })
+impl Snap for Assembler {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.current.snap(c)
     }
 }
 
@@ -936,6 +874,7 @@ mod fifo_bank_tests {
     use super::*;
     use crate::packet::{NodeId, Packet, PacketKind, PacketStore, TxnId};
     use ringmesh_engine::SimRng;
+    use ringmesh_snap::{SnapReader, SnapWriter};
 
     fn refs(n: usize) -> Vec<PacketRef> {
         let mut store = PacketStore::new();
@@ -955,13 +894,13 @@ mod fifo_bank_tests {
 
     fn saved(f: &FlitFifo) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        f.save_state(&mut w);
+        f.clone().snap(&mut w).unwrap();
         w.into_bytes()
     }
 
     fn saved_bank(b: &FifoBank, i: usize) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        b.save_fifo(i, &mut w);
+        b.clone().snap_fifo(i, &mut w).unwrap();
         w.into_bytes()
     }
 
@@ -1049,10 +988,10 @@ mod fifo_bank_tests {
         let bytes = saved_bank(&bank, 1);
 
         let mut fifo = FlitFifo::new(4);
-        fifo.restore_state(&mut SnapReader::new(&bytes)).unwrap();
+        fifo.snap(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(saved(&fifo), bytes);
         let mut copy = FifoBank::new(1, 4);
-        copy.restore_fifo(0, &mut SnapReader::new(&bytes)).unwrap();
+        copy.snap_fifo(0, &mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(saved_bank(&copy, 0), bytes);
         // Only flit 2 predates cycle 1.
         assert_eq!(copy.pop_ready(0, 1), Some(flit(2)));
@@ -1102,7 +1041,7 @@ mod fifo_bank_tests {
             let mut bytes = good.clone();
             bytes[word * 8] = 5;
             let mut bank = FifoBank::new(1, 4);
-            match bank.restore_fifo(0, &mut SnapReader::new(&bytes)) {
+            match bank.snap_fifo(0, &mut SnapReader::new(&bytes)) {
                 Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
                 other => panic!("{what}: {other:?}"),
             }
@@ -1111,7 +1050,7 @@ mod fifo_bank_tests {
         bytes[0] = 8;
         let mut bank = FifoBank::new(1, 4);
         assert!(matches!(
-            bank.restore_fifo(0, &mut SnapReader::new(&bytes)),
+            bank.snap_fifo(0, &mut SnapReader::new(&bytes)),
             Err(SnapError::Mismatch(_))
         ));
     }

@@ -1,7 +1,7 @@
 //! The vocabulary of the [`Interconnect`](crate::Interconnect) trait:
 //! traffic classes and utilization reports.
 
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::PacketKind;
 
@@ -28,20 +28,10 @@ impl QueueClass {
     }
 }
 
-impl Snapshot for QueueClass {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            QueueClass::Request => 0,
-            QueueClass::Response => 1,
-        });
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(QueueClass::Request),
-            1 => Ok(QueueClass::Response),
-            t => Err(SnapError::Corrupt(format!("invalid queue class tag {t}"))),
-        }
+impl Snap for QueueClass {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        use QueueClass::*;
+        c.variant(self, &[Request, Response], "queue class")
     }
 }
 

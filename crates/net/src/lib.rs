@@ -21,9 +21,9 @@
 //! * [`Interconnect`], [`NetCore`] — the one trait through which the
 //!   workload drives every network interchangeably, and the packet
 //!   accounting, clock, tracer, fault and checkpoint plumbing it is
-//!   provided over: a model supplies its buffers and stepping, the
-//!   trait supplies admission, the cycle, the accessors and the
-//!   checkpoint frame.
+//!   provided over: a model supplies its buffers, stepping and its
+//!   `Snap` section, the trait supplies admission, the cycle and the
+//!   accessors, and [`snap_network`] the checkpoint frame.
 //!
 //! # Example
 //!
@@ -54,6 +54,6 @@ pub use config::{
 };
 pub use error::ConfigError;
 pub use interconnect::{LevelUtil, QueueClass, UtilizationReport};
-pub use netcore::{Interconnect, NetCore};
+pub use netcore::{snap_network, Interconnect, NetCore};
 pub use packet::{Flit, NodeId, Packet, PacketKind, PacketRef, PacketStore, TxnId};
 pub use topology::{checked_pms, Placement, TopologyBuilder, MAX_PMS};

@@ -5,7 +5,7 @@ use ringmesh_engine::{StallError, Watchdog};
 use ringmesh_faults::{
     ConservationError, ConservationLedger, DropReason, FaultDomain, FaultInjector,
 };
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{Codec, DynSnap, Snap, SnapError};
 use ringmesh_trace::{Counter, EventKind, Gauge, TraceLoc, Tracer};
 
 use crate::interconnect::{QueueClass, UtilizationReport};
@@ -30,8 +30,9 @@ use crate::packet::{NodeId, Packet, PacketRef, PacketStore};
 /// 3. **begin and end a cycle** around [`Interconnect::advance`]
 ///    ([`Interconnect::step`]);
 /// 4. the tracer, fault and conservation accessors of [`Interconnect`];
-/// 5. **save and restore**: the store ahead of the kernel's section of
-///    a checkpoint, the watchdog, ledger and corruption marks behind it;
+/// 5. **snapshot** ([`snap_network`]): the store ahead of the kernel's
+///    section of a checkpoint, the watchdog, ledger and corruption
+///    marks behind it;
 /// 6. **report room**: a kernel that takes a packet off a PM's
 ///    injection queue names the PM with [`NetCore::room_at`], and the
 ///    driver reads the cycle's list through [`Interconnect::room`].
@@ -59,9 +60,8 @@ use crate::packet::{NodeId, Packet, PacketRef, PacketStore};
 ///   tick, dead-IRI sinks after it; mesh: commit operations in router
 ///   order).
 /// * The clock travels in the kernel's section of a checkpoint, where
-///   each network has always written it, which is why
-///   [`Interconnect::save_kernel`] writes it and
-///   [`Interconnect::restore_kernel`] returns it.
+///   each network has always written it, which is why a kernel's
+///   [`Snap`] reaches it through [`NetCore::clock_mut`].
 #[derive(Debug)]
 pub struct NetCore {
     store: PacketStore,
@@ -108,6 +108,12 @@ impl NetCore {
     /// The current cycle (number of completed steps).
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// The clock, mutably, for a kernel's [`Snap`]: its section of a
+    /// checkpoint carries the clock, and a restore sets it.
+    pub fn clock_mut(&mut self) -> &mut u64 {
+        &mut self.cycle
     }
 
     /// The packets in flight.
@@ -244,12 +250,12 @@ impl NetCore {
 
     /// A checkpoint neither carries nor restores an injector's RNG and
     /// schedule position.
-    fn refuse_with_faults(&self, doing: &str) -> Result<(), SnapError> {
+    fn refuse_with_faults(&self) -> Result<(), SnapError> {
         match self.faults {
             None => Ok(()),
-            Some(_) => Err(SnapError::Mismatch(format!(
-                "{doing} fault injection installed is not supported"
-            ))),
+            Some(_) => Err(SnapError::Mismatch(
+                "a snapshot of a network with fault injection installed is not supported".into(),
+            )),
         }
     }
 }
@@ -265,7 +271,9 @@ impl NetCore {
 ///
 /// A network implements the required methods — its [`NetCore`], its
 /// buffers, how an admitted packet enters them, how they advance one
-/// cycle, its utilization and its section of a checkpoint — and may
+/// cycle, its utilization — and [`Snap`], whose `snap` is its own
+/// section of a checkpoint (the clock included, through
+/// [`NetCore::clock_mut`]; [`snap_network`] writes the rest). It may
 /// override five hooks (`reachable`, `pm_alive`, `fault_domain`,
 /// `trace_loc`, `on_tracer_installed`). Every other operation is
 /// provided once, here, over the core.
@@ -273,7 +281,7 @@ impl NetCore {
 /// [`can_inject`]: Interconnect::can_inject
 /// [`inject`]: Interconnect::inject
 /// [`step`]: Interconnect::step
-pub trait Interconnect {
+pub trait Interconnect: DynSnap {
     /// The network's core.
     fn core(&self) -> &NetCore;
 
@@ -304,19 +312,6 @@ pub trait Interconnect {
     /// Clears utilization counters (called at the end of the warm-up
     /// phase so statistics exclude initialization bias).
     fn reset_counters(&mut self);
-
-    /// Writes the network's own section of a checkpoint — the clock
-    /// included — between the core's packet store and the core's tail.
-    fn save_kernel(&self, w: &mut SnapWriter);
-
-    /// Reads back what [`save_kernel`](Interconnect::save_kernel) wrote
-    /// and returns the restored clock.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on truncated or corrupt input, or a
-    /// section that does not fit this network's shape.
-    fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError>;
 
     /// Whether a live route leads from `src` to `dst`; only a fault
     /// injector can cut one.
@@ -484,62 +479,43 @@ pub trait Interconnect {
     fn conservation_counts(&self) -> (u64, u64, u64) {
         self.core().ledger.counts()
     }
+}
 
-    /// Serializes the network's mutable state (in-flight packets,
-    /// buffer contents, per-station switching state, cycle counters)
-    /// into `w` for a deterministic checkpoint. Immutable structure —
-    /// topology, routing tables, capacities — is *not* written; a
-    /// resume rebuilds it from configuration and pours this state back
-    /// in via [`restore_state`](Interconnect::restore_state).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError::Mismatch`] while a fault injector is
-    /// installed: a checkpoint does not carry its RNG and schedule.
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        let core = self.core();
-        core.refuse_with_faults("checkpointing with")?;
-        core.store.save(w);
-        self.save_kernel(w);
-        core.watchdog.save_state(w);
-        core.ledger.save_state(w);
-        core.corrupt.save(w);
-        Ok(())
-    }
-
-    /// Restores mutable state previously written by
-    /// [`save_state`](Interconnect::save_state) into a freshly
-    /// constructed network of the *same* configuration. After a
-    /// successful restore the network continues bit-identically to the
-    /// one that was checkpointed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on truncated/corrupt input, a
-    /// configuration mismatch (different topology, buffer depths...) or
-    /// an installed fault injector.
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.core()
-            .refuse_with_faults("restoring into a network with")?;
-        self.core_mut().store = PacketStore::load(r)?;
-        let cycle = self.restore_kernel(r)?;
-        let core = self.core_mut();
-        core.cycle = cycle;
-        core.watchdog.restore_state(r)?;
-        core.ledger.restore_state(r)?;
-        core.corrupt = Snapshot::load(r)?;
+/// Snapshots `net`'s mutable state — in-flight packets, buffer
+/// contents, per-station switching state, cycle counters — for a
+/// deterministic checkpoint: the packet store, the kernel's own
+/// [`Snap`] section, then the watchdog, the ledger and the corruption
+/// marks. Immutable structure (topology, routing tables, capacities)
+/// is not written: a resume rebuilds it from configuration, and a
+/// restore into such a network continues bit-identically to the one
+/// that was checkpointed.
+///
+/// # Errors
+///
+/// Returns [`SnapError::Mismatch`] while a fault injector is installed
+/// (a checkpoint does not carry its RNG and schedule), and on reading
+/// any error of truncated or corrupt input or of a snapshot that does
+/// not fit `net`'s configuration.
+pub fn snap_network<C: Codec>(net: &mut dyn Interconnect, c: &mut C) -> Result<(), SnapError> {
+    net.core().refuse_with_faults()?;
+    net.core_mut().store.snap(c)?;
+    c.object(net)?;
+    let core = net.core_mut();
+    core.watchdog.snap(c)?;
+    core.ledger.snap(c)?;
+    core.corrupt.snap(c)?;
+    if c.reading() {
         core.dropped.clear();
         core.room.clear();
-        // A checkpoint is outside input: one whose ledger does not
-        // account for its own packet store was not written by this
-        // network, and the next step's identity assert would say so by
-        // panicking.
-        if core.balanced() {
-            Ok(())
-        } else {
-            Err(SnapError::Corrupt(
-                "ledger and packet store disagree on the packets in flight".into(),
-            ))
-        }
+    }
+    // A checkpoint is outside input: one whose ledger does not account
+    // for its own packet store was not written by this network, and the
+    // next step's identity assert would say so by panicking.
+    if core.balanced() {
+        Ok(())
+    } else {
+        Err(SnapError::Corrupt(
+            "ledger and packet store disagree on the packets in flight".into(),
+        ))
     }
 }

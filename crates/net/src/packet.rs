@@ -8,7 +8,9 @@
 
 use std::fmt;
 
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ringmesh_snap::{Codec, Snap, SnapError};
+
+use crate::{CacheLineSize, PacketFormat};
 
 /// Identifier of a processing module (PM): processor + cache + its slice
 /// of the global memory. PMs are numbered 0..P in the network's natural
@@ -68,9 +70,10 @@ impl fmt::Display for TxnId {
 }
 
 /// The four packet types the paper simulates (§2, footnote 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PacketKind {
     /// Request for a cache line (header only).
+    #[default]
     ReadReq,
     /// Cache-line data returning to the requester.
     ReadResp,
@@ -122,7 +125,7 @@ impl fmt::Display for PacketKind {
 ///
 /// This is a passive record; the network models move [`Flit`]s that
 /// reference it through their buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Packet {
     /// Transaction this packet belongs to.
     pub txn: TxnId,
@@ -157,10 +160,17 @@ impl PacketRef {
     }
 }
 
+/// [`PLACEHOLDER`](PacketRef::PLACEHOLDER).
+impl Default for PacketRef {
+    fn default() -> Self {
+        PacketRef::PLACEHOLDER
+    }
+}
+
 /// One flit of an in-flight packet. `seq == 0` is the head flit (the
 /// only one carrying routing information); `is_tail` marks the last.
 /// A one-flit packet's single flit is both head and tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flit {
     /// The packet this flit belongs to.
     pub packet: PacketRef,
@@ -171,16 +181,6 @@ pub struct Flit {
 }
 
 impl Flit {
-    /// What an unoccupied slot of preallocated flit storage holds. It
-    /// is never read as a flit: [`PacketRef`] has no public constructor,
-    /// so storage that must be filled before any packet exists lives
-    /// in this crate.
-    pub(crate) const FILLER: Flit = Flit {
-        packet: PacketRef(0),
-        seq: 0,
-        is_tail: false,
-    };
-
     /// Whether this is the head flit (carries routing information).
     pub fn is_head(self) -> bool {
         self.seq == 0
@@ -257,62 +257,98 @@ impl PacketStore {
     }
 }
 
-impl Snapshot for NodeId {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeId(r.u32()?))
-    }
-}
-
-impl Snapshot for TxnId {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TxnId(r.u64()?))
-    }
-}
-
-impl Snapshot for PacketKind {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            PacketKind::ReadReq => 0,
-            PacketKind::ReadResp => 1,
-            PacketKind::WriteReq => 2,
-            PacketKind::WriteResp => 3,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(PacketKind::ReadReq),
-            1 => Ok(PacketKind::ReadResp),
-            2 => Ok(PacketKind::WriteReq),
-            3 => Ok(PacketKind::WriteResp),
-            t => Err(SnapError::Corrupt(format!("packet kind tag {t}"))),
+impl PacketStore {
+    /// Checks a decoded store: the free list names each empty slot
+    /// once and nothing else, and the live count is the occupied one.
+    fn validate(&self) -> Result<(), SnapError> {
+        let occupied = self.slots.iter().filter(|s| s.is_some()).count();
+        if occupied as u64 != self.live || self.free.len() + occupied != self.slots.len() {
+            return Err(SnapError::Corrupt(format!(
+                "packet store accounting: {occupied} occupied, {} live, {} free of {}",
+                self.live,
+                self.free.len(),
+                self.slots.len()
+            )));
         }
+        let mut empty: Vec<bool> = self.slots.iter().map(Option::is_none).collect();
+        for &slot in &self.free {
+            if empty.get_mut(slot as usize).map(std::mem::take) != Some(true) {
+                return Err(SnapError::Corrupt(format!(
+                    "packet store free list: slot {slot} is out of range, live or listed twice"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks every stored packet against the network that holds it:
+    /// a machine of `pms` PMs whose packets are `format`'s length for
+    /// `cl`-byte cache lines. A restored packet's length sizes every
+    /// buffer it will pass through.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`] naming the first packet that disagrees.
+    pub fn validate_packets(
+        &self,
+        pms: usize,
+        format: PacketFormat,
+        cl: CacheLineSize,
+    ) -> Result<(), SnapError> {
+        for (r, p) in self.iter() {
+            if p.src.index() >= pms || p.dst.index() >= pms || p.src == p.dst {
+                return Err(SnapError::Corrupt(format!(
+                    "packet in slot {}: {} -> {} on {pms} PMs",
+                    r.slot(),
+                    p.src,
+                    p.dst
+                )));
+            }
+            if p.flits != format.flits(p.kind, cl) {
+                return Err(SnapError::Corrupt(format!(
+                    "packet in slot {}: {} flits, a {} is {}",
+                    r.slot(),
+                    p.flits,
+                    p.kind,
+                    format.flits(p.kind, cl)
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
-impl Snapshot for Packet {
-    fn save(&self, w: &mut SnapWriter) {
-        self.txn.save(w);
-        self.kind.save(w);
-        self.src.save(w);
-        self.dst.save(w);
-        w.u32(self.flits);
-        w.u64(self.injected_at);
+impl Snap for NodeId {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.0.snap(c)
     }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Packet {
-            txn: TxnId::load(r)?,
-            kind: PacketKind::load(r)?,
-            src: NodeId::load(r)?,
-            dst: NodeId::load(r)?,
-            flits: r.u32()?,
-            injected_at: r.u64()?,
-        })
+}
+
+impl Snap for TxnId {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.0.snap(c)
+    }
+}
+
+impl Snap for PacketKind {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        use PacketKind::*;
+        c.variant(
+            self,
+            &[ReadReq, ReadResp, WriteReq, WriteResp],
+            "packet kind",
+        )
+    }
+}
+
+impl Snap for Packet {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.txn.snap(c)?;
+        self.kind.snap(c)?;
+        self.src.snap(c)?;
+        self.dst.snap(c)?;
+        self.flits.snap(c)?;
+        self.injected_at.snap(c)
     }
 }
 
@@ -320,49 +356,29 @@ impl Snapshot for Packet {
 // minted by `PacketStore::insert`. Snapshot decoding is the one other
 // legitimate mint: a handle round-trips with the store whose slot
 // numbering it indexes, so a restored ref is as valid as the original.
-impl Snapshot for PacketRef {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(PacketRef(r.u32()?))
+impl Snap for PacketRef {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.0.snap(c)
     }
 }
 
-impl Snapshot for Flit {
-    fn save(&self, w: &mut SnapWriter) {
-        self.packet.save(w);
-        w.u32(self.seq);
-        w.bool(self.is_tail);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Flit {
-            packet: PacketRef::load(r)?,
-            seq: r.u32()?,
-            is_tail: r.bool()?,
-        })
+impl Snap for Flit {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.packet.snap(c)?;
+        self.seq.snap(c)?;
+        self.is_tail.snap(c)
     }
 }
 
-impl Snapshot for PacketStore {
-    fn save(&self, w: &mut SnapWriter) {
-        self.slots.save(w);
-        self.free.save(w);
-        w.u64(self.live);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let slots: Vec<Option<Packet>> = Vec::load(r)?;
-        let free: Vec<u32> = Vec::load(r)?;
-        let live = r.u64()?;
-        let occupied = slots.iter().filter(|s| s.is_some()).count() as u64;
-        if occupied != live || free.len() + occupied as usize != slots.len() {
-            return Err(SnapError::Corrupt(format!(
-                "packet store accounting: {occupied} occupied, {live} live, {} free of {}",
-                free.len(),
-                slots.len()
-            )));
+impl Snap for PacketStore {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.slots.snap(c)?;
+        self.free.snap(c)?;
+        self.live.snap(c)?;
+        if c.reading() {
+            self.validate()?;
         }
-        Ok(PacketStore { slots, free, live })
+        Ok(())
     }
 }
 
@@ -425,6 +441,33 @@ mod tests {
         let b = store.insert(packet(2));
         assert_eq!(a.slot(), b.slot(), "freed slot should be reused");
         assert_eq!(store.get(b).txn, TxnId::new(2));
+    }
+
+    /// A restored free list names each empty slot once: an entry out of
+    /// range would panic the next `insert`, one naming a live slot would
+    /// overwrite that packet, and a repeat would hand one slot out
+    /// twice.
+    #[test]
+    fn restore_rejects_a_bad_free_list() {
+        use ringmesh_snap::{SnapReader, SnapWriter};
+        let (p, e) = (Some(packet(1)), None);
+        let restore = |slots: Vec<Option<Packet>>, free: Vec<u32>| {
+            let live = slots.iter().flatten().count() as u64;
+            let mut w = SnapWriter::new();
+            PacketStore { slots, free, live }.snap(&mut w).unwrap();
+            PacketStore::new().snap(&mut SnapReader::new(&w.into_bytes()))
+        };
+        assert_eq!(restore(vec![e, p, e], vec![2, 0]), Ok(()));
+        for (slots, free) in [
+            (vec![e, p, p], vec![3]),
+            (vec![e, p, p], vec![1]),
+            (vec![e, e, p], vec![0, 0]),
+        ] {
+            match restore(slots, free.clone()) {
+                Err(SnapError::Corrupt(msg)) => assert!(msg.contains("free list"), "{msg}"),
+                other => panic!("{free:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

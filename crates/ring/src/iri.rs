@@ -8,7 +8,7 @@
 //! ring traffic has priority over ring-changing traffic.
 
 use ringmesh_net::{FifoBank, FlitFifo, PacketStore, QueueClass};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::station::{ClassQueues, Disposition, LinkOwner, Send, Tick, TransitRoute};
 use crate::topology::SideRef;
@@ -334,29 +334,17 @@ impl Iri {
         self.cross[UPPER].each_mut(FlitFifo::latch);
     }
 
-    /// Writes both transit buffers (from `bufs`, in [`FlitFifo`]'s
-    /// bytes), the crossing queues, the link owners and the routes.
-    pub(crate) fn save(&self, bufs: &FifoBank, w: &mut SnapWriter) {
-        bufs.save_fifo(self.fifo, w);
-        bufs.save_fifo(self.fifo + 1, w);
-        self.cross[LOWER].save_state(w);
-        self.cross[UPPER].save_state(w);
-        self.owner.save(w);
-        self.transit.save(w);
-    }
-
-    /// Reads back what [`save`](Self::save) wrote.
-    pub(crate) fn restore(
+    /// Snapshots both transit buffers (FIFOs `fifo` and `fifo + 1`
+    /// of `bufs`), the crossing queues, the link owners and the routes.
+    pub(crate) fn snap<C: Codec>(
         &mut self,
         bufs: &mut FifoBank,
-        r: &mut SnapReader<'_>,
+        c: &mut C,
     ) -> Result<(), SnapError> {
-        bufs.restore_fifo(self.fifo, r)?;
-        bufs.restore_fifo(self.fifo + 1, r)?;
-        self.cross[LOWER].restore_state(r)?;
-        self.cross[UPPER].restore_state(r)?;
-        self.owner = Snapshot::load(r)?;
-        self.transit = Snapshot::load(r)?;
-        Ok(())
+        bufs.snap_fifo(self.fifo, c)?;
+        bufs.snap_fifo(self.fifo + 1, c)?;
+        self.cross.snap(c)?;
+        self.owner.snap(c)?;
+        self.transit.snap(c)
     }
 }

@@ -2,7 +2,7 @@
 
 use ringmesh_faults::FaultDomain;
 use ringmesh_net::{LevelUtil, NetCore, NodeId, Packet, PacketRef, QueueClass, UtilizationReport};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter};
+use ringmesh_snap::{Codec, Snap, SnapError};
 use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, TraceLoc};
 
 use crate::station::StepPulse;
@@ -183,15 +183,6 @@ impl ringmesh_net::Interconnect for RingNetwork {
         self.tier.reset_counters();
     }
 
-    fn save_kernel(&self, w: &mut SnapWriter) {
-        self.tier.save(w);
-    }
-
-    fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-        self.tier.restore(r)?;
-        Ok(self.tier.cycle())
-    }
-
     /// Whether a live route exists from `src`'s NIC to `dst`. Ring
     /// routing is deterministic, so this walks the unique route and
     /// fails at the first dead IRI the packet would have to cross;
@@ -231,6 +222,15 @@ impl ringmesh_net::Interconnect for RingNetwork {
         );
         let id = self.core.tracer().add_heatmap(heatmap);
         self.link_heat = id.map(|id| (id, member_idx));
+    }
+}
+
+/// The ring tier; the clock is its tick count.
+impl Snap for RingNetwork {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.tier.snap(c)?;
+        *self.core.clock_mut() = self.tier.cycle();
+        Ok(())
     }
 }
 

@@ -11,7 +11,7 @@ use ringmesh_faults::DropReason;
 use ringmesh_net::{
     Assembler, DrainState, FifoBank, NodeId, PacketQueue, PacketRef, PacketStore, QueueClass,
 };
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::station::{ClassQueues, Disposition, LinkOwner, Send, Tick, TransitRoute};
 use crate::topology::SideRef;
@@ -239,32 +239,19 @@ impl Nic {
             && self.out.get(QueueClass::Response).is_empty()
     }
 
-    /// Writes the transit buffer (from `bufs`, in [`FlitFifo`]'s
-    /// bytes), the PM queues, the injection drain, the link owner, the
-    /// route and the reassembly state.
-    ///
-    /// [`FlitFifo`]: ringmesh_net::FlitFifo
-    pub(crate) fn save(&self, bufs: &FifoBank, w: &mut SnapWriter) {
-        bufs.save_fifo(self.fifo, w);
-        self.out.save_state(w);
-        self.drain.save(w);
-        self.owner.save(w);
-        self.transit.save(w);
-        self.assembler.save(w);
-    }
-
-    /// Reads back what [`save`](Self::save) wrote.
-    pub(crate) fn restore(
+    /// Snapshots the transit buffer (FIFO `fifo` of `bufs`), the PM
+    /// queues, the injection drain, the link owner, the route and the
+    /// reassembly state.
+    pub(crate) fn snap<C: Codec>(
         &mut self,
         bufs: &mut FifoBank,
-        r: &mut SnapReader<'_>,
+        c: &mut C,
     ) -> Result<(), SnapError> {
-        bufs.restore_fifo(self.fifo, r)?;
-        self.out.restore_state(r)?;
-        self.drain = DrainState::load(r)?;
-        self.owner = LinkOwner::load(r)?;
-        self.transit = TransitRoute::load(r)?;
-        self.assembler = Assembler::load(r)?;
-        Ok(())
+        bufs.snap_fifo(self.fifo, c)?;
+        self.out.snap(c)?;
+        self.drain.snap(c)?;
+        self.owner.snap(c)?;
+        self.transit.snap(c)?;
+        self.assembler.snap(c)
     }
 }

@@ -21,7 +21,7 @@ use ringmesh_net::{
     DrainState, Flit, LevelUtil, NetCore, NodeId, Packet, PacketRef, PacketStore, QueueClass,
     UtilizationReport,
 };
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ringmesh_snap::{Codec, Snap, SnapError};
 use ringmesh_trace::Counter;
 
 use crate::topology::{RingAction, RingSpec, RingTopology, StationKind};
@@ -103,33 +103,18 @@ impl Outbox {
     }
 }
 
-impl Snapshot for SlotAssembler {
-    fn save(&self, w: &mut SnapWriter) {
-        self.partial.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SlotAssembler {
-            partial: Snapshot::load(r)?,
-        })
+impl Snap for SlotAssembler {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.partial.snap(c)
     }
 }
 
-impl Snapshot for Outbox {
-    fn save(&self, w: &mut SnapWriter) {
-        self.crossing.save(w);
-        self.resp.save(w);
-        self.req.save(w);
-        self.drain.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Outbox {
-            crossing: Snapshot::load(r)?,
-            resp: Snapshot::load(r)?,
-            req: Snapshot::load(r)?,
-            drain: Snapshot::load(r)?,
-        })
+impl Snap for Outbox {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.crossing.snap(c)?;
+        self.resp.snap(c)?;
+        self.req.snap(c)?;
+        self.drain.snap(c)
     }
 }
 
@@ -326,27 +311,21 @@ impl ringmesh_net::Interconnect for SlottedRingNetwork {
         self.ring_flits.iter_mut().for_each(|c| *c = 0);
         self.reset_cycle = self.core.cycle();
     }
+}
 
-    fn save_kernel(&self, w: &mut SnapWriter) {
-        self.slots.save(w);
-        self.outboxes.save(w);
-        self.assemblers.save(w);
-        w.u64(self.core.cycle());
-        self.ring_flits.save(w);
-        w.u64(self.reset_cycle);
-    }
-
-    fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-        r.len_exact(self.slots.len(), "ring count")?;
-        for (i, ring) in self.slots.iter_mut().enumerate() {
-            *ring = r.vec_exact(ring.len(), &format!("ring {i} slot count"))?;
+/// The slots ring by ring, the outboxes, the assemblers, the clock,
+/// the per-ring flit counts, the reset cycle.
+impl Snap for SlottedRingNetwork {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        c.exact(self.slots.len(), "ring count")?;
+        for ring in &mut self.slots {
+            c.fixed(ring, "slot count of a ring")?;
         }
-        self.outboxes = r.vec_exact(self.outboxes.len(), "station side count")?;
-        self.assemblers = r.vec_exact(self.assemblers.len(), "assembler count")?;
-        let cycle = r.u64()?;
-        self.ring_flits = r.vec_exact(self.ring_flits.len(), "ring count")?;
-        self.reset_cycle = r.u64()?;
-        Ok(cycle)
+        c.fixed(&mut self.outboxes, "station side count")?;
+        c.fixed(&mut self.assemblers, "assembler count")?;
+        self.core.clock_mut().snap(c)?;
+        c.fixed(&mut self.ring_flits, "ring count")?;
+        self.reset_cycle.snap(c)
     }
 }
 

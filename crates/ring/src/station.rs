@@ -1,7 +1,7 @@
 //! Small shared pieces of ring station state.
 
 use ringmesh_net::{FifoBank, Flit, NetCore, NodeId, Packet, PacketRef, QueueClass};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::topology::SideRef;
 
@@ -92,9 +92,10 @@ pub(crate) enum LinkOwner {
 
 /// What the packet at the front of a transit buffer does at this
 /// station.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Disposition {
     /// Continues around the current ring.
+    #[default]
     Forward,
     /// Leaves the ring here: ejects to the PM, or enters an IRI
     /// crossing queue.
@@ -142,56 +143,37 @@ impl TransitRoute {
     }
 }
 
-impl Snapshot for LinkOwner {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            LinkOwner::Idle => w.u8(0),
-            LinkOwner::Transit => w.u8(1),
-            LinkOwner::Cross(class) => {
-                w.u8(2);
-                class.save(w);
+impl Snap for LinkOwner {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        let (mut tag, mut class) = match *self {
+            LinkOwner::Idle => (0u8, QueueClass::Request),
+            LinkOwner::Transit => (1, QueueClass::Request),
+            LinkOwner::Cross(class) => (2, class),
+        };
+        tag.snap(c)?;
+        *self = match tag {
+            0 => LinkOwner::Idle,
+            1 => LinkOwner::Transit,
+            2 => {
+                class.snap(c)?;
+                LinkOwner::Cross(class)
             }
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(LinkOwner::Idle),
-            1 => Ok(LinkOwner::Transit),
-            2 => Ok(LinkOwner::Cross(QueueClass::load(r)?)),
-            t => Err(SnapError::Corrupt(format!("invalid link owner tag {t}"))),
-        }
+            t => return Err(SnapError::Corrupt(format!("invalid link owner tag {t}"))),
+        };
+        Ok(())
     }
 }
 
-impl Snapshot for Disposition {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            Disposition::Forward => 0,
-            Disposition::Cross => 1,
-            Disposition::Sink => 2,
-        });
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(Disposition::Forward),
-            1 => Ok(Disposition::Cross),
-            2 => Ok(Disposition::Sink),
-            t => Err(SnapError::Corrupt(format!("invalid disposition tag {t}"))),
-        }
+impl Snap for Disposition {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        use Disposition::*;
+        c.variant(self, &[Forward, Cross, Sink], "disposition")
     }
 }
 
-impl Snapshot for TransitRoute {
-    fn save(&self, w: &mut SnapWriter) {
-        self.current.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TransitRoute {
-            current: Snapshot::load(r)?,
-        })
+impl Snap for TransitRoute {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.current.snap(c)
     }
 }
 
@@ -228,15 +210,11 @@ impl<Q> ClassQueues<Q> {
     }
 }
 
-impl<Q: SnapshotState> SnapshotState for ClassQueues<Q> {
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.response.save_state(w);
-        self.request.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.response.restore_state(r)?;
-        self.request.restore_state(r)
+/// Responses first.
+impl<Q: Snap> Snap for ClassQueues<Q> {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.response.snap(c)?;
+        self.request.snap(c)
     }
 }
 

@@ -4,7 +4,7 @@
 
 use ringmesh_faults::{DropReason, FaultDomain, FaultInjector};
 use ringmesh_net::{FifoBank, NetCore, NodeId, Packet, PacketRef, QueueClass};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::iri::Iri;
 use crate::nic::Nic;
@@ -382,63 +382,42 @@ impl RingTier {
         }
     }
 
-    /// Writes the stations, the worklist (a `Vec<bool>`), the latched
-    /// free counts, the tick, the per-ring flit counts and credits, the
-    /// reset tick.
-    pub fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.nics.len());
-        for nic in &self.nics {
-            nic.save(&self.bufs, w);
-        }
-        w.usize(self.iris.len());
-        for iri in &self.iris {
-            iri.save(&self.bufs, w);
-        }
-        let active: Vec<bool> = (0..self.slots.len()).map(|st| self.active(st)).collect();
-        active.save(w);
-        let free: Vec<usize> = (0..self.bufs.fifos())
-            .map(|i| self.bufs.free_latched(i))
-            .collect();
-        free.save(w);
-        w.u64(self.tick);
-        self.ring_flits.save(w);
-        self.ring_credits.save(w);
-        w.u64(self.reset_tick);
-    }
-
-    /// Reads back what [`save`](Self::save) wrote.
+    /// Snapshots the stations, the worklist (a `Vec<bool>`), the
+    /// latched free counts (recounted), the tick, the per-ring flit
+    /// counts and credits, the reset tick.
     ///
     /// # Errors
     ///
     /// Returns [`SnapError`] on truncated or corrupt input, or tables
     /// that do not fit these rings.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.len_exact(self.nics.len(), "NIC count")?;
+    pub fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        c.exact(self.nics.len(), "NIC count")?;
         for nic in &mut self.nics {
-            nic.restore(&mut self.bufs, r)?;
+            nic.snap(&mut self.bufs, c)?;
         }
-        r.len_exact(self.iris.len(), "IRI count")?;
+        c.exact(self.iris.len(), "IRI count")?;
         for iri in &mut self.iris {
-            iri.restore(&mut self.bufs, r)?;
+            iri.snap(&mut self.bufs, c)?;
         }
-        let active: Vec<bool> = r.vec_exact(self.slots.len(), "station count")?;
+        let mut active: Vec<bool> = (0..self.slots.len()).map(|st| self.active(st)).collect();
+        c.fixed(&mut active, "station count")?;
         self.station_active.fill(0);
-        for (st, _) in active.iter().enumerate().filter(|(_, &a)| a) {
+        for st in (0..active.len()).filter(|&st| active[st]) {
             self.wake(st as u32);
         }
-        let free: Vec<usize> = r.vec_exact(self.bufs.fifos(), "free-slot table size")?;
-        if (0..free.len()).any(|i| free[i] != self.bufs.free_latched(i)) {
-            return Err(SnapError::Corrupt(
-                "free-slot table disagrees with the transit buffers".into(),
-            ));
+        c.exact(self.bufs.fifos(), "free-slot table size")?;
+        for i in 0..self.bufs.fifos() {
+            c.check(self.bufs.free_latched(i), "free slots of a transit buffer")?;
         }
-        self.tick = r.u64()?;
-        self.ring_flits = r.vec_exact(self.ring_flits.len(), "ring count")?;
-        self.ring_credits = r.vec_exact(self.ring_credits.len(), "ring-credit table size")?;
-        self.reset_tick = r.u64()?;
-        // Per-tick scratch is always empty between steps.
-        self.sends.clear();
-        self.sunk.clear();
+        self.tick.snap(c)?;
+        c.fixed(&mut self.ring_flits, "ring count")?;
+        c.fixed(&mut self.ring_credits, "ring-credit table size")?;
+        self.reset_tick.snap(c)?;
+        if c.reading() {
+            // Per-tick scratch is always empty between steps.
+            self.sends.clear();
+            self.sunk.clear();
+        }
         Ok(())
     }
 

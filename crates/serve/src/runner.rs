@@ -122,11 +122,13 @@ pub fn run_job(
         }
     }
 
-    let flush = |sys: &System, state: &ringmesh::RunState, path: &Path| -> Result<(), JobError> {
-        let bytes = sys.checkpoint(state).map_err(|e| e.to_string())?;
-        write_atomic(path, &bytes)
-            .map_err(|e| JobError::Failed(format!("writing checkpoint {}: {e}", path.display())))
-    };
+    let flush =
+        |sys: &mut System, state: &ringmesh::RunState, path: &Path| -> Result<(), JobError> {
+            let bytes = sys.checkpoint(state).map_err(|e| e.to_string())?;
+            write_atomic(path, &bytes).map_err(|e| {
+                JobError::Failed(format!("writing checkpoint {}: {e}", path.display()))
+            })
+        };
 
     let mut prev = sys.workload_stats();
     let mut last_ckpt = sys.cycle();
@@ -145,13 +147,13 @@ pub fn run_job(
         }
         if stop.is_some_and(StopFlag::is_set) {
             if let Some(path) = ckpt {
-                flush(&sys, &state, path)?;
+                flush(&mut sys, &state, path)?;
             }
             return Err(JobError::Interrupted);
         }
         if let Some(path) = ckpt {
             if checkpoint_every > 0 && sys.cycle() - last_ckpt >= checkpoint_every {
-                flush(&sys, &state, path)?;
+                flush(&mut sys, &state, path)?;
                 last_ckpt = sys.cycle();
             }
         }

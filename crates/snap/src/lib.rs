@@ -5,20 +5,18 @@
 //! run must be bit-identical to one that never stopped. This crate
 //! provides the codec the rest of the workspace builds on:
 //!
-//! * [`SnapWriter`] / [`SnapReader`] — little-endian, length-prefixed
-//!   primitives with checked reads (no panics on truncated input);
-//! * [`Snapshot`] — value types that serialize whole (counters,
-//!   packets, queues of plain data);
-//! * [`SnapshotState`] — stateful components that restore *in place*
-//!   into a freshly rebuilt instance (networks re-derive their
-//!   immutable topology from configuration and only their mutable
-//!   state travels through the checkpoint);
+//! * [`Snap`] — the one trait: a type describes its state once, in one
+//!   `snap` function, and that function both writes and reads it;
+//! * [`Codec`] — the two ends that drive a `snap`: [`SnapWriter`]
+//!   encodes, [`SnapReader`] decodes in place with checked reads (no
+//!   panics on truncated input). Networks and workloads restore into a
+//!   freshly rebuilt instance: their immutable topology comes from
+//!   configuration and only their mutable state travels;
 //! * [`Fingerprint`] — a 64-bit FNV-1a accumulator used to compare
 //!   run outputs bit-for-bit (cache verification, resume validation).
 //!
-//! The container format is versioned with a magic header
-//! ([`write_header`]/[`read_header`]) so stale checkpoint files are
-//! rejected instead of misinterpreted.
+//! The container format is versioned with a magic [`header`], so stale
+//! checkpoint files are rejected instead of misinterpreted.
 //!
 //! As the workspace's dependency-free leaf it also holds [`json`], the
 //! one JSON value, parser and deterministic writer the serve protocol
@@ -62,6 +60,199 @@ impl fmt::Display for SnapError {
 
 impl Error for SnapError {}
 
+/// State that snapshots through one function, driven by either end of
+/// the [`Codec`]: under a [`SnapWriter`] `snap` appends `self`, under
+/// a [`SnapReader`] it overwrites `self` with what it decodes. So the
+/// fields are named once, in one order, and the two directions cannot
+/// drift apart.
+///
+/// A `snap` decodes first, then validates what it decoded (returning
+/// [`SnapError`], never panicking, on anything the rest of the program
+/// would trip over), then installs whatever the bytes do not carry —
+/// the few steps that only a restore needs sit behind
+/// [`Codec::reading`].
+///
+/// # Example
+///
+/// ```
+/// use ringmesh_snap::{Codec, Snap, SnapError, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, Default, PartialEq)]
+/// struct Counter {
+///     hits: u64,
+///     log: Vec<u32>,
+/// }
+///
+/// impl Snap for Counter {
+///     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+///         self.hits.snap(c)?;
+///         self.log.snap(c)
+///     }
+/// }
+///
+/// let mut a = Counter { hits: 3, log: vec![1, 2] };
+/// let mut w = SnapWriter::new();
+/// a.snap(&mut w).unwrap();
+/// let bytes = w.into_bytes();
+/// let mut b = Counter::default();
+/// b.snap(&mut SnapReader::new(&bytes)).unwrap();
+/// assert_eq!(a, b);
+/// ```
+pub trait Snap {
+    /// Writes `self` to, or reads it back from, `c`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapError`] on truncated or invalid input, or when the
+    /// snapshot does not fit this instance's shape (e.g. a different
+    /// topology size). Writing never fails on a consistent value.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError>;
+}
+
+/// One end of the snapshot codec: [`SnapWriter`] or [`SnapReader`].
+///
+/// A [`Snap`] is generic over it, so the write path is compiled
+/// without the read path's branches ([`READING`](Self::READING) is a
+/// constant). Beside the raw bytes it carries the three helpers for
+/// the places where the two directions differ: [`exact`](Self::exact)
+/// for shapes the instance already has, [`check`](Self::check) for
+/// values the instance can recompute, [`reading`](Self::reading) for
+/// install steps.
+pub trait Codec: Sized {
+    /// Whether this end decodes.
+    const READING: bool;
+
+    /// Appends `bytes`, or overwrites them with the next `N` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Eof`] when fewer than `N` bytes remain.
+    fn raw<const N: usize>(&mut self, bytes: &mut [u8; N]) -> Result<(), SnapError>;
+
+    /// Runs `value`'s [`Snap`] from behind a trait object.
+    ///
+    /// # Errors
+    ///
+    /// As `value`'s [`Snap::snap`].
+    fn object<T: DynSnap + ?Sized>(&mut self, value: &mut T) -> Result<(), SnapError>;
+
+    /// Whether this end decodes: guards the install steps a restore
+    /// needs and a checkpoint must not run.
+    fn reading(&self) -> bool {
+        Self::READING
+    }
+
+    /// A value fixed by this instance's configuration — a table size,
+    /// a PM number, a capacity. The writer writes `want`; the reader
+    /// refuses any other value.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Mismatch`] naming `what` when the snapshot holds a
+    /// different value.
+    fn exact<T: Snap + PartialEq + Copy + fmt::Debug>(
+        &mut self,
+        want: T,
+        what: &str,
+    ) -> Result<(), SnapError> {
+        let mut got = want;
+        got.snap(self)?;
+        if got == want {
+            Ok(())
+        } else {
+            Err(SnapError::Mismatch(format!(
+                "{what}: snapshot has {got:?}, this instance has {want:?}"
+            )))
+        }
+    }
+
+    /// A value the format carries but the instance can recompute from
+    /// what it already holds. The writer writes `value`, recomputed;
+    /// the reader refuses bytes that disagree with it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`] naming `what` on a difference.
+    fn check<T: Snap + PartialEq + Copy + fmt::Debug>(
+        &mut self,
+        value: T,
+        what: &str,
+    ) -> Result<(), SnapError> {
+        let mut got = value;
+        got.snap(self)?;
+        if got == value {
+            Ok(())
+        } else {
+            Err(SnapError::Corrupt(format!(
+                "{what}: snapshot has {got:?}, recomputed {value:?}"
+            )))
+        }
+    }
+
+    /// A table this instance rebuilt from its configuration, which a
+    /// snapshot may fill but never resize: its length as
+    /// [`exact`](Self::exact), then each entry.
+    ///
+    /// # Errors
+    ///
+    /// As [`exact`](Self::exact), and any entry's error.
+    fn fixed<T: Snap>(&mut self, table: &mut [T], what: &str) -> Result<(), SnapError> {
+        self.exact(table.len(), what)?;
+        table.iter_mut().try_for_each(|v| v.snap(self))
+    }
+
+    /// A field-less enum as one byte: its index in `all`, which lists
+    /// every variant.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`] naming `what` on a byte past the list.
+    fn variant<T: Copy + PartialEq>(
+        &mut self,
+        value: &mut T,
+        all: &[T],
+        what: &str,
+    ) -> Result<(), SnapError> {
+        let at = all.iter().position(|v| v == value);
+        let mut tag = at.expect("`all` lists every variant") as u8;
+        tag.snap(self)?;
+        *value = *all
+            .get(usize::from(tag))
+            .ok_or_else(|| SnapError::Corrupt(format!("{what} tag {tag}")))?;
+        Ok(())
+    }
+}
+
+/// [`Snap`] through a trait object (`Snap::snap` is generic, so a
+/// `dyn` trait cannot carry it). Implemented for every sized `Snap`;
+/// a trait that names it as a supertrait hands its objects to
+/// [`Codec::object`].
+pub trait DynSnap {
+    /// [`Snap::snap`] under a [`SnapWriter`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Snap::snap`].
+    fn snap_write(&mut self, w: &mut SnapWriter) -> Result<(), SnapError>;
+
+    /// [`Snap::snap`] under a [`SnapReader`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Snap::snap`].
+    fn snap_read(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+impl<T: Snap> DynSnap for T {
+    fn snap_write(&mut self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        self.snap(w)
+    }
+
+    fn snap_read(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.snap(r)
+    }
+}
+
 /// Append-only byte sink for snapshot encoding.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
@@ -78,66 +269,18 @@ impl SnapWriter {
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
+}
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
+impl Codec for SnapWriter {
+    const READING: bool = false;
+
+    fn raw<const N: usize>(&mut self, bytes: &mut [u8; N]) -> Result<(), SnapError> {
+        self.buf.extend_from_slice(bytes);
+        Ok(())
     }
 
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `f64` as its raw IEEE-754 bits (bit-exact round-trip).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Writes a `usize` as a `u64`.
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Writes a `bool` as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    /// Writes a length-prefixed byte slice.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
+    fn object<T: DynSnap + ?Sized>(&mut self, value: &mut T) -> Result<(), SnapError> {
+        value.snap_write(self)
     }
 }
 
@@ -158,131 +301,41 @@ impl<'a> SnapReader<'a> {
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.remaining() < n {
+impl Codec for SnapReader<'_> {
+    const READING: bool = true;
+
+    fn raw<const N: usize>(&mut self, bytes: &mut [u8; N]) -> Result<(), SnapError> {
+        if self.remaining() < N {
             return Err(SnapError::Eof);
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        bytes.copy_from_slice(&self.buf[self.pos..self.pos + N]);
+        self.pos += N;
+        Ok(())
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    /// Reads an `f64` from raw IEEE-754 bits.
-    pub fn f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `usize` (stored as `u64`), rejecting values that do not
-    /// fit the platform or are absurdly large for a length prefix.
-    pub fn usize(&mut self) -> Result<usize, SnapError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| SnapError::Corrupt(format!("length {v} overflows usize")))
-    }
-
-    /// Reads a `bool`, rejecting bytes other than 0/1.
-    pub fn bool(&mut self) -> Result<bool, SnapError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapError::Corrupt(format!("bool byte {b}"))),
-        }
-    }
-
-    /// Reads a length-prefixed byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
-        let n = self.usize()?;
-        self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, SnapError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| SnapError::Corrupt("non-UTF-8 string".into()))
-    }
-
-    /// Reads a length prefix that must equal `want`: the size of a
-    /// table the restoring instance rebuilt from its configuration,
-    /// which a snapshot may fill but never resize.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError::Mismatch`] naming `what` when the snapshot
-    /// holds a different length.
-    pub fn len_exact(&mut self, want: usize, what: &str) -> Result<(), SnapError> {
-        let got = self.usize()?;
-        if got == want {
-            Ok(())
-        } else {
-            Err(SnapError::Mismatch(format!(
-                "{what}: snapshot has {got}, this instance has {want}"
-            )))
-        }
-    }
-
-    /// Reads a `Vec<T>` as [`Snapshot`] writes one, of exactly `want`
-    /// entries; the length is checked before any entry is decoded.
-    ///
-    /// # Errors
-    ///
-    /// As [`len_exact`](Self::len_exact), and any entry's decode error.
-    pub fn vec_exact<T: Snapshot>(&mut self, want: usize, what: &str) -> Result<Vec<T>, SnapError> {
-        self.len_exact(want, what)?;
-        (0..want).map(|_| T::load(self)).collect()
+    fn object<T: DynSnap + ?Sized>(&mut self, value: &mut T) -> Result<(), SnapError> {
+        value.snap_read(self)
     }
 }
 
-/// Writes the versioned container header with a free-form `kind` label
-/// (e.g. `"checkpoint"`), so different snapshot species cannot be
-/// confused for one another.
-pub fn write_header(w: &mut SnapWriter, kind: &str) {
-    w.bytes(MAGIC);
-    w.u16(VERSION);
-    w.str(kind);
-}
-
-/// Reads and validates the container header, expecting `kind`.
+/// The versioned container header with a free-form `kind` label (e.g.
+/// `"checkpoint"`), so different snapshot species cannot be confused
+/// for one another.
 ///
 /// # Errors
 ///
 /// Returns [`SnapError`] on bad magic, version or kind.
-pub fn read_header(r: &mut SnapReader<'_>, kind: &str) -> Result<(), SnapError> {
-    let magic = r.bytes()?;
+pub fn header<C: Codec>(c: &mut C, kind: &str) -> Result<(), SnapError> {
+    let mut magic = MAGIC.to_vec();
+    magic.snap(c)?;
     if magic != MAGIC {
         return Err(SnapError::Corrupt("bad magic".into()));
     }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(SnapError::Mismatch(format!(
-            "container version {version}, expected {VERSION}"
-        )));
-    }
-    let found = r.str()?;
+    c.exact(VERSION, "container version")?;
+    let mut found = kind.to_owned();
+    found.snap(c)?;
     if found != kind {
         return Err(SnapError::Mismatch(format!(
             "snapshot kind {found:?}, expected {kind:?}"
@@ -291,154 +344,142 @@ pub fn read_header(r: &mut SnapReader<'_>, kind: &str) -> Result<(), SnapError> 
     Ok(())
 }
 
-/// A value that serializes whole and reconstructs from bytes.
-pub trait Snapshot: Sized {
-    /// Appends this value's encoding to `w`.
-    fn save(&self, w: &mut SnapWriter);
-    /// Decodes one value from `r`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on truncated or invalid input.
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
-}
-
-/// A component that restores *in place*: the caller rebuilds the
-/// immutable skeleton (topology, configuration, capacities) and the
-/// snapshot only carries the mutable state poured back into it.
-pub trait SnapshotState {
-    /// Appends this component's mutable state to `w`.
-    fn save_state(&self, w: &mut SnapWriter);
-    /// Restores mutable state from `r` into `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on truncated or invalid input, or when the
-    /// snapshot does not fit this instance's shape (e.g. a different
-    /// topology size).
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
-}
-
-macro_rules! snapshot_prim {
-    ($ty:ty, $w:ident, $r:ident) => {
-        impl Snapshot for $ty {
-            fn save(&self, w: &mut SnapWriter) {
-                w.$w(*self);
-            }
-            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-                r.$r()
+macro_rules! snap_le {
+    ($($ty:ty),*) => {$(
+        impl Snap for $ty {
+            fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+                let mut bytes = self.to_le_bytes();
+                c.raw(&mut bytes)?;
+                *self = <$ty>::from_le_bytes(bytes);
+                Ok(())
             }
         }
-    };
+    )*};
 }
 
-snapshot_prim!(u8, u8, u8);
-snapshot_prim!(u16, u16, u16);
-snapshot_prim!(u32, u32, u32);
-snapshot_prim!(u64, u64, u64);
-snapshot_prim!(i64, i64, i64);
-snapshot_prim!(f64, f64, f64);
-snapshot_prim!(usize, usize, usize);
-snapshot_prim!(bool, bool, bool);
+snap_le!(u8, u16, u32, u64, i64);
 
-impl Snapshot for String {
-    fn save(&self, w: &mut SnapWriter) {
-        w.str(self);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.str()
+/// Raw IEEE-754 bits, so the round trip is bit-exact.
+impl Snap for f64 {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        let mut bits = self.to_bits();
+        bits.snap(c)?;
+        *self = f64::from_bits(bits);
+        Ok(())
     }
 }
 
-impl<T: Snapshot> Snapshot for Option<T> {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            None => w.u8(0),
-            Some(v) => {
-                w.u8(1);
-                v.save(w);
+/// A `u64`, refused when it does not fit the platform.
+impl Snap for usize {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        let mut v = *self as u64;
+        v.snap(c)?;
+        *self = usize::try_from(v)
+            .map_err(|_| SnapError::Corrupt(format!("length {v} overflows usize")))?;
+        Ok(())
+    }
+}
+
+/// One byte, 0 or 1.
+impl Snap for bool {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        let mut b = u8::from(*self);
+        b.snap(c)?;
+        *self = match b {
+            0 => false,
+            1 => true,
+            b => return Err(SnapError::Corrupt(format!("bool byte {b}"))),
+        };
+        Ok(())
+    }
+}
+
+/// Length-prefixed UTF-8.
+impl Snap for String {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        let mut bytes = std::mem::take(self).into_bytes();
+        bytes.snap(c)?;
+        *self =
+            String::from_utf8(bytes).map_err(|_| SnapError::Corrupt("non-UTF-8 string".into()))?;
+        Ok(())
+    }
+}
+
+/// A tag byte (0 or 1), then the value.
+impl<T: Snap + Default> Snap for Option<T> {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        let mut tag = u8::from(self.is_some());
+        tag.snap(c)?;
+        match tag {
+            0 => *self = None,
+            1 => self.get_or_insert_with(T::default).snap(c)?,
+            t => return Err(SnapError::Corrupt(format!("Option tag {t}"))),
+        }
+        Ok(())
+    }
+}
+
+/// Entries a corrupt length prefix may make a reader reserve up front;
+/// past it the vector grows as entries actually decode.
+const PREALLOC: usize = 1 << 16;
+
+/// The length, then each entry.
+impl<T: Snap + Default> Snap for Vec<T> {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        let mut n = self.len();
+        n.snap(c)?;
+        if c.reading() {
+            self.clear();
+            self.reserve(n.min(PREALLOC));
+            for _ in 0..n {
+                let mut v = T::default();
+                v.snap(c)?;
+                self.push(v);
             }
+            return Ok(());
         }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::load(r)?)),
-            b => Err(SnapError::Corrupt(format!("Option tag {b}"))),
-        }
+        self.iter_mut().try_for_each(|v| v.snap(c))
     }
 }
 
-impl<T: Snapshot> Snapshot for Vec<T> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.len());
-        for v in self {
-            v.save(w);
+/// As `Vec`, front first.
+impl<T: Snap + Default> Snap for VecDeque<T> {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        let mut n = self.len();
+        n.snap(c)?;
+        if c.reading() {
+            self.clear();
+            self.reserve(n.min(PREALLOC));
+            for _ in 0..n {
+                let mut v = T::default();
+                v.snap(c)?;
+                self.push_back(v);
+            }
+            return Ok(());
         }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.usize()?;
-        // Guard capacity against corrupt length prefixes: grow as we
-        // decode rather than trusting `n` up front.
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(T::load(r)?);
-        }
-        Ok(out)
+        self.iter_mut().try_for_each(|v| v.snap(c))
     }
 }
 
-impl<T: Snapshot> Snapshot for VecDeque<T> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.len());
-        for v in self {
-            v.save(w);
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.usize()?;
-        let mut out = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push_back(T::load(r)?);
-        }
-        Ok(out)
+/// Each entry; the length is the type's.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.iter_mut().try_for_each(|v| v.snap(c))
     }
 }
 
-impl<A: Snapshot, B: Snapshot> Snapshot for (A, B) {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-        self.1.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::load(r)?, B::load(r)?))
+impl<A: Snap, B: Snap> Snap for (A, B) {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.0.snap(c)?;
+        self.1.snap(c)
     }
 }
 
-impl<A: Snapshot, B: Snapshot, C: Snapshot> Snapshot for (A, B, C) {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-        self.1.save(w);
-        self.2.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::load(r)?, B::load(r)?, C::load(r)?))
-    }
-}
-
-impl<T: Snapshot, const N: usize> Snapshot for [T; N] {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in self {
-            v.save(w);
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            out.push(T::load(r)?);
-        }
-        out.try_into()
-            .map_err(|_| SnapError::Corrupt("array length".into()))
+impl<A: Snap, B: Snap, D: Snap> Snap for (A, B, D) {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.0.snap(c)?;
+        self.1.snap(c)?;
+        self.2.snap(c)
     }
 }
 
@@ -534,68 +575,84 @@ pub fn parse_hex64(s: &str) -> Option<u64> {
 mod tests {
     use super::*;
 
+    fn encode<T: Snap>(mut v: T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.snap(&mut w).unwrap();
+        w.into_bytes()
+    }
+
     #[test]
     fn primitives_round_trip() {
-        let mut w = SnapWriter::new();
-        w.u8(7);
-        w.u16(300);
-        w.u32(70_000);
-        w.u64(u64::MAX - 3);
-        w.i64(-42);
-        w.f64(-0.0);
-        w.usize(99);
-        w.bool(true);
-        w.str("hé");
-        let bytes = w.into_bytes();
+        type All = (
+            u8,
+            (u16, (u32, (u64, (i64, (f64, (usize, (bool, String))))))),
+        );
+        let v: All = (
+            7,
+            (
+                300,
+                (
+                    70_000,
+                    (u64::MAX - 3, (-42, (-0.0, (99, (true, "hé".into()))))),
+                ),
+            ),
+        );
+        let bytes = encode(v.clone());
+        assert_eq!(bytes.len(), 1 + 2 + 4 + 8 + 8 + 8 + 8 + 1 + 8 + 3);
+        assert_eq!(&bytes[..3], &[7, 44, 1], "little-endian");
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 300);
-        assert_eq!(r.u32().unwrap(), 70_000);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.usize().unwrap(), 99);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.str().unwrap(), "hé");
+        let mut back: All = Default::default();
+        back.snap(&mut r).unwrap();
         assert_eq!(r.remaining(), 0);
+        let bits = |v: &All| (v.1 .1 .1 .1 .1 .0).to_bits();
+        assert_eq!(bits(&back), (-0.0f64).to_bits());
+        assert_eq!(format!("{back:?}"), format!("{v:?}"));
     }
 
     #[test]
     fn truncated_input_is_an_error_not_a_panic() {
-        let mut w = SnapWriter::new();
-        w.u64(1);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes[..5]);
-        assert_eq!(r.u64(), Err(SnapError::Eof));
+        let bytes = encode(1u64);
+        let mut v = 0u64;
+        assert_eq!(
+            v.snap(&mut SnapReader::new(&bytes[..5])),
+            Err(SnapError::Eof)
+        );
     }
 
     #[test]
     fn containers_round_trip() {
-        let v: Vec<u64> = vec![1, 2, 3];
-        let d: VecDeque<(u64, bool)> = VecDeque::from(vec![(9, true), (0, false)]);
-        let o: Option<String> = Some("x".into());
-        let arr: [i64; 3] = [-1, 0, 1];
-        let mut w = SnapWriter::new();
-        v.save(&mut w);
-        d.save(&mut w);
-        o.save(&mut w);
-        None::<u32>.save(&mut w);
-        arr.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(Vec::<u64>::load(&mut r).unwrap(), v);
-        assert_eq!(VecDeque::<(u64, bool)>::load(&mut r).unwrap(), d);
-        assert_eq!(Option::<String>::load(&mut r).unwrap(), o);
-        assert_eq!(Option::<u32>::load(&mut r).unwrap(), None);
-        assert_eq!(<[i64; 3]>::load(&mut r).unwrap(), arr);
+        type All = (
+            Vec<u64>,
+            (
+                VecDeque<(u64, bool)>,
+                (Option<String>, (Option<u32>, [i64; 3])),
+            ),
+        );
+        let v: All = (
+            vec![1, 2, 3],
+            (
+                VecDeque::from(vec![(9, true), (0, false)]),
+                (Some("x".into()), (None, [-1, 0, 1])),
+            ),
+        );
+        let bytes = encode(v.clone());
+        let mut back: All = Default::default();
+        back.snap(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back, v);
+        // Decoding replaces what a container held.
+        back.snap(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back, v);
     }
 
     #[test]
     fn exact_length_reads_refuse_any_other_length() {
-        let mut w = SnapWriter::new();
-        vec![7i64, 8, 9].save(&mut w);
-        let bytes = w.into_bytes();
-        let read = |want| SnapReader::new(&bytes).vec_exact::<i64>(want, "credit table");
+        let bytes = encode(vec![7i64, 8, 9]);
+        let read = |len| {
+            let mut table = vec![0i64; len];
+            SnapReader::new(&bytes)
+                .fixed(&mut table, "credit table")
+                .map(|()| table)
+        };
         assert_eq!(read(3).unwrap(), vec![7, 8, 9]);
         for want in [2, 4] {
             match read(want) {
@@ -606,23 +663,56 @@ mod tests {
             }
         }
         // The right length over too few bytes is still a short read.
+        let mut table = [0i64; 3];
         let mut r = SnapReader::new(&bytes[..bytes.len() - 1]);
-        assert_eq!(r.vec_exact::<i64>(3, "credit table"), Err(SnapError::Eof));
+        assert_eq!(r.fixed(&mut table, "credit table"), Err(SnapError::Eof));
+    }
+
+    #[test]
+    fn check_refuses_a_value_that_disagrees_with_the_recount() {
+        let bytes = encode(4usize);
+        assert_eq!(SnapReader::new(&bytes).check(4usize, "tails"), Ok(()));
+        match SnapReader::new(&bytes).check(3usize, "tails") {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains("tails"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        let mut w = SnapWriter::new();
+        w.check(4usize, "tails").unwrap();
+        assert_eq!(w.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn variants_round_trip_and_refuse_unknown_tags() {
+        let all = ['a', 'b', 'c'];
+        let mut w = SnapWriter::new();
+        w.variant(&mut 'c', &all, "letter").unwrap();
+        assert_eq!(w.into_bytes(), [2]);
+        let mut v = 'a';
+        SnapReader::new(&[1])
+            .variant(&mut v, &all, "letter")
+            .unwrap();
+        assert_eq!(v, 'b');
+        assert_eq!(
+            SnapReader::new(&[3]).variant(&mut v, &all, "letter"),
+            Err(SnapError::Corrupt("letter tag 3".into()))
+        );
     }
 
     #[test]
     fn header_checks_magic_version_kind() {
         let mut w = SnapWriter::new();
-        write_header(&mut w, "checkpoint");
-        w.u64(5);
+        header(&mut w, "checkpoint").unwrap();
+        5u64.snap(&mut w).unwrap();
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        read_header(&mut r, "checkpoint").unwrap();
-        assert_eq!(r.u64().unwrap(), 5);
+        header(&mut r, "checkpoint").unwrap();
+        let mut v = 0u64;
+        v.snap(&mut r).unwrap();
+        assert_eq!(v, 5);
 
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(
-            read_header(&mut r, "result"),
+            header(&mut r, "result"),
             Err(SnapError::Mismatch(_))
         ));
 
@@ -630,16 +720,18 @@ mod tests {
         garbage[8] ^= 0xff; // flip a magic byte (after the length prefix)
         let mut r = SnapReader::new(&garbage);
         assert!(matches!(
-            read_header(&mut r, "checkpoint"),
+            header(&mut r, "checkpoint"),
             Err(SnapError::Corrupt(_))
         ));
     }
 
     #[test]
     fn corrupt_bool_rejected() {
-        let bytes = [2u8];
-        let mut r = SnapReader::new(&bytes);
-        assert!(matches!(r.bool(), Err(SnapError::Corrupt(_))));
+        let mut b = false;
+        assert!(matches!(
+            b.snap(&mut SnapReader::new(&[2])),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The batch means method of output analysis.
 
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::Summary;
 
@@ -96,34 +96,15 @@ impl BatchMeans {
     }
 }
 
-impl SnapshotState for BatchMeans {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.warmup);
-        w.u64(self.batch_cycles);
-        w.usize(self.batches);
-        for &s in &self.sums {
-            w.f64(s);
-        }
-        for &c in &self.counts {
-            w.u64(c);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let (warmup, batch_cycles, batches) = (r.u64()?, r.u64()?, r.usize()?);
-        if (warmup, batch_cycles, batches) != (self.warmup, self.batch_cycles, self.batches) {
-            return Err(SnapError::Mismatch(format!(
-                "batch-means plan {warmup}/{batch_cycles}x{batches} vs {}/{}x{}",
-                self.warmup, self.batch_cycles, self.batches
-            )));
-        }
-        for s in &mut self.sums {
-            *s = r.f64()?;
-        }
-        for c in &mut self.counts {
-            *c = r.u64()?;
-        }
-        Ok(())
+/// The plan (warm-up, batch length, batch count), then the sums and
+/// counts, one per batch.
+impl Snap for BatchMeans {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        c.exact(self.warmup, "batch-means warm-up")?;
+        c.exact(self.batch_cycles, "batch-means batch length")?;
+        c.exact(self.batches, "batch-means batch count")?;
+        self.sums.iter_mut().try_for_each(|s| s.snap(c))?;
+        self.counts.iter_mut().try_for_each(|n| n.snap(c))
     }
 }
 

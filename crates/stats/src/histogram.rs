@@ -2,7 +2,7 @@
 //! percentile reporting (mean latency alone hides the convoy/tail
 //! behaviour that distinguishes switching disciplines).
 
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 /// Histogram over non-negative values with logarithmically spaced
 /// buckets: 16 sub-buckets per octave, covering `[1, 2^40)` with a
@@ -112,30 +112,11 @@ impl Default for Histogram {
     }
 }
 
-impl SnapshotState for Histogram {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.counts.len());
-        for &c in &self.counts {
-            w.u64(c);
-        }
-        w.u64(self.total);
-        w.u64(self.underflow);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n != self.counts.len() {
-            return Err(SnapError::Mismatch(format!(
-                "histogram has {n} buckets, expected {}",
-                self.counts.len()
-            )));
-        }
-        for c in &mut self.counts {
-            *c = r.u64()?;
-        }
-        self.total = r.u64()?;
-        self.underflow = r.u64()?;
-        Ok(())
+impl Snap for Histogram {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        c.fixed(&mut self.counts, "histogram bucket count")?;
+        self.total.snap(c)?;
+        self.underflow.snap(c)
     }
 }
 

@@ -3,7 +3,7 @@
 
 use ringmesh_engine::SimRng;
 use ringmesh_net::{Interconnect, NodeId, Packet, QueueClass, TxnId};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 use ringmesh_trace::{Counter, Gauge};
 
 use crate::memory::MemoryModule;
@@ -46,7 +46,7 @@ pub struct Mmrp {
     mems: Vec<MemoryModule>,
     /// Memories `0..P`, then processors `P..2P`: the cycle each is next
     /// visited, or [`IDLE`]. Empty until the first `pre_cycle` after
-    /// `new` or `restore_state` builds it.
+    /// `new` or a restore builds it.
     due: Vec<u64>,
     /// Memories whose ready response their NIC refused, a bit per PM,
     /// built with `due`: parked until the network reports room there.
@@ -191,7 +191,7 @@ impl Mmrp {
     }
 
     /// Builds the due table at `now`, the first cycle run since `new`
-    /// or `restore_state`, asking every processor's PM once whether it
+    /// or a restore, asking every processor's PM once whether it
     /// is alive.
     fn build(&mut self, net: &dyn Interconnect, now: u64) {
         self.due.clear();
@@ -536,82 +536,49 @@ impl Mmrp {
     }
 }
 
-impl Snapshot for MmrpStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.issued);
-        w.u64(self.retired);
-        w.u64(self.local_retired);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MmrpStats {
-            issued: r.u64()?,
-            retired: r.u64()?,
-            local_retired: r.u64()?,
-        })
+impl Snap for MmrpStats {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.issued.snap(c)?;
+        self.retired.snap(c)?;
+        self.local_retired.snap(c)
     }
 }
 
-impl SnapshotState for Mmrp {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.txn_seq);
-        self.stats.save(w);
-        w.usize(self.procs.len());
-        let p = self.procs.len();
-        for (i, proc) in self.procs.iter().enumerate() {
-            // The countdown and blocked cycles as of the next cycle.
-            let at = self.due.get(p + i).map(|&due| (self.next, due));
-            proc.save(w, at);
-        }
-        w.usize(self.mems.len());
-        for m in &self.mems {
-            m.save_state(w);
-        }
-        // `local_scratch` is per-cycle scratch — empty between cycles.
-        w.bool(self.retry.is_some());
-        if let Some(book) = &self.retry {
-            book.save_state(w);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.txn_seq = r.u64()?;
-        self.stats = MmrpStats::load(r)?;
-        let procs = r.usize()?;
-        if procs != self.procs.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot has {procs} processors, workload has {}",
-                self.procs.len()
-            )));
-        }
+/// The transaction counter, the counters, the processors, the
+/// memories, then the retry layer behind a flag. `local_scratch` is
+/// per-cycle scratch — empty between cycles — and the due table is
+/// rebuilt from the countdowns at the next cycle.
+impl Snap for Mmrp {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.txn_seq.snap(c)?;
+        self.stats.snap(c)?;
         let (t_limit, pms) = (self.issue.t_limit, self.procs.len());
-        for p in &mut self.procs {
-            p.restore(r, t_limit, pms)?;
+        c.exact(pms, "processor count")?;
+        for (i, proc) in self.procs.iter_mut().enumerate() {
+            // The countdown and blocked cycles as of the next cycle.
+            let at = self.due.get(pms + i).map(|&due| (self.next, due));
+            proc.snap(c, at, t_limit, pms)?;
         }
-        let mems = r.usize()?;
-        if mems != self.mems.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot has {mems} memory modules, workload has {}",
-                self.mems.len()
-            )));
+        c.fixed(&mut self.mems, "memory module count")?;
+        c.exact(self.retry.is_some(), "retry layer")?;
+        if let Some(book) = &mut self.retry {
+            book.snap(c)?;
         }
-        for m in &mut self.mems {
-            m.restore_state(r)?;
+        if c.reading() {
+            self.validate()?;
+            self.due.clear();
+            self.local_scratch.clear();
         }
-        let had_retry = r.bool()?;
-        if had_retry != self.retry.is_some() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot retry layer {}, workload retry layer {}",
-                if had_retry { "enabled" } else { "disabled" },
-                if self.retry.is_some() {
-                    "enabled"
-                } else {
-                    "disabled"
-                },
-            )));
-        }
-        if let Some(book) = self.retry.as_mut() {
-            book.restore_state(r)?;
+        Ok(())
+    }
+}
+
+impl Mmrp {
+    /// Checks a restored workload: the retry book and the memories fit
+    /// the machine, and the counters agree with the processors.
+    fn validate(&self) -> Result<(), SnapError> {
+        let pms = self.procs.len();
+        if let Some(book) = &self.retry {
             book.validate(pms)?;
         }
         for m in &self.mems {
@@ -625,9 +592,6 @@ impl SnapshotState for Mmrp {
                 self.open_slots()
             )));
         }
-        // The due table is rebuilt from the countdowns at the next cycle.
-        self.due.clear();
-        self.local_scratch.clear();
         Ok(())
     }
 }
@@ -640,6 +604,7 @@ mod tests {
         DropReason, FaultDomain, FaultEvent, FaultInjector, FaultKind, FaultSchedule,
     };
     use ringmesh_net::{CacheLineSize, NetCore, PacketFormat, PacketRef, UtilizationReport};
+    use ringmesh_snap::{SnapReader, SnapWriter};
     use std::collections::VecDeque;
 
     /// A loopback "network" over a [`NetCore`]: every packet reaches
@@ -691,6 +656,12 @@ mod tests {
         }
     }
 
+    impl Snap for Loopback {
+        fn snap<C: Codec>(&mut self, _c: &mut C) -> Result<(), SnapError> {
+            unreachable!("the loopback is never checkpointed")
+        }
+    }
+
     impl Interconnect for Loopback {
         fn core(&self) -> &NetCore {
             &self.core
@@ -734,12 +705,6 @@ mod tests {
             UtilizationReport::default()
         }
         fn reset_counters(&mut self) {}
-        fn save_kernel(&self, _w: &mut SnapWriter) {
-            unreachable!("the loopback is never checkpointed")
-        }
-        fn restore_kernel(&mut self, _r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-            unreachable!("the loopback is never checkpointed")
-        }
         fn pm_alive(&self, pm: NodeId) -> bool {
             self.core.faults().is_none_or(|f| !f.node_dead(pm.raw()))
         }
@@ -958,6 +923,7 @@ mod tests {
 
     /// A workload checkpoint decoded field by field, so a test can
     /// corrupt one field and encode the rest unchanged.
+    #[derive(Default)]
     struct Image {
         txn_seq: u64,
         stats: MmrpStats,
@@ -976,9 +942,23 @@ mod tests {
         stats: ProcessorStats,
     }
 
+    impl Default for ProcImage {
+        fn default() -> Self {
+            ProcImage {
+                pm: 0,
+                countdown: 0,
+                outstanding: 0,
+                pending: None,
+                rng: SimRng::from_seed(0),
+                stats: ProcessorStats::default(),
+            }
+        }
+    }
+
     type Responses = std::collections::VecDeque<(u64, Packet)>;
     type Locals = std::collections::VecDeque<(u64, u64)>;
 
+    #[derive(Default)]
     struct MemImage {
         pm: u32,
         pending: Responses,
@@ -987,64 +967,52 @@ mod tests {
         served: u64,
     }
 
+    impl Snap for ProcImage {
+        fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+            self.pm.snap(c)?;
+            self.countdown.snap(c)?;
+            self.outstanding.snap(c)?;
+            self.pending.snap(c)?;
+            self.rng.snap(c)?;
+            self.stats.snap(c)
+        }
+    }
+
+    impl Snap for MemImage {
+        fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+            self.pm.snap(c)?;
+            self.pending.snap(c)?;
+            self.local.snap(c)?;
+            self.last_start.snap(c)?;
+            self.served.snap(c)
+        }
+    }
+
+    /// Everything but the tail.
+    impl Snap for Image {
+        fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+            self.txn_seq.snap(c)?;
+            self.stats.snap(c)?;
+            self.procs.snap(c)?;
+            self.mems.snap(c)
+        }
+    }
+
     impl Image {
-        fn of(wl: &Mmrp) -> Image {
+        fn of(wl: &mut Mmrp) -> Image {
             let mut w = SnapWriter::new();
-            wl.save_state(&mut w);
+            wl.snap(&mut w).unwrap();
             let bytes = w.into_bytes();
             let mut r = SnapReader::new(&bytes);
-            let txn_seq = r.u64().unwrap();
-            let stats = MmrpStats::load(&mut r).unwrap();
-            let procs = (0..r.usize().unwrap())
-                .map(|_| ProcImage {
-                    pm: r.u32().unwrap(),
-                    countdown: r.u32().unwrap(),
-                    outstanding: r.u32().unwrap(),
-                    pending: Snapshot::load(&mut r).unwrap(),
-                    rng: SimRng::load(&mut r).unwrap(),
-                    stats: ProcessorStats::load(&mut r).unwrap(),
-                })
-                .collect();
-            let mems = (0..r.usize().unwrap())
-                .map(|_| MemImage {
-                    pm: r.u32().unwrap(),
-                    pending: Snapshot::load(&mut r).unwrap(),
-                    local: Snapshot::load(&mut r).unwrap(),
-                    last_start: Snapshot::load(&mut r).unwrap(),
-                    served: r.u64().unwrap(),
-                })
-                .collect();
-            let tail = bytes[bytes.len() - r.remaining()..].to_vec();
-            Image {
-                txn_seq,
-                stats,
-                procs,
-                mems,
-                tail,
-            }
+            let mut image = Image::default();
+            image.snap(&mut r).unwrap();
+            image.tail = bytes[bytes.len() - r.remaining()..].to_vec();
+            image
         }
 
-        fn bytes(&self) -> Vec<u8> {
+        fn bytes(&mut self) -> Vec<u8> {
             let mut w = SnapWriter::new();
-            w.u64(self.txn_seq);
-            self.stats.save(&mut w);
-            w.usize(self.procs.len());
-            for p in &self.procs {
-                w.u32(p.pm);
-                w.u32(p.countdown);
-                w.u32(p.outstanding);
-                p.pending.save(&mut w);
-                p.rng.save(&mut w);
-                p.stats.save(&mut w);
-            }
-            w.usize(self.mems.len());
-            for m in &self.mems {
-                w.u32(m.pm);
-                m.pending.save(&mut w);
-                m.local.save(&mut w);
-                m.last_start.save(&mut w);
-                w.u64(m.served);
-            }
+            self.snap(&mut w).unwrap();
             let mut bytes = w.into_bytes();
             bytes.extend_from_slice(&self.tail);
             bytes
@@ -1059,7 +1027,7 @@ mod tests {
         let mut wl = mmrp(4, 1, 1.0);
         loop {
             run(&mut wl, &mut net, 1);
-            let image = Image::of(&wl);
+            let image = Image::of(&mut wl);
             let parked = image.procs.iter().any(|p| p.pending.is_some());
             if parked && image.mems.iter().any(|m| !m.pending.is_empty()) {
                 return wl;
@@ -1069,8 +1037,8 @@ mod tests {
 
     /// Restores `image` into a fresh workload and returns the error's
     /// message, which must be a `Corrupt`.
-    fn corrupt(image: &Image) -> String {
-        match mmrp(4, 1, 1.0).restore_state(&mut SnapReader::new(&image.bytes())) {
+    fn corrupt(image: &mut Image) -> String {
+        match mmrp(4, 1, 1.0).snap(&mut SnapReader::new(&image.bytes())) {
             Err(SnapError::Corrupt(msg)) => msg,
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -1078,50 +1046,48 @@ mod tests {
 
     #[test]
     fn an_untouched_image_restores_to_the_same_bytes() {
-        let wl = loaded();
-        let image = Image::of(&wl);
+        let mut image = Image::of(&mut loaded());
         assert!(image.procs.iter().any(|p| p.outstanding == 1));
         assert!(image.mems.iter().any(|m| !m.pending.is_empty()));
         let mut copy = mmrp(4, 1, 1.0);
-        copy.restore_state(&mut SnapReader::new(&image.bytes()))
-            .unwrap();
-        assert!(Image::of(&copy).bytes() == image.bytes());
+        copy.snap(&mut SnapReader::new(&image.bytes())).unwrap();
+        assert!(Image::of(&mut copy).bytes() == image.bytes());
     }
 
     #[test]
     fn restore_rejects_more_outstanding_than_t() {
-        let mut image = Image::of(&loaded());
+        let mut image = Image::of(&mut loaded());
         image.procs[2].outstanding = 2;
         image.stats.issued += 2;
-        assert!(corrupt(&image).contains("2 outstanding, T = 1"));
+        assert!(corrupt(&mut image).contains("2 outstanding, T = 1"));
     }
 
     #[test]
     fn restore_rejects_a_pending_reference_off_the_machine() {
-        let mut image = Image::of(&loaded());
+        let mut image = Image::of(&mut loaded());
         image.procs[1].pending = Some(PendingRef {
             dst: NodeId::new(4),
             kind: ringmesh_net::PacketKind::ReadReq,
             issued_at: 0,
         });
-        assert!(corrupt(&image).contains("pending reference to PM4 of 4 PMs"));
+        assert!(corrupt(&mut image).contains("pending reference to PM4 of 4 PMs"));
     }
 
     #[test]
     fn restore_rejects_a_spent_countdown_with_nothing_pending() {
-        let mut image = Image::of(&loaded());
+        let mut image = Image::of(&mut loaded());
         let p = image
             .procs
             .iter_mut()
             .find(|p| p.pending.is_none())
             .unwrap();
         p.countdown = 0;
-        assert!(corrupt(&image).contains("countdown 0 with nothing pending"));
+        assert!(corrupt(&mut image).contains("countdown 0 with nothing pending"));
     }
 
     #[test]
     fn restore_rejects_a_response_not_from_its_memory() {
-        let image = Image::of(&loaded());
+        let image = Image::of(&mut loaded());
         let m = image
             .mems
             .iter()
@@ -1134,18 +1100,18 @@ mod tests {
             |p, _| p.dst = p.src,
         ];
         for edit in redirect {
-            let mut image = Image::of(&loaded());
+            let mut image = Image::of(&mut loaded());
             edit(&mut image.mems[m].pending[0].1, pms);
-            assert!(corrupt(&image).contains("response"));
+            assert!(corrupt(&mut image).contains("response"));
         }
     }
 
     #[test]
     fn restore_rejects_ready_times_out_of_order() {
-        let mut image = Image::of(&loaded());
+        let mut image = Image::of(&mut loaded());
         image.mems[0].local = Locals::from([(20, 3), (10, 4)]);
-        assert!(corrupt(&image).contains("ready times out of order"));
-        let mut image = Image::of(&loaded());
+        assert!(corrupt(&mut image).contains("ready times out of order"));
+        let mut image = Image::of(&mut loaded());
         let m = image
             .mems
             .iter_mut()
@@ -1153,16 +1119,16 @@ mod tests {
             .unwrap();
         let late = (m.pending[0].0 + 5, m.pending[0].1);
         m.pending.push_front(late);
-        assert!(corrupt(&image).contains("ready times out of order"));
+        assert!(corrupt(&mut image).contains("ready times out of order"));
     }
 
     #[test]
     fn restore_rejects_counters_that_disagree_with_the_processors() {
-        let mut image = Image::of(&loaded());
+        let mut image = Image::of(&mut loaded());
         image.stats.retired += 1;
-        assert!(corrupt(&image).contains("outstanding at the processors"));
-        let mut image = Image::of(&loaded());
+        assert!(corrupt(&mut image).contains("outstanding at the processors"));
+        let mut image = Image::of(&mut loaded());
         image.stats.retired = image.stats.issued + 1;
-        assert!(corrupt(&image).contains("outstanding at the processors"));
+        assert!(corrupt(&mut image).contains("outstanding at the processors"));
     }
 }

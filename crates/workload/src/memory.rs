@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use ringmesh_net::{Interconnect, NodeId, Packet, QueueClass};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::{MemoryParams, PacketSizer};
 
@@ -138,28 +138,13 @@ impl MemoryModule {
     }
 }
 
-impl SnapshotState for MemoryModule {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u32(self.pm.raw());
-        self.pending.save(w);
-        self.local.save(w);
-        self.last_start.save(w);
-        w.u64(self.served);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let pm = r.u32()?;
-        if pm != self.pm.raw() {
-            return Err(SnapError::Mismatch(format!(
-                "memory snapshot is for PM {pm}, restoring into PM {}",
-                self.pm.raw()
-            )));
-        }
-        self.pending = Snapshot::load(r)?;
-        self.local = Snapshot::load(r)?;
-        self.last_start = Snapshot::load(r)?;
-        self.served = r.u64()?;
-        Ok(())
+impl Snap for MemoryModule {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        c.exact(self.pm.raw(), "memory PM")?;
+        self.pending.snap(c)?;
+        self.local.snap(c)?;
+        self.last_start.snap(c)?;
+        self.served.snap(c)
     }
 }
 

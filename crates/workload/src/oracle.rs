@@ -28,7 +28,7 @@ use ringmesh_net::{
     CacheLineSize, Interconnect, NetCore, NodeId, Packet, PacketFormat, PacketKind, PacketRef,
     QueueClass, TxnId, UtilizationReport,
 };
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::processor::PendingRef;
 use crate::retry::{OpenTxn, RetryBook};
@@ -359,30 +359,31 @@ impl Reference {
     }
 
     /// The checkpoint layout of the driver.
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.txn_seq);
-        self.stats.save(w);
-        w.usize(self.procs.len());
-        for p in &self.procs {
-            w.u32(p.pm.raw());
-            w.u32(p.countdown);
-            w.u32(p.outstanding);
-            p.pending.save(w);
-            p.rng.save(w);
-            p.stats.save(w);
+    fn checkpoint(&mut self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        self.txn_seq.snap(w)?;
+        self.stats.snap(w)?;
+        self.procs.len().snap(w)?;
+        for p in &mut self.procs {
+            p.pm.snap(w)?;
+            p.countdown.snap(w)?;
+            p.outstanding.snap(w)?;
+            p.pending.snap(w)?;
+            p.rng.snap(w)?;
+            p.stats.snap(w)?;
         }
-        w.usize(self.mems.len());
-        for m in &self.mems {
-            w.u32(m.pm.raw());
-            m.pending.save(w);
-            m.local.save(w);
-            m.last_start.save(w);
-            w.u64(m.served);
+        self.mems.len().snap(w)?;
+        for m in &mut self.mems {
+            m.pm.snap(w)?;
+            m.pending.snap(w)?;
+            m.local.snap(w)?;
+            m.last_start.snap(w)?;
+            m.served.snap(w)?;
         }
-        w.bool(self.retry.is_some());
-        if let Some(book) = &self.retry {
-            book.save_state(w);
+        self.retry.is_some().snap(w)?;
+        if let Some(book) = &mut self.retry {
+            book.snap(w)?;
         }
+        Ok(())
     }
 }
 
@@ -446,6 +447,12 @@ impl Fake {
         let injector = FaultInjector::new(&schedule, self.fault_domain());
         self.set_faults(injector, true);
         self
+    }
+}
+
+impl Snap for Fake {
+    fn snap<C: Codec>(&mut self, _c: &mut C) -> Result<(), SnapError> {
+        unreachable!("the oracle never checkpoints its network")
     }
 }
 
@@ -513,12 +520,6 @@ impl Interconnect for Fake {
         UtilizationReport::default()
     }
     fn reset_counters(&mut self) {}
-    fn save_kernel(&self, _w: &mut SnapWriter) {
-        unreachable!("the oracle never checkpoints its network")
-    }
-    fn restore_kernel(&mut self, _r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-        unreachable!("the oracle never checkpoints its network")
-    }
     fn pm_alive(&self, pm: NodeId) -> bool {
         self.core.faults().is_none_or(|f| !f.node_dead(pm.raw()))
     }
@@ -563,9 +564,9 @@ fn driver(case: &Case) -> Mmrp {
     }
 }
 
-fn state_bytes(save: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+fn state_bytes(save: impl FnOnce(&mut SnapWriter) -> Result<(), SnapError>) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    save(&mut w);
+    save(&mut w).unwrap();
     w.into_bytes()
 }
 
@@ -613,12 +614,12 @@ fn lockstep(case: &Case) -> Seen {
         seen.samples += ref_samples.len();
 
         if now % 97 == 96 || now == case.cycles / 2 {
-            let bytes = state_bytes(|w| dut.save_state(w));
-            let want = state_bytes(|w| reference.save_state(w));
+            let bytes = state_bytes(|w| dut.snap(w));
+            let want = state_bytes(|w| reference.checkpoint(w));
             assert!(bytes == want, "{name} @{now}: checkpoint bytes differ");
             if now == case.cycles / 2 {
                 let mut resumed = driver(case);
-                resumed.restore_state(&mut SnapReader::new(&bytes)).unwrap();
+                resumed.snap(&mut SnapReader::new(&bytes)).unwrap();
                 dut = resumed;
             }
         }

@@ -25,7 +25,7 @@
 
 use ringmesh_engine::SimRng;
 use ringmesh_net::{NodeId, PacketKind};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::{HotSpot, MissProcess, Region, WorkloadParams};
 
@@ -33,7 +33,7 @@ use crate::{HotSpot, MissProcess, Region, WorkloadParams};
 pub(crate) const IDLE: u64 = u64::MAX;
 
 /// A reference waiting to be issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct PendingRef {
     pub dst: NodeId,
     pub kind: PacketKind,
@@ -265,98 +265,75 @@ impl Processor {
         }
     }
 
-    /// Writes the checkpoint record. `at` is the next cycle to run and
-    /// the cycle the processor is due then, once the driver's due table
-    /// is built; the record carries the countdown and the blocked
-    /// cycles a processor ticked every cycle would hold.
-    pub(crate) fn save(&self, w: &mut SnapWriter, at: Option<(u64, u64)>) {
-        let countdown = match at {
+    /// Snapshots the checkpoint record. `at` is the next cycle to run
+    /// and the cycle the processor is due then, once the driver's due
+    /// table is built; the record carries the countdown and the blocked
+    /// cycles a processor ticked every cycle would hold, and a restore
+    /// installs them. The record must fit a machine of `pms` PMs whose
+    /// processors may hold `t_limit` transactions.
+    pub(crate) fn snap<C: Codec>(
+        &mut self,
+        c: &mut C,
+        at: Option<(u64, u64)>,
+        t_limit: u32,
+        pms: usize,
+    ) -> Result<(), SnapError> {
+        let mut countdown = match at {
             _ if self.pending.is_some() => 0,
             Some((next, due)) if due != IDLE => (due - next + 1) as u32,
             _ => self.countdown,
         };
-        w.u32(self.pm.raw());
-        w.u32(countdown);
-        w.u32(self.outstanding);
-        self.pending.save(w);
-        self.rng.save(w);
-        at.map_or(self.stats, |(next, _)| self.stats_at(next))
-            .save(w);
-    }
-
-    /// Reads back what [`save`](Self::save) wrote, for a machine of
-    /// `pms` PMs whose processors may hold `t_limit` transactions.
-    pub(crate) fn restore(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        t_limit: u32,
-        pms: usize,
-    ) -> Result<(), SnapError> {
-        let pm = r.u32()?;
-        if pm != self.pm.raw() {
-            return Err(SnapError::Mismatch(format!(
-                "processor snapshot is for PM {pm}, restoring into PM {}",
-                self.pm.raw()
-            )));
+        let mut stats = at.map_or(self.stats, |(next, _)| self.stats_at(next));
+        c.exact(self.pm.raw(), "processor PM")?;
+        countdown.snap(c)?;
+        self.outstanding.snap(c)?;
+        self.pending.snap(c)?;
+        self.rng.snap(c)?;
+        stats.snap(c)?;
+        if c.reading() {
+            self.countdown = countdown;
+            self.stats = stats;
+            self.parked_since = IDLE;
+            self.validate(t_limit, pms)?;
         }
-        let countdown = r.u32()?;
-        let outstanding = r.u32()?;
-        let pending: Option<PendingRef> = Snapshot::load(r)?;
-        let rng = SimRng::load(r)?;
-        let stats = ProcessorStats::load(r)?;
-        let corrupt = |what: String| Err(SnapError::Corrupt(format!("processor {pm}: {what}")));
-        if outstanding > t_limit {
-            return corrupt(format!("{outstanding} outstanding, T = {t_limit}"));
-        }
-        match pending {
-            Some(p) if p.dst.index() >= pms => {
-                return corrupt(format!("pending reference to {} of {pms} PMs", p.dst));
-            }
-            Some(p) if !p.kind.is_request() => {
-                return corrupt(format!("pending reference of kind {:?}", p.kind));
-            }
-            None if countdown == 0 => return corrupt("countdown 0 with nothing pending".into()),
-            _ => {}
-        }
-        self.countdown = countdown;
-        self.outstanding = outstanding;
-        self.pending = pending;
-        self.parked_since = IDLE;
-        self.rng = rng;
-        self.stats = stats;
         Ok(())
     }
+
+    /// Checks a restored record: at most `t_limit` outstanding, a
+    /// pending reference is a request to one of the `pms` PMs, and a
+    /// spent countdown has one.
+    fn validate(&self, t_limit: u32, pms: usize) -> Result<(), SnapError> {
+        let pm = self.pm.raw();
+        let corrupt = |what: String| Err(SnapError::Corrupt(format!("processor {pm}: {what}")));
+        if self.outstanding > t_limit {
+            return corrupt(format!("{} outstanding, T = {t_limit}", self.outstanding));
+        }
+        match self.pending {
+            Some(p) if p.dst.index() >= pms => {
+                corrupt(format!("pending reference to {} of {pms} PMs", p.dst))
+            }
+            Some(p) if !p.kind.is_request() => {
+                corrupt(format!("pending reference of kind {:?}", p.kind))
+            }
+            None if self.countdown == 0 => corrupt("countdown 0 with nothing pending".into()),
+            _ => Ok(()),
+        }
+    }
 }
 
-impl Snapshot for PendingRef {
-    fn save(&self, w: &mut SnapWriter) {
-        self.dst.save(w);
-        self.kind.save(w);
-        w.u64(self.issued_at);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(PendingRef {
-            dst: NodeId::load(r)?,
-            kind: PacketKind::load(r)?,
-            issued_at: r.u64()?,
-        })
+impl Snap for PendingRef {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.dst.snap(c)?;
+        self.kind.snap(c)?;
+        self.issued_at.snap(c)
     }
 }
 
-impl Snapshot for ProcessorStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.issued);
-        w.u64(self.retired);
-        w.u64(self.blocked_cycles);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ProcessorStats {
-            issued: r.u64()?,
-            retired: r.u64()?,
-            blocked_cycles: r.u64()?,
-        })
+impl Snap for ProcessorStats {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.issued.snap(c)?;
+        self.retired.snap(c)?;
+        self.blocked_cycles.snap(c)
     }
 }
 

@@ -13,7 +13,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use ringmesh_net::{NodeId, PacketKind};
-use ringmesh_snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotState};
+use ringmesh_snap::{Codec, Snap, SnapError};
 
 /// Retry/timeout knobs for the end-to-end layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +55,7 @@ pub struct RetryStats {
 }
 
 /// An open (unacknowledged) remote transaction.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct OpenTxn {
     pub pm: NodeId,
     pub dst: NodeId,
@@ -135,82 +135,44 @@ impl RetryBook {
     }
 }
 
-impl Snapshot for RetryStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.timeouts);
-        w.u64(self.retries);
-        w.u64(self.gave_up);
-        w.u64(self.stale_responses);
-        w.u64(self.dead_drops);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RetryStats {
-            timeouts: r.u64()?,
-            retries: r.u64()?,
-            gave_up: r.u64()?,
-            stale_responses: r.u64()?,
-            dead_drops: r.u64()?,
-        })
+impl Snap for RetryStats {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.timeouts.snap(c)?;
+        self.retries.snap(c)?;
+        self.gave_up.snap(c)?;
+        self.stale_responses.snap(c)?;
+        self.dead_drops.snap(c)
     }
 }
 
-impl Snapshot for OpenTxn {
-    fn save(&self, w: &mut SnapWriter) {
-        self.pm.save(w);
-        self.dst.save(w);
-        self.kind.save(w);
-        w.u32(self.flits);
-        w.u64(self.issued_at);
-        w.u32(self.attempt);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(OpenTxn {
-            pm: NodeId::load(r)?,
-            dst: NodeId::load(r)?,
-            kind: PacketKind::load(r)?,
-            flits: r.u32()?,
-            issued_at: r.u64()?,
-            attempt: r.u32()?,
-        })
+impl Snap for OpenTxn {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        self.pm.snap(c)?;
+        self.dst.snap(c)?;
+        self.kind.snap(c)?;
+        self.flits.snap(c)?;
+        self.issued_at.snap(c)?;
+        self.attempt.snap(c)
     }
 }
 
-impl SnapshotState for RetryBook {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.policy.timeout);
-        w.u32(self.policy.max_attempts);
-        w.u64(self.policy.backoff);
-        self.stats.save(w);
+impl Snap for RetryBook {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+        c.exact(self.policy.timeout, "retry timeout")?;
+        c.exact(self.policy.max_attempts, "retry attempts")?;
+        c.exact(self.policy.backoff, "retry backoff")?;
+        self.stats.snap(c)?;
         // The open map is serialized sorted by transaction id so the
         // snapshot bytes are deterministic despite HashMap iteration
         // order.
         let mut open: Vec<(u64, OpenTxn)> = self.open.iter().map(|(&k, &v)| (k, v)).collect();
         open.sort_unstable_by_key(|&(k, _)| k);
-        open.save(w);
-        self.deadlines.save(w);
-        self.retry_at.save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let policy = RetryPolicy {
-            timeout: r.u64()?,
-            max_attempts: r.u32()?,
-            backoff: r.u64()?,
-        };
-        if policy != self.policy {
-            return Err(SnapError::Mismatch(format!(
-                "retry policy {policy:?} in snapshot, {:?} configured",
-                self.policy
-            )));
+        open.snap(c)?;
+        if c.reading() {
+            self.open = open.into_iter().collect();
         }
-        self.stats = RetryStats::load(r)?;
-        let open: Vec<(u64, OpenTxn)> = Snapshot::load(r)?;
-        self.open = open.into_iter().collect();
-        self.deadlines = Snapshot::load(r)?;
-        self.retry_at = Snapshot::load(r)?;
-        Ok(())
+        self.deadlines.snap(c)?;
+        self.retry_at.snap(c)
     }
 }
 
