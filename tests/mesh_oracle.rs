@@ -18,7 +18,7 @@ use ringmesh_faults::{
 use ringmesh_mesh::{Direction, MeshConfig, MeshNetwork, MeshTopology};
 use ringmesh_net::{
     Assembler, BufferRegime, CacheLineSize, DrainState, Flit, FlitFifo, Interconnect, NodeId,
-    Packet, PacketKind, PacketQueue, PacketRef, PacketStore, QueueClass, TxnId,
+    Packet, PacketFormat, PacketKind, PacketQueue, PacketRef, PacketStore, QueueClass, TxnId,
 };
 
 const LOCAL: usize = 4;
@@ -354,6 +354,41 @@ fn kernel_matches_the_reference_router_four_flit_buffers() {
 fn kernel_matches_the_reference_router_at_the_benchmark_shape() {
     let (delivered, _) = lockstep(16, BufferRegime::FourFlit, 1.0, 1_000, None);
     assert!(delivered > 0, "mesh:16 saturated");
+}
+
+/// `mesh_light`'s shape: `mesh:16` near zero load, where most routers
+/// sleep most cycles and the step walks only the awake ones.
+#[test]
+fn kernel_matches_the_reference_router_near_zero_load() {
+    let (delivered, _) = lockstep(16, BufferRegime::FourFlit, 0.002, 3_000, None);
+    assert!(delivered > 0, "mesh:16 at load 0.002");
+}
+
+/// A side above 64: each row of the mesh spans two 64-bit words of any
+/// per-row bitset, so a walk over one crosses a word boundary mid-row.
+#[test]
+fn kernel_matches_the_reference_router_beyond_one_word_per_row() {
+    let (delivered, _) = lockstep(66, BufferRegime::FourFlit, 0.002, 300, None);
+    assert!(delivered > 0, "mesh:66 at load 0.002");
+}
+
+/// Every buffer and packet the configurations can build fits the
+/// kernel's narrow fields: a buffer's front index and length are a byte
+/// each, and a buffered flit's sequence number is seven bits.
+#[test]
+fn every_configuration_fits_a_flit_lane() {
+    for format in [PacketFormat::RING, PacketFormat::MESH] {
+        for cl in CacheLineSize::ALL {
+            for regime in BufferRegime::ALL {
+                let depth = regime.flits(format, cl);
+                assert!(depth <= 255, "{format:?} {cl} {regime}: {depth} flits");
+            }
+            for kind in KINDS {
+                let flits = format.flits(kind, cl);
+                assert!(flits <= 128, "{format:?} {cl} {kind}: {flits} flits");
+            }
+        }
+    }
 }
 
 #[test]
