@@ -156,13 +156,18 @@ impl HybridNetwork {
             rings: side * side,
             local,
         };
-        let mesh_buffer_flits =
-            MESH_BUFFER_PACKETS * cfg.format.cl_packet_flits(cache_line) as usize;
+        let packet_flits = cfg.format.cl_packet_flits(cache_line);
+        let mesh_buffer_flits = MESH_BUFFER_PACKETS * packet_flits as usize;
         Ok(HybridNetwork {
             local,
             core: NetCore::new(cfg.watchdog_horizon),
             tier: RingTier::new(&rings, &cfg),
-            routers: MeshRouters::new(&topo, mesh_buffer_flits, cfg.out_queue_packets),
+            routers: MeshRouters::new(
+                &topo,
+                mesh_buffer_flits,
+                packet_flits,
+                cfg.out_queue_packets,
+            ),
             owners: owner_coords(&topo, local),
             topo,
             mesh_flits: 0,

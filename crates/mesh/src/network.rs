@@ -57,7 +57,12 @@ pub struct MeshNetwork {
 impl MeshNetwork {
     /// Builds the network for `topo` under `cfg`.
     pub fn new(topo: MeshTopology, cfg: MeshConfig) -> Self {
-        let routers = MeshRouters::new(&topo, cfg.buffer_flits(), cfg.out_queue_packets);
+        let routers = MeshRouters::new(
+            &topo,
+            cfg.buffer_flits(),
+            cfg.format.cl_packet_flits(cfg.cache_line),
+            cfg.out_queue_packets,
+        );
         MeshNetwork {
             topo,
             core: NetCore::new(cfg.watchdog_horizon),
@@ -596,26 +601,65 @@ mod corrupt_snapshot_tests {
     /// FIFO is six words (capacity, length, latched length, tails,
     /// last push, fresh); an unset route or connection is its one
     /// `None` tag byte.
-    const ROUTES: usize = (3 + 1) * 8 + 5 * 6 * 8;
+    const FIFO: usize = (3 + 1) * 8;
+    const ROUTES: usize = FIFO + 5 * 6 * 8;
     const CONNS: usize = ROUTES + 5;
     const POINTERS: usize = CONNS + 5;
 
-    /// Restores an idle `mesh:3` snapshot whose `cut` bytes at `at`
-    /// were replaced by `with`, and steps the result if it is taken.
-    fn restore_spliced(at: usize, cut: usize, with: &[u8]) -> Result<(), SnapError> {
-        let cfg = MeshConfig::new(CacheLineSize::B32);
+    fn saved(net: &mut MeshNetwork) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        snap_network(
-            &mut MeshNetwork::new(MeshTopology::new(3), cfg.clone()),
-            &mut w,
-        )
-        .unwrap();
-        let mut bytes = w.into_bytes();
+        snap_network(net, &mut w).unwrap();
+        w.into_bytes()
+    }
+
+    /// Restores an idle `mesh:3` snapshot whose `cut` bytes at `at`
+    /// were replaced by `with`, and returns the network and the bytes.
+    fn restore_only(
+        at: usize,
+        cut: usize,
+        with: &[u8],
+    ) -> Result<(MeshNetwork, Vec<u8>), SnapError> {
+        let cfg = MeshConfig::new(CacheLineSize::B32);
+        let mut bytes = saved(&mut MeshNetwork::new(MeshTopology::new(3), cfg.clone()));
         bytes.splice(at..at + cut, with.iter().copied());
         let mut net = MeshNetwork::new(MeshTopology::new(3), cfg);
         snap_network(&mut net, &mut SnapReader::new(&bytes))?;
-        net.step(&mut Vec::new()).unwrap();
+        Ok((net, bytes))
+    }
+
+    /// As [`restore_only`], and steps the result if it is taken.
+    fn restore_spliced(at: usize, cut: usize, with: &[u8]) -> Result<(), SnapError> {
+        restore_only(at, cut, with)?
+            .0
+            .step(&mut Vec::new())
+            .unwrap();
         Ok(())
+    }
+
+    /// Router 0's north input FIFO holding `flits` (packet slot,
+    /// sequence number, tail), as the snapshot writes a 4-flit FIFO:
+    /// capacity, length, the flits, latched length, tail count, last
+    /// push cycle, fresh count. Spliced over the empty FIFO's six words.
+    fn restore_fifo(
+        flits: &[(u32, u32, bool)],
+        latched: usize,
+        last_push: u64,
+        fresh: u64,
+    ) -> Result<(MeshNetwork, Vec<u8>), SnapError> {
+        let mut bytes = Vec::new();
+        let tails = flits.iter().filter(|f| f.2).count();
+        for word in [4, flits.len() as u64] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        for &(slot, seq, tail) in flits {
+            bytes.extend_from_slice(&slot.to_le_bytes());
+            bytes.extend_from_slice(&seq.to_le_bytes());
+            bytes.push(u8::from(tail));
+        }
+        for word in [latched as u64, tails as u64, last_push, fresh] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        restore_only(FIFO, 6 * 8, &bytes)
     }
 
     fn some(payload: &[u64]) -> Vec<u8> {
@@ -669,6 +713,71 @@ mod corrupt_snapshot_tests {
         }
         // In range, but input 2 holds no route to output 0.
         assert_corrupt(restore_spliced(CONNS, 1, &some(&[2])), "holds no route");
+    }
+
+    /// A buffered worm whose front is mid-packet, then a whole one,
+    /// restores and writes back the same bytes. (Their packets are not
+    /// in the store, so the network is not stepped.)
+    #[test]
+    fn buffered_worms_round_trip() {
+        let worms = [(3, 4, false), (3, 5, true), (0, 0, true)];
+        for (last_push, fresh) in [(0, 0), (0, 1), (1_199, 1)] {
+            let (mut net, bytes) = restore_fifo(&worms, 3, last_push, fresh).unwrap();
+            assert_eq!(
+                saved(&mut net),
+                bytes,
+                "last push {last_push}, fresh {fresh}"
+            );
+        }
+    }
+
+    /// The lanes hold a 24-bit packet slot and a 7-bit sequence number.
+    #[test]
+    fn a_flit_wider_than_a_lane_is_corrupt() {
+        for flit in [(1 << 24, 0, true), (u32::MAX, 0, true), (0, 128, true)] {
+            assert_corrupt(restore_fifo(&[flit], 1, 0, 1).map(drop), "flit lane");
+        }
+    }
+
+    /// A snapshot is taken at a cycle boundary, where every FIFO's
+    /// latched length is its length.
+    #[test]
+    fn a_latched_length_other_than_the_length_is_corrupt() {
+        let worm = [(0, 0, false), (0, 1, false)];
+        for latched in [0, 1, 3, 4] {
+            assert_corrupt(
+                restore_fifo(&worm, latched, 7, 1).map(drop),
+                "latched length",
+            );
+        }
+    }
+
+    /// A mesh FIFO has one upstream, so it takes one flit a cycle: one
+    /// pushed at the last push cycle, or none and no cycle before the
+    /// first push.
+    #[test]
+    fn a_push_record_no_run_leaves_is_corrupt() {
+        for (last_push, fresh) in [(7, 2), (7, 4), (0, 2), (7, 0), (u64::MAX, 1)] {
+            assert_corrupt(
+                restore_fifo(&[], 0, last_push, fresh).map(drop),
+                "pushed at cycle",
+            );
+        }
+    }
+
+    /// Within one packet the sequence numbers rise by one; after the
+    /// front, each new packet starts at its head.
+    #[test]
+    fn flits_that_are_not_pieces_of_worms_are_corrupt() {
+        for flits in [
+            [(0, 0, false), (0, 2, true)],
+            [(0, 1, false), (0, 1, true)],
+            [(0, 0, false), (1, 1, true)],
+            [(0, 0, false), (1, 0, true)],
+            [(0, 3, true), (1, 1, true)],
+        ] {
+            assert_corrupt(restore_fifo(&flits, 2, 7, 1).map(drop), "breaks a worm");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   arrived in (realizing the paper's one-cycle routing delay per
 //!   network node).
 //! * [`FifoBank`] — many [`FlitFifo`]s of one capacity in a single
-//!   allocation, addressed by number: a mesh's router input buffers.
+//!   allocation, addressed by number: the ring tier's transit buffers.
 //! * [`PacketQueue`] — a bounded queue of whole packets (the NIC's
 //!   input/output request and response buffers, which hold exactly one
 //!   cache-line packet each in the paper).
@@ -211,10 +211,12 @@ struct BankFifo {
 /// at the last [`latch`](Self::latch)), and a flit pushed at cycle
 /// `now` cannot leave before `now + 1` — and its snapshot bytes. What
 /// differs is the storage: flit slots sit in one `Vec` at stride
-/// `capacity`, beside 16 bytes of bookkeeping per FIFO, so a mesh
-/// router's five input buffers are adjacent memory, not five heap
-/// blocks. A mesh of a few thousand routers spends most of its
-/// footprint and most of its construction on exactly these buffers.
+/// `capacity`, beside 16 bytes of bookkeeping per FIFO, so a ring
+/// station's buffers are adjacent memory, not a heap block each. It now
+/// serves only the ring tier (`ringmesh_ring`'s `RingTier`): the mesh
+/// keeps its FIFO state in its router blocks and its flits in
+/// [`PackedFlit`](crate::PackedFlit) lanes, and writes its FIFOs in
+/// [`snap_fifo`](Self::snap_fifo)'s format.
 ///
 /// # Example
 ///

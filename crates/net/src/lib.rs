@@ -13,7 +13,8 @@
 //!   1-flit vs 4-flit ring/mesh headers, 1/4/cache-line-sized buffers)
 //!   including the Table 1 buffer-memory arithmetic.
 //! * [`Packet`], [`PacketKind`], [`Flit`], [`PacketStore`] — the four
-//!   simulated packet types and their in-flight flit representation.
+//!   simulated packet types and their in-flight flit representation;
+//!   [`PackedFlit`], a flit in four bytes for the mesh's buffers.
 //! * [`FlitFifo`], [`PacketQueue`], [`DrainState`], [`Assembler`] — the
 //!   FIFO buffers from which every NIC and inter-ring interface is
 //!   assembled, with the registered (previous-cycle) stop/go flow
@@ -55,5 +56,5 @@ pub use config::{
 pub use error::ConfigError;
 pub use interconnect::{LevelUtil, QueueClass, UtilizationReport};
 pub use netcore::{snap_network, Interconnect, NetCore};
-pub use packet::{Flit, NodeId, Packet, PacketKind, PacketRef, PacketStore, TxnId};
+pub use packet::{Flit, NodeId, PackedFlit, Packet, PacketKind, PacketRef, PacketStore, TxnId};
 pub use topology::{checked_pms, Placement, TopologyBuilder, MAX_PMS};

@@ -187,6 +187,58 @@ impl Flit {
     }
 }
 
+/// A buffered [`Flit`] in four bytes: the packet's store slot in the
+/// low 24 bits, the sequence number in the next 7 and the tail flag in
+/// the top bit. A flit fits when its slot is below 2^24 and its
+/// sequence number below 128, so packets of up to 128 flits (§2.2's
+/// largest is 36). The mesh kernel keeps its input buffers in these
+/// lanes; the type lives here because only this crate mints a
+/// [`PacketRef`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PackedFlit(u32);
+
+impl PackedFlit {
+    /// One more than the largest sequence number a lane holds: the
+    /// longest packet, in flits, whose every flit fits.
+    pub const MAX_PACKET_FLITS: u32 = 1 << 7;
+
+    /// `flit` in a lane, or `None` when its slot or sequence number is
+    /// too wide.
+    pub fn new(flit: Flit) -> Option<PackedFlit> {
+        let Flit {
+            packet,
+            seq,
+            is_tail,
+        } = flit;
+        (packet.0 < 1 << 24 && seq < Self::MAX_PACKET_FLITS)
+            .then(|| PackedFlit(packet.0 | seq << 24 | u32::from(is_tail) << 31))
+    }
+
+    /// The flit this lane holds.
+    pub fn flit(self) -> Flit {
+        Flit {
+            packet: self.packet(),
+            seq: self.0 >> 24 & 0x7F,
+            is_tail: self.is_tail(),
+        }
+    }
+
+    /// The packet the flit belongs to.
+    pub fn packet(self) -> PacketRef {
+        PacketRef(self.0 & 0xFF_FFFF)
+    }
+
+    /// Whether the flit is its packet's last.
+    pub fn is_tail(self) -> bool {
+        self.0 >> 31 != 0
+    }
+
+    /// Whether the flit is its packet's head.
+    pub fn is_head(self) -> bool {
+        self.0 & 0x7F00_0000 == 0
+    }
+}
+
 /// Slab of in-flight packets. Insertion returns a stable [`PacketRef`]
 /// used by every flit of the packet; removal returns the record when the
 /// packet is fully delivered.
@@ -493,6 +545,38 @@ mod tests {
             is_tail: true,
         };
         assert!(single.is_head() && single.is_tail);
+    }
+
+    #[test]
+    fn a_lane_holds_every_flit_that_fits_and_refuses_the_rest() {
+        for slot in [0, 1, 0x12_3456, (1 << 24) - 1] {
+            for seq in [0, 1, 35, 127] {
+                for is_tail in [false, true] {
+                    let flit = Flit {
+                        packet: PacketRef(slot),
+                        seq,
+                        is_tail,
+                    };
+                    let lane = PackedFlit::new(flit).expect("fits");
+                    assert_eq!(lane.flit(), flit);
+                    assert_eq!(lane.packet(), flit.packet);
+                    assert_eq!(lane.is_tail(), is_tail);
+                    assert_eq!(lane.is_head(), flit.is_head());
+                }
+            }
+        }
+        let fits = |slot, seq| {
+            PackedFlit::new(Flit {
+                packet: PacketRef(slot),
+                seq,
+                is_tail: true,
+            })
+            .is_some()
+        };
+        assert!(!fits(1 << 24, 0));
+        assert!(!fits(u32::MAX, 0));
+        assert!(!fits(0, PackedFlit::MAX_PACKET_FLITS));
+        assert!(!fits(0, u32::MAX));
     }
 
     #[test]

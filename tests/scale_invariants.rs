@@ -278,7 +278,11 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
     // blocks stayed. Every row came down again when a mesh router's
     // `active` and `go` vectors folded into its 32-byte crossbar block
     // and the fault injector was boxed out of `NetCore` (ff952cc:
-    // 2 867 / 1 071 836, 449 / 288 680 and 821 / 271 384).
+    // 2 867 / 1 071 836, 449 / 288 680 and 821 / 271 384). The mesh
+    // and hybrid bytes came down again when a mesh router's FIFO state
+    // moved into its crossbar block and its buffered flits into 4-byte
+    // lanes (5a17a1f: 2 857 / 1 069 376 and 811 / 266 944), the blocks
+    // stayed.
     const ROWS: [(&[&str], usize, usize); 3] = [
         // With every transit buffer in the ring tier's one `FifoBank`: a
         // heap block fewer per NIC and two fewer per IRI than the
@@ -299,7 +303,7 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
                 "hybrid:6x6:4",
             ],
             2_857,
-            1_069_376,
+            1_048_336,
         ),
         // Without the route table (quadratic in P) and two of the three
         // outbox tables of cbc79d5 (493 blocks, 461 160 bytes).
@@ -317,7 +321,7 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
         (
             &["mesh:4", "mesh:6", "mesh:8", "mesh:10", "mesh:12"],
             811,
-            266_944,
+            196_744,
         ),
     ];
     for (specs, parent_blocks, parent_bytes) in ROWS {
