@@ -6,6 +6,7 @@
 
 use ringmesh::{NetworkSpec, SimParams, SnapError, System, SystemConfig};
 use ringmesh_net::CacheLineSize;
+use ringmesh_workload::WorkloadParams;
 
 fn quick(network: NetworkSpec) -> SystemConfig {
     SystemConfig::new(network, CacheLineSize::B32)
@@ -78,6 +79,27 @@ fn resumed_runs_match_uninterrupted_on_every_network() {
             assert_eq!(
                 clean, resumed,
                 "{label}: resume at cycle {stop} diverged from the uninterrupted run"
+            );
+        }
+    }
+}
+
+/// Near zero load most mesh routers and ring stations sleep, so a
+/// checkpoint is taken, and restored, while the kernels' worklists name
+/// only a few of them: a resumed run must still match, whatever the
+/// restore puts on the worklists.
+#[test]
+fn resumes_where_most_routers_sleep() {
+    for spec in ["mesh:16", "ring:2:3:4:6", "hybrid:4x4:4"] {
+        let mut light = WorkloadParams::paper_baseline();
+        light.miss_rate = 0.002;
+        let cfg = quick(spec.parse().expect("registry spec")).with_workload(light);
+        let clean = uninterrupted(&cfg);
+        for stop in [500, 1_201, 2_999] {
+            assert_eq!(
+                clean,
+                interrupted(&cfg, stop),
+                "{spec}: resume at cycle {stop} diverged from the uninterrupted run"
             );
         }
     }
