@@ -268,7 +268,7 @@ impl ringmesh_net::Interconnect for HybridNetwork {
         // bridge traffic), so it is not the PMs' to report.
         let traced = self.core.tracing();
         self.routers
-            .step(now, &self.owners, self.core.store(), &fc, traced);
+            .step(&self.owners, self.core.store(), &fc, traced);
         pulse.moved += self.routers.moved;
         pulse.blocked += self.routers.blocked;
         self.mesh_flits += self.routers.link_flits;
@@ -377,11 +377,15 @@ impl ringmesh_net::Interconnect for HybridNetwork {
 }
 
 /// The local rings, the mesh routers, the mesh flit count; the clock
-/// is the rings' tick count.
+/// is the rings' tick count. A reader checks the mesh routers against
+/// the packet store, restored first.
 impl Snap for HybridNetwork {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         self.tier.snap(c)?;
         self.routers.snap(c)?;
+        if c.reading() {
+            self.routers.validate(self.core.store())?;
+        }
         self.mesh_flits.snap(c)?;
         *self.core.clock_mut() = self.tier.cycle();
         Ok(())

@@ -143,7 +143,7 @@ impl ringmesh_net::Interconnect for MeshNetwork {
         // The tracer reads this cycle's link transfers and blocked
         // count in `trace_cycle`; nobody else needs them.
         self.routers
-            .step(now, &self.owners, self.core.store(), &fc, tracing);
+            .step(&self.owners, self.core.store(), &fc, tracing);
         for &pm in &self.routers.room {
             self.core.room_at(pm);
         }
@@ -221,10 +221,14 @@ impl ringmesh_net::Interconnect for MeshNetwork {
     }
 }
 
-/// The routers, the clock, the link flit count, the reset cycle.
+/// The routers, the clock, the link flit count, the reset cycle. A
+/// reader checks the routers against the packet store, restored first.
 impl Snap for MeshNetwork {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         self.routers.snap(c)?;
+        if c.reading() {
+            self.routers.validate(self.core.store())?;
+        }
         self.core.clock_mut().snap(c)?;
         self.link_flits.snap(c)?;
         self.reset_cycle.snap(c)
@@ -589,22 +593,31 @@ mod tests {
 }
 
 /// A checkpoint is outside input: a router field the step would index
-/// with must be refused at restore, not trusted until it panics.
+/// with, or a packet it would look up, must be refused at restore, not
+/// trusted until it panics.
 #[cfg(test)]
 mod corrupt_snapshot_tests {
     use super::*;
-    use ringmesh_net::{snap_network, CacheLineSize, Interconnect};
+    use ringmesh_net::{snap_network, CacheLineSize, Interconnect, PacketKind, TxnId};
     use ringmesh_snap::{SnapReader, SnapWriter};
 
-    /// Byte offsets into an idle mesh's snapshot: the empty packet
-    /// store is three words and the router count one; an empty input
-    /// FIFO is six words (capacity, length, latched length, tails,
-    /// last push, fresh); an unset route or connection is its one
-    /// `None` tag byte.
-    const FIFO: usize = (3 + 1) * 8;
-    const ROUTES: usize = FIFO + 5 * 6 * 8;
+    /// The flit counts of the packets in the store's slots 0..4: live,
+    /// and named by nothing until a test splices them in.
+    const FLITS: [u32; 4] = [1, 4, 4, 6];
+
+    /// Byte offsets into the snapshot: the packet store is a length and
+    /// a 30-byte `Some(packet)` per slot, the free list's length and the
+    /// live count; then the router count; an empty input FIFO is two
+    /// words (capacity, length); an unset route or connection is its
+    /// one `None` tag byte; five pointer words; a PM queue is two words
+    /// (capacity, length); an idle drain and assembler are a tag byte.
+    const FIFO: usize = 8 + FLITS.len() * 30 + 8 + 8 + 8;
+    const ROUTES: usize = FIFO + 5 * 2 * 8;
     const CONNS: usize = ROUTES + 5;
     const POINTERS: usize = CONNS + 5;
+    const QUEUE: usize = POINTERS + 5 * 8;
+    const DRAIN: usize = QUEUE + 2 * 2 * 8;
+    const ASSEMBLER: usize = DRAIN + 1;
 
     fn saved(net: &mut MeshNetwork) -> Vec<u8> {
         let mut w = SnapWriter::new();
@@ -612,17 +625,34 @@ mod corrupt_snapshot_tests {
         w.into_bytes()
     }
 
-    /// Restores an idle `mesh:3` snapshot whose `cut` bytes at `at`
-    /// were replaced by `with`, and returns the network and the bytes.
+    /// An idle `mesh:3` whose store holds [`FLITS`]' packets.
+    fn stored() -> MeshNetwork {
+        let mut net = MeshNetwork::new(MeshTopology::new(3), MeshConfig::new(CacheLineSize::B32));
+        for (txn, flits) in FLITS.into_iter().enumerate() {
+            let packet = Packet {
+                txn: TxnId::new(txn as u64),
+                kind: PacketKind::ReadResp,
+                src: NodeId::new(1),
+                dst: NodeId::new(2),
+                flits,
+                injected_at: 0,
+            };
+            let at = net.trace_loc(packet.src);
+            net.core_mut().admit(packet, true, at).expect("reachable");
+        }
+        net
+    }
+
+    /// Restores that snapshot with the `cut` bytes at `at` replaced by
+    /// `with`, and returns the network and the bytes.
     fn restore_only(
         at: usize,
         cut: usize,
         with: &[u8],
     ) -> Result<(MeshNetwork, Vec<u8>), SnapError> {
-        let cfg = MeshConfig::new(CacheLineSize::B32);
-        let mut bytes = saved(&mut MeshNetwork::new(MeshTopology::new(3), cfg.clone()));
+        let mut bytes = saved(&mut stored());
         bytes.splice(at..at + cut, with.iter().copied());
-        let mut net = MeshNetwork::new(MeshTopology::new(3), cfg);
+        let mut net = MeshNetwork::new(MeshTopology::new(3), MeshConfig::new(CacheLineSize::B32));
         snap_network(&mut net, &mut SnapReader::new(&bytes))?;
         Ok((net, bytes))
     }
@@ -638,41 +668,31 @@ mod corrupt_snapshot_tests {
 
     /// Router 0's north input FIFO holding `flits` (packet slot,
     /// sequence number, tail), as the snapshot writes a 4-flit FIFO:
-    /// capacity, length, the flits, latched length, tail count, last
-    /// push cycle, fresh count. Spliced over the empty FIFO's six words.
-    fn restore_fifo(
-        flits: &[(u32, u32, bool)],
-        latched: usize,
-        last_push: u64,
-        fresh: u64,
-    ) -> Result<(MeshNetwork, Vec<u8>), SnapError> {
-        let mut bytes = Vec::new();
-        let tails = flits.iter().filter(|f| f.2).count();
-        for word in [4, flits.len() as u64] {
-            bytes.extend_from_slice(&word.to_le_bytes());
-        }
+    /// capacity, length, the flits. Spliced over the empty FIFO.
+    fn restore_fifo(flits: &[(u32, u32, bool)]) -> Result<(MeshNetwork, Vec<u8>), SnapError> {
+        let mut bytes = words(&[4, flits.len() as u64]);
         for &(slot, seq, tail) in flits {
             bytes.extend_from_slice(&slot.to_le_bytes());
             bytes.extend_from_slice(&seq.to_le_bytes());
             bytes.push(u8::from(tail));
         }
-        for word in [latched as u64, tails as u64, last_push, fresh] {
-            bytes.extend_from_slice(&word.to_le_bytes());
-        }
-        restore_only(FIFO, 6 * 8, &bytes)
+        restore_only(FIFO, 2 * 8, &bytes)
     }
 
-    fn some(payload: &[u64]) -> Vec<u8> {
+    fn words(payload: &[u64]) -> Vec<u8> {
+        payload.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// A `Some` tag, then `fields` as `u32`s.
+    fn some(fields: &[u32]) -> Vec<u8> {
         let mut bytes = vec![1];
-        for word in payload {
-            bytes.extend_from_slice(&word.to_le_bytes());
-        }
+        bytes.extend(fields.iter().flat_map(|f| f.to_le_bytes()));
         bytes
     }
 
-    /// `Some((packet 0, port))` at router 0's north input.
-    fn route(port: u64) -> Vec<u8> {
-        let mut bytes = vec![1, 0, 0, 0, 0];
+    /// `Some((packet slot, port))` at router 0's north input.
+    fn route(slot: u32, port: u64) -> Vec<u8> {
+        let mut bytes = some(&[slot]);
         bytes.extend_from_slice(&port.to_le_bytes());
         bytes
     }
@@ -688,80 +708,45 @@ mod corrupt_snapshot_tests {
     fn unspliced_snapshot_restores() {
         restore_spliced(ROUTES, 0, &[]).unwrap();
         // Router 0 is the north-west corner: east is a real link.
-        restore_spliced(ROUTES, 1, &route(1)).unwrap();
+        restore_spliced(ROUTES, 1, &route(0, 1)).unwrap();
     }
 
     #[test]
     fn out_of_range_route_port_is_corrupt() {
         // 261 must not narrow to 5, the drop port.
         for port in [6, 7, 261, u64::MAX] {
-            assert_corrupt(restore_spliced(ROUTES, 1, &route(port)), "route port");
+            assert_corrupt(restore_spliced(ROUTES, 1, &route(0, port)), "route port");
         }
         // In range, but router 0 has no north or west link.
         for port in [0, 3] {
-            assert_corrupt(restore_spliced(ROUTES, 1, &route(port)), "off the mesh");
+            assert_corrupt(restore_spliced(ROUTES, 1, &route(0, port)), "off the mesh");
         }
     }
 
     #[test]
     fn out_of_range_connection_is_corrupt() {
         for input in [5, 7, 255, 261] {
-            assert_corrupt(
-                restore_spliced(CONNS, 1, &some(&[input])),
-                "connected input",
-            );
+            let bytes = [&[1][..], &words(&[input])].concat();
+            assert_corrupt(restore_spliced(CONNS, 1, &bytes), "connected input");
         }
         // In range, but input 2 holds no route to output 0.
-        assert_corrupt(restore_spliced(CONNS, 1, &some(&[2])), "holds no route");
+        let bytes = [&[1][..], &words(&[2])].concat();
+        assert_corrupt(restore_spliced(CONNS, 1, &bytes), "holds no route");
     }
 
     /// A buffered worm whose front is mid-packet, then a whole one,
-    /// restores and writes back the same bytes. (Their packets are not
-    /// in the store, so the network is not stepped.)
+    /// restores and writes back the same bytes.
     #[test]
     fn buffered_worms_round_trip() {
-        let worms = [(3, 4, false), (3, 5, true), (0, 0, true)];
-        for (last_push, fresh) in [(0, 0), (0, 1), (1_199, 1)] {
-            let (mut net, bytes) = restore_fifo(&worms, 3, last_push, fresh).unwrap();
-            assert_eq!(
-                saved(&mut net),
-                bytes,
-                "last push {last_push}, fresh {fresh}"
-            );
-        }
+        let (mut net, bytes) = restore_fifo(&[(3, 4, false), (3, 5, true), (0, 0, true)]).unwrap();
+        assert_eq!(saved(&mut net), bytes);
     }
 
     /// The lanes hold a 24-bit packet slot and a 7-bit sequence number.
     #[test]
     fn a_flit_wider_than_a_lane_is_corrupt() {
         for flit in [(1 << 24, 0, true), (u32::MAX, 0, true), (0, 128, true)] {
-            assert_corrupt(restore_fifo(&[flit], 1, 0, 1).map(drop), "flit lane");
-        }
-    }
-
-    /// A snapshot is taken at a cycle boundary, where every FIFO's
-    /// latched length is its length.
-    #[test]
-    fn a_latched_length_other_than_the_length_is_corrupt() {
-        let worm = [(0, 0, false), (0, 1, false)];
-        for latched in [0, 1, 3, 4] {
-            assert_corrupt(
-                restore_fifo(&worm, latched, 7, 1).map(drop),
-                "latched length",
-            );
-        }
-    }
-
-    /// A mesh FIFO has one upstream, so it takes one flit a cycle: one
-    /// pushed at the last push cycle, or none and no cycle before the
-    /// first push.
-    #[test]
-    fn a_push_record_no_run_leaves_is_corrupt() {
-        for (last_push, fresh) in [(7, 2), (7, 4), (0, 2), (7, 0), (u64::MAX, 1)] {
-            assert_corrupt(
-                restore_fifo(&[], 0, last_push, fresh).map(drop),
-                "pushed at cycle",
-            );
+            assert_corrupt(restore_fifo(&[flit]).map(drop), "flit lane");
         }
     }
 
@@ -776,7 +761,56 @@ mod corrupt_snapshot_tests {
             [(0, 0, false), (1, 0, true)],
             [(0, 3, true), (1, 1, true)],
         ] {
-            assert_corrupt(restore_fifo(&flits, 2, 7, 1).map(drop), "breaks a worm");
+            assert_corrupt(restore_fifo(&flits).map(drop), "breaks a worm");
+        }
+    }
+
+    /// Every packet a router names — in a lane, a held route, a PM
+    /// queue, the drain or the assembler — must be in the store: slot 3
+    /// is, slot 4 is past its end and slot 9 further still.
+    #[test]
+    fn a_packet_that_is_not_live_is_corrupt() {
+        // Where, the bytes spliced over, and what goes there for a slot.
+        type Place = (&'static str, usize, usize, fn(u32) -> Vec<u8>);
+        let places: [Place; 5] = [
+            ("a lane", FIFO, 2 * 8, |slot| {
+                let flit = [&slot.to_le_bytes()[..], &[0, 0, 0, 0, 1]].concat();
+                [words(&[4, 1]), flit].concat()
+            }),
+            ("a held route", ROUTES, 1, |slot| route(slot, 1)),
+            ("a PM queue", QUEUE + 8, 8, |slot| {
+                [words(&[1]), slot.to_le_bytes().to_vec()].concat()
+            }),
+            ("the drain", DRAIN, 1, |slot| some(&[slot, 0, FLITS[3]])),
+            ("the assembler", ASSEMBLER, 1, |slot| some(&[slot, 1])),
+        ];
+        for (what, at, cut, bytes) in places {
+            restore_only(at, cut, &bytes(3)).unwrap_or_else(|e| panic!("{what}: {e}"));
+            for slot in [4, 9] {
+                let result = restore_only(at, cut, &bytes(slot)).map(drop);
+                assert_corrupt(result, &format!("{what} names packet slot {slot}"));
+            }
+        }
+    }
+
+    /// A buffered or draining flit's index is below its packet's length,
+    /// and a drain serializes its packet's length.
+    #[test]
+    fn a_flit_index_past_its_packet_is_corrupt() {
+        assert_corrupt(
+            restore_fifo(&[(0, 1, true)]).map(drop),
+            "a lane holds flit 1 of a 1-flit packet",
+        );
+        restore_only(DRAIN, 1, &some(&[3, 5, 6])).unwrap();
+        assert_corrupt(
+            restore_only(DRAIN, 1, &some(&[3, 6, 6])).map(drop),
+            "the drain holds flit 6 of a 6-flit packet",
+        );
+        for total in [0, 5, 7, u32::MAX] {
+            assert_corrupt(
+                restore_only(DRAIN, 1, &some(&[3, 0, total])).map(drop),
+                &format!("the drain sends {total} flits of 6"),
+            );
         }
     }
 

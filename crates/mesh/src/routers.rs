@@ -16,9 +16,8 @@
 //!   flags;
 //! * five input FIFOs of `capacity` 4-byte [`PackedFlit`] lanes each,
 //!   adjacent in one array shared by the whole mesh (FIFO `l·5 + port`);
-//! * an [`InputLog`]: the [`PacketRef`] behind each held route (written
-//!   at a head flit) and the cycle of each FIFO's last push (written at
-//!   every push), both read only by snapshots and debug audits;
+//! * the [`PacketRef`] behind each held route, written at a head flit
+//!   and read only by snapshots, restore checks and debug audits;
 //! * the two PM-side packet queues, the injection [`DrainState`] and
 //!   the ejection [`Assembler`].
 //!
@@ -61,7 +60,9 @@
 //! bridge meaning). [`MeshRouters::latch`] then publishes the
 //! next-cycle stop/go of every router that was stepped or received a
 //! flit, from the FIFO lengths, and clears their arrival bits; nobody
-//! else's occupancy changed.
+//! else's occupancy changed. So between cycles, where a checkpoint is
+//! taken, no flit is unready and every stop/go bit is its FIFO's length
+//! below capacity: a checkpoint carries neither, nor the awake bits.
 //!
 //! A step that takes a packet off a PM queue names the router in
 //! [`MeshRouters::room`]; the plain mesh passes the list on as the room
@@ -224,7 +225,7 @@ struct Crossbar {
     connected: u8,
     /// Bit `i`: input FIFO `i`'s registered stop/go, as its last latch
     /// left it — read by the upstream router, written only by
-    /// [`MeshRouters::latch`].
+    /// [`MeshRouters::latch`] (and recounted by a restore).
     go: u8,
     /// Bit `i`: input FIFO `i` took a flit this cycle, which is not
     /// ready before the next; cleared by [`MeshRouters::latch`].
@@ -316,19 +317,6 @@ impl Crossbar {
     }
 }
 
-/// What a router keeps of each input beyond its hot block, for
-/// snapshots and debug audits.
-#[derive(Debug, Clone, Copy, Default)]
-struct InputLog {
-    /// The packet behind each set `Crossbar::route`; stale (or
-    /// [`PacketRef::PLACEHOLDER`], the default) where the route is
-    /// [`NONE`].
-    held: [PacketRef; 5],
-    /// One more than the cycle of each FIFO's last push; 0 before the
-    /// first.
-    pushed: [u64; 5],
-}
-
 /// Sets bit `at` of the bitset `words`, counted from bit 0 of word 0.
 fn set_bit(words: &mut [u64], at: usize) {
     words[at >> 6] |= 1 << (at & 63);
@@ -396,7 +384,10 @@ pub struct MeshRouters {
     /// Lane `(router·5 + port)·cap + slot`.
     lanes: Vec<PackedFlit>,
     xbar: Vec<Crossbar>,
-    log: Vec<InputLog>,
+    /// The packet behind each set `Crossbar::route` of each router;
+    /// stale (or [`PacketRef::PLACEHOLDER`], the default) where the
+    /// route is [`NONE`].
+    held: Vec<[PacketRef; 5]>,
     /// Bit `col % 64` of word `row·words + col / 64`: router
     /// `(row, col)` is [`ACTIVE`].
     awake: Vec<u64>,
@@ -466,7 +457,7 @@ impl MeshRouters {
             cap,
             lanes: vec![PackedFlit::default(); n * 5 * buffer_flits],
             xbar: vec![Crossbar::IDLE; n],
-            log: vec![InputLog::default(); n],
+            held: vec![[PacketRef::PLACEHOLDER; 5]; n],
             awake: (0..side * words).map(|k| row_word(k % words)).collect(),
             out_req: queues(),
             out_resp: queues(),
@@ -568,7 +559,7 @@ impl MeshRouters {
 
     /// Steps every awake router once, in node order. Flits granted a
     /// link move into the neighbour's FIFO at once (invisible there
-    /// until `now + 1`); deliveries and drops are recorded in `ops`
+    /// until the next cycle); deliveries and drops are recorded in `ops`
     /// for the caller to apply, routers that took a packet off a PM
     /// queue in `room`; `moved` and `link_flits` are this cycle's
     /// counts. Only a `traced` step lists its link transfers in `sends`
@@ -577,7 +568,6 @@ impl MeshRouters {
     /// only read.
     pub fn step(
         &mut self,
-        now: u64,
         owners: &[(u16, u16)],
         store: &PacketStore,
         fc: &FaultCtx,
@@ -635,7 +625,6 @@ impl MeshRouters {
                             .expect("a live packet's slot and flit index fit a lane");
                         let at = x.push(LOCAL, cap);
                         self.lanes[(base + LOCAL) * stride + at] = flit;
-                        self.log[l].pushed[LOCAL] = now + 1;
                         if !drain.is_active() {
                             x.flags &= !DRAINING;
                         }
@@ -656,12 +645,12 @@ impl MeshRouters {
                         let to = (usize::from(dr), usize::from(dc));
                         x.route[i] = Self::route(l, side, (row, col), to, fc) as u8;
                         x.routed |= bit(i);
-                        self.log[l].held[i] = flit.packet();
+                        self.held[l][i] = flit.packet();
                     }
                     debug_assert!(
                         ports(x.routed).all(|i| !x.ready(i)
                             || self.lanes[(base + i) * stride + usize::from(x.head[i])].packet()
-                                == self.log[l].held[i]),
+                                == self.held[l][i]),
                         "a held route outlived its packet"
                     );
 
@@ -736,7 +725,6 @@ impl MeshRouters {
                                     }
                                     let at = down.push(input, cap);
                                     self.lanes[(to * 5 + input) * stride + at] = lane;
-                                    self.log[to].pushed[input] = now + 1;
                                     link_flits += 1;
                                     if down.flags & ACTIVE == 0 {
                                         down.flags |= ACTIVE;
@@ -876,18 +864,14 @@ impl MeshRouters {
     }
 
     /// Snapshots input FIFO `i` of router `l` in [`FifoBank`]'s format:
-    /// its capacity, its length, its flits head first, the latched
-    /// length (the length, at a cycle boundary), the tail count, the
-    /// last push cycle and the count of flits pushed then (one, or zero
-    /// before the first push). A reader puts the front at slot 0.
+    /// its capacity, its length and its flits head first. A reader puts
+    /// the front at slot 0.
     ///
     /// # Errors
     ///
     /// [`SnapError::Mismatch`] on a different capacity;
     /// [`SnapError::Corrupt`] on a length over capacity, a flit that
-    /// does not fit a lane, flits that are not pieces of worms, a
-    /// latched length or tail count that disagrees with the flits, or a
-    /// push record no run can leave.
+    /// does not fit a lane, or flits that are not pieces of worms.
     ///
     /// [`FifoBank`]: ringmesh_net::FifoBank
     fn snap_fifo<C: Codec>(&mut self, l: usize, i: usize, c: &mut C) -> Result<(), SnapError> {
@@ -904,12 +888,9 @@ impl MeshRouters {
             (x.head[i], x.len[i]) = (0, len as u8);
         }
         let fifo = (l * 5 + i) * cap;
-        let (mut tails, mut prev) = (0, None::<Flit>);
+        let mut prev = None::<Flit>;
         for pos in 0..len {
-            let mut at = usize::from(x.head[i]) + pos;
-            if at >= cap {
-                at -= cap;
-            }
+            let at = (usize::from(x.head[i]) + pos) % cap;
             let mut flit = self.lanes[fifo + at].flit();
             flit.snap(c)?;
             let lane = PackedFlit::new(flit)
@@ -925,25 +906,59 @@ impl MeshRouters {
                 return Err(corrupt(format!("{flit:?} after {prev:?} breaks a worm")));
             }
             self.lanes[fifo + at] = lane;
-            tails += usize::from(flit.is_tail);
             prev = Some(flit);
         }
-        c.check(len, "latched length of a flit FIFO at a cycle boundary")?;
-        c.check(tails, "flit FIFO tail count")?;
-        let pushed = &mut self.log[l].pushed[i];
-        let mut last_push = pushed.saturating_sub(1);
-        let mut fresh = usize::from(*pushed != 0);
-        last_push.snap(c)?;
-        fresh.snap(c)?;
-        *pushed = match (fresh, last_push) {
-            (0, 0) => 0,
-            (1, cycle) if cycle < u64::MAX => cycle + 1,
-            _ => {
-                return Err(corrupt(format!(
-                    "{fresh} flits pushed at cycle {last_push}; a mesh FIFO takes one a cycle"
-                )))
+        Ok(())
+    }
+
+    /// Checks freshly restored routers against the restored packet
+    /// store: every packet they name — in a lane, a held route, a PM
+    /// queue, the drain or the assembler — is live, and no buffered or
+    /// draining flit's index reaches its packet's length (nor does a
+    /// drain's length differ from it). The step looks packets up by
+    /// these references and sizes worms by these lengths.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`] naming the first router that fails.
+    pub fn validate(&self, store: &PacketStore) -> Result<(), SnapError> {
+        let cap = usize::from(self.cap);
+        for (l, x) in self.xbar.iter().enumerate() {
+            // Flit `seq` of packet `r`, named at `at`: the packet's length.
+            let check = |r: PacketRef, seq: u32, at: &str| {
+                let corrupt = |what| Err(SnapError::Corrupt(format!("router {l}: {at} {what}")));
+                match store.try_get(r) {
+                    None => corrupt(format!("names packet slot {}, which is not live", r.slot())),
+                    Some(p) if seq >= p.flits => {
+                        corrupt(format!("holds flit {seq} of a {}-flit packet", p.flits))
+                    }
+                    Some(p) => Ok(p.flits),
+                }
+            };
+            for i in 0..5 {
+                for pos in 0..usize::from(x.len[i]) {
+                    let at = (usize::from(x.head[i]) + pos) % cap;
+                    let flit = self.lanes[(l * 5 + i) * cap + at].flit();
+                    check(flit.packet, flit.seq, "a lane")?;
+                }
+                if x.route[i] != NONE {
+                    check(self.held[l][i], 0, "a held route")?;
+                }
             }
-        };
+            for r in self.out_req[l].iter().chain(self.out_resp[l].iter()) {
+                check(r, 0, "a PM queue")?;
+            }
+            if let Some((r, seq, total)) = self.drain[l].progress() {
+                let flits = check(r, seq, "the drain")?;
+                if total != flits {
+                    let what = format!("router {l}: the drain sends {total} flits of {flits}");
+                    return Err(SnapError::Corrupt(what));
+                }
+            }
+            if let Some(r) = self.assembler[l].packet() {
+                check(r, 0, "the assembler")?;
+            }
+        }
         Ok(())
     }
 }
@@ -958,15 +973,13 @@ fn small(v: usize, limit: usize, what: &str) -> Result<u8, SnapError> {
     }
 }
 
-/// Byte-compatible with the original one-struct-per-router layout:
-/// router count; per router 5 FIFOs (see
+/// The router count; per router 5 FIFOs (see
 /// [`snap_fifo`](MeshRouters::snap_fifo)), 5 `Option<(PacketRef,
 /// usize)>` routes, 5 `Option<usize>` connections, 5 `usize`
-/// round-robin pointers, the two PM queues, drain, assembler; then the
-/// activity flags and the stop/go table as length-prefixed vectors. The
-/// masks and the other flags are not written: restore recounts them,
-/// and refuses a stop/go table that disagrees with the FIFO lengths or
-/// an idle router with work to do.
+/// round-robin pointers, the two PM queues, drain, assembler. The
+/// masks, the flags and the stop/go bits summarize these: a reader
+/// wakes every router and recounts them. Stepping an idle router is a
+/// no-op, and puts it back to sleep.
 impl Snap for MeshRouters {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         let n = self.xbar.len();
@@ -977,7 +990,7 @@ impl Snap for MeshRouters {
             }
             let x = &mut self.xbar[l];
             for i in 0..5 {
-                let held = &mut self.log[l].held[i];
+                let held = &mut self.held[l][i];
                 let mut route = (x.route[i] != NONE).then(|| (*held, usize::from(x.route[i])));
                 route.snap(c)?;
                 x.route[i] = match route {
@@ -1009,33 +1022,12 @@ impl Snap for MeshRouters {
             self.drain[l].snap(c)?;
             self.assembler[l].snap(c)?;
         }
-        let mut active: Vec<bool> = self.xbar.iter().map(|x| x.flags & ACTIVE != 0).collect();
-        c.fixed(&mut active, "router count")?;
-        c.exact(n * 5, "stop/go table size")?;
         if c.reading() {
-            self.awake.fill(0);
-            for l in (0..n).filter(|&l| active[l]) {
+            for l in 0..n {
                 let at = self.awake_bit(l);
                 set_bit(&mut self.awake, at);
+                self.xbar[l] = self.recount(l);
             }
-        }
-        for (l, active) in active.into_iter().enumerate() {
-            // The block a writer holds already equals its recount (the
-            // debug latch audit's invariant); a reader rebuilds it.
-            let x = if c.reading() {
-                self.recount(l)
-            } else {
-                self.xbar[l]
-            };
-            for i in 0..5 {
-                c.check(x.go & bit(i) != 0, "stop/go of a latched input buffer")?;
-            }
-            if !active && !x.quiescent() {
-                return Err(SnapError::Corrupt(format!(
-                    "router {l} is off the worklist with work to do"
-                )));
-            }
-            self.xbar[l] = x;
         }
         Ok(())
     }

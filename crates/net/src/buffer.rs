@@ -10,7 +10,8 @@
 //!   arrived in (realizing the paper's one-cycle routing delay per
 //!   network node).
 //! * [`FifoBank`] — many [`FlitFifo`]s of one capacity in a single
-//!   allocation, addressed by number: the ring tier's transit buffers.
+//!   allocation, addressed by number, for FIFOs pushed only between
+//!   steps: the ring tier's transit buffers.
 //! * [`PacketQueue`] — a bounded queue of whole packets (the NIC's
 //!   input/output request and response buffers, which hold exactly one
 //!   cache-line packet each in the paper).
@@ -194,28 +195,24 @@ impl FlitFifo {
 /// Bookkeeping of one FIFO of a [`FifoBank`].
 #[derive(Debug, Clone, Copy, Default)]
 struct BankFifo {
-    /// As [`FlitFifo`]'s `last_push` / `fresh`, kept as that pair (not
-    /// as a ready count) because a snapshot carries both.
-    last_push: u64,
-    fresh: u16,
     /// Slot of the front flit within this FIFO's stride.
     head: u16,
     len: u16,
     latched: u16,
 }
 
-/// `n` flit FIFOs of one fixed capacity in a single allocation.
+/// `n` flit FIFOs of one fixed capacity in a single allocation, for a
+/// user that pushes only between steps.
 ///
-/// FIFO `i` has [`FlitFifo`]'s contract, method for method — registered
-/// stop/go ([`space_latched`](Self::space_latched) reads the occupancy
-/// at the last [`latch`](Self::latch)), and a flit pushed at cycle
-/// `now` cannot leave before `now + 1` — and its snapshot bytes. What
-/// differs is the storage: flit slots sit in one `Vec` at stride
-/// `capacity`, beside 16 bytes of bookkeeping per FIFO, so a ring
-/// station's buffers are adjacent memory, not a heap block each. It now
-/// serves only the ring tier (`ringmesh_ring`'s `RingTier`): the mesh
-/// keeps its FIFO state in its router blocks and its flits in
-/// [`PackedFlit`](crate::PackedFlit) lanes, and writes its FIFOs in
+/// FIFO `i` has [`FlitFifo`]'s registered stop/go
+/// ([`free_latched`](Self::free_latched) reads the occupancy at the
+/// last [`latch_all`](Self::latch_all)) and its snapshot bytes. Its one
+/// user, the ring tier (`ringmesh_ring`'s `RingTier`), pushes only in
+/// its send commit, after every station side has stepped, so no flit is
+/// popped in the cycle it arrived and the bank keeps no push record.
+/// Flit slots sit in one `Vec` at stride `capacity`, beside 6 bytes of
+/// bookkeeping per FIFO, so a ring station's buffers are adjacent
+/// memory, not a heap block each. The mesh writes its FIFOs in
 /// [`snap_fifo`](Self::snap_fifo)'s format.
 ///
 /// # Example
@@ -229,9 +226,11 @@ struct BankFifo {
 ///     src: NodeId::new(0), dst: NodeId::new(1), flits: 1, injected_at: 0,
 /// });
 /// let mut bank = FifoBank::new(10, 4);
-/// bank.push(7, Flit { packet: r, seq: 0, is_tail: true }, 5);
-/// assert!(bank.pop_ready(7, 5).is_none());
-/// assert!(bank.pop_ready(7, 6).is_some());
+/// bank.push(7, Flit { packet: r, seq: 0, is_tail: true });
+/// assert_eq!(bank.free_latched(7), 4, "registered before the push");
+/// bank.latch_all();
+/// assert_eq!(bank.free_latched(7), 3);
+/// assert!(bank.pop(7).is_some());
 /// assert!(bank.is_empty(7));
 /// ```
 #[derive(Debug, Clone)]
@@ -277,14 +276,8 @@ impl FifoBank {
         self.fifos[i].len == 0
     }
 
-    /// Registered stop/go of FIFO `i`: whether the occupancy at its
-    /// last [`latch`](Self::latch) leaves room for one more flit.
-    pub fn space_latched(&self, i: usize) -> bool {
-        self.fifos[i].latched < self.cap
-    }
-
     /// Registered free-slot count of FIFO `i`: capacity minus the
-    /// occupancy at its last [`latch`](Self::latch), as
+    /// occupancy at the last [`latch_all`](Self::latch_all), as
     /// [`FlitFifo::free_latched`].
     pub fn free_latched(&self, i: usize) -> usize {
         usize::from(self.cap - self.fifos[i].latched)
@@ -302,39 +295,30 @@ impl FifoBank {
         i * cap + at
     }
 
-    /// Pushes a flit arriving at FIFO `i` at cycle `now`.
+    /// Pushes a flit into FIFO `i`, between steps: it is ready from
+    /// the next one on.
     ///
     /// # Panics
     ///
     /// Panics if the FIFO is full — the sender must gate on
-    /// [`space_latched`](Self::space_latched), so overflow is a model bug.
-    pub fn push(&mut self, i: usize, flit: Flit, now: u64) {
+    /// [`free_latched`](Self::free_latched), so overflow is a model bug.
+    pub fn push(&mut self, i: usize, flit: Flit) {
         let f = self.fifos[i];
         assert!(f.len < self.cap, "flit FIFO overflow");
-        debug_assert!(now >= f.last_push, "FIFO clock must be monotone");
         let at = self.slot(i, f.head, f.len);
         self.slots[at] = flit;
-        let f = &mut self.fifos[i];
-        f.len += 1;
-        if now == f.last_push {
-            f.fresh += 1;
-        } else {
-            f.last_push = now;
-            f.fresh = 1;
-        }
+        self.fifos[i].len += 1;
     }
 
-    /// The head flit of FIFO `i`, if it arrived on an earlier cycle
-    /// than `now`.
-    pub fn front_ready(&self, i: usize, now: u64) -> Option<Flit> {
+    /// The head flit of FIFO `i`.
+    pub fn front(&self, i: usize) -> Option<Flit> {
         let f = self.fifos[i];
-        let fresh = if f.last_push == now { f.fresh } else { 0 };
-        (f.len > fresh).then(|| self.slots[self.slot(i, f.head, 0)])
+        (f.len > 0).then(|| self.slots[self.slot(i, f.head, 0)])
     }
 
-    /// Pops the head flit of FIFO `i` if it is ready at cycle `now`.
-    pub fn pop_ready(&mut self, i: usize, now: u64) -> Option<Flit> {
-        let flit = self.front_ready(i, now)?;
+    /// Pops the head flit of FIFO `i`.
+    pub fn pop(&mut self, i: usize) -> Option<Flit> {
+        let flit = self.front(i)?;
         let f = &mut self.fifos[i];
         f.head += 1;
         if f.head == self.cap {
@@ -344,72 +328,38 @@ impl FifoBank {
         Some(flit)
     }
 
-    /// Latches FIFO `i`'s occupancy as the registered state consulted
-    /// by its upstream sender next cycle, and returns the resulting
-    /// [`space_latched`](Self::space_latched).
-    pub fn latch(&mut self, i: usize) -> bool {
-        let f = &mut self.fifos[i];
-        f.latched = f.len;
-        f.latched < self.cap
-    }
-
-    /// [`latch`](Self::latch)es every FIFO of the bank.
+    /// Latches every FIFO's occupancy as the registered state its
+    /// upstream sender consults next cycle.
     pub fn latch_all(&mut self) {
         for f in &mut self.fifos {
             f.latched = f.len;
         }
     }
 
-    /// Snapshots FIFO `i`: its capacity, its flits head first, the
-    /// latched length, the tail count (recounted), the last push cycle
-    /// and the fresh count.
+    /// Snapshots FIFO `i` as a [`FlitFifo`]: its capacity, then its
+    /// flits head first. A reader latches the length, as the cycle
+    /// boundary a snapshot is taken at did.
     ///
     /// # Errors
     ///
     /// [`SnapError::Mismatch`] on a different capacity,
-    /// [`SnapError::Corrupt`] when a count exceeds the capacity or the
-    /// tail count disagrees with the buffered flits.
+    /// [`SnapError::Corrupt`] on a length over it.
     pub fn snap_fifo<C: Codec>(&mut self, i: usize, c: &mut C) -> Result<(), SnapError> {
         c.exact(self.capacity(), "flit FIFO capacity")?;
-        let BankFifo {
-            mut last_push,
-            fresh,
-            head,
-            len,
-            latched,
-        } = self.fifos[i];
-        let len = self.snap_count(c, len, "length")?;
-        let mut tails = 0;
-        for pos in 0..len {
-            let at = self.slot(i, head, pos);
-            self.slots[at].snap(c)?;
-            tails += usize::from(self.slots[at].is_tail);
-        }
-        let latched = self.snap_count(c, latched, "latched length")?;
-        c.check(tails, "flit FIFO tail count")?;
-        last_push.snap(c)?;
-        // `fresh` may exceed the length (it goes stale once later
-        // cycles pop what it counted) but never the capacity.
-        let fresh = self.snap_count(c, fresh, "fresh count")?;
-        self.fifos[i] = BankFifo {
-            last_push,
-            fresh,
-            head,
-            len,
-            latched,
-        };
-        Ok(())
-    }
-
-    /// A count kept in 16 bits and written as a `usize`, which must
-    /// not exceed the capacity.
-    fn snap_count<C: Codec>(&self, c: &mut C, v: u16, what: &str) -> Result<u16, SnapError> {
-        let mut n = usize::from(v);
-        n.snap(c)?;
-        u16::try_from(n)
+        let mut len = self.len(i);
+        len.snap(c)?;
+        let len = u16::try_from(len)
             .ok()
             .filter(|&n| n <= self.cap)
-            .ok_or_else(|| SnapError::Corrupt(format!("flit FIFO {what} {n} over capacity")))
+            .ok_or_else(|| SnapError::Corrupt(format!("flit FIFO length {len} over capacity")))?;
+        for pos in 0..len {
+            let at = self.slot(i, self.fifos[i].head, pos);
+            self.slots[at].snap(c)?;
+        }
+        if c.reading() {
+            (self.fifos[i].len, self.fifos[i].latched) = (len, len);
+        }
+        Ok(())
     }
 }
 
@@ -471,6 +421,11 @@ impl PacketQueue {
     pub fn is_empty(&self) -> bool {
         self.q.is_empty()
     }
+
+    /// The queued packets, head first.
+    pub fn iter(&self) -> impl Iterator<Item = PacketRef> + '_ {
+        self.q.iter().copied()
+    }
 }
 
 /// Serializes one packet onto a link flit by flit, enforcing wormhole
@@ -492,9 +447,10 @@ impl DrainState {
         self.current.is_some()
     }
 
-    /// The packet being transmitted, if any.
-    pub fn packet(&self) -> Option<PacketRef> {
-        self.current.map(|(r, _, _)| r)
+    /// The packet being transmitted, the index of its next flit and
+    /// its length in flits.
+    pub fn progress(&self) -> Option<(PacketRef, u32, u32)> {
+        self.current
     }
 
     /// Begins transmitting `packet` of `total_flits` flits.
@@ -546,9 +502,9 @@ impl Assembler {
         Assembler::default()
     }
 
-    /// Whether a packet is partially assembled.
-    pub fn is_mid_packet(&self) -> bool {
-        self.current.is_some()
+    /// The partially assembled packet, if any.
+    pub fn packet(&self) -> Option<PacketRef> {
+        self.current.map(|(r, _)| r)
     }
 
     /// Accepts the next flit; returns the packet handle when the tail
@@ -583,23 +539,24 @@ impl Assembler {
     }
 }
 
-/// The capacity, the flits head first, the latched length, the tail
-/// count (recounted), the last push cycle and the fresh count.
+/// The capacity, then the flits head first. A snapshot is taken at a
+/// cycle boundary, where the latched length is the length and no flit
+/// is still unready, so a reader latches the length, recounts the tails
+/// and clears the push record.
 impl Snap for FlitFifo {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         c.exact(self.cap, "flit FIFO capacity")?;
         self.q.snap(c)?;
-        self.latched_len.snap(c)?;
-        self.tails = self.q.iter().filter(|f| f.is_tail).count();
-        c.check(self.tails, "flit FIFO tail count")?;
-        self.last_push.snap(c)?;
-        self.fresh.snap(c)?;
-        // `fresh` goes stale once later cycles pop the flits it counted
-        // (it is only consulted while `last_push` equals the current
-        // cycle), so it may legitimately exceed the queue length — but
-        // never the capacity, which bounds one cycle's pushes.
-        if self.q.len().max(self.latched_len).max(self.fresh) > self.cap {
-            return Err(SnapError::Corrupt("flit FIFO over capacity".into()));
+        let len = self.q.len();
+        if len > self.cap {
+            return Err(SnapError::Corrupt(format!(
+                "flit FIFO length {len} over capacity"
+            )));
+        }
+        if c.reading() {
+            self.latched_len = len;
+            self.tails = self.q.iter().filter(|f| f.is_tail).count();
+            (self.last_push, self.fresh) = (0, 0);
         }
         Ok(())
     }
@@ -757,7 +714,7 @@ mod tests {
         let head = flit(2, 0, false);
         let mut a = Assembler::new();
         assert_eq!(a.push(head), None);
-        assert!(a.is_mid_packet());
+        assert_eq!(a.packet(), Some(head.packet));
         assert_eq!(a.push(Flit { seq: 1, ..head }), None);
         let done = a.push(Flit {
             seq: 2,
@@ -765,7 +722,7 @@ mod tests {
             ..head
         });
         assert_eq!(done, Some(head.packet));
-        assert!(!a.is_mid_packet());
+        assert_eq!(a.packet(), None);
     }
 
     #[test]
@@ -907,8 +864,10 @@ mod fifo_bank_tests {
     }
 
     /// 10 000 random operations per capacity against a `FlitFifo` run
-    /// in lockstep: every answer and every snapshot byte must agree.
-    /// The bank's other FIFOs must stay empty throughout.
+    /// in lockstep, in the ring tier's order: within a cycle the pops
+    /// and front queries, then the pushes, then the latch. Every answer
+    /// and every snapshot byte must agree. The bank's other FIFOs must
+    /// stay empty throughout.
     #[test]
     fn bank_fifo_is_a_flit_fifo() {
         let refs = refs(8);
@@ -916,10 +875,11 @@ mod fifo_bank_tests {
             let mut rng = SimRng::from_seed(0xf1f0 + cap as u64);
             let mut fifo = FlitFifo::new(cap);
             let mut bank = FifoBank::new(3, cap);
-            let (mut now, mut seq) = (0u64, 0u32);
+            let (mut now, mut seq, mut pushed) = (0u64, 0u32, false);
             for step in 0..10_000 {
-                match rng.uniform_usize(6) {
-                    0 | 1 if fifo.len() < cap => {
+                match rng.uniform_usize(4) {
+                    0 | 1 if !pushed => assert_eq!(bank.pop(1), fifo.pop_ready(now)),
+                    2 if fifo.len() < cap => {
                         let flit = Flit {
                             packet: refs[rng.uniform_usize(refs.len())],
                             seq,
@@ -927,24 +887,21 @@ mod fifo_bank_tests {
                         };
                         seq += 1;
                         fifo.push(flit, now);
-                        bank.push(1, flit, now);
+                        bank.push(1, flit);
+                        pushed = true;
                     }
-                    2 => assert_eq!(bank.pop_ready(1, now), fifo.pop_ready(now)),
                     3 => {
                         fifo.latch();
-                        assert_eq!(bank.latch(1), fifo.space_latched());
-                    }
-                    4 => now += 1 + rng.uniform_usize(2) as u64,
-                    5 => {
-                        fifo.latch();
                         bank.latch_all();
+                        (now, pushed) = (now + 1, false);
                     }
                     _ => {}
                 }
-                assert_eq!(bank.front_ready(1, now), fifo.front_ready(now));
+                if !pushed {
+                    assert_eq!(bank.front(1), fifo.front_ready(now));
+                }
                 assert_eq!(bank.len(1), fifo.len());
                 assert_eq!(bank.is_empty(1), fifo.is_empty());
-                assert_eq!(bank.space_latched(1), fifo.space_latched());
                 assert_eq!(bank.free_latched(1), fifo.free_latched());
                 assert_eq!(saved_bank(&bank, 1), saved(&fifo), "cap {cap} step {step}");
                 assert!(bank.is_empty(0) && bank.is_empty(2));
@@ -962,13 +919,13 @@ mod fifo_bank_tests {
             is_tail: true,
         };
         let mut bank = FifoBank::new(2, 1);
-        bank.push(0, flit, 0);
-        bank.push(0, flit, 0);
+        bank.push(0, flit);
+        bank.push(0, flit);
     }
 
     /// A FIFO whose front has wrapped past the end of its stride saves
-    /// head first; a `FlitFifo` and another bank both accept the bytes
-    /// and carry on identically.
+    /// head first; a `FlitFifo` and another bank both accept the bytes,
+    /// latch the length and carry on identically, every flit ready.
     #[test]
     fn wrapped_fifo_round_trips() {
         let r = refs(1)[0];
@@ -979,13 +936,13 @@ mod fifo_bank_tests {
         };
         let mut bank = FifoBank::new(2, 4);
         for seq in 0..3 {
-            bank.push(1, flit(seq), 0);
+            bank.push(1, flit(seq));
         }
-        assert!(bank.pop_ready(1, 1).is_some() && bank.pop_ready(1, 1).is_some());
+        assert!(bank.pop(1).is_some() && bank.pop(1).is_some());
         for seq in 3..6 {
-            bank.push(1, flit(seq), 1);
+            bank.push(1, flit(seq));
         }
-        bank.latch(1);
+        bank.latch_all();
         assert_eq!(bank.len(1), 4, "front at slot 2, back wrapped to slot 1");
         let bytes = saved_bank(&bank, 1);
 
@@ -995,13 +952,12 @@ mod fifo_bank_tests {
         let mut copy = FifoBank::new(1, 4);
         copy.snap_fifo(0, &mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(saved_bank(&copy, 0), bytes);
-        // Only flit 2 predates cycle 1.
-        assert_eq!(copy.pop_ready(0, 1), Some(flit(2)));
-        assert_eq!(copy.pop_ready(0, 1), None);
-        for seq in 3..6 {
-            assert_eq!(copy.pop_ready(0, 2), Some(flit(seq)));
+        assert_eq!((fifo.free_latched(), copy.free_latched(0)), (0, 0));
+        assert!(fifo.has_complete_packet(), "tails recounted");
+        for seq in 2..6 {
+            assert_eq!(fifo.pop_ready(0), Some(flit(seq)));
+            assert_eq!(copy.pop(0), Some(flit(seq)));
         }
-        assert!(!copy.space_latched(0), "latched full");
     }
 
     /// Front slot plus position can exceed 16 bits even though each
@@ -1017,18 +973,18 @@ mod fifo_bank_tests {
         let cap = usize::from(u16::MAX);
         let mut bank = FifoBank::new(1, cap);
         for seq in 0..cap as u32 {
-            bank.push(0, flit(seq), 0);
+            bank.push(0, flit(seq));
         }
         for seq in 0..cap as u32 - 1 {
-            assert_eq!(bank.pop_ready(0, 1), Some(flit(seq)));
+            assert_eq!(bank.pop(0), Some(flit(seq)));
         }
         // Front at the last slot; refill behind it, around the end.
         for seq in 0..cap as u32 - 1 {
-            bank.push(0, flit(cap as u32 + seq), 1);
+            bank.push(0, flit(cap as u32 + seq));
         }
         assert_eq!(bank.len(0), cap);
         for seq in cap as u32 - 1..2 * cap as u32 - 1 {
-            assert_eq!(bank.pop_ready(0, 2), Some(flit(seq)));
+            assert_eq!(bank.pop(0), Some(flit(seq)));
         }
         assert!(bank.is_empty(0));
     }
@@ -1037,16 +993,14 @@ mod fifo_bank_tests {
     fn restore_rejects_counts_over_capacity() {
         let fifo = FlitFifo::new(4);
         let good = saved(&fifo);
-        // Layout of an empty FIFO: cap, len, latched, tails, last_push,
-        // fresh — six u64 words.
-        for (word, what) in [(1, "length"), (2, "latched"), (3, "tail"), (5, "fresh")] {
-            let mut bytes = good.clone();
-            bytes[word * 8] = 5;
-            let mut bank = FifoBank::new(1, 4);
-            match bank.snap_fifo(0, &mut SnapReader::new(&bytes)) {
-                Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
-                other => panic!("{what}: {other:?}"),
-            }
+        // An empty FIFO is two u64 words: its capacity and its length.
+        assert_eq!(good.len(), 16);
+        let mut bytes = good.clone();
+        bytes[8] = 5;
+        let mut bank = FifoBank::new(1, 4);
+        match bank.snap_fifo(0, &mut SnapReader::new(&bytes)) {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains("length 5"), "{msg}"),
+            other => panic!("{other:?}"),
         }
         let mut bytes = good;
         bytes[0] = 8;

@@ -278,6 +278,12 @@ impl PacketStore {
         self.slots[r.slot()].as_ref().expect("stale PacketRef")
     }
 
+    /// The packet behind `r`, or `None` when `r` names no live packet
+    /// (restore checks the handles a snapshot holds with this).
+    pub fn try_get(&self, r: PacketRef) -> Option<&Packet> {
+        self.slots.get(r.slot())?.as_ref()
+    }
+
     /// Removes a fully-delivered packet, freeing its slot.
     ///
     /// # Panics

@@ -151,7 +151,7 @@ impl Iri {
         // The paths below pop it only under exclusive dispositions (the
         // sink and crossing paths under theirs, the output link only while
         // forwarding), so this one read serves them all.
-        let front = t.bufs.front_ready(buf, now);
+        let front = t.bufs.front(buf);
         if let Some(flit) = front {
             if self.transit[side].packet() != Some(flit.packet) {
                 debug_assert!(flit.is_head(), "mid-packet flit without a route");
@@ -177,7 +177,7 @@ impl Iri {
         // does not leak capacity) and the packet is reported at its
         // tail for the tier to drop-account.
         if self.transit[side].sinking() {
-            if let Some(flit) = t.bufs.pop_ready(buf, now) {
+            if let Some(flit) = t.bufs.pop(buf) {
                 t.credits[this_ring] += 1; // the flit left this ring
                 t.pulse.moved += 1;
                 if flit.is_tail {
@@ -195,7 +195,7 @@ impl Iri {
                 let class = QueueClass::of(store.get(flit.packet).kind);
                 let q = self.cross[side].get_mut(class);
                 if q.space_latched() {
-                    let flit = t.bufs.pop_ready(buf, now).expect("front was ready");
+                    let flit = t.bufs.pop(buf).expect("front was ready");
                     t.credits[this_ring] += 1; // the flit left this ring
                     if flit.is_head() {
                         t.pulse.crossed += 1;
@@ -218,7 +218,7 @@ impl Iri {
         match self.owner[side] {
             LinkOwner::Transit => {
                 if go_transit {
-                    if let Some(flit) = t.bufs.pop_ready(buf, now) {
+                    if let Some(flit) = t.bufs.pop(buf) {
                         debug_assert_eq!(Some(flit.packet), self.transit[side].packet());
                         if flit.is_tail {
                             self.owner[side] = LinkOwner::Idle;
@@ -260,7 +260,7 @@ impl Iri {
                 let transit_ready = self.transit[side].forwarding() && front.is_some();
                 if transit_ready && !backlogged {
                     if go_transit {
-                        let flit = t.bufs.pop_ready(buf, now).expect("front was ready");
+                        let flit = t.bufs.pop(buf).expect("front was ready");
                         if flit.is_tail {
                             self.transit[side].clear();
                         } else {
@@ -282,7 +282,7 @@ impl Iri {
                 } else if transit_ready && go_transit {
                     // Backlogged but nothing can cross yet: let transit
                     // continue rather than idle the link.
-                    let flit = t.bufs.pop_ready(buf, now).expect("front was ready");
+                    let flit = t.bufs.pop(buf).expect("front was ready");
                     if flit.is_tail {
                         self.transit[side].clear();
                     } else {

@@ -91,7 +91,7 @@ impl Nic {
     /// A packet whose payload the core marked as corrupted in flight
     /// is dropped at reassembly instead of delivered.
     pub(crate) fn step(&mut self, t: &mut Tick<'_>, link_up: bool) {
-        let (now, to, ring, buf) = (t.now, self.downstream, self.ring, self.fifo);
+        let (to, ring, buf) = (self.downstream, self.ring, self.fifo);
         let this_ring = ring as usize;
         // A downed output link advertises no room: transit forwarding
         // and new injections stall in place, losing nothing.
@@ -101,7 +101,7 @@ impl Nic {
         // once, at its head flit). The ejection path pops it only while
         // crossing and the output link only while forwarding, so this
         // one read serves both.
-        let front = t.bufs.front_ready(buf, now);
+        let front = t.bufs.front(buf);
         if let Some(flit) = front {
             if self.transit.packet() != Some(flit.packet) {
                 debug_assert!(flit.is_head(), "mid-packet flit without a route");
@@ -119,7 +119,7 @@ impl Nic {
         // PM. This is independent of the output link (Figure 3 shows
         // separate paths), so it can proceed while the PM injects.
         if self.transit.crossing() {
-            if let Some(flit) = t.bufs.pop_ready(buf, now) {
+            if let Some(flit) = t.bufs.pop(buf) {
                 t.credits[this_ring] += 1; // the flit left the ring
                 t.pulse.moved += 1;
                 if flit.is_tail {
@@ -140,7 +140,7 @@ impl Nic {
         match self.owner {
             LinkOwner::Transit => {
                 if go_transit {
-                    if let Some(flit) = t.bufs.pop_ready(buf, now) {
+                    if let Some(flit) = t.bufs.pop(buf) {
                         debug_assert_eq!(Some(flit.packet), self.transit.packet());
                         if flit.is_tail {
                             self.owner = LinkOwner::Idle;
@@ -174,7 +174,7 @@ impl Nic {
                 if self.transit.forwarding() && front.is_some() {
                     // Transit traffic has priority on the output link.
                     if go_transit {
-                        let flit = t.bufs.pop_ready(buf, now).expect("front was ready");
+                        let flit = t.bufs.pop(buf).expect("front was ready");
                         if flit.is_tail {
                             self.transit.clear();
                         } else {

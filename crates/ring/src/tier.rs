@@ -231,11 +231,6 @@ impl RingTier {
         self.wake(st);
     }
 
-    /// Whether station `st` is on the worklist.
-    fn active(&self, st: usize) -> bool {
-        self.station_active[st / 64] & (1 << (st % 64)) != 0
-    }
-
     /// Whether station `st` is a dead IRI.
     pub(crate) fn iri_dead(&self, f: &FaultInjector, st: u32) -> bool {
         match self.slots[st as usize] {
@@ -336,7 +331,7 @@ impl RingTier {
             ring,
         } in &self.sends
         {
-            self.bufs.push(st as usize * 2 + side as usize, flit, now);
+            self.bufs.push(st as usize * 2 + side as usize, flit);
             self.station_active[st as usize / 64] |= 1 << (st % 64);
             self.ring_flits[ring as usize] += 1;
         }
@@ -382,9 +377,10 @@ impl RingTier {
         }
     }
 
-    /// Snapshots the stations, the worklist (a `Vec<bool>`), the
-    /// latched free counts (recounted), the tick, the per-ring flit
-    /// counts and credits, the reset tick.
+    /// Snapshots the stations, the tick, the per-ring flit counts and
+    /// credits, the reset tick. The transit buffers latch as they are
+    /// read, and a reader puts every station on the worklist: stepping
+    /// a quiescent one is a no-op, and it leaves the list again.
     ///
     /// # Errors
     ///
@@ -399,21 +395,12 @@ impl RingTier {
         for iri in &mut self.iris {
             iri.snap(&mut self.bufs, c)?;
         }
-        let mut active: Vec<bool> = (0..self.slots.len()).map(|st| self.active(st)).collect();
-        c.fixed(&mut active, "station count")?;
-        self.station_active.fill(0);
-        for st in (0..active.len()).filter(|&st| active[st]) {
-            self.wake(st as u32);
-        }
-        c.exact(self.bufs.fifos(), "free-slot table size")?;
-        for i in 0..self.bufs.fifos() {
-            c.check(self.bufs.free_latched(i), "free slots of a transit buffer")?;
-        }
         self.tick.snap(c)?;
         c.fixed(&mut self.ring_flits, "ring count")?;
         c.fixed(&mut self.ring_credits, "ring-credit table size")?;
         self.reset_tick.snap(c)?;
         if c.reading() {
+            (0..self.slots.len() as u32).for_each(|st| self.wake(st));
             // Per-tick scratch is always empty between steps.
             self.sends.clear();
             self.sunk.clear();

@@ -35,7 +35,7 @@ pub mod json;
 pub const MAGIC: &[u8; 6] = b"RMSNAP";
 
 /// Current container format version.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Error raised when decoding a snapshot fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,11 +113,13 @@ pub trait Snap {
 ///
 /// A [`Snap`] is generic over it, so the write path is compiled
 /// without the read path's branches ([`READING`](Self::READING) is a
-/// constant). Beside the raw bytes it carries the three helpers for
-/// the places where the two directions differ: [`exact`](Self::exact)
-/// for shapes the instance already has, [`check`](Self::check) for
-/// values the instance can recompute, [`reading`](Self::reading) for
-/// install steps.
+/// constant). Beside the raw bytes it carries four helpers:
+/// [`exact`](Self::exact) for values the configuration fixes,
+/// [`fixed`](Self::fixed) for tables of a fixed length,
+/// [`variant`](Self::variant) for field-less enums and
+/// [`reading`](Self::reading) for install steps. What a reader can
+/// recompute, or what nothing reads after a restore, is not written:
+/// the reader rebuilds it behind `reading`.
 pub trait Codec: Sized {
     /// Whether this end decodes.
     const READING: bool;
@@ -162,29 +164,6 @@ pub trait Codec: Sized {
         } else {
             Err(SnapError::Mismatch(format!(
                 "{what}: snapshot has {got:?}, this instance has {want:?}"
-            )))
-        }
-    }
-
-    /// A value the format carries but the instance can recompute from
-    /// what it already holds. The writer writes `value`, recomputed;
-    /// the reader refuses bytes that disagree with it.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Corrupt`] naming `what` on a difference.
-    fn check<T: Snap + PartialEq + Copy + fmt::Debug>(
-        &mut self,
-        value: T,
-        what: &str,
-    ) -> Result<(), SnapError> {
-        let mut got = value;
-        got.snap(self)?;
-        if got == value {
-            Ok(())
-        } else {
-            Err(SnapError::Corrupt(format!(
-                "{what}: snapshot has {got:?}, recomputed {value:?}"
             )))
         }
     }
@@ -666,19 +645,6 @@ mod tests {
         let mut table = [0i64; 3];
         let mut r = SnapReader::new(&bytes[..bytes.len() - 1]);
         assert_eq!(r.fixed(&mut table, "credit table"), Err(SnapError::Eof));
-    }
-
-    #[test]
-    fn check_refuses_a_value_that_disagrees_with_the_recount() {
-        let bytes = encode(4usize);
-        assert_eq!(SnapReader::new(&bytes).check(4usize, "tails"), Ok(()));
-        match SnapReader::new(&bytes).check(3usize, "tails") {
-            Err(SnapError::Corrupt(msg)) => assert!(msg.contains("tails"), "{msg}"),
-            other => panic!("{other:?}"),
-        }
-        let mut w = SnapWriter::new();
-        w.check(4usize, "tails").unwrap();
-        assert_eq!(w.into_bytes(), bytes);
     }
 
     #[test]

@@ -282,7 +282,11 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
     // and hybrid bytes came down again when a mesh router's FIFO state
     // moved into its crossbar block and its buffered flits into 4-byte
     // lanes (5a17a1f: 2 857 / 1 069 376 and 811 / 266 944), the blocks
-    // stayed.
+    // stayed. They came down again when the checkpoint stopped carrying
+    // push records: a mesh router's `pushed` cycles (44 bytes a router
+    // with padding) and a bank FIFO's `last_push` and `fresh` (10 bytes
+    // a FIFO) went (8af7e50: 2 857 / 1 048 336 and 811 / 196 744), the
+    // blocks stayed.
     const ROWS: [(&[&str], usize, usize); 3] = [
         // With every transit buffer in the ring tier's one `FifoBank`: a
         // heap block fewer per NIC and two fewer per IRI than the
@@ -303,7 +307,7 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
                 "hybrid:6x6:4",
             ],
             2_857,
-            1_048_336,
+            1_026_296,
         ),
         // Without the route table (quadratic in P) and two of the three
         // outbox tables of cbc79d5 (493 blocks, 461 160 bytes).
@@ -321,7 +325,7 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
         (
             &["mesh:4", "mesh:6", "mesh:8", "mesh:10", "mesh:12"],
             811,
-            196_744,
+            180_904,
         ),
     ];
     for (specs, parent_blocks, parent_bytes) in ROWS {
