@@ -118,19 +118,14 @@ pub struct FaultPlan {
     /// stall watchdog trips — useful to demonstrate why the layer
     /// exists).
     pub retry: Option<RetryPolicy>,
-    /// Force exact per-packet conservation tracking even in release
-    /// builds (always on in debug builds).
-    pub check: bool,
 }
 
 impl FaultPlan {
-    /// A plan running `faults` with the default retry policy and no
-    /// release-mode conservation tracking.
+    /// A plan running `faults` with the default retry policy.
     pub fn new(faults: FaultConfig) -> Self {
         FaultPlan {
             faults,
             retry: Some(RetryPolicy::default()),
-            check: false,
         }
     }
 
@@ -148,10 +143,11 @@ impl FaultPlan {
         self
     }
 
-    /// Returns the plan with conservation tracking forced on.
+    // Inert: only the frozen `benchmark/` harness calls this. Every
+    // faulty run is audited against the packet store.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_check(mut self) -> Self {
-        self.check = true;
+    pub fn with_check(self) -> Self {
         self
     }
 }
@@ -303,8 +299,7 @@ impl System {
             ))));
         }
         let schedule = FaultSchedule::generate(&plan.faults, domain);
-        self.net
-            .set_faults(FaultInjector::new(&schedule, domain), plan.check);
+        self.net.set_faults(FaultInjector::new(&schedule, domain));
         if let Some(policy) = plan.retry {
             self.workload.set_retry(policy);
         }
@@ -630,7 +625,6 @@ mod tests {
             dead_nodes: 1,
             horizon,
         })
-        .with_check()
     }
 
     #[test]
@@ -694,7 +688,7 @@ mod tests {
         let clean = System::new(cfg.clone()).unwrap().run().unwrap();
         // An installed-but-empty schedule (plus the retry layer idling
         // above it) must not perturb the simulation in any way.
-        let plan = FaultPlan::new(FaultConfig::none(5)).with_check();
+        let plan = FaultPlan::new(FaultConfig::none(5));
         let faulty = System::new(cfg).unwrap().run_faulty(&plan).unwrap();
         assert_eq!(clean, faulty.result);
         assert_eq!(faulty.faults.drops.total(), 0);

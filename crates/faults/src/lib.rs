@@ -14,10 +14,10 @@
 //! is this node dead, should this packet be marked corrupt? It also
 //! accumulates drop statistics into a [`FaultReport`].
 //!
-//! Orthogonally, a [`ConservationLedger`] tracks every packet from
-//! injection to completion and proves the no-loss/no-duplication
-//! invariant: `injected == delivered + dropped + in_flight` at all
-//! times, with optional per-packet tracking for exact diagnosis.
+//! Orthogonally, a [`ConservationLedger`] counts every packet from
+//! injection to completion and checks the no-loss invariant
+//! `injected == delivered + dropped + in_flight` against the in-flight
+//! count of the network's packet store.
 //!
 //! This crate deliberately depends only on `ringmesh-engine` (for the
 //! splittable RNG); links and nodes are raw `u32` indices whose meaning

@@ -596,7 +596,7 @@ mod tests {
             }],
         );
         let injector = FaultInjector::new(&schedule, net.fault_domain());
-        net.set_faults(injector, true);
+        net.set_faults(injector);
         net.step(&mut Vec::new()).unwrap();
         // Cross-ring from the dead bridge's ring: refused at injection.
         net.inject(NodeId::new(0), packet(&c, 1, PacketKind::ReadReq, 0, 7));

@@ -450,7 +450,7 @@ mod tests {
     fn install(net: &mut MeshNetwork, events: Vec<FaultEvent>, corrupt: f64) {
         let schedule = FaultSchedule::from_events(7, corrupt, events);
         let domain = net.fault_domain();
-        net.set_faults(FaultInjector::new(&schedule, domain), true);
+        net.set_faults(FaultInjector::new(&schedule, domain));
     }
 
     #[test]

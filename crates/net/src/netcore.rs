@@ -31,8 +31,8 @@ use crate::packet::{NodeId, Packet, PacketRef, PacketStore};
 ///    ([`Interconnect::step`]);
 /// 4. the tracer, fault and conservation accessors of [`Interconnect`];
 /// 5. **snapshot** ([`snap_network`]): the store ahead of the kernel's
-///    section of a checkpoint, the watchdog, ledger and corruption
-///    marks behind it;
+///    section of a checkpoint, the watchdog and the ledger's counters
+///    behind it;
 /// 6. **report room**: a kernel that takes a packet off a PM's
 ///    injection queue names the PM with [`NetCore::room_at`], and the
 ///    driver reads the cycle's list through [`Interconnect::room`].
@@ -75,10 +75,11 @@ pub struct NetCore {
     /// fault query answers "healthy" and behaviour is unchanged. Boxed,
     /// so a fault-free network carries a pointer, not the injector.
     faults: Option<Box<FaultInjector>>,
-    /// Packet-conservation ledger (per-slot tracking on under
-    /// `debug_assertions` or the release `--check` pass).
+    /// Packet-conservation counters; the store is the record of which
+    /// packets are live.
     ledger: ConservationLedger,
-    /// Corruption marks by packet-store slot, rolled at admission.
+    /// Corruption marks by packet-store slot, rolled at admission while
+    /// an injector is installed and cleared when it is taken.
     corrupt: Vec<bool>,
     /// Why each packet dropped this cycle was dropped; reported to the
     /// tracer and the injector when the cycle ends.
@@ -98,7 +99,7 @@ impl NetCore {
             watchdog: Watchdog::new(watchdog_horizon),
             tracer: Tracer::off(),
             faults: None,
-            ledger: ConservationLedger::new(cfg!(debug_assertions)),
+            ledger: ConservationLedger::default(),
             corrupt: Vec::new(),
             dropped: Vec::new(),
             room: Vec::new(),
@@ -171,7 +172,7 @@ impl NetCore {
             );
         }
         let r = self.store.insert(packet);
-        self.ledger.inject(r.slot());
+        self.ledger.inject();
         if let Some(f) = &mut self.faults {
             // Roll the corruption coin now; slots are reused, so the
             // mark must be (re)written on every insert.
@@ -187,14 +188,14 @@ impl NetCore {
     /// Retires `r`, fully arrived and intact, as delivered at `to`.
     pub fn deliver(&mut self, r: PacketRef, to: NodeId, delivered: &mut Vec<(NodeId, Packet)>) {
         let packet = self.store.remove(r);
-        self.ledger.complete(r.slot(), false);
+        self.ledger.complete(false);
         delivered.push((to, packet));
     }
 
     /// Retires `r` as explicitly dropped for `reason`.
     pub fn drop_packet(&mut self, r: PacketRef, reason: DropReason) {
         self.store.remove(r);
-        self.ledger.complete(r.slot(), true);
+        self.ledger.complete(true);
         self.dropped.push(reason);
     }
 
@@ -235,17 +236,13 @@ impl NetCore {
             self.tracer
                 .gauge(Gauge::InFlightPackets, self.store.live() as f64);
         }
-        debug_assert!(self.balanced(), "conservation identity");
+        debug_assert!(
+            self.ledger.verify(self.store.live()).is_ok(),
+            "conservation identity"
+        );
         self.cycle += 1;
         self.watchdog.observe(self.cycle, moved, self.store.live());
         self.watchdog.check(self.cycle)
-    }
-
-    /// Whether every packet ever admitted is delivered, dropped or in
-    /// the store.
-    fn balanced(&self) -> bool {
-        let (injected, delivered, dropped) = self.ledger.counts();
-        injected == delivered + dropped + self.store.live()
     }
 
     /// A checkpoint neither carries nor restores an injector's RNG and
@@ -441,20 +438,14 @@ pub trait Interconnect: DynSnap {
         self.tracer_mut().map(std::mem::take)
     }
 
-    /// Installs `injector` as the network's fault source; `check`
-    /// additionally enables exact per-packet conservation tracking even
-    /// in release builds. A network with an empty
-    /// [`fault_domain`](Interconnect::fault_domain) runs fault-free and
-    /// drops the injector.
-    fn set_faults(&mut self, injector: FaultInjector, check: bool) {
+    /// Installs `injector` as the network's fault source. A network
+    /// with an empty [`fault_domain`](Interconnect::fault_domain) runs
+    /// fault-free and drops the injector.
+    fn set_faults(&mut self, injector: FaultInjector) {
         if self.fault_domain().is_empty() {
             return;
         }
-        let core = self.core_mut();
-        core.faults = Some(Box::new(injector));
-        if check && !core.ledger.tracking() {
-            core.ledger.set_tracking(true);
-        }
+        self.core_mut().faults = Some(Box::new(injector));
     }
 
     /// The installed fault injector, if any.
@@ -463,9 +454,12 @@ pub trait Interconnect: DynSnap {
     }
 
     /// Removes and returns the installed fault injector so its drop
-    /// accounting can be reported.
+    /// accounting can be reported; the corruption marks it rolled go
+    /// with it.
     fn take_faults(&mut self) -> Option<FaultInjector> {
-        self.core_mut().faults.take().map(|f| *f)
+        let core = self.core_mut();
+        core.corrupt.clear();
+        core.faults.take().map(|f| *f)
     }
 
     /// Audits packet conservation: every packet injected must be
@@ -484,11 +478,12 @@ pub trait Interconnect: DynSnap {
 /// Snapshots `net`'s mutable state — in-flight packets, buffer
 /// contents, per-station switching state, cycle counters — for a
 /// deterministic checkpoint: the packet store, the kernel's own
-/// [`Snap`] section, then the watchdog, the ledger and the corruption
-/// marks. Immutable structure (topology, routing tables, capacities)
-/// is not written: a resume rebuilds it from configuration, and a
-/// restore into such a network continues bit-identically to the one
-/// that was checkpointed.
+/// [`Snap`] section, then the watchdog and the ledger's counters. The
+/// corruption marks are not written (only an installed injector sets
+/// one, and a network with an injector is refused), and neither is
+/// immutable structure (topology, routing tables, capacities): a
+/// resume rebuilds it from configuration, and a restore into such a
+/// network continues bit-identically to the one that was checkpointed.
 ///
 /// # Errors
 ///
@@ -503,19 +498,15 @@ pub fn snap_network<C: Codec>(net: &mut dyn Interconnect, c: &mut C) -> Result<(
     let core = net.core_mut();
     core.watchdog.snap(c)?;
     core.ledger.snap(c)?;
-    core.corrupt.snap(c)?;
     if c.reading() {
+        core.corrupt.clear();
         core.dropped.clear();
         core.room.clear();
     }
     // A checkpoint is outside input: one whose ledger does not account
     // for its own packet store was not written by this network, and the
     // next step's identity assert would say so by panicking.
-    if core.balanced() {
-        Ok(())
-    } else {
-        Err(SnapError::Corrupt(
-            "ledger and packet store disagree on the packets in flight".into(),
-        ))
-    }
+    core.ledger.verify(core.store.live()).map_err(|_| {
+        SnapError::Corrupt("ledger and packet store disagree on the packets in flight".into())
+    })
 }

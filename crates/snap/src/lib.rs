@@ -35,7 +35,7 @@ pub mod json;
 pub const MAGIC: &[u8; 6] = b"RMSNAP";
 
 /// Current container format version.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Error raised when decoding a snapshot fails.
 #[derive(Debug, Clone, PartialEq, Eq)]

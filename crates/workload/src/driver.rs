@@ -652,7 +652,7 @@ mod tests {
             let schedule = FaultSchedule::from_events(1, 0.0, vec![death]);
             let mut injector = FaultInjector::new(&schedule, self.fault_domain());
             injector.advance(0);
-            self.set_faults(injector, true);
+            self.set_faults(injector);
         }
     }
 

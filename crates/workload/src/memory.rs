@@ -150,8 +150,9 @@ impl Snap for MemoryModule {
 
 impl MemoryModule {
     /// Checks a restored module of a machine of `pms` PMs: every queued
-    /// response leaves this PM for another PM of the machine, and both
-    /// queues are in ready order, as service starts are.
+    /// response leaves this PM for another PM of the machine and is as
+    /// long as its kind, and both queues are in ready order, as service
+    /// starts are.
     pub(crate) fn validate(&self, pms: usize) -> Result<(), SnapError> {
         let pm = self.pm;
         let corrupt = |what: String| Err(SnapError::Corrupt(format!("memory {pm}: {what}")));
@@ -161,6 +162,9 @@ impl MemoryModule {
             }
             if resp.kind.is_request() {
                 return corrupt(format!("queued response of kind {:?}", resp.kind));
+            }
+            if resp.flits != self.sizer.flits(resp.kind) {
+                return corrupt(format!("{:?} of {} flits", resp.kind, resp.flits));
             }
         }
         if !self.pending.iter().map(|&(ready, _)| ready).is_sorted()
@@ -257,6 +261,18 @@ mod tests {
         assert!(out.is_empty());
         m.pop_local_ready(58, &mut out);
         assert_eq!(out, vec![50]);
+    }
+
+    #[test]
+    fn a_queued_response_of_the_wrong_length_is_corrupt() {
+        let mut m = MemoryModule::new(NodeId::new(1), MemoryParams::default(), sizer());
+        m.accept(&req(7, 0, 1, PacketKind::ReadReq), 0);
+        m.validate(2).expect("as accepted");
+        m.pending[0].1.flits = 131;
+        match m.validate(2) {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains("131 flits"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -445,7 +445,7 @@ impl Fake {
             .collect();
         let schedule = FaultSchedule::from_events(1, 0.0, events);
         let injector = FaultInjector::new(&schedule, self.fault_domain());
-        self.set_faults(injector, true);
+        self.set_faults(injector);
         self
     }
 }

@@ -27,7 +27,6 @@ fn plan(corrupt: f64, horizon: u64) -> FaultPlan {
         dead_nodes: 0,
         horizon,
     })
-    .with_check()
 }
 
 fn main() -> Result<(), RunError> {

@@ -144,7 +144,6 @@ FAULT OPTIONS (with the `faults` subcommand):
     --attempts <N>         max attempts (first issue incl.)   [default: 4]
     --backoff <N>          base retry backoff, cycles         [default: 64]
     --no-retry             disable the end-to-end retry layer
-    --check                conservation tracking in release builds
 
 SERVE OPTIONS (with the `serve` subcommand):
     --listen <ADDR>        accept TCP connections on ADDR (e.g.
@@ -335,7 +334,6 @@ struct FaultOpts {
     kill_nodes: u32,
     seed: u64,
     retry: Option<RetryPolicy>,
-    check: bool,
 }
 
 fn parse_fault_opts(args: &mut Args) -> Result<FaultOpts, String> {
@@ -370,7 +368,6 @@ fn parse_fault_opts(args: &mut Args) -> Result<FaultOpts, String> {
         kill_nodes: args.take_parsed::<u32>("--kill-nodes")?.unwrap_or(0),
         seed: args.take_parsed::<u64>("--fault-seed")?.unwrap_or(7),
         retry,
-        check: args.take_flag("--check"),
     })
 }
 
@@ -421,7 +418,6 @@ fn run_faults(cfg: SystemConfig, opts: FaultOpts, format: &str) -> ExitCode {
             horizon: cfg.sim.horizon(),
         },
         retry: opts.retry,
-        check: opts.check,
     };
     let sys = match System::new(cfg) {
         Ok(s) => s,

@@ -53,9 +53,7 @@ fn check_case(network: NetworkSpec, faults: FaultConfig, seed: u64) {
     let cfg = SystemConfig::new(network, CacheLineSize::B32)
         .with_sim(short_sim())
         .with_seed(seed);
-    let plan = FaultPlan::new(faults)
-        .with_retry(short_retry())
-        .with_check();
+    let plan = FaultPlan::new(faults).with_retry(short_retry());
     match System::new(cfg).unwrap().run_faulty(&plan) {
         Ok(report) => {
             assert!(
@@ -128,8 +126,7 @@ fn faulty_runs_replay_byte_identically() {
             dead_nodes: 1,
             horizon: short_sim().horizon(),
         })
-        .with_retry(short_retry())
-        .with_check();
+        .with_retry(short_retry());
         summary(&System::new(cfg).unwrap().run_faulty(&plan).unwrap())
     };
     assert_eq!(mk(), mk());
@@ -181,8 +178,7 @@ fn retry_layer_keeps_faulty_run_alive() {
         dead_nodes: u32::MAX,
         horizon: 1,
     })
-    .with_retry(short_retry())
-    .with_check();
+    .with_retry(short_retry());
     let report = System::new(cfg).unwrap().run_faulty(&plan).unwrap();
     assert!(report.violation.is_none());
     assert!(report.retry.gave_up > 0, "cross-ring traffic must give up");

@@ -17,10 +17,14 @@
 //! moved into one bank, to pin the blocked-cycle and IRI-crossing
 //! counters and the occupancy gauges that nothing else pinned.
 //!
-//! Every `checkpoint_bytes` pair is younger still: each was re-pinned
-//! when the container went to version 3, which writes state only — no
-//! FIFO's latched length, tail count or push record, no free-slot or
-//! stop/go table, no worklist — and each row quotes version 2's pair.
+//! Every `checkpoint_bytes` digest is younger still. Container version
+//! 3 wrote state only — no FIFO's latched length, tail count or push
+//! record, no free-slot or stop/go table, no worklist — but its ledger
+//! carried a per-slot live set under `debug_assertions`, so each row
+//! had a debug and a release digest. Version 4 writes the ledger's three
+//! counters and no corruption marks: a checkpoint's bytes are the same
+//! in every build, one digest a row, and each row quotes version 3's
+//! pair.
 //!
 //! The horizon is 2 000 cycles rather than `SimParams::quick()`'s
 //! 9 000 so the table stays near three seconds in a debug build.
@@ -41,9 +45,8 @@ struct Golden {
     /// `None`: the network exposes no fault domain and must refuse the
     /// plan with a typed error.
     faulty: Option<u64>,
-    /// `[debug, release]`: the conservation ledger tracks per slot
-    /// under `debug_assertions`, and a checkpoint carries the ledger.
-    checkpoint_bytes: [u64; 2],
+    /// The checkpoint at half the horizon; the same in every build.
+    checkpoint_bytes: u64,
     chrome_json: u64,
     heatmap_csv: u64,
     /// The traced run's `TraceReport::to_text()`: its counter and gauge
@@ -59,8 +62,8 @@ const GOLDEN: [Golden; 9] = [
         spec: "mesh:7",
         run: 0xd578_1c20_ff45_7552,
         faulty: Some(0x10be_9b25_c33b_9400),
-        // Container version 2's: [0x756c_a8c1_14a8_3bdf, 0xc49d_2a5f_8f50_6563].
-        checkpoint_bytes: [0xabcd_0fa9_db66_e296, 0x4683_fd40_2ea6_3d72],
+        // Container version 3's [debug, release]: [0xabcd_0fa9_db66_e296, 0x4683_fd40_2ea6_3d72].
+        checkpoint_bytes: 0x3568_d0a0_20c7_779d,
         chrome_json: 0x9d2a_2017_c0e3_27d9,
         heatmap_csv: 0xd37f_c4fd_b93b_bbf5,
         report_text: 0xb4b6_639f_df79_2669,
@@ -69,8 +72,8 @@ const GOLDEN: [Golden; 9] = [
         spec: "mesh:12:1flit",
         run: 0xabcc_93c1_5816_4ed9,
         faulty: Some(0x33d8_6f2c_cbbd_96fd),
-        // Container version 2's: [0x4578_b54c_0cde_1cfb, 0x10a0_a29b_6044_f239].
-        checkpoint_bytes: [0xf4eb_a5b5_bd58_37b2, 0x1d3e_3dc4_f64e_6f44],
+        // Container version 3's [debug, release]: [0xf4eb_a5b5_bd58_37b2, 0x1d3e_3dc4_f64e_6f44].
+        checkpoint_bytes: 0x3d86_75d2_36d6_8edb,
         chrome_json: 0x6841_99dc_640d_f34e,
         heatmap_csv: 0x82de_0a01_89a2_07ef,
         report_text: 0x912a_bbab_d99c_f39f,
@@ -79,8 +82,8 @@ const GOLDEN: [Golden; 9] = [
         spec: "mesh:5:cl",
         run: 0x6fe2_ecc1_069a_dff1,
         faulty: Some(0x8fe1_4630_be4a_0cf8),
-        // Container version 2's: [0x4806_bb2b_b0a5_69da, 0x2e2a_fbc6_f1b7_52ea].
-        checkpoint_bytes: [0xa59b_8df9_c641_3484, 0x1ff6_78fe_b7df_0738],
+        // Container version 3's [debug, release]: [0xa59b_8df9_c641_3484, 0x1ff6_78fe_b7df_0738].
+        checkpoint_bytes: 0x07e5_2ece_2db9_aecf,
         chrome_json: 0x3c28_cc45_fbe7_1929,
         heatmap_csv: 0x461d_7558_2608_6d0a,
         report_text: 0xfaaa_51b1_36a6_c5e5,
@@ -98,8 +101,8 @@ const GOLDEN: [Golden; 9] = [
         spec: "hybrid:3x3:4",
         run: 0xe0ff_0042_48b5_6f62,
         faulty: Some(0x4169_5b36_f10c_64e5),
-        // Container version 2's: [0x32c1_280f_4c03_47b7, 0x3ed0_8713_9a0a_0134].
-        checkpoint_bytes: [0xc582_d797_5746_ab9c, 0x5cef_36c4_4b3c_df53],
+        // Container version 3's [debug, release]: [0xc582_d797_5746_ab9c, 0x5cef_36c4_4b3c_df53].
+        checkpoint_bytes: 0x0340_bf1f_4da2_dc44,
         chrome_json: 0xf36c_58b9_cd2b_d0eb,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
         report_text: 0xb012_1cd5_1c68_7762,
@@ -108,8 +111,8 @@ const GOLDEN: [Golden; 9] = [
         spec: "hybrid:2x2:4",
         run: 0x1592_b0c8_91dd_4c69,
         faulty: Some(0xa52e_c8f4_dacc_06d5),
-        // Container version 2's: [0xdc2e_cc0d_48d3_7ccf, 0x42c1_e388_40ec_2e70].
-        checkpoint_bytes: [0x9c0c_a395_ac60_8da4, 0xe4ff_1d8f_1365_5833],
+        // Container version 3's [debug, release]: [0x9c0c_a395_ac60_8da4, 0xe4ff_1d8f_1365_5833].
+        checkpoint_bytes: 0xe3e8_a159_fcdb_c85a,
         chrome_json: 0x80bb_92d2_23dd_4d59,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
         report_text: 0x406a_612f_e2a4_f4d7,
@@ -119,8 +122,8 @@ const GOLDEN: [Golden; 9] = [
         spec: "ring:2:3:4",
         run: 0x8f50_2b5c_be55_e914,
         faulty: Some(0x008f_66d9_07bd_1dfb),
-        // Container version 2's: [0x4167_eb83_99e3_d62c, 0x85e2_b7e0_1e8d_14e0].
-        checkpoint_bytes: [0x7219_9be3_7636_f926, 0x5711_2590_f530_0dbe],
+        // Container version 3's [debug, release]: [0x7219_9be3_7636_f926, 0x5711_2590_f530_0dbe].
+        checkpoint_bytes: 0xdcff_292a_5176_4d35,
         chrome_json: 0x1343_f44b_b790_82a7,
         heatmap_csv: 0xc2c4_6fd8_5f2b_ff8f,
         report_text: 0x073d_96f2_0dc4_6cdf,
@@ -130,8 +133,8 @@ const GOLDEN: [Golden; 9] = [
         spec: "ring2x:2:2:4",
         run: 0xe7fa_a051_f420_8533,
         faulty: Some(0x3482_7517_81d4_ba51),
-        // Container version 2's: [0xf9a4_c89c_b41c_509f, 0x9fb4_30bd_3cbf_48e1].
-        checkpoint_bytes: [0x7c27_a91c_eef6_393b, 0x92ab_1600_4e74_3005],
+        // Container version 3's [debug, release]: [0x7c27_a91c_eef6_393b, 0x92ab_1600_4e74_3005].
+        checkpoint_bytes: 0x161f_9664_3e60_e628,
         chrome_json: 0x7ce4_61f6_a5dc_88ce,
         heatmap_csv: 0x9a67_c06b_67c6_b7d9,
         report_text: 0x668a_ce05_a816_acb6,
@@ -141,8 +144,8 @@ const GOLDEN: [Golden; 9] = [
         spec: "ring:2:2:2:3",
         run: 0x42ec_d8f7_31a7_d5db,
         faulty: Some(0x8c3c_5482_ef48_6632),
-        // Container version 2's: [0x8d0c_9a5e_7147_7648, 0xbe18_88ac_7634_4962].
-        checkpoint_bytes: [0x4e64_9568_1f85_de65, 0x7ebc_f600_449b_1183],
+        // Container version 3's [debug, release]: [0x4e64_9568_1f85_de65, 0x7ebc_f600_449b_1183].
+        checkpoint_bytes: 0x8fba_21d4_afa4_a6de,
         chrome_json: 0x6bbb_40b5_2258_aac7,
         heatmap_csv: 0x0d56_c750_99fb_fb10,
         report_text: 0x3f80_c51a_20d5_8e89,
@@ -158,8 +161,8 @@ const GOLDEN: [Golden; 9] = [
         run: 0x69a1_0c35_1bab_f6bd,
         faulty: None,
         // One outbox per station side since cbc79d5 ([0x86ed_3b07_8342_d29f, 0xa7cf_64f7_4220_1530]).
-        // Container version 2's: [0x8cb9_9d73_ea1a_028c, 0x321e_8dd0_fa63_3ae7].
-        checkpoint_bytes: [0x335c_dc6c_33f5_0bd9, 0x6f19_e0c0_e68d_884e],
+        // Container version 3's [debug, release]: [0x335c_dc6c_33f5_0bd9, 0x6f19_e0c0_e68d_884e].
+        checkpoint_bytes: 0x2a96_86a0_bf9f_238d,
         chrome_json: 0x2f2d_cc27_6724_7826,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
         report_text: 0xfc19_5347_5850_e5bd,
@@ -190,8 +193,7 @@ fn every_run_path_reproduces_the_parent_commit() {
             link_down_cycles: 200,
             dead_nodes: 1,
             horizon: sim.horizon(),
-        })
-        .with_check();
+        });
         match (system().run_faulty(&plan), g.faulty) {
             (Ok(report), Some(faulty)) => {
                 assert_eq!(report.violation, None, "{spec}: conservation");
@@ -210,7 +212,7 @@ fn every_run_path_reproduces_the_parent_commit() {
         let bytes = first.checkpoint(&state).unwrap();
         assert_eq!(
             Fingerprint::of(&bytes),
-            g.checkpoint_bytes[usize::from(!cfg!(debug_assertions))],
+            g.checkpoint_bytes,
             "{spec}: checkpoint bytes"
         );
         let mut second = system();
@@ -298,5 +300,16 @@ fn a_slotted_checkpoint_from_before_the_side_outboxes_is_an_error() {
 #[test]
 fn a_checkpoint_that_carries_caches_is_an_error() {
     let bytes = include_bytes!("fixtures/hybrid-2x2-2-8af7e50.ckpt");
+    assert_refused_as_another_version("hybrid:2x2:2", bytes);
+}
+
+/// A hybrid checkpoint in container version 3 (`fixtures/`: cycle
+/// 1 200 of `hybrid:2x2:2`, seed 41, written by a debug build of
+/// df5e398, which restored it), the last layout whose ledger carried a
+/// per-slot live set and a sticky violation, and whose network tail
+/// carried the corruption marks.
+#[test]
+fn a_checkpoint_whose_ledger_tracks_slots_is_an_error() {
+    let bytes = include_bytes!("fixtures/hybrid-2x2-2-df5e398.ckpt");
     assert_refused_as_another_version("hybrid:2x2:2", bytes);
 }

@@ -271,7 +271,7 @@ fn lockstep(
         FaultInjector::new(&schedule, net.fault_domain())
     });
     if let Some(f) = &injector {
-        net.set_faults(f.clone(), true);
+        net.set_faults(f.clone());
     }
     let mut oracle = Oracle::new(topo, &cfg, injector);
     let mut rng = SimRng::from_seed(0x0a_c1e + u64::from(side));

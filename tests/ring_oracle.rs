@@ -579,7 +579,7 @@ fn lockstep(
         FaultInjector::new(&schedule, net.fault_domain())
     });
     if let Some(f) = &injector {
-        net.set_faults(f.clone(), true);
+        net.set_faults(f.clone());
     }
     let mut oracle = Oracle::new(&spec, &cfg, injector);
     let pms = spec.num_pms() as usize;

@@ -269,12 +269,10 @@ fn mesh_64_system_setup_is_three_blocks_a_pm() {
 #[test]
 fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping() {
     // Rows of `benchmark/src/inputs.rs::SWEEP_TOPOLOGIES`, with the
-    // blocks and bytes `System::new` allocates for them. The debug
-    // profile tier-1 uses and release agree on both: the ledger tracks
-    // per slot only under `debug_assertions`, and it allocates nothing
-    // before the first packet. Every row's bytes came down by 48 per PM
-    // when the processors stopped holding their own copies of the issue
-    // parameters (f461d75: 1 106 396, 305 960 and 288 664 bytes), the
+    // blocks and bytes `System::new` allocates for them; the debug
+    // profile tier-1 uses and release agree on both. Every row's bytes
+    // came down by 48 per PM when the processors stopped holding their
+    // own copies of the issue parameters (f461d75: 1 106 396, 305 960 and 288 664 bytes), the
     // blocks stayed. Every row came down again when a mesh router's
     // `active` and `go` vectors folded into its 32-byte crossbar block
     // and the fault injector was boxed out of `NetCore` (ff952cc:
@@ -286,7 +284,10 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
     // push records: a mesh router's `pushed` cycles (44 bytes a router
     // with padding) and a bank FIFO's `last_push` and `fresh` (10 bytes
     // a FIFO) went (8af7e50: 2 857 / 1 048 336 and 811 / 196 744), the
-    // blocks stayed.
+    // blocks stayed. Every row came down by 80 bytes a system when the
+    // conservation ledger became three counters, its per-slot live set
+    // and sticky violation gone (df5e398: 2 857 / 1 026 296,
+    // 449 / 287 960 and 811 / 180 904), the blocks stayed.
     const ROWS: [(&[&str], usize, usize); 3] = [
         // With every transit buffer in the ring tier's one `FifoBank`: a
         // heap block fewer per NIC and two fewer per IRI than the
@@ -307,7 +308,7 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
                 "hybrid:6x6:4",
             ],
             2_857,
-            1_026_296,
+            1_025_496,
         ),
         // Without the route table (quadratic in P) and two of the three
         // outbox tables of cbc79d5 (493 blocks, 461 160 bytes).
@@ -320,12 +321,12 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
                 "slotted:2:3:4:6",
             ],
             449,
-            287_960,
+            287_560,
         ),
         (
             &["mesh:4", "mesh:6", "mesh:8", "mesh:10", "mesh:12"],
             811,
-            180_904,
+            180_504,
         ),
     ];
     for (specs, parent_blocks, parent_bytes) in ROWS {
