@@ -5,7 +5,9 @@ use std::fmt;
 
 use ringmesh_engine::{StallError, Watchdog};
 use ringmesh_faults::{ConservationError, FaultConfig, FaultInjector, FaultReport, FaultSchedule};
-use ringmesh_net::{snap_network, ConfigError, Interconnect, NodeId, Packet, UtilizationReport};
+use ringmesh_net::{
+    check_workload, snap_network, ConfigError, Interconnect, NodeId, Packet, UtilizationReport,
+};
 use ringmesh_snap::{header, Codec, Fingerprint, Snap, SnapError, SnapReader, SnapWriter};
 use ringmesh_stats::{BatchMeans, Histogram, Summary};
 use ringmesh_trace::{TraceConfig, TraceReport, Tracer};
@@ -381,8 +383,7 @@ impl System {
                     state.histogram.record(v);
                 }
             }
-            let r = self.workload.retry_stats();
-            let activity = r.timeouts + r.retries + r.gave_up;
+            let activity = self.workload.retry_stats().activity();
             let progress = samples.len() as u64 + (activity - state.prev_activity);
             state.prev_activity = activity;
             state
@@ -449,7 +450,9 @@ impl System {
     /// The checkpoint container: the header, the config fingerprint,
     /// the cycle, the network, the workload and `state`. Every packet
     /// a restore puts in flight must be one the workload could have
-    /// sent on this machine.
+    /// sent on this machine, and every transaction a processor counts
+    /// must be in flight or at a memory (the census's workload share,
+    /// checked on every read and on debug builds' writes).
     fn snap<C: Codec>(&mut self, state: &mut RunState, c: &mut C) -> Result<(), SnapError> {
         header(c, "checkpoint")?;
         c.exact(self.cfg.fingerprint(), "config fingerprint")?;
@@ -468,7 +471,16 @@ impl System {
             store.validate_packets(self.net.num_pms(), format, self.cfg.cache_line)?;
         }
         self.workload.snap(c)?;
-        state.snap(c)
+        if let Some(census) = c.census() {
+            check_workload(census, self.net.core().store(), cycle)?;
+        }
+        state.snap(c)?;
+        if c.reading() {
+            // What the loop last saw of the retry layer is what the
+            // workload's counters say now, as at every cycle's end.
+            state.prev_activity = self.workload.retry_stats().activity();
+        }
+        Ok(())
     }
 }
 

@@ -221,14 +221,10 @@ impl ringmesh_net::Interconnect for MeshNetwork {
     }
 }
 
-/// The routers, the clock, the link flit count, the reset cycle. A
-/// reader checks the routers against the packet store, restored first.
+/// The routers, the clock, the link flit count, the reset cycle.
 impl Snap for MeshNetwork {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
-        self.routers.snap(c)?;
-        if c.reading() {
-            self.routers.validate(self.core.store())?;
-        }
+        self.routers.snap(c, 1)?;
         self.core.clock_mut().snap(c)?;
         self.link_flits.snap(c)?;
         self.reset_cycle.snap(c)
@@ -593,31 +589,66 @@ mod tests {
 }
 
 /// A checkpoint is outside input: a router field the step would index
-/// with, or a packet it would look up, must be refused at restore, not
-/// trusted until it panics.
+/// with must be refused at restore, not trusted until it panics, and
+/// what router 0 holds must pass the census (`ringmesh_net::census`).
 #[cfg(test)]
 mod corrupt_snapshot_tests {
     use super::*;
-    use ringmesh_net::{snap_network, CacheLineSize, Interconnect, PacketKind, TxnId};
+    use ringmesh_net::{snap_network, CacheLineSize, Interconnect, PacketKind, PacketStore, TxnId};
     use ringmesh_snap::{SnapReader, SnapWriter};
 
-    /// The flit counts of the packets in the store's slots 0..4: live,
-    /// and named by nothing until a test splices them in.
-    const FLITS: [u32; 4] = [1, 4, 4, 6];
+    /// Router 0 of a `mesh:3` (the north-west corner) as a snapshot
+    /// writes it: its north input, output 0 and its PM side as given,
+    /// every other field idle.
+    #[derive(Debug, Default, Clone)]
+    struct Router0 {
+        /// The north input's FIFO of 4 lanes, front first: packet
+        /// slot, sequence number, tail.
+        fifo: Vec<(u32, u32, bool)>,
+        /// The north input's held route: packet slot, output port.
+        route: Option<(u32, u64)>,
+        /// The input connected to output 0.
+        conn: Option<u64>,
+        /// Output 0's round-robin pointer.
+        pointer: u64,
+        /// The request queue's packet slots.
+        queue: Vec<u32>,
+        /// Packet slot, next flit, total.
+        drain: Option<(u32, u32, u32)>,
+        /// Packet slot, flits received.
+        assembler: Option<(u32, u32)>,
+    }
 
-    /// Byte offsets into the snapshot: the packet store is a length and
-    /// a 30-byte `Some(packet)` per slot, the free list's length and the
-    /// live count; then the router count; an empty input FIFO is two
-    /// words (capacity, length); an unset route or connection is its
-    /// one `None` tag byte; five pointer words; a PM queue is two words
-    /// (capacity, length); an idle drain and assembler are a tag byte.
-    const FIFO: usize = 8 + FLITS.len() * 30 + 8 + 8 + 8;
-    const ROUTES: usize = FIFO + 5 * 2 * 8;
-    const CONNS: usize = ROUTES + 5;
-    const POINTERS: usize = CONNS + 5;
-    const QUEUE: usize = POINTERS + 5 * 8;
-    const DRAIN: usize = QUEUE + 2 * 2 * 8;
-    const ASSEMBLER: usize = DRAIN + 1;
+    fn encode<T: Snap>(mut v: T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.snap(&mut w).unwrap();
+        w.into_bytes()
+    }
+
+    impl Router0 {
+        fn bytes(&self) -> Vec<u8> {
+            let flits = self.fifo.iter().flat_map(|&flit| encode(flit));
+            [
+                encode([4, self.fifo.len()]),
+                flits.collect(),
+                encode([4usize, 0, 4, 0, 4, 0, 4, 0]),
+                encode(self.route),
+                vec![0; 4],
+                encode(self.conn),
+                vec![0; 4],
+                encode([self.pointer, 0, 0, 0, 0]),
+                encode((1usize, self.queue.clone())),
+                encode([1usize, 0]),
+                encode(self.drain),
+                encode(self.assembler),
+            ]
+            .concat()
+        }
+    }
+
+    fn mesh() -> MeshNetwork {
+        MeshNetwork::new(MeshTopology::new(3), MeshConfig::new(CacheLineSize::B32))
+    }
 
     fn saved(net: &mut MeshNetwork) -> Vec<u8> {
         let mut w = SnapWriter::new();
@@ -625,120 +656,108 @@ mod corrupt_snapshot_tests {
         w.into_bytes()
     }
 
-    /// An idle `mesh:3` whose store holds [`FLITS`]' packets.
-    fn stored() -> MeshNetwork {
-        let mut net = MeshNetwork::new(MeshTopology::new(3), MeshConfig::new(CacheLineSize::B32));
-        for (txn, flits) in FLITS.into_iter().enumerate() {
-            let packet = Packet {
+    /// Restores an idle `mesh:3` whose store holds packets of `flits`
+    /// flits for PM 0 in slots 0.. and whose router 0 is `r0`; returns
+    /// the network and the bytes.
+    fn restore(flits: &[u32], r0: &Router0) -> Result<(MeshNetwork, Vec<u8>), SnapError> {
+        let mut store = PacketStore::new();
+        for (txn, &flits) in flits.iter().enumerate() {
+            store.insert(Packet {
                 txn: TxnId::new(txn as u64),
                 kind: PacketKind::ReadResp,
                 src: NodeId::new(1),
-                dst: NodeId::new(2),
+                dst: NodeId::new(0),
                 flits,
                 injected_at: 0,
-            };
-            let at = net.trace_loc(packet.src);
-            net.core_mut().admit(packet, true, at).expect("reachable");
+            });
         }
-        net
-    }
-
-    /// Restores that snapshot with the `cut` bytes at `at` replaced by
-    /// `with`, and returns the network and the bytes.
-    fn restore_only(
-        at: usize,
-        cut: usize,
-        with: &[u8],
-    ) -> Result<(MeshNetwork, Vec<u8>), SnapError> {
-        let mut bytes = saved(&mut stored());
-        bytes.splice(at..at + cut, with.iter().copied());
-        let mut net = MeshNetwork::new(MeshTopology::new(3), MeshConfig::new(CacheLineSize::B32));
+        // After the empty store (slots, free list, live count) and the
+        // router count come the idle router 0, the other routers, the
+        // clock and counters, the watchdog and the ledger's three
+        // counters, of which the first counts the packets injected.
+        let idle = saved(&mut mesh());
+        let rest = &idle[3 * 8 + 8 + Router0::default().bytes().len()..];
+        let mut bytes = [encode(store), encode(9usize), r0.bytes(), rest.to_vec()].concat();
+        let ledger = bytes.len() - 3 * 8;
+        bytes[ledger..ledger + 8].copy_from_slice(&(flits.len() as u64).to_le_bytes());
+        let mut net = mesh();
         snap_network(&mut net, &mut SnapReader::new(&bytes))?;
         Ok((net, bytes))
     }
 
-    /// As [`restore_only`], and steps the result if it is taken.
-    fn restore_spliced(at: usize, cut: usize, with: &[u8]) -> Result<(), SnapError> {
-        restore_only(at, cut, with)?
-            .0
-            .step(&mut Vec::new())
-            .unwrap();
-        Ok(())
-    }
-
-    /// Router 0's north input FIFO holding `flits` (packet slot,
-    /// sequence number, tail), as the snapshot writes a 4-flit FIFO:
-    /// capacity, length, the flits. Spliced over the empty FIFO.
-    fn restore_fifo(flits: &[(u32, u32, bool)]) -> Result<(MeshNetwork, Vec<u8>), SnapError> {
-        let mut bytes = words(&[4, flits.len() as u64]);
-        for &(slot, seq, tail) in flits {
-            bytes.extend_from_slice(&slot.to_le_bytes());
-            bytes.extend_from_slice(&seq.to_le_bytes());
-            bytes.push(u8::from(tail));
-        }
-        restore_only(FIFO, 2 * 8, &bytes)
-    }
-
-    fn words(payload: &[u64]) -> Vec<u8> {
-        payload.iter().flat_map(|w| w.to_le_bytes()).collect()
-    }
-
-    /// A `Some` tag, then `fields` as `u32`s.
-    fn some(fields: &[u32]) -> Vec<u8> {
-        let mut bytes = vec![1];
-        bytes.extend(fields.iter().flat_map(|f| f.to_le_bytes()));
-        bytes
-    }
-
-    /// `Some((packet slot, port))` at router 0's north input.
-    fn route(slot: u32, port: u64) -> Vec<u8> {
-        let mut bytes = some(&[slot]);
-        bytes.extend_from_slice(&port.to_le_bytes());
-        bytes
-    }
-
-    fn assert_corrupt(result: Result<(), SnapError>, what: &str) {
+    fn assert_corrupt<T: std::fmt::Debug>(result: Result<T, SnapError>, what: &str) {
         match result {
             Err(SnapError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
             other => panic!("{what}: {other:?}"),
         }
     }
 
+    /// A one-flit packet at the north input.
+    fn single(slot: u32) -> Vec<(u32, u32, bool)> {
+        vec![(slot, 0, true)]
+    }
+
     #[test]
     fn unspliced_snapshot_restores() {
-        restore_spliced(ROUTES, 0, &[]).unwrap();
-        // Router 0 is the north-west corner: east is a real link.
-        restore_spliced(ROUTES, 1, &route(0, 1)).unwrap();
+        let (mut net, bytes) = restore(&[], &Router0::default()).unwrap();
+        assert_eq!(bytes, saved(&mut mesh()));
+        net.step(&mut Vec::new()).unwrap();
+        // East is a real link of the north-west corner.
+        let r0 = Router0 {
+            fifo: single(0),
+            route: Some((0, 1)),
+            ..Router0::default()
+        };
+        let (mut net, bytes) = restore(&[1], &r0).unwrap();
+        assert_eq!(saved(&mut net), bytes);
+        net.step(&mut Vec::new()).unwrap();
     }
 
     #[test]
     fn out_of_range_route_port_is_corrupt() {
+        let routed = |port| Router0 {
+            fifo: single(0),
+            route: Some((0, port)),
+            ..Router0::default()
+        };
         // 261 must not narrow to 5, the drop port.
         for port in [6, 7, 261, u64::MAX] {
-            assert_corrupt(restore_spliced(ROUTES, 1, &route(0, port)), "route port");
+            assert_corrupt(restore(&[1], &routed(port)), "route port");
         }
         // In range, but router 0 has no north or west link.
         for port in [0, 3] {
-            assert_corrupt(restore_spliced(ROUTES, 1, &route(0, port)), "off the mesh");
+            assert_corrupt(restore(&[1], &routed(port)), "off the mesh");
         }
     }
 
     #[test]
     fn out_of_range_connection_is_corrupt() {
         for input in [5, 7, 255, 261] {
-            let bytes = [&[1][..], &words(&[input])].concat();
-            assert_corrupt(restore_spliced(CONNS, 1, &bytes), "connected input");
+            let r0 = Router0 {
+                conn: Some(input),
+                ..Router0::default()
+            };
+            assert_corrupt(restore(&[], &r0), "connected input");
         }
         // In range, but input 2 holds no route to output 0.
-        let bytes = [&[1][..], &words(&[2])].concat();
-        assert_corrupt(restore_spliced(CONNS, 1, &bytes), "holds no route");
+        let r0 = Router0 {
+            conn: Some(2),
+            ..Router0::default()
+        };
+        assert_corrupt(restore(&[], &r0), "holds no route");
     }
 
-    /// A buffered worm whose front is mid-packet, then a whole one,
-    /// restores and writes back the same bytes.
+    /// A buffered worm whose front is mid-packet behind its assembled
+    /// head, then a whole one, restores and writes back the same bytes.
     #[test]
     fn buffered_worms_round_trip() {
-        let (mut net, bytes) = restore_fifo(&[(3, 4, false), (3, 5, true), (0, 0, true)]).unwrap();
+        let r0 = Router0 {
+            fifo: vec![(0, 4, false), (0, 5, true), (1, 0, true)],
+            route: Some((0, 4)),
+            assembler: Some((0, 4)),
+            ..Router0::default()
+        };
+        let (mut net, bytes) = restore(&[6, 1], &r0).unwrap();
         assert_eq!(saved(&mut net), bytes);
     }
 
@@ -746,7 +765,11 @@ mod corrupt_snapshot_tests {
     #[test]
     fn a_flit_wider_than_a_lane_is_corrupt() {
         for flit in [(1 << 24, 0, true), (u32::MAX, 0, true), (0, 128, true)] {
-            assert_corrupt(restore_fifo(&[flit]).map(drop), "flit lane");
+            let r0 = Router0 {
+                fifo: vec![flit],
+                ..Router0::default()
+            };
+            assert_corrupt(restore(&[1], &r0), "flit lane");
         }
     }
 
@@ -754,41 +777,61 @@ mod corrupt_snapshot_tests {
     /// front, each new packet starts at its head.
     #[test]
     fn flits_that_are_not_pieces_of_worms_are_corrupt() {
-        for flits in [
+        for fifo in [
             [(0, 0, false), (0, 2, true)],
             [(0, 1, false), (0, 1, true)],
             [(0, 0, false), (1, 1, true)],
             [(0, 0, false), (1, 0, true)],
             [(0, 3, true), (1, 1, true)],
         ] {
-            assert_corrupt(restore_fifo(&flits).map(drop), "breaks a worm");
+            let r0 = Router0 {
+                fifo: fifo.to_vec(),
+                ..Router0::default()
+            };
+            assert_corrupt(restore(&[4, 4], &r0), "breaks a worm");
         }
     }
 
     /// Every packet a router names — in a lane, a held route, a PM
-    /// queue, the drain or the assembler — must be in the store: slot 3
+    /// queue, the drain or the assembler — must be in the store: slot 0
     /// is, slot 4 is past its end and slot 9 further still.
     #[test]
     fn a_packet_that_is_not_live_is_corrupt() {
-        // Where, the bytes spliced over, and what goes there for a slot.
-        type Place = (&'static str, usize, usize, fn(u32) -> Vec<u8>);
+        // Where, the store's packet lengths, and router 0 naming a slot.
+        type Place = (&'static str, &'static [u32], fn(u32) -> Router0);
         let places: [Place; 5] = [
-            ("a lane", FIFO, 2 * 8, |slot| {
-                let flit = [&slot.to_le_bytes()[..], &[0, 0, 0, 0, 1]].concat();
-                [words(&[4, 1]), flit].concat()
+            ("a lane", &[1], |slot| Router0 {
+                fifo: single(slot),
+                ..Router0::default()
             }),
-            ("a held route", ROUTES, 1, |slot| route(slot, 1)),
-            ("a PM queue", QUEUE + 8, 8, |slot| {
-                [words(&[1]), slot.to_le_bytes().to_vec()].concat()
+            ("a held route", &[1], |slot| Router0 {
+                fifo: single(0),
+                route: Some((slot, 1)),
+                ..Router0::default()
             }),
-            ("the drain", DRAIN, 1, |slot| some(&[slot, 0, FLITS[3]])),
-            ("the assembler", ASSEMBLER, 1, |slot| some(&[slot, 1])),
+            ("a PM queue", &[1], |slot| Router0 {
+                queue: vec![slot],
+                ..Router0::default()
+            }),
+            ("the drain", &[1], |slot| Router0 {
+                drain: Some((slot, 0, 1)),
+                ..Router0::default()
+            }),
+            ("the assembler", &[2], |slot| Router0 {
+                fifo: vec![(0, 1, true)],
+                route: Some((0, 4)),
+                assembler: Some((slot, 1)),
+                ..Router0::default()
+            }),
         ];
-        for (what, at, cut, bytes) in places {
-            restore_only(at, cut, &bytes(3)).unwrap_or_else(|e| panic!("{what}: {e}"));
+        for (what, flits, r0) in places {
+            restore(flits, &r0(0)).unwrap_or_else(|e| panic!("{what}: {e}"));
             for slot in [4, 9] {
-                let result = restore_only(at, cut, &bytes(slot)).map(drop);
-                assert_corrupt(result, &format!("{what} names packet slot {slot}"));
+                let result = restore(flits, &r0(slot));
+                assert_corrupt(
+                    result,
+                    &format!("names packet slot {slot}, which is not live"),
+                );
             }
         }
     }
@@ -797,19 +840,29 @@ mod corrupt_snapshot_tests {
     /// and a drain serializes its packet's length.
     #[test]
     fn a_flit_index_past_its_packet_is_corrupt() {
+        let r0 = Router0 {
+            fifo: vec![(0, 1, true)],
+            ..Router0::default()
+        };
         assert_corrupt(
-            restore_fifo(&[(0, 1, true)]).map(drop),
-            "a lane holds flit 1 of a 1-flit packet",
+            restore(&[1], &r0),
+            "flit 1 with the tail bit, in a packet of 1 flits",
         );
-        restore_only(DRAIN, 1, &some(&[3, 5, 6])).unwrap();
-        assert_corrupt(
-            restore_only(DRAIN, 1, &some(&[3, 6, 6])).map(drop),
-            "the drain holds flit 6 of a 6-flit packet",
-        );
+        // Flit 0 assembled, flits 1 to 4 buffered on their way to the
+        // PM port, 5 left to send.
+        let draining = |next, total| Router0 {
+            fifo: (1..5).map(|seq| (0, seq, false)).collect(),
+            route: Some((0, 4)),
+            assembler: Some((0, 1)),
+            drain: Some((0, next, total)),
+            ..Router0::default()
+        };
+        restore(&[6], &draining(5, 6)).unwrap();
+        assert_corrupt(restore(&[6], &draining(6, 6)), "a drain at flit 6 of 6");
         for total in [0, 5, 7, u32::MAX] {
             assert_corrupt(
-                restore_only(DRAIN, 1, &some(&[3, 0, total])).map(drop),
-                &format!("the drain sends {total} flits of 6"),
+                restore(&[6], &draining(0, total)),
+                &format!("a drain at flit 0 of {total}, of a 6-flit packet"),
             );
         }
     }
@@ -817,10 +870,11 @@ mod corrupt_snapshot_tests {
     #[test]
     fn out_of_range_round_robin_pointer_is_corrupt() {
         for pointer in [5u64, 7, 261, u64::MAX] {
-            assert_corrupt(
-                restore_spliced(POINTERS, 8, &pointer.to_le_bytes()),
-                "round-robin pointer",
-            );
+            let r0 = Router0 {
+                pointer,
+                ..Router0::default()
+            };
+            assert_corrupt(restore(&[], &r0), "round-robin pointer");
         }
     }
 }

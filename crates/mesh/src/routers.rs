@@ -17,7 +17,8 @@
 //! * five input FIFOs of `capacity` 4-byte [`PackedFlit`] lanes each,
 //!   adjacent in one array shared by the whole mesh (FIFO `l·5 + port`);
 //! * the [`PacketRef`] behind each held route, written at a head flit
-//!   and read only by snapshots, restore checks and debug audits;
+//!   and read only by snapshots (whose census names it) and debug
+//!   audits;
 //! * the two PM-side packet queues, the injection [`DrainState`] and
 //!   the ejection [`Assembler`].
 //!
@@ -864,14 +865,14 @@ impl MeshRouters {
     }
 
     /// Snapshots input FIFO `i` of router `l` in [`FifoBank`]'s format:
-    /// its capacity, its length and its flits head first. A reader puts
-    /// the front at slot 0.
+    /// its capacity, its length and its flits head first, one census
+    /// run. A reader puts the front at slot 0.
     ///
     /// # Errors
     ///
     /// [`SnapError::Mismatch`] on a different capacity;
-    /// [`SnapError::Corrupt`] on a length over capacity, a flit that
-    /// does not fit a lane, or flits that are not pieces of worms.
+    /// [`SnapError::Corrupt`] on a length over capacity or a flit that
+    /// does not fit a lane.
     ///
     /// [`FifoBank`]: ringmesh_net::FifoBank
     fn snap_fifo<C: Codec>(&mut self, l: usize, i: usize, c: &mut C) -> Result<(), SnapError> {
@@ -887,79 +888,17 @@ impl MeshRouters {
         if c.reading() {
             (x.head[i], x.len[i]) = (0, len as u8);
         }
-        let fifo = (l * 5 + i) * cap;
-        let mut prev = None::<Flit>;
-        for pos in 0..len {
-            let at = (usize::from(x.head[i]) + pos) % cap;
-            let mut flit = self.lanes[fifo + at].flit();
-            flit.snap(c)?;
-            let lane = PackedFlit::new(flit)
-                .ok_or_else(|| corrupt(format!("{flit:?} does not fit a flit lane")))?;
-            let worm = prev.is_none_or(|p| {
-                if p.is_tail {
-                    flit.is_head()
-                } else {
-                    flit.packet == p.packet && flit.seq == p.seq + 1
-                }
-            });
-            if !worm {
-                return Err(corrupt(format!("{flit:?} after {prev:?} breaks a worm")));
+        let (fifo, head) = ((l * 5 + i) * cap, usize::from(x.head[i]));
+        c.run(|c| {
+            for pos in 0..len {
+                let at = fifo + (head + pos) % cap;
+                let mut flit = self.lanes[at].flit();
+                flit.snap(c)?;
+                self.lanes[at] = PackedFlit::new(flit)
+                    .ok_or_else(|| corrupt(format!("{flit:?} does not fit a flit lane")))?;
             }
-            self.lanes[fifo + at] = lane;
-            prev = Some(flit);
-        }
-        Ok(())
-    }
-
-    /// Checks freshly restored routers against the restored packet
-    /// store: every packet they name — in a lane, a held route, a PM
-    /// queue, the drain or the assembler — is live, and no buffered or
-    /// draining flit's index reaches its packet's length (nor does a
-    /// drain's length differ from it). The step looks packets up by
-    /// these references and sizes worms by these lengths.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Corrupt`] naming the first router that fails.
-    pub fn validate(&self, store: &PacketStore) -> Result<(), SnapError> {
-        let cap = usize::from(self.cap);
-        for (l, x) in self.xbar.iter().enumerate() {
-            // Flit `seq` of packet `r`, named at `at`: the packet's length.
-            let check = |r: PacketRef, seq: u32, at: &str| {
-                let corrupt = |what| Err(SnapError::Corrupt(format!("router {l}: {at} {what}")));
-                match store.try_get(r) {
-                    None => corrupt(format!("names packet slot {}, which is not live", r.slot())),
-                    Some(p) if seq >= p.flits => {
-                        corrupt(format!("holds flit {seq} of a {}-flit packet", p.flits))
-                    }
-                    Some(p) => Ok(p.flits),
-                }
-            };
-            for i in 0..5 {
-                for pos in 0..usize::from(x.len[i]) {
-                    let at = (usize::from(x.head[i]) + pos) % cap;
-                    let flit = self.lanes[(l * 5 + i) * cap + at].flit();
-                    check(flit.packet, flit.seq, "a lane")?;
-                }
-                if x.route[i] != NONE {
-                    check(self.held[l][i], 0, "a held route")?;
-                }
-            }
-            for r in self.out_req[l].iter().chain(self.out_resp[l].iter()) {
-                check(r, 0, "a PM queue")?;
-            }
-            if let Some((r, seq, total)) = self.drain[l].progress() {
-                let flits = check(r, seq, "the drain")?;
-                if total != flits {
-                    let what = format!("router {l}: the drain sends {total} flits of {flits}");
-                    return Err(SnapError::Corrupt(what));
-                }
-            }
-            if let Some(r) = self.assembler[l].packet() {
-                check(r, 0, "the assembler")?;
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -973,18 +912,29 @@ fn small(v: usize, limit: usize, what: &str) -> Result<u8, SnapError> {
     }
 }
 
-/// The router count; per router 5 FIFOs (see
-/// [`snap_fifo`](MeshRouters::snap_fifo)), 5 `Option<(PacketRef,
-/// usize)>` routes, 5 `Option<usize>` connections, 5 `usize`
-/// round-robin pointers, the two PM queues, drain, assembler. The
-/// masks, the flags and the stop/go bits summarize these: a reader
-/// wakes every router and recounts them. Stepping an idle router is a
-/// no-op, and puts it back to sleep.
-impl Snap for MeshRouters {
-    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
+impl MeshRouters {
+    /// Snapshots the router count; per router 5 FIFOs (see
+    /// [`snap_fifo`](MeshRouters::snap_fifo)), 5 `Option<(PacketRef,
+    /// usize)>` routes, 5 `Option<usize>` connections, 5 `usize`
+    /// round-robin pointers, the two PM queues, drain, assembler. The
+    /// masks, the flags and the stop/go bits summarize these: a reader
+    /// wakes every router and recounts them. Stepping an idle router is
+    /// a no-op, and puts it back to sleep.
+    ///
+    /// Each route steers its input's FIFO for the census, and a route
+    /// to the PM port, like the assembler, claims its packet is for one
+    /// of the `pms_per_router` PMs router `l` owns, `l·pms_per_router`
+    /// on.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError`] on truncated or corrupt input, or a router count
+    /// or FIFO capacity other than this mesh's.
+    pub fn snap<C: Codec>(&mut self, c: &mut C, pms_per_router: u32) -> Result<(), SnapError> {
         let n = self.xbar.len();
         c.exact(n, "router count")?;
         for l in 0..n {
+            let runs = c.census().map(|census| census.runs.len());
             for i in 0..5 {
                 self.snap_fifo(l, i, c)?;
             }
@@ -997,9 +947,24 @@ impl Snap for MeshRouters {
                     None => NONE,
                     Some((packet, port)) => {
                         *held = packet;
+                        if port == DROP {
+                            // A sink consumes the packet where it stands.
+                            c.report(|census| census.consumed.push(packet.slot() as u32));
+                        }
                         small(port, DROP + 1, "route port")?
                     }
                 };
+            }
+            let owned = l as u32 * pms_per_router..(l as u32 + 1) * pms_per_router;
+            if let Some(runs) = runs {
+                let held = |i: usize| (x.route[i] != NONE).then(|| self.held[l][i].slot() as u32);
+                let ejecting = (0..5).filter(|&i| usize::from(x.route[i]) == LOCAL);
+                c.report(|census| {
+                    census.routed.extend((0..5).map(|i| (runs + i, held(i))));
+                    let claims =
+                        ejecting.map(|i| (self.held[l][i].slot() as u32, owned.clone(), true));
+                    census.claims.extend(claims);
+                });
             }
             for o in 0..5 {
                 let mut input = (x.conn[o] != NONE).then_some(usize::from(x.conn[o]));
@@ -1021,6 +986,9 @@ impl Snap for MeshRouters {
             self.out_resp[l].snap(c)?;
             self.drain[l].snap(c)?;
             self.assembler[l].snap(c)?;
+            if let Some(r) = self.assembler[l].packet() {
+                c.report(|census| census.claims.push((r.slot() as u32, owned, true)));
+            }
         }
         if c.reading() {
             for l in 0..n {

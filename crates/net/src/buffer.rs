@@ -352,10 +352,13 @@ impl FifoBank {
             .ok()
             .filter(|&n| n <= self.cap)
             .ok_or_else(|| SnapError::Corrupt(format!("flit FIFO length {len} over capacity")))?;
-        for pos in 0..len {
-            let at = self.slot(i, self.fifos[i].head, pos);
-            self.slots[at].snap(c)?;
-        }
+        c.run(|c| {
+            for pos in 0..len {
+                let at = self.slot(i, self.fifos[i].head, pos);
+                self.slots[at].snap(c)?;
+            }
+            Ok(())
+        })?;
         if c.reading() {
             (self.fifos[i].len, self.fifos[i].latched) = (len, len);
         }
@@ -546,7 +549,7 @@ impl Assembler {
 impl Snap for FlitFifo {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         c.exact(self.cap, "flit FIFO capacity")?;
-        self.q.snap(c)?;
+        c.run(|c| self.q.snap(c))?;
         let len = self.q.len();
         if len > self.cap {
             return Err(SnapError::Corrupt(format!(
@@ -562,6 +565,7 @@ impl Snap for FlitFifo {
     }
 }
 
+/// Reported to the census as packets queued whole.
 impl Snap for PacketQueue {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         c.exact(self.cap, "packet queue capacity")?;
@@ -569,19 +573,30 @@ impl Snap for PacketQueue {
         if self.q.len() > self.cap {
             return Err(SnapError::Corrupt("packet queue over capacity".into()));
         }
+        c.report(|census| census.queued.extend(self.iter().map(|r| r.slot() as u32)));
         Ok(())
     }
 }
 
+/// Reported to the census as the suffix of a packet still to send.
 impl Snap for DrainState {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
-        self.current.snap(c)
+        self.current.snap(c)?;
+        if let Some((r, next, total)) = self.current {
+            c.report(|census| census.drains.push((r.slot() as u32, next, total)));
+        }
+        Ok(())
     }
 }
 
+/// Reported to the census as the prefix of a packet received.
 impl Snap for Assembler {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
-        self.current.snap(c)
+        self.current.snap(c)?;
+        if let Some((r, received)) = self.current {
+            c.report(|census| census.prefixes.push((r.slot() as u32, received)));
+        }
+        Ok(())
     }
 }
 

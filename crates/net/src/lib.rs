@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod buffer;
+mod census;
 mod config;
 mod error;
 mod interconnect;
@@ -50,6 +51,7 @@ mod packet;
 mod topology;
 
 pub use buffer::{Assembler, DrainState, FifoBank, FlitFifo, PacketQueue};
+pub use census::{census, check_workload};
 pub use config::{
     mesh_nic_buffer_bytes, ring_nic_buffer_bytes, BufferRegime, CacheLineSize, PacketFormat,
 };

@@ -8,6 +8,7 @@ use ringmesh_faults::{
 use ringmesh_snap::{Codec, DynSnap, Snap, SnapError};
 use ringmesh_trace::{Counter, EventKind, Gauge, TraceLoc, Tracer};
 
+use crate::census::check_network;
 use crate::interconnect::{QueueClass, UtilizationReport};
 use crate::packet::{NodeId, Packet, PacketRef, PacketStore};
 
@@ -478,7 +479,10 @@ pub trait Interconnect: DynSnap {
 /// Snapshots `net`'s mutable state — in-flight packets, buffer
 /// contents, per-station switching state, cycle counters — for a
 /// deterministic checkpoint: the packet store, the kernel's own
-/// [`Snap`] section, then the watchdog and the ledger's counters. The
+/// [`Snap`] section, then the watchdog and the ledger's counters, and
+/// proves the codec's census of the kernel's walk against the store
+/// (on every read, and on writes in debug builds; see
+/// [`census`](fn@crate::census)). The
 /// corruption marks are not written (only an installed injector sets
 /// one, and a network with an injector is refused), and neither is
 /// immutable structure (topology, routing tables, capacities): a
@@ -488,9 +492,10 @@ pub trait Interconnect: DynSnap {
 /// # Errors
 ///
 /// Returns [`SnapError::Mismatch`] while a fault injector is installed
-/// (a checkpoint does not carry its RNG and schedule), and on reading
-/// any error of truncated or corrupt input or of a snapshot that does
-/// not fit `net`'s configuration.
+/// (a checkpoint does not carry its RNG and schedule), on reading any
+/// error of truncated or corrupt input or of a snapshot that does not
+/// fit `net`'s configuration, and [`SnapError::Corrupt`] from a census
+/// that fails.
 pub fn snap_network<C: Codec>(net: &mut dyn Interconnect, c: &mut C) -> Result<(), SnapError> {
     net.core().refuse_with_faults()?;
     net.core_mut().store.snap(c)?;
@@ -508,5 +513,11 @@ pub fn snap_network<C: Codec>(net: &mut dyn Interconnect, c: &mut C) -> Result<(
     // next step's identity assert would say so by panicking.
     core.ledger.verify(core.store.live()).map_err(|_| {
         SnapError::Corrupt("ledger and packet store disagree on the packets in flight".into())
-    })
+    })?;
+    // Nor may a packet the kernel's walk passed be anywhere but in one
+    // place, in whole worms: every kernel steps on that.
+    match c.census() {
+        Some(census) => check_network(census, &core.store),
+        None => Ok(()),
+    }
 }

@@ -278,10 +278,20 @@ impl PacketStore {
         self.slots[r.slot()].as_ref().expect("stale PacketRef")
     }
 
-    /// The packet behind `r`, or `None` when `r` names no live packet
-    /// (restore checks the handles a snapshot holds with this).
+    /// The packet behind `r`, or `None` when `r` names no live packet.
     pub fn try_get(&self, r: PacketRef) -> Option<&Packet> {
-        self.slots.get(r.slot())?.as_ref()
+        self.at(r.0)
+    }
+
+    /// The live packet in `slot`, if any: the census checks the raw
+    /// slots a snapshot walk reported with this.
+    pub(crate) fn at(&self, slot: u32) -> Option<&Packet> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
+    /// Slots in the slab, live or free.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// Removes a fully-delivered packet, freeing its slot.
@@ -399,6 +409,7 @@ impl Snap for PacketKind {
     }
 }
 
+/// Reports its issue cycle to the census.
 impl Snap for Packet {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         self.txn.snap(c)?;
@@ -406,25 +417,33 @@ impl Snap for Packet {
         self.src.snap(c)?;
         self.dst.snap(c)?;
         self.flits.snap(c)?;
-        self.injected_at.snap(c)
+        self.injected_at.snap(c)?;
+        c.report(|census| census.stamps.push(self.injected_at));
+        Ok(())
     }
 }
 
 // `PacketRef` deliberately has no public constructor — handles are only
 // minted by `PacketStore::insert`. Snapshot decoding is the one other
 // legitimate mint: a handle round-trips with the store whose slot
-// numbering it indexes, so a restored ref is as valid as the original.
+// numbering it indexes, and the census names it, so a restore refuses
+// a ref to a slot that is not live.
 impl Snap for PacketRef {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
-        self.0.snap(c)
+        self.0.snap(c)?;
+        c.report(|census| census.names.push(self.0));
+        Ok(())
     }
 }
 
+/// Reported to the census as a buffered flit.
 impl Snap for Flit {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
-        self.packet.snap(c)?;
+        self.packet.0.snap(c)?;
         self.seq.snap(c)?;
-        self.is_tail.snap(c)
+        self.is_tail.snap(c)?;
+        c.report(|census| census.flits.push((self.packet.0, self.seq, self.is_tail)));
+        Ok(())
     }
 }
 

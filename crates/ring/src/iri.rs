@@ -7,7 +7,7 @@
 //! queues. Switching on the two sides is independent, and continuing
 //! ring traffic has priority over ring-changing traffic.
 
-use ringmesh_net::{FifoBank, FlitFifo, PacketStore, QueueClass};
+use ringmesh_net::{FifoBank, FlitFifo, PacketRef, PacketStore, QueueClass};
 use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::station::{ClassQueues, Disposition, LinkOwner, Send, Tick, TransitRoute};
@@ -79,6 +79,12 @@ impl Iri {
     /// Mutable form of [`up_queue`](Self::up_queue).
     pub fn up_queue_mut(&mut self, class: QueueClass) -> &mut FlitFifo {
         self.cross[LOWER].get_mut(class)
+    }
+
+    /// The packet the lower side is moving into the up queues, if any.
+    pub fn crossing_up(&self) -> Option<PacketRef> {
+        let route = &self.transit[LOWER];
+        route.crossing().then(|| route.packet()).flatten()
     }
 
     /// The upper→lower crossing queue of `class`. The hybrid network
@@ -327,6 +333,17 @@ impl Iri {
         None
     }
 
+    /// Ring slots `side`'s entry in progress has reserved for the flits
+    /// it has yet to send: the rest of the worm at the front of the
+    /// queue it drains.
+    pub(crate) fn reserved(&self, side: usize) -> usize {
+        let LinkOwner::Cross(class) = self.owner[side] else {
+            return 0;
+        };
+        let q = self.cross[side ^ 1].get(class);
+        q.iter().position(|f| f.is_tail).map_or(q.len(), |i| i + 1)
+    }
+
     /// Latches the four crossing queues (the transit buffers latch
     /// with the tier's bank).
     pub(crate) fn latch(&mut self) {
@@ -336,15 +353,44 @@ impl Iri {
 
     /// Snapshots both transit buffers (FIFOs `fifo` and `fifo + 1`
     /// of `bufs`), the crossing queues, the link owners and the routes.
+    /// A route steers its side's transit buffer, and claims its
+    /// packet's destination is in the subtree exactly when it stays on
+    /// the lower ring or descends from the upper one.
+    ///
+    /// # Errors
+    ///
+    /// As the parts', and [`SnapError::Corrupt`] for a link owner part
+    /// way through a worm from a crossing queue whose front is not the
+    /// middle of a worm: the link would send another packet's flits
+    /// into the worm.
     pub(crate) fn snap<C: Codec>(
         &mut self,
         bufs: &mut FifoBank,
         c: &mut C,
     ) -> Result<(), SnapError> {
+        let run = c.census().map(|census| census.runs.len());
         bufs.snap_fifo(self.fifo, c)?;
         bufs.snap_fifo(self.fifo + 1, c)?;
         self.cross.snap(c)?;
         self.owner.snap(c)?;
-        self.transit.snap(c)
+        for (side, owner) in self.owner.into_iter().enumerate() {
+            if let LinkOwner::Cross(class) = owner {
+                let front = self.cross[side ^ 1].get(class).iter().next();
+                if front.is_none_or(|f| f.is_head()) {
+                    return Err(SnapError::Corrupt(format!(
+                        "IRI side {side}: a worm part way onto the ring from a {class:?} \
+                         queue whose front is {front:?}"
+                    )));
+                }
+            }
+        }
+        self.transit.snap(c)?;
+        for (side, route) in self.transit.iter().enumerate() {
+            route.steer(c, run.map(|run| run + side));
+        }
+        let subtree = self.subtree.0..self.subtree.1;
+        self.transit[LOWER].claim(c, subtree.clone(), false);
+        self.transit[UPPER].claim(c, subtree, true);
+        Ok(())
     }
 }

@@ -1,7 +1,7 @@
 //! The hierarchical ring network simulator.
 
 use ringmesh_faults::FaultDomain;
-use ringmesh_net::{LevelUtil, NetCore, NodeId, Packet, PacketRef, QueueClass, UtilizationReport};
+use ringmesh_net::{NetCore, NodeId, Packet, PacketRef, QueueClass, UtilizationReport};
 use ringmesh_snap::{Codec, Snap, SnapError};
 use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, TraceLoc};
 
@@ -150,33 +150,12 @@ impl ringmesh_net::Interconnect for RingNetwork {
     }
 
     fn utilization(&self) -> UtilizationReport {
-        let tpc = self.tier.ticks_per_cycle();
-        let cycles = self.tier.cycles_since_reset();
-        if cycles == 0 {
-            return UtilizationReport::default();
-        }
-        // Aggregate busy link-cycles and capacity per hierarchy depth;
-        // the double-speed global ring is clocked `tpc` times a cycle.
-        let levels = self.topo.levels();
-        let mut busy = vec![0u64; levels];
-        let mut cap = vec![0u64; levels];
-        for (rid, ring) in self.topo.rings() {
-            let d = ring.depth as usize;
-            let speed = if rid == 0 { tpc } else { 1 };
-            busy[d] += self.tier.ring_flits()[rid as usize];
-            cap[d] += ring.members.len() as u64 * cycles * speed;
-        }
-        let mut report = UtilizationReport {
-            overall: busy.iter().sum::<u64>() as f64 / cap.iter().sum::<u64>().max(1) as f64,
-            levels: Vec::new(),
-        };
-        for d in 0..levels {
-            report.levels.push(LevelUtil {
-                label: self.topo.depth_label(d as u32),
-                utilization: busy[d] as f64 / cap[d].max(1) as f64,
-            });
-        }
-        report
+        // The double-speed global ring is clocked once per tick.
+        self.topo.utilization(
+            self.tier.ring_flits(),
+            self.tier.cycles_since_reset(),
+            self.tier.ticks_per_cycle(),
+        )
     }
 
     fn reset_counters(&mut self) {
@@ -194,7 +173,7 @@ impl ringmesh_net::Interconnect for RingNetwork {
             return true;
         };
         !f.any_nodes_dead()
-            || self.topo.route(src, dst).all(|(st, action)| {
+            || self.topo.route(src, dst).all(|((st, _), action)| {
                 matches!(action, RingAction::Forward | RingAction::Eject)
                     || !self.tier.iri_dead(f, st)
             })
@@ -474,6 +453,50 @@ mod tests {
         let before = seen.len();
         seen.dedup();
         assert_eq!(seen.len(), before, "duplicate deliveries");
+    }
+
+    /// A checkpoint whose rings hold a packet its store no longer has —
+    /// the store emptied, the ledger's deliveries raised to match — is
+    /// corrupt, wherever the worm is: leaving its NIC, on the local
+    /// ring, crossing up and down, arriving.
+    #[test]
+    fn a_checkpoint_naming_a_dead_packet_is_corrupt() {
+        use ringmesh_net::snap_network;
+        use ringmesh_snap::{SnapReader, SnapWriter};
+
+        let cfg = RingConfig::new(CacheLineSize::B32);
+        let spec: RingSpec = "2:3".parse().unwrap();
+        let word = |v: u64| v.to_le_bytes();
+        for cycles in [1, 3, 6, 9, 12] {
+            let mut net = RingNetwork::new(&spec, cfg.clone());
+            net.inject(NodeId::new(0), packet(&cfg, 1, PacketKind::ReadResp, 0, 5));
+            for _ in 0..cycles {
+                net.step(&mut Vec::new()).unwrap();
+            }
+            assert_eq!(net.in_flight(), 1, "after {cycles} cycles");
+            let mut w = SnapWriter::new();
+            snap_network(&mut net, &mut w).unwrap();
+            let bytes = w.into_bytes();
+            // The store is its slot count, one 30-byte `Some(packet)`,
+            // the free list's length and the live count; the ledger's
+            // injected, delivered and dropped end the checkpoint.
+            let dead = [
+                &[word(0), word(0), word(0)].concat()[..],
+                &bytes[8 + 30 + 8 + 8..bytes.len() - 16],
+                &[word(1), word(0)].concat(),
+            ]
+            .concat();
+            let mut fresh = RingNetwork::new(&spec, cfg.clone());
+            match snap_network(&mut fresh, &mut SnapReader::new(&dead)) {
+                Err(SnapError::Corrupt(msg)) => {
+                    assert!(
+                        msg.contains("names packet slot 0, which is not live"),
+                        "{msg}"
+                    )
+                }
+                other => panic!("after {cycles} cycles: {other:?}"),
+            }
+        }
     }
 
     use ringmesh_faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule};

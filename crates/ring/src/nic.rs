@@ -224,6 +224,14 @@ impl Nic {
         None
     }
 
+    /// Ring slots this NIC's entry in progress has reserved for the
+    /// flits it has yet to send.
+    pub(crate) fn reserved(&self) -> usize {
+        self.drain
+            .progress()
+            .map_or(0, |(_, next, total)| total.saturating_sub(next) as usize)
+    }
+
     /// True when a step of this NIC is provably a no-op: the transit
     /// buffer is empty, no worm is mid-entry on the output link, and
     /// nothing is queued at the PM boundary. Non-empty PM queues keep
@@ -240,18 +248,28 @@ impl Nic {
     }
 
     /// Snapshots the transit buffer (FIFO `fifo` of `bufs`), the PM
-    /// queues, the injection drain, the link owner, the route and the
-    /// reassembly state.
+    /// queues, the injection drain, the link owner, the route (which
+    /// steers the transit buffer's front, and claims its packet is for
+    /// this PM exactly when it ejects here) and the reassembly state
+    /// (whose packet is for this PM).
     pub(crate) fn snap<C: Codec>(
         &mut self,
         bufs: &mut FifoBank,
         c: &mut C,
     ) -> Result<(), SnapError> {
+        let run = c.census().map(|census| census.runs.len());
         bufs.snap_fifo(self.fifo, c)?;
         self.out.snap(c)?;
         self.drain.snap(c)?;
         self.owner.snap(c)?;
         self.transit.snap(c)?;
-        self.assembler.snap(c)
+        self.transit.steer(c, run);
+        let pm = self.pm.raw();
+        self.transit.claim(c, pm..pm + 1, true);
+        self.assembler.snap(c)?;
+        if let Some(r) = self.assembler.packet() {
+            c.report(|census| census.claims.push((r.slot() as u32, pm..pm + 1, true)));
+        }
+        Ok(())
     }
 }

@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 
 use ringmesh_net::{
-    DrainState, Flit, LevelUtil, NetCore, NodeId, Packet, PacketRef, PacketStore, QueueClass,
+    DrainState, Flit, NetCore, NodeId, Packet, PacketRef, PacketStore, QueueClass,
     UtilizationReport,
 };
 use ringmesh_snap::{Codec, Snap, SnapError};
@@ -103,17 +103,25 @@ impl Outbox {
     }
 }
 
+/// Reported to the census as the prefix each packet received.
 impl Snap for SlotAssembler {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
-        self.partial.snap(c)
+        self.partial.snap(c)?;
+        let prefixes = self.partial.iter().map(|&(r, n)| (r.slot() as u32, n));
+        c.report(|census| census.prefixes.extend(prefixes));
+        Ok(())
     }
 }
 
+/// The crossing flits (interleaved, so not one run), the local queues,
+/// reported to the census as packets queued whole, and the drain.
 impl Snap for Outbox {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         self.crossing.snap(c)?;
         self.resp.snap(c)?;
         self.req.snap(c)?;
+        let queued = self.resp.iter().chain(&self.req).map(|r| r.slot() as u32);
+        c.report(|census| census.queued.extend(queued));
         self.drain.snap(c)
     }
 }
@@ -285,26 +293,7 @@ impl ringmesh_net::Interconnect for SlottedRingNetwork {
 
     fn utilization(&self) -> UtilizationReport {
         let cycles = self.core.cycle() - self.reset_cycle;
-        if cycles == 0 {
-            return UtilizationReport::default();
-        }
-        let levels = self.topo.levels();
-        let mut busy = vec![0u64; levels];
-        let mut cap = vec![0u64; levels];
-        for (rid, ring) in self.topo.rings() {
-            let d = ring.depth as usize;
-            busy[d] += self.ring_flits[rid as usize];
-            cap[d] += ring.members.len() as u64 * cycles;
-        }
-        UtilizationReport {
-            overall: busy.iter().sum::<u64>() as f64 / cap.iter().sum::<u64>().max(1) as f64,
-            levels: (0..levels)
-                .map(|d| LevelUtil {
-                    label: self.topo.depth_label(d as u32),
-                    utilization: busy[d] as f64 / cap[d].max(1) as f64,
-                })
-                .collect(),
-        }
+        self.topo.utilization(&self.ring_flits, cycles, 1)
     }
 
     fn reset_counters(&mut self) {
@@ -314,7 +303,10 @@ impl ringmesh_net::Interconnect for SlottedRingNetwork {
 }
 
 /// The slots ring by ring, the outboxes, the assemblers, the clock,
-/// the per-ring flit counts, the reset cycle.
+/// the per-ring flit counts, the reset cycle. Slotted switching routes
+/// every flit by its packet's destination at every station, so a
+/// reader refuses a flit that is off its packet's route: one past its
+/// destination would circle back behind the rest of its packet.
 impl Snap for SlottedRingNetwork {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         c.exact(self.slots.len(), "ring count")?;
@@ -322,7 +314,53 @@ impl Snap for SlottedRingNetwork {
             c.fixed(ring, "slot count of a ring")?;
         }
         c.fixed(&mut self.outboxes, "station side count")?;
+        if c.reading() {
+            // The station side each flit reaches next: a slot moves on
+            // to the next member before it is examined, a crossing flit
+            // enters its side's ring.
+            let topo = &self.topo;
+            let in_slots = topo
+                .rings()
+                .zip(&self.slots)
+                .flat_map(|((_, ring), slots)| {
+                    let next = |i: usize| Some(ring.members[(i + 1) % ring.members.len()]);
+                    slots
+                        .iter()
+                        .enumerate()
+                        .filter_map(move |(i, f)| Some(((*f)?, next(i))))
+                });
+            let crossing = self.outboxes.iter().enumerate().flat_map(|(k, outbox)| {
+                let next = topo.try_next_of(k as u32 / 2, k as u8 % 2);
+                outbox.crossing.iter().map(move |&f| (f, next))
+            });
+            let pms = topo.num_pms();
+            for (flit, next) in in_slots.chain(crossing) {
+                // A packet that is not live is the census's to refuse.
+                let Some(p) = self.core.store().try_get(flit.packet) else {
+                    continue;
+                };
+                let routed = p.src != p.dst && p.src.raw() < pms && p.dst.raw() < pms;
+                if !(routed && topo.route(p.src, p.dst).any(|(at, _)| Some(at) == next)) {
+                    return Err(SnapError::Corrupt(format!(
+                        "packet slot {}: a flit off the route {} -> {}",
+                        flit.packet.slot(),
+                        p.src,
+                        p.dst
+                    )));
+                }
+            }
+        }
         c.fixed(&mut self.assemblers, "assembler count")?;
+        c.report(|census| {
+            // Each PM's assembler holds packets for that PM.
+            for (pm, assembler) in (0..).zip(&self.assemblers) {
+                let claims = assembler
+                    .partial
+                    .iter()
+                    .map(|&(r, _)| (r.slot() as u32, pm..pm + 1, true));
+                census.claims.extend(claims);
+            }
+        });
         self.core.clock_mut().snap(c)?;
         c.fixed(&mut self.ring_flits, "ring count")?;
         self.reset_cycle.snap(c)

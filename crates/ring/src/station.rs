@@ -1,5 +1,7 @@
 //! Small shared pieces of ring station state.
 
+use std::ops::Range;
+
 use ringmesh_net::{FifoBank, Flit, NetCore, NodeId, Packet, PacketRef, QueueClass};
 use ringmesh_snap::{Codec, Snap, SnapError};
 
@@ -141,6 +143,26 @@ impl TransitRoute {
     pub(crate) fn clear(&mut self) {
         self.current = None;
     }
+
+    /// Reports the route to the census as the one that steers the front
+    /// of `run`, the census's index of the transit buffer's run.
+    pub(crate) fn steer<C: Codec>(&self, c: &mut C, run: Option<usize>) {
+        if let Some(run) = run {
+            let held = self.packet().map(|r| r.slot() as u32);
+            c.report(|census| census.routed.push((run, held)));
+        }
+    }
+
+    /// Reports the route to the census as the claim its disposition
+    /// makes of the packet's destination, at a station where a worm
+    /// leaves the ring exactly when its destination is inside `pms`
+    /// (`leave_inside`) or outside it. A sink claims nothing.
+    pub(crate) fn claim<C: Codec>(&self, c: &mut C, pms: Range<u32>, leave_inside: bool) {
+        if let Some((r, d @ (Disposition::Forward | Disposition::Cross))) = self.current {
+            let inside = (d == Disposition::Cross) == leave_inside;
+            c.report(|census| census.claims.push((r.slot() as u32, pms, inside)));
+        }
+    }
 }
 
 impl Snap for LinkOwner {
@@ -173,7 +195,12 @@ impl Snap for Disposition {
 
 impl Snap for TransitRoute {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
-        self.current.snap(c)
+        self.current.snap(c)?;
+        if let Some((r, Disposition::Sink)) = self.current {
+            // A sink at a dead IRI consumes the packet where it stands.
+            c.report(|census| census.consumed.push(r.slot() as u32));
+        }
+        Ok(())
     }
 }
 

@@ -350,28 +350,39 @@ impl RingTier {
         self.check_credit_invariant();
     }
 
-    /// Debug-only: the credit counters must equal each ring's actual
-    /// free transit-buffer slots.
-    #[cfg(debug_assertions)]
-    fn check_credit_invariant(&self) {
-        let mut free = vec![0i64; self.ring_credits.len()];
+    /// Each ring's credits as its buffers leave them: the free slots
+    /// of its transit buffers, less those the entries in progress have
+    /// reserved for flits they have yet to send.
+    fn credits_left(&self) -> Vec<i64> {
+        let mut left = vec![0i64; self.ring_credits.len()];
         for (st, &slot) in self.slots.iter().enumerate() {
             for side in 0..slot.sides() {
-                let ring = match slot {
-                    Slot::Nic(n) => self.nics[n as usize].ring(),
-                    Slot::Iri { x, .. } => self.iris[x as usize].ring(side),
+                let (ring, reserved) = match slot {
+                    Slot::Nic(n) => {
+                        let nic = &self.nics[n as usize];
+                        (nic.ring(), nic.reserved())
+                    }
+                    Slot::Iri { x, .. } => {
+                        let iri = &self.iris[x as usize];
+                        (iri.ring(side), iri.reserved(side))
+                    }
                 };
-                let len = self.bufs.len(st * 2 + side);
-                free[ring as usize] += (self.bufs.capacity() - len) as i64;
+                let free = self.bufs.capacity() - self.bufs.len(st * 2 + side);
+                left[ring as usize] += free as i64 - reserved as i64;
             }
         }
-        // Credits equal capacity minus occupancy minus slots still
-        // reserved by in-progress entries, so they are bounded by the
-        // actual free count and must never hit zero.
-        for (rid, (&c, &free)) in self.ring_credits.iter().zip(&free).enumerate() {
+        left
+    }
+
+    /// Debug-only: the credit counters must equal what each ring's
+    /// buffers leave, and never reach zero.
+    #[cfg(debug_assertions)]
+    fn check_credit_invariant(&self) {
+        let left = self.credits_left();
+        for (rid, (&c, &left)) in self.ring_credits.iter().zip(&left).enumerate() {
             assert!(
-                c >= 1 && c <= free,
-                "ring {rid} credit corruption at tick {}: credits={c} free={free}",
+                c >= 1 && c == left,
+                "ring {rid} credit corruption at tick {}: credits={c} left={left}",
                 self.tick
             );
         }
@@ -384,8 +395,10 @@ impl RingTier {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] on truncated or corrupt input, or tables
-    /// that do not fit these rings.
+    /// Returns [`SnapError`] on truncated or corrupt input, tables that
+    /// do not fit these rings, or credits other than what the buffers
+    /// leave (the rule that keeps the rings deadlock-free counts on
+    /// them).
     pub fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         c.exact(self.nics.len(), "NIC count")?;
         for nic in &mut self.nics {
@@ -400,6 +413,13 @@ impl RingTier {
         c.fixed(&mut self.ring_credits, "ring-credit table size")?;
         self.reset_tick.snap(c)?;
         if c.reading() {
+            let left = self.credits_left();
+            if self.ring_credits != left || left.iter().any(|&c| c < 1) {
+                return Err(SnapError::Corrupt(format!(
+                    "ring credits {:?}, the buffers leave {left:?}",
+                    self.ring_credits
+                )));
+            }
             (0..self.slots.len() as u32).for_each(|st| self.wake(st));
             // Per-tick scratch is always empty between steps.
             self.sends.clear();

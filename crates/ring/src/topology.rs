@@ -11,7 +11,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use ringmesh_net::{checked_pms, ConfigError, NodeId};
+use ringmesh_net::{checked_pms, ConfigError, LevelUtil, NodeId, UtilizationReport};
 
 use crate::tier::StationMap;
 
@@ -287,7 +287,13 @@ impl RingTopology {
     ///
     /// Panics if the station has no such side.
     pub fn next_of(&self, st: u32, side: u8) -> SideRef {
-        self.next[st as usize][side as usize].expect("station has no such ring side")
+        self.try_next_of(st, side)
+            .expect("station has no such ring side")
+    }
+
+    /// [`next_of`](Self::next_of), or `None` for a side on no ring.
+    pub(crate) fn try_next_of(&self, st: u32, side: u8) -> Option<SideRef> {
+        self.next[st as usize][side as usize]
     }
 
     /// The ring a station side sits on.
@@ -338,9 +344,9 @@ impl RingTopology {
         }
     }
 
-    /// The unique route from `src` to `dst`: every station a packet
-    /// reaches after leaving `src`'s NIC, with what it does there,
-    /// ending with `dst`'s NIC and [`RingAction::Eject`].
+    /// The unique route from `src` to `dst`: every station side a
+    /// packet reaches after leaving `src`'s NIC, with what it does
+    /// there, ending with `dst`'s NIC and [`RingAction::Eject`].
     ///
     /// # Panics
     ///
@@ -351,7 +357,7 @@ impl RingTopology {
         &self,
         src: NodeId,
         dst: NodeId,
-    ) -> impl Iterator<Item = (u32, RingAction)> + '_ {
+    ) -> impl Iterator<Item = (SideRef, RingAction)> + '_ {
         assert_ne!(src, dst, "local access does not use the network");
         let mut pos = Some(self.next_of(self.nic_of(src), 0));
         let mut steps = self.num_stations() * 2 + 4;
@@ -367,7 +373,7 @@ impl RingTopology {
                 RingAction::Up => Some(self.next_of(st, 1)),
                 RingAction::Down => Some(self.next_of(st, 0)),
             };
-            Some((st, action))
+            Some(((st, side), action))
         })
     }
 
@@ -394,8 +400,42 @@ impl RingTopology {
     ///
     /// As [`hops`](Self::hops).
     pub fn iri_crossings(&self, src: NodeId, dst: NodeId) -> u32 {
-        let crossing = |&(_, a): &(u32, RingAction)| matches!(a, RingAction::Up | RingAction::Down);
+        let crossing =
+            |&(_, a): &(SideRef, RingAction)| matches!(a, RingAction::Up | RingAction::Down);
         self.route(src, dst).filter(crossing).count() as u32
+    }
+
+    /// Link utilization by hierarchy depth, over `cycles` cycles in
+    /// which ring `r` moved `ring_flits[r]` flits and the global ring
+    /// (ring 0) was clocked `global_speed` times a cycle: busy
+    /// link-cycles over available ones.
+    pub(crate) fn utilization(
+        &self,
+        ring_flits: &[u64],
+        cycles: u64,
+        global_speed: u64,
+    ) -> UtilizationReport {
+        if cycles == 0 {
+            return UtilizationReport::default();
+        }
+        let levels = self.levels();
+        let mut busy = vec![0u64; levels];
+        let mut cap = vec![0u64; levels];
+        for (rid, ring) in self.rings() {
+            let d = ring.depth as usize;
+            let speed = if rid == 0 { global_speed } else { 1 };
+            busy[d] += ring_flits[rid as usize];
+            cap[d] += ring.members.len() as u64 * cycles * speed;
+        }
+        UtilizationReport {
+            overall: busy.iter().sum::<u64>() as f64 / cap.iter().sum::<u64>().max(1) as f64,
+            levels: (0..levels)
+                .map(|d| LevelUtil {
+                    label: self.depth_label(d as u32),
+                    utilization: busy[d] as f64 / cap[d].max(1) as f64,
+                })
+                .collect(),
+        }
     }
 
     /// Human-readable label for rings at `depth`, e.g. "global ring",

@@ -615,3 +615,57 @@ fn a_burst_is_answered_in_one_write_and_nothing_waits_behind_a_simulation() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A checkpoint on disk that restores but cannot be run must not crash
+/// every restart: recovery refuses it, runs the journaled job fresh and
+/// completes it, with the result of a run that was never interrupted.
+/// Byte 550 of this job's cycle-1 200 checkpoint is the packet slot of
+/// a flit in a ring transit buffer: xor 0x01 moves the flit from the
+/// worm of slot 22 into that of slot 23. A restore without the census
+/// took that, and the step then panicked inside the worker pool, so
+/// every restart died on the same file.
+#[test]
+fn a_checkpoint_that_restores_corrupt_state_is_refused_at_recovery() {
+    use ringmesh::{SnapError, System};
+    use ringmesh_serve::Journal;
+
+    let dir = tempdir("bad-ckpt");
+    let job = r#"{"op":"job","id":"r","topology":"ring:2:2:3","warmup":800,"batch_cycles":800,"batches":4,"cache_line":32,"seed":41}"#;
+    let spec = ringmesh_serve::parse_job(&Json::parse(job).unwrap(), "r").unwrap();
+    let key = ResultCache::key(&spec.cfg);
+    let mut sys = System::new(spec.cfg.clone()).unwrap();
+    let mut state = sys.begin();
+    assert!(!sys.run_to(&mut state, 1_200).unwrap());
+    let mut bytes = sys.checkpoint(&state).unwrap();
+    bytes[550] ^= 0x01;
+    let ckpt = ResultCache::checkpoint_path_in(&dir, key);
+    fs::create_dir_all(ckpt.parent().unwrap()).unwrap();
+    fs::write(&ckpt, &bytes).unwrap();
+    {
+        let (mut journal, _) = Journal::open(&dir).unwrap();
+        journal
+            .begin_batch(&[(key, Json::parse(job).unwrap())])
+            .unwrap();
+    }
+
+    let server = Server::new(opts(&dir)).unwrap();
+    assert_eq!(server.recovered_jobs(), 1);
+    assert!(!ckpt.exists(), "a completed job leaves no checkpoint");
+    let script = format!("{job}\n{{\"op\":\"run\"}}\n{{\"op\":\"quit\"}}\n");
+    let lines = session(&server, &script);
+    let data = Json::parse(&result_data(&lines, "r")).unwrap();
+    let clean = ringmesh::run_config(spec.cfg.clone())
+        .unwrap()
+        .fingerprint();
+    assert_eq!(
+        data.get("fingerprint").and_then(Json::as_str),
+        Some(ringmesh_snap::hex64(clean).as_str()),
+        "the recovered result is a fresh run's"
+    );
+
+    let mut fresh = System::new(spec.cfg).unwrap();
+    let mut state = fresh.begin();
+    let refused = fresh.restore(&mut state, &bytes);
+    assert!(matches!(refused, Err(SnapError::Corrupt(_))), "{refused:?}");
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -12,6 +12,10 @@
 //!   panics on truncated input). Networks and workloads restore into a
 //!   freshly rebuilt instance: their immutable topology comes from
 //!   configuration and only their mutable state travels;
+//! * [`Census`] — what a walk passed: the packets, flits, queues,
+//!   drains and assemblers the shared types' `Snap`s report, for the
+//!   one checker (in `ringmesh-net`) that proves every packet sits in
+//!   exactly one place;
 //! * [`Fingerprint`] — a 64-bit FNV-1a accumulator used to compare
 //!   run outputs bit-for-bit (cache verification, resume validation).
 //!
@@ -28,6 +32,7 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 pub mod json;
 
@@ -138,10 +143,39 @@ pub trait Codec: Sized {
     /// As `value`'s [`Snap::snap`].
     fn object<T: DynSnap + ?Sized>(&mut self, value: &mut T) -> Result<(), SnapError>;
 
+    /// The [`Census`] this end carries: always a reader's, a writer's
+    /// only when asked for (and in debug builds).
+    fn census(&mut self) -> Option<&mut Census>;
+
     /// Whether this end decodes: guards the install steps a restore
     /// needs and a checkpoint must not run.
     fn reading(&self) -> bool {
         Self::READING
+    }
+
+    /// Reports to the [`Census`], if this end carries one.
+    fn report(&mut self, what: impl FnOnce(&mut Census)) {
+        if let Some(census) = self.census() {
+            what(census);
+        }
+    }
+
+    /// Walks one FIFO's flits, front first: the flits `walk` reports
+    /// are one [`Census::runs`] entry.
+    ///
+    /// # Errors
+    ///
+    /// As `walk`.
+    fn run(
+        &mut self,
+        walk: impl FnOnce(&mut Self) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        let from = self.census().map(|census| census.flits.len());
+        walk(self)?;
+        if let Some(from) = from {
+            self.report(|census| census.runs.push(from..census.flits.len()));
+        }
+        Ok(())
     }
 
     /// A value fixed by this instance's configuration — a table size,
@@ -233,15 +267,28 @@ impl<T: Snap> DynSnap for T {
 }
 
 /// Append-only byte sink for snapshot encoding.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+    census: Option<Census>,
 }
 
 impl SnapWriter {
-    /// Creates an empty writer.
+    /// Creates an empty writer; in debug builds it takes a [`Census`]
+    /// of what it writes.
     pub fn new() -> Self {
-        SnapWriter::default()
+        SnapWriter {
+            buf: Vec::new(),
+            census: cfg!(debug_assertions).then(Census::default),
+        }
+    }
+
+    /// Creates an empty writer that takes a [`Census`] in every build.
+    pub fn with_census() -> Self {
+        SnapWriter {
+            buf: Vec::new(),
+            census: Some(Census::default()),
+        }
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -261,19 +308,35 @@ impl Codec for SnapWriter {
     fn object<T: DynSnap + ?Sized>(&mut self, value: &mut T) -> Result<(), SnapError> {
         value.snap_write(self)
     }
+
+    fn census(&mut self) -> Option<&mut Census> {
+        self.census.as_mut()
+    }
 }
 
-/// Checked cursor over snapshot bytes.
+impl Default for SnapWriter {
+    fn default() -> Self {
+        SnapWriter::new()
+    }
+}
+
+/// Checked cursor over snapshot bytes, with the [`Census`] of what it
+/// decoded.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    census: Census,
 }
 
 impl<'a> SnapReader<'a> {
     /// Creates a reader over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        SnapReader { buf, pos: 0 }
+        SnapReader {
+            buf,
+            pos: 0,
+            census: Census::default(),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -297,6 +360,60 @@ impl Codec for SnapReader<'_> {
     fn object<T: DynSnap + ?Sized>(&mut self, value: &mut T) -> Result<(), SnapError> {
         value.snap_read(self)
     }
+
+    fn census(&mut self) -> Option<&mut Census> {
+        Some(&mut self.census)
+    }
+}
+
+/// What a [`Snap`] walk passed: every packet it named and every place
+/// a packet or one of its flits sat, in raw packet-store slots. The
+/// shared buffer types' `Snap`s report here as they pass, so the walk
+/// that writes and reads a checkpoint is also its census; the checker
+/// in `ringmesh-net` then proves that each live packet is in exactly
+/// one place, queued whole or split into in-order worm pieces.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Census {
+    /// Slots named by a packet reference: each must be live.
+    pub names: Vec<u32>,
+    /// Buffered flits: packet slot, sequence number, tail bit.
+    pub flits: Vec<(u32, u32, bool)>,
+    /// Ranges of [`flits`](Self::flits) that are one FIFO each, front
+    /// first: each must be made of worm pieces.
+    pub runs: Vec<Range<usize>>,
+    /// Slots of packets queued whole.
+    pub queued: Vec<u32>,
+    /// Drains: packet slot, next flit, the packet's length in flits.
+    /// Flits `next..length` are still in the drain.
+    pub drains: Vec<(u32, u32, u32)>,
+    /// Assemblers: packet slot and the flits received, `0..received`.
+    pub prefixes: Vec<(u32, u32)>,
+    /// Slots of packets whose flits ahead of the first one placed were
+    /// consumed where they stand: by a sink at a dead interface, or by
+    /// a store-and-forward pump that queues the packet at its tail.
+    pub consumed: Vec<u32>,
+    /// FIFOs whose front worm a held route steers: an index into
+    /// [`runs`](Self::runs) and the packet the route holds, if any. The
+    /// front flit must be that packet's, or a head where no route is
+    /// held.
+    pub routed: Vec<(usize, Option<u32>)>,
+    /// What the holders of packets say of their destinations: packet
+    /// slot, a range of PMs, and whether the destination is inside it.
+    /// A route claims what its decision says of the destination (a
+    /// worm leaves its ring, or ejects, here exactly when...), an
+    /// assembler that its packet is for the PMs it delivers to.
+    pub claims: Vec<(u32, Range<u32>, bool)>,
+    /// Each processor's outstanding transactions, in PM order; empty
+    /// when the workload does not claim them (a retry layer keeps
+    /// timed-out and duplicate transactions of its own).
+    pub outstanding: Vec<u32>,
+    /// The PM of each transaction held outside the network: the
+    /// requester of a response queued at a memory, the PM of a local
+    /// access.
+    pub held: Vec<u32>,
+    /// The cycles transactions were issued at, as their packets and
+    /// records carry them: none may be later than the checkpoint's.
+    pub stamps: Vec<u64>,
 }
 
 /// The versioned container header with a free-form `kind` label (e.g.
@@ -689,6 +806,23 @@ mod tests {
             header(&mut r, "checkpoint"),
             Err(SnapError::Corrupt(_))
         ));
+    }
+
+    /// A reader always takes a census, a writer when asked or in debug
+    /// builds; a run spans the flits its walk reported.
+    #[test]
+    fn a_run_spans_the_flits_its_walk_reports() {
+        assert!(SnapReader::new(&[]).census().is_some());
+        assert_eq!(SnapWriter::new().census().is_some(), cfg!(debug_assertions));
+        let mut w = SnapWriter::with_census();
+        w.report(|census| census.flits.push((0, 0, true)));
+        w.run(|c| {
+            c.report(|census| census.flits.extend([(1, 0, false), (1, 1, true)]));
+            Ok(())
+        })
+        .unwrap();
+        w.run(|_| Ok(())).unwrap();
+        assert_eq!(w.census().unwrap().runs, [1..3, 3..3]);
     }
 
     #[test]

@@ -545,7 +545,9 @@ impl Snap for MmrpStats {
 }
 
 /// The transaction counter, the counters, the processors, the
-/// memories, then the retry layer behind a flag. `local_scratch` is
+/// memories, then the retry layer behind a flag; what the processors
+/// and memories report is the workload's share of the census.
+/// `local_scratch` is
 /// per-cycle scratch — empty between cycles — and the due table is
 /// rebuilt from the countdowns at the next cycle.
 impl Snap for Mmrp {
@@ -563,6 +565,9 @@ impl Snap for Mmrp {
         c.exact(self.retry.is_some(), "retry layer")?;
         if let Some(book) = &mut self.retry {
             book.snap(c)?;
+            // Its timeouts and duplicates make the processors' counts
+            // the book's to check, not the census's.
+            c.report(|census| census.outstanding.clear());
         }
         if c.reading() {
             self.validate()?;

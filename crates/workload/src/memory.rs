@@ -138,11 +138,22 @@ impl MemoryModule {
     }
 }
 
+/// The census learns the PM of each transaction the module holds (a
+/// queued response's requester, a local access's own PM) and when a
+/// local access was issued.
 impl Snap for MemoryModule {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         c.exact(self.pm.raw(), "memory PM")?;
         self.pending.snap(c)?;
         self.local.snap(c)?;
+        let responses = self.pending.iter().map(|(_, resp)| resp.dst.raw());
+        let local = self.local.iter().map(|_| self.pm.raw());
+        c.report(|census| {
+            census.held.extend(responses.chain(local));
+            census
+                .stamps
+                .extend(self.local.iter().map(|&(_, issued)| issued));
+        });
         self.last_start.snap(c)?;
         self.served.snap(c)
     }

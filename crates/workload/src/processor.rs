@@ -270,7 +270,8 @@ impl Processor {
     /// table is built; the record carries the countdown and the blocked
     /// cycles a processor ticked every cycle would hold, and a restore
     /// installs them. The record must fit a machine of `pms` PMs whose
-    /// processors may hold `t_limit` transactions.
+    /// processors may hold `t_limit` transactions. The census learns
+    /// the outstanding count.
     pub(crate) fn snap<C: Codec>(
         &mut self,
         c: &mut C,
@@ -287,6 +288,7 @@ impl Processor {
         c.exact(self.pm.raw(), "processor PM")?;
         countdown.snap(c)?;
         self.outstanding.snap(c)?;
+        c.report(|census| census.outstanding.push(self.outstanding));
         self.pending.snap(c)?;
         self.rng.snap(c)?;
         stats.snap(c)?;
@@ -321,11 +323,16 @@ impl Processor {
     }
 }
 
+/// Reports its issue instant, once it has one, to the census.
 impl Snap for PendingRef {
     fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapError> {
         self.dst.snap(c)?;
         self.kind.snap(c)?;
-        self.issued_at.snap(c)
+        self.issued_at.snap(c)?;
+        if self.issued_at != IDLE {
+            c.report(|census| census.stamps.push(self.issued_at));
+        }
+        Ok(())
     }
 }
 

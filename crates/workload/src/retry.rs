@@ -54,6 +54,14 @@ pub struct RetryStats {
     pub dead_drops: u64,
 }
 
+impl RetryStats {
+    /// Timeouts, retries and give-ups: the layer's own progress, which
+    /// the system watchdog counts as activity.
+    pub fn activity(&self) -> u64 {
+        self.timeouts + self.retries + self.gave_up
+    }
+}
+
 /// An open (unacknowledged) remote transaction.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct OpenTxn {

@@ -237,6 +237,9 @@ fn lockstep(spec: &str, load: f64, cycles: u64) -> usize {
     }
     net.verify_conservation()
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    // Deliveries can match while a kernel has lost or split a worm in
+    // flight; the census of what it still holds cannot.
+    ringmesh_net::census(&mut net).unwrap_or_else(|e| panic!("{ctx}: census: {e}"));
     total
 }
 
