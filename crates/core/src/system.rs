@@ -213,10 +213,7 @@ impl System {
     /// configurations.
     pub fn new(cfg: SystemConfig) -> Result<System, RunError> {
         cfg.validate()?;
-        // The topology registry is the only place a NetworkSpec becomes
-        // a network: construction, placement and packet format all come
-        // off the same builder.
-        let net = cfg.network.builder().build(cfg.cache_line)?;
+        let net = cfg.network.build(cfg.cache_line)?;
         System::with_network(cfg, net)
     }
 
@@ -235,18 +232,17 @@ impl System {
     /// Returns [`RunError::InvalidConfig`] if `net` does not have
     /// `cfg.network`'s PM count.
     pub fn with_network(cfg: SystemConfig, net: Box<dyn Interconnect>) -> Result<System, RunError> {
-        let builder = cfg.network.builder();
-        if net.num_pms() != builder.num_pms() as usize {
+        if net.num_pms() != cfg.network.num_pms() as usize {
             return Err(RunError::InvalidConfig(
                 "hand-built network size does not match the config".into(),
             ));
         }
         let sizer = PacketSizer {
-            format: builder.format(),
+            format: cfg.network.format(),
             cache_line: cfg.cache_line,
         };
         let workload = Mmrp::new(
-            builder.placement(),
+            cfg.network.placement(),
             cfg.workload,
             cfg.memory,
             sizer,
@@ -466,7 +462,7 @@ impl System {
             )));
         }
         if c.reading() {
-            let format = self.cfg.network.builder().format();
+            let format = self.cfg.network.format();
             let store = self.net.core().store();
             store.validate_packets(self.net.num_pms(), format, self.cfg.cache_line)?;
         }

@@ -15,26 +15,22 @@
 //!
 //! * [`HybridNetwork`] — the cycle-accurate simulator; implements
 //!   [`ringmesh_net::Interconnect`].
-//! * [`HybridBuilder`] — the [`ringmesh_net::TopologyBuilder`] for
-//!   `hybrid:GxG:L` specs.
 //!
 //! # Example
 //!
 //! ```
-//! use ringmesh_net::{CacheLineSize, Interconnect, TopologyBuilder};
-//! use ringmesh_hybrid::HybridBuilder;
+//! use ringmesh_net::{CacheLineSize, Interconnect};
+//! use ringmesh_hybrid::HybridNetwork;
 //!
-//! let b = HybridBuilder { side: 4, local: 4 };
-//! assert_eq!(b.num_pms(), 64);
-//! let net = b.build(CacheLineSize::B128).unwrap();
+//! // A 4×4 global mesh of 4-PM local rings: `hybrid:4x4:4`.
+//! let net = HybridNetwork::new(4, 4, CacheLineSize::B128)?;
 //! assert_eq!(net.num_pms(), 64);
+//! # Ok::<(), ringmesh_net::ConfigError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 mod network;
 
-pub use builder::HybridBuilder;
 pub use network::HybridNetwork;

@@ -25,7 +25,7 @@ use ringmesh_net::{
 };
 use ringmesh_ring::kernel::{RingTier, StationMap, StepPulse};
 use ringmesh_ring::topology::SideRef;
-use ringmesh_ring::{RingConfig, StationKind};
+use ringmesh_ring::{RingConfig, StationKind, OUT_QUEUE_PACKETS};
 use ringmesh_snap::{Codec, Snap, SnapError};
 use ringmesh_trace::{Counter, Gauge};
 
@@ -162,12 +162,7 @@ impl HybridNetwork {
             local,
             core: NetCore::new(cfg.watchdog_horizon),
             tier: RingTier::new(&rings, &cfg),
-            routers: MeshRouters::new(
-                &topo,
-                mesh_buffer_flits,
-                packet_flits,
-                cfg.out_queue_packets,
-            ),
+            routers: MeshRouters::new(&topo, mesh_buffer_flits, packet_flits, OUT_QUEUE_PACKETS),
             owners: owner_coords(&topo, local),
             topo,
             mesh_flits: 0,

@@ -2,6 +2,10 @@
 
 use ringmesh_net::{BufferRegime, CacheLineSize, PacketFormat};
 
+/// Cycles without any flit movement (with packets in flight) before a
+/// mesh's watchdog reports a deadlock.
+pub const WATCHDOG_HORIZON: u64 = 10_000;
+
 /// Tunable parameters of a [`MeshNetwork`](crate::MeshNetwork).
 ///
 /// Defaults reproduce the paper's setup: 32-bit channels (4-byte
@@ -18,9 +22,6 @@ pub struct MeshConfig {
     pub buffers: BufferRegime,
     /// PM injection queue capacity per class, in packets (paper: 1).
     pub out_queue_packets: usize,
-    /// Cycles without any flit movement (with packets in flight) before
-    /// the watchdog reports a deadlock.
-    pub watchdog_horizon: u64,
 }
 
 impl MeshConfig {
@@ -32,7 +33,6 @@ impl MeshConfig {
             format: PacketFormat::MESH,
             buffers: BufferRegime::FourFlit,
             out_queue_packets: 1,
-            watchdog_horizon: 10_000,
         }
     }
 

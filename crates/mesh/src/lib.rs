@@ -31,14 +31,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 mod config;
 mod network;
 mod routers;
 pub mod topology;
 
-pub use builder::MeshBuilder;
-pub use config::MeshConfig;
+pub use config::{MeshConfig, WATCHDOG_HORIZON};
 pub use network::MeshNetwork;
 pub use topology::{Direction, MeshTopology};
 

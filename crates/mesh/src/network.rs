@@ -7,7 +7,7 @@ use ringmesh_trace::{Counter, EventKind, Gauge, Heatmap, HeatmapId, TraceLoc};
 
 use crate::routers::{owner_coords, CommitOp, FaultCtx, MeshRouters};
 use crate::topology::MeshTopology;
-use crate::MeshConfig;
+use crate::{MeshConfig, WATCHDOG_HORIZON};
 
 /// A flit-level, cycle-accurate 2-D bi-directional wormhole mesh.
 ///
@@ -65,7 +65,7 @@ impl MeshNetwork {
         );
         MeshNetwork {
             topo,
-            core: NetCore::new(cfg.watchdog_horizon),
+            core: NetCore::new(WATCHDOG_HORIZON),
             cfg,
             routers,
             owners: owner_coords(&topo, 1),

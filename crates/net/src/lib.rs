@@ -59,4 +59,4 @@ pub use error::ConfigError;
 pub use interconnect::{LevelUtil, QueueClass, UtilizationReport};
 pub use netcore::{snap_network, Interconnect, NetCore};
 pub use packet::{Flit, NodeId, PackedFlit, Packet, PacketKind, PacketRef, PacketStore, TxnId};
-pub use topology::{checked_pms, Placement, TopologyBuilder, MAX_PMS};
+pub use topology::{checked_pms, Placement, MAX_PMS};

@@ -1,22 +1,13 @@
-//! The topology registry seam: one trait every network crate
-//! implements so that construction, identity and workload-facing
-//! geometry live in exactly one place per topology.
+//! What every topology shares, whatever its kernel: the size cap and
+//! the PM-closeness descriptor the workload builds its access regions
+//! from.
 //!
-//! Before this layer existed the simulator dispatched on a closed
-//! `NetworkSpec` enum in every call site that needed a network — the
-//! system builder, the sweep harnesses, the serve job parser and the
-//! CLI each carried their own `match` with its own copy of the
-//! placement/packet-format/PM-count rules. A [`TopologyBuilder`]
-//! collapses all of that: the config layer parses a spec string into a
-//! builder once, and everything downstream (workload placement, packet
-//! sizing, canonical labels, the network itself) is asked of the
-//! builder.
-//!
-//! Implementations live with their kernels (`ringmesh-ring`,
-//! `ringmesh-mesh`, `ringmesh-hybrid`); this crate only defines the
-//! contract so the dependency arrows keep pointing the right way.
+//! A network's shape is described once, by `NetworkSpec` in
+//! `ringmesh-core`. These two live below the kernel crates because the
+//! kernels' constructors check sizes against [`MAX_PMS`], and the
+//! workload crate interprets a [`Placement`] without knowing any kernel.
 
-use crate::{CacheLineSize, ConfigError, Interconnect, PacketFormat};
+use crate::ConfigError;
 
 /// The largest system any topology may describe: 65 536 PMs (a
 /// 256×256 mesh), sixteen times the largest size the benchmark times.
@@ -42,9 +33,8 @@ pub fn checked_pms(dims: impl IntoIterator<Item = u32>) -> Result<u32, ConfigErr
 }
 
 /// How PM "closeness" is measured when building workload access
-/// regions (§2.4 of the paper). Lives here — rather than in the
-/// workload crate — because each [`TopologyBuilder`] names its own
-/// placement; the workload crate interprets it.
+/// regions (§2.4 of the paper). `NetworkSpec::placement` names it for
+/// each topology, and the workload crate interprets it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// PMs in a linear (ring DFS) order of `pms` nodes, wrapping.
@@ -77,58 +67,6 @@ impl Placement {
             Placement::RingGrid { side, local } => side * side * local,
         }
     }
-}
-
-/// One buildable network topology: the single source of truth for its
-/// size, identity strings, workload geometry and construction.
-///
-/// A builder is cheap to create (it holds only the parsed spec, not a
-/// network) and answers every question the rest of the simulator used
-/// to answer with per-call-site `match` arms:
-///
-/// * [`num_pms`](Self::num_pms) — how many processing modules;
-/// * [`label`](Self::label) — the human description used in reports;
-/// * [`spec`](Self::spec) — the canonical `--topology` string, which
-///   must parse back to an equivalent builder (round-trip pinned by
-///   tests in `ringmesh-core`);
-/// * [`placement`](Self::placement) / [`format`](Self::format) — what
-///   the M-MRP workload needs to size packets and build access
-///   regions;
-/// * [`build`](Self::build) — the network itself.
-pub trait TopologyBuilder {
-    /// Number of processing modules in the built network.
-    fn num_pms(&self) -> u32;
-
-    /// Human-readable description, e.g. `"ring 2:3:4"` or
-    /// `"mesh 6x6 (4-flit buffers)"`.
-    fn label(&self) -> String;
-
-    /// The canonical spec string, e.g. `"ring:2:3:4"` or
-    /// `"hybrid:4x4:4"`. Feeding this back through the spec parser
-    /// yields an equivalent builder; it is also the `net=` field of
-    /// the canonical config encoding, so it must be stable.
-    fn spec(&self) -> String;
-
-    /// How the workload should measure PM closeness on this topology.
-    fn placement(&self) -> Placement;
-
-    /// The packet format (channel width / header flits) PMs use when
-    /// sizing packets for this network.
-    fn format(&self) -> PacketFormat;
-
-    // Inert: only the frozen `benchmark/` harness calls this.
-    #[doc(hidden)]
-    fn parallel_kernel(&self) -> bool {
-        false
-    }
-
-    /// Builds the network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] for specs that name an unbuildable
-    /// shape (callers normally pre-validate, so this is a backstop).
-    fn build(&self, cache_line: CacheLineSize) -> Result<Box<dyn Interconnect>, ConfigError>;
 }
 
 #[cfg(test)]

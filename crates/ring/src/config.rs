@@ -2,12 +2,39 @@
 
 use ringmesh_net::{CacheLineSize, PacketFormat};
 
+/// NIC output queue capacity per class, in packets: the paper's
+/// single-packet injection queues.
+pub const OUT_QUEUE_PACKETS: usize = 1;
+
+/// Transit (ring) buffer depth, in maximum-size packets (header +
+/// cache line). The paper's Figure 3 shows a one-packet ring buffer; a
+/// second packet of headroom is needed because the ring-entry
+/// reservation (an entering worm must fit the downstream buffer whole,
+/// so it never stalls mid-packet holding the link) would otherwise
+/// demand a completely empty buffer and starve injection. See DESIGN.md
+/// "Model fidelity notes".
+pub const RING_BUFFER_PACKETS: usize = 2;
+
+/// Convoy-control threshold, in maximum-size packets: when an IRI's
+/// crossing queues for one output link hold more than this, their drain
+/// takes priority over continuing transit. With the down queues elastic
+/// (see [`RingConfig::iri_queue_packets`]) this is what supplies the
+/// pacing the paper's finite buffers provided: without it, a
+/// double-speed global ring can flood the descent queues faster than
+/// the transit-priority drain empties them, and the backlog — and the
+/// tail latency of descending packets — grows without bound. Four is
+/// low enough to keep every descent queue stable at a 2× global ring
+/// (eight already lets one queue diverge on 4:3:8), and high enough
+/// that at 1× the saturated throughput matches the unthrottled network.
+pub const CONVOY_THRESHOLD_PACKETS: usize = 4;
+
 /// Tunable parameters of a [`RingNetwork`](crate::RingNetwork).
 ///
 /// Defaults reproduce the paper's setup: cache-line-sized ring and IRI
-/// buffers, single-packet injection queues per traffic class, all rings
-/// at the same clock. Set [`global_ring_speedup`] to 2 for the §6
-/// double-speed global ring experiments.
+/// buffers, all rings at the same clock. Set [`global_ring_speedup`]
+/// to 2 for the §6 double-speed global ring experiments. The sizes no
+/// experiment varies are constants: [`OUT_QUEUE_PACKETS`],
+/// [`RING_BUFFER_PACKETS`] and [`CONVOY_THRESHOLD_PACKETS`].
 ///
 /// [`global_ring_speedup`]: RingConfig::global_ring_speedup
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,8 +44,6 @@ pub struct RingConfig {
     /// Packet format (header flits and flit width). Defaults to the
     /// 128-bit-channel ring format.
     pub format: PacketFormat,
-    /// NIC output queue capacity per class, in packets (paper: 1).
-    pub out_queue_packets: usize,
     /// IRI *up* (child→parent) queue capacity per class, in cache-line
     /// packets. `Some(2)` (the default) keeps the paper's finite,
     /// back-pressured design — whose pacing realises nearly the full
@@ -26,7 +51,7 @@ pub struct RingConfig {
     /// paper's single-packet buffers, which deadlock under wormhole
     /// switching even inside the paper's parameter space. Set `None`
     /// for elastic up queues (~30% lower saturated throughput; see the
-    /// `ablations` bench).
+    /// `ablations` figure row, `ringmesh figure ablations`).
     ///
     /// The *down* (parent→child) queues are always elastic: descending
     /// traffic only moves toward the leaves, where NIC ejection is
@@ -38,26 +63,6 @@ pub struct RingConfig {
     /// (observed at e.g. T = 8 on 4:3:6 with a double-speed global
     /// ring). See DESIGN.md "Model fidelity notes".
     pub iri_queue_packets: Option<usize>,
-    /// Transit (ring) buffer depth, in maximum-size packets (see
-    /// [`ring_buffer_flits`](RingConfig::ring_buffer_flits)).
-    pub ring_buffer_packets: usize,
-    /// Convoy-control threshold: when an IRI's crossing queues for one
-    /// output link hold more than this many maximum-size packets, their
-    /// drain takes priority over continuing transit. With the down
-    /// queues elastic (see [`iri_queue_packets`]) this is what supplies
-    /// the pacing the paper's finite buffers provided: without it, a
-    /// double-speed global ring can flood the descent queues faster
-    /// than the transit-priority drain empties them, and the backlog —
-    /// and the tail latency of descending packets — grows without
-    /// bound. Defaults to 4 packets: low enough to keep every descent
-    /// queue stable at a 2× global ring (8 packets already lets one
-    /// queue diverge on 4:3:8), high enough that at 1× the saturated
-    /// throughput matches the unthrottled network. Set `usize::MAX / 2`
-    /// to disable for flow-control experiments (see DESIGN.md and the
-    /// `ablations` bench).
-    ///
-    /// [`iri_queue_packets`]: RingConfig::iri_queue_packets
-    pub convoy_threshold_packets: usize,
     /// Clock multiplier for the global (root) ring: 1 = normal, 2 =
     /// the §6 double-speed global ring.
     pub global_ring_speedup: u32,
@@ -72,9 +77,6 @@ impl RingConfig {
         RingConfig {
             cache_line,
             format: PacketFormat::RING,
-            out_queue_packets: 1,
-            ring_buffer_packets: 2,
-            convoy_threshold_packets: 4,
             iri_queue_packets: Some(2),
             global_ring_speedup: 1,
             watchdog_horizon: 10_000,
@@ -95,15 +97,10 @@ impl RingConfig {
         self
     }
 
-    /// Transit (ring) buffer depth in flits: *two* maximum-size packets
-    /// (header + cache line). The paper's Figure 3 shows a one-packet
-    /// ring buffer; we add a second packet of headroom because the
-    /// ring-entry reservation (an entering worm must fit the downstream
-    /// buffer whole, so it never stalls mid-packet holding the link)
-    /// would otherwise demand a completely empty buffer and starve
-    /// injection. See DESIGN.md "Model fidelity notes".
+    /// Transit (ring) buffer depth in flits: [`RING_BUFFER_PACKETS`]
+    /// maximum-size packets.
     pub fn ring_buffer_flits(&self) -> usize {
-        self.ring_buffer_packets * self.format.cl_packet_flits(self.cache_line) as usize
+        RING_BUFFER_PACKETS * self.format.cl_packet_flits(self.cache_line) as usize
     }
 
     /// IRI up-queue depth in flits per class (a huge sentinel capacity
@@ -143,7 +140,6 @@ mod tests {
             Some(2),
             "two-packet IRI queues by default"
         );
-        assert_eq!(cfg.out_queue_packets, 1);
         assert_eq!(cfg.global_ring_speedup, 1);
     }
 

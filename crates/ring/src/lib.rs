@@ -11,8 +11,8 @@
 //! * [`RingSpec`]/[`RingTopology`] — the `2:3:4`-style hierarchy
 //!   descriptions of the paper's Table 2 and their expansion into a
 //!   station graph.
-//! * [`RingConfig`] — buffer/queue sizing and the §6 double-speed
-//!   global ring option.
+//! * [`RingConfig`] — IRI queue sizing and the §6 double-speed global
+//!   ring option; the fixed sizes are constants beside it.
 //! * [`RingNetwork`] — the cycle-accurate simulator; implements
 //!   [`ringmesh_net::Interconnect`].
 //!
@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 mod config;
 mod iri;
 mod network;
@@ -42,8 +41,7 @@ mod station;
 mod tier;
 pub mod topology;
 
-pub use builder::{RingBuilder, SlottedBuilder};
-pub use config::RingConfig;
+pub use config::{RingConfig, CONVOY_THRESHOLD_PACKETS, OUT_QUEUE_PACKETS, RING_BUFFER_PACKETS};
 pub use network::RingNetwork;
 pub use slotted::SlottedRingNetwork;
 pub use topology::{RingAction, RingSpec, RingTopology, StationKind};

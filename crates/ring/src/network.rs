@@ -57,11 +57,12 @@ impl RingNetwork {
     ///
     /// Panics if a transit buffer,
     /// [`cfg.ring_buffer_flits()`](RingConfig::ring_buffer_flits) flits
-    /// (the public `ring_buffer_packets` times a cache-line packet's
-    /// length), is empty or longer than `u16::MAX` flits: the ring
-    /// tier keeps every transit buffer in one [`FifoBank`].
+    /// ([`RING_BUFFER_PACKETS`] times a cache-line packet's length), is
+    /// empty or longer than `u16::MAX` flits: the ring tier keeps every
+    /// transit buffer in one [`FifoBank`].
     ///
     /// [`FifoBank`]: ringmesh_net::FifoBank
+    /// [`RING_BUFFER_PACKETS`]: crate::RING_BUFFER_PACKETS
     pub fn new(spec: &RingSpec, cfg: RingConfig) -> Self {
         let topo = RingTopology::new(spec);
         RingNetwork {

@@ -15,6 +15,7 @@ use ringmesh_snap::{Codec, Snap, SnapError};
 
 use crate::station::{ClassQueues, Disposition, LinkOwner, Send, Tick, TransitRoute};
 use crate::topology::SideRef;
+use crate::OUT_QUEUE_PACKETS;
 
 /// Per-NIC simulation state. Its transit (bypass) buffer is FIFO
 /// `fifo` of the tier's bank, where the tier's send commit pushes the
@@ -36,21 +37,15 @@ impl Nic {
     /// Builds the NIC attaching `pm` to ring `ring`, with its transit
     /// buffer at `fifo` in the tier's bank and its output link feeding
     /// the `downstream` station side.
-    pub(crate) fn new(
-        pm: NodeId,
-        ring: u32,
-        downstream: SideRef,
-        fifo: usize,
-        out_queue_packets: usize,
-    ) -> Self {
+    pub(crate) fn new(pm: NodeId, ring: u32, downstream: SideRef, fifo: usize) -> Self {
         Nic {
             pm,
             ring,
             downstream,
             fifo,
             out: ClassQueues::new(
-                PacketQueue::new(out_queue_packets),
-                PacketQueue::new(out_queue_packets),
+                PacketQueue::new(OUT_QUEUE_PACKETS),
+                PacketQueue::new(OUT_QUEUE_PACKETS),
             ),
             drain: DrainState::idle(),
             owner: LinkOwner::Idle,

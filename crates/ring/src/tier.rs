@@ -10,7 +10,7 @@ use crate::iri::Iri;
 use crate::nic::Nic;
 use crate::station::{Send, StepPulse, Tick};
 use crate::topology::{SideRef, StationKind};
-use crate::RingConfig;
+use crate::{RingConfig, CONVOY_THRESHOLD_PACKETS};
 
 /// Who is next on the rings: what each station is and where each of
 /// its sides' output links leads. The topology half of a ring network;
@@ -108,9 +108,7 @@ impl RingTier {
     pub fn new(map: &impl StationMap, cfg: &RingConfig) -> Self {
         let n_st = map.num_stations();
         let buf_flits = cfg.ring_buffer_flits();
-        let convoy = cfg
-            .convoy_threshold_packets
-            .saturating_mul(cfg.format.cl_packet_flits(cfg.cache_line) as usize);
+        let convoy = CONVOY_THRESHOLD_PACKETS * cfg.format.cl_packet_flits(cfg.cache_line) as usize;
         // Sized up front: a station is a few hundred bytes, and growing
         // the tables by doubling would copy each several times.
         let is_nic = |&st: &u32| matches!(map.station(st), StationKind::Nic { .. });
@@ -137,8 +135,7 @@ impl RingTier {
                     assert_eq!(pm.index(), tier.nics.len(), "NICs come in PM order");
                     let (ring, next) = lower;
                     let fifo = st as usize * 2;
-                    tier.nics
-                        .push(Nic::new(pm, ring, next, fifo, cfg.out_queue_packets));
+                    tier.nics.push(Nic::new(pm, ring, next, fifo));
                     Slot::Nic(pm.raw())
                 }
                 StationKind::Iri { subtree } => {

@@ -160,11 +160,6 @@ impl Mmrp {
         self.retry.as_ref().map(|b| b.stats).unwrap_or_default()
     }
 
-    /// Number of processors.
-    pub fn num_processors(&self) -> usize {
-        self.procs.len()
-    }
-
     /// Aggregate statistics so far.
     pub fn stats(&self) -> MmrpStats {
         self.stats

@@ -29,8 +29,8 @@
 
 use ringmesh_net::NodeId;
 
-// Placement itself lives in `ringmesh-net` with the topology registry
-// (each `TopologyBuilder` names its own placement); this module owns
+// Placement itself lives in `ringmesh-net`, below the kernels, and
+// `NetworkSpec::placement` names it for each topology; this module owns
 // its workload-side interpretation.
 pub use ringmesh_net::Placement;
 

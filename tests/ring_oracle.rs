@@ -22,7 +22,10 @@ use ringmesh_net::{
     Assembler, CacheLineSize, DrainState, Flit, FlitFifo, Interconnect, NodeId, Packet, PacketKind,
     PacketQueue, PacketRef, PacketStore, QueueClass, TxnId,
 };
-use ringmesh_ring::{RingAction, RingConfig, RingNetwork, RingSpec, RingTopology, StationKind};
+use ringmesh_ring::{
+    RingAction, RingConfig, RingNetwork, RingSpec, RingTopology, StationKind,
+    CONVOY_THRESHOLD_PACKETS, OUT_QUEUE_PACKETS,
+};
 
 /// Response first: responses beat requests on every injection path.
 const PRIORITY: [QueueClass; 2] = [QueueClass::Response, QueueClass::Request];
@@ -147,7 +150,7 @@ impl Oracle {
                 StationKind::Nic { pm } => Station::Nic {
                     pm,
                     side: Side::new(buf),
-                    out: std::array::from_fn(|_| PacketQueue::new(cfg.out_queue_packets)),
+                    out: std::array::from_fn(|_| PacketQueue::new(OUT_QUEUE_PACKETS)),
                     drain: DrainState::idle(),
                     assembler: Assembler::new(),
                 },
@@ -177,7 +180,7 @@ impl Oracle {
             store: PacketStore::new(),
             faults,
             ticks_per_cycle: u64::from(cfg.global_ring_speedup),
-            convoy: cfg.convoy_threshold_packets * cl_flits,
+            convoy: CONVOY_THRESHOLD_PACKETS * cl_flits,
             tick: 0,
         }
     }

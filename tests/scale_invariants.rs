@@ -14,7 +14,7 @@ use std::cell::Cell;
 use ringmesh::analytic::mesh_zero_load_latency;
 use ringmesh::{run_config, NetworkSpec, SimParams, System, SystemConfig};
 use ringmesh_engine::Watchdog;
-use ringmesh_net::{CacheLineSize, Interconnect, PacketFormat, TopologyBuilder};
+use ringmesh_net::{CacheLineSize, Interconnect, PacketFormat};
 use ringmesh_workload::{
     MemoryParams, Mmrp, PacketSizer, Placement, Processor, Region, WorkloadParams,
 };
@@ -69,17 +69,17 @@ fn system_setup(spec: &str) -> (usize, usize) {
 
 const CL: CacheLineSize = CacheLineSize::B64;
 
-fn network(builder: &dyn TopologyBuilder) -> Box<dyn Interconnect> {
-    builder.build(CL).expect("spec was parsed")
+fn network(spec: &NetworkSpec) -> Box<dyn Interconnect> {
+    spec.build(CL).expect("spec was parsed")
 }
 
-fn workload(builder: &dyn TopologyBuilder) -> Mmrp {
+fn workload(spec: &NetworkSpec) -> Mmrp {
     let sizer = PacketSizer {
-        format: builder.format(),
+        format: spec.format(),
         cache_line: CL,
     };
     Mmrp::new(
-        builder.placement(),
+        spec.placement(),
         WorkloadParams::paper_baseline(),
         MemoryParams::default(),
         sizer,
@@ -91,9 +91,9 @@ fn workload(builder: &dyn TopologyBuilder) -> Mmrp {
 /// can audit the network afterwards: network and system watchdogs must
 /// stay clean and every injected packet must be delivered or in flight.
 fn run_checked(spec: &str, cycles: u64) {
-    let builder = spec.parse::<NetworkSpec>().expect(spec).builder();
-    let mut net = network(builder.as_ref());
-    let mut wl = workload(builder.as_ref());
+    let network_spec = spec.parse::<NetworkSpec>().expect(spec);
+    let mut net = network(&network_spec);
+    let mut wl = workload(&network_spec);
     let mut dog = Watchdog::new(2_000);
     let (mut delivered, mut samples) = (Vec::new(), Vec::new());
     let mut completed = 0u64;
@@ -220,10 +220,10 @@ fn mmrp_new_allocates_two_blocks_at_any_size() {
 fn setup_heap_is_linear_in_pms() {
     for (small, large) in [("mesh:32", "mesh:64"), ("hybrid:8x8:16", "hybrid:16x16:16")] {
         let per_pm = |spec: &str| {
-            let builder = spec.parse::<NetworkSpec>().expect(spec).builder();
-            let pms = builder.num_pms() as f64;
-            let (_net, net_bytes) = allocated_by(|| network(builder.as_ref()));
-            let (_wl, wl_bytes) = allocated_by(|| workload(builder.as_ref()));
+            let network_spec = spec.parse::<NetworkSpec>().expect(spec);
+            let pms = network_spec.num_pms() as f64;
+            let (_net, net_bytes) = allocated_by(|| network(&network_spec));
+            let (_wl, wl_bytes) = allocated_by(|| workload(&network_spec));
             (net_bytes as f64 / pms, wl_bytes as f64 / pms)
         };
         let (net_small, wl_small) = per_pm(small);
@@ -287,7 +287,11 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
     // blocks stayed. Every row came down by 80 bytes a system when the
     // conservation ledger became three counters, its per-slot live set
     // and sticky violation gone (df5e398: 2 857 / 1 026 296,
-    // 449 / 287 960 and 811 / 180 904), the blocks stayed.
+    // 449 / 287 960 and 811 / 180 904), the blocks stayed. Every row
+    // came down when `System::new` stopped boxing a topology builder
+    // twice, two blocks a mesh or hybrid system, and cloning the ring
+    // spec into each, two more a ring (17364c9: 2 857 / 1 025 496,
+    // 449 / 287 560 and 811 / 180 504).
     const ROWS: [(&[&str], usize, usize); 3] = [
         // With every transit buffer in the ring tier's one `FifoBank`: a
         // heap block fewer per NIC and two fewer per IRI than the
@@ -307,8 +311,8 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
                 "hybrid:5x5:4",
                 "hybrid:6x6:4",
             ],
-            2_857,
-            1_025_496,
+            2_827,
+            1_024_952,
         ),
         // Without the route table (quadratic in P) and two of the three
         // outbox tables of cbc79d5 (493 blocks, 461 160 bytes).
@@ -320,13 +324,13 @@ fn ring_slotted_and_hybrid_setup_allocates_no_more_than_before_their_reshaping()
                 "slotted:2:2:5:5",
                 "slotted:2:3:4:6",
             ],
-            449,
-            287_560,
+            429,
+            287_176,
         ),
         (
             &["mesh:4", "mesh:6", "mesh:8", "mesh:10", "mesh:12"],
-            811,
-            180_504,
+            801,
+            180_384,
         ),
     ];
     for (specs, parent_blocks, parent_bytes) in ROWS {
