@@ -50,6 +50,7 @@
 
 pub mod ablations;
 pub mod analytic;
+mod builder;
 mod config;
 mod exit;
 pub mod figures;
