@@ -182,47 +182,14 @@ pub fn ring_bisection_bound(
 }
 
 /// Number of global-ring (depth-0) link traversals on the path from
-/// `src` to `dst`.
+/// `src` to `dst`: the route's arrivals at a side on ring 0.
 fn global_hops(topo: &RingTopology, src: NodeId, dst: NodeId) -> u32 {
     if src == dst {
         return 0;
     }
-    // Walk the route, counting hops whose carrying ring is the root.
-    let mut pos = (topo.nic_of(src), 0u8);
-    let mut hops = 0u32;
-    let mut steps = 0u32;
-    loop {
-        let (st, side) = pos;
-        use ringmesh_ring::RingAction::*;
-        let (action, ring) = if steps == 0 {
-            (Forward, topo.ring_of(st, side)) // leave the source NIC
-        } else {
-            (topo.action(st, side, dst), topo.ring_of(st, side))
-        };
-        match action {
-            Eject => return hops,
-            Forward => {
-                if ring == 0 {
-                    hops += 1;
-                }
-                pos = topo.next_of(st, side);
-            }
-            Up => {
-                if topo.ring_of(st, 1) == 0 {
-                    hops += 1;
-                }
-                pos = topo.next_of(st, 1);
-            }
-            Down => {
-                if topo.ring_of(st, 0) == 0 {
-                    hops += 1;
-                }
-                pos = topo.next_of(st, 0);
-            }
-        }
-        steps += 1;
-        assert!(steps < 10_000, "routing walk did not terminate");
-    }
+    topo.route(src, dst)
+        .filter(|&((st, side), _)| topo.ring_of(st, side) == 0)
+        .count() as u32
 }
 
 fn single_ring_bound(p: u32, cl: CacheLineSize, workload: &WorkloadParams) -> f64 {
@@ -245,14 +212,12 @@ fn single_ring_bound(p: u32, cl: CacheLineSize, workload: &WorkloadParams) -> f6
 /// traffic sends half of all flits across. (For odd sides the bound
 /// uses the nearest cut.)
 pub fn mesh_bisection_bound(side: u32, cl: CacheLineSize, workload: &WorkloadParams) -> f64 {
-    let p = f64::from(side * side);
     let fmt = PacketFormat::MESH;
     let fr = workload.read_fraction;
     let txn_flits = fr
         * f64::from(fmt.flits(PacketKind::ReadReq, cl) + fmt.flits(PacketKind::ReadResp, cl))
         + (1.0 - fr)
             * f64::from(fmt.flits(PacketKind::WriteReq, cl) + fmt.flits(PacketKind::WriteResp, cl));
-    let _ = p;
     let cut_links = 2.0 * f64::from(side);
     // Fraction of transactions straddling the cut: 1/2 under uniform
     // traffic, shrinking roughly with R under locality (the region

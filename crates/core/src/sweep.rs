@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use ringmesh_engine::WorkerPool;
 use ringmesh_stats::Series;
 
-use crate::system::{run_config, RunError, RunResult};
+use crate::system::{run_config, RunResult};
 use crate::SystemConfig;
 
 /// Scale of an experiment run.
@@ -63,9 +63,9 @@ impl Scale {
 }
 
 /// Runs every `(x, config)` point and collects `metric` of each result
-/// into a series. Points whose simulation stalls (a deadlocked
-/// saturated configuration) are skipped with a warning on stderr rather
-/// than aborting the sweep.
+/// into a series. A point whose simulation fails (a stalled saturated
+/// configuration among them) or completes no transaction is skipped
+/// with a warning on stderr rather than aborting the sweep.
 ///
 /// Points execute on [`WorkerPool::from_env`]; use
 /// [`run_series_with`] to pin a pool explicitly.
@@ -77,9 +77,10 @@ pub fn run_series(
     run_series_with(&WorkerPool::from_env(), label, points, metric)
 }
 
-/// [`run_series`] on an explicit pool. Results are collected in input
-/// order and are byte-identical for any thread count (every point owns
-/// its own seeded RNG).
+/// [`run_series`] on an explicit pool: [`series_of`] over
+/// [`run_points_with`]. Results are collected in input order and are
+/// byte-identical for any thread count (every point owns its own
+/// seeded RNG).
 pub fn run_series_with(
     pool: &WorkerPool,
     label: impl Into<String>,
@@ -87,48 +88,8 @@ pub fn run_series_with(
     metric: impl Fn(&RunResult) -> f64,
 ) -> Series {
     let label = label.into();
-    let results = pool.map(points, |_, (x, cfg)| {
-        run_point(&label, cfg, x).map(|r| (x, r))
-    });
-    let mut series = Series::new(label);
-    for (x, result) in results.into_iter().flatten() {
-        series.push(x, metric(&result));
-    }
-    series
-}
-
-/// Runs one configuration; a deadlocked (finite-buffer) run is retried
-/// twice with perturbed seeds before the point is skipped with a
-/// warning — rare stalls are seed-dependent and a retry recovers the
-/// measurement without biasing it. This is the single stall-retry
-/// helper shared by [`run_series`] and [`run_points`]; `label` names
-/// the sweep in skip warnings so interleaved parallel-run warnings stay
-/// attributable to their series.
-fn run_point(label: &str, cfg: SystemConfig, x: f64) -> Option<RunResult> {
-    let desc = cfg.network.label();
-    let seed = cfg.seed;
-    for attempt in 0..3u64 {
-        let c = cfg
-            .clone()
-            .with_seed(seed.wrapping_add(attempt * 0x9e37_79b9));
-        match run_config(c) {
-            Ok(result) => {
-                if result.latency.n == 0 {
-                    eprintln!("warning: [{label}] {desc} at x={x}: no completed transactions");
-                    return None;
-                }
-                return Some(result);
-            }
-            Err(RunError::Stall(e)) => {
-                eprintln!("warning: [{label}] {desc} at x={x} (attempt {attempt}): {e}");
-            }
-            Err(e) => {
-                eprintln!("warning: [{label}] skipping {desc} at x={x}: {e}");
-                return None;
-            }
-        }
-    }
-    None
+    let results = run_points_with(pool, &label, points);
+    series_of(label, &results, metric)
 }
 
 /// Runs every point once and returns full results, for figures that
@@ -138,19 +99,29 @@ pub fn run_points(points: Vec<(f64, SystemConfig)>) -> Vec<(f64, RunResult)> {
     run_points_with(&WorkerPool::from_env(), "sweep", points)
 }
 
-/// [`run_points`] on an explicit pool, with `label` naming the sweep in
-/// skip warnings.
+/// [`run_points`] on an explicit pool. Each point runs once; one that
+/// fails or completes no transaction is left out with a warning that
+/// `label` attributes to its sweep (parallel runs interleave them).
 pub fn run_points_with(
     pool: &WorkerPool,
     label: &str,
     points: Vec<(f64, SystemConfig)>,
 ) -> Vec<(f64, RunResult)> {
-    pool.map(points, |_, (x, cfg)| {
-        run_point(label, cfg, x).map(|r| (x, r))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let results = pool.map(points, |_, (x, cfg)| {
+        let desc = cfg.network.label();
+        match run_config(cfg) {
+            Ok(r) if r.latency.n > 0 => Some((x, r)),
+            Ok(_) => {
+                eprintln!("warning: [{label}] {desc} at x={x}: no completed transactions");
+                None
+            }
+            Err(e) => {
+                eprintln!("warning: [{label}] skipping {desc} at x={x}: {e}");
+                None
+            }
+        }
+    });
+    results.into_iter().flatten().collect()
 }
 
 /// Extracts a metric series from pre-computed results.

@@ -13,8 +13,8 @@
 //!   (e.g. an undetected wormhole deadlock) into a hard error instead of
 //!   an infinite loop.
 //! * [`WorkerPool`] — an order-preserving fork-join pool on scoped
-//!   threads, used to fan independent sweep points across cores while
-//!   keeping results byte-identical to a serial run.
+//!   threads, used to fan independent sweep points and serve jobs
+//!   across cores while keeping results byte-identical to a serial run.
 //! * [`StopFlag`] / [`AdmissionGate`] — cooperative shutdown and
 //!   load-shedding admission control for services built on the simulator.
 //! * [`Lease`] / [`Backoff`] — time-bounded work claims and capped
@@ -49,7 +49,7 @@ mod watchdog;
 
 pub use admission::{AdmissionGate, Permit, StopFlag};
 pub use lease::{Backoff, Lease};
-pub use pool::{configured_threads, WorkerPool};
+pub use pool::WorkerPool;
 pub use rng::SimRng;
 pub use watchdog::{StallError, Watchdog};
 

@@ -1,21 +1,22 @@
 //! A minimal order-preserving worker pool on scoped threads.
 //!
 //! Parameter sweeps simulate dozens of independent `(topology, size,
-//! load)` points; each point owns its own seeded RNG, so
-//! the points can run on any thread in any order without changing a
-//! single result bit. [`WorkerPool::map`] exploits that: it fans the
-//! items of a `Vec` out across a fixed set of scoped worker threads
-//! (claimed from a shared atomic cursor) and collects the results *in
-//! input order*, so the output is byte-identical to a serial loop.
+//! load)` points and the job server runs batches of them; each point
+//! owns its own seeded RNG, so the points can run on any thread in any
+//! order without changing a single result bit. The pool has one
+//! scheduling loop, [`WorkerPool::run_jobs`]: a fixed set of scoped
+//! worker threads claim items from a shared atomic cursor and send
+//! progress events and results back over a channel to the calling
+//! thread, which relays the events as they arrive and files each result
+//! under its input index. [`WorkerPool::map`] is `run_jobs` with no
+//! progress events. Either returns the results *in input order*, so the
+//! output is byte-identical to a serial loop.
 //!
 //! The pool is hand-rolled on [`std::thread::scope`] — the workspace
 //! takes no external crates. A pool of one thread (or a single-item
 //! input) runs inline on the caller's thread with zero synchronization.
-//!
-//! The default worker count comes from the `RINGMESH_THREADS`
-//! environment variable, read once per process (see
-//! [`configured_threads`]); unset, it falls back to
-//! [`std::thread::available_parallelism`].
+//! A job that panics does not stop the others: the caller re-panics
+//! once every worker has joined.
 //!
 //! # Example
 //!
@@ -30,28 +31,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, OnceLock};
 
-/// The number of worker threads to use by default, parsed once per
-/// process: the `RINGMESH_THREADS` environment variable if set to a
-/// positive integer, else [`std::thread::available_parallelism`]
-/// (falling back to 1 when even that is unavailable).
-pub fn configured_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        let from_env = std::env::var("RINGMESH_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1);
-        from_env.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-    })
-}
-
 /// An order-preserving fork-join pool over a fixed number of threads.
 ///
-/// See the [module docs](self) for the design; construct one with an
+/// Workers claim items dynamically, so an expensive item does not
+/// serialize the cheap ones behind it, and results come back in input
+/// order whichever worker finished first. Construct one with an
 /// explicit thread count ([`WorkerPool::new`], e.g. in determinism
 /// tests comparing thread counts within one process) or from the
 /// environment default ([`WorkerPool::from_env`]).
@@ -69,10 +53,23 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized by [`configured_threads`] (`RINGMESH_THREADS` or
-    /// the machine's available parallelism).
+    /// A pool of `RINGMESH_THREADS` workers if that environment
+    /// variable holds a positive integer, else one per
+    /// [`std::thread::available_parallelism`] (one when even that is
+    /// unavailable). The variable is read once per process.
     pub fn from_env() -> Self {
-        WorkerPool::new(configured_threads())
+        static THREADS: OnceLock<usize> = OnceLock::new();
+        WorkerPool::new(*THREADS.get_or_init(|| {
+            std::env::var("RINGMESH_THREADS")
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .filter(|&n| n >= 1)
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism()
+                        .map(std::num::NonZeroUsize::get)
+                        .unwrap_or(1)
+                })
+        }))
     }
 
     /// The number of worker threads this pool runs.
@@ -81,13 +78,8 @@ impl WorkerPool {
     }
 
     /// Applies `f` to every item and returns the results in input
-    /// order. `f` receives the item's index alongside the item.
-    ///
-    /// Items are claimed dynamically (an atomic cursor), so an
-    /// expensive item does not serialize the cheap ones behind it; the
-    /// collected order is the input order regardless of which worker
-    /// finished first. With one thread (or fewer than two items) the
-    /// whole map runs inline on the calling thread.
+    /// order: [`run_jobs`](Self::run_jobs) without progress events.
+    /// `f` receives the item's index alongside the item.
     ///
     /// # Panics
     ///
@@ -99,73 +91,37 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        let n = items.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
-        }
-        // Safe shared state only: each index is claimed exactly once
-        // via the cursor, so every Mutex below is uncontended — it
-        // exists to satisfy the borrow checker, not to serialize work.
-        let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = work[i]
-                        .lock()
-                        .expect("poisoned work slot")
-                        .take()
-                        .expect("work index claimed twice");
-                    let r = f(i, item);
-                    *results[i].lock().expect("poisoned result slot") = Some(r);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("poisoned result slot")
-                    .expect("worker left a result slot empty")
-            })
-            .collect()
+        self.run_jobs(
+            items,
+            |i, item, _: &mut dyn FnMut(())| f(i, item),
+            |_, ()| {},
+        )
     }
-    /// [`map`](Self::map) with live completion streaming: jobs may
-    /// emit typed progress events while running (via the emitter
-    /// passed to `f`), and the caller observes every event plus each
-    /// job's completion *as it happens*, from the calling thread.
+
+    /// Applies `f` to every item and returns the results in input
+    /// order, streaming progress: `f` receives the item's index, the
+    /// item and an emitter for typed progress events, and the caller
+    /// observes every event *as it happens*, on the calling thread,
+    /// through `on_progress(job index, event)`.
     ///
     /// This is the job-server entry point: a batch of sweep points
     /// fans out across the workers while per-job status streams back
     /// to the protocol connection. Events from concurrently running
-    /// jobs interleave in completion order (which varies run to run);
+    /// jobs interleave in completion order (which varies run to run),
+    /// but each job's own events arrive in the order it emitted them;
     /// the *returned* results are in input order and bit-identical at
-    /// any thread count, exactly like [`map`](Self::map).
-    ///
-    /// `on_progress` receives `(job index, event)`; `on_done` receives
-    /// `(job index, &result)` once per job. With one worker (or fewer
-    /// than two items) everything runs inline in input order.
+    /// any thread count. With one worker (or fewer than two items)
+    /// everything runs inline in input order.
     ///
     /// # Panics
     ///
     /// Panics (after all workers have joined) if `f` panicked on any
-    /// item.
+    /// item; the other items still run.
     pub fn run_jobs<T, R, E, F>(
         &self,
         items: Vec<T>,
         f: F,
         mut on_progress: impl FnMut(usize, E),
-        mut on_done: impl FnMut(usize, &R),
     ) -> Vec<R>
     where
         T: Send,
@@ -179,17 +135,16 @@ impl WorkerPool {
             return items
                 .into_iter()
                 .enumerate()
-                .map(|(i, item)| {
-                    let r = f(i, item, &mut |e| on_progress(i, e));
-                    on_done(i, &r);
-                    r
-                })
+                .map(|(i, item)| f(i, item, &mut |e| on_progress(i, e)))
                 .collect();
         }
         enum Msg<E, R> {
             Progress(usize, E),
             Done(usize, R),
         }
+        // Each index is claimed exactly once via the cursor, so every
+        // Mutex is uncontended: it hands an item to another thread, it
+        // does not serialize work.
         let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let cursor = AtomicUsize::new(0);
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -216,21 +171,15 @@ impl WorkerPool {
                 });
             }
             // The caller's thread is the event loop: it relays progress
-            // and completion while the workers run. All senders live in
-            // this scope, so dropping ours and counting completions
-            // terminates cleanly even if a worker panicked (the scope
+            // and files results while the workers run. Every sender is
+            // a worker's, so once all workers have exited `recv` fails
+            // and the loop ends even if one of them panicked (the scope
             // re-raises the panic after the join).
             drop(tx);
-            let mut done = 0;
-            while done < n {
-                match rx.recv() {
-                    Ok(Msg::Progress(i, e)) => on_progress(i, e),
-                    Ok(Msg::Done(i, r)) => {
-                        results[i] = Some(r);
-                        on_done(i, results[i].as_ref().expect("just stored"));
-                        done += 1;
-                    }
-                    Err(_) => break, // a worker panicked; the scope will re-raise
+            for msg in rx {
+                match msg {
+                    Msg::Progress(i, e) => on_progress(i, e),
+                    Msg::Done(i, r) => results[i] = Some(r),
                 }
             }
         });
@@ -238,12 +187,6 @@ impl WorkerPool {
             .into_iter()
             .map(|slot| slot.expect("worker left a result slot empty"))
             .collect()
-    }
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        WorkerPool::from_env()
     }
 }
 
@@ -293,7 +236,6 @@ mod tests {
         for threads in [1, 4] {
             let pool = WorkerPool::new(threads);
             let mut progress = Vec::new();
-            let mut done = Vec::new();
             let out = pool.run_jobs(
                 (0..16u64).collect(),
                 |i, x, emit| {
@@ -302,19 +244,11 @@ mod tests {
                     (i as u64) * 100 + x
                 },
                 |i, e| progress.push((i, e)),
-                |i, r| done.push((i, *r)),
             );
             // Results: input order, same at any thread count.
             assert_eq!(out, (0..16u64).map(|x| x * 101).collect::<Vec<_>>());
-            // Every job emitted both events and completed exactly once.
+            // Every job emitted both events, each under its own index.
             assert_eq!(progress.len(), 32, "threads={threads}");
-            assert_eq!(done.len(), 16);
-            let mut done_ids: Vec<usize> = done.iter().map(|&(i, _)| i).collect();
-            done_ids.sort_unstable();
-            assert_eq!(done_ids, (0..16).collect::<Vec<_>>());
-            for &(i, r) in &done {
-                assert_eq!(r, (i as u64) * 101);
-            }
             // Per-job progress events arrive in emit order.
             for job in 0..16u64 {
                 let evs: Vec<u64> = progress
@@ -324,6 +258,32 @@ mod tests {
                     .collect();
                 assert_eq!(evs, vec![job * 2, job * 2 + 1]);
             }
+        }
+    }
+
+    /// A job that panics re-panics in the caller, after the workers
+    /// have run every other job; it never hangs the event loop. Inline
+    /// (one thread) the panic leaves at once, after the jobs before it.
+    #[test]
+    fn a_panicking_job_re_panics_after_the_others_finish() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for threads in [1, 4] {
+            let ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                WorkerPool::new(threads).map((0..16u32).collect(), |i, x| {
+                    if i == 3 {
+                        panic!("job {i} fails");
+                    }
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    x
+                })
+            }));
+            assert!(
+                caught.is_err(),
+                "threads={threads}: the panic must reach the caller"
+            );
+            let others = if threads == 1 { 3 } else { 15 };
+            assert_eq!(ran.load(Ordering::SeqCst), others, "threads={threads}");
         }
     }
 

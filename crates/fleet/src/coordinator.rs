@@ -64,7 +64,7 @@ pub struct FleetOptions {
     /// killed.
     pub lease_ms: u64,
     /// Heartbeat cadence prescribed to workers, in milliseconds; a
-    /// worker silent for [`HEARTBEAT_GRACE`] cadences is declared dead.
+    /// worker silent for `HEARTBEAT_GRACE` (3) cadences is declared dead.
     pub heartbeat_ms: u64,
     /// Most dispatch attempts per task before the coordinator hands the
     /// task back unrun (the server then falls back to local execution).

@@ -132,9 +132,9 @@ pub struct HybridNetwork {
 impl HybridNetwork {
     /// Builds a `side × side` global mesh of `local`-PM rings for
     /// `cache_line`. The rings are sized as the hierarchical ring's
-    /// ([`RingConfig::new`]) with [`BRIDGE_QUEUE_PACKETS`]-deep bridge
-    /// up queues; each mesh router input holds
-    /// [`MESH_BUFFER_PACKETS`] cache-line worm.
+    /// ([`RingConfig::new`]) with `BRIDGE_QUEUE_PACKETS` (2) deep bridge
+    /// up queues; each mesh router input holds `MESH_BUFFER_PACKETS` (1)
+    /// cache-line worm.
     ///
     /// # Errors
     ///

@@ -353,7 +353,7 @@ impl RingTopology {
     /// Panics if `src == dst` (local accesses do not enter the network)
     /// or, while iterating, if routing fails to terminate (a topology
     /// bug).
-    pub(crate) fn route(
+    pub fn route(
         &self,
         src: NodeId,
         dst: NodeId,

@@ -45,7 +45,6 @@
 //!   results. Graceful stops ([`Server::stop_handle`], SIGTERM in the
 //!   CLI) flush checkpoints and the journal before exiting.
 
-use std::cell::RefCell;
 use std::fmt::Display;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -221,13 +220,14 @@ struct Pending {
 enum Plan {
     /// Serve the stored payload as-is.
     Hit(String),
-    /// Simulate (index into the work-item vector).
-    Work(usize),
+    /// Answer with the outcome of work item `work`. Its `owner`, the
+    /// batch's first job with that key, is a miss: it journals, stores
+    /// and is answered as computed. A later job with the same key is
+    /// answered as a hit from the owner's outcome.
+    Run { work: usize, owner: bool },
     /// Cache hit selected for verification: serve the stored payload,
     /// but also re-run (work index) and diff.
     Verify(String, usize),
-    /// Same key as an earlier job in this batch; reuse its outcome.
-    Alias(usize),
 }
 
 /// One planned simulation: everything either execution lane (local pool
@@ -258,10 +258,9 @@ impl Server {
     pub fn new(opts: ServeOptions) -> io::Result<Server> {
         let cache = ResultCache::open(&opts.cache_dir)?;
         let (journal, recovery) = Journal::open(&opts.cache_dir)?;
-        let pool = match opts.threads {
-            Some(n) => WorkerPool::new(n),
-            None => WorkerPool::default(),
-        };
+        let pool = opts
+            .threads
+            .map_or_else(WorkerPool::from_env, WorkerPool::new);
         let shared = Arc::new(Shared {
             batches: AdmissionGate::new(opts.max_batches),
             clients: AdmissionGate::new(opts.max_clients),
@@ -526,7 +525,9 @@ impl Shared {
                                 cached,
                             });
                         }
-                        Err(e) => self.protocol_error(out, req.get("id"), &e)?,
+                        Err(e) => {
+                            self.protocol_error(out, req.get("id").and_then(Json::as_str), &e)?
+                        }
                     }
                 }
                 Some("run") => match self.batches.try_enter() {
@@ -608,7 +609,7 @@ impl Shared {
     fn protocol_error<W: Write>(
         &self,
         out: &mut LineWriter<W>,
-        id: Option<&Json>,
+        id: Option<&str>,
         message: &str,
     ) -> io::Result<()> {
         self.protocol_errors.fetch_add(1, Ordering::SeqCst);
@@ -619,15 +620,18 @@ impl Shared {
     /// job (resuming from its checkpoint where one exists), stores the
     /// results, and closes the recovery batch.
     fn recover(&self, recovery: Recovery) -> io::Result<()> {
-        let mut runnable: Vec<(u64, SystemConfig)> = Vec::new();
-        for job in &recovery.jobs {
+        let mut work: Vec<WorkItem> = Vec::new();
+        for job in recovery.jobs {
             match parse_job(&job.spec, "recovered") {
                 // The key must still match: a code-version bump (or a
                 // protocol change) means the journaled promise is from
                 // another world — drop it and let clients resubmit.
-                Ok(spec) if ResultCache::key(&spec.cfg) == job.key => {
-                    runnable.push((job.key, spec.cfg));
-                }
+                Ok(spec) if ResultCache::key(&spec.cfg) == job.key => work.push(WorkItem {
+                    id: spec.id,
+                    cfg: spec.cfg,
+                    key: job.key,
+                    raw: job.spec,
+                }),
                 _ => {
                     eprintln!(
                         "ringmesh serve: dropping unreplayable journal entry {}",
@@ -637,30 +641,18 @@ impl Shared {
                 }
             }
         }
-        if !runnable.is_empty() {
+        if !work.is_empty() {
             eprintln!(
                 "ringmesh serve: recovering {} journaled job(s) from an unclean shutdown",
-                runnable.len()
+                work.len()
             );
         }
-        let window = self.opts.window_cycles.max(1);
-        let outcomes = self.pool.map(runnable, |_, (key, cfg)| {
-            let ckpt = ResultCache::checkpoint_path_in(&self.opts.cache_dir, key);
-            let outcome = run_job(
-                &cfg,
-                window,
-                self.opts.checkpoint_every,
-                Some(&ckpt),
-                Some(&self.stop),
-                &mut |_| {},
-            );
-            (key, cfg, outcome)
-        });
+        let outcomes = self.run_local(&work, |_, _| {});
         let mut interrupted = false;
-        for (key, cfg, outcome) in outcomes {
+        for (item, outcome) in work.iter().zip(outcomes) {
+            let key = item.key;
             match outcome {
-                Ok(o) => {
-                    let payload = result_payload(&cfg, &o.result, key);
+                Ok((payload, _)) => {
                     self.cache_lock().store(key, &payload)?;
                     self.journaled(|j| j.record_done(key))?;
                     self.recovered.fetch_add(1, Ordering::SeqCst);
@@ -687,32 +679,32 @@ impl Shared {
         let mut plans: Vec<Plan> = Vec::with_capacity(batch.len());
         let mut work: Vec<WorkItem> = Vec::new();
         for p in &batch {
-            let earlier = work.iter().position(|w| w.key == p.key);
-            match (&p.cached, earlier) {
-                (_, Some(w)) => plans.push(Plan::Alias(w)),
-                (Some(payload), None) => {
-                    if self.selected_for_verify(p.key) {
+            let plan = match work.iter().position(|w| w.key == p.key) {
+                Some(w) => Plan::Run {
+                    work: w,
+                    owner: false,
+                },
+                None => match &p.cached {
+                    Some(payload) if !self.selected_for_verify(p.key) => Plan::Hit(payload.clone()),
+                    cached => {
                         work.push(WorkItem {
                             id: p.spec.id.clone(),
                             cfg: p.spec.cfg.clone(),
                             key: p.key,
                             raw: p.raw.clone(),
                         });
-                        plans.push(Plan::Verify(payload.clone(), work.len() - 1));
-                    } else {
-                        plans.push(Plan::Hit(payload.clone()));
+                        let w = work.len() - 1;
+                        match cached {
+                            Some(payload) => Plan::Verify(payload.clone(), w),
+                            None => Plan::Run {
+                                work: w,
+                                owner: true,
+                            },
+                        }
                     }
-                }
-                (None, None) => {
-                    work.push(WorkItem {
-                        id: p.spec.id.clone(),
-                        cfg: p.spec.cfg.clone(),
-                        key: p.key,
-                        raw: p.raw.clone(),
-                    });
-                    plans.push(Plan::Work(work.len() - 1));
-                }
-            }
+                },
+            };
+            plans.push(plan);
         }
 
         // Journal the fresh computes (not verify re-runs — the cache
@@ -721,7 +713,7 @@ impl Shared {
         let journaled: Vec<(u64, Json)> = batch
             .iter()
             .zip(&plans)
-            .filter(|(_, plan)| matches!(plan, Plan::Work(_)))
+            .filter(|(_, plan)| matches!(plan, Plan::Run { owner: true, .. }))
             .map(|(p, _)| (p.key, p.raw.clone()))
             .collect();
         let journal_batch = if journaled.is_empty() {
@@ -754,7 +746,9 @@ impl Shared {
             .cloned();
         let outcomes: Vec<WorkOutcome> = match runner {
             Some(runner) => self.run_remote(&*runner, &work, out)?,
-            None => self.run_local(&work, out),
+            None => self.run_local(&work, |item, w| {
+                let _ = self.emit(out, window_event(&item.id, &w));
+            }),
         };
 
         // Post-run accounting in submission order: emit results, store
@@ -776,13 +770,14 @@ impl Shared {
         let mut errors = 0u64;
         let mut interrupted = 0u64;
         for (p, plan) in batch.iter().zip(&plans) {
+            let id = Some(p.spec.id.as_str());
             match plan {
                 Plan::Hit(payload) => {
                     hits += 1;
                     fp.write_str(payload);
                 }
-                Plan::Work(w) => match &outcomes[*w] {
-                    Ok((payload, resumed)) => {
+                Plan::Run { work: w, owner } => match &outcomes[*w] {
+                    Ok((payload, resumed)) if *owner => {
                         misses += 1;
                         best_effort(self.emit_result(out, &p.spec.id, payload, false, *resumed));
                         let struck = {
@@ -792,11 +787,7 @@ impl Shared {
                                 drop(cache);
                                 best_effort(self.emit(
                                     out,
-                                    error_event_str(
-                                        &p.spec.id,
-                                        "cache",
-                                        &format!("cache store: {e}"),
-                                    ),
+                                    error_event(id, "cache", &format!("cache store: {e}")),
                                 ));
                             }
                             struck
@@ -807,63 +798,6 @@ impl Shared {
                         self.journaled(|j| j.record_done(p.key))?;
                         fp.write_str(payload);
                     }
-                    Err(JobError::Interrupted) => {
-                        interrupted += 1;
-                        best_effort(self.emit(
-                            out,
-                            error_event_str(
-                                &p.spec.id,
-                                "interrupted",
-                                "shutdown before completion; progress checkpointed — resubmit to resume",
-                            ),
-                        ));
-                        fp.write_str("interrupted");
-                    }
-                    Err(JobError::Failed(e)) => {
-                        errors += 1;
-                        best_effort(self.emit(out, error_event_str(&p.spec.id, "run", e)));
-                        self.journaled(|j| j.record_done(p.key))?;
-                        fp.write_str(&format!("error:{e}"));
-                    }
-                },
-                Plan::Verify(cached, w) => match &outcomes[*w] {
-                    // A verification re-run is still a cache hit from
-                    // the client's point of view — it serves the
-                    // *stored* payload so hits stay byte-stable even
-                    // when the entry turns out to be stale.
-                    Ok((payload, _)) => {
-                        hits += 1;
-                        best_effort(self.emit_result(out, &p.spec.id, cached, true, false));
-                        if payload == cached {
-                            verified += 1;
-                        } else {
-                            mismatches += 1;
-                            best_effort(self.emit(
-                                out,
-                                error_event_str(
-                                    &p.spec.id,
-                                    "cache",
-                                    "cache verification mismatch: stored payload differs from re-run",
-                                ),
-                            ));
-                            // Trust the fresh run over the stale entry.
-                            let _ = self.cache_lock().store(p.key, payload);
-                        }
-                        fp.write_str(payload);
-                    }
-                    Err(JobError::Interrupted) => {
-                        // Verification was cut short; the stored entry
-                        // is still the answer.
-                        hits += 1;
-                        best_effort(self.emit_result(out, &p.spec.id, cached, true, false));
-                        fp.write_str(cached);
-                    }
-                    Err(JobError::Failed(e)) => {
-                        errors += 1;
-                        fp.write_str(&format!("error:{e}"));
-                    }
-                },
-                Plan::Alias(w) => match &outcomes[*w] {
                     Ok((payload, _)) => {
                         hits += 1; // answered from this batch's own work
                         best_effort(self.emit_result(out, &p.spec.id, payload, true, false));
@@ -873,8 +807,8 @@ impl Shared {
                         interrupted += 1;
                         best_effort(self.emit(
                             out,
-                            error_event_str(
-                                &p.spec.id,
+                            error_event(
+                                id,
                                 "interrupted",
                                 "shutdown before completion; progress checkpointed — resubmit to resume",
                             ),
@@ -883,10 +817,55 @@ impl Shared {
                     }
                     Err(JobError::Failed(e)) => {
                         errors += 1;
-                        best_effort(self.emit(out, error_event_str(&p.spec.id, "run", e)));
+                        best_effort(self.emit(out, error_event(id, "run", e)));
+                        if *owner {
+                            self.journaled(|j| j.record_done(p.key))?;
+                        }
                         fp.write_str(&format!("error:{e}"));
                     }
                 },
+                // A verification re-run is still a cache hit from the
+                // client's point of view: it serves the *stored*
+                // payload, so hits stay byte-stable even when the entry
+                // turns out to be stale or the re-run cannot finish.
+                Plan::Verify(cached, w) => {
+                    hits += 1;
+                    best_effort(self.emit_result(out, &p.spec.id, cached, true, false));
+                    match &outcomes[*w] {
+                        Ok((payload, _)) if payload == cached => verified += 1,
+                        Ok((payload, _)) => {
+                            mismatches += 1;
+                            best_effort(self.emit(
+                                out,
+                                error_event(
+                                    id,
+                                    "cache",
+                                    "cache verification mismatch: stored payload differs from re-run",
+                                ),
+                            ));
+                            // Trust the fresh run over the stale entry.
+                            let _ = self.cache_lock().store(p.key, payload);
+                        }
+                        // Cut short by a shutdown; the stored entry is
+                        // still the answer.
+                        Err(JobError::Interrupted) => {}
+                        Err(JobError::Failed(e)) => {
+                            errors += 1;
+                            best_effort(self.emit(
+                                out,
+                                error_event(
+                                    id,
+                                    "cache",
+                                    &format!("cache verification could not run: {e}"),
+                                ),
+                            ));
+                        }
+                    }
+                    fp.write_str(match &outcomes[*w] {
+                        Ok((payload, _)) => payload,
+                        Err(_) => cached,
+                    });
+                }
             }
         }
         {
@@ -920,26 +899,26 @@ impl Shared {
         }
     }
 
-    /// Runs work items on the local [`WorkerPool`], streaming `window`
-    /// events as workers progress. Returns one terminal outcome per
-    /// item; results and errors are emitted later, in submission order.
-    fn run_local<W: Write>(&self, work: &[WorkItem], out: &mut LineWriter<W>) -> Vec<WorkOutcome> {
-        let window = self.opts.window_cycles;
-        let checkpoint_every = self.opts.checkpoint_every;
-        let cache_dir = &self.opts.cache_dir;
-        let stop = &self.stop;
-        let sink = RefCell::new(out);
+    /// Runs work items on the local [`WorkerPool`], handing each
+    /// `window` of progress to `on_window` as workers produce it.
+    /// Returns one terminal outcome per item; batches emit results and
+    /// errors later, in submission order.
+    fn run_local(
+        &self,
+        work: &[WorkItem],
+        mut on_window: impl FnMut(&WorkItem, WindowEvent),
+    ) -> Vec<WorkOutcome> {
         self.pool.run_jobs(
-            work.to_vec(),
-            |_, item: WorkItem, progress| {
-                let ckpt = ResultCache::checkpoint_path_in(cache_dir, item.key);
+            work.iter().collect(),
+            |_, item: &WorkItem, progress| {
+                let ckpt = ResultCache::checkpoint_path_in(&self.opts.cache_dir, item.key);
                 let t0 = Instant::now();
                 let outcome = run_job(
                     &item.cfg,
-                    window,
-                    checkpoint_every,
+                    self.opts.window_cycles,
+                    self.opts.checkpoint_every,
                     Some(&ckpt),
-                    Some(stop),
+                    Some(&self.stop),
                     progress,
                 );
                 self.record(Stage::Simulate, t0);
@@ -949,10 +928,7 @@ impl Shared {
                     outcome.resumed,
                 ))
             },
-            |i, w: WindowEvent| {
-                let _ = self.emit(&mut sink.borrow_mut(), window_event(&work[i].id, &w));
-            },
-            |_, _: &WorkOutcome| {},
+            |i, w| on_window(&work[i], w),
         )
     }
 
@@ -1084,7 +1060,9 @@ impl Shared {
                 ]),
             );
             let items: Vec<WorkItem> = fallback.iter().map(|&i| work[i].clone()).collect();
-            let local = self.run_local(&items, out);
+            let local = self.run_local(&items, |item, w| {
+                let _ = self.emit(out, window_event(&item.id, &w));
+            });
             for (slot, r) in fallback.into_iter().zip(local) {
                 outcomes[slot] = Some(r);
             }
@@ -1276,21 +1254,14 @@ fn busy_event(scope: &str, limit: usize) -> Json {
     ])
 }
 
-fn error_event(id: Option<&Json>, code: &str, message: &str) -> Json {
+/// A typed `error` event, naming the job it concerns when there is
+/// one.
+fn error_event(id: Option<&str>, code: &str, message: &str) -> Json {
     let mut members = vec![("event", Json::Str("error".into()))];
-    if let Some(Json::Str(id)) = id {
-        members.push(("id", Json::Str(id.clone())));
+    if let Some(id) = id {
+        members.push(("id", Json::Str(id.to_string())));
     }
     members.push(("code", Json::Str(code.to_string())));
     members.push(("message", Json::Str(message.to_string())));
     obj(members)
-}
-
-fn error_event_str(id: &str, code: &str, message: &str) -> Json {
-    obj(vec![
-        ("event", Json::Str("error".into())),
-        ("id", Json::Str(id.to_string())),
-        ("code", Json::Str(code.to_string())),
-        ("message", Json::Str(message.to_string())),
-    ])
 }

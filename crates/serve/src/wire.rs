@@ -99,7 +99,7 @@ impl<W: Write> LineWriter<W> {
     ///
     /// # Errors
     ///
-    /// As [`line`](Self::line), once [`HELD_MAX`] bytes are held.
+    /// As [`line`](Self::line), once `HELD_MAX` (32 KiB) is held.
     pub fn hold(&mut self, line: impl Display) -> io::Result<()> {
         writeln!(self.buf, "{line}")?;
         if self.buf.len() >= HELD_MAX {

@@ -195,6 +195,52 @@ fn verify_cache_detects_a_corrupted_entry() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A verification re-run that fails (here: its checkpoint path is a
+/// non-empty directory, so the first checkpoint write fails) still
+/// answers every job with its stored payload, plus a `cache` error
+/// saying why the entry went unchecked.
+#[test]
+fn a_failed_verify_run_still_answers_with_the_stored_payload() {
+    let dir = tempdir("verify-fails");
+    let first = session(&Server::new(opts(&dir)).unwrap(), BATCH);
+    for accepted in events(&first, "accepted") {
+        let key = accepted.get("key").and_then(Json::as_str).unwrap();
+        let ckpt = ResultCache::checkpoint_path_in(&dir, u64::from_str_radix(key, 16).unwrap());
+        fs::create_dir_all(ckpt.join("occupied")).unwrap();
+    }
+
+    let server = Server::new(ServeOptions {
+        verify_fraction: 1.0,
+        checkpoint_every: 100,
+        ..opts(&dir)
+    })
+    .unwrap();
+    let second = session(&server, BATCH);
+    for id in ["ring", "slotted", "mesh"] {
+        assert_eq!(result_data(&first, id), result_data(&second, id), "{id}");
+    }
+    let errors = events(&second, "error");
+    assert_eq!(errors.len(), 3);
+    for e in errors {
+        assert_eq!(e.get("code").and_then(Json::as_str), Some("cache"));
+        let message = e.get("message").and_then(Json::as_str).unwrap();
+        assert!(
+            message.starts_with("cache verification could not run: "),
+            "{message}"
+        );
+    }
+    let (batch1, batch2) = (events(&first, "batch")[0], events(&second, "batch")[0]);
+    assert_eq!(batch2.get("cache_hits").and_then(Json::as_u64), Some(3));
+    assert_eq!(batch2.get("verified").and_then(Json::as_u64), Some(0));
+    assert_eq!(batch2.get("errors").and_then(Json::as_u64), Some(3));
+    assert_eq!(
+        batch1.get("fingerprint").and_then(Json::as_str),
+        batch2.get("fingerprint").and_then(Json::as_str),
+        "each job is folded in as the payload it was answered with"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn duplicate_jobs_in_one_batch_simulate_once() {
     let dir = tempdir("dedup");

@@ -89,6 +89,33 @@ fn saturated_ring_throughput_below_bisection_bound() {
     );
 }
 
+/// The hierarchical bisection bounds the saturation checks above and
+/// below lean on, to the last bit: 3:3:6 (54 PMs) and 4:3:8 (96 PMs),
+/// uniform and local traffic, two line sizes, at global speedup 1.
+#[test]
+fn hierarchical_ring_bisection_bounds_are_pinned() {
+    let rows: [(&str, CacheLineSize, f64, u64); 8] = [
+        ("3:3:6", CacheLineSize::B32, 1.0, 0x3fe8_0000_0000_0000),
+        ("3:3:6", CacheLineSize::B32, 0.1, 0x4015_0000_0000_0000),
+        ("3:3:6", CacheLineSize::B64, 1.0, 0x3fe0_0000_0000_0000),
+        ("3:3:6", CacheLineSize::B64, 0.1, 0x400b_ffff_ffff_fffe),
+        ("4:3:8", CacheLineSize::B32, 1.0, 0x3fe5_5555_5555_5554),
+        ("4:3:8", CacheLineSize::B32, 0.1, 0x4011_9999_9999_999a),
+        ("4:3:8", CacheLineSize::B64, 1.0, 0x3fdc_71c7_1c71_c71b),
+        ("4:3:8", CacheLineSize::B64, 0.1, 0x4007_7777_7777_7779),
+    ];
+    for (spec, cl, region, bits) in rows {
+        let wl = WorkloadParams::paper_baseline().with_region(region);
+        let bound = ring_bisection_bound(&spec.parse().unwrap(), cl, &wl, 1);
+        assert_eq!(
+            bound.to_bits(),
+            bits,
+            "{spec} {cl} R={region}: {bound} is not {}",
+            f64::from_bits(bits)
+        );
+    }
+}
+
 #[test]
 fn saturated_mesh_throughput_below_bisection_bound() {
     let cl = CacheLineSize::B64;
