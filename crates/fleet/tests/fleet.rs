@@ -402,3 +402,65 @@ fn a_line_past_the_cap_drops_the_connection_and_reports_one_death() {
     drop(peer.join().expect("peer thread"));
     drop(pool);
 }
+
+#[test]
+fn an_expired_lease_on_a_live_worker_is_speculated_onto_another() {
+    // A short lease and a heartbeat window (3 × 2 s) far longer than
+    // it: the silent holder is a straggler, not a death.
+    let opts = FleetOptions {
+        lease_ms: 200,
+        heartbeat_ms: 2_000,
+        ..test_opts()
+    };
+    let pool = FleetPool::bind("127.0.0.1:0", opts).expect("bind");
+    let addr = pool.local_addr();
+
+    // The straggler registers first (lower id wins the idle tie-break,
+    // so it receives the dispatch) and then never answers it.
+    let (mut straggler, answer) = FakeWorker::register(addr, code_hash(), 1);
+    assert!(matches!(answer, CoordMsg::Welcome { worker: 0, .. }));
+    let held = thread::spawn(move || {
+        let (dispatch, _key) = straggler.await_dispatch();
+        loop {
+            if let CoordMsg::Cancel { task } = straggler.read_msg() {
+                return (dispatch, task);
+            }
+        }
+    });
+
+    let stop = StopFlag::new();
+    let worker_stop = stop.clone();
+    let addr_str = addr.to_string();
+    let worker = thread::spawn(move || {
+        run_worker(&addr_str, &WorkerOptions { threads: 1 }, &worker_stop)
+            .expect("worker transport")
+    });
+    await_workers(&pool, 2);
+
+    let (task, expected) = task_and_expected("t0");
+    let mut events = Vec::new();
+    let outcomes = pool.run_tasks(vec![task], &StopFlag::new(), &mut |e| events.push(e));
+
+    match &outcomes[..] {
+        [RemoteOutcome::Done { payload }] => assert_eq!(
+            payload, &expected,
+            "the speculated result must match the local control run"
+        ),
+        other => panic!("expected the duplicate to finish, got {other:?}"),
+    }
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, RemoteEvent::Speculate { task: 0, worker: 1 })),
+        "lease expiry must speculate onto the other worker: {events:?}"
+    );
+    let (dispatch, canceled) = held.join().expect("straggler thread");
+    assert_eq!(
+        canceled, dispatch,
+        "the straggler's dispatch is canceled once the duplicate wins"
+    );
+
+    drop(pool);
+    assert_eq!(worker.join().expect("worker thread"), WorkerExit::Done);
+    stop.set();
+}
