@@ -226,8 +226,14 @@ enum Plan {
     /// answered as a hit from the owner's outcome.
     Run { work: usize, owner: bool },
     /// Cache hit selected for verification: serve the stored payload,
-    /// but also re-run (work index) and diff.
-    Verify(String, usize),
+    /// but also re-run work item `work` and diff. Only its `owner`, the
+    /// batch's first job with that key, counts the diff; a later job
+    /// with the same key is answered and folded just as the owner is.
+    Verify {
+        cached: String,
+        work: usize,
+        owner: bool,
+    },
 }
 
 /// One planned simulation: everything either execution lane (local pool
@@ -680,9 +686,19 @@ impl Shared {
         let mut work: Vec<WorkItem> = Vec::new();
         for p in &batch {
             let plan = match work.iter().position(|w| w.key == p.key) {
-                Some(w) => Plan::Run {
-                    work: w,
-                    owner: false,
+                Some(w) => match plans.iter().find_map(|plan| match plan {
+                    Plan::Verify { cached, work, .. } if *work == w => Some(cached),
+                    _ => None,
+                }) {
+                    Some(cached) => Plan::Verify {
+                        cached: cached.clone(),
+                        work: w,
+                        owner: false,
+                    },
+                    None => Plan::Run {
+                        work: w,
+                        owner: false,
+                    },
                 },
                 None => match &p.cached {
                     Some(payload) if !self.selected_for_verify(p.key) => Plan::Hit(payload.clone()),
@@ -695,7 +711,11 @@ impl Shared {
                         });
                         let w = work.len() - 1;
                         match cached {
-                            Some(payload) => Plan::Verify(payload.clone(), w),
+                            Some(payload) => Plan::Verify {
+                                cached: payload.clone(),
+                                work: w,
+                                owner: true,
+                            },
                             None => Plan::Run {
                                 work: w,
                                 owner: true,
@@ -828,10 +848,15 @@ impl Shared {
                 // client's point of view: it serves the *stored*
                 // payload, so hits stay byte-stable even when the entry
                 // turns out to be stale or the re-run cannot finish.
-                Plan::Verify(cached, w) => {
+                Plan::Verify {
+                    cached,
+                    work: w,
+                    owner,
+                } => {
                     hits += 1;
                     best_effort(self.emit_result(out, &p.spec.id, cached, true, false));
                     match &outcomes[*w] {
+                        _ if !owner => {}
                         Ok((payload, _)) if payload == cached => verified += 1,
                         Ok((payload, _)) => {
                             mismatches += 1;

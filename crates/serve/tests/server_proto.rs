@@ -264,6 +264,87 @@ fn duplicate_jobs_in_one_batch_simulate_once() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Two jobs with one key, submitted as one batch.
+const SAME_KEY_PAIR: &str = concat!(
+    r#"{"op":"job","id":"a","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#,
+    "\n",
+    r#"{"op":"job","id":"b","topology":"mesh:3","warmup":600,"batch_cycles":600,"batches":2,"cache_line":32}"#,
+    "\n",
+    r#"{"op":"run"}"#,
+    "\n",
+    r#"{"op":"quit"}"#,
+    "\n",
+);
+
+/// A job that shares the key of a verified hit is answered as that hit
+/// is: from the store, even when the verify re-run disagrees with it.
+#[test]
+fn a_job_sharing_a_verified_key_gets_the_stored_payload_on_a_mismatch() {
+    let dir = tempdir("verify-pair-mismatch");
+    let server = Server::new(ServeOptions {
+        verify_fraction: 1.0,
+        ..opts(&dir)
+    })
+    .unwrap();
+    session(&server, SAME_KEY_PAIR);
+    // A validly sealed wrong payload: only the verify re-run catches it.
+    let mut tampered = 0;
+    for shard in fs::read_dir(&dir).unwrap().flatten() {
+        for f in fs::read_dir(shard.path()).into_iter().flatten().flatten() {
+            if f.path().extension().is_some_and(|e| e == "json") {
+                fs::write(f.path(), ResultCache::seal("{\"tampered\":true}")).unwrap();
+                tampered += 1;
+            }
+        }
+    }
+    assert_eq!(tampered, 1);
+
+    let second = session(&server, SAME_KEY_PAIR);
+    assert_eq!(result_data(&second, "a"), r#"{"tampered":true}"#);
+    assert_eq!(result_data(&second, "a"), result_data(&second, "b"));
+    for r in events(&second, "result") {
+        assert_eq!(r.get("cached"), Some(&Json::Bool(true)));
+    }
+    let batch = events(&second, "batch")[0];
+    assert_eq!(batch.get("cache_hits").and_then(Json::as_u64), Some(2));
+    assert_eq!(batch.get("mismatches").and_then(Json::as_u64), Some(1));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A job that shares the key of a verified hit whose re-run fails is
+/// still answered, from the store, like the verified job itself.
+#[test]
+fn a_job_sharing_a_verified_key_gets_the_stored_payload_when_the_re_run_fails() {
+    let dir = tempdir("verify-pair-fails");
+    let first = session(&Server::new(opts(&dir)).unwrap(), SAME_KEY_PAIR);
+    let key = events(&first, "accepted")[0]
+        .get("key")
+        .and_then(Json::as_str)
+        .unwrap();
+    let ckpt = ResultCache::checkpoint_path_in(&dir, u64::from_str_radix(key, 16).unwrap());
+    fs::create_dir_all(ckpt.join("occupied")).unwrap();
+
+    let server = Server::new(ServeOptions {
+        verify_fraction: 1.0,
+        checkpoint_every: 100,
+        ..opts(&dir)
+    })
+    .unwrap();
+    let second = session(&server, SAME_KEY_PAIR);
+    for id in ["a", "b"] {
+        assert_eq!(result_data(&first, id), result_data(&second, id), "{id}");
+    }
+    let batch = events(&second, "batch")[0];
+    assert_eq!(batch.get("cache_hits").and_then(Json::as_u64), Some(2));
+    assert_eq!(batch.get("errors").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        events(&first, "batch")[0].get("fingerprint"),
+        batch.get("fingerprint"),
+        "both jobs are folded in as the stored payload"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn protocol_errors_are_reported_not_fatal() {
     let dir = tempdir("errors");
