@@ -17,8 +17,6 @@
 //!   across cores while keeping results byte-identical to a serial run.
 //! * [`StopFlag`] / [`AdmissionGate`] — cooperative shutdown and
 //!   load-shedding admission control for services built on the simulator.
-//! * [`Lease`] / [`Backoff`] — time-bounded work claims and capped
-//!   exponential retry delays for distributed dispatch.
 //!
 //! The networks themselves (hierarchical rings, 2-D meshes) live in the
 //! `ringmesh-ring` and `ringmesh-mesh` crates; workload generation lives
@@ -42,13 +40,11 @@
 #![warn(missing_docs)]
 
 mod admission;
-mod lease;
 mod pool;
 mod rng;
 mod watchdog;
 
 pub use admission::{AdmissionGate, Permit, StopFlag};
-pub use lease::{Backoff, Lease};
 pub use pool::WorkerPool;
 pub use rng::SimRng;
 pub use watchdog::{StallError, Watchdog};

@@ -1,17 +1,14 @@
 //! The fleet coordinator: a TCP registry of remote workers and a
-//! lease-based dispatcher implementing [`RemoteRunner`] for the serve
-//! layer.
+//! lease-based dispatcher the server runs a batch's misses through.
 //!
 //! # Dispatch discipline
 //!
 //! Every attempt to run a task is a **lease**: a time-bounded claim on
-//! one worker, renewed implicitly by progress. The dispatcher reacts to
-//! exactly three kinds of trouble, all through the same re-enqueue
-//! path:
+//! one worker. The dispatcher reacts to exactly three kinds of trouble:
 //!
 //! - **Worker death** — socket EOF or a missed-heartbeat window. All
 //!   leases on the dead worker re-enqueue with capped exponential
-//!   backoff ([`Backoff`]).
+//!   backoff.
 //! - **Lease expiry with a live worker** — the long-tail straggler
 //!   case. The task is speculatively duplicated onto another worker
 //!   (once); the original keeps running and the first completed result
@@ -40,12 +37,11 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use ringmesh::StopFlag;
-use ringmesh_engine::{Backoff, Lease};
-use ringmesh_serve::wire::{self, LineReader, LineWriter, MAX_LINE_BYTES};
-use ringmesh_serve::{RemoteEvent, RemoteOutcome, RemoteRunner, RemoteTask};
 use ringmesh_snap::{hex64, Fingerprint};
 
+use crate::json::Json;
 use crate::protocol::{code_hash, CoordMsg, WorkerMsg};
+use crate::wire::{self, LineReader, LineWriter, MAX_LINE_BYTES};
 
 /// How often the dispatch loop wakes when no worker messages arrive.
 const DISPATCH_TICK: Duration = Duration::from_millis(25);
@@ -55,6 +51,93 @@ const READ_TICK: Duration = Duration::from_millis(250);
 
 /// A worker misses its heartbeat window after this many cadences.
 const HEARTBEAT_GRACE: u32 = 3;
+
+/// One unit of batch work offered to the fleet.
+#[derive(Debug, Clone)]
+pub struct RemoteTask {
+    /// Content key of the job (canonical config + code version).
+    pub key: u64,
+    /// The wire-form job object, re-parseable by
+    /// [`parse_job`](crate::parse_job) on the worker.
+    pub spec: Json,
+}
+
+/// Dispatch-lifecycle and progress events streamed while remote tasks
+/// run. `task` indexes the vector passed to [`FleetPool::run_tasks`].
+#[derive(Debug, Clone)]
+pub enum RemoteEvent {
+    /// The task was leased to a worker for `lease_ms` (attempt is
+    /// 1-based across re-dispatches).
+    Lease {
+        /// Index into the task vector.
+        task: usize,
+        /// Coordinator-assigned worker id.
+        worker: u64,
+        /// 1-based dispatch attempt.
+        attempt: u32,
+        /// Lease duration granted, in milliseconds.
+        lease_ms: u64,
+    },
+    /// Windowed progress relayed from the worker computing the task.
+    Window {
+        /// Index into the task vector.
+        task: usize,
+        /// Network cycle at the end of the window.
+        cycle: u64,
+        /// Transactions issued during the window.
+        issued: u64,
+        /// Transactions retired during the window.
+        retired: u64,
+    },
+    /// The task was re-enqueued (its worker died, or the attempt
+    /// failed) and will wait `backoff_ms` before re-dispatch. An
+    /// expired lease is not a retry: it speculates.
+    Retry {
+        /// Index into the task vector.
+        task: usize,
+        /// The attempt that just ended.
+        attempt: u32,
+        /// Why the attempt ended (`"worker-death"` or
+        /// `"attempt-failed"`).
+        reason: String,
+        /// Capped exponential backoff before the next dispatch.
+        backoff_ms: u64,
+    },
+    /// A long-tail straggler was speculatively duplicated onto another
+    /// worker; first completed result wins.
+    Speculate {
+        /// Index into the task vector.
+        task: usize,
+        /// The worker running the duplicate.
+        worker: u64,
+    },
+}
+
+/// Terminal outcome of one remote task, in task-vector order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RemoteOutcome {
+    /// The task completed; `payload` is the canonical result JSON whose
+    /// FNV content hash was verified against the worker's claim.
+    Done {
+        /// Canonical serialized result payload.
+        payload: String,
+    },
+    /// Two completed attempts returned byte-different payloads — a hard
+    /// determinism violation.
+    Divergent {
+        /// Content hash of the first completed payload.
+        first: u64,
+        /// Content hash of the disagreeing duplicate.
+        second: u64,
+    },
+    /// Every dispatch attempt failed for a task-intrinsic reason (bad
+    /// config, stall) — re-dispatching cannot help.
+    Failed(String),
+    /// The fleet could not complete the task (no live workers, stop
+    /// requested, retry budget exhausted on worker deaths); the server
+    /// falls back to local execution or reports interruption.
+    Unrun,
+}
 
 /// Coordinator tuning knobs.
 #[derive(Debug, Clone)]
@@ -73,8 +156,6 @@ pub struct FleetOptions {
     pub backoff_base_ms: u64,
     /// Backoff ceiling, in milliseconds.
     pub backoff_cap_ms: u64,
-    /// Progress-window length (cycles) workers report at.
-    pub window_cycles: u64,
 }
 
 impl Default for FleetOptions {
@@ -85,7 +166,6 @@ impl Default for FleetOptions {
             max_attempts: 4,
             backoff_base_ms: 250,
             backoff_cap_ms: 5_000,
-            window_cycles: 4_000,
         }
     }
 }
@@ -182,7 +262,7 @@ impl Inner {
     }
 }
 
-/// A TCP worker fleet implementing [`RemoteRunner`].
+/// A TCP worker fleet.
 ///
 /// Binding spawns an accept thread; each accepted connection gets a
 /// reader thread that performs the registration handshake (refusing
@@ -354,11 +434,22 @@ fn serve_worker(stream: TcpStream, inner: &Arc<Inner>) -> io::Result<()> {
 }
 
 /// One outstanding lease: which worker, which dispatch id, until when.
+/// It has expired once `now >= deadline`.
 #[derive(Debug)]
 struct LeaseRec {
     worker: u64,
     dispatch: String,
-    lease: Lease,
+    deadline: Instant,
+}
+
+/// The re-dispatch delay after `attempt` earlier failures (0-based):
+/// `base_ms * 2^attempt` capped at `cap_ms`, with the base clamped to at
+/// least 1 ms so the delays still grow. Never overflows.
+fn backoff_ms(base_ms: u64, cap_ms: u64, attempt: u32) -> u64 {
+    let base_ms = base_ms.max(1);
+    base_ms
+        .saturating_mul(1 << attempt.min(31))
+        .min(cap_ms.max(base_ms))
 }
 
 /// Dispatch-side state of one task.
@@ -387,15 +478,33 @@ impl TaskState {
     }
 }
 
-impl RemoteRunner for FleetPool {
-    fn live_workers(&self) -> usize {
+impl FleetPool {
+    /// Number of live, registered workers right now (silent ones are
+    /// evicted first). The server routes a batch here only when this is
+    /// non-zero.
+    pub fn live_workers(&self) -> usize {
         self.inner.evict_silent_workers();
         self.inner.workers_lock().len()
     }
 
-    fn run_tasks(
+    /// Runs `tasks` to terminal outcomes on the fleet, workers reporting
+    /// progress every `window_cycles` cycles. Returns one outcome per
+    /// task, **in input order**.
+    ///
+    /// Blocks the calling thread until every task is terminal. Every
+    /// [`RemoteEvent`] reaches `events` on that thread. A task the fleet
+    /// could not finish (no workers left, retry budget spent, `stop`
+    /// set, another batch already dispatching) comes back as
+    /// [`RemoteOutcome::Unrun`], and the caller decides whether to run
+    /// it locally or report it interrupted. Two *completed* attempts of
+    /// one task that disagree on the payload are a **hard determinism
+    /// violation** ([`RemoteOutcome::Divergent`]): the simulator
+    /// promises one bit-exact result per content key, so divergence
+    /// means a broken worker or a broken build.
+    pub fn run_tasks(
         &self,
         tasks: Vec<RemoteTask>,
+        window_cycles: u64,
         stop: &StopFlag,
         events: &mut dyn FnMut(RemoteEvent),
     ) -> Vec<RemoteOutcome> {
@@ -409,6 +518,7 @@ impl RemoteRunner for FleetPool {
         let outcomes = Dispatcher {
             inner: &self.inner,
             tasks: &tasks,
+            window_cycles,
             events,
             states: tasks
                 .iter()
@@ -424,10 +534,6 @@ impl RemoteRunner for FleetPool {
                 })
                 .collect(),
             dispatch_to_task: HashMap::new(),
-            backoff: Backoff::new(
-                Duration::from_millis(self.inner.opts.backoff_base_ms),
-                Duration::from_millis(self.inner.opts.backoff_cap_ms),
-            ),
         }
         .run(&rx, stop);
         *self.inner.bus.lock().expect("bus poisoned") = None;
@@ -440,12 +546,13 @@ impl RemoteRunner for FleetPool {
 struct Dispatcher<'a> {
     inner: &'a Arc<Inner>,
     tasks: &'a [RemoteTask],
+    /// Progress-window length (cycles) workers report at.
+    window_cycles: u64,
     events: &'a mut dyn FnMut(RemoteEvent),
     states: Vec<TaskState>,
     /// Dispatch id → task index, kept for the whole batch so results
     /// from superseded attempts still reach the dedupe check.
     dispatch_to_task: HashMap<String, usize>,
-    backoff: Backoff,
 }
 
 impl Dispatcher<'_> {
@@ -522,7 +629,7 @@ impl Dispatcher<'_> {
                 }
             }
             Msg::From(
-                worker,
+                _,
                 WorkerMsg::Window {
                     task,
                     cycle,
@@ -530,7 +637,6 @@ impl Dispatcher<'_> {
                     retired,
                 },
             ) => {
-                let _ = worker;
                 if let Some(&ti) = self.dispatch_to_task.get(&task) {
                     if !self.states[ti].terminal() {
                         (self.events)(RemoteEvent::Window {
@@ -641,26 +747,30 @@ impl Dispatcher<'_> {
     /// Re-enqueues a non-terminal task with capped exponential backoff,
     /// or hands it back unrun once the attempt budget is spent.
     fn requeue(&mut self, ti: usize, reason: &str) {
-        let max = self.inner.opts.max_attempts;
+        let opts = &self.inner.opts;
         let state = &mut self.states[ti];
         if state.queued || state.terminal() {
             return;
         }
-        if state.attempts >= max {
+        if state.attempts >= opts.max_attempts {
             // Budget spent; leave it unfinished for the server's local
             // fallback rather than thrashing the fleet forever.
             state.outcome = Some(RemoteOutcome::Unrun);
             return;
         }
-        let delay = self.backoff.delay_for(state.attempts.saturating_sub(1));
+        let delay_ms = backoff_ms(
+            opts.backoff_base_ms,
+            opts.backoff_cap_ms,
+            state.attempts.saturating_sub(1),
+        );
         state.queued = true;
-        state.next_try = Instant::now() + delay;
+        state.next_try = Instant::now() + Duration::from_millis(delay_ms);
         let attempt = state.attempts;
         (self.events)(RemoteEvent::Retry {
             task: ti,
             attempt,
             reason: reason.to_string(),
-            backoff_ms: delay.as_millis() as u64,
+            backoff_ms: delay_ms,
         });
     }
 
@@ -668,17 +778,11 @@ impl Dispatcher<'_> {
     /// such task once onto a different worker, then renew so the sweep
     /// does not re-trigger every tick.
     fn sweep_leases(&mut self) {
+        let now = Instant::now();
+        let period = Duration::from_millis(self.inner.opts.lease_ms);
         for ti in 0..self.states.len() {
-            if self.states[ti].terminal() {
-                continue;
-            }
-            let expired: Vec<(u64, String)> = self.states[ti]
-                .leases
-                .iter()
-                .filter(|l| l.lease.expired())
-                .map(|l| (l.worker, l.dispatch.clone()))
-                .collect();
-            if expired.is_empty() {
+            let state = &self.states[ti];
+            if state.terminal() || !state.leases.iter().any(|l| now >= l.deadline) {
                 continue;
             }
             let exclude: Vec<u64> = self.states[ti].leases.iter().map(|l| l.worker).collect();
@@ -690,8 +794,8 @@ impl Dispatcher<'_> {
                 }
             }
             for lease in &mut self.states[ti].leases {
-                if expired.iter().any(|(_, d)| *d == lease.dispatch) {
-                    lease.lease.renew();
+                if now >= lease.deadline {
+                    lease.deadline = now + period;
                 }
             }
         }
@@ -728,8 +832,7 @@ impl Dispatcher<'_> {
         let msg = CoordMsg::Dispatch {
             task: dispatch.clone(),
             key: self.tasks[ti].key,
-            lease_ms,
-            window: self.inner.opts.window_cycles,
+            window: self.window_cycles,
             spec: self.tasks[ti].spec.clone(),
         };
         self.dispatch_to_task.insert(dispatch.clone(), ti);
@@ -739,7 +842,7 @@ impl Dispatcher<'_> {
         self.states[ti].leases.push(LeaseRec {
             worker,
             dispatch,
-            lease: Lease::new(Duration::from_millis(lease_ms)),
+            deadline: Instant::now() + Duration::from_millis(lease_ms),
         });
         if self.inner.send_to(worker, &msg) {
             (self.events)(RemoteEvent::Lease {
@@ -764,5 +867,29 @@ impl Dispatcher<'_> {
             .map(|(&id, h)| (h.in_flight, id))
             .min()
             .map(|(_, id)| id)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_doubles_to_the_cap_and_stays_there() {
+        let delays: Vec<u64> = (0..7).map(|a| backoff_ms(50, 1_000, a)).collect();
+        assert_eq!(delays, vec![50, 100, 200, 400, 800, 1000, 1000]);
+    }
+
+    #[test]
+    fn backoff_never_overflows_at_absurd_attempt_counts() {
+        assert_eq!(backoff_ms(1_000, 30_000, 63), 30_000);
+        assert_eq!(backoff_ms(1_000, 30_000, u32::MAX), 30_000);
+        assert_eq!(backoff_ms(u64::MAX, u64::MAX, u32::MAX), u64::MAX);
+    }
+
+    #[test]
+    fn zero_base_is_clamped_so_delays_still_grow() {
+        assert!(backoff_ms(0, 8, 0) >= 1);
+        assert!(backoff_ms(0, 8, 1) >= 2);
     }
 }

@@ -28,16 +28,9 @@
 //! tracks *attempts*, not successes) so a config that deterministically
 //! stalls cannot wedge every subsequent startup in a recovery loop.
 //!
-//! Fleet dispatch adds an informational `lease` record — which worker
-//! holds which job under what deadline — so a post-mortem can
-//! reconstruct who was computing what when a machine died:
-//!
-//! ```text
-//! {"rec":"lease","key":"ab…ef","worker":2,"attempt":1,"lease_ms":15000}
-//! ```
-//!
-//! Replay ignores `lease` records (recovery cares only about
-//! job-vs-done); they are an audit trail, not state.
+//! Replay skips records it does not know, so a journal written by an
+//! older build, whose fleet also journaled a `lease` record per
+//! dispatch, recovers the same jobs.
 //!
 //! **Truncate-on-checkpoint:** the WAL does not grow without bound.
 //! The journal tracks open batches and not-yet-done jobs; when the last
@@ -169,34 +162,6 @@ impl Journal {
         Ok(batch)
     }
 
-    /// Records that a job was leased to a fleet worker — an audit-trail
-    /// record replay ignores, durable on return so a post-mortem of a
-    /// dead coordinator shows who held what.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write/fsync errors.
-    pub fn record_lease(
-        &mut self,
-        key: u64,
-        worker: u64,
-        attempt: u32,
-        lease_ms: u64,
-    ) -> io::Result<()> {
-        writeln!(
-            self.file,
-            "{}",
-            obj(vec![
-                ("rec", Json::Str("lease".into())),
-                ("key", Json::Str(hex64(key))),
-                ("worker", Json::Num(worker as f64)),
-                ("attempt", Json::Num(f64::from(attempt))),
-                ("lease_ms", Json::Num(lease_ms as f64)),
-            ])
-        )?;
-        self.file.sync_data()
-    }
-
     /// Records that a job attempt ran to completion (success or
     /// deterministic failure — either way it must not replay at
     /// startup). Durable on return.
@@ -303,7 +268,9 @@ fn replay(text: &str) -> Vec<RecoveredJob> {
                     jobs.retain(|j| j.key != key);
                 }
             }
-            _ => {} // `end` carries no per-job state; unknown recs skip
+            // `end` carries no per-job state; unknown records (an older
+            // build's `lease`) skip.
+            _ => {}
         }
     }
     jobs
@@ -459,17 +426,22 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Older builds journaled a `lease` record per fleet dispatch as an
+    /// audit trail; a journal they left behind must still recover.
     #[test]
     fn lease_records_are_durable_audit_but_invisible_to_replay() {
         let dir = tempdir("lease");
         {
             let (mut j, _) = Journal::open(&dir).unwrap();
             j.begin_batch(&[(8, spec(8))]).unwrap();
-            j.record_lease(8, 2, 1, 15_000).unwrap();
-            j.record_lease(8, 3, 2, 15_000).unwrap();
-            let text = fs::read_to_string(j.path()).unwrap();
-            assert_eq!(text.matches("\"rec\":\"lease\"").count(), 2);
-            assert!(text.contains("\"worker\":2") && text.contains("\"attempt\":2"));
+            let key = hex64(8);
+            for (worker, attempt) in [(2, 1), (3, 2)] {
+                writeln!(
+                    j.file,
+                    r#"{{"rec":"lease","key":"{key}","worker":{worker},"attempt":{attempt},"lease_ms":15000}}"#
+                )
+                .unwrap();
+            }
         }
         // Replay: the job is still pending exactly once — leases do not
         // complete, duplicate, or reorder it.
@@ -477,6 +449,7 @@ mod tests {
         let rec = rec.expect("leased-but-unfinished job is pending");
         assert_eq!(rec.jobs.len(), 1);
         assert_eq!(rec.jobs[0].key, 8);
+        assert_eq!(rec.jobs[0].spec, spec(8));
         let _ = fs::remove_dir_all(&dir);
     }
 

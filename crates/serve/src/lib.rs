@@ -33,9 +33,9 @@
 //!   sessions with read/write deadlines over shared state; load beyond
 //!   the admission limits is shed with typed `busy` events instead of
 //!   queued unboundedly.
-//! - **Fleet dispatch** ([`RemoteRunner`]) — an attached worker fleet
-//!   runs batch misses under journaled, time-bounded leases with
-//!   heartbeat-driven re-dispatch and straggler speculation; results
+//! - **Fleet dispatch** ([`fleet`]) — an attached worker fleet runs
+//!   batch misses under time-bounded leases with heartbeat-driven
+//!   re-dispatch and straggler speculation; results
 //!   merge in job-submission order, so a batch is byte-identical to a
 //!   single-process run no matter how many workers served it or died
 //!   mid-flight, and byte-divergent duplicate results are surfaced as
@@ -57,12 +57,14 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod coordinator;
 mod jobspec;
 mod journal;
-mod remote;
+mod protocol;
 mod runner;
 mod server;
 pub mod wire;
+mod worker;
 
 /// The protocol's JSON value, parser and writer. The module lives in the
 /// `ringmesh-snap` leaf, where the trace exporter can reach it too.
@@ -71,7 +73,45 @@ pub use ringmesh_snap::json;
 pub use cache::{write_atomic, ResultCache, CODE_VERSION, QUARANTINE_STRIKE_LIMIT};
 pub use jobspec::{parse_job, JobSpec};
 pub use journal::{Journal, RecoveredJob, Recovery};
-pub use remote::{RemoteEvent, RemoteOutcome, RemoteRunner, RemoteTask};
 pub use runner::{run_job, JobError, JobOutcome, WindowEvent};
 pub use server::{result_payload, ServeExit, ServeOptions, Server, MAX_PENDING_JOBS};
 pub use wire::MAX_LINE_BYTES;
+
+/// A fault-tolerant distributed sweep fleet: the server beyond one
+/// machine.
+///
+/// A coordinator ([`FleetPool`](fleet::FleetPool)) accepts TCP
+/// connections from remote workers ([`run_worker`](fleet::run_worker))
+/// and, once attached with [`Server::set_fleet`], runs the cache misses
+/// of each batch on them under **time-bounded leases**, keeping the
+/// server's determinism contract intact across worker crashes:
+///
+/// - **Line-JSON protocol over `std::net`**
+///   ([`WorkerMsg`](fleet::WorkerMsg), [`CoordMsg`](fleet::CoordMsg)),
+///   framed by [`wire`] like every other socket — one message per line,
+///   self-describing, forward-skippable.
+/// - **Code-version handshake** — a worker registers with the FNV hash
+///   of [`CODE_VERSION`] ([`code_hash`](fleet::code_hash)); a
+///   mismatched build is refused with a typed message naming both
+///   hashes, because a fleet of mixed builds could silently produce
+///   non-reproducible sweeps.
+/// - **Leases, heartbeats, re-dispatch** — every dispatch carries a
+///   deadline; the jobs of a worker that dies or misses its heartbeats
+///   re-enqueue (on another worker, or the local pool as a fallback)
+///   under capped exponential backoff.
+/// - **Straggler speculation with first-result-wins** — a job whose
+///   lease expires while its worker still breathes is speculatively
+///   dispatched a second time; duplicate results deduplicate by
+///   content hash, and **byte-divergent** duplicates are reported as a
+///   hard determinism violation rather than silently picking one.
+/// - **Byte-identical merges** — the server emits results in job
+///   submission order, so a batch's output (and its batch fingerprint)
+///   is identical whether it ran on zero, one, or ten workers, and
+///   regardless of which of them died mid-flight. A chaos test pins
+///   this by `kill -9`ing workers mid-batch and diffing against a
+///   single-process control run.
+pub mod fleet {
+    pub use crate::coordinator::{FleetOptions, FleetPool, RemoteEvent, RemoteOutcome, RemoteTask};
+    pub use crate::protocol::{code_hash, CoordMsg, WorkerMsg};
+    pub use crate::worker::{run_worker, WorkerExit};
+}

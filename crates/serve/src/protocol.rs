@@ -17,9 +17,10 @@
 //! cached result, and byte-divergent duplicate results are detectable
 //! without shipping payloads twice.
 
-use ringmesh_serve::json::{obj, Json};
-use ringmesh_serve::CODE_VERSION;
 use ringmesh_snap::{hex64, parse_hex64, Fingerprint};
+
+use crate::cache::CODE_VERSION;
+use crate::json::{obj, Json};
 
 /// The code-version hash exchanged at registration: an FNV-1a digest of
 /// the crate version every result key is already scoped by. Coordinator
@@ -184,9 +185,6 @@ pub enum CoordMsg {
         task: String,
         /// Expected content key of the parsed spec.
         key: u64,
-        /// Lease granted, in milliseconds (informational for the
-        /// worker; enforcement is coordinator-side).
-        lease_ms: u64,
         /// Progress-window length in cycles.
         window: u64,
         /// The job object, re-parseable by `parse_job`.
@@ -228,14 +226,12 @@ impl CoordMsg {
             CoordMsg::Dispatch {
                 task,
                 key,
-                lease_ms,
                 window,
                 spec,
             } => obj(vec![
                 ("ev", Json::Str("dispatch".into())),
                 ("task", Json::Str(task.clone())),
                 ("key", Json::Str(hex64(*key))),
-                ("lease_ms", Json::Num(*lease_ms as f64)),
                 ("window", Json::Num(*window as f64)),
                 ("spec", spec.clone()),
             ])
@@ -266,7 +262,6 @@ impl CoordMsg {
             "dispatch" => Some(CoordMsg::Dispatch {
                 task: v.get("task")?.as_str()?.to_string(),
                 key: parse_hex64(v.get("key")?.as_str()?)?,
-                lease_ms: v.get("lease_ms")?.as_u64()?,
                 window: v.get("window")?.as_u64()?,
                 spec: v.get("spec")?.clone(),
             }),
@@ -344,7 +339,6 @@ mod tests {
             CoordMsg::Dispatch {
                 task: "0:1".into(),
                 key: 77,
-                lease_ms: 30_000,
                 window: 4000,
                 spec,
             },

@@ -13,8 +13,8 @@
 //!
 //! `run` answers cache hits instantly from the content-addressed store
 //! and schedules the misses on the shared [`WorkerPool`] — or, when a
-//! [`RemoteRunner`] fleet is attached and reports live workers, on the
-//! fleet under journaled leases. `window` events stream as workers
+//! [`fleet`](crate::fleet) is attached and reports live workers, on the
+//! fleet under time-bounded leases. `window` events stream as workers
 //! progress (each tagged with the job id); fleet batches additionally
 //! stream `lease`, `retry`, and `speculate` lifecycle events. `result`
 //! events are emitted in job-submission order, and the closing `batch`
@@ -59,10 +59,10 @@ use ringmesh_stats::Histogram;
 use ringmesh_trace::TraceConfig;
 
 use crate::cache::ResultCache;
+use crate::coordinator::{FleetPool, RemoteEvent, RemoteOutcome, RemoteTask};
 use crate::jobspec::{parse_job, JobSpec};
 use crate::journal::{Journal, Recovery};
 use crate::json::{obj, Json};
-use crate::remote::{RemoteEvent, RemoteOutcome, RemoteRunner, RemoteTask};
 use crate::runner::{run_job, JobError, WindowEvent};
 use crate::wire::{self, LineRead, LineReader, LineWriter, MAX_LINE_BYTES};
 
@@ -195,8 +195,8 @@ struct Shared {
     /// Journaled jobs completed by startup recovery.
     recovered: AtomicU64,
     /// Optional worker fleet; batches with misses dispatch here while
-    /// it reports live workers (set once via [`Server::set_remote`]).
-    remote: OnceLock<Arc<dyn RemoteRunner>>,
+    /// it reports live workers (set once via [`Server::set_fleet`]).
+    fleet: OnceLock<FleetPool>,
     /// Duplicate remote runs that disagreed byte-for-byte — a broken
     /// worker or build (drives `ExitStatus::DeterminismViolation`).
     determinism_violations: AtomicU64,
@@ -277,7 +277,7 @@ impl Server {
             stop: StopFlag::new(),
             protocol_errors: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
-            remote: OnceLock::new(),
+            fleet: OnceLock::new(),
             determinism_violations: AtomicU64::new(0),
             latencies: Mutex::default(),
         });
@@ -378,12 +378,12 @@ impl Server {
     }
 
     /// Attaches a worker fleet. From then on, any batch with cache
-    /// misses is dispatched through `runner` whenever it reports live
+    /// misses is dispatched through `fleet` whenever it reports live
     /// workers (falling back to the local pool otherwise, or for tasks
     /// the fleet hands back unrun). At most one fleet may be attached;
     /// later calls are ignored.
-    pub fn set_remote(&self, runner: Arc<dyn RemoteRunner>) {
-        let _ = self.shared.remote.set(runner);
+    pub fn set_fleet(&self, fleet: FleetPool) {
+        let _ = self.shared.fleet.set(fleet);
     }
 
     /// Hard determinism violations observed so far: duplicate remote
@@ -577,7 +577,7 @@ impl Shared {
                         ),
                         (
                             "fleet_workers",
-                            Json::Num(self.remote.get().map_or(0, |r| r.live_workers()) as f64),
+                            Json::Num(self.fleet.get().map_or(0, FleetPool::live_workers) as f64),
                         ),
                         (
                             "determinism_violations",
@@ -759,13 +759,12 @@ impl Shared {
         // item; result emission happens below in submission order, so
         // the client-visible stream is identical whichever lane ran the
         // work (and however many workers died along the way).
-        let runner = self
-            .remote
+        let fleet = self
+            .fleet
             .get()
-            .filter(|r| !work.is_empty() && r.live_workers() > 0)
-            .cloned();
-        let outcomes: Vec<WorkOutcome> = match runner {
-            Some(runner) => self.run_remote(&*runner, &work, out)?,
+            .filter(|f| !work.is_empty() && f.live_workers() > 0);
+        let outcomes: Vec<WorkOutcome> = match fleet {
+            Some(fleet) => self.run_remote(fleet, &work, out),
             None => self.run_local(&work, |item, w| {
                 let _ = self.emit(out, window_event(&item.id, &w));
             }),
@@ -958,94 +957,73 @@ impl Shared {
     }
 
     /// Dispatches work items to the attached fleet: relays its lease /
-    /// window / retry / speculate lifecycle to the client, journals
-    /// every lease grant for the post-mortem audit trail, counts
+    /// window / retry / speculate lifecycle to the client, counts
     /// determinism violations, and falls back to the local pool for any
     /// task the fleet hands back unrun (all workers died, retry budget
     /// drained) so a batch always reaches the same terminal outcomes a
-    /// single-process server would produce.
-    ///
-    /// # Errors
-    ///
-    /// Propagates journal write failures; client writes are
+    /// single-process server would produce. Client writes are
     /// best-effort.
     fn run_remote<W: Write>(
         &self,
-        runner: &dyn RemoteRunner,
+        fleet: &FleetPool,
         work: &[WorkItem],
         out: &mut LineWriter<W>,
-    ) -> io::Result<Vec<WorkOutcome>> {
+    ) -> Vec<WorkOutcome> {
         let tasks: Vec<RemoteTask> = work
             .iter()
             .map(|w| RemoteTask {
-                id: w.id.clone(),
                 key: w.key,
                 spec: w.raw.clone(),
             })
             .collect();
-        let mut journal_err: Option<io::Error> = None;
-        let raw = {
-            let journal_err = &mut journal_err;
-            let mut events = |ev: RemoteEvent| {
-                let line = match ev {
-                    RemoteEvent::Lease {
-                        task,
-                        worker,
-                        attempt,
-                        lease_ms,
-                    } => {
-                        let item = &work[task];
-                        if let Err(e) =
-                            self.journaled(|j| j.record_lease(item.key, worker, attempt, lease_ms))
-                        {
-                            journal_err.get_or_insert(e);
-                        }
-                        obj(vec![
-                            ("event", Json::Str("lease".into())),
-                            ("id", Json::Str(item.id.clone())),
-                            ("worker", Json::Num(worker as f64)),
-                            ("attempt", Json::Num(f64::from(attempt))),
-                            ("lease_ms", Json::Num(lease_ms as f64)),
-                        ])
-                    }
-                    RemoteEvent::Window {
-                        task,
+        let mut events = |ev: RemoteEvent| {
+            let line = match ev {
+                RemoteEvent::Lease {
+                    task,
+                    worker,
+                    attempt,
+                    lease_ms,
+                } => obj(vec![
+                    ("event", Json::Str("lease".into())),
+                    ("id", Json::Str(work[task].id.clone())),
+                    ("worker", Json::Num(worker as f64)),
+                    ("attempt", Json::Num(f64::from(attempt))),
+                    ("lease_ms", Json::Num(lease_ms as f64)),
+                ]),
+                RemoteEvent::Window {
+                    task,
+                    cycle,
+                    issued,
+                    retired,
+                } => window_event(
+                    &work[task].id,
+                    &WindowEvent {
                         cycle,
                         issued,
                         retired,
-                    } => window_event(
-                        &work[task].id,
-                        &WindowEvent {
-                            cycle,
-                            issued,
-                            retired,
-                        },
-                    ),
-                    RemoteEvent::Retry {
-                        task,
-                        attempt,
-                        reason,
-                        backoff_ms,
-                    } => obj(vec![
-                        ("event", Json::Str("retry".into())),
-                        ("id", Json::Str(work[task].id.clone())),
-                        ("attempt", Json::Num(f64::from(attempt))),
-                        ("reason", Json::Str(reason)),
-                        ("backoff_ms", Json::Num(backoff_ms as f64)),
-                    ]),
-                    RemoteEvent::Speculate { task, worker } => obj(vec![
-                        ("event", Json::Str("speculate".into())),
-                        ("id", Json::Str(work[task].id.clone())),
-                        ("worker", Json::Num(worker as f64)),
-                    ]),
-                };
-                let _ = self.emit(out, line);
+                    },
+                ),
+                RemoteEvent::Retry {
+                    task,
+                    attempt,
+                    reason,
+                    backoff_ms,
+                } => obj(vec![
+                    ("event", Json::Str("retry".into())),
+                    ("id", Json::Str(work[task].id.clone())),
+                    ("attempt", Json::Num(f64::from(attempt))),
+                    ("reason", Json::Str(reason)),
+                    ("backoff_ms", Json::Num(backoff_ms as f64)),
+                ]),
+                RemoteEvent::Speculate { task, worker } => obj(vec![
+                    ("event", Json::Str("speculate".into())),
+                    ("id", Json::Str(work[task].id.clone())),
+                    ("worker", Json::Num(worker as f64)),
+                ]),
             };
-            runner.run_tasks(tasks, &self.stop, &mut events)
+            let _ = self.emit(out, line);
         };
-        if let Some(e) = journal_err {
-            return Err(e);
-        }
+        let raw = fleet.run_tasks(tasks, self.opts.window_cycles, &self.stop, &mut events);
         debug_assert_eq!(raw.len(), work.len(), "one outcome per task");
         let mut outcomes: Vec<Option<WorkOutcome>> = Vec::with_capacity(work.len());
         let mut fallback: Vec<usize> = Vec::new();
@@ -1092,10 +1070,10 @@ impl Shared {
                 outcomes[slot] = Some(r);
             }
         }
-        Ok(outcomes
+        outcomes
             .into_iter()
             .map(|o| o.expect("every task reaches a terminal outcome"))
-            .collect())
+            .collect()
     }
 
     /// Adds the time since `since` to the histogram of `stage`.

@@ -21,11 +21,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ringmesh::StopFlag;
-use ringmesh_serve::wire::{self, LineReader, LineWriter, MAX_LINE_BYTES};
-use ringmesh_serve::{parse_job, result_payload, run_job, JobError, ResultCache};
 use ringmesh_snap::{hex64, Fingerprint};
 
+use crate::cache::ResultCache;
+use crate::jobspec::parse_job;
+use crate::json::Json;
 use crate::protocol::{code_hash, CoordMsg, WorkerMsg};
+use crate::runner::{run_job, JobError, WindowEvent};
+use crate::server::result_payload;
+use crate::wire::{self, LineReader, LineWriter, MAX_LINE_BYTES};
 
 /// How often a blocked coordinator-socket read wakes to poll the stop
 /// flag.
@@ -34,19 +38,6 @@ const READ_TICK: Duration = Duration::from_millis(250);
 /// The write half, shared by the read loop, the heartbeat pump and the
 /// dispatch threads; the lock keeps their lines whole.
 type Writer = Arc<Mutex<LineWriter<TcpStream>>>;
-
-/// Worker tuning knobs.
-#[derive(Debug, Clone)]
-pub struct WorkerOptions {
-    /// Concurrent dispatches to accept (advertised at registration).
-    pub threads: u32,
-}
-
-impl Default for WorkerOptions {
-    fn default() -> Self {
-        WorkerOptions { threads: 1 }
-    }
-}
 
 /// How a worker session ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,16 +59,16 @@ pub enum WorkerExit {
     Stopped,
 }
 
-/// Connects to a coordinator at `addr`, registers, and serves
-/// dispatches until the coordinator says goodbye, the connection drops,
-/// or `stop` is set.
+/// Connects to a coordinator at `addr`, registers to run up to
+/// `threads` dispatches at once, and serves dispatches until the
+/// coordinator says goodbye, the connection drops, or `stop` is set.
 ///
 /// # Errors
 ///
 /// Propagates connect and transport errors. A refused registration is
 /// **not** an error — it returns [`WorkerExit::Refused`] so the CLI can
 /// exit with a typed status.
-pub fn run_worker(addr: &str, opts: &WorkerOptions, stop: &StopFlag) -> io::Result<WorkerExit> {
+pub fn run_worker(addr: &str, threads: u32, stop: &StopFlag) -> io::Result<WorkerExit> {
     let stream = TcpStream::connect(addr)?;
     wire::prepare(&stream, READ_TICK, Some(Duration::from_secs(5)))?;
     let mut reader = LineReader::new(BufReader::new(stream.try_clone()?), MAX_LINE_BYTES);
@@ -87,7 +78,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions, stop: &StopFlag) -> io::Resu
         &writer,
         &WorkerMsg::Register {
             code: code_hash(),
-            threads: opts.threads.max(1),
+            threads: threads.max(1),
         },
     )?;
     let (worker_id, heartbeat_ms) = match read_msg(&mut reader, stop)? {
@@ -158,7 +149,6 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions, stop: &StopFlag) -> io::Resu
                 Some(CoordMsg::Dispatch {
                     task,
                     key,
-                    lease_ms: _,
                     window,
                     spec,
                 }) => {
@@ -197,7 +187,7 @@ fn run_dispatch(
     task: &str,
     key: u64,
     window: u64,
-    spec: &ringmesh_serve::json::Json,
+    spec: &Json,
     task_stop: &StopFlag,
     global_stop: &StopFlag,
 ) {
@@ -230,7 +220,7 @@ fn run_dispatch(
     // worker shutdown.
     let merged = StopFlag::new();
     let outcome = {
-        let mut on_window = |w: ringmesh_serve::WindowEvent| {
+        let mut on_window = |w: WindowEvent| {
             if task_stop.is_set() || global_stop.is_set() {
                 merged.set();
             }

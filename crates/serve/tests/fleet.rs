@@ -14,14 +14,12 @@ use std::thread;
 use std::time::Duration;
 
 use ringmesh::StopFlag;
-use ringmesh_fleet::{
-    code_hash, run_worker, CoordMsg, FleetOptions, FleetPool, WorkerExit, WorkerMsg, WorkerOptions,
+use ringmesh_serve::fleet::{
+    code_hash, run_worker, CoordMsg, FleetOptions, FleetPool, RemoteEvent, RemoteOutcome,
+    RemoteTask, WorkerExit, WorkerMsg,
 };
 use ringmesh_serve::json::Json;
-use ringmesh_serve::{
-    parse_job, result_payload, run_job, RemoteEvent, RemoteOutcome, RemoteRunner, RemoteTask,
-    ResultCache,
-};
+use ringmesh_serve::{parse_job, result_payload, run_job, ResultCache};
 use ringmesh_snap::Fingerprint;
 
 /// A small real job (mesh 3×3, two short batches) used wherever a
@@ -36,7 +34,6 @@ fn test_opts() -> FleetOptions {
         max_attempts: 4,
         backoff_base_ms: 10,
         backoff_cap_ms: 100,
-        window_cycles: 200,
     }
 }
 
@@ -48,14 +45,7 @@ fn task_and_expected(id: &str) -> (RemoteTask, String) {
     let key = ResultCache::key(&job.cfg);
     let out = run_job(&job.cfg, 200, 0, None, None, &mut |_| {}).expect("local control run");
     let payload = result_payload(&job.cfg, &out.result, key);
-    (
-        RemoteTask {
-            id: id.to_string(),
-            key,
-            spec,
-        },
-        payload,
-    )
+    (RemoteTask { key, spec }, payload)
 }
 
 /// A scripted worker speaking the wire protocol directly.
@@ -139,14 +129,13 @@ fn real_worker_runs_a_dispatch_and_the_payload_is_byte_identical_to_local() {
     let addr = pool.local_addr().to_string();
     let stop = StopFlag::new();
     let worker_stop = stop.clone();
-    let worker = thread::spawn(move || {
-        run_worker(&addr, &WorkerOptions { threads: 1 }, &worker_stop).expect("worker transport")
-    });
+    let worker =
+        thread::spawn(move || run_worker(&addr, 1, &worker_stop).expect("worker transport"));
     await_workers(&pool, 1);
 
     let (task, expected) = task_and_expected("t0");
     let mut events = Vec::new();
-    let outcomes = pool.run_tasks(vec![task], &StopFlag::new(), &mut |e| events.push(e));
+    let outcomes = pool.run_tasks(vec![task], 200, &StopFlag::new(), &mut |e| events.push(e));
 
     match &outcomes[..] {
         [RemoteOutcome::Done { payload }] => assert_eq!(
@@ -192,15 +181,13 @@ fn killed_worker_re_dispatches_to_a_survivor_with_a_typed_retry() {
     let stop = StopFlag::new();
     let survivor_stop = stop.clone();
     let addr_str = addr.to_string();
-    let survivor = thread::spawn(move || {
-        run_worker(&addr_str, &WorkerOptions { threads: 1 }, &survivor_stop)
-            .expect("worker transport")
-    });
+    let survivor =
+        thread::spawn(move || run_worker(&addr_str, 1, &survivor_stop).expect("worker transport"));
     await_workers(&pool, 2);
 
     let (task, expected) = task_and_expected("t0");
     let mut events = Vec::new();
-    let outcomes = pool.run_tasks(vec![task], &StopFlag::new(), &mut |e| events.push(e));
+    let outcomes = pool.run_tasks(vec![task], 200, &StopFlag::new(), &mut |e| events.push(e));
 
     let first_dispatch = died_rx.recv().expect("doomed worker saw the dispatch");
     assert_eq!(first_dispatch, "0:1", "attempt 1 goes to the doomed worker");
@@ -242,7 +229,6 @@ fn byte_divergent_duplicate_results_are_a_determinism_violation() {
     let spec = Json::parse(JOB).expect("job spec parses");
     let tasks: Vec<RemoteTask> = (0..2)
         .map(|i| RemoteTask {
-            id: format!("t{i}"),
             key: 0x1000 + i,
             spec: spec.clone(),
         })
@@ -276,7 +262,7 @@ fn byte_divergent_duplicate_results_are_a_determinism_violation() {
     });
 
     let mut events = Vec::new();
-    let outcomes = pool.run_tasks(tasks, &StopFlag::new(), &mut |e| events.push(e));
+    let outcomes = pool.run_tasks(tasks, 200, &StopFlag::new(), &mut |e| events.push(e));
 
     assert!(
         matches!(&outcomes[0], RemoteOutcome::Done { payload } if payload == r#"{"answer":3}"#),
@@ -332,7 +318,7 @@ fn a_message_that_straddles_a_read_tick_is_delivered_and_the_worker_kept() {
     });
 
     let mut events = Vec::new();
-    let outcomes = pool.run_tasks(vec![task], &StopFlag::new(), &mut |e| events.push(e));
+    let outcomes = pool.run_tasks(vec![task], 200, &StopFlag::new(), &mut |e| events.push(e));
     match &outcomes[..] {
         [RemoteOutcome::Done { payload }] => assert_eq!(payload, &expected),
         other => panic!("the split `done` must be delivered whole, got {other:?}"),
@@ -388,7 +374,7 @@ fn a_line_past_the_cap_drops_the_connection_and_reports_one_death() {
 
     let (task, _) = task_and_expected("t0");
     let mut events = Vec::new();
-    let outcomes = pool.run_tasks(vec![task], &StopFlag::new(), &mut |e| events.push(e));
+    let outcomes = pool.run_tasks(vec![task], 200, &StopFlag::new(), &mut |e| events.push(e));
     assert!(
         matches!(&outcomes[..], [RemoteOutcome::Unrun]),
         "no worker is left to run the task: {outcomes:?}"
@@ -431,15 +417,13 @@ fn an_expired_lease_on_a_live_worker_is_speculated_onto_another() {
     let stop = StopFlag::new();
     let worker_stop = stop.clone();
     let addr_str = addr.to_string();
-    let worker = thread::spawn(move || {
-        run_worker(&addr_str, &WorkerOptions { threads: 1 }, &worker_stop)
-            .expect("worker transport")
-    });
+    let worker =
+        thread::spawn(move || run_worker(&addr_str, 1, &worker_stop).expect("worker transport"));
     await_workers(&pool, 2);
 
     let (task, expected) = task_and_expected("t0");
     let mut events = Vec::new();
-    let outcomes = pool.run_tasks(vec![task], &StopFlag::new(), &mut |e| events.push(e));
+    let outcomes = pool.run_tasks(vec![task], 200, &StopFlag::new(), &mut |e| events.push(e));
 
     match &outcomes[..] {
         [RemoteOutcome::Done { payload }] => assert_eq!(
@@ -458,6 +442,41 @@ fn an_expired_lease_on_a_live_worker_is_speculated_onto_another() {
     assert_eq!(
         canceled, dispatch,
         "the straggler's dispatch is canceled once the duplicate wins"
+    );
+
+    drop(pool);
+    assert_eq!(worker.join().expect("worker thread"), WorkerExit::Done);
+    stop.set();
+}
+
+#[test]
+fn the_window_passed_to_run_tasks_reaches_the_worker() {
+    let pool = FleetPool::bind("127.0.0.1:0", test_opts()).expect("bind");
+    let addr = pool.local_addr().to_string();
+    let stop = StopFlag::new();
+    let worker_stop = stop.clone();
+    let worker =
+        thread::spawn(move || run_worker(&addr, 1, &worker_stop).expect("worker transport"));
+    await_workers(&pool, 1);
+
+    // `JOB` runs 1 200 cycles: four 300-cycle windows. Any other
+    // window length (the trace's 1 000, the old fleet default 4 000)
+    // ends a window off the 300-cycle grid or leaves only one.
+    let (task, _) = task_and_expected("t0");
+    let mut cycles = Vec::new();
+    let outcomes = pool.run_tasks(vec![task], 300, &StopFlag::new(), &mut |e| {
+        if let RemoteEvent::Window { cycle, .. } = e {
+            cycles.push(cycle);
+        }
+    });
+    assert!(
+        matches!(&outcomes[..], [RemoteOutcome::Done { .. }]),
+        "{outcomes:?}"
+    );
+    assert!(cycles.len() >= 2, "windows: {cycles:?}");
+    assert!(
+        cycles[..cycles.len() - 1].iter().all(|c| c % 300 == 0),
+        "every window but the last ends on the 300-cycle grid: {cycles:?}"
     );
 
     drop(pool);

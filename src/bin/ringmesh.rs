@@ -24,8 +24,8 @@ use ringmesh::{
     run_config, ExitStatus, FaultConfig, FaultPlan, FaultRunReport, NetworkSpec, RetryPolicy,
     RunError, Scale, SimParams, System, SystemConfig, TraceConfig,
 };
-use ringmesh_fleet::{run_worker, FleetOptions, FleetPool, WorkerExit, WorkerOptions};
 use ringmesh_net::CacheLineSize;
+use ringmesh_serve::fleet::{run_worker, FleetOptions, FleetPool, WorkerExit};
 use ringmesh_serve::{ServeExit, ServeOptions, Server};
 use ringmesh_workload::{MemoryParams, MissProcess, WorkloadParams};
 
@@ -81,7 +81,7 @@ server down gracefully: checkpoints and journal flushed, exit code 6.
 With --fleet the server also coordinates a distributed worker fleet:
 remote `ringmesh worker` processes register over TCP (refused unless
 their code-version hash matches exactly) and batch cache-misses are
-dispatched to them under journaled, time-bounded leases. A worker that
+dispatched to them under time-bounded leases. A worker that
 dies or goes silent mid-lease has its jobs re-dispatched with capped
 exponential backoff; long-tail stragglers are speculatively duplicated
 with first-result-wins dedupe by content hash. Results merge in job
@@ -612,7 +612,7 @@ fn run_serve(mut args: Args) -> ExitCode {
                 },
             ))
         });
-        let mut fleet = fleet.transpose()?;
+        let fleet = fleet.transpose()?;
         let cache_dir = args
             .take_value("--cache")?
             .unwrap_or_else(|| ".ringmesh-cache".into());
@@ -653,11 +653,6 @@ fn run_serve(mut args: Args) -> ExitCode {
             defaults.write_deadline,
         );
         args.finish()?;
-        // Fleet progress windows track the serve-side window length so
-        // remote and local jobs stream comparable events.
-        if let Some((_, fleet_opts)) = fleet.as_mut() {
-            fleet_opts.window_cycles = window;
-        }
         Ok((
             listen,
             fleet,
@@ -688,7 +683,7 @@ fn run_serve(mut args: Args) -> ExitCode {
     };
     if let Some((addr, fleet_opts)) = fleet {
         match FleetPool::bind(&addr, fleet_opts) {
-            Ok(pool) => server.set_remote(std::sync::Arc::new(pool)),
+            Ok(pool) => server.set_fleet(pool),
             Err(e) => {
                 eprintln!("error: binding fleet listener {addr}: {e}");
                 return ExitStatus::Io.into();
@@ -739,15 +734,15 @@ fn run_serve(mut args: Args) -> ExitCode {
 /// `ringmesh worker --connect <host:port>`: join a serving
 /// coordinator's fleet and run dispatched jobs until told goodbye.
 fn run_worker_cmd(mut args: Args) -> ExitCode {
-    let parsed = (|| -> Result<(String, WorkerOptions), String> {
+    let parsed = (|| -> Result<(String, u32), String> {
         let connect = args
             .take_value("--connect")?
             .ok_or_else(|| "worker requires --connect <host:port>".to_string())?;
         let threads = args.take_parsed::<u32>("--threads")?.unwrap_or(1).max(1);
         args.finish()?;
-        Ok((connect, WorkerOptions { threads }))
+        Ok((connect, threads))
     })();
-    let (connect, opts) = match parsed {
+    let (connect, threads) = match parsed {
         Ok(x) => x,
         Err(e) => return usage_error(&e),
     };
@@ -763,7 +758,7 @@ fn run_worker_cmd(mut args: Args) -> ExitCode {
         std::thread::sleep(Duration::from_millis(50));
     });
 
-    match run_worker(&connect, &opts, &stop) {
+    match run_worker(&connect, threads, &stop) {
         Ok(WorkerExit::Done) => ExitStatus::Success.into(),
         // A refused registration is an operator problem (stale binary
         // pointed at a newer coordinator), not a transport failure.
