@@ -35,8 +35,8 @@
 //!   queued unboundedly.
 //! - **Fleet dispatch** ([`fleet`]) — an attached worker fleet runs
 //!   batch misses under time-bounded leases with heartbeat-driven
-//!   re-dispatch and straggler speculation; results
-//!   merge in job-submission order, so a batch is byte-identical to a
+//!   re-dispatch and straggler speculation; results merge in
+//!   job-submission order, so a batch is byte-identical to a
 //!   single-process run no matter how many workers served it or died
 //!   mid-flight, and byte-divergent duplicate results are surfaced as
 //!   hard determinism violations.

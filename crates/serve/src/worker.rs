@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -116,18 +117,15 @@ pub fn run_worker(addr: &str, threads: u32, stop: &StopFlag) -> io::Result<Worke
     // interrupts the simulation at its next window instead of wasting
     // the rest of the run.
     let cancels: Mutex<HashMap<String, StopFlag>> = Mutex::new(HashMap::new());
-    // Set once the read loop decides to exit, so the heartbeat pump
-    // (and any dispatch threads) stop and the scope can join them.
-    let session_over = StopFlag::new();
-    let exit = std::thread::scope(|s| -> io::Result<WorkerExit> {
-        // Heartbeat pump: liveness only, no payload.
+    std::thread::scope(|s| -> io::Result<WorkerExit> {
+        // Heartbeat pump: liveness only, no payload. It beats until the
+        // session ends, however it ends: then `session` drops and the
+        // pump wakes at once, so the scope can join it.
+        let (session, session_over) = mpsc::channel::<()>();
         let hb_writer = Arc::clone(&writer);
-        let hb_stop = stop.clone();
-        let hb_over = session_over.clone();
         s.spawn(move || {
             let cadence = Duration::from_millis(heartbeat_ms.max(100));
-            while !hb_stop.is_set() && !hb_over.is_set() {
-                std::thread::sleep(cadence / 2);
+            while let Err(RecvTimeoutError::Timeout) = session_over.recv_timeout(cadence / 2) {
                 if send(&hb_writer, &WorkerMsg::Heartbeat).is_err() {
                     return; // connection gone; the read loop will exit
                 }
@@ -136,22 +134,23 @@ pub fn run_worker(addr: &str, threads: u32, stop: &StopFlag) -> io::Result<Worke
 
         let exit = loop {
             if stop.is_set() {
-                break WorkerExit::Stopped;
+                break Ok(WorkerExit::Stopped);
             }
-            match read_msg(&mut reader, stop)? {
-                None => break WorkerExit::Done, // EOF: coordinator gone
-                Some(CoordMsg::Bye) => break WorkerExit::Done,
-                Some(CoordMsg::Cancel { task }) => {
+            match read_msg(&mut reader, stop) {
+                Err(e) => break Err(e),
+                // EOF or goodbye: the coordinator is gone.
+                Ok(None | Some(CoordMsg::Bye)) => break Ok(WorkerExit::Done),
+                Ok(Some(CoordMsg::Cancel { task })) => {
                     if let Some(flag) = cancels.lock().expect("cancel map").get(&task) {
                         flag.set();
                     }
                 }
-                Some(CoordMsg::Dispatch {
+                Ok(Some(CoordMsg::Dispatch {
                     task,
                     key,
                     window,
                     spec,
-                }) => {
+                })) => {
                     let task_stop = StopFlag::new();
                     cancels
                         .lock()
@@ -163,20 +162,19 @@ pub fn run_worker(addr: &str, threads: u32, stop: &StopFlag) -> io::Result<Worke
                         run_dispatch(&writer, &task, key, window, &spec, &task_stop, &global_stop);
                     });
                 }
-                Some(CoordMsg::Welcome { .. } | CoordMsg::Refused { .. }) => {
+                Ok(Some(CoordMsg::Welcome { .. } | CoordMsg::Refused { .. })) => {
                     // Out-of-order handshake replay; ignore.
                 }
             }
         };
         // Interrupt any still-running dispatches before the scope joins
         // them; their results are no longer deliverable anyway.
-        session_over.set();
+        drop(session);
         for flag in cancels.lock().expect("cancel map").values() {
             flag.set();
         }
-        Ok(exit)
-    })?;
-    Ok(exit)
+        exit
+    })
 }
 
 /// Runs one dispatched job and reports `done` / `fail` (or nothing, if

@@ -1,14 +1,16 @@
 //! End-to-end fleet tests over real sockets: registration policy,
 //! dispatch-and-complete against a genuine worker, worker-death
-//! re-dispatch, and the divergent-duplicate determinism check.
+//! re-dispatch, lease-expiry speculation, the serve window reaching the
+//! worker, and the divergent-duplicate determinism check.
 //!
 //! Fake workers speak the wire protocol directly so failure modes
-//! (dying mid-lease, double-completing a dispatch) can be scripted
-//! exactly; the dispatch-and-complete test uses the real
-//! [`run_worker`] loop.
+//! (dying mid-lease, never answering, double-completing a dispatch) can
+//! be scripted exactly, and one scripted coordinator sends a worker a
+//! line it cannot read; the other tests use the real [`run_worker`]
+//! loop.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
@@ -482,4 +484,41 @@ fn the_window_passed_to_run_tasks_reaches_the_worker() {
     drop(pool);
     assert_eq!(worker.join().expect("worker thread"), WorkerExit::Done);
     stop.set();
+}
+
+#[test]
+fn a_worker_that_cannot_read_its_coordinator_ends_the_session_at_once() {
+    // A scripted coordinator: it welcomes the worker with a heartbeat
+    // cadence far longer than the test, then sends a dispatch this build
+    // cannot decode (one from a build with another wire format).
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("address").to_string();
+    let (exit_tx, exit_rx) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        let exit = run_worker(&addr, 1, &StopFlag::new()).map_err(|e| e.kind());
+        exit_tx.send(exit).expect("report the exit");
+    });
+    let (mut coordinator, _) = listener.accept().expect("accept");
+    let mut line = String::new();
+    BufReader::new(coordinator.try_clone().expect("clone"))
+        .read_line(&mut line)
+        .expect("register line");
+    assert!(matches!(
+        WorkerMsg::decode(line.trim_end()),
+        Some(WorkerMsg::Register { .. })
+    ));
+    let welcome = CoordMsg::Welcome {
+        worker: 0,
+        heartbeat_ms: 60_000,
+    };
+    writeln!(coordinator, "{}", welcome.encode()).expect("welcome");
+    writeln!(coordinator, r#"{{"ev":"dispatch","task":"0:1"}}"#).expect("dispatch");
+
+    // Heartbeating on while it runs nothing would hold the job's lease
+    // until it expired, and forever with no other worker to speculate on.
+    let exit = exit_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the worker ends its session instead of heartbeating on");
+    assert_eq!(exit, Err(io::ErrorKind::InvalidData));
+    worker.join().expect("worker thread");
 }
