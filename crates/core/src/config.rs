@@ -224,6 +224,9 @@ impl Default for SimParams {
     }
 }
 
+/// The seed a [`SystemConfig`] starts with: "RING" in ASCII.
+pub const DEFAULT_SEED: u64 = 0x5249_4E47;
+
 /// Everything needed to run one simulation point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
@@ -251,7 +254,7 @@ impl SystemConfig {
             workload: WorkloadParams::paper_baseline(),
             memory: MemoryParams::default(),
             sim: SimParams::default(),
-            seed: 0x52_49_4e_47, // "RING"
+            seed: DEFAULT_SEED,
         }
     }
 

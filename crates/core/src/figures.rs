@@ -68,8 +68,9 @@ macro_rules! figure {
     };
 }
 
-/// Every experiment, in DESIGN §4 order; `ringmesh figure all` runs
-/// them top to bottom.
+/// Every experiment, in DESIGN §4 order, then the host-work record;
+/// `ringmesh figure all` runs them top to bottom but for
+/// [`RECORD_ROW`].
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "table1",
@@ -133,7 +134,17 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "Extension: hot-spot sensitivity",
         run: ext_hotspot,
     },
+    Experiment {
+        name: RECORD_ROW,
+        title: "Host work per simulated cycle (writes BENCH_work.json)",
+        run: |_| crate::work::print_record(),
+    },
 ];
+
+/// The one row `ringmesh figure all` leaves out: the host-work record
+/// of [`crate::work`], which measures the simulator, not the networks,
+/// and writes a file.
+pub const RECORD_ROW: &str = "work";
 
 const SEED: u64 = 0x1997_0201; // HPCA, February 1997
 
@@ -998,11 +1009,11 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_in_design_order() {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-        assert_eq!(names.len(), 22);
+        assert_eq!(names.len(), 23);
         assert_eq!(&names[..3], ["table1", "table2", "fig06"]);
         assert_eq!(
             &names[17..],
-            ["fig21", "crossover", "ablations", "slotted", "hotspot"]
+            ["fig21", "crossover", "ablations", "slotted", "hotspot", RECORD_ROW]
         );
         for (i, n) in names.iter().enumerate() {
             assert!(!names[..i].contains(n), "{n} is registered twice");

@@ -57,8 +57,9 @@ pub mod figures;
 mod sweep;
 mod system;
 pub mod topologies;
+pub mod work;
 
-pub use config::{NetworkSpec, SimParams, SystemConfig};
+pub use config::{NetworkSpec, SimParams, SystemConfig, DEFAULT_SEED};
 pub use exit::ExitStatus;
 pub use ringmesh_engine::{AdmissionGate, StopFlag, WorkerPool};
 pub use ringmesh_faults::{ConservationError, DropCounts, FaultConfig, FaultReport};

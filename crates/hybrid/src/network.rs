@@ -27,7 +27,7 @@ use ringmesh_ring::kernel::{RingTier, StationMap, StepPulse};
 use ringmesh_ring::topology::SideRef;
 use ringmesh_ring::{RingConfig, StationKind, OUT_QUEUE_PACKETS};
 use ringmesh_snap::{Codec, Snap, SnapError};
-use ringmesh_trace::{Counter, Gauge};
+use ringmesh_trace::{Counter, Gauge, Work};
 
 /// Mesh router input buffer depth, in cache-line worms: one, the
 /// cache-line regime of the plain mesh under the ring's wider channel.
@@ -284,6 +284,7 @@ impl ringmesh_net::Interconnect for HybridNetwork {
                     // stay invisible until the next cycle, and
                     // `has_complete_packet` then lets the bridge start a
                     // loss-free ring entry under the credit rule.
+                    pulse.pushed += u64::from(flits);
                     let down = self.tier.iri_mut(g as usize).down_queue_mut(class);
                     for seq in 0..flits {
                         let is_tail = seq + 1 == flits;
@@ -301,6 +302,10 @@ impl ringmesh_net::Interconnect for HybridNetwork {
                 CommitOp::Drop { packet, reason } => self.core.drop_packet(packet, reason),
             }
         }
+        // Phase E — latch: the touched mesh routers' input buffers,
+        // then the ring tier.
+        self.routers.latch();
+        self.tier.latch(&mut pulse);
         if self.core.tracing() {
             let occupancy = self.routers.occupancy() as f64;
             let tracer = self.core.tracer();
@@ -308,11 +313,10 @@ impl ringmesh_net::Interconnect for HybridNetwork {
             tracer.count(Counter::BlockedCycles, pulse.blocked);
             tracer.count(Counter::IriCrossings, pulse.crossed);
             tracer.gauge(Gauge::MeshInputOccupancy, occupancy);
+            tracer.work(Work::BridgePumps, self.topo.num_pms() as u64);
+            pulse.report_work(tracer);
+            self.routers.report_work(tracer);
         }
-        // Phase E — latch: the touched mesh routers' input buffers,
-        // then the ring tier.
-        self.routers.latch();
-        self.tier.latch();
         pulse.moved
     }
 

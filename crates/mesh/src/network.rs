@@ -159,6 +159,7 @@ impl ringmesh_net::Interconnect for MeshNetwork {
         self.link_flits += self.routers.link_flits;
         if tracing {
             self.trace_cycle(now);
+            self.routers.report_work(self.core.tracer());
         }
         self.routers.latch();
         self.routers.moved

@@ -75,6 +75,7 @@ use ringmesh_net::{
     QueueClass,
 };
 use ringmesh_snap::{Codec, Snap, SnapError};
+use ringmesh_trace::{Tracer, Work};
 
 use crate::topology::{Direction, MeshTopology};
 
@@ -415,6 +416,11 @@ pub struct MeshRouters {
     /// Step output: transfer opportunities blocked on downstream stop,
     /// counted only when the step is traced.
     pub blocked: u64,
+    /// Step output: routers stepped (host work).
+    pub stepped: u64,
+    /// Step output: flits injected into a local input buffer (host
+    /// work; with `link_flits`, every push into a router's FIFOs).
+    pub injected: u64,
 }
 
 impl MeshRouters {
@@ -471,6 +477,8 @@ impl MeshRouters {
             moved: 0,
             link_flits: 0,
             blocked: 0,
+            stepped: 0,
+            injected: 0,
         }
     }
 
@@ -583,6 +591,7 @@ impl MeshRouters {
         // `awake` bits between vertical neighbours.
         let row_bits = words << 6;
         let (mut moved, mut link_flits, mut blocked) = (0u64, 0u64, 0u64);
+        let (mut stepped, mut injected) = (0u64, 0u64);
         for row in 0..side {
             for k in row * words..(row + 1) * words {
                 let mut bits = self.awake[k];
@@ -601,6 +610,7 @@ impl MeshRouters {
                     let mut x = self.xbar[l];
                     debug_assert!(x.flags & ACTIVE != 0, "router {l}: awake but not ACTIVE");
                     self.touched.push(l as u32);
+                    stepped += 1;
                     let base = l * 5;
 
                     // 1. PM injection: serialize queued packets
@@ -630,6 +640,7 @@ impl MeshRouters {
                             x.flags &= !DRAINING;
                         }
                         moved += 1;
+                        injected += 1;
                     }
 
                     // 2. Route computation for new head flits. An input
@@ -789,6 +800,18 @@ impl MeshRouters {
         self.moved = moved + link_flits;
         self.link_flits = link_flits;
         self.blocked = blocked;
+        self.stepped = stepped;
+        self.injected = injected;
+    }
+
+    /// Hands the last step's and latch's host-work counts to `tracer`:
+    /// routers stepped, link flits, FIFO pushes and the FIFOs of every
+    /// router [`latch`](Self::latch) re-published (five a router).
+    pub fn report_work(&self, tracer: &mut Tracer) {
+        tracer.work(Work::MeshRouters, self.stepped);
+        tracer.work(Work::LinkFlits, self.link_flits);
+        tracer.work(Work::FifoPushes, self.link_flits + self.injected);
+        tracer.work(Work::FifoLatches, 5 * self.touched.len() as u64);
     }
 
     /// Publishes the next-cycle stop/go of every router the last

@@ -6,7 +6,7 @@ use ringmesh_faults::{
     ConservationError, ConservationLedger, DropReason, FaultDomain, FaultInjector,
 };
 use ringmesh_snap::{Codec, DynSnap, Snap, SnapError};
-use ringmesh_trace::{Counter, EventKind, Gauge, TraceLoc, Tracer};
+use ringmesh_trace::{Counter, EventKind, Gauge, TraceLoc, Tracer, Work};
 
 use crate::census::check_network;
 use crate::interconnect::{QueueClass, UtilizationReport};
@@ -161,6 +161,7 @@ impl NetCore {
         }
         if self.tracer.is_enabled() {
             self.tracer.count(Counter::PacketsInjected, 1);
+            self.tracer.work(Work::PacketsAllocated, 1);
             self.tracer.event(
                 packet.txn.raw(),
                 self.cycle,
@@ -234,6 +235,7 @@ impl NetCore {
         }
         if self.tracer.is_enabled() {
             self.tracer.count(Counter::PacketsDelivered, delivered);
+            self.tracer.work(Work::RoomEvents, self.room.len() as u64);
             self.tracer
                 .gauge(Gauge::InFlightPackets, self.store.live() as f64);
         }

@@ -211,6 +211,7 @@ impl Iri {
                     }
                     q.push(flit, now);
                     t.pulse.moved += 1;
+                    t.pulse.pushed += 1;
                 } else {
                     t.pulse.blocked += 1;
                 }

@@ -137,13 +137,14 @@ impl ringmesh_net::Interconnect for RingNetwork {
             if self.core.tracing() {
                 self.trace_sends();
             }
-            self.tier.latch();
+            self.tier.latch(&mut pulse);
         }
         if self.core.tracing() {
             let (transit, queued) = self.tier.occupancy();
             let tracer = self.core.tracer();
             tracer.count(Counter::BlockedCycles, pulse.blocked);
             tracer.count(Counter::IriCrossings, pulse.crossed);
+            pulse.report_work(tracer);
             tracer.gauge(Gauge::RingBufferOccupancy, transit as f64);
             tracer.gauge(Gauge::IriQueueOccupancy, queued as f64);
         }

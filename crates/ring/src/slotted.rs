@@ -22,7 +22,7 @@ use ringmesh_net::{
     UtilizationReport,
 };
 use ringmesh_snap::{Codec, Snap, SnapError};
-use ringmesh_trace::Counter;
+use ringmesh_trace::{Counter, Work};
 
 use crate::topology::{RingAction, RingSpec, RingTopology, StationKind};
 use crate::RingConfig;
@@ -241,6 +241,7 @@ impl ringmesh_net::Interconnect for SlottedRingNetwork {
             moved += occupied;
             *flits += occupied;
         }
+        let sent = moved;
         // 2. Every station side, ring by ring in member order, services
         //    the slot now at its position: drain it if the flit leaves
         //    the ring here, then fill it if it is empty.
@@ -287,7 +288,13 @@ impl ringmesh_net::Interconnect for SlottedRingNetwork {
                 }
             }
         }
-        self.core.tracer().count(Counter::FlitsForwarded, moved);
+        let tracer = self.core.tracer();
+        tracer.count(Counter::FlitsForwarded, moved);
+        if tracer.is_enabled() {
+            let positions = self.slots.iter().map(Vec::len).sum::<usize>();
+            tracer.work(Work::RingSides, positions as u64);
+            tracer.work(Work::LinkFlits, sent);
+        }
         moved
     }
 

@@ -4,6 +4,7 @@ use std::ops::Range;
 
 use ringmesh_net::{FifoBank, Flit, NetCore, NodeId, Packet, PacketRef, QueueClass};
 use ringmesh_snap::{Codec, Snap, SnapError};
+use ringmesh_trace::{Tracer, Work};
 
 use crate::topology::SideRef;
 
@@ -19,9 +20,9 @@ pub(crate) struct Send {
     pub(crate) ring: u32,
 }
 
-/// Flit-movement counts accumulated while stations step one tick: the
-/// watchdog consumes `moved`; the tracer (when enabled) consumes all
-/// three.
+/// Flit-movement and host-work counts accumulated while stations step
+/// one tick: the watchdog consumes `moved`; the tracer (when enabled)
+/// consumes the rest.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepPulse {
     /// Flits that advanced off a transit buffer or crossing queue
@@ -34,6 +35,26 @@ pub struct StepPulse {
     /// Packets (counted at their head flit) that entered an IRI
     /// crossing queue, i.e. began changing rings.
     pub crossed: u64,
+    /// Station sides stepped (host work).
+    pub sides: u64,
+    /// Flits sent over a ring link (host work).
+    pub sent: u64,
+    /// Flits pushed into a transit buffer or crossing queue (host
+    /// work).
+    pub pushed: u64,
+    /// Transit buffers and crossing queues latched (host work).
+    pub latched: u64,
+}
+
+impl StepPulse {
+    /// Hands the host-work counts to `tracer`: side steps, link flits
+    /// (every send is one), FIFO pushes and latches.
+    pub fn report_work(&self, tracer: &mut Tracer) {
+        tracer.work(Work::RingSides, self.sides);
+        tracer.work(Work::LinkFlits, self.sent);
+        tracer.work(Work::FifoPushes, self.pushed);
+        tracer.work(Work::FifoLatches, self.latched);
+    }
 }
 
 /// What the stations stepped in one tick share: the clock, the transit

@@ -291,10 +291,12 @@ impl RingTier {
                     let link = st as u32 * 2 + side as u32;
                     let link_up =
                         !faulty || t.core.faults().is_none_or(|f| f.link_up(link, cycle_now));
+                    t.pulse.sides += 1;
                     let quiescent = match slot {
                         Slot::Nic(n) => {
                             let nic = &mut self.nics[n as usize];
                             if !(all_active || nic.ring() == 0) {
+                                t.pulse.sides -= 1;
                                 continue;
                             }
                             nic.step(&mut t, link_up);
@@ -303,6 +305,7 @@ impl RingTier {
                         Slot::Iri { x, .. } => {
                             let iri = &mut self.iris[x as usize];
                             if !(all_active || iri.ring(side) == 0) {
+                                t.pulse.sides -= 1;
                                 continue;
                             }
                             let dead = faulty && t.core.faults().is_some_and(|f| f.node_dead(x));
@@ -333,15 +336,19 @@ impl RingTier {
             self.ring_flits[ring as usize] += 1;
         }
         pulse.moved += self.sends.len() as u64;
+        pulse.pushed += self.sends.len() as u64;
+        pulse.sent += self.sends.len() as u64;
     }
 
     /// Latches every transit buffer and crossing queue's registered
-    /// flow-control state for the next tick and ends this one.
-    pub fn latch(&mut self) {
+    /// flow-control state for the next tick and ends this one, counting
+    /// them into `pulse.latched`.
+    pub fn latch(&mut self, pulse: &mut StepPulse) {
         self.bufs.latch_all();
         for iri in &mut self.iris {
             iri.latch();
         }
+        pulse.latched += (self.bufs.fifos() + 4 * self.iris.len()) as u64;
         self.tick += 1;
         #[cfg(debug_assertions)]
         self.check_credit_invariant();

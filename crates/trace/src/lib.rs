@@ -10,6 +10,9 @@
 //!   per sampling window, summarized with mean ± 95% CI via
 //!   `ringmesh-stats` so trace numbers carry the same statistical
 //!   discipline as the paper's batch means.
+//! - **Host-work counts** ([`Work`]): side steps, router steps, due
+//!   entries read — what the simulator did per cycle, kept out of the
+//!   rendered reports so they read the same with or without them.
 //! - **Utilization heatmaps** ([`Heatmap`]) — per-link flit counts over
 //!   ring level × station-side or mesh row × column, rendered as ASCII
 //!   shade plots or CSV.
@@ -54,7 +57,7 @@ mod tracer;
 
 pub use event::{EventKind, FlitEvent, TraceLoc};
 pub use heatmap::{Heatmap, HeatmapId};
-pub use metric::{Counter, Gauge};
+pub use metric::{Counter, Gauge, Work};
 pub use recorder::{Recorder, TraceConfig};
 pub use report::{CounterReport, GaugeReport, TraceReport};
 pub use tracer::Tracer;

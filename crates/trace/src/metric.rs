@@ -80,6 +80,70 @@ impl Counter {
     }
 }
 
+/// Host work: what the simulator did to simulate a cycle, not what the
+/// simulated network did in it. Kept apart from [`Counter`], so no
+/// report table, CSV or Chrome trace shows it and every traced report
+/// reads the same with or without it; a run's totals are in
+/// `TraceReport::work`, indexed by discriminant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(usize)]
+pub enum Work {
+    /// Ring station sides stepped (wormhole ring and hybrid local
+    /// rings), or slot positions serviced (slotted ring).
+    RingSides,
+    /// Mesh routers stepped (mesh and the hybrid's global mesh).
+    MeshRouters,
+    /// Hybrid bridge pumps visited.
+    BridgePumps,
+    /// Flits moved over a link between stations or routers.
+    LinkFlits,
+    /// Flits pushed into a transit buffer, crossing queue or router
+    /// input buffer.
+    FifoPushes,
+    /// Flit FIFOs whose registered stop/go state was latched.
+    FifoLatches,
+    /// PM injection queues that reported room (the room contract).
+    RoomEvents,
+    /// Packets admitted into the packet store.
+    PacketsAllocated,
+    /// Processors and memories the workload driver visited.
+    DriverVisits,
+    /// Entries of the driver's due table it read to find them.
+    DueExamined,
+}
+
+impl Work {
+    /// Every work counter, in display order.
+    pub const ALL: [Work; 10] = [
+        Work::RingSides,
+        Work::MeshRouters,
+        Work::BridgePumps,
+        Work::LinkFlits,
+        Work::FifoPushes,
+        Work::FifoLatches,
+        Work::RoomEvents,
+        Work::PacketsAllocated,
+        Work::DriverVisits,
+        Work::DueExamined,
+    ];
+
+    /// Stable snake_case name used in the work record.
+    pub fn name(self) -> &'static str {
+        match self {
+            Work::RingSides => "ring_sides",
+            Work::MeshRouters => "mesh_routers",
+            Work::BridgePumps => "bridge_pumps",
+            Work::LinkFlits => "link_flits",
+            Work::FifoPushes => "fifo_pushes",
+            Work::FifoLatches => "fifo_latches",
+            Work::RoomEvents => "room_events",
+            Work::PacketsAllocated => "packets_allocated",
+            Work::DriverVisits => "driver_visits",
+            Work::DueExamined => "due_examined",
+        }
+    }
+}
+
 /// A sampled instantaneous reading (occupancy, backlog), averaged per
 /// sampling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,6 +201,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Gauge::ALL.len());
+        let mut names: Vec<_> = Work::ALL.iter().map(|w| w.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Work::ALL.len());
     }
 
     #[test]
@@ -146,6 +214,9 @@ mod tests {
         }
         for (i, g) in Gauge::ALL.iter().enumerate() {
             assert_eq!(*g as usize, i);
+        }
+        for (i, w) in Work::ALL.iter().enumerate() {
+            assert_eq!(*w as usize, i);
         }
     }
 }

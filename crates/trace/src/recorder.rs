@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use crate::event::{EventKind, FlitEvent};
 use crate::heatmap::{Heatmap, HeatmapId};
-use crate::metric::{Counter, Gauge};
+use crate::metric::{Counter, Gauge, Work};
 use crate::report::{CounterReport, GaugeReport, TraceReport};
 
 /// Knobs for a recording tracer.
@@ -75,6 +75,8 @@ pub struct Recorder {
     cfg: TraceConfig,
     counters: Vec<CounterCell>,
     gauges: Vec<GaugeCell>,
+    /// Host-work totals, indexed by `Work as usize`.
+    work: [u64; Work::ALL.len()],
     heatmaps: Vec<Heatmap>,
     events: VecDeque<FlitEvent>,
     events_dropped: u64,
@@ -97,6 +99,7 @@ impl Recorder {
             cfg,
             counters: vec![CounterCell::default(); Counter::ALL.len()],
             gauges: vec![GaugeCell::default(); Gauge::ALL.len()],
+            work: [0; Work::ALL.len()],
             heatmaps: Vec::new(),
             events: VecDeque::new(),
             events_dropped: 0,
@@ -185,6 +188,7 @@ impl Recorder {
             sample_every: self.cfg.sample_every,
             counters,
             gauges,
+            work: self.work.to_vec(),
             heatmaps: self.heatmaps,
             events: self.events.into_iter().collect(),
             events_dropped: self.events_dropped,
@@ -213,6 +217,11 @@ impl Recorder {
         let cell = &mut self.counters[c as usize];
         cell.total += n;
         cell.in_window += n;
+    }
+
+    /// `n` more units of host work `w`.
+    pub(crate) fn on_work(&mut self, w: Work, n: u64) {
+        self.work[w as usize] += n;
     }
 
     /// An instantaneous reading of gauge `g`.

@@ -49,6 +49,9 @@ pub struct TraceReport {
     pub counters: Vec<CounterReport>,
     /// Gauge summaries, indexed by `Gauge as usize`.
     pub gauges: Vec<GaugeReport>,
+    /// Host-work totals over the run, indexed by `Work as usize`
+    /// ([`crate::Work`]); no rendering of the report includes them.
+    pub work: Vec<u64>,
     /// Registered heatmaps, in registration order.
     pub heatmaps: Vec<Heatmap>,
     /// Sampled lifecycle events, oldest first.

@@ -2,7 +2,7 @@
 
 use crate::event::{EventKind, FlitEvent, TraceLoc};
 use crate::heatmap::{Heatmap, HeatmapId};
-use crate::metric::{Counter, Gauge};
+use crate::metric::{Counter, Gauge, Work};
 use crate::recorder::{Recorder, TraceConfig};
 use crate::report::TraceReport;
 
@@ -71,6 +71,14 @@ impl Tracer {
         }
     }
 
+    /// Adds `n` units of host work `w`.
+    #[inline]
+    pub fn work(&mut self, w: Work, n: u64) {
+        if let Some(r) = &mut self.recorder {
+            r.on_work(w, n);
+        }
+    }
+
     /// Records an instantaneous reading of gauge `g`.
     #[inline]
     pub fn gauge(&mut self, g: Gauge, value: f64) {
@@ -130,8 +138,10 @@ mod tests {
         t.cycle(0);
         t.count(Counter::PacketsInjected, 2);
         t.count(Counter::PacketsInjected, 3);
+        t.work(Work::RingSides, 7);
         let rep = t.finish().expect("recorder present");
         assert_eq!(rep.counters[Counter::PacketsInjected as usize].total, 5);
+        assert_eq!(rep.work[Work::RingSides as usize], 7);
     }
 
     #[test]

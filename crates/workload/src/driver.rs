@@ -4,8 +4,9 @@
 use ringmesh_engine::SimRng;
 use ringmesh_net::{Interconnect, NodeId, Packet, QueueClass, TxnId};
 use ringmesh_snap::{Codec, Snap, SnapError};
-use ringmesh_trace::{Counter, Gauge};
+use ringmesh_trace::{Counter, Gauge, Work};
 
+use crate::calendar::Calendar;
 use crate::memory::MemoryModule;
 use crate::processor::{IssueParams, Processor, IDLE};
 use crate::region::{Placement, Region};
@@ -33,8 +34,8 @@ pub struct MmrpStats {
 ///
 /// The driver visits only what is due. A dense table holds, per memory
 /// module and per processor, the cycle it next has work; each phase
-/// scans its half in PM order and skips every entry still in the
-/// future. A processor at its `T` limit parks (its entry goes idle)
+/// walks its half of that cycle's calendar bucket in PM order, so an
+/// entry still in the future is not read. A processor at its `T` limit parks (its entry goes idle)
 /// until a retirement wakes it. A processor or a memory whose NIC
 /// refuses it parks too, until the network names its PM in
 /// [`Interconnect::room`] (or, for a processor, a retirement or a PM
@@ -45,9 +46,9 @@ pub struct Mmrp {
     procs: Vec<Processor>,
     mems: Vec<MemoryModule>,
     /// Memories `0..P`, then processors `P..2P`: the cycle each is next
-    /// visited, or [`IDLE`]. Empty until the first `pre_cycle` after
-    /// `new` or a restore builds it.
-    due: Vec<u64>,
+    /// visited, or [`IDLE`], with a calendar over it. Empty until the
+    /// first `pre_cycle` after `new` or a restore builds it.
+    due: Calendar,
     /// Memories whose ready response their NIC refused, a bit per PM,
     /// built with `due`: parked until the network reports room there.
     mem_parked: Vec<u64>,
@@ -67,9 +68,9 @@ pub struct Mmrp {
 
 /// Retires one transaction of processor `i`; a parked processor wakes
 /// and is next due at `wake`.
-fn retire(procs: &mut [Processor], due: &mut [u64], i: usize, wake: u64) {
+fn retire(procs: &mut [Processor], due: &mut Calendar, i: usize, wake: u64) {
     if procs[i].retire(wake) {
-        due[procs.len() + i] = wake;
+        due.set(procs.len() + i, wake);
     }
 }
 
@@ -86,13 +87,6 @@ fn set_bit(bits: &mut [u64], i: usize, on: bool) {
     } else {
         *word &= !mask;
     }
-}
-
-/// The first index from `from` on whose entry in `due` is at or before
-/// `now`.
-fn first_due(due: &[u64], from: usize, now: u64) -> Option<usize> {
-    let found = due[from..].iter().position(|&d| d <= now);
-    found.map(|k| from + k)
 }
 
 /// Fail-stopped nodes `net`'s fault injector has reported.
@@ -126,7 +120,7 @@ impl Mmrp {
         Mmrp {
             procs,
             mems,
-            due: Vec::new(),
+            due: Calendar::default(),
             mem_parked: Vec::new(),
             next: 0,
             deaths: 0,
@@ -189,9 +183,7 @@ impl Mmrp {
     /// or a restore, asking every processor's PM once whether it
     /// is alive.
     fn build(&mut self, net: &dyn Interconnect, now: u64) {
-        self.due.clear();
         let mems = self.mems.iter().map(|m| m.next_ready().unwrap_or(IDLE));
-        self.due.extend(mems);
         let procs = self.procs.iter().map(|p| {
             if net.pm_alive(p.pm()) {
                 p.first_due(now)
@@ -199,7 +191,7 @@ impl Mmrp {
                 IDLE
             }
         });
-        self.due.extend(procs);
+        self.due.build(mems.chain(procs), now);
         self.mem_parked.clear();
         self.mem_parked.resize(self.mems.len().div_ceil(64), 0);
         self.deaths = deaths(net);
@@ -217,16 +209,17 @@ impl Mmrp {
         }
         self.deaths = deaths;
         let p = self.procs.len();
-        for (proc, due) in self.procs.iter_mut().zip(&mut self.due[p..]) {
+        for (i, proc) in self.procs.iter_mut().enumerate() {
             if proc.on_nic(&self.issue) {
                 proc.wake(now);
-                *due = now;
+                self.due.set(p + i, now);
             }
             // Idle and not parked: halted already.
-            let halted = *due == IDLE && !proc.parked();
+            let due = self.due.get(p + i);
+            let halted = due == IDLE && !proc.parked();
             if !halted && !net.pm_alive(proc.pm()) {
-                proc.halt(now, *due);
-                *due = IDLE;
+                proc.halt(now, due);
+                self.due.set(p + i, IDLE);
             }
         }
     }
@@ -250,9 +243,11 @@ impl Mmrp {
         }
         self.next = now + 1;
         let p = self.procs.len();
+        let mut visits = 0u64;
         let mut from = 0;
-        while let Some(i) = first_due(&self.due[..p], from, now) {
+        while let Some(i) = self.due.next(from, p, now) {
             from = i + 1;
+            visits += 1;
             // Local completions retire first — they free T slots.
             self.local_scratch.clear();
             self.mems[i].pop_local_ready(now, &mut self.local_scratch);
@@ -273,17 +268,22 @@ impl Mmrp {
             } else {
                 m.next_ready()
             };
-            self.due[i] = next.map_or(IDLE, |r| r.max(now + 1));
+            self.due.set(i, next.map_or(IDLE, |r| r.max(now + 1)));
         }
         // Retries compete with fresh issues for injection slots; give
         // them priority so starved transactions make progress.
         self.process_retries(net, now);
-        let mut from = 0;
-        while let Some(i) = first_due(&self.due[p..], from, now) {
-            from = i + 1;
-            self.due[p + i] = self.issue(net, i, now);
+        let mut from = p;
+        while let Some(k) = self.due.next(from, 2 * p, now) {
+            from = k + 1;
+            visits += 1;
+            let next = self.issue(net, k - p, now);
+            self.due.set(k, next);
         }
+        let examined = self.due.take_examined();
         if let Some(t) = net.tracer_mut() {
+            t.work(Work::DriverVisits, visits);
+            t.work(Work::DueExamined, examined);
             // Every processor parked on its NIC would have been refused
             // again this cycle.
             let issue = &self.issue;
@@ -314,7 +314,7 @@ impl Mmrp {
         if want.dst == pm {
             // Local access: memory timing, no network.
             let ready = self.mems[i].accept_local(now, want.issued_at);
-            self.due[i] = self.due[i].min(ready.max(now + 1));
+            self.due.lower(i, ready.max(now + 1));
             self.txn_seq += 1;
             self.stats.issued += 1;
             proc.issued(now, issue)
@@ -458,10 +458,8 @@ impl Mmrp {
                 let ready = self.mems[i].accept(pkt, now).max(self.next);
                 // A parked memory's new response queues behind the
                 // refused one.
-                if let Some(due) = self.due.get_mut(i) {
-                    if !bit(&self.mem_parked, i) {
-                        *due = (*due).min(ready);
-                    }
+                if !self.due.is_empty() && !bit(&self.mem_parked, i) {
+                    self.due.lower(i, ready);
                 }
             } else {
                 if let Some(book) = self.retry.as_mut() {
@@ -500,12 +498,12 @@ impl Mmrp {
             let i = pm.index();
             if bit(&self.mem_parked, i) {
                 set_bit(&mut self.mem_parked, i, false);
-                self.due[i] = self.due[i].min(self.next);
+                self.due.lower(i, self.next);
             }
             let proc = &mut self.procs[i];
             if proc.on_nic(&self.issue) {
                 proc.wake(self.next);
-                self.due[p + i] = self.next;
+                self.due.set(p + i, self.next);
             }
         }
     }
@@ -553,7 +551,7 @@ impl Snap for Mmrp {
         c.exact(pms, "processor count")?;
         for (i, proc) in self.procs.iter_mut().enumerate() {
             // The countdown and blocked cycles as of the next cycle.
-            let at = self.due.get(pms + i).map(|&due| (self.next, due));
+            let at = self.due.entries().get(pms + i).map(|&due| (self.next, due));
             proc.snap(c, at, t_limit, pms)?;
         }
         c.fixed(&mut self.mems, "memory module count")?;

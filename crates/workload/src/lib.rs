@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod calendar;
 mod driver;
 mod memory;
 #[cfg(test)]
