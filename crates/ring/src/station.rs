@@ -86,6 +86,18 @@ pub(crate) struct Tick<'a> {
     pub(crate) sunk: &'a mut Vec<PacketRef>,
     /// Flit-movement counts of the cycle.
     pub(crate) pulse: &'a mut StepPulse,
+    /// Transit buffers popped this tick, a bit per FIFO: the sides
+    /// that feed them and sleep waiting for room wake at the latch.
+    pub(crate) popped: &'a mut [u64],
+}
+
+/// Pops the front flit of transit buffer `buf` of `bufs`, a station
+/// side's own, and marks the buffer in `popped` (a [`Tick`]'s two
+/// fields, taken apart so the packet store can stay borrowed).
+pub(crate) fn pop(bufs: &mut FifoBank, popped: &mut [u64], buf: usize) -> Option<Flit> {
+    let flit = bufs.pop(buf)?;
+    popped[buf / 64] |= 1 << (buf % 64);
+    Some(flit)
 }
 
 impl Tick<'_> {
@@ -98,6 +110,19 @@ impl Tick<'_> {
             0
         }
     }
+}
+
+/// What a station side's step tells the tier's worklist beyond the
+/// flits it moved.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Stepped {
+    /// A worm could have started entering the ring but for the ring's
+    /// credits, which a step anywhere on the ring may return: the side
+    /// must step again next tick.
+    pub(crate) held: bool,
+    /// The step pushed into or popped a crossing queue its partner
+    /// side shares.
+    pub(crate) cross: bool,
 }
 
 /// Who currently owns an output link. Wormhole switching holds the link

@@ -51,10 +51,10 @@ impl Slot {
 }
 
 /// The stations of a set of rings and everything they share: every
-/// side's transit buffer, the active-station worklist, per-ring
-/// credits and flit counts, the tick counter (and the tick the flit
-/// counts were last reset at) and the per-tick scratch. Where a side
-/// sends and which ring it is on, each station holds itself.
+/// side's transit buffer, the side worklist, per-ring credits and flit
+/// counts, the tick counter (and the tick the flit counts were last
+/// reset at) and the per-tick scratch. Where a side sends and which
+/// ring it is on, each station holds itself.
 ///
 /// A tick is [`tick`](RingTier::tick) (every clocked station side
 /// steps, then sunk packets retire, then the link transfers commit)
@@ -73,12 +73,11 @@ pub struct RingTier {
     /// side` (a side on no ring keeps an empty one). Its latched
     /// occupancy is the stop/go its upstream neighbour reads.
     bufs: FifoBank,
-    /// Active-station worklist, a bitset of 64 stations per word: bit
-    /// `st` is clear only while station `st` is provably quiescent
-    /// (`Nic::quiescent` / `Iri::quiescent`), letting the tick skip
-    /// idle stations under light load. Set again by any arriving flit
-    /// or by [`wake`](RingTier::wake).
-    station_active: Vec<u64>,
+    /// Which station sides step, bit `st*2 + side` (the side's FIFO).
+    work: Worklist,
+    /// The transit buffer each side's output link feeds; `u32::MAX`
+    /// for a side on no ring.
+    downstream: Vec<u32>,
     /// Flits moved per ring (utilization accounting).
     ring_flits: Vec<u64>,
     /// Free transit flit slots per ring (the deadlock-avoidance
@@ -91,6 +90,106 @@ pub struct RingTier {
     sends: Vec<Send>,
     /// Per-tick scratch: packets sunk at dead IRIs, pending removal.
     sunk: Vec<PacketRef>,
+    /// Per-tick scratch: transit buffers popped, a bit per FIFO.
+    popped: Vec<u64>,
+    /// Per-tick scratch: IRIs whose crossing queues may have changed, a
+    /// bit per IRI, to latch.
+    dirty_iris: Vec<u64>,
+}
+
+/// The side worklist: a side steps while its bit in `awake` is set. A
+/// side whose step moved nothing, and whose injection was not held
+/// back by the ring's credits alone, sleeps until the one event that
+/// can change what its step decides (DESIGN §3, "The side worklist");
+/// a spurious wake costs a step and nothing else. In a run with faults
+/// a side sleeps only when its step is a no-op whatever the faults.
+///
+/// A side that sleeps blocked — a ready flit its step would count in
+/// `StepPulse::blocked` every tick — keeps its bit in `blocked`, and
+/// the tick counts it from `asleep_blocked` (by ring 0 and the other
+/// rings, for the double-speed ring's odd ticks).
+#[derive(Debug)]
+struct Worklist {
+    awake: Vec<u64>,
+    blocked: Vec<u64>,
+    /// Sides asleep with a flit or a worm to send: a pop of their
+    /// downstream buffer wakes them.
+    room: Vec<u64>,
+    /// Sides on ring 0.
+    ring0: Vec<u64>,
+    /// Sides to wake when the tick is latched.
+    next: Vec<u64>,
+    asleep_blocked: [u64; 2],
+}
+
+impl Worklist {
+    fn new(sides: usize) -> Self {
+        let words = sides.div_ceil(64);
+        Worklist {
+            awake: vec![0; words],
+            blocked: vec![0; words],
+            room: vec![0; words],
+            ring0: vec![0; words],
+            next: vec![0; words],
+            asleep_blocked: [0; 2],
+        }
+    }
+
+    fn on_ring0(&self, i: usize) -> bool {
+        self.ring0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Puts side `i` on the list; a side asleep blocked is no longer
+    /// counted as one.
+    #[inline]
+    fn wake(&mut self, i: usize) {
+        self.wake_word(i / 64, 1 << (i % 64));
+    }
+
+    /// Puts the sides of `bits` in word `w` on the list.
+    #[inline]
+    fn wake_word(&mut self, w: usize, bits: u64) {
+        self.awake[w] |= bits;
+        self.room[w] &= !bits;
+        let blocked = self.blocked[w] & bits;
+        if blocked != 0 {
+            self.blocked[w] &= !blocked;
+            let ring0 = (blocked & self.ring0[w]).count_ones();
+            self.asleep_blocked[0] -= u64::from(ring0);
+            self.asleep_blocked[1] -= u64::from(blocked.count_ones() - ring0);
+        }
+    }
+
+    /// Wakes side `i` at the end of the tick.
+    #[inline]
+    fn wake_next(&mut self, i: usize) {
+        self.next[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Takes side `i` off the list; `blocked` when its step counted a
+    /// blocked flit, which every tick it sleeps through counts again;
+    /// `room` when it has something to send downstream.
+    fn sleep(&mut self, i: usize, blocked: bool, room: bool) {
+        let (w, bit) = (i / 64, 1 << (i % 64));
+        self.awake[w] &= !bit;
+        if room {
+            self.room[w] |= bit;
+        }
+        if blocked {
+            self.blocked[w] |= bit;
+            self.asleep_blocked[usize::from(!self.on_ring0(i))] += 1;
+        }
+    }
+
+    /// Forgets every sleeper (the list is not state: a restore wakes
+    /// every side).
+    fn clear(&mut self) {
+        self.awake.fill(0);
+        self.blocked.fill(0);
+        self.room.fill(0);
+        self.next.fill(0);
+        self.asleep_blocked = [0; 2];
+    }
 }
 
 impl RingTier {
@@ -118,7 +217,8 @@ impl RingTier {
             nics: Vec::with_capacity(pms),
             iris: Vec::with_capacity(n_st - pms),
             bufs: FifoBank::new(n_st * 2, buf_flits),
-            station_active: vec![0; n_st.div_ceil(64)],
+            work: Worklist::new(n_st * 2),
+            downstream: vec![u32::MAX; n_st * 2],
             ring_flits: vec![0; map.num_rings()],
             ring_credits: vec![0; map.num_rings()],
             tick: 0,
@@ -126,6 +226,8 @@ impl RingTier {
             reset_tick: 0,
             sends: Vec::new(),
             sunk: Vec::new(),
+            popped: vec![0; (n_st * 2).div_ceil(64)],
+            dirty_iris: vec![0; (n_st - pms).div_ceil(64)],
         };
         for st in 0..n_st as u32 {
             let lower = map.link(st, 0).expect("lower side on a ring");
@@ -161,8 +263,17 @@ impl RingTier {
             };
             tier.ring_credits[lower.0 as usize] += buf_flits as i64;
             tier.slots.push(slot);
-            tier.wake(st);
+            for (side, link) in [(0, Some(lower)), (1, upper)] {
+                if let Some((ring, (next, next_side))) = link {
+                    let i = st as usize * 2 + side;
+                    tier.downstream[i] = next * 2 + u32::from(next_side);
+                    if ring == 0 {
+                        tier.work.ring0[i / 64] |= 1 << (i % 64);
+                    }
+                }
+            }
         }
+        tier.wake_all();
         tier
     }
 
@@ -204,16 +315,34 @@ impl RingTier {
         &self.iris[x]
     }
 
-    /// Mutable form of [`iri`](Self::iri). A flit pushed into one of
-    /// its crossing queues reaches the ring only once the station is
-    /// [`wake`](Self::wake)d.
+    /// Mutable form of [`iri`](Self::iri). A flit pushed into or
+    /// popped from one of its crossing queues is seen by the station,
+    /// and latched, only once the station is [`wake`](Self::wake)d.
     pub fn iri_mut(&mut self, x: usize) -> &mut Iri {
         &mut self.iris[x]
     }
 
-    /// Puts station `st` back on the worklist.
+    /// Puts station `st`'s clocked sides back on the worklist and, at
+    /// an IRI, latches its crossing queues at the end of the tick.
     pub fn wake(&mut self, st: u32) {
-        self.station_active[st as usize / 64] |= 1 << (st % 64);
+        let st = st as usize;
+        let slot = self.slots[st];
+        for side in 0..slot.sides() {
+            self.work.wake(st * 2 + side);
+        }
+        if let Slot::Iri { x, .. } = slot {
+            self.dirty_iris[x as usize / 64] |= 1 << (x % 64);
+        }
+    }
+
+    /// Puts every clocked side on the worklist, none asleep blocked.
+    fn wake_all(&mut self) {
+        self.work.clear();
+        for (st, slot) in self.slots.iter().enumerate() {
+            for side in 0..slot.sides() {
+                self.work.wake(st * 2 + side);
+            }
+        }
     }
 
     /// Whether PM `pm`'s NIC queue for `class` can accept a packet.
@@ -225,7 +354,7 @@ impl RingTier {
     /// puts the station back on the worklist.
     pub fn enqueue(&mut self, pm: NodeId, st: u32, class: QueueClass, packet: PacketRef) {
         self.nics[pm.index()].enqueue(class, packet);
-        self.wake(st);
+        self.work.wake(st as usize * 2);
     }
 
     /// Whether station `st` is a dead IRI.
@@ -249,10 +378,11 @@ impl RingTier {
         &self.sends
     }
 
-    /// Steps every active station side clocked this tick, in station
-    /// order, then retires the packets sunk at dead IRIs, then commits
-    /// the link transfers. With a double-speed global ring every
-    /// station runs on even ticks and only ring 0's sides on odd ones.
+    /// Steps every awake station side clocked this tick, in side
+    /// order, then counts the blocked sides asleep, then retires the
+    /// packets sunk at dead IRIs, then commits the link transfers. With
+    /// a double-speed global ring every station runs on even ticks and
+    /// only ring 0's sides on odd ones.
     pub fn tick(
         &mut self,
         core: &mut NetCore,
@@ -275,50 +405,81 @@ impl RingTier {
             delivered,
             sunk: &mut self.sunk,
             pulse,
+            popped: &mut self.popped,
         };
-        // Skip provably-idle stations; a skipped step is a no-op by
-        // construction (see `Nic::quiescent` / `Iri::quiescent`), so
-        // the tick stream is identical to stepping everything. Only a
-        // step clears a bit and only the send commit below sets one,
-        // so each word can be walked from a copy, in station order.
-        for (w, word) in self.station_active.iter_mut().enumerate() {
-            let mut bits = *word;
+        // Sides that fell asleep blocked this tick, by ring 0 and the
+        // rest: their own steps counted this tick's blocked flit.
+        let mut fell = [0u64; 2];
+        // A skipped side's step would decide what its last one did, so
+        // the tick stream is identical to stepping every side. A step
+        // may wake its partner side, the next bit of the same word:
+        // the word is re-read after every step.
+        for w in 0..self.work.awake.len() {
+            let mut bits = self.work.awake[w];
             while bits != 0 {
-                let st = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let slot = self.slots[st];
-                for side in 0..slot.sides() {
-                    let link = st as u32 * 2 + side as u32;
-                    let link_up =
-                        !faulty || t.core.faults().is_none_or(|f| f.link_up(link, cycle_now));
-                    t.pulse.sides += 1;
-                    let quiescent = match slot {
-                        Slot::Nic(n) => {
-                            let nic = &mut self.nics[n as usize];
-                            if !(all_active || nic.ring() == 0) {
-                                t.pulse.sides -= 1;
-                                continue;
+                let b = bits.trailing_zeros() as usize;
+                bits = self.work.awake[w] & (!1 << b);
+                let i = w * 64 + b;
+                if !all_active && !self.work.on_ring0(i) {
+                    continue;
+                }
+                let (st, side) = (i / 2, i % 2);
+                let link_up =
+                    !faulty || t.core.faults().is_none_or(|f| f.link_up(i as u32, cycle_now));
+                let (sent, moved, blocked) = (t.sends.len(), t.pulse.moved, t.pulse.blocked);
+                let stepped = match self.slots[st] {
+                    Slot::Nic(n) => self.nics[n as usize].step(&mut t, link_up),
+                    Slot::Iri { x, upper } => {
+                        let dead = faulty && t.core.faults().is_some_and(|f| f.node_dead(x));
+                        let stepped = self.iris[x as usize].step_side(side, &mut t, link_up, dead);
+                        if stepped.cross {
+                            // Its partner drains what it pushed and
+                            // pushes where it popped: the upper side
+                            // may act on a lower push this very tick
+                            // (a complete worm, a backlog), and on a
+                            // flit pushed now only from the next.
+                            self.dirty_iris[x as usize / 64] |= 1 << (x % 64);
+                            if upper {
+                                if side == 0 {
+                                    self.work.wake(i + 1);
+                                    bits |= 1 << (b + 1);
+                                }
+                                self.work.wake_next(i ^ 1);
                             }
-                            nic.step(&mut t, link_up);
-                            nic.quiescent(t.bufs)
                         }
-                        Slot::Iri { x, .. } => {
-                            let iri = &mut self.iris[x as usize];
-                            if !(all_active || iri.ring(side) == 0) {
-                                t.pulse.sides -= 1;
-                                continue;
-                            }
-                            let dead = faulty && t.core.faults().is_some_and(|f| f.node_dead(x));
-                            iri.step_side(side, &mut t, link_up, dead);
-                            iri.quiescent(t.bufs)
-                        }
-                    };
-                    if quiescent {
-                        *word &= !(1 << (st % 64));
-                        break;
+                        stepped
                     }
+                };
+                t.pulse.sides += 1;
+                let idle = t.sends.len() == sent && t.pulse.moved == moved && !stepped.held;
+                if !(idle || faulty) {
+                    continue;
+                }
+                let (quiescent, room) = match self.slots[st] {
+                    Slot::Nic(n) => {
+                        let nic = &self.nics[n as usize];
+                        (faulty && nic.quiescent(t.bufs), nic.has_work(t.bufs))
+                    }
+                    Slot::Iri { x, .. } => {
+                        let iri = &self.iris[x as usize];
+                        (faulty && iri.quiescent(side, t.bufs), iri.has_work(side, t.bufs))
+                    }
+                };
+                if if faulty { quiescent } else { idle } {
+                    // An idle step counts at most one blocked flit: a
+                    // crossing flit and a forwarding one never share a
+                    // front, and a worm mid-entry moves.
+                    debug_assert!(t.pulse.blocked - blocked <= 1, "side {i}");
+                    let blocked = t.pulse.blocked != blocked;
+                    self.work.sleep(i, blocked, room);
+                    fell[usize::from(!self.work.on_ring0(i))] += u64::from(blocked);
                 }
             }
+        }
+        let asleep = self.work.asleep_blocked;
+        pulse.blocked += asleep[0] - fell[0];
+        if all_active {
+            pulse.blocked += asleep[1] - fell[1];
         }
         // Retire packets sunk at dead IRIs this tick: their flits were
         // consumed in place, so only the bookkeeping remains.
@@ -331,24 +492,54 @@ impl RingTier {
             ring,
         } in &self.sends
         {
-            self.bufs.push(st as usize * 2 + side as usize, flit);
-            self.station_active[st as usize / 64] |= 1 << (st % 64);
+            let i = st as usize * 2 + side as usize;
+            self.bufs.push(i, flit);
+            self.work.wake_next(i);
             self.ring_flits[ring as usize] += 1;
         }
-        pulse.moved += self.sends.len() as u64;
-        pulse.pushed += self.sends.len() as u64;
-        pulse.sent += self.sends.len() as u64;
+        let sent = self.sends.len() as u64;
+        pulse.moved += sent;
+        pulse.pushed += sent;
+        pulse.sent += sent;
     }
 
-    /// Latches every transit buffer and crossing queue's registered
-    /// flow-control state for the next tick and ends this one, counting
-    /// them into `pulse.latched`.
+    /// Latches every transit buffer and the crossing queues this tick
+    /// changed for the next tick, wakes the sides asleep for room whose
+    /// downstream buffer was popped and those woken for the next tick,
+    /// and ends this one; counts the FIFOs latched into
+    /// `pulse.latched`.
     pub fn latch(&mut self, pulse: &mut StepPulse) {
         self.bufs.latch_all();
-        for iri in &mut self.iris {
-            iri.latch();
+        let mut latched = self.bufs.fifos() as u32;
+        // A side asleep for room wakes when its downstream buffer was
+        // popped.
+        for w in 0..self.work.room.len() {
+            let mut bits = self.work.room[w];
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let d = self.downstream[i] as usize;
+                if self.popped[d / 64] & (1 << (d % 64)) != 0 {
+                    self.work.wake(i);
+                }
+            }
         }
-        pulse.latched += (self.bufs.fifos() + 4 * self.iris.len()) as u64;
+        self.popped.fill(0);
+        for w in 0..self.dirty_iris.len() {
+            let mut bits = std::mem::take(&mut self.dirty_iris[w]);
+            latched += 4 * bits.count_ones();
+            while bits != 0 {
+                self.iris[w * 64 + bits.trailing_zeros() as usize].latch();
+                bits &= bits - 1;
+            }
+        }
+        for w in 0..self.work.next.len() {
+            let bits = std::mem::take(&mut self.work.next[w]);
+            if bits != 0 {
+                self.work.wake_word(w, bits);
+            }
+        }
+        pulse.latched += u64::from(latched);
         self.tick += 1;
         #[cfg(debug_assertions)]
         self.check_credit_invariant();
@@ -394,8 +585,9 @@ impl RingTier {
 
     /// Snapshots the stations, the tick, the per-ring flit counts and
     /// credits, the reset tick. The transit buffers latch as they are
-    /// read, and a reader puts every station on the worklist: stepping
-    /// a quiescent one is a no-op, and it leaves the list again.
+    /// read, and a reader puts every side on the worklist, none asleep
+    /// blocked: the worklist is not state, since a side woken for
+    /// nothing steps once, decides what it decided before, and sleeps.
     ///
     /// # Errors
     ///
@@ -424,10 +616,12 @@ impl RingTier {
                     self.ring_credits
                 )));
             }
-            (0..self.slots.len() as u32).for_each(|st| self.wake(st));
+            self.wake_all();
             // Per-tick scratch is always empty between steps.
             self.sends.clear();
             self.sunk.clear();
+            self.popped.fill(0);
+            self.dirty_iris.fill(0);
         }
         Ok(())
     }
