@@ -270,7 +270,8 @@ impl ringmesh_net::Interconnect for HybridNetwork {
         // The routers' room is the bridges' (their PM-side queues hold
         // bridge traffic), so it is not the PMs' to report.
         let traced = self.core.tracing();
-        self.routers
+        let work = self
+            .routers
             .step(&self.owners, self.core.store(), &fc, traced);
         pulse.moved += self.routers.moved;
         pulse.blocked += self.routers.blocked;
@@ -323,7 +324,7 @@ impl ringmesh_net::Interconnect for HybridNetwork {
             tracer.gauge(Gauge::MeshInputOccupancy, occupancy);
             tracer.work(Work::BridgePumps, self.topo.num_pms() as u64);
             pulse.report_work(tracer);
-            self.routers.report_work(tracer);
+            self.routers.report_work(work, tracer);
         }
         pulse.moved
     }

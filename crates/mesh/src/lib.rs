@@ -46,5 +46,5 @@ pub use topology::{Direction, MeshTopology};
 /// stable API — everything here mirrors internal structure.
 #[doc(hidden)]
 pub mod kernel {
-    pub use crate::routers::{owner_coords, CommitOp, FaultCtx, MeshRouters, Send};
+    pub use crate::routers::{owner_coords, CommitOp, FaultCtx, MeshRouters, Send, StepWork};
 }

@@ -142,7 +142,8 @@ impl ringmesh_net::Interconnect for MeshNetwork {
         };
         // The tracer reads this cycle's link transfers and blocked
         // count in `trace_cycle`; nobody else needs them.
-        self.routers
+        let work = self
+            .routers
             .step(&self.owners, self.core.store(), &fc, tracing);
         for &pm in &self.routers.room {
             self.core.room_at(pm);
@@ -159,7 +160,7 @@ impl ringmesh_net::Interconnect for MeshNetwork {
         self.link_flits += self.routers.link_flits;
         if tracing {
             self.trace_cycle(now);
-            self.routers.report_work(self.core.tracer());
+            self.routers.report_work(work, self.core.tracer());
         }
         self.routers.latch();
         self.routers.moved

@@ -416,10 +416,15 @@ pub struct MeshRouters {
     /// Step output: transfer opportunities blocked on downstream stop,
     /// counted only when the step is traced.
     pub blocked: u64,
-    /// Step output: routers stepped (host work).
+}
+
+/// What one [`MeshRouters::step`] did beyond what it moved (host work).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StepWork {
+    /// Routers stepped.
     pub stepped: u64,
-    /// Step output: flits injected into a local input buffer (host
-    /// work; with `link_flits`, every push into a router's FIFOs).
+    /// Flits injected into a local input buffer: with the step's
+    /// `link_flits`, every push into a router's FIFOs.
     pub injected: u64,
 }
 
@@ -477,8 +482,6 @@ impl MeshRouters {
             moved: 0,
             link_flits: 0,
             blocked: 0,
-            stepped: 0,
-            injected: 0,
         }
     }
 
@@ -571,8 +574,9 @@ impl MeshRouters {
     /// until the next cycle); deliveries and drops are recorded in `ops`
     /// for the caller to apply, routers that took a packet off a PM
     /// queue in `room`; `moved` and `link_flits` are this cycle's
-    /// counts. Only a `traced` step lists its link transfers in `sends`
-    /// and counts `blocked`. `owners` maps every destination id to its
+    /// counts, and the returned [`StepWork`] its host work. Only a
+    /// `traced` step lists its link transfers in `sends` and counts
+    /// `blocked`. `owners` maps every destination id to its
     /// owning router's coordinates (see [`owner_coords`]); `store` is
     /// only read.
     pub fn step(
@@ -581,7 +585,7 @@ impl MeshRouters {
         store: &PacketStore,
         fc: &FaultCtx,
         traced: bool,
-    ) {
+    ) -> StepWork {
         self.sends.clear();
         self.ops.clear();
         self.room.clear();
@@ -800,17 +804,17 @@ impl MeshRouters {
         self.moved = moved + link_flits;
         self.link_flits = link_flits;
         self.blocked = blocked;
-        self.stepped = stepped;
-        self.injected = injected;
+        StepWork { stepped, injected }
     }
 
-    /// Hands the last step's and latch's host-work counts to `tracer`:
-    /// routers stepped, link flits, FIFO pushes and the FIFOs of every
-    /// router [`latch`](Self::latch) re-published (five a router).
-    pub fn report_work(&self, tracer: &mut Tracer) {
-        tracer.work(Work::MeshRouters, self.stepped);
+    /// Hands the host-work counts of the step that returned `work`, and
+    /// of its latch, to `tracer`: routers stepped, link flits, FIFO
+    /// pushes and the FIFOs of every router [`latch`](Self::latch)
+    /// re-publishes (five a router).
+    pub fn report_work(&self, work: StepWork, tracer: &mut Tracer) {
+        tracer.work(Work::MeshRouters, work.stepped);
         tracer.work(Work::LinkFlits, self.link_flits);
-        tracer.work(Work::FifoPushes, self.link_flits + self.injected);
+        tracer.work(Work::FifoPushes, self.link_flits + work.injected);
         tracer.work(Work::FifoLatches, 5 * self.touched.len() as u64);
     }
 

@@ -65,6 +65,11 @@ impl Iri {
         }
     }
 
+    /// The station side `side`'s output link feeds.
+    pub(crate) fn downstream(&self, side: usize) -> SideRef {
+        self.downstream[side]
+    }
+
     /// The ring `side` sits on.
     pub(crate) fn ring(&self, side: usize) -> u32 {
         self.rings[side]
@@ -200,7 +205,7 @@ impl Iri {
         // does not leak capacity) and the packet is reported at its
         // tail for the tier to drop-account.
         if self.transit[side].sinking() {
-            if let Some(flit) = pop(t.bufs, t.popped, buf) {
+            if let Some(flit) = pop(t.bufs, t.work, buf) {
                 t.credits[this_ring] += 1; // the flit left this ring
                 t.pulse.moved += 1;
                 if flit.is_tail {
@@ -218,7 +223,7 @@ impl Iri {
                 let class = QueueClass::of(store.get(flit.packet).kind);
                 let q = self.cross[side].get_mut(class);
                 if q.space_latched() {
-                    let flit = pop(t.bufs, t.popped, buf).expect("front was ready");
+                    let flit = pop(t.bufs, t.work, buf).expect("front was ready");
                     t.credits[this_ring] += 1; // the flit left this ring
                     if flit.is_head() {
                         t.pulse.crossed += 1;
@@ -243,7 +248,7 @@ impl Iri {
         match self.owner[side] {
             LinkOwner::Transit => {
                 if go_transit {
-                    if let Some(flit) = pop(t.bufs, t.popped, buf) {
+                    if let Some(flit) = pop(t.bufs, t.work, buf) {
                         debug_assert_eq!(Some(flit.packet), self.transit[side].packet());
                         if flit.is_tail {
                             self.owner[side] = LinkOwner::Idle;
@@ -286,7 +291,7 @@ impl Iri {
                 let transit_ready = self.transit[side].forwarding() && front.is_some();
                 if transit_ready && !backlogged {
                     if go_transit {
-                        let flit = pop(t.bufs, t.popped, buf).expect("front was ready");
+                        let flit = pop(t.bufs, t.work, buf).expect("front was ready");
                         if flit.is_tail {
                             self.transit[side].clear();
                         } else {
@@ -312,7 +317,7 @@ impl Iri {
                             // Backlogged but nothing can cross yet: let
                             // transit continue rather than idle the link.
                             stepped.held = held;
-                            let flit = pop(t.bufs, t.popped, buf).expect("front was ready");
+                            let flit = pop(t.bufs, t.work, buf).expect("front was ready");
                             if flit.is_tail {
                                 self.transit[side].clear();
                             } else {

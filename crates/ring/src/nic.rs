@@ -54,6 +54,11 @@ impl Nic {
         }
     }
 
+    /// The station side its output link feeds.
+    pub(crate) fn downstream(&self) -> SideRef {
+        self.downstream
+    }
+
     /// The ring this NIC sits on.
     pub(crate) fn ring(&self) -> u32 {
         self.ring
@@ -118,7 +123,7 @@ impl Nic {
         // PM. This is independent of the output link (Figure 3 shows
         // separate paths), so it can proceed while the PM injects.
         if self.transit.crossing() {
-            if let Some(flit) = pop(t.bufs, t.popped, buf) {
+            if let Some(flit) = pop(t.bufs, t.work, buf) {
                 t.credits[this_ring] += 1; // the flit left the ring
                 t.pulse.moved += 1;
                 if flit.is_tail {
@@ -139,7 +144,7 @@ impl Nic {
         match self.owner {
             LinkOwner::Transit => {
                 if go_transit {
-                    if let Some(flit) = pop(t.bufs, t.popped, buf) {
+                    if let Some(flit) = pop(t.bufs, t.work, buf) {
                         debug_assert_eq!(Some(flit.packet), self.transit.packet());
                         if flit.is_tail {
                             self.owner = LinkOwner::Idle;
@@ -173,7 +178,7 @@ impl Nic {
                 if self.transit.forwarding() && front.is_some() {
                     // Transit traffic has priority on the output link.
                     if go_transit {
-                        let flit = pop(t.bufs, t.popped, buf).expect("front was ready");
+                        let flit = pop(t.bufs, t.work, buf).expect("front was ready");
                         if flit.is_tail {
                             self.transit.clear();
                         } else {

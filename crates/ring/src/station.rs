@@ -6,6 +6,7 @@ use ringmesh_net::{FifoBank, Flit, NetCore, NodeId, Packet, PacketRef, QueueClas
 use ringmesh_snap::{Codec, Snap, SnapError};
 use ringmesh_trace::{Tracer, Work};
 
+use crate::tier::Worklist;
 use crate::topology::SideRef;
 
 /// A flit transfer decided this cycle, applied after all stations have
@@ -86,17 +87,18 @@ pub(crate) struct Tick<'a> {
     pub(crate) sunk: &'a mut Vec<PacketRef>,
     /// Flit-movement counts of the cycle.
     pub(crate) pulse: &'a mut StepPulse,
-    /// Transit buffers popped this tick, a bit per FIFO: the sides
-    /// that feed them and sleep waiting for room wake at the latch.
-    pub(crate) popped: &'a mut [u64],
+    /// The side worklist, where a pop of a transit buffer is marked:
+    /// the side that feeds it, asleep waiting for room, wakes at the
+    /// latch.
+    pub(crate) work: &'a mut Worklist,
 }
 
 /// Pops the front flit of transit buffer `buf` of `bufs`, a station
-/// side's own, and marks the buffer in `popped` (a [`Tick`]'s two
-/// fields, taken apart so the packet store can stay borrowed).
-pub(crate) fn pop(bufs: &mut FifoBank, popped: &mut [u64], buf: usize) -> Option<Flit> {
+/// side's own, and marks the pop in `work` (a [`Tick`]'s two fields,
+/// taken apart so the packet store can stay borrowed).
+pub(crate) fn pop(bufs: &mut FifoBank, work: &mut Worklist, buf: usize) -> Option<Flit> {
     let flit = bufs.pop(buf)?;
-    popped[buf / 64] |= 1 << (buf % 64);
+    work.popped(buf);
     Some(flit)
 }
 

@@ -75,9 +75,6 @@ pub struct RingTier {
     bufs: FifoBank,
     /// Which station sides step, bit `st*2 + side` (the side's FIFO).
     work: Worklist,
-    /// The transit buffer each side's output link feeds; `u32::MAX`
-    /// for a side on no ring.
-    downstream: Vec<u32>,
     /// Flits moved per ring (utilization accounting).
     ring_flits: Vec<u64>,
     /// Free transit flit slots per ring (the deadlock-avoidance
@@ -90,14 +87,9 @@ pub struct RingTier {
     sends: Vec<Send>,
     /// Per-tick scratch: packets sunk at dead IRIs, pending removal.
     sunk: Vec<PacketRef>,
-    /// Per-tick scratch: transit buffers popped, a bit per FIFO.
-    popped: Vec<u64>,
-    /// Per-tick scratch: IRIs whose crossing queues may have changed, a
-    /// bit per IRI, to latch.
-    dirty_iris: Vec<u64>,
 }
 
-/// The side worklist: a side steps while its bit in `awake` is set. A
+/// The side worklist: a side steps while its `awake` bit is set. A
 /// side whose step moved nothing, and whose injection was not held
 /// back by the ring's credits alone, sleeps until the one event that
 /// can change what its step decides (DESIGN §3, "The side worklist");
@@ -105,89 +97,103 @@ pub struct RingTier {
 /// a side sleeps only when its step is a no-op whatever the faults.
 ///
 /// A side that sleeps blocked — a ready flit its step would count in
-/// `StepPulse::blocked` every tick — keeps its bit in `blocked`, and
-/// the tick counts it from `asleep_blocked` (by ring 0 and the other
-/// rings, for the double-speed ring's odd ticks).
+/// `StepPulse::blocked` every tick — keeps its `blocked` bit, and the
+/// tick counts it from `asleep_blocked` (by ring 0 and the other rings,
+/// for the double-speed ring's odd ticks).
 #[derive(Debug)]
-struct Worklist {
-    awake: Vec<u64>,
-    blocked: Vec<u64>,
-    /// Sides asleep with a flit or a worm to send: a pop of their
-    /// downstream buffer wakes them.
-    room: Vec<u64>,
-    /// Sides on ring 0.
-    ring0: Vec<u64>,
-    /// Sides to wake when the tick is latched.
-    next: Vec<u64>,
+pub(crate) struct Worklist {
+    words: Vec<Sides>,
     asleep_blocked: [u64; 2],
+}
+
+/// One bit per side of 64 station sides, bit `i % 64` of word `i / 64`
+/// for side `i = st*2 + side` (its transit buffer's FIFO).
+#[derive(Debug, Clone, Copy, Default)]
+struct Sides {
+    awake: u64,
+    /// Asleep, counted blocked every tick it is clocked.
+    blocked: u64,
+    /// Asleep with a flit or a worm to send: a pop of its downstream
+    /// buffer wakes it.
+    room: u64,
+    /// On ring 0.
+    ring0: u64,
+    /// To wake when the tick is latched.
+    next: u64,
+    /// Its transit buffer was popped this tick.
+    popped: u64,
+    /// At an IRI's lower side: the IRI's crossing queues changed this
+    /// tick.
+    queues: u64,
 }
 
 impl Worklist {
     fn new(sides: usize) -> Self {
-        let words = sides.div_ceil(64);
         Worklist {
-            awake: vec![0; words],
-            blocked: vec![0; words],
-            room: vec![0; words],
-            ring0: vec![0; words],
-            next: vec![0; words],
+            words: vec![Sides::default(); sides.div_ceil(64)],
             asleep_blocked: [0; 2],
         }
     }
 
     fn on_ring0(&self, i: usize) -> bool {
-        self.ring0[i / 64] & (1 << (i % 64)) != 0
+        self.words[i / 64].ring0 & (1 << (i % 64)) != 0
     }
 
     /// Puts side `i` on the list; a side asleep blocked is no longer
     /// counted as one.
-    #[inline]
     fn wake(&mut self, i: usize) {
         self.wake_word(i / 64, 1 << (i % 64));
     }
 
     /// Puts the sides of `bits` in word `w` on the list.
-    #[inline]
     fn wake_word(&mut self, w: usize, bits: u64) {
-        self.awake[w] |= bits;
-        self.room[w] &= !bits;
-        let blocked = self.blocked[w] & bits;
+        let word = &mut self.words[w];
+        word.awake |= bits;
+        word.room &= !bits;
+        let blocked = word.blocked & bits;
         if blocked != 0 {
-            self.blocked[w] &= !blocked;
-            let ring0 = (blocked & self.ring0[w]).count_ones();
+            word.blocked &= !blocked;
+            let ring0 = (blocked & word.ring0).count_ones();
             self.asleep_blocked[0] -= u64::from(ring0);
             self.asleep_blocked[1] -= u64::from(blocked.count_ones() - ring0);
         }
     }
 
     /// Wakes side `i` at the end of the tick.
-    #[inline]
     fn wake_next(&mut self, i: usize) {
-        self.next[i / 64] |= 1 << (i % 64);
+        self.words[i / 64].next |= 1 << (i % 64);
+    }
+
+    /// Marks side `i`'s transit buffer popped.
+    pub(crate) fn popped(&mut self, i: usize) {
+        self.words[i / 64].popped |= 1 << (i % 64);
     }
 
     /// Takes side `i` off the list; `blocked` when its step counted a
     /// blocked flit, which every tick it sleeps through counts again;
     /// `room` when it has something to send downstream.
     fn sleep(&mut self, i: usize, blocked: bool, room: bool) {
-        let (w, bit) = (i / 64, 1 << (i % 64));
-        self.awake[w] &= !bit;
+        let (word, bit) = (&mut self.words[i / 64], 1 << (i % 64));
+        word.awake &= !bit;
         if room {
-            self.room[w] |= bit;
+            word.room |= bit;
         }
         if blocked {
-            self.blocked[w] |= bit;
-            self.asleep_blocked[usize::from(!self.on_ring0(i))] += 1;
+            word.blocked |= bit;
+            let ring0 = word.ring0 & bit != 0;
+            self.asleep_blocked[usize::from(!ring0)] += 1;
         }
     }
 
-    /// Forgets every sleeper (the list is not state: a restore wakes
-    /// every side).
+    /// Forgets every sleeper and the tick's marks (the list is not
+    /// state: a restore wakes every side).
     fn clear(&mut self) {
-        self.awake.fill(0);
-        self.blocked.fill(0);
-        self.room.fill(0);
-        self.next.fill(0);
+        for word in &mut self.words {
+            *word = Sides {
+                ring0: word.ring0,
+                ..Sides::default()
+            };
+        }
         self.asleep_blocked = [0; 2];
     }
 }
@@ -218,7 +224,6 @@ impl RingTier {
             iris: Vec::with_capacity(n_st - pms),
             bufs: FifoBank::new(n_st * 2, buf_flits),
             work: Worklist::new(n_st * 2),
-            downstream: vec![u32::MAX; n_st * 2],
             ring_flits: vec![0; map.num_rings()],
             ring_credits: vec![0; map.num_rings()],
             tick: 0,
@@ -226,8 +231,6 @@ impl RingTier {
             reset_tick: 0,
             sends: Vec::new(),
             sunk: Vec::new(),
-            popped: vec![0; (n_st * 2).div_ceil(64)],
-            dirty_iris: vec![0; (n_st - pms).div_ceil(64)],
         };
         for st in 0..n_st as u32 {
             let lower = map.link(st, 0).expect("lower side on a ring");
@@ -264,12 +267,9 @@ impl RingTier {
             tier.ring_credits[lower.0 as usize] += buf_flits as i64;
             tier.slots.push(slot);
             for (side, link) in [(0, Some(lower)), (1, upper)] {
-                if let Some((ring, (next, next_side))) = link {
+                if let Some((0, _)) = link {
                     let i = st as usize * 2 + side;
-                    tier.downstream[i] = next * 2 + u32::from(next_side);
-                    if ring == 0 {
-                        tier.work.ring0[i / 64] |= 1 << (i % 64);
-                    }
+                    tier.work.words[i / 64].ring0 |= 1 << (i % 64);
                 }
             }
         }
@@ -330,8 +330,16 @@ impl RingTier {
         for side in 0..slot.sides() {
             self.work.wake(st * 2 + side);
         }
-        if let Slot::Iri { x, .. } = slot {
-            self.dirty_iris[x as usize / 64] |= 1 << (x % 64);
+        if let Slot::Iri { .. } = slot {
+            self.work.words[st * 2 / 64].queues |= 1 << (st * 2 % 64);
+        }
+    }
+
+    /// The station side side `i`'s output link feeds.
+    fn downstream(&self, i: usize) -> SideRef {
+        match self.slots[i / 2] {
+            Slot::Nic(n) => self.nics[n as usize].downstream(),
+            Slot::Iri { x, .. } => self.iris[x as usize].downstream(i % 2),
         }
     }
 
@@ -405,7 +413,7 @@ impl RingTier {
             delivered,
             sunk: &mut self.sunk,
             pulse,
-            popped: &mut self.popped,
+            work: &mut self.work,
         };
         // Sides that fell asleep blocked this tick, by ring 0 and the
         // rest: their own steps counted this tick's blocked flit.
@@ -414,13 +422,13 @@ impl RingTier {
         // the tick stream is identical to stepping every side. A step
         // may wake its partner side, the next bit of the same word:
         // the word is re-read after every step.
-        for w in 0..self.work.awake.len() {
-            let mut bits = self.work.awake[w];
+        for w in 0..t.work.words.len() {
+            let mut bits = t.work.words[w].awake;
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
-                bits = self.work.awake[w] & (!1 << b);
+                bits = t.work.words[w].awake & (!1 << b);
                 let i = w * 64 + b;
-                if !all_active && !self.work.on_ring0(i) {
+                if !all_active && !t.work.on_ring0(i) {
                     continue;
                 }
                 let (st, side) = (i / 2, i % 2);
@@ -438,13 +446,13 @@ impl RingTier {
                             // may act on a lower push this very tick
                             // (a complete worm, a backlog), and on a
                             // flit pushed now only from the next.
-                            self.dirty_iris[x as usize / 64] |= 1 << (x % 64);
+                            t.work.words[w].queues |= 1 << (b & !1);
                             if upper {
                                 if side == 0 {
-                                    self.work.wake(i + 1);
+                                    t.work.wake(i + 1);
                                     bits |= 1 << (b + 1);
                                 }
-                                self.work.wake_next(i ^ 1);
+                                t.work.wake_next(i ^ 1);
                             }
                         }
                         stepped
@@ -471,8 +479,8 @@ impl RingTier {
                     // front, and a worm mid-entry moves.
                     debug_assert!(t.pulse.blocked - blocked <= 1, "side {i}");
                     let blocked = t.pulse.blocked != blocked;
-                    self.work.sleep(i, blocked, room);
-                    fell[usize::from(!self.work.on_ring0(i))] += u64::from(blocked);
+                    t.work.sleep(i, blocked, room);
+                    fell[usize::from(!t.work.on_ring0(i))] += u64::from(blocked);
                 }
             }
         }
@@ -511,32 +519,35 @@ impl RingTier {
     pub fn latch(&mut self, pulse: &mut StepPulse) {
         self.bufs.latch_all();
         let mut latched = self.bufs.fifos() as u32;
-        // A side asleep for room wakes when its downstream buffer was
-        // popped.
-        for w in 0..self.work.room.len() {
-            let mut bits = self.work.room[w];
+        for w in 0..self.work.words.len() {
+            // A side asleep for room wakes when its downstream buffer
+            // was popped.
+            let mut bits = self.work.words[w].room;
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let d = self.downstream[i] as usize;
-                if self.popped[d / 64] & (1 << (d % 64)) != 0 {
+                let (st, side) = self.downstream(i);
+                let d = st as usize * 2 + side as usize;
+                if self.work.words[d / 64].popped & (1 << (d % 64)) != 0 {
                     self.work.wake(i);
                 }
             }
         }
-        self.popped.fill(0);
-        for w in 0..self.dirty_iris.len() {
-            let mut bits = std::mem::take(&mut self.dirty_iris[w]);
+        for w in 0..self.work.words.len() {
+            let word = &mut self.work.words[w];
+            word.popped = 0;
+            let mut bits = std::mem::take(&mut word.queues);
+            let next = std::mem::take(&mut word.next);
             latched += 4 * bits.count_ones();
             while bits != 0 {
-                self.iris[w * 64 + bits.trailing_zeros() as usize].latch();
+                let st = (w * 64 + bits.trailing_zeros() as usize) / 2;
                 bits &= bits - 1;
+                if let Slot::Iri { x, .. } = self.slots[st] {
+                    self.iris[x as usize].latch();
+                }
             }
-        }
-        for w in 0..self.work.next.len() {
-            let bits = std::mem::take(&mut self.work.next[w]);
-            if bits != 0 {
-                self.work.wake_word(w, bits);
+            if next != 0 {
+                self.work.wake_word(w, next);
             }
         }
         pulse.latched += u64::from(latched);
@@ -620,8 +631,6 @@ impl RingTier {
             // Per-tick scratch is always empty between steps.
             self.sends.clear();
             self.sunk.clear();
-            self.popped.fill(0);
-            self.dirty_iris.fill(0);
         }
         Ok(())
     }

@@ -105,6 +105,32 @@ fn resumes_where_most_routers_sleep() {
     }
 }
 
+/// Saturated rings at 64-byte lines, where blocked station sides sleep
+/// until their downstream buffer is popped and are counted as blocked
+/// in bulk: a checkpoint is taken while sides sleep, and the restore
+/// wakes every side (the sleep bits are not state). The resumed run
+/// must match the uninterrupted one.
+#[test]
+fn resumes_where_blocked_ring_sides_sleep() {
+    for spec in ["ring:2:3:4:6", "ring2x:2:3:4:6", "hybrid:3x3:4"] {
+        let cfg = SystemConfig::new(spec.parse().expect("registry spec"), CacheLineSize::B64)
+            .with_sim(SimParams {
+                warmup: 600,
+                batch_cycles: 600,
+                batches: 3,
+            })
+            .with_seed(7);
+        let clean = uninterrupted(&cfg);
+        for stop in [701, 1_500] {
+            assert_eq!(
+                clean,
+                interrupted(&cfg, stop),
+                "{spec}: resume at cycle {stop} diverged from the uninterrupted run"
+            );
+        }
+    }
+}
+
 /// Taking a checkpoint leaves the run it was taken from untouched: the
 /// serve layer checkpoints a job periodically and keeps running it.
 #[test]

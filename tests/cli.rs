@@ -6,6 +6,7 @@
 use std::process::{Command, Output};
 
 use ringmesh::figures::EXPERIMENTS;
+use ringmesh::DEFAULT_SEED;
 
 fn ringmesh(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ringmesh"))
@@ -143,4 +144,43 @@ fn design_section_4_names_every_experiment() {
             e.name
         );
     }
+}
+
+/// `--help` prints the seed a run uses when none is given, and passing
+/// the printed number reproduces a default run.
+#[test]
+fn the_seed_default_in_help_reproduces_a_default_run() {
+    let help = stdout(&ringmesh(&["--help"]));
+    let line = help
+        .lines()
+        .find(|l| l.trim_start().starts_with("--seed"))
+        .expect("--help documents --seed");
+    let printed = line
+        .rsplit_once("[default: ")
+        .and_then(|(_, d)| d.strip_suffix(']'))
+        .expect("--seed has a default");
+    assert_eq!(printed, DEFAULT_SEED.to_string());
+    let run = |seed: Option<&str>| {
+        let mut args = vec![
+            "run",
+            "--topology",
+            "ring:2:3",
+            "--warmup",
+            "300",
+            "--batch",
+            "300",
+            "--batches",
+            "2",
+            "--format",
+            "csv",
+        ];
+        args.extend(seed.map(|s| ["--seed", s]).iter().flatten());
+        let o = ringmesh(&args);
+        assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+        stdout(&o)
+    };
+    let default = run(None);
+    assert_eq!(run(Some(printed)), default);
+    // The literal `--help` once printed names another run.
+    assert_ne!(run(Some("1380011591")), default);
 }

@@ -573,9 +573,21 @@ fn lockstep(
     cycles: u64,
     events: Option<Vec<FaultEvent>>,
 ) -> (usize, DropCounts) {
-    let ctx = format!("ring:{spec} {speedup}x load {load}");
+    lockstep_at(CacheLineSize::B32, spec, speedup, load, cycles, events)
+}
+
+/// [`lockstep`] at cache-line size `cl`.
+fn lockstep_at(
+    cl: CacheLineSize,
+    spec: &str,
+    speedup: u32,
+    load: f64,
+    cycles: u64,
+    events: Option<Vec<FaultEvent>>,
+) -> (usize, DropCounts) {
+    let ctx = format!("ring:{spec} {speedup}x load {load} {cl:?}");
     let spec: RingSpec = spec.parse().unwrap();
-    let cfg = RingConfig::new(CacheLineSize::B32).with_global_speedup(speedup);
+    let cfg = RingConfig::new(cl).with_global_speedup(speedup);
     let mut net = RingNetwork::new(&spec, cfg.clone());
     let injector = events.map(|events| {
         let schedule = FaultSchedule::from_events(1, 0.0, events);
@@ -663,6 +675,23 @@ fn kernel_matches_the_reference_stations() {
 #[test]
 fn kernel_matches_the_reference_stations_double_speed_global_ring() {
     sweep(2);
+}
+
+/// The benchmark's `2:3:4:6` at its 64-byte lines, single and double
+/// speed, from the load where sides first block to saturation: sides
+/// sleep on a full downstream buffer, a full up queue, an incomplete or
+/// unready crossing worm, and wake on every rule of the tier's
+/// worklist, the same-tick wake of an upper side by its lower side's
+/// push among them.
+#[test]
+fn kernel_matches_the_reference_stations_while_sides_sleep() {
+    for speedup in [1, 2] {
+        for load in [0.02, 0.1, 1.0] {
+            let (delivered, _) =
+                lockstep_at(CacheLineSize::B64, "2:3:4:6", speedup, load, 1_500, None);
+            assert!(delivered > 0, "ring:2:3:4:6 {speedup}x load {load}");
+        }
+    }
 }
 
 #[test]
