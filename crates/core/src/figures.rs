@@ -1013,7 +1013,14 @@ mod tests {
         assert_eq!(&names[..3], ["table1", "table2", "fig06"]);
         assert_eq!(
             &names[17..],
-            ["fig21", "crossover", "ablations", "slotted", "hotspot", RECORD_ROW]
+            [
+                "fig21",
+                "crossover",
+                "ablations",
+                "slotted",
+                "hotspot",
+                RECORD_ROW
+            ]
         );
         for (i, n) in names.iter().enumerate() {
             assert!(!names[..i].contains(n), "{n} is registered twice");

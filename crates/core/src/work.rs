@@ -54,7 +54,10 @@ const CURVE: [(&str, [&str; 5]); 4] = [
             "slotted:4:4:4:4:4:4",
         ],
     ),
-    ("mesh", ["mesh:4", "mesh:8", "mesh:16", "mesh:32", "mesh:64"]),
+    (
+        "mesh",
+        ["mesh:4", "mesh:8", "mesh:16", "mesh:32", "mesh:64"],
+    ),
     (
         "hybrid",
         [

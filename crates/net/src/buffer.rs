@@ -339,8 +339,6 @@ impl FifoBank {
         }
     }
 
-
-
     /// Snapshots FIFO `i` as a [`FlitFifo`]: its capacity, then its
     /// flits head first. A reader latches the length, as the cycle
     /// boundary a snapshot is taken at did.

@@ -300,8 +300,13 @@ impl Iri {
                         t.sends.push(Send { to, flit, ring });
                     }
                 } else {
-                    match self.next_cross_injection(side, now, free_out, t.credits[this_ring], store)
-                    {
+                    match self.next_cross_injection(
+                        side,
+                        now,
+                        free_out,
+                        t.credits[this_ring],
+                        store,
+                    ) {
                         Ok(class) => {
                             let q = self.cross[side ^ 1].get_mut(class);
                             let flit = q.pop_ready(now).expect("front checked");

@@ -432,8 +432,10 @@ impl RingTier {
                     continue;
                 }
                 let (st, side) = (i / 2, i % 2);
-                let link_up =
-                    !faulty || t.core.faults().is_none_or(|f| f.link_up(i as u32, cycle_now));
+                let link_up = !faulty
+                    || t.core
+                        .faults()
+                        .is_none_or(|f| f.link_up(i as u32, cycle_now));
                 let (sent, moved, blocked) = (t.sends.len(), t.pulse.moved, t.pulse.blocked);
                 let stepped = match self.slots[st] {
                     Slot::Nic(n) => self.nics[n as usize].step(&mut t, link_up),
@@ -470,7 +472,10 @@ impl RingTier {
                     }
                     Slot::Iri { x, .. } => {
                         let iri = &self.iris[x as usize];
-                        (faulty && iri.quiescent(side, t.bufs), iri.has_work(side, t.bufs))
+                        (
+                            faulty && iri.quiescent(side, t.bufs),
+                            iri.has_work(side, t.bufs),
+                        )
                     }
                 };
                 if if faulty { quiescent } else { idle } {

@@ -112,7 +112,7 @@ fn resumes_where_most_routers_sleep() {
 /// must match the uninterrupted one.
 #[test]
 fn resumes_where_blocked_ring_sides_sleep() {
-    for spec in ["ring:2:3:4:6", "ring2x:2:3:4:6", "hybrid:3x3:4"] {
+    for spec in ["ring:2:3:4:6", "ring2x:2:3:4:6", "hybrid:4x4:4"] {
         let cfg = SystemConfig::new(spec.parse().expect("registry spec"), CacheLineSize::B64)
             .with_sim(SimParams {
                 warmup: 600,

@@ -26,6 +26,13 @@
 //! in every build, one digest a row, and each row quotes version 3's
 //! pair.
 //!
+//! The `work` column is the youngest: it pins the host work each row
+//! takes (`ringmesh_trace::Work`: side and router steps, link flits,
+//! FIFO pushes and latches, room events, packet allocations, driver
+//! visits and due entries read), captured when the ring tier began to
+//! step only the sides that can act and the driver to find its due
+//! entries from a calendar. Every other column was unchanged by that.
+//!
 //! The horizon is 2 000 cycles rather than `SimParams::quick()`'s
 //! 9 000 so the table stays near three seconds in a debug build.
 
@@ -53,6 +60,11 @@ struct Golden {
     /// tables (blocked cycles, IRI crossings, buffer occupancy), ASCII
     /// heatmaps and event footer.
     report_text: u64,
+    /// The traced run's host-work totals (`TraceReport::work`, every
+    /// `ringmesh_trace::Work` counter as decimal text, comma-ended):
+    /// moves when a change does more or less work to simulate the same
+    /// cycles, as `run` moves when the simulation itself does.
+    work: u64,
 }
 
 const GOLDEN: [Golden; 9] = [
@@ -67,6 +79,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x9d2a_2017_c0e3_27d9,
         heatmap_csv: 0xd37f_c4fd_b93b_bbf5,
         report_text: 0xb4b6_639f_df79_2669,
+        work: 0xb73e_e0d5_e82c_94f8,
     },
     Golden {
         spec: "mesh:12:1flit",
@@ -77,6 +90,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x6841_99dc_640d_f34e,
         heatmap_csv: 0x82de_0a01_89a2_07ef,
         report_text: 0x912a_bbab_d99c_f39f,
+        work: 0x8b1e_b05e_48fe_d39d,
     },
     Golden {
         spec: "mesh:5:cl",
@@ -87,6 +101,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x3c28_cc45_fbe7_1929,
         heatmap_csv: 0x461d_7558_2608_6d0a,
         report_text: 0xfaaa_51b1_36a6_c5e5,
+        work: 0x6c92_940b_2d22_30b3,
     },
     // The hybrid registers no heatmap: its CSV digest is FNV-1a of "".
     // Its `checkpoint_bytes` were re-pinned by PR 22, which put its
@@ -106,6 +121,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0xf36c_58b9_cd2b_d0eb,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
         report_text: 0xb012_1cd5_1c68_7762,
+        work: 0xb25d_f858_0c58_93d8,
     },
     Golden {
         spec: "hybrid:2x2:4",
@@ -116,6 +132,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x80bb_92d2_23dd_4d59,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
         report_text: 0x406a_612f_e2a4_f4d7,
+        work: 0x0cbc_ddbc_b222_e48b,
     },
     // Captured on 5e8e78f (debug and release builds).
     Golden {
@@ -127,6 +144,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x1343_f44b_b790_82a7,
         heatmap_csv: 0xc2c4_6fd8_5f2b_ff8f,
         report_text: 0x073d_96f2_0dc4_6cdf,
+        work: 0x8d88_24fd_d293_3e68,
     },
     // The double-speed global ring: two kernel ticks per cycle.
     Golden {
@@ -138,6 +156,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x7ce4_61f6_a5dc_88ce,
         heatmap_csv: 0x9a67_c06b_67c6_b7d9,
         report_text: 0x668a_ce05_a816_acb6,
+        work: 0xecb9_7d02_ada7_ebae,
     },
     // Four levels.
     Golden {
@@ -149,6 +168,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x6bbb_40b5_2258_aac7,
         heatmap_csv: 0x0d56_c750_99fb_fb10,
         report_text: 0x3f80_c51a_20d5_8e89,
+        work: 0x96aa_ddf6_731c_d3af,
     },
     // `run` (plain and resumed) is 5e8e78f's. The other three are not:
     // there the slotted ring refused a tracer, and its checkpoint
@@ -166,6 +186,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x2f2d_cc27_6724_7826,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
         report_text: 0xfc19_5347_5850_e5bd,
+        work: 0x8985_f9ca_cba2_c7a4,
     },
 ];
 
@@ -243,6 +264,12 @@ fn every_run_path_reproduces_the_parent_commit() {
             Fingerprint::of(trace.to_text().as_bytes()),
             g.report_text,
             "{spec}: report text"
+        );
+        let work: String = trace.work.iter().map(|n| format!("{n},")).collect();
+        assert_eq!(
+            Fingerprint::of(work.as_bytes()),
+            g.work,
+            "{spec}: host work {work}"
         );
     }
 }
