@@ -461,24 +461,28 @@ impl RingTier {
                     }
                 };
                 t.pulse.sides += 1;
-                let idle = t.sends.len() == sent && t.pulse.moved == moved && !stepped.held;
-                if !(idle || faulty) {
+                // A side sleeps after an idle step, and after any step
+                // that left it quiescent: a step then would be a no-op
+                // whatever happens, but a wake-up.
+                let idle =
+                    !faulty && t.sends.len() == sent && t.pulse.moved == moved && !stepped.held;
+                if !idle && !t.bufs.is_empty(i) {
                     continue;
                 }
                 let (quiescent, room) = match self.slots[st] {
                     Slot::Nic(n) => {
                         let nic = &self.nics[n as usize];
-                        (faulty && nic.quiescent(t.bufs), nic.has_work(t.bufs))
+                        (nic.quiescent(t.bufs), idle && nic.has_work(t.bufs))
                     }
                     Slot::Iri { x, .. } => {
                         let iri = &self.iris[x as usize];
                         (
-                            faulty && iri.quiescent(side, t.bufs),
-                            iri.has_work(side, t.bufs),
+                            iri.quiescent(side, t.bufs),
+                            idle && iri.has_work(side, t.bufs),
                         )
                     }
                 };
-                if if faulty { quiescent } else { idle } {
+                if idle || quiescent {
                     // An idle step counts at most one blocked flit: a
                     // crossing flit and a forwarding one never share a
                     // front, and a worm mid-entry moves.
