@@ -169,11 +169,6 @@ impl HybridNetwork {
         })
     }
 
-    /// Ring `g`'s bridge station.
-    fn station_of(&self, g: usize) -> u32 {
-        g as u32 * (self.local + 1) + self.local
-    }
-
     /// Serial bridge pumps: each bridge moves at most one flit per
     /// cycle from its ring→mesh crossing queues into its mesh
     /// router's injection queue (store-and-forward: the packet is
@@ -217,9 +212,6 @@ impl HybridNetwork {
                 if flit.is_tail {
                     self.routers.enqueue(g, class, flit.packet);
                 }
-                // The bridge's lower side may be waiting on room in
-                // the up queue.
-                self.tier.wake(self.station_of(g));
                 pumped += 1;
             }
         }
@@ -306,7 +298,7 @@ impl ringmesh_net::Interconnect for HybridNetwork {
                             now,
                         );
                     }
-                    self.tier.wake(self.station_of(g as usize));
+                    self.tier.wake(g * (self.local + 1) + self.local);
                 }
                 CommitOp::Drop { packet, reason } => self.core.drop_packet(packet, reason),
             }

@@ -10,9 +10,8 @@
 //!   arrived in (realizing the paper's one-cycle routing delay per
 //!   network node).
 //! * [`FifoBank`] — many [`FlitFifo`]s of one capacity in a single
-//!   allocation of 4-byte [`PackedFlit`] lanes, addressed by number,
-//!   for FIFOs pushed only between steps: the ring tier's transit
-//!   buffers.
+//!   allocation, addressed by number, for FIFOs pushed only between
+//!   steps: the ring tier's transit buffers.
 //! * [`PacketQueue`] — a bounded queue of whole packets (the NIC's
 //!   input/output request and response buffers, which hold exactly one
 //!   cache-line packet each in the paper).
@@ -25,7 +24,7 @@ use std::collections::VecDeque;
 
 use ringmesh_snap::{Codec, Snap, SnapError};
 
-use crate::packet::{Flit, PackedFlit, PacketRef};
+use crate::packet::{Flit, PacketRef};
 
 /// A bounded flit FIFO with registered (previous-cycle) stop/go state.
 ///
@@ -211,8 +210,7 @@ struct BankFifo {
 /// user, the ring tier (`ringmesh_ring`'s `RingTier`), pushes only in
 /// its send commit, after every station side has stepped, so no flit is
 /// popped in the cycle it arrived and the bank keeps no push record.
-/// Flits sit in one `Vec` of
-/// 4-byte [`PackedFlit`] lanes at stride `capacity`, beside 6 bytes of
+/// Flit slots sit in one `Vec` at stride `capacity`, beside 6 bytes of
 /// bookkeeping per FIFO, so a ring station's buffers are adjacent
 /// memory, not a heap block each. The mesh writes its FIFOs in
 /// [`snap_fifo`](Self::snap_fifo)'s format.
@@ -237,7 +235,7 @@ struct BankFifo {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FifoBank {
-    slots: Vec<PackedFlit>,
+    slots: Vec<Flit>,
     fifos: Vec<BankFifo>,
     cap: u16,
 }
@@ -252,7 +250,7 @@ impl FifoBank {
         assert!(cap > 0, "flit FIFO capacity must be positive");
         let cap = u16::try_from(cap).expect("banked flit FIFO capacity fits 16 bits");
         FifoBank {
-            slots: vec![PackedFlit::default(); n * usize::from(cap)],
+            slots: vec![Flit::default(); n * usize::from(cap)],
             fifos: vec![BankFifo::default(); n],
             cap,
         }
@@ -303,20 +301,19 @@ impl FifoBank {
     /// # Panics
     ///
     /// Panics if the FIFO is full — the sender must gate on
-    /// [`free_latched`](Self::free_latched), so overflow is a model bug
-    /// — or if the flit does not fit a [`PackedFlit`] lane.
+    /// [`free_latched`](Self::free_latched), so overflow is a model bug.
     pub fn push(&mut self, i: usize, flit: Flit) {
         let f = self.fifos[i];
         assert!(f.len < self.cap, "flit FIFO overflow");
         let at = self.slot(i, f.head, f.len);
-        self.slots[at] = PackedFlit::new(flit).expect("a live packet's flit fits a lane");
+        self.slots[at] = flit;
         self.fifos[i].len += 1;
     }
 
     /// The head flit of FIFO `i`.
     pub fn front(&self, i: usize) -> Option<Flit> {
         let f = self.fifos[i];
-        (f.len > 0).then(|| self.slots[self.slot(i, f.head, 0)].flit())
+        (f.len > 0).then(|| self.slots[self.slot(i, f.head, 0)])
     }
 
     /// Pops the head flit of FIFO `i`.
@@ -346,8 +343,7 @@ impl FifoBank {
     /// # Errors
     ///
     /// [`SnapError::Mismatch`] on a different capacity,
-    /// [`SnapError::Corrupt`] on a length over it or a flit that does
-    /// not fit a lane.
+    /// [`SnapError::Corrupt`] on a length over it.
     pub fn snap_fifo<C: Codec>(&mut self, i: usize, c: &mut C) -> Result<(), SnapError> {
         c.exact(self.capacity(), "flit FIFO capacity")?;
         let mut len = self.len(i);
@@ -359,11 +355,7 @@ impl FifoBank {
         c.run(|c| {
             for pos in 0..len {
                 let at = self.slot(i, self.fifos[i].head, pos);
-                let mut flit = self.slots[at].flit();
-                flit.snap(c)?;
-                self.slots[at] = PackedFlit::new(flit).ok_or_else(|| {
-                    SnapError::Corrupt(format!("{flit:?} does not fit a flit lane"))
-                })?;
+                self.slots[at].snap(c)?;
             }
             Ok(())
         })?;
@@ -908,8 +900,7 @@ mod fifo_bank_tests {
                             seq,
                             is_tail: rng.uniform_usize(3) == 0,
                         };
-                        // Sequence numbers wrap within what a lane holds.
-                        seq = (seq + 1) % PackedFlit::MAX_PACKET_FLITS;
+                        seq += 1;
                         fifo.push(flit, now);
                         bank.push(1, flit);
                         pushed = true;
@@ -945,24 +936,6 @@ mod fifo_bank_tests {
         let mut bank = FifoBank::new(2, 1);
         bank.push(0, flit);
         bank.push(0, flit);
-    }
-
-    /// A saved flit whose sequence number no lane holds is corrupt
-    /// input, refused with an error.
-    #[test]
-    fn a_flit_too_wide_for_a_lane_is_refused() {
-        let r = refs(1)[0];
-        let mut fifo = FlitFifo::new(2);
-        let flit = Flit {
-            packet: r,
-            seq: PackedFlit::MAX_PACKET_FLITS,
-            is_tail: true,
-        };
-        fifo.push(flit, 0);
-        let bytes = saved(&fifo);
-        let mut bank = FifoBank::new(1, 2);
-        let err = bank.snap_fifo(0, &mut SnapReader::new(&bytes));
-        assert!(matches!(err, Err(SnapError::Corrupt(_))), "{err:?}");
     }
 
     /// A FIFO whose front has wrapped past the end of its stride saves
@@ -1007,10 +980,9 @@ mod fifo_bank_tests {
     #[test]
     fn a_deep_fifo_wraps_without_overflow() {
         let r = refs(1)[0];
-        // Sequence numbers wrap within what a lane holds.
-        let flit = |seq: u32| Flit {
+        let flit = |seq| Flit {
             packet: r,
-            seq: seq % PackedFlit::MAX_PACKET_FLITS,
+            seq,
             is_tail: false,
         };
         let cap = usize::from(u16::MAX);

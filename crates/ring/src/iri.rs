@@ -10,7 +10,7 @@
 use ringmesh_net::{FifoBank, FlitFifo, PacketRef, PacketStore, QueueClass};
 use ringmesh_snap::{Codec, Snap, SnapError};
 
-use crate::station::{pop, ClassQueues, Disposition, LinkOwner, Send, Stepped, Tick, TransitRoute};
+use crate::station::{ClassQueues, Disposition, LinkOwner, Send, Tick, TransitRoute};
 use crate::topology::SideRef;
 
 /// Side index of the child (lower) ring.
@@ -65,11 +65,6 @@ impl Iri {
         }
     }
 
-    /// The station side `side`'s output link feeds.
-    pub(crate) fn downstream(&self, side: usize) -> SideRef {
-        self.downstream[side]
-    }
-
     /// The ring `side` sits on.
     pub(crate) fn ring(&self, side: usize) -> u32 {
         self.rings[side]
@@ -111,24 +106,18 @@ impl Iri {
         self.crossed_flits(LOWER) + self.crossed_flits(UPPER)
     }
 
-    /// True when a step of crossbar side `side` is provably a no-op
-    /// whatever the faults: its transit buffer and the crossing queues
-    /// it drains are empty, no worm holds its output link, and no route
-    /// decision is latched. It stays one until a flit arrives in that
-    /// buffer (the tier's send commit) or those queues (its partner
-    /// side's step, or a `RingTier::wake`).
-    pub(crate) fn quiescent(&self, side: usize, bufs: &FifoBank) -> bool {
-        bufs.is_empty(self.fifo + side)
-            && self.crossed_flits(side ^ 1) == 0
-            && matches!(self.owner[side], LinkOwner::Idle)
-            && self.transit[side].packet().is_none()
-    }
-
-    /// Whether side `side` has a flit or a worm its output link may
-    /// send: a transit flit, or flits in the crossing queues it drains.
-    /// Only such a side waits on room downstream.
-    pub(crate) fn has_work(&self, side: usize, bufs: &FifoBank) -> bool {
-        !bufs.is_empty(self.fifo + side) || self.crossed_flits(side ^ 1) != 0
+    /// True when a step of either crossbar side is provably a no-op:
+    /// both transit buffers and all four crossing queues are empty, no
+    /// worm holds an output link, and no route decision is latched.
+    /// Such an IRI can be skipped until a flit arrives on a buffer or
+    /// queue (which always goes through the tier's send commit, or is
+    /// followed by a `RingTier::wake`).
+    pub(crate) fn quiescent(&self, bufs: &FifoBank) -> bool {
+        bufs.is_empty(self.fifo)
+            && bufs.is_empty(self.fifo + 1)
+            && self.queue_flits() == 0
+            && self.owner.iter().all(|o| matches!(o, LinkOwner::Idle))
+            && self.transit.iter().all(|t| t.packet().is_none())
     }
 
     fn inside(&self, dst: u32) -> bool {
@@ -157,18 +146,7 @@ impl Iri {
     /// *crossing* here has nowhere to go — its flits are sunk in place
     /// and its packet reported through `t.sunk` for the tier to
     /// retire as an explicit drop.
-    ///
-    /// Returns whether a queued worm was held back by the ring's credits
-    /// alone and whether a crossing queue was pushed or popped
-    /// ([`Stepped`]).
-    pub(crate) fn step_side(
-        &mut self,
-        side: usize,
-        t: &mut Tick<'_>,
-        link_up: bool,
-        dead: bool,
-    ) -> Stepped {
-        let mut stepped = Stepped::default();
+    pub(crate) fn step_side(&mut self, side: usize, t: &mut Tick<'_>, link_up: bool, dead: bool) {
         let (now, store, buf) = (t.now, t.core.store(), self.fifo + side);
         let this_ring = self.rings[side] as usize;
         // A downed output link advertises no room: forwarding and cross
@@ -205,7 +183,7 @@ impl Iri {
         // does not leak capacity) and the packet is reported at its
         // tail for the tier to drop-account.
         if self.transit[side].sinking() {
-            if let Some(flit) = pop(t.bufs, t.work, buf) {
+            if let Some(flit) = t.bufs.pop(buf) {
                 t.credits[this_ring] += 1; // the flit left this ring
                 t.pulse.moved += 1;
                 if flit.is_tail {
@@ -223,7 +201,7 @@ impl Iri {
                 let class = QueueClass::of(store.get(flit.packet).kind);
                 let q = self.cross[side].get_mut(class);
                 if q.space_latched() {
-                    let flit = pop(t.bufs, t.work, buf).expect("front was ready");
+                    let flit = t.bufs.pop(buf).expect("front was ready");
                     t.credits[this_ring] += 1; // the flit left this ring
                     if flit.is_head() {
                         t.pulse.crossed += 1;
@@ -234,7 +212,6 @@ impl Iri {
                     q.push(flit, now);
                     t.pulse.moved += 1;
                     t.pulse.pushed += 1;
-                    stepped.cross = true;
                 } else {
                     t.pulse.blocked += 1;
                 }
@@ -248,7 +225,7 @@ impl Iri {
         match self.owner[side] {
             LinkOwner::Transit => {
                 if go_transit {
-                    if let Some(flit) = pop(t.bufs, t.work, buf) {
+                    if let Some(flit) = t.bufs.pop(buf) {
                         debug_assert_eq!(Some(flit.packet), self.transit[side].packet());
                         if flit.is_tail {
                             self.owner[side] = LinkOwner::Idle;
@@ -273,7 +250,6 @@ impl Iri {
                             self.owner[side] = LinkOwner::Idle;
                         }
                         t.sends.push(Send { to, flit, ring });
-                        stepped.cross = true;
                     }
                 } else {
                     t.pulse.blocked += 1;
@@ -291,7 +267,7 @@ impl Iri {
                 let transit_ready = self.transit[side].forwarding() && front.is_some();
                 if transit_ready && !backlogged {
                     if go_transit {
-                        let flit = pop(t.bufs, t.work, buf).expect("front was ready");
+                        let flit = t.bufs.pop(buf).expect("front was ready");
                         if flit.is_tail {
                             self.transit[side].clear();
                         } else {
@@ -299,48 +275,32 @@ impl Iri {
                         }
                         t.sends.push(Send { to, flit, ring });
                     }
-                } else {
-                    match self.next_cross_injection(
-                        side,
-                        now,
-                        free_out,
-                        t.credits[this_ring],
-                        store,
-                    ) {
-                        Ok(class) => {
-                            let q = self.cross[side ^ 1].get_mut(class);
-                            let flit = q.pop_ready(now).expect("front checked");
-                            debug_assert!(flit.is_head(), "cross queue must start at a head flit");
-                            t.credits[this_ring] -= i64::from(store.get(flit.packet).flits);
-                            if !flit.is_tail {
-                                self.owner[side] = LinkOwner::Cross(class);
-                            }
-                            t.sends.push(Send { to, flit, ring });
-                            stepped.cross = true;
-                        }
-                        Err(held) if transit_ready && go_transit => {
-                            // Backlogged but nothing can cross yet: let
-                            // transit continue rather than idle the link.
-                            stepped.held = held;
-                            let flit = pop(t.bufs, t.work, buf).expect("front was ready");
-                            if flit.is_tail {
-                                self.transit[side].clear();
-                            } else {
-                                self.owner[side] = LinkOwner::Transit;
-                            }
-                            t.sends.push(Send { to, flit, ring });
-                        }
-                        Err(held) => {
-                            stepped.held = held;
-                            if transit_ready {
-                                t.pulse.blocked += 1;
-                            }
-                        }
+                } else if let Some(class) =
+                    self.next_cross_injection(side, now, free_out, t.credits[this_ring], store)
+                {
+                    let q = self.cross[side ^ 1].get_mut(class);
+                    let flit = q.pop_ready(now).expect("front checked");
+                    debug_assert!(flit.is_head(), "cross queue must start at a head flit");
+                    t.credits[this_ring] -= i64::from(store.get(flit.packet).flits);
+                    if !flit.is_tail {
+                        self.owner[side] = LinkOwner::Cross(class);
                     }
+                    t.sends.push(Send { to, flit, ring });
+                } else if transit_ready && go_transit {
+                    // Backlogged but nothing can cross yet: let transit
+                    // continue rather than idle the link.
+                    let flit = t.bufs.pop(buf).expect("front was ready");
+                    if flit.is_tail {
+                        self.transit[side].clear();
+                    } else {
+                        self.owner[side] = LinkOwner::Transit;
+                    }
+                    t.sends.push(Send { to, flit, ring });
+                } else if transit_ready {
+                    t.pulse.blocked += 1;
                 }
             }
         }
-        stepped
     }
 
     /// Which crossing class can start on `side`'s output link: responses
@@ -351,7 +311,6 @@ impl Iri {
     /// has latched room for all of it, and (d) the ring's credits cover
     /// it with one to spare. A started entry therefore completes
     /// unconditionally, which is what makes the hierarchy live.
-    /// `Err(true)` when no class is ready but one failed (d) alone.
     fn next_cross_injection(
         &self,
         side: usize,
@@ -359,8 +318,7 @@ impl Iri {
         free_out: usize,
         credits: i64,
         store: &PacketStore,
-    ) -> Result<QueueClass, bool> {
-        let mut held = false;
+    ) -> Option<QueueClass> {
         for class in [QueueClass::Response, QueueClass::Request] {
             let q = self.cross[side ^ 1].get(class);
             if let Some(flit) = q.front_ready(now) {
@@ -368,15 +326,12 @@ impl Iri {
                     continue;
                 }
                 let flits = store.get(flit.packet).flits;
-                if free_out >= flits as usize {
-                    if credits > i64::from(flits) {
-                        return Ok(class);
-                    }
-                    held = true;
+                if free_out >= flits as usize && credits > i64::from(flits) {
+                    return Some(class);
                 }
             }
         }
-        Err(held)
+        None
     }
 
     /// Ring slots `side`'s entry in progress has reserved for the flits

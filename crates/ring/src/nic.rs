@@ -13,7 +13,7 @@ use ringmesh_net::{
 };
 use ringmesh_snap::{Codec, Snap, SnapError};
 
-use crate::station::{pop, ClassQueues, Disposition, LinkOwner, Send, Stepped, Tick, TransitRoute};
+use crate::station::{ClassQueues, Disposition, LinkOwner, Send, Tick, TransitRoute};
 use crate::topology::SideRef;
 use crate::OUT_QUEUE_PACKETS;
 
@@ -90,11 +90,7 @@ impl Nic {
     /// path keeps draining (it is a separate wire in Figure 3).
     /// A packet whose payload the core marked as corrupted in flight
     /// is dropped at reassembly instead of delivered.
-    ///
-    /// Returns whether a queued worm was held back by the ring's credits
-    /// alone ([`Stepped::held`]).
-    pub(crate) fn step(&mut self, t: &mut Tick<'_>, link_up: bool) -> Stepped {
-        let mut stepped = Stepped::default();
+    pub(crate) fn step(&mut self, t: &mut Tick<'_>, link_up: bool) {
         let (to, ring, buf) = (self.downstream, self.ring, self.fifo);
         let this_ring = ring as usize;
         // A downed output link advertises no room: transit forwarding
@@ -123,7 +119,7 @@ impl Nic {
         // PM. This is independent of the output link (Figure 3 shows
         // separate paths), so it can proceed while the PM injects.
         if self.transit.crossing() {
-            if let Some(flit) = pop(t.bufs, t.work, buf) {
+            if let Some(flit) = t.bufs.pop(buf) {
                 t.credits[this_ring] += 1; // the flit left the ring
                 t.pulse.moved += 1;
                 if flit.is_tail {
@@ -144,7 +140,7 @@ impl Nic {
         match self.owner {
             LinkOwner::Transit => {
                 if go_transit {
-                    if let Some(flit) = pop(t.bufs, t.work, buf) {
+                    if let Some(flit) = t.bufs.pop(buf) {
                         debug_assert_eq!(Some(flit.packet), self.transit.packet());
                         if flit.is_tail {
                             self.owner = LinkOwner::Idle;
@@ -178,7 +174,7 @@ impl Nic {
                 if self.transit.forwarding() && front.is_some() {
                     // Transit traffic has priority on the output link.
                     if go_transit {
-                        let flit = pop(t.bufs, t.work, buf).expect("front was ready");
+                        let flit = t.bufs.pop(buf).expect("front was ready");
                         if flit.is_tail {
                             self.transit.clear();
                         } else {
@@ -188,53 +184,44 @@ impl Nic {
                     } else {
                         t.pulse.blocked += 1;
                     }
-                } else {
-                    match self.next_injection(free_out, t.credits[this_ring], t.core.store()) {
-                        Ok(class) => {
-                            let r = self.out.get_mut(class).pop().expect("front checked");
-                            t.core.room_at(self.pm);
-                            let flits = t.core.store().get(r).flits;
-                            t.credits[this_ring] -= i64::from(flits);
-                            self.drain.begin(r, flits);
-                            let flit = self.drain.emit();
-                            if !flit.is_tail {
-                                self.owner = LinkOwner::Cross(class);
-                            }
-                            t.sends.push(Send { to, flit, ring });
-                        }
-                        Err(held) => stepped.held = held,
+                } else if let Some(class) =
+                    self.next_injection(free_out, t.credits[this_ring], t.core.store())
+                {
+                    let r = self.out.get_mut(class).pop().expect("front checked");
+                    t.core.room_at(self.pm);
+                    let flits = t.core.store().get(r).flits;
+                    t.credits[this_ring] -= i64::from(flits);
+                    self.drain.begin(r, flits);
+                    let flit = self.drain.emit();
+                    if !flit.is_tail {
+                        self.owner = LinkOwner::Cross(class);
                     }
+                    t.sends.push(Send { to, flit, ring });
                 }
             }
         }
-        stepped
     }
 
     /// Which class can start injecting: responses beat requests (§2.1).
     /// A worm may start entering the ring only if the downstream
     /// transit buffer has latched room for all of it (it then never
     /// stalls mid-entry) and the ring's free-slot credits cover it with
-    /// one to spare (a free slot always keeps circulating). `Err(true)`
-    /// when none can but a front worm lacked only the credits.
+    /// one to spare (a free slot always keeps circulating).
     fn next_injection(
         &self,
         free_out: usize,
         credits: i64,
         store: &PacketStore,
-    ) -> Result<QueueClass, bool> {
-        let mut held = false;
+    ) -> Option<QueueClass> {
         for class in [QueueClass::Response, QueueClass::Request] {
             if let Some(r) = self.out.get(class).front() {
                 let flits = store.get(r).flits;
-                if free_out >= flits as usize {
-                    if credits > i64::from(flits) {
-                        return Ok(class);
-                    }
-                    held = true;
+                if free_out >= flits as usize && credits > i64::from(flits) {
+                    return Some(class);
                 }
             }
         }
-        Err(held)
+        None
     }
 
     /// Ring slots this NIC's entry in progress has reserved for the
@@ -258,15 +245,6 @@ impl Nic {
             && self.transit.packet().is_none()
             && self.out.get(QueueClass::Request).is_empty()
             && self.out.get(QueueClass::Response).is_empty()
-    }
-
-    /// Whether the NIC has a flit or a worm its output link may send:
-    /// a transit flit, or a packet queued at the PM. Only such a NIC
-    /// waits on room downstream.
-    pub(crate) fn has_work(&self, bufs: &FifoBank) -> bool {
-        !bufs.is_empty(self.fifo)
-            || !self.out.get(QueueClass::Request).is_empty()
-            || !self.out.get(QueueClass::Response).is_empty()
     }
 
     /// Snapshots the transit buffer (FIFO `fifo` of `bufs`), the PM

@@ -6,7 +6,6 @@ use ringmesh_net::{FifoBank, Flit, NetCore, NodeId, Packet, PacketRef, QueueClas
 use ringmesh_snap::{Codec, Snap, SnapError};
 use ringmesh_trace::{Tracer, Work};
 
-use crate::tier::Worklist;
 use crate::topology::SideRef;
 
 /// A flit transfer decided this cycle, applied after all stations have
@@ -87,19 +86,6 @@ pub(crate) struct Tick<'a> {
     pub(crate) sunk: &'a mut Vec<PacketRef>,
     /// Flit-movement counts of the cycle.
     pub(crate) pulse: &'a mut StepPulse,
-    /// The side worklist, where a pop of a transit buffer is marked:
-    /// the side that feeds it, asleep waiting for room, wakes at the
-    /// latch.
-    pub(crate) work: &'a mut Worklist,
-}
-
-/// Pops the front flit of transit buffer `buf` of `bufs`, a station
-/// side's own, and marks the pop in `work` (a [`Tick`]'s two fields,
-/// taken apart so the packet store can stay borrowed).
-pub(crate) fn pop(bufs: &mut FifoBank, work: &mut Worklist, buf: usize) -> Option<Flit> {
-    let flit = bufs.pop(buf)?;
-    work.popped(buf);
-    Some(flit)
 }
 
 impl Tick<'_> {
@@ -112,19 +98,6 @@ impl Tick<'_> {
             0
         }
     }
-}
-
-/// What a station side's step tells the tier's worklist beyond the
-/// flits it moved.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Stepped {
-    /// A worm could have started entering the ring but for the ring's
-    /// credits, which a step anywhere on the ring may return: the side
-    /// must step again next tick.
-    pub(crate) held: bool,
-    /// The step pushed into or popped a crossing queue its partner
-    /// side shares.
-    pub(crate) cross: bool,
 }
 
 /// Who currently owns an output link. Wormhole switching holds the link

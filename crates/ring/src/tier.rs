@@ -51,10 +51,10 @@ impl Slot {
 }
 
 /// The stations of a set of rings and everything they share: every
-/// side's transit buffer, the side worklist, per-ring credits and flit
-/// counts, the tick counter (and the tick the flit counts were last
-/// reset at) and the per-tick scratch. Where a side sends and which
-/// ring it is on, each station holds itself.
+/// side's transit buffer, the active-station worklist, per-ring
+/// credits and flit counts, the tick counter (and the tick the flit
+/// counts were last reset at) and the per-tick scratch. Where a side
+/// sends and which ring it is on, each station holds itself.
 ///
 /// A tick is [`tick`](RingTier::tick) (every clocked station side
 /// steps, then sunk packets retire, then the link transfers commit)
@@ -73,8 +73,24 @@ pub struct RingTier {
     /// side` (a side on no ring keeps an empty one). Its latched
     /// occupancy is the stop/go its upstream neighbour reads.
     bufs: FifoBank,
-    /// Which station sides step, bit `st*2 + side` (the side's FIFO).
-    work: Worklist,
+    /// Active-station worklist, a bitset of 64 stations per word: bit
+    /// `st` is clear only while station `st` is provably quiescent
+    /// (`Nic::quiescent` / `Iri::quiescent`), letting the tick skip
+    /// idle stations under light load. Set again by any arriving flit
+    /// or by [`wake`](RingTier::wake).
+    station_active: Vec<u64>,
+    /// NICs parked on a full downstream buffer, with the FIFO each
+    /// waits on and whether it is on ring 0: a NIC whose step moved
+    /// nothing and counted a forwarding flit blocked decides the same
+    /// until that buffer's latch shows room (its downstream has no
+    /// other producer, and transit beats injection), so it leaves the
+    /// worklist and the latch puts it back.
+    parked: Vec<(u32, u32, bool)>,
+    /// The parked NICs' stations, a bit each; empty until a NIC parks.
+    parked_bits: Vec<u64>,
+    /// Parked NICs on ring 0 and on the other rings. Each counts one
+    /// blocked flit every tick it is clocked.
+    parked_count: [u64; 2],
     /// Flits moved per ring (utilization accounting).
     ring_flits: Vec<u64>,
     /// Free transit flit slots per ring (the deadlock-avoidance
@@ -87,115 +103,6 @@ pub struct RingTier {
     sends: Vec<Send>,
     /// Per-tick scratch: packets sunk at dead IRIs, pending removal.
     sunk: Vec<PacketRef>,
-}
-
-/// The side worklist: a side steps while its `awake` bit is set. A
-/// side whose step moved nothing, and whose injection was not held
-/// back by the ring's credits alone, sleeps until the one event that
-/// can change what its step decides (DESIGN §3, "The side worklist");
-/// a spurious wake costs a step and nothing else. In a run with faults
-/// a side sleeps only when its step is a no-op whatever the faults.
-///
-/// A side that sleeps blocked — a ready flit its step would count in
-/// `StepPulse::blocked` every tick — keeps its `blocked` bit, and the
-/// tick counts it from `asleep_blocked` (by ring 0 and the other rings,
-/// for the double-speed ring's odd ticks).
-#[derive(Debug)]
-pub(crate) struct Worklist {
-    words: Vec<Sides>,
-    asleep_blocked: [u64; 2],
-}
-
-/// One bit per side of 64 station sides, bit `i % 64` of word `i / 64`
-/// for side `i = st*2 + side` (its transit buffer's FIFO).
-#[derive(Debug, Clone, Copy, Default)]
-struct Sides {
-    awake: u64,
-    /// Asleep, counted blocked every tick it is clocked.
-    blocked: u64,
-    /// Asleep with a flit or a worm to send: a pop of its downstream
-    /// buffer wakes it.
-    room: u64,
-    /// On ring 0.
-    ring0: u64,
-    /// To wake when the tick is latched.
-    next: u64,
-    /// Its transit buffer was popped this tick.
-    popped: u64,
-    /// At an IRI's lower side: the IRI's crossing queues changed this
-    /// tick.
-    queues: u64,
-}
-
-impl Worklist {
-    fn new(sides: usize) -> Self {
-        Worklist {
-            words: vec![Sides::default(); sides.div_ceil(64)],
-            asleep_blocked: [0; 2],
-        }
-    }
-
-    fn on_ring0(&self, i: usize) -> bool {
-        self.words[i / 64].ring0 & (1 << (i % 64)) != 0
-    }
-
-    /// Puts side `i` on the list; a side asleep blocked is no longer
-    /// counted as one.
-    fn wake(&mut self, i: usize) {
-        self.wake_word(i / 64, 1 << (i % 64));
-    }
-
-    /// Puts the sides of `bits` in word `w` on the list.
-    fn wake_word(&mut self, w: usize, bits: u64) {
-        let word = &mut self.words[w];
-        word.awake |= bits;
-        word.room &= !bits;
-        let blocked = word.blocked & bits;
-        if blocked != 0 {
-            word.blocked &= !blocked;
-            let ring0 = (blocked & word.ring0).count_ones();
-            self.asleep_blocked[0] -= u64::from(ring0);
-            self.asleep_blocked[1] -= u64::from(blocked.count_ones() - ring0);
-        }
-    }
-
-    /// Wakes side `i` at the end of the tick.
-    fn wake_next(&mut self, i: usize) {
-        self.words[i / 64].next |= 1 << (i % 64);
-    }
-
-    /// Marks side `i`'s transit buffer popped.
-    pub(crate) fn popped(&mut self, i: usize) {
-        self.words[i / 64].popped |= 1 << (i % 64);
-    }
-
-    /// Takes side `i` off the list; `blocked` when its step counted a
-    /// blocked flit, which every tick it sleeps through counts again;
-    /// `room` when it has something to send downstream.
-    fn sleep(&mut self, i: usize, blocked: bool, room: bool) {
-        let (word, bit) = (&mut self.words[i / 64], 1 << (i % 64));
-        word.awake &= !bit;
-        if room {
-            word.room |= bit;
-        }
-        if blocked {
-            word.blocked |= bit;
-            let ring0 = word.ring0 & bit != 0;
-            self.asleep_blocked[usize::from(!ring0)] += 1;
-        }
-    }
-
-    /// Forgets every sleeper and the tick's marks (the list is not
-    /// state: a restore wakes every side).
-    fn clear(&mut self) {
-        for word in &mut self.words {
-            *word = Sides {
-                ring0: word.ring0,
-                ..Sides::default()
-            };
-        }
-        self.asleep_blocked = [0; 2];
-    }
 }
 
 impl RingTier {
@@ -223,7 +130,10 @@ impl RingTier {
             nics: Vec::with_capacity(pms),
             iris: Vec::with_capacity(n_st - pms),
             bufs: FifoBank::new(n_st * 2, buf_flits),
-            work: Worklist::new(n_st * 2),
+            station_active: vec![0; n_st.div_ceil(64)],
+            parked: Vec::new(),
+            parked_bits: Vec::new(),
+            parked_count: [0; 2],
             ring_flits: vec![0; map.num_rings()],
             ring_credits: vec![0; map.num_rings()],
             tick: 0,
@@ -266,14 +176,8 @@ impl RingTier {
             };
             tier.ring_credits[lower.0 as usize] += buf_flits as i64;
             tier.slots.push(slot);
-            for (side, link) in [(0, Some(lower)), (1, upper)] {
-                if let Some((0, _)) = link {
-                    let i = st as usize * 2 + side;
-                    tier.work.words[i / 64].ring0 |= 1 << (i % 64);
-                }
-            }
+            tier.wake(st);
         }
-        tier.wake_all();
         tier
     }
 
@@ -315,42 +219,16 @@ impl RingTier {
         &self.iris[x]
     }
 
-    /// Mutable form of [`iri`](Self::iri). A flit pushed into or
-    /// popped from one of its crossing queues is seen by the station,
-    /// and latched, only once the station is [`wake`](Self::wake)d.
+    /// Mutable form of [`iri`](Self::iri). A flit pushed into one of
+    /// its crossing queues reaches the ring only once the station is
+    /// [`wake`](Self::wake)d.
     pub fn iri_mut(&mut self, x: usize) -> &mut Iri {
         &mut self.iris[x]
     }
 
-    /// Puts station `st`'s clocked sides back on the worklist and, at
-    /// an IRI, latches its crossing queues at the end of the tick.
+    /// Puts station `st` back on the worklist.
     pub fn wake(&mut self, st: u32) {
-        let st = st as usize;
-        let slot = self.slots[st];
-        for side in 0..slot.sides() {
-            self.work.wake(st * 2 + side);
-        }
-        if let Slot::Iri { .. } = slot {
-            self.work.words[st * 2 / 64].queues |= 1 << (st * 2 % 64);
-        }
-    }
-
-    /// The station side side `i`'s output link feeds.
-    fn downstream(&self, i: usize) -> SideRef {
-        match self.slots[i / 2] {
-            Slot::Nic(n) => self.nics[n as usize].downstream(),
-            Slot::Iri { x, .. } => self.iris[x as usize].downstream(i % 2),
-        }
-    }
-
-    /// Puts every clocked side on the worklist, none asleep blocked.
-    fn wake_all(&mut self) {
-        self.work.clear();
-        for (st, slot) in self.slots.iter().enumerate() {
-            for side in 0..slot.sides() {
-                self.work.wake(st * 2 + side);
-            }
-        }
+        self.station_active[st as usize / 64] |= 1 << (st % 64);
     }
 
     /// Whether PM `pm`'s NIC queue for `class` can accept a packet.
@@ -362,7 +240,7 @@ impl RingTier {
     /// puts the station back on the worklist.
     pub fn enqueue(&mut self, pm: NodeId, st: u32, class: QueueClass, packet: PacketRef) {
         self.nics[pm.index()].enqueue(class, packet);
-        self.work.wake(st as usize * 2);
+        self.wake(st);
     }
 
     /// Whether station `st` is a dead IRI.
@@ -386,11 +264,10 @@ impl RingTier {
         &self.sends
     }
 
-    /// Steps every awake station side clocked this tick, in side
-    /// order, then counts the blocked sides asleep, then retires the
-    /// packets sunk at dead IRIs, then commits the link transfers. With
-    /// a double-speed global ring every station runs on even ticks and
-    /// only ring 0's sides on odd ones.
+    /// Steps every active station side clocked this tick, in station
+    /// order, then retires the packets sunk at dead IRIs, then commits
+    /// the link transfers. With a double-speed global ring every
+    /// station runs on even ticks and only ring 0's sides on odd ones.
     pub fn tick(
         &mut self,
         core: &mut NetCore,
@@ -413,90 +290,87 @@ impl RingTier {
             delivered,
             sunk: &mut self.sunk,
             pulse,
-            work: &mut self.work,
         };
-        // Sides that fell asleep blocked this tick, by ring 0 and the
-        // rest: their own steps counted this tick's blocked flit.
+        // Skip provably-idle stations and parked NICs; a skipped step
+        // is a no-op by construction (see `Nic::quiescent` /
+        // `Iri::quiescent`), or, for a parked NIC, what its last step
+        // was, so the tick stream is identical to stepping everything.
+        // Only a step clears a bit and only the send commit below sets
+        // one, so each word can be walked from a copy, in station
+        // order. NICs that park this tick counted their blocked flit
+        // themselves (`fell`, by ring 0 and the rest).
         let mut fell = [0u64; 2];
-        // A skipped side's step would decide what its last one did, so
-        // the tick stream is identical to stepping every side. A step
-        // may wake its partner side, the next bit of the same word:
-        // the word is re-read after every step.
-        for w in 0..t.work.words.len() {
-            let mut bits = t.work.words[w].awake;
+        let words = self.station_active.len();
+        for (w, word) in self.station_active.iter_mut().enumerate() {
+            let mut bits = *word;
             while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits = t.work.words[w].awake & (!1 << b);
-                let i = w * 64 + b;
-                if !all_active && !t.work.on_ring0(i) {
-                    continue;
-                }
-                let (st, side) = (i / 2, i % 2);
-                let link_up = !faulty
-                    || t.core
-                        .faults()
-                        .is_none_or(|f| f.link_up(i as u32, cycle_now));
-                let (sent, moved, blocked) = (t.sends.len(), t.pulse.moved, t.pulse.blocked);
-                let stepped = match self.slots[st] {
-                    Slot::Nic(n) => self.nics[n as usize].step(&mut t, link_up),
-                    Slot::Iri { x, upper } => {
-                        let dead = faulty && t.core.faults().is_some_and(|f| f.node_dead(x));
-                        let stepped = self.iris[x as usize].step_side(side, &mut t, link_up, dead);
-                        if stepped.cross {
-                            // Its partner drains what it pushed and
-                            // pushes where it popped: the upper side
-                            // may act on a lower push this very tick
-                            // (a complete worm, a backlog), and on a
-                            // flit pushed now only from the next.
-                            t.work.words[w].queues |= 1 << (b & !1);
-                            if upper {
-                                if side == 0 {
-                                    t.work.wake(i + 1);
-                                    bits |= 1 << (b + 1);
-                                }
-                                t.work.wake_next(i ^ 1);
+                let st = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let slot = self.slots[st];
+                for side in 0..slot.sides() {
+                    let link = st as u32 * 2 + side as u32;
+                    let link_up =
+                        !faulty || t.core.faults().is_none_or(|f| f.link_up(link, cycle_now));
+                    let quiescent = match slot {
+                        Slot::Nic(n) => {
+                            let nic = &mut self.nics[n as usize];
+                            if !(all_active || nic.ring() == 0) {
+                                continue;
                             }
+                            let bit = 1 << (st % 64);
+                            if self.parked_bits.get(w).is_some_and(|b| b & bit != 0) {
+                                // Listed by an arrival behind its blocked
+                                // front, or a PM enqueue: neither changes
+                                // what it decides.
+                                *word &= !bit;
+                                break;
+                            }
+                            t.pulse.sides += 1;
+                            let (sent, moved, blocked) =
+                                (t.sends.len(), t.pulse.moved, t.pulse.blocked);
+                            nic.step(&mut t, link_up);
+                            if !faulty
+                                && t.pulse.blocked != blocked
+                                && t.sends.len() == sent
+                                && t.pulse.moved == moved
+                            {
+                                let (ds, dside) = nic.downstream();
+                                let ring0 = nic.ring() == 0;
+                                self.parked
+                                    .push((st as u32, ds * 2 + u32::from(dside), ring0));
+                                if self.parked_bits.is_empty() {
+                                    self.parked_bits.resize(words, 0);
+                                }
+                                self.parked_bits[w] |= bit;
+                                self.parked_count[usize::from(!ring0)] += 1;
+                                fell[usize::from(!ring0)] += 1;
+                                *word &= !bit;
+                                break;
+                            }
+                            nic.quiescent(t.bufs)
                         }
-                        stepped
+                        Slot::Iri { x, .. } => {
+                            let iri = &mut self.iris[x as usize];
+                            if !(all_active || iri.ring(side) == 0) {
+                                continue;
+                            }
+                            t.pulse.sides += 1;
+                            let dead = faulty && t.core.faults().is_some_and(|f| f.node_dead(x));
+                            iri.step_side(side, &mut t, link_up, dead);
+                            iri.quiescent(t.bufs)
+                        }
+                    };
+                    if quiescent {
+                        *word &= !(1 << (st % 64));
+                        break;
                     }
-                };
-                t.pulse.sides += 1;
-                // A side sleeps after an idle step, and after any step
-                // that left it quiescent: a step then would be a no-op
-                // whatever happens, but a wake-up.
-                let idle =
-                    !faulty && t.sends.len() == sent && t.pulse.moved == moved && !stepped.held;
-                if !idle && !t.bufs.is_empty(i) {
-                    continue;
-                }
-                let (quiescent, room) = match self.slots[st] {
-                    Slot::Nic(n) => {
-                        let nic = &self.nics[n as usize];
-                        (nic.quiescent(t.bufs), idle && nic.has_work(t.bufs))
-                    }
-                    Slot::Iri { x, .. } => {
-                        let iri = &self.iris[x as usize];
-                        (
-                            iri.quiescent(side, t.bufs),
-                            idle && iri.has_work(side, t.bufs),
-                        )
-                    }
-                };
-                if idle || quiescent {
-                    // An idle step counts at most one blocked flit: a
-                    // crossing flit and a forwarding one never share a
-                    // front, and a worm mid-entry moves.
-                    debug_assert!(t.pulse.blocked - blocked <= 1, "side {i}");
-                    let blocked = t.pulse.blocked != blocked;
-                    t.work.sleep(i, blocked, room);
-                    fell[usize::from(!t.work.on_ring0(i))] += u64::from(blocked);
                 }
             }
         }
-        let asleep = self.work.asleep_blocked;
-        pulse.blocked += asleep[0] - fell[0];
+        // Every NIC parked before this tick counts its blocked flit.
+        pulse.blocked += self.parked_count[0] - fell[0];
         if all_active {
-            pulse.blocked += asleep[1] - fell[1];
+            pulse.blocked += self.parked_count[1] - fell[1];
         }
         // Retire packets sunk at dead IRIs this tick: their flits were
         // consumed in place, so only the bookkeeping remains.
@@ -509,57 +383,38 @@ impl RingTier {
             ring,
         } in &self.sends
         {
-            let i = st as usize * 2 + side as usize;
-            self.bufs.push(i, flit);
-            self.work.wake_next(i);
+            self.bufs.push(st as usize * 2 + side as usize, flit);
+            self.station_active[st as usize / 64] |= 1 << (st % 64);
             self.ring_flits[ring as usize] += 1;
         }
-        let sent = self.sends.len() as u64;
-        pulse.moved += sent;
-        pulse.pushed += sent;
-        pulse.sent += sent;
+        pulse.moved += self.sends.len() as u64;
+        pulse.pushed += self.sends.len() as u64;
+        pulse.sent += self.sends.len() as u64;
     }
 
-    /// Latches every transit buffer and the crossing queues this tick
-    /// changed for the next tick, wakes the sides asleep for room whose
-    /// downstream buffer was popped and those woken for the next tick,
-    /// and ends this one; counts the FIFOs latched into
-    /// `pulse.latched`.
+    /// Latches every transit buffer and crossing queue's registered
+    /// flow-control state for the next tick, lists again the parked
+    /// NICs whose downstream buffer now shows room, and ends this tick;
+    /// counts the FIFOs latched into `pulse.latched`.
     pub fn latch(&mut self, pulse: &mut StepPulse) {
         self.bufs.latch_all();
-        let mut latched = self.bufs.fifos() as u32;
-        for w in 0..self.work.words.len() {
-            // A side asleep for room wakes when its downstream buffer
-            // was popped.
-            let mut bits = self.work.words[w].room;
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let (st, side) = self.downstream(i);
-                let d = st as usize * 2 + side as usize;
-                if self.work.words[d / 64].popped & (1 << (d % 64)) != 0 {
-                    self.work.wake(i);
-                }
+        let mut k = 0;
+        while k < self.parked.len() {
+            let (st, fifo, ring0) = self.parked[k];
+            if self.bufs.free_latched(fifo as usize) == 0 {
+                k += 1;
+                continue;
             }
+            self.parked.swap_remove(k);
+            let (w, bit) = (st as usize / 64, 1 << (st % 64));
+            self.parked_bits[w] &= !bit;
+            self.station_active[w] |= bit;
+            self.parked_count[usize::from(!ring0)] -= 1;
         }
-        for w in 0..self.work.words.len() {
-            let word = &mut self.work.words[w];
-            word.popped = 0;
-            let mut bits = std::mem::take(&mut word.queues);
-            let next = std::mem::take(&mut word.next);
-            latched += 4 * bits.count_ones();
-            while bits != 0 {
-                let st = (w * 64 + bits.trailing_zeros() as usize) / 2;
-                bits &= bits - 1;
-                if let Slot::Iri { x, .. } = self.slots[st] {
-                    self.iris[x as usize].latch();
-                }
-            }
-            if next != 0 {
-                self.work.wake_word(w, next);
-            }
+        for iri in &mut self.iris {
+            iri.latch();
         }
-        pulse.latched += u64::from(latched);
+        pulse.latched += (self.bufs.fifos() + 4 * self.iris.len()) as u64;
         self.tick += 1;
         #[cfg(debug_assertions)]
         self.check_credit_invariant();
@@ -605,9 +460,8 @@ impl RingTier {
 
     /// Snapshots the stations, the tick, the per-ring flit counts and
     /// credits, the reset tick. The transit buffers latch as they are
-    /// read, and a reader puts every side on the worklist, none asleep
-    /// blocked: the worklist is not state, since a side woken for
-    /// nothing steps once, decides what it decided before, and sleeps.
+    /// read, and a reader puts every station on the worklist: stepping
+    /// a quiescent one is a no-op, and it leaves the list again.
     ///
     /// # Errors
     ///
@@ -636,7 +490,12 @@ impl RingTier {
                     self.ring_credits
                 )));
             }
-            self.wake_all();
+            (0..self.slots.len() as u32).for_each(|st| self.wake(st));
+            // Parking is not state: every NIC steps once and parks
+            // again if it must.
+            self.parked.clear();
+            self.parked_bits.fill(0);
+            self.parked_count = [0; 2];
             // Per-tick scratch is always empty between steps.
             self.sends.clear();
             self.sunk.clear();

@@ -35,8 +35,8 @@ pub struct MmrpStats {
 /// The driver visits only what is due. A dense table holds, per memory
 /// module and per processor, the cycle it next has work; each phase
 /// walks its half of that cycle's calendar bucket in PM order, so an
-/// entry still in the future is not read. A processor at its `T` limit parks (its entry goes idle)
-/// until a retirement wakes it. A processor or a memory whose NIC
+/// entry still in the future is not read. A processor at its `T` limit
+/// parks (its entry goes idle) until a retirement wakes it. A processor or a memory whose NIC
 /// refuses it parks too, until the network names its PM in
 /// [`Interconnect::room`] (or, for a processor, a retirement or a PM
 /// death wakes it): by the room contract its NIC would have refused it

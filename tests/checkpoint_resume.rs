@@ -105,13 +105,12 @@ fn resumes_where_most_routers_sleep() {
     }
 }
 
-/// Saturated rings at 64-byte lines, where blocked station sides sleep
-/// until their downstream buffer is popped and are counted as blocked
-/// in bulk: a checkpoint is taken while sides sleep, and the restore
-/// wakes every side (the sleep bits are not state). The resumed run
-/// must match the uninterrupted one.
+/// The benchmark's saturated shapes at its 64-byte lines — the
+/// four-level ring at both clock rates and a 64-PM hybrid, whose
+/// stations are busy and whose crossing queues are deep when the
+/// checkpoint is taken: a resumed run must match the uninterrupted one.
 #[test]
-fn resumes_where_blocked_ring_sides_sleep() {
+fn resumes_saturated_rings_at_64_byte_lines() {
     for spec in ["ring:2:3:4:6", "ring2x:2:3:4:6", "hybrid:4x4:4"] {
         let cfg = SystemConfig::new(spec.parse().expect("registry spec"), CacheLineSize::B64)
             .with_sim(SimParams {

@@ -121,7 +121,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0xf36c_58b9_cd2b_d0eb,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
         report_text: 0xb012_1cd5_1c68_7762,
-        work: 0xf272_a8bf_9c18_2152,
+        work: 0xbb5d_8808_8a81_858f,
     },
     Golden {
         spec: "hybrid:2x2:4",
@@ -132,7 +132,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x80bb_92d2_23dd_4d59,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
         report_text: 0x406a_612f_e2a4_f4d7,
-        work: 0x4d23_48c8_9841_163c,
+        work: 0xef26_093d_acf1_4a1f,
     },
     // Captured on 5e8e78f (debug and release builds).
     Golden {
@@ -144,7 +144,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x1343_f44b_b790_82a7,
         heatmap_csv: 0xc2c4_6fd8_5f2b_ff8f,
         report_text: 0x073d_96f2_0dc4_6cdf,
-        work: 0xbe3c_38d8_0529_662a,
+        work: 0x2385_cb89_38bd_d48a,
     },
     // The double-speed global ring: two kernel ticks per cycle.
     Golden {
@@ -156,7 +156,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x7ce4_61f6_a5dc_88ce,
         heatmap_csv: 0x9a67_c06b_67c6_b7d9,
         report_text: 0x668a_ce05_a816_acb6,
-        work: 0x8ebb_dddb_a95c_a67d,
+        work: 0xcad3_adcf_d2da_72a6,
     },
     // Four levels.
     Golden {
@@ -168,7 +168,7 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x6bbb_40b5_2258_aac7,
         heatmap_csv: 0x0d56_c750_99fb_fb10,
         report_text: 0x3f80_c51a_20d5_8e89,
-        work: 0xf8f7_65c0_fe6e_816e,
+        work: 0x63b3_d288_a8cc_cd8f,
     },
     // `run` (plain and resumed) is 5e8e78f's. The other three are not:
     // there the slotted ring refused a tracer, and its checkpoint

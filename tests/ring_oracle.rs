@@ -677,14 +677,11 @@ fn kernel_matches_the_reference_stations_double_speed_global_ring() {
     sweep(2);
 }
 
-/// The benchmark's `2:3:4:6` at its 64-byte lines, single and double
-/// speed, from the load where sides first block to saturation: sides
-/// sleep on a full downstream buffer, a full up queue, an incomplete or
-/// unready crossing worm, and wake on every rule of the tier's
-/// worklist, the same-tick wake of an upper side by its lower side's
-/// push among them.
+/// The benchmark's `2:3:4:6` at its 64-byte lines (five-flit
+/// responses; the sweep above runs 32-byte lines), single and double
+/// speed, from the load where stations first block to saturation.
 #[test]
-fn kernel_matches_the_reference_stations_while_sides_sleep() {
+fn kernel_matches_the_reference_stations_at_64_byte_lines() {
     for speedup in [1, 2] {
         for load in [0.02, 0.1, 1.0] {
             let (delivered, _) =
