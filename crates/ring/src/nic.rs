@@ -23,9 +23,13 @@ use crate::OUT_QUEUE_PACKETS;
 #[derive(Debug)]
 pub(crate) struct Nic {
     pm: NodeId,
-    ring: u32,
+    /// Narrow, with `fifo`, so the NIC keeps to 136 bytes.
+    ring: u16,
     downstream: SideRef,
-    fifo: usize,
+    fifo: u32,
+    /// Off the tier's worklist until its downstream buffer shows room
+    /// (`RingTier`'s parked NICs); not state.
+    pub(crate) parked: bool,
     out: ClassQueues<PacketQueue>,
     drain: DrainState,
     owner: LinkOwner,
@@ -40,9 +44,10 @@ impl Nic {
     pub(crate) fn new(pm: NodeId, ring: u32, downstream: SideRef, fifo: usize) -> Self {
         Nic {
             pm,
-            ring,
+            ring: u16::try_from(ring).expect("a ring id fits 16 bits"),
             downstream,
-            fifo,
+            fifo: u32::try_from(fifo).expect("a station's FIFO index fits 32 bits"),
+            parked: false,
             out: ClassQueues::new(
                 PacketQueue::new(OUT_QUEUE_PACKETS),
                 PacketQueue::new(OUT_QUEUE_PACKETS),
@@ -54,14 +59,15 @@ impl Nic {
         }
     }
 
-    /// The station side its output link feeds.
-    pub(crate) fn downstream(&self) -> SideRef {
-        self.downstream
+    /// The transit buffer its output link feeds, and its own.
+    pub(crate) fn fifos(&self) -> (usize, usize) {
+        let (st, side) = self.downstream;
+        (st as usize * 2 + side as usize, self.fifo as usize)
     }
 
     /// The ring this NIC sits on.
     pub(crate) fn ring(&self) -> u32 {
-        self.ring
+        u32::from(self.ring)
     }
 
     /// Whether the PM-side output queue for `class` can accept a packet.
@@ -91,7 +97,7 @@ impl Nic {
     /// A packet whose payload the core marked as corrupted in flight
     /// is dropped at reassembly instead of delivered.
     pub(crate) fn step(&mut self, t: &mut Tick<'_>, link_up: bool) {
-        let (to, ring, buf) = (self.downstream, self.ring, self.fifo);
+        let (to, ring, buf) = (self.downstream, self.ring(), self.fifo as usize);
         let this_ring = ring as usize;
         // A downed output link advertises no room: transit forwarding
         // and new injections stall in place, losing nothing.
@@ -239,7 +245,7 @@ impl Nic {
     /// eligibility depends on downstream free space and ring credits,
     /// both of which change without touching this station.
     pub(crate) fn quiescent(&self, bufs: &FifoBank) -> bool {
-        bufs.is_empty(self.fifo)
+        bufs.is_empty(self.fifo as usize)
             && matches!(self.owner, LinkOwner::Idle)
             && !self.drain.is_active()
             && self.transit.packet().is_none()
@@ -258,7 +264,7 @@ impl Nic {
         c: &mut C,
     ) -> Result<(), SnapError> {
         let run = c.census().map(|census| census.runs.len());
-        bufs.snap_fifo(self.fifo, c)?;
+        bufs.snap_fifo(self.fifo as usize, c)?;
         self.out.snap(c)?;
         self.drain.snap(c)?;
         self.owner.snap(c)?;

@@ -79,15 +79,12 @@ pub struct RingTier {
     /// idle stations under light load. Set again by any arriving flit
     /// or by [`wake`](RingTier::wake).
     station_active: Vec<u64>,
-    /// NICs parked on a full downstream buffer, with the FIFO each
-    /// waits on and whether it is on ring 0: a NIC whose step moved
+    /// NICs parked on a full downstream buffer: a NIC whose step moved
     /// nothing and counted a forwarding flit blocked decides the same
     /// until that buffer's latch shows room (its downstream has no
     /// other producer, and transit beats injection), so it leaves the
     /// worklist and the latch puts it back.
-    parked: Vec<(u32, u32, bool)>,
-    /// The parked NICs' stations, a bit each; empty until a NIC parks.
-    parked_bits: Vec<u64>,
+    parked: Vec<u32>,
     /// Parked NICs on ring 0 and on the other rings. Each counts one
     /// blocked flit every tick it is clocked.
     parked_count: [u64; 2],
@@ -132,7 +129,6 @@ impl RingTier {
             bufs: FifoBank::new(n_st * 2, buf_flits),
             station_active: vec![0; n_st.div_ceil(64)],
             parked: Vec::new(),
-            parked_bits: Vec::new(),
             parked_count: [0; 2],
             ring_flits: vec![0; map.num_rings()],
             ring_credits: vec![0; map.num_rings()],
@@ -300,7 +296,6 @@ impl RingTier {
         // order. NICs that park this tick counted their blocked flit
         // themselves (`fell`, by ring 0 and the rest).
         let mut fell = [0u64; 2];
-        let words = self.station_active.len();
         for (w, word) in self.station_active.iter_mut().enumerate() {
             let mut bits = *word;
             while bits != 0 {
@@ -317,12 +312,11 @@ impl RingTier {
                             if !(all_active || nic.ring() == 0) {
                                 continue;
                             }
-                            let bit = 1 << (st % 64);
-                            if self.parked_bits.get(w).is_some_and(|b| b & bit != 0) {
+                            if nic.parked {
                                 // Listed by an arrival behind its blocked
                                 // front, or a PM enqueue: neither changes
                                 // what it decides.
-                                *word &= !bit;
+                                *word &= !(1 << (st % 64));
                                 break;
                             }
                             t.pulse.sides += 1;
@@ -334,17 +328,12 @@ impl RingTier {
                                 && t.sends.len() == sent
                                 && t.pulse.moved == moved
                             {
-                                let (ds, dside) = nic.downstream();
-                                let ring0 = nic.ring() == 0;
-                                self.parked
-                                    .push((st as u32, ds * 2 + u32::from(dside), ring0));
-                                if self.parked_bits.is_empty() {
-                                    self.parked_bits.resize(words, 0);
-                                }
-                                self.parked_bits[w] |= bit;
-                                self.parked_count[usize::from(!ring0)] += 1;
-                                fell[usize::from(!ring0)] += 1;
-                                *word &= !bit;
+                                nic.parked = true;
+                                self.parked.push(n);
+                                let class = usize::from(nic.ring() != 0);
+                                self.parked_count[class] += 1;
+                                fell[class] += 1;
+                                *word &= !(1 << (st % 64));
                                 break;
                             }
                             nic.quiescent(t.bufs)
@@ -400,16 +389,17 @@ impl RingTier {
         self.bufs.latch_all();
         let mut k = 0;
         while k < self.parked.len() {
-            let (st, fifo, ring0) = self.parked[k];
-            if self.bufs.free_latched(fifo as usize) == 0 {
+            let nic = &mut self.nics[self.parked[k] as usize];
+            let (downstream, own) = nic.fifos();
+            if self.bufs.free_latched(downstream) == 0 {
                 k += 1;
                 continue;
             }
             self.parked.swap_remove(k);
-            let (w, bit) = (st as usize / 64, 1 << (st % 64));
-            self.parked_bits[w] &= !bit;
-            self.station_active[w] |= bit;
-            self.parked_count[usize::from(!ring0)] -= 1;
+            nic.parked = false;
+            self.parked_count[usize::from(nic.ring() != 0)] -= 1;
+            let st = own / 2;
+            self.station_active[st / 64] |= 1 << (st % 64);
         }
         for iri in &mut self.iris {
             iri.latch();
@@ -493,8 +483,9 @@ impl RingTier {
             (0..self.slots.len() as u32).for_each(|st| self.wake(st));
             // Parking is not state: every NIC steps once and parks
             // again if it must.
-            self.parked.clear();
-            self.parked_bits.fill(0);
+            for n in self.parked.drain(..) {
+                self.nics[n as usize].parked = false;
+            }
             self.parked_count = [0; 2];
             // Per-tick scratch is always empty between steps.
             self.sends.clear();
