@@ -202,7 +202,9 @@ fn render(points: &[Counted]) -> String {
 /// counts as a table and writes the whole record to [`FILE`].
 pub fn print_record() {
     let points = measure();
-    let json = render(&points);
+    // Written before anything is printed: a closed stdout ends the
+    // process at its first print.
+    let written = std::fs::write(FILE, render(&points));
     let mut t = ringmesh_stats::Table::new(
         format!("host work per simulated cycle (seed {SEED}, 64B, R=1, T=4)"),
         &[
@@ -228,7 +230,7 @@ pub fn print_record() {
         ]);
     }
     println!("{}", t.to_markdown());
-    match std::fs::write(FILE, json) {
+    match written {
         Ok(()) => println!("wrote {FILE}"),
         Err(e) => eprintln!("warning: could not write {FILE}: {e}"),
     }
