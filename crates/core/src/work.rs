@@ -167,12 +167,6 @@ fn json_point(out: &mut String, key: &str, p: &Counted, pms: Option<u32>) {
     out.push_str("}}");
 }
 
-/// The record as JSON text, byte for byte what the `work` row writes
-/// to [`FILE`].
-pub fn record_json() -> String {
-    render(&measure())
-}
-
 fn render(points: &[Counted]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(

@@ -91,17 +91,19 @@ pub use wire::MAX_LINE_BYTES;
 ///   framed by [`wire`] like every other socket — one message per line,
 ///   self-describing, forward-skippable.
 /// - **Code-version handshake** — a worker registers with the FNV hash
-///   of [`CODE_VERSION`] ([`code_hash`](fleet::code_hash)); a
-///   mismatched build is refused with a typed message naming both
-///   hashes, because a fleet of mixed builds could silently produce
-///   non-reproducible sweeps.
+///   of [`CODE_VERSION`] and the wire format's
+///   [`PROTOCOL_VERSION`](fleet::PROTOCOL_VERSION)
+///   ([`code_hash`](fleet::code_hash)); a mismatched build is refused
+///   with a typed message naming both hashes, because a fleet of mixed
+///   builds could silently produce non-reproducible sweeps.
 /// - **Leases, heartbeats, re-dispatch** — every dispatch carries a
 ///   deadline; the jobs of a worker that dies or misses its heartbeats
-///   re-enqueue (on another worker, or the local pool as a fallback)
-///   under capped exponential backoff.
+///   re-enqueue (on a worker that has not run them when one is free,
+///   or the local pool as a fallback) under capped exponential backoff.
 /// - **Straggler speculation with first-result-wins** — a job whose
-///   lease expires while its worker still breathes is speculatively
-///   dispatched a second time; duplicate results deduplicate by
+///   lease expires without a progress window is speculatively
+///   dispatched a second time, once; a silent lease that cannot be
+///   speculated is handed back. Duplicate results deduplicate by
 ///   content hash, and **byte-divergent** duplicates are reported as a
 ///   hard determinism violation rather than silently picking one.
 /// - **Byte-identical merges** — the server emits results in job
@@ -112,6 +114,6 @@ pub use wire::MAX_LINE_BYTES;
 ///   single-process control run.
 pub mod fleet {
     pub use crate::coordinator::{FleetOptions, FleetPool, RemoteEvent, RemoteOutcome, RemoteTask};
-    pub use crate::protocol::{code_hash, CoordMsg, WorkerMsg};
+    pub use crate::protocol::{code_hash, CoordMsg, WorkerMsg, PROTOCOL_VERSION};
     pub use crate::worker::{run_worker, WorkerExit};
 }

@@ -22,12 +22,17 @@ use ringmesh_snap::{hex64, parse_hex64, Fingerprint};
 use crate::cache::CODE_VERSION;
 use crate::json::{obj, Json};
 
+/// The version of this coordinator ↔ worker wire format. Bump it
+/// whenever a line of either side changes shape or meaning.
+pub const PROTOCOL_VERSION: u32 = 1;
+
 /// The code-version hash exchanged at registration: an FNV-1a digest of
-/// the crate version every result key is already scoped by. Coordinator
-/// and worker must match exactly — a mixed-version fleet could produce
-/// byte-divergent results for one content key.
+/// the crate version every result key is already scoped by and of
+/// [`PROTOCOL_VERSION`]. Coordinator and worker must match exactly — a
+/// mixed-version fleet could produce byte-divergent results for one
+/// content key, or fail on a line the other side cannot read.
 pub fn code_hash() -> u64 {
-    Fingerprint::of(CODE_VERSION.as_bytes())
+    Fingerprint::of(format!("{CODE_VERSION}|protocol={PROTOCOL_VERSION}").as_bytes())
 }
 
 /// A message from a worker to the coordinator.

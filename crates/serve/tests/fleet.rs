@@ -21,7 +21,7 @@ use ringmesh_serve::fleet::{
     RemoteTask, WorkerExit, WorkerMsg,
 };
 use ringmesh_serve::json::Json;
-use ringmesh_serve::{parse_job, result_payload, run_job, ResultCache};
+use ringmesh_serve::{parse_job, result_payload, run_job, ResultCache, CODE_VERSION};
 use ringmesh_snap::Fingerprint;
 
 /// A small real job (mesh 3×3, two short batches) used wherever a
@@ -33,9 +33,6 @@ fn test_opts() -> FleetOptions {
     FleetOptions {
         lease_ms: 30_000,
         heartbeat_ms: 500,
-        max_attempts: 4,
-        backoff_base_ms: 10,
-        backoff_cap_ms: 100,
     }
 }
 
@@ -398,7 +395,6 @@ fn an_expired_lease_on_a_live_worker_is_speculated_onto_another() {
     let opts = FleetOptions {
         lease_ms: 200,
         heartbeat_ms: 2_000,
-        ..test_opts()
     };
     let pool = FleetPool::bind("127.0.0.1:0", opts).expect("bind");
     let addr = pool.local_addr();
@@ -521,4 +517,150 @@ fn a_worker_that_cannot_read_its_coordinator_ends_the_session_at_once() {
         .expect("the worker ends its session instead of heartbeating on");
     assert_eq!(exit, Err(io::ErrorKind::InvalidData));
     worker.join().expect("worker thread");
+}
+
+#[test]
+fn a_worker_offering_the_hash_of_the_code_version_alone_is_refused() {
+    // The hash a build without the protocol version in its handshake
+    // offers: same crate version, unknown wire format.
+    let pool = FleetPool::bind("127.0.0.1:0", test_opts()).expect("bind");
+    let unversioned = Fingerprint::of(CODE_VERSION.as_bytes());
+    let (_w, answer) = FakeWorker::register(pool.local_addr(), unversioned, 1);
+    match answer {
+        CoordMsg::Refused { reason, got, .. } => {
+            assert_eq!(reason, "code-version-mismatch");
+            assert_eq!(got, unversioned);
+        }
+        other => panic!("expected refusal, got {other:?}"),
+    }
+    assert_eq!(pool.live_workers(), 0);
+}
+
+/// Answers every dispatch with `answer` until the coordinator says
+/// goodbye or hangs up.
+fn serve_fake(mut w: FakeWorker, answer: impl Fn(String, u64) -> WorkerMsg) {
+    let mut line = String::new();
+    while matches!(w.reader.read_line(&mut line), Ok(n) if n > 0) {
+        match CoordMsg::decode(line.trim_end()) {
+            Some(CoordMsg::Dispatch { task, key, .. }) => w.send(&answer(task, key)),
+            Some(CoordMsg::Bye) | None => return,
+            Some(_) => {}
+        }
+        line.clear();
+    }
+}
+
+#[test]
+fn a_failed_attempt_is_retried_on_a_worker_that_has_not_run_the_task() {
+    let pool = FleetPool::bind("127.0.0.1:0", test_opts()).expect("bind");
+    let addr = pool.local_addr();
+    // Worker 0 fails whatever it is given; worker 1 completes it. Both
+    // are idle when the retry is dispatched, and ties go to the lower id.
+    let (broken, answer) = FakeWorker::register(addr, code_hash(), 1);
+    assert!(matches!(answer, CoordMsg::Welcome { worker: 0, .. }));
+    let (healthy, answer) = FakeWorker::register(addr, code_hash(), 1);
+    assert!(matches!(answer, CoordMsg::Welcome { worker: 1, .. }));
+    await_workers(&pool, 2);
+    let payload = r#"{"answer":1}"#;
+    let peers = [
+        thread::spawn(move || {
+            serve_fake(broken, |task, _| WorkerMsg::Fail {
+                task,
+                reason: "this machine is broken".into(),
+            })
+        }),
+        thread::spawn(move || {
+            serve_fake(healthy, |task, key| WorkerMsg::Done {
+                task,
+                key,
+                hash: Fingerprint::of(payload.as_bytes()),
+                payload: payload.into(),
+            })
+        }),
+    ];
+
+    let task = RemoteTask {
+        key: 0x2000,
+        spec: Json::parse(JOB).expect("job spec parses"),
+    };
+    let mut events = Vec::new();
+    let outcomes = pool.run_tasks(vec![task], 200, &StopFlag::new(), &mut |e| events.push(e));
+    let leases: Vec<(u64, u32)> = events
+        .iter()
+        .filter_map(|e| match e {
+            RemoteEvent::Lease {
+                worker, attempt, ..
+            } => Some((*worker, *attempt)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(leases, [(0, 1), (1, 2)], "{events:?}");
+    assert!(
+        matches!(&outcomes[..], [RemoteOutcome::Done { payload: p }] if p == payload),
+        "{outcomes:?}"
+    );
+    drop(pool);
+    for peer in peers {
+        peer.join().expect("fake worker");
+    }
+}
+
+#[test]
+fn a_lease_on_a_worker_that_heartbeats_and_never_answers_is_handed_back() {
+    let opts = FleetOptions {
+        lease_ms: 50,
+        heartbeat_ms: 200,
+    };
+    let pool = FleetPool::bind("127.0.0.1:0", opts).expect("bind");
+    let (mut mute, answer) = FakeWorker::register(pool.local_addr(), code_hash(), 1);
+    assert!(matches!(answer, CoordMsg::Welcome { .. }));
+    await_workers(&pool, 1);
+    let mut beat = mute.stream.try_clone().expect("clone");
+    let heart = thread::spawn(move || {
+        let line = format!("{}\n", WorkerMsg::Heartbeat.encode());
+        while beat.write_all(line.as_bytes()).is_ok() {
+            thread::sleep(Duration::from_millis(50));
+        }
+    });
+    // Reads dispatches and cancels, and answers none of them.
+    let reader = thread::spawn(move || {
+        while mute
+            .reader
+            .read_line(&mut String::new())
+            .is_ok_and(|n| n > 0)
+        {}
+    });
+
+    // The coordinator runs on its own thread so a batch that never ends
+    // fails the test instead of hanging it.
+    let (done_tx, done_rx) = mpsc::channel();
+    thread::spawn(move || {
+        let (task, _) = task_and_expected("t0");
+        let mut events = Vec::new();
+        let outcomes = pool.run_tasks(vec![task], 200, &StopFlag::new(), &mut |e| events.push(e));
+        let _ = done_tx.send((outcomes, events));
+        // Dropping the pool says bye and closes the mute worker's socket.
+    });
+    let (outcomes, events) = done_rx
+        .recv_timeout(Duration::from_secs(3))
+        .expect("the batch ends though its only worker never answers");
+    assert!(
+        matches!(&outcomes[..], [RemoteOutcome::Unrun]),
+        "{outcomes:?}"
+    );
+    assert!(
+        events.iter().any(|e| matches!(
+            e,
+            RemoteEvent::Retry { task: 0, reason, .. } if reason == "lease-expired"
+        )),
+        "the silent lease is handed back as a typed retry: {events:?}"
+    );
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, RemoteEvent::Retry { reason, .. } if reason == "worker-death")),
+        "the worker heartbeats, so it is not dead: {events:?}"
+    );
+    reader.join().expect("reader thread");
+    heart.join().expect("heartbeat thread");
 }

@@ -80,11 +80,14 @@ server down gracefully: checkpoints and journal flushed, exit code 6.
 
 With --fleet the server also coordinates a distributed worker fleet:
 remote `ringmesh worker` processes register over TCP (refused unless
-their code-version hash matches exactly) and batch cache-misses are
-dispatched to them under time-bounded leases. A worker that
-dies or goes silent mid-lease has its jobs re-dispatched with capped
-exponential backoff; long-tail stragglers are speculatively duplicated
-with first-result-wins dedupe by content hash. Results merge in job
+their hash of code and wire-protocol version matches exactly) and batch
+cache-misses are dispatched to them under time-bounded leases. A lease
+that saw no progress window when it expires is speculatively duplicated
+onto another worker once (first-result-wins, deduped by content hash)
+or else handed back. A job left without a lease (its worker died or
+failed it, its lease was handed back) is re-dispatched with capped
+exponential backoff, to a worker that has not run it when one is free;
+after 4 dispatches the local pool runs it. Results merge in job
 submission order, so a batch's output is byte-identical no matter how
 many workers served it or died mid-flight. Byte-divergent duplicate
 results for one content key are a hard determinism violation: the
@@ -171,8 +174,6 @@ SERVE OPTIONS (with the `serve` subcommand):
                            them under time-bounded leases
     --lease <MS>           fleet lease per dispatch   [default: 30000]
     --heartbeat <MS>       fleet heartbeat cadence    [default: 2000]
-    --fleet-attempts <N>   dispatch attempts per job before falling
-                           back to the local pool     [default: 4]
 
 WORKER OPTIONS (with the `worker` subcommand):
     --connect <ADDR>       coordinator to register with (required)
@@ -545,11 +546,15 @@ fn run_figures(args: Args) -> ExitCode {
     let scale = Scale::from_env();
     for e in picked {
         let t0 = Instant::now();
-        println!(
-            "ringmesh experiment {} at {} scale (RINGMESH_FULL=1 for publication scale)",
-            e.name,
-            if scale.quick { "quick" } else { "full" }
-        );
+        if e.name == RECORD_ROW {
+            println!("ringmesh experiment {} at fixed lengths", e.name);
+        } else {
+            println!(
+                "ringmesh experiment {} at {} scale (RINGMESH_FULL=1 for publication scale)",
+                e.name,
+                if scale.quick { "quick" } else { "full" }
+            );
+        }
         println!();
         (e.run)(scale);
         println!("[{} completed in {:.1?}]", e.name, t0.elapsed());
@@ -586,7 +591,7 @@ fn install_stop_signals() {
 #[cfg(not(unix))]
 fn install_stop_signals() {}
 
-/// A `--fleet` coordinator endpoint plus its tuning knobs.
+/// A `--fleet` coordinator endpoint plus its deployment settings.
 type FleetSpec = (String, FleetOptions);
 
 fn run_serve(mut args: Args) -> ExitCode {
@@ -606,11 +611,6 @@ fn run_serve(mut args: Args) -> ExitCode {
                         .take_parsed::<u64>("--heartbeat")?
                         .unwrap_or(fleet_defaults.heartbeat_ms)
                         .max(10),
-                    max_attempts: args
-                        .take_parsed::<u32>("--fleet-attempts")?
-                        .unwrap_or(fleet_defaults.max_attempts)
-                        .max(1),
-                    ..fleet_defaults
                 },
             ))
         });

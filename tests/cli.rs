@@ -126,6 +126,7 @@ fn help_lists_every_experiment_and_none_of_the_removed_flags() {
         "--mesh",
         "--buffers",
         "--double-global",
+        "--fleet-attempts",
     ] {
         assert!(!help.contains(gone), "--help still mentions {gone}");
     }
