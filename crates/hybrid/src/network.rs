@@ -303,9 +303,8 @@ impl ringmesh_net::Interconnect for HybridNetwork {
                 CommitOp::Drop { packet, reason } => self.core.drop_packet(packet, reason),
             }
         }
-        // Phase E — latch: the touched mesh routers' input buffers,
-        // then the ring tier.
-        self.routers.latch();
+        // Phase E — latch: the ring tier (the mesh registers its
+        // stop/go in the walk order of its step).
         self.tier.latch(&mut pulse);
         if self.core.tracing() {
             let occupancy = self.routers.occupancy() as f64;

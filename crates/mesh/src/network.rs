@@ -162,7 +162,6 @@ impl ringmesh_net::Interconnect for MeshNetwork {
             self.trace_cycle(now);
             self.routers.report_work(work, self.core.tracer());
         }
-        self.routers.latch();
         self.routers.moved
     }
 

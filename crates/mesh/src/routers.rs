@@ -11,9 +11,9 @@
 //!   output, the round-robin pointer of each output, and the front slot
 //!   and length of each input FIFO, a byte apiece; one bit per port for
 //!   the occupied inputs, the routed inputs, the connected outputs, the
-//!   registered stop/go of each input FIFO and the inputs that received
-//!   a flit this cycle; and the [`ACTIVE`], [`QUEUED`] and [`DRAINING`]
-//!   flags;
+//!   inputs granted the output they route to, the inputs popped and the
+//!   inputs that received a flit this cycle; and the [`ACTIVE`],
+//!   [`QUEUED`] and [`DRAINING`] flags;
 //! * five input FIFOs of `capacity` 4-byte [`PackedFlit`] lanes each,
 //!   adjacent in one array shared by the whole mesh (FIFO `l·5 + port`);
 //! * the [`PacketRef`] behind each held route, written at a head flit
@@ -46,24 +46,31 @@
 //! seen there before `now + 1`. [`MeshRouters::step`] walks the awake
 //! bitset row by row, lowest column first, and steps each router it
 //! finds: injection, routing of new heads, arbitration of the free
-//! outputs some routed input waits for, one flit per connected output.
+//! outputs some waiting input routes to, one flit per connected output.
 //! A granted flit moves straight into the neighbour's input FIFO,
 //! whatever the neighbour's place in the walk: every FIFO has exactly
-//! one upstream router, the sender gated on the stop/go latched last
-//! cycle, and the receiver cannot observe the arrival this cycle. A
-//! flit that reaches a sleeping router wakes it; one east in the same
-//! word is still stepped this cycle, since the walk re-reads the word
-//! after each router. A router whose step leaves it with nothing to do
-//! goes to sleep. Deliveries and drops are *not* applied in place: they
-//! are recorded as [`CommitOp`]s in node order and applied by the
-//! owning network, which stays the one writer of the packet store and
-//! the ledger (and where the hybrid gives [`CommitOp::Deliver`] its
-//! bridge meaning). [`MeshRouters::latch`] then publishes the
-//! next-cycle stop/go of every router that was stepped or received a
-//! flit, from the FIFO lengths, and clears their arrival bits; nobody
-//! else's occupancy changed. So between cycles, where a checkpoint is
-//! taken, no flit is unready and every stop/go bit is its FIFO's length
-//! below capacity: a checkpoint carries neither, nor the awake bits.
+//! one upstream router, the sender gates on the FIFO's length at the
+//! end of the last cycle, and the receiver cannot observe the arrival
+//! this cycle. A flit that reaches a sleeping router wakes it; one east
+//! in the same word is still stepped this cycle, since the walk
+//! re-reads the word after each router. A router whose step leaves it
+//! with nothing to do goes to sleep. Deliveries and drops are *not*
+//! applied in place: they are recorded as [`CommitOp`]s in node order
+//! and applied by the owning network, which stays the one writer of
+//! the packet store and the ledger (and where the hybrid gives
+//! [`CommitOp::Deliver`] its bridge meaning).
+//!
+//! There is no latch pass: the walk order says what each FIFO held at
+//! the end of the last cycle. The senders into inputs N and W of router
+//! `l` (`l − side`, `l − 1`) step before it and read its length; those
+//! into E and S (`l + 1`, `l + side`) step after it and add the flit it
+//! popped this cycle (`popped`). Its local input gates injection on its
+//! length at the start of its step. A step starts by clearing `popped`
+//! and the E/S arrival bits (those came after its last step) and ends
+//! by clearing every arrival bit and all but the E/S pops; a router that
+//! falls asleep with E/S pops set has them cleared after the walk. So
+//! between cycles, where a checkpoint is taken, no flit is unready and
+//! no pop is pending: a checkpoint carries neither, nor the awake bits.
 //!
 //! A step that takes a packet off a PM queue names the router in
 //! [`MeshRouters::room`]; the plain mesh passes the list on as the room
@@ -101,6 +108,10 @@ const QUEUED: u8 = 2;
 
 /// [`Crossbar::flags`]: the injection drain is serializing a packet.
 const DRAINING: u8 = 4;
+
+/// The inputs fed by routers later in the walk (E and S): their pops
+/// are read after their owner's step.
+const FED_LATER: u8 = 0b0110;
 
 /// The one-bit mask of port `i`.
 fn bit(i: usize) -> u8 {
@@ -203,8 +214,8 @@ pub fn owner_coords(topo: &MeshTopology, per_router: u32) -> Vec<(u16, u16)> {
 /// its input FIFOs' front slots and lengths, a byte per field and port,
 /// and one bit per port of what the step would otherwise read from the
 /// lanes, the PM queues and the drain. The masks and flags are kept
-/// equal to what they summarize; debug builds audit every router a
-/// cycle touched.
+/// equal to what they summarize; debug builds audit every router at
+/// the end of its step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(align(32))]
 struct Crossbar {
@@ -225,12 +236,14 @@ struct Crossbar {
     routed: u8,
     /// Bit `o`: `conn[o]` is set.
     connected: u8,
-    /// Bit `i`: input FIFO `i`'s registered stop/go, as its last latch
-    /// left it — read by the upstream router, written only by
-    /// [`MeshRouters::latch`] (and recounted by a restore).
-    go: u8,
-    /// Bit `i`: input FIFO `i` took a flit this cycle, which is not
-    /// ready before the next; cleared by [`MeshRouters::latch`].
+    /// Bit `i`: input `i` holds the output `route[i]` names.
+    granted: u8,
+    /// Bit `i`: the owner popped input FIFO `i` this cycle, so its
+    /// upstream reads the length the last cycle left as `len + 1`.
+    popped: u8,
+    /// Bit `i`: input FIFO `i` took a flit since the owner's step began
+    /// (its E/S bits: since the step ended), which is not ready before
+    /// the next cycle.
     arrived: u8,
     /// [`ACTIVE`], [`QUEUED`] and [`DRAINING`].
     flags: u8,
@@ -246,7 +259,8 @@ impl Crossbar {
         occupied: 0,
         routed: 0,
         connected: 0,
-        go: 0x1F,
+        granted: 0,
+        popped: 0,
         arrived: 0,
         flags: ACTIVE,
     };
@@ -263,6 +277,7 @@ impl Crossbar {
         let at = self.head[i];
         self.head[i] = if at + 1 == cap { 0 } else { at + 1 };
         self.len[i] -= 1;
+        self.popped |= bit(i);
         if self.len[i] == 0 {
             self.occupied &= !bit(i);
         }
@@ -278,8 +293,8 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if the FIFO is full — the sender gates on the registered
-    /// stop/go, so overflow is a model bug.
+    /// Panics if the FIFO is full — the sender gates on
+    /// [`room`](Self::room), so overflow is a model bug.
     fn push(&mut self, i: usize, cap: u8) -> usize {
         assert!(self.len[i] < cap, "flit FIFO overflow");
         let mut at = usize::from(self.head[i]) + usize::from(self.len[i]);
@@ -292,17 +307,16 @@ impl Crossbar {
         at
     }
 
-    /// The stop/go of FIFOs of `cap` lanes at their current lengths.
-    fn space(&self, cap: u8) -> u8 {
-        let mut go = 0;
-        for (i, &len) in self.len.iter().enumerate() {
-            go |= u8::from(len < cap) << i;
-        }
-        go
+    /// Input `i`'s registered stop/go, read by its upstream before the
+    /// push: whether the FIFO of `cap` lanes had room when the last
+    /// cycle ended — its length now plus this cycle's pop, if any.
+    fn room(&self, i: usize, cap: u8) -> bool {
+        self.len[i] + ((self.popped >> i) & 1) < cap
     }
 
     /// Releases output `o`, at its packet's tail.
     fn disconnect(&mut self, o: usize) {
+        self.granted &= !bit(usize::from(self.conn[o]));
         self.conn[o] = NONE;
         self.connected &= !bit(o);
     }
@@ -353,18 +367,10 @@ fn has_link(side: usize, (row, col): (usize, usize), o: usize) -> bool {
     }
 }
 
-/// The router a flit leaving router `l` at `at` through mesh port `o`
-/// arrives at.
-///
-/// # Panics
-///
-/// Panics if the port leads off the mesh edge: e-cube never routes
-/// there, and east/west would otherwise alias into the next row.
-fn neighbor(l: usize, side: usize, at: (usize, usize), o: usize) -> usize {
-    assert!(
-        has_link(side, at, o),
-        "e-cube never routes off the mesh edge"
-    );
+/// The router a flit leaving router `l` through mesh port `o` arrives
+/// at. Only a port with a link (see [`has_link`]) has one: east and
+/// west would otherwise alias into the next row.
+fn neighbor(l: usize, side: usize, o: usize) -> usize {
     match o {
         0 => l - side,
         1 => l + 1,
@@ -397,9 +403,9 @@ pub struct MeshRouters {
     out_resp: Vec<PacketQueue>,
     drain: Vec<DrainState>,
     assembler: Vec<Assembler>,
-    /// Routers whose FIFOs may have changed this cycle (stepped, or
-    /// received a flit); repeats are harmless.
-    touched: Vec<u32>,
+    /// Routers that fell asleep this step with E/S pops still set; the
+    /// step clears those after the walk.
+    slept: Vec<u32>,
     /// Step output: this cycle's link transfers in sender order, kept
     /// only when the step is traced.
     pub sends: Vec<Send>,
@@ -475,7 +481,7 @@ impl MeshRouters {
             out_resp: queues(),
             drain: vec![DrainState::idle(); n],
             assembler: vec![Assembler::new(); n],
-            touched: Vec::new(),
+            slept: Vec::new(),
             sends: Vec::new(),
             ops: Vec::new(),
             room: Vec::new(),
@@ -560,7 +566,7 @@ impl MeshRouters {
         // A candidate points toward the destination, so it stays
         // on-mesh.
         let mut candidates = [x, y].into_iter().flatten().map(Direction::port);
-        let alive = |o: usize| !fc.router_dead(neighbor(l, side, at, o));
+        let alive = |o: usize| !fc.router_dead(neighbor(l, side, o));
         if let Some(o) = candidates.clone().find(|&o| alive(o) && fc.link_up(l, o)) {
             return o;
         }
@@ -589,7 +595,6 @@ impl MeshRouters {
         self.sends.clear();
         self.ops.clear();
         self.room.clear();
-        self.touched.clear();
         let (side, words, cap) = (self.side, self.words, self.cap);
         let stride = usize::from(cap);
         // `awake` bits between vertical neighbours.
@@ -608,19 +613,24 @@ impl MeshRouters {
                     // so the cycle stream is identical to stepping
                     // everything. So is the step of a router that a
                     // lower-numbered neighbour woke this cycle: the flit
-                    // is not visible yet. Only this step writes the
-                    // router's own block; its sends write the
-                    // neighbours'.
-                    let mut x = self.xbar[l];
+                    // is not visible yet. The block is updated in place;
+                    // its sends update the neighbours' blocks, before
+                    // (`behind`) or after (`ahead`) it in the walk.
+                    let (behind, rest) = self.xbar.split_at_mut(l);
+                    let (x, ahead) = rest.split_first_mut().expect("router l exists");
                     debug_assert!(x.flags & ACTIVE != 0, "router {l}: awake but not ACTIVE");
-                    self.touched.push(l as u32);
+                    // Pops are this cycle's, and E/S arrivals came
+                    // after the last step.
+                    x.popped = 0;
+                    x.arrived &= !FED_LATER;
                     stepped += 1;
                     let base = l * 5;
 
                     // 1. PM injection: serialize queued packets
                     //    (responses first) into the local input buffer
-                    //    at one flit per cycle, while its registered
-                    //    stop/go says go.
+                    //    at one flit per cycle, while it had room when
+                    //    the last cycle ended (only this step pushes or
+                    //    pops it).
                     if x.flags & (QUEUED | DRAINING) == QUEUED {
                         let (resp, req) = (&mut self.out_resp[l], &mut self.out_req[l]);
                         let r = resp
@@ -634,7 +644,7 @@ impl MeshRouters {
                         x.flags |= DRAINING;
                         self.room.push(NodeId::new(l as u32));
                     }
-                    if x.flags & DRAINING != 0 && x.go & bit(LOCAL) != 0 {
+                    if x.flags & DRAINING != 0 && x.len[LOCAL] < cap {
                         let drain = &mut self.drain[l];
                         let flit = PackedFlit::new(drain.emit())
                             .expect("a live packet's slot and flit index fit a lane");
@@ -659,7 +669,12 @@ impl MeshRouters {
                         debug_assert!(flit.is_head(), "mid-packet flit without a route");
                         let (dr, dc) = owners[store.get(flit.packet()).dst.index()];
                         let to = (usize::from(dr), usize::from(dc));
-                        x.route[i] = Self::route(l, side, (row, col), to, fc) as u8;
+                        let o = Self::route(l, side, (row, col), to, fc);
+                        assert!(
+                            o >= LOCAL || has_link(side, (row, col), o),
+                            "e-cube never routes off the mesh edge"
+                        );
+                        x.route[i] = o as u8;
                         x.routed |= bit(i);
                         self.held[l][i] = flit.packet();
                     }
@@ -677,10 +692,12 @@ impl MeshRouters {
                     // the quiescence check.
                     if x.routed != 0 {
                         // The request mask of every output: bit `i` of
-                        // `requests[o]` is input `i` holding a route to
-                        // `o`; bit `o` of `wanted` is some input doing so.
+                        // `requests[o]` is input `i` waiting with a
+                        // route to `o`; bit `o` of `wanted` is some input
+                        // doing so. A granted input holds its output, so
+                        // a free output's requesters are all waiting.
                         let (mut requests, mut wanted) = ([0u8; DROP + 1], 0u8);
-                        for i in ports(x.routed) {
+                        for i in ports(x.routed & !x.granted) {
                             let o = usize::from(x.route[i]);
                             requests[o] |= bit(i);
                             wanted |= bit(o);
@@ -695,6 +712,7 @@ impl MeshRouters {
                                 x.conn[o] = input;
                                 x.rr[o] = pointer;
                                 x.connected |= bit(o);
+                                x.granted |= bit(usize::from(input));
                             }
                         }
 
@@ -729,10 +747,14 @@ impl MeshRouters {
                                 }
                                 continue;
                             }
-                            let to = neighbor(l, side, (row, col), o);
+                            let to = neighbor(l, side, o);
                             let input = (o + 2) & 3;
-                            let down = &mut self.xbar[to];
-                            if down.go & bit(input) != 0 && fc.link_up(l, o) {
+                            let down = if to < l {
+                                &mut behind[to]
+                            } else {
+                                &mut ahead[to - l - 1]
+                            };
+                            if down.room(input, cap) && fc.link_up(l, o) {
                                 if x.ready(i) {
                                     let lane = self.lanes[front];
                                     x.pop(i, cap, lane.is_tail());
@@ -752,12 +774,6 @@ impl MeshRouters {
                                             _ => at - 1,
                                         };
                                         set_bit(&mut self.awake, at);
-                                        // A later router is stepped,
-                                        // hence listed, further down
-                                        // this walk.
-                                        if to < l {
-                                            self.touched.push(to as u32);
-                                        }
                                     }
                                     if traced {
                                         self.sends.push(Send {
@@ -790,16 +806,29 @@ impl MeshRouters {
                         }
                     }
 
+                    // Every arrival so far is past; the E/S pops are
+                    // read by `l + 1` and `l + side`, later this walk.
+                    x.arrived = 0;
+                    x.popped &= FED_LATER;
                     if x.quiescent() {
                         x.flags &= !ACTIVE;
                         self.awake[k] &= !(1 << b);
+                        if x.popped != 0 {
+                            self.slept.push(l as u32);
+                        }
                     }
-                    self.xbar[l] = x;
+                    #[cfg(debug_assertions)]
+                    assert_eq!(self.xbar[l], self.recount(l), "router {l}: hot block");
                     // Re-read: this step may have woken its east
                     // neighbour, further along the same word.
                     bits = self.awake[k] & (!1 << b);
                 }
             }
+        }
+        // No step clears a sleeping router's pops; their readers have
+        // all stepped now.
+        for l in self.slept.drain(..) {
+            self.xbar[l as usize].popped = 0;
         }
         self.moved = moved + link_flits;
         self.link_flits = link_flits;
@@ -807,40 +836,20 @@ impl MeshRouters {
         StepWork { stepped, injected }
     }
 
-    /// Hands the host-work counts of the step that returned `work`, and
-    /// of its latch, to `tracer`: routers stepped, link flits, FIFO
-    /// pushes and the FIFOs of every router [`latch`](Self::latch)
-    /// re-publishes (five a router).
+    /// Hands the host-work counts of the step that returned `work` to
+    /// `tracer`: routers stepped, link flits and FIFO pushes.
     pub fn report_work(&self, work: StepWork, tracer: &mut Tracer) {
         tracer.work(Work::MeshRouters, work.stepped);
         tracer.work(Work::LinkFlits, self.link_flits);
         tracer.work(Work::FifoPushes, self.link_flits + work.injected);
-        tracer.work(Work::FifoLatches, 5 * self.touched.len() as u64);
     }
 
-    /// Publishes the next-cycle stop/go of every router the last
-    /// [`step`](Self::step) touched, from its FIFO lengths, and clears
-    /// their arrival bits. Untouched routers' occupancy is what it was
-    /// at their last latch, so their registers already hold it. Debug
-    /// builds then audit every touched router's block.
-    pub fn latch(&mut self) {
-        for &l in &self.touched {
-            let x = &mut self.xbar[l as usize];
-            x.go = x.space(self.cap);
-            x.arrived = 0;
-        }
-        #[cfg(debug_assertions)]
-        for &l in &self.touched {
-            let l = l as usize;
-            assert_eq!(self.xbar[l], self.recount(l), "router {l}: hot block");
-        }
-    }
-
-    /// Router `l`'s [`Crossbar`] as a cycle boundary leaves it: the
-    /// masks, the stop/go bits and the [`QUEUED`] and [`DRAINING`]
-    /// flags recomputed from what they summarize (the FIFO lengths, the
-    /// route and connection bytes, the PM queues and the drain),
-    /// [`ACTIVE`] read from the awake bitset, and no arrival bits.
+    /// Router `l`'s [`Crossbar`] as the end of its step leaves it: the
+    /// masks and the [`QUEUED`] and [`DRAINING`] flags recomputed from
+    /// what they summarize (the FIFO lengths, the route and connection
+    /// bytes, the PM queues and the drain), [`ACTIVE`] read from the
+    /// awake bitset, no arrival bits, and only the E/S pops (history a
+    /// later reader needs, not a summary).
     fn recount(&self, l: usize) -> Crossbar {
         let x = self.xbar[l];
         let mask =
@@ -861,7 +870,11 @@ impl MeshRouters {
             occupied: mask(&|i| x.len[i] != 0),
             routed: mask(&|i| x.route[i] != NONE),
             connected: mask(&|o| x.conn[o] != NONE),
-            go: x.space(self.cap),
+            granted: mask(&|i| {
+                let o = usize::from(x.route[i]);
+                o <= LOCAL && usize::from(x.conn[o]) == i
+            }),
+            popped: x.popped & FED_LATER,
             arrived: 0,
             flags,
             ..x
@@ -944,9 +957,10 @@ impl MeshRouters {
     /// [`snap_fifo`](MeshRouters::snap_fifo)), 5 `Option<(PacketRef,
     /// usize)>` routes, 5 `Option<usize>` connections, 5 `usize`
     /// round-robin pointers, the two PM queues, drain, assembler. The
-    /// masks, the flags and the stop/go bits summarize these: a reader
-    /// wakes every router and recounts them. Stepping an idle router is
-    /// a no-op, and puts it back to sleep.
+    /// masks and the flags summarize these: a reader wakes every router
+    /// and recounts them, with no pop or arrival pending (every
+    /// router's next step would clear its pops before a reader came).
+    /// Stepping an idle router is a no-op, and puts it back to sleep.
     ///
     /// Each route steers its input's FIFO for the census, and a route
     /// to the PM port, like the assembler, claims its packet is for one
@@ -1021,7 +1035,10 @@ impl MeshRouters {
             for l in 0..n {
                 let at = self.awake_bit(l);
                 set_bit(&mut self.awake, at);
-                self.xbar[l] = self.recount(l);
+                self.xbar[l] = Crossbar {
+                    popped: 0,
+                    ..self.recount(l)
+                };
             }
         }
         Ok(())
@@ -1072,7 +1089,7 @@ mod tests {
                 let at = (at.0 as usize, at.1 as usize);
                 for dir in Direction::ALL {
                     let got = has_link(side as usize, at, dir.port())
-                        .then(|| neighbor(l as usize, side as usize, at, dir.port()));
+                        .then(|| neighbor(l as usize, side as usize, dir.port()));
                     let want = topo.neighbor(NodeId::new(l), dir).map(NodeId::index);
                     assert_eq!(got, want, "side {side}: {l} {dir}");
                 }
@@ -1109,5 +1126,53 @@ mod tests {
     fn ports_walks_the_set_bits_lowest_first() {
         assert_eq!(ports(0).count(), 0);
         assert_eq!(ports(0b1_0110).collect::<Vec<_>>(), [1, 2, 4]);
+    }
+
+    /// The registered stop/go of an E/S input whose owner popped it and
+    /// fell asleep in the same step: on a `mesh:2` of one-flit buffers,
+    /// router 0 ejects the only flit of its E input (router 1 feeds it)
+    /// and sleeps, while router 1 holds another ready flit for it. That
+    /// FIFO was full when the cycle began, so router 1 must see stop in
+    /// this cycle and go in the next: the sleeper's pop is cleared after
+    /// the walk, not when it falls asleep.
+    #[test]
+    fn a_pop_by_a_router_that_falls_asleep_is_stop_until_the_next_cycle() {
+        let mut routers = MeshRouters::new(&MeshTopology::new(2), 1, 1, 4);
+        let owners = owner_coords(&MeshTopology::new(2), 1);
+        let mut store = PacketStore::new();
+        let mut one_flit = || {
+            let packet = store.insert(ringmesh_net::Packet {
+                dst: NodeId::new(0),
+                flits: 1,
+                ..Default::default()
+            });
+            PackedFlit::new(Flit {
+                packet,
+                seq: 0,
+                is_tail: true,
+            })
+            .unwrap()
+        };
+        // Buffered before this cycle, so ready.
+        for (l, i) in [(0, 1), (1, LOCAL)] {
+            let at = routers.xbar[l].push(i, 1);
+            routers.lanes[l * 5 + i + at] = one_flit();
+            routers.xbar[l].arrived = 0;
+        }
+        let awake = |r: &MeshRouters, l: usize| r.xbar[l].flags & ACTIVE != 0;
+
+        routers.step(&owners, &store, &HEALTHY, true);
+        assert!(matches!(routers.ops[..], [CommitOp::Deliver { .. }]));
+        assert!(!awake(&routers, 0), "router 0 ejected its flit and slept");
+        assert_eq!(
+            usize::from(routers.xbar[1].conn[3]),
+            LOCAL,
+            "router 1 holds W"
+        );
+        assert_eq!((routers.link_flits, routers.blocked), (0, 1), "stop");
+
+        routers.step(&owners, &store, &HEALTHY, true);
+        assert_eq!((routers.link_flits, routers.blocked), (1, 0), "go");
+        assert!(awake(&routers, 0), "the flit woke router 0");
     }
 }

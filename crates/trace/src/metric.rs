@@ -100,7 +100,9 @@ pub enum Work {
     /// Flits pushed into a transit buffer, crossing queue or router
     /// input buffer.
     FifoPushes,
-    /// Flit FIFOs whose registered stop/go state was latched.
+    /// Flit FIFOs whose registered stop/go state was latched: ring
+    /// transit buffers and crossing queues (the mesh reads its stop/go
+    /// from its walk order and latches none).
     FifoLatches,
     /// PM injection queues that reported room (the room contract).
     RoomEvents,

@@ -773,7 +773,25 @@ fn run_worker_cmd(mut args: Args) -> ExitCode {
     }
 }
 
+/// Ends the process quietly, with status 0, when a print finds stdout
+/// closed (`ringmesh figure all | head -1`): `println!` panics on a
+/// broken pipe, and a reader that stopped reading is not an error. Any
+/// other panic is reported as before.
+fn exit_quietly_when_stdout_closes() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or("");
+        if msg.starts_with("failed printing to stdout")
+            && msg.to_ascii_lowercase().contains("broken pipe")
+        {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
+}
+
 fn main() -> ExitCode {
+    exit_quietly_when_stdout_closes();
     let mut args = Args(std::env::args().skip(1).collect());
     if args.take_flag("--help") || args.take_flag("-h") || args.0.is_empty() {
         let help = HELP.replace("{EXPERIMENTS}\n", &experiment_list());

@@ -98,6 +98,27 @@ fn figure_runs_a_registry_row_by_name() {
     assert!(out.contains("[table1 completed in"));
 }
 
+/// A reader that stops early (`ringmesh figure table1 | head -1`) ends
+/// the binary quietly: a print that finds the pipe closed must not
+/// panic (status 101, "panicked" on stderr). The pipe's reading end is
+/// closed before the binary starts, so its first print finds it closed
+/// on every run; reading a line first would race the binary, which may
+/// print all of `table1` before the reader lets go.
+#[test]
+fn figure_ends_quietly_when_its_reader_stops_reading() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let o = Command::new(env!("CARGO_BIN_EXE_ringmesh"))
+        .args(["figure", "table1"])
+        .env_remove("RINGMESH_FULL")
+        .env_remove("RINGMESH_CSV_DIR")
+        .stdout(writer)
+        .output()
+        .expect("spawn ringmesh");
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    assert!(!stderr(&o).contains("panicked"), "{}", stderr(&o));
+}
+
 #[test]
 fn figure_rejects_unknown_and_missing_names_with_the_registry_list() {
     for args in [

@@ -32,6 +32,9 @@
 //! visits and due entries read), captured when the ring tier began to
 //! step only the sides that can act and the driver to find its due
 //! entries from a calendar. Every other column was unchanged by that.
+//! The mesh and hybrid rows' `work` digests moved once since, when the
+//! mesh stopped latching its FIFOs after each step (its latch count
+//! went to zero; each row quotes its old digest).
 //!
 //! The horizon is 2 000 cycles rather than `SimParams::quick()`'s
 //! 9 000 so the table stays near three seconds in a debug build.
@@ -79,7 +82,8 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x9d2a_2017_c0e3_27d9,
         heatmap_csv: 0xd37f_c4fd_b93b_bbf5,
         report_text: 0xb4b6_639f_df79_2669,
-        work: 0xb73e_e0d5_e82c_94f8,
+        // Before the mesh lost its latch pass: 0xb73e_e0d5_e82c_94f8.
+        work: 0x0e16_198f_6c63_68c4,
     },
     Golden {
         spec: "mesh:12:1flit",
@@ -90,7 +94,8 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x6841_99dc_640d_f34e,
         heatmap_csv: 0x82de_0a01_89a2_07ef,
         report_text: 0x912a_bbab_d99c_f39f,
-        work: 0x8b1e_b05e_48fe_d39d,
+        // Before the mesh lost its latch pass: 0x8b1e_b05e_48fe_d39d.
+        work: 0xfd3f_6247_f80a_510d,
     },
     Golden {
         spec: "mesh:5:cl",
@@ -101,7 +106,8 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x3c28_cc45_fbe7_1929,
         heatmap_csv: 0x461d_7558_2608_6d0a,
         report_text: 0xfaaa_51b1_36a6_c5e5,
-        work: 0x6c92_940b_2d22_30b3,
+        // Before the mesh lost its latch pass: 0x6c92_940b_2d22_30b3.
+        work: 0xfca8_9a60_b1a2_de48,
     },
     // The hybrid registers no heatmap: its CSV digest is FNV-1a of "".
     // Its `checkpoint_bytes` were re-pinned by PR 22, which put its
@@ -121,7 +127,8 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0xf36c_58b9_cd2b_d0eb,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
         report_text: 0xb012_1cd5_1c68_7762,
-        work: 0xbb5d_8808_8a81_858f,
+        // Before the mesh lost its latch pass: 0xbb5d_8808_8a81_858f.
+        work: 0xaeeb_750e_f9d5_9b0f,
     },
     Golden {
         spec: "hybrid:2x2:4",
@@ -132,7 +139,8 @@ const GOLDEN: [Golden; 9] = [
         chrome_json: 0x80bb_92d2_23dd_4d59,
         heatmap_csv: 0xcbf2_9ce4_8422_2325,
         report_text: 0x406a_612f_e2a4_f4d7,
-        work: 0xef26_093d_acf1_4a1f,
+        // Before the mesh lost its latch pass: 0xef26_093d_acf1_4a1f.
+        work: 0x101e_46fa_2f1d_eaab,
     },
     // Captured on 5e8e78f (debug and release builds).
     Golden {
