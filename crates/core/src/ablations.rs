@@ -14,9 +14,22 @@ use ringmesh_ring::{RingConfig, RingNetwork};
 use ringmesh_stats::{Series, Table};
 use ringmesh_workload::{MemoryParams, MissProcess, WorkloadParams};
 
+use crate::figures::{Panel, Record};
 use crate::sweep::Scale;
 use crate::system::System;
 use crate::{NetworkSpec, SystemConfig};
+
+/// The `ablations` row: three tables, then the miss-process curves.
+pub fn record(scale: Scale) -> Record {
+    let tables = [
+        ablation_iri_queue,
+        ablation_memory_latency,
+        ablation_mesh_out_queue,
+    ];
+    let title = "Ablation: miss-interval process (latency vs T)";
+    let curves = Panel::new(title, "T", ablation_miss_process(scale));
+    Record::plain(tables.map(|f| f(scale)).into(), vec![curves])
+}
 
 /// Ablation 1 — IRI queue capacity (DESIGN.md: "elastic" inter-ring
 /// queues). Reruns a bisection-saturated 3-level ring with finite

@@ -66,7 +66,7 @@ pub use ringmesh_faults::{ConservationError, DropCounts, FaultConfig, FaultRepor
 pub use ringmesh_snap::SnapError;
 pub use ringmesh_trace::{TraceConfig, TraceReport};
 pub use ringmesh_workload::{RetryPolicy, RetryStats};
-pub use sweep::{run_points, run_points_with, run_series, run_series_with, series_of, Scale};
+pub use sweep::{run_points, run_points_with, series_of, Scale};
 pub use system::{run_config, FaultPlan, FaultRunReport, RunError, RunResult, RunState, System};
 
 // Inert: only the frozen `benchmark/` harness calls this.

@@ -2,8 +2,7 @@
 //! labelled series of `(system size, metric)` points.
 //!
 //! Sweep points are independent simulations — each owns its own seeded
-//! RNG — so [`run_series`] and [`run_points`] fan them across a
-//! [`WorkerPool`] (sized by `RINGMESH_THREADS`, default: available
+//! RNG — so [`run_points`] fans them across a [`WorkerPool`] (sized by `RINGMESH_THREADS`, default: available
 //! parallelism) while collecting results in input order. The output is
 //! byte-identical to a serial run at any thread count.
 
@@ -62,39 +61,11 @@ impl Scale {
     }
 }
 
-/// Runs every `(x, config)` point and collects `metric` of each result
-/// into a series. A point whose simulation fails (a stalled saturated
-/// configuration among them) or completes no transaction is skipped
+/// Runs every `(x, config)` point once on [`WorkerPool::from_env`] and
+/// returns the full results, from which [`series_of`] draws one metric
+/// per curve. A point whose simulation fails (a stalled saturated
+/// configuration among them) or completes no transaction is left out
 /// with a warning on stderr rather than aborting the sweep.
-///
-/// Points execute on [`WorkerPool::from_env`]; use
-/// [`run_series_with`] to pin a pool explicitly.
-pub fn run_series(
-    label: impl Into<String>,
-    points: Vec<(f64, SystemConfig)>,
-    metric: impl Fn(&RunResult) -> f64,
-) -> Series {
-    run_series_with(&WorkerPool::from_env(), label, points, metric)
-}
-
-/// [`run_series`] on an explicit pool: [`series_of`] over
-/// [`run_points_with`]. Results are collected in input order and are
-/// byte-identical for any thread count (every point owns its own
-/// seeded RNG).
-pub fn run_series_with(
-    pool: &WorkerPool,
-    label: impl Into<String>,
-    points: Vec<(f64, SystemConfig)>,
-    metric: impl Fn(&RunResult) -> f64,
-) -> Series {
-    let label = label.into();
-    let results = run_points_with(pool, &label, points);
-    series_of(label, &results, metric)
-}
-
-/// Runs every point once and returns full results, for figures that
-/// need several metrics (latency *and* utilization) from one sweep.
-/// Executes on the default [`WorkerPool`] like [`run_series`].
 pub fn run_points(points: Vec<(f64, SystemConfig)>) -> Vec<(f64, RunResult)> {
     run_points_with(&WorkerPool::from_env(), "sweep", points)
 }
@@ -102,6 +73,8 @@ pub fn run_points(points: Vec<(f64, SystemConfig)>) -> Vec<(f64, RunResult)> {
 /// [`run_points`] on an explicit pool. Each point runs once; one that
 /// fails or completes no transaction is left out with a warning that
 /// `label` attributes to its sweep (parallel runs interleave them).
+/// Results are collected in input order and are bit-identical for any
+/// thread count (every point owns its own seeded RNG).
 pub fn run_points_with(
     pool: &WorkerPool,
     label: &str,
@@ -166,10 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn run_series_collects_points() {
-        let s = run_series("demo", vec![(2.0, mk(2)), (4.0, mk(4))], |r| {
-            r.mean_latency()
-        });
+    fn series_of_run_points_collects_points() {
+        let results = run_points(vec![(2.0, mk(2)), (4.0, mk(4))]);
+        let s = series_of("demo", &results, |r| r.mean_latency());
         assert_eq!(s.points.len(), 2);
         assert!(s.points.iter().all(|&(_, y)| y > 0.0));
     }
@@ -177,8 +149,11 @@ mod tests {
     #[test]
     fn explicit_pools_match_bitwise() {
         let points = |n: u32| (2..=n).map(|k| (f64::from(k), mk(k))).collect::<Vec<_>>();
-        let serial = run_series_with(&WorkerPool::new(1), "det", points(5), |r| r.mean_latency());
-        let pooled = run_series_with(&WorkerPool::new(4), "det", points(5), |r| r.mean_latency());
+        let run = |threads| {
+            let results = run_points_with(&WorkerPool::new(threads), "det", points(5));
+            series_of("det", &results, |r| r.mean_latency())
+        };
+        let (serial, pooled) = (run(1), run(4));
         let bits = |s: &Series| {
             s.points
                 .iter()

@@ -14,6 +14,7 @@ use ringmesh_net::CacheLineSize;
 use ringmesh_trace::{TraceConfig, Work};
 use ringmesh_workload::WorkloadParams;
 
+use crate::figures::{Layout, Record};
 use crate::{NetworkSpec, SimParams, System, SystemConfig, WorkerPool};
 
 /// What the `work` row writes, in the current directory.
@@ -192,13 +193,16 @@ fn render(points: &[Counted]) -> String {
     out
 }
 
-/// The `work` row: measures the record, prints the point workloads'
-/// counts as a table and writes the whole record to [`FILE`].
-pub fn print_record() {
+/// The `work` row: measures the record, writes the whole of it to
+/// [`FILE`] and returns the point workloads' counts as a table.
+pub fn record() -> Record {
     let points = measure();
     // Written before anything is printed: a closed stdout ends the
     // process at its first print.
     let written = std::fs::write(FILE, render(&points));
+    if let Err(e) = &written {
+        eprintln!("warning: could not write {FILE}: {e}");
+    }
     let mut t = ringmesh_stats::Table::new(
         format!("host work per simulated cycle (seed {SEED}, 64B, R=1, T=4)"),
         &[
@@ -223,10 +227,11 @@ pub fn print_record() {
             cell(Work::DueExamined),
         ]);
     }
-    println!("{}", t.to_markdown());
-    match written {
-        Ok(()) => println!("wrote {FILE}"),
-        Err(e) => eprintln!("warning: could not write {FILE}: {e}"),
+    Record {
+        layout: Layout::Markdown,
+        tables: vec![t],
+        panels: Vec::new(),
+        wrote: written.is_ok().then_some(FILE),
     }
 }
 

@@ -6,7 +6,8 @@
 //! both network families, on explicit pools and on the default one.
 
 use ringmesh::{
-    run_points_with, run_series_with, NetworkSpec, SimParams, SystemConfig, WorkerPool,
+    run_points, run_points_with, series_of, NetworkSpec, RunResult, SimParams, SystemConfig,
+    WorkerPool,
 };
 use ringmesh_net::CacheLineSize;
 use ringmesh_ring::RingSpec;
@@ -39,6 +40,17 @@ fn mesh_points() -> Vec<(f64, SystemConfig)> {
         .collect()
 }
 
+/// One metric of a sweep on `threads` workers, as a figure draws a
+/// curve: [`series_of`] over [`run_points_with`].
+fn series_on(
+    threads: usize,
+    points: Vec<(f64, SystemConfig)>,
+    metric: fn(&RunResult) -> f64,
+) -> ringmesh_stats::Series {
+    let results = run_points_with(&WorkerPool::new(threads), "det", points);
+    series_of("det", &results, metric)
+}
+
 /// `(x, y)` series points as raw IEEE-754 bits: equality here is the
 /// byte-identity the executor promises, not an epsilon comparison.
 fn series_bits(s: &ringmesh_stats::Series) -> Vec<(u64, u64)> {
@@ -52,11 +64,7 @@ fn series_bits(s: &ringmesh_stats::Series) -> Vec<(u64, u64)> {
 fn ring_series_identical_across_thread_counts() {
     let runs: Vec<_> = [1usize, 2, 4]
         .iter()
-        .map(|&n| {
-            run_series_with(&WorkerPool::new(n), "det-ring", ring_points(), |r| {
-                r.mean_latency()
-            })
-        })
+        .map(|&n| series_on(n, ring_points(), RunResult::mean_latency))
         .collect();
     assert!(!runs[0].points.is_empty(), "sweep produced no points");
     for run in &runs[1..] {
@@ -86,11 +94,10 @@ fn mesh_results_identical_serial_vs_pooled() {
 /// picks, it matches explicit pools of one and four workers.
 #[test]
 fn default_pool_is_output_neutral() {
-    let default = ringmesh::run_series("det-env", ring_points(), |r| r.throughput);
+    let throughput = |r: &RunResult| r.throughput;
+    let default = series_of("det", &run_points(ring_points()), throughput);
     for n in [1, 4] {
-        let pinned = run_series_with(&WorkerPool::new(n), "det-env", ring_points(), |r| {
-            r.throughput
-        });
+        let pinned = series_on(n, ring_points(), throughput);
         assert_eq!(series_bits(&default), series_bits(&pinned), "{n} workers");
     }
 }

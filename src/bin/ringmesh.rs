@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use ringmesh::figures::{EXPERIMENTS, RECORD_ROW};
+use ringmesh::figures::{self, RECORD_ROW};
 use ringmesh::{
     run_config, ExitStatus, FaultConfig, FaultPlan, FaultRunReport, NetworkSpec, RetryPolicy,
     RunError, Scale, SimParams, System, SystemConfig, TraceConfig, DEFAULT_SEED,
@@ -190,9 +190,8 @@ ENVIRONMENT:
 /// The registry's `name  title` rows: the FIGURE section of `--help`
 /// and the list an unknown `figure` name draws.
 fn experiment_list() -> String {
-    EXPERIMENTS
-        .iter()
-        .map(|e| format!("    {:<22} {}\n", e.name, e.title))
+    figures::rows()
+        .map(|r| format!("    {:<22} {}\n", r.name, r.title))
         .collect()
 }
 
@@ -521,43 +520,34 @@ fn run_trace(cfg: SystemConfig, opts: TraceOpts, format: &str) -> ExitCode {
 }
 
 /// `ringmesh figure <NAME>...`: runs the named rows of the experiment
-/// registry in the order given (`all` is every row in registry order).
-/// Every name is checked before anything runs.
+/// registry in the order given (`all` is every row in registry order)
+/// and prints each row's record. Every name is checked before anything
+/// runs; rows named one after another that share a sweep run it once.
 fn run_figures(args: Args) -> ExitCode {
-    let bad_name = |what: String| {
-        usage_error(&format!(
-            "{what}; give `all` or any of\n{}",
-            experiment_list()
-        ))
+    let runs = match figures::plan(&args.0) {
+        Ok(runs) => runs,
+        Err(e) => return usage_error(&format!("{e}; give `all` or any of\n{}", experiment_list())),
     };
-    let mut picked = Vec::new();
-    for name in &args.0 {
-        match EXPERIMENTS.iter().find(|e| e.name == name) {
-            Some(e) => picked.push(e),
-            None if name == "all" => {
-                picked.extend(EXPERIMENTS.iter().filter(|e| e.name != RECORD_ROW));
-            }
-            None => return bad_name(format!("unknown experiment {name:?}")),
-        }
-    }
-    if picked.is_empty() {
-        return bad_name("figure requires an experiment name".into());
-    }
     let scale = Scale::from_env();
-    for e in picked {
-        let t0 = Instant::now();
-        if e.name == RECORD_ROW {
-            println!("ringmesh experiment {} at fixed lengths", e.name);
-        } else {
-            println!(
-                "ringmesh experiment {} at {} scale (RINGMESH_FULL=1 for publication scale)",
-                e.name,
-                if scale.quick { "quick" } else { "full" }
-            );
+    let at = if scale.quick { "quick" } else { "full" };
+    let at = format!("{at} scale (RINGMESH_FULL=1 for publication scale)");
+    let csv_dir = std::env::var_os("RINGMESH_CSV_DIR").map(PathBuf::from);
+    for (e, rows) in runs {
+        let mut records = Vec::new();
+        for i in rows {
+            let (row, t0) = (&e.rows[i], Instant::now());
+            let at = if row.name == RECORD_ROW {
+                "fixed lengths"
+            } else {
+                &at
+            };
+            println!("ringmesh experiment {} at {at}\n", row.name);
+            if records.is_empty() {
+                records = (e.run)(scale);
+            }
+            print!("{}", figures::render(row, &records[i], csv_dir.as_deref()));
+            println!("[{} completed in {:.1?}]", row.name, t0.elapsed());
         }
-        println!();
-        (e.run)(scale);
-        println!("[{} completed in {:.1?}]", e.name, t0.elapsed());
     }
     ExitStatus::Success.into()
 }

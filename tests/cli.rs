@@ -5,7 +5,7 @@
 
 use std::process::{Command, Output};
 
-use ringmesh::figures::EXPERIMENTS;
+use ringmesh::figures;
 use ringmesh::DEFAULT_SEED;
 
 fn ringmesh(args: &[&str]) -> Output {
@@ -98,6 +98,57 @@ fn figure_runs_a_registry_row_by_name() {
     assert!(out.contains("[table1 completed in"));
 }
 
+/// `RINGMESH_CSV_DIR` adds a CSV of every table and panel beside the
+/// text, which it leaves as it was: for `table1`, one file holding the
+/// printed table's rows.
+#[test]
+fn figure_writes_every_table_as_csv_when_asked() {
+    let dir = std::env::temp_dir().join(format!("ringmesh-csv-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let with_csv = Command::new(env!("CARGO_BIN_EXE_ringmesh"))
+        .args(["figure", "table1"])
+        .env_remove("RINGMESH_FULL")
+        .env("RINGMESH_CSV_DIR", &dir)
+        .output()
+        .expect("spawn ringmesh");
+    assert_eq!(with_csv.status.code(), Some(0), "{}", stderr(&with_csv));
+    let untimed = |o: &Output| {
+        stdout(o)
+            .lines()
+            .filter(|l| !l.contains("completed in"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(
+        untimed(&with_csv),
+        untimed(&ringmesh(&["figure", "table1"]))
+    );
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("the CSV directory")
+        .map(|f| f.expect("a directory entry").file_name())
+        .collect();
+    assert_eq!(files, ["table1_0.csv"]);
+    let csv = std::fs::read_to_string(dir.join("table1_0.csv")).expect("the CSV");
+    let _ = std::fs::remove_dir_all(&dir);
+    // The printed rows follow the header and its dashes; a cell of
+    // Table 1 holds no blank.
+    let text = stdout(&with_csv);
+    let printed: Vec<String> = text
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("---"))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().collect::<Vec<_>>().join(","))
+        .collect();
+    assert_eq!(printed.len(), 8, "{text}");
+    let mut lines = csv.lines();
+    assert_eq!(
+        lines.next(),
+        Some("network,cache line,cl-sized,4-flit,1-flit")
+    );
+    assert_eq!(lines.collect::<Vec<_>>(), printed);
+}
+
 /// A reader that stops early (`ringmesh figure table1 | head -1`) ends
 /// the binary quietly: a print that finds the pipe closed must not
 /// panic (status 101, "panicked" on stderr). The pipe's reading end is
@@ -138,8 +189,8 @@ fn help_lists_every_experiment_and_none_of_the_removed_flags() {
     let o = ringmesh(&["--help"]);
     assert_eq!(o.status.code(), Some(0));
     let help = stdout(&o);
-    for e in EXPERIMENTS {
-        assert!(help.contains(e.name), "--help lacks {}", e.name);
+    for row in figures::rows() {
+        assert!(help.contains(row.name), "--help lacks {}", row.name);
     }
     for gone in [
         "--ring",
@@ -159,11 +210,11 @@ fn design_section_4_names_every_experiment() {
     let start = design.find("\n## 4.").expect("DESIGN §4");
     let section = &design[start..];
     let end = section[1..].find("\n## ").map_or(section.len(), |i| i + 1);
-    for e in EXPERIMENTS {
+    for row in figures::rows() {
         assert!(
-            section[..end].contains(&format!("`{}`", e.name)),
+            section[..end].contains(&format!("`{}`", row.name)),
             "DESIGN §4 lacks `{}`",
-            e.name
+            row.name
         );
     }
 }
